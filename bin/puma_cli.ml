@@ -83,9 +83,9 @@ let fast_arg =
           ( true,
             info [ "fast" ]
               ~doc:
-                "Allow the pre-decoded fast execution path (the default). \
-                 Bit-identical to the reference loop; automatically disabled \
-                 when a profiler, trace or fault plan is attached." );
+                "Use the pre-decoded fast execution path (the default), with \
+                 or without a profiler or fault plan attached. Bit-identical \
+                 to the reference loop." );
           ( false,
             info [ "no-fast" ]
               ~doc:"Force the cycle-accurate reference execution loop." );
@@ -1238,8 +1238,6 @@ let profile_cmd =
         | Ok m -> compile_model m
         | Error e -> exit_err e
     in
-    (* The attached profiler forces the reference loop regardless of
-       [fast]; the flag is accepted for interface symmetry. *)
     let node = Puma_sim.Node.create ~fast program in
     let profile = Puma_profile.Profile.create () in
     Puma_profile.Profile.attach profile node;

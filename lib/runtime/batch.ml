@@ -200,11 +200,12 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
         | None ->
             (* Attach the profiler only after warm-up, so the profile
                (like every other metric) covers exactly the served
-               requests. *)
+               requests. Only its totals are read, so its trace window
+               is the smallest there is. *)
             let node = warmed_node ?noise_seed ?faults ?fast program in
             let prof =
               if profile then begin
-                let p = Profile.create () in
+                let p = Profile.create ~slice_capacity:1 () in
                 Profile.attach p node;
                 Some p
               end

@@ -8,10 +8,10 @@ module Fixed = Puma_util.Fixed
 
 exception Deadlock of string
 
-(* Low-level instrumentation callbacks fired by the run loop. [core = -1]
-   designates the tile control unit. The probe is the hook behind
-   [Puma_profile.Profile]; when it is [None] the run loop pays one branch
-   per event and allocates nothing. *)
+(* Low-level instrumentation callbacks fired by the run loops. [core = -1]
+   designates the tile control unit. The probe is the one observer slot,
+   behind [Puma_profile.Profile] and [Trace]; when it is [None] the run
+   loop pays one branch per event and allocates nothing. *)
 type probe = {
   on_run_start : now:int -> unit;
   on_retire :
@@ -22,6 +22,16 @@ type probe = {
   on_run_end : now:int -> unit;
 }
 
+let null_probe =
+  {
+    on_run_start = (fun ~now:_ -> ());
+    on_retire = (fun ~now:_ ~tile:_ ~core:_ ~cycles:_ _ -> ());
+    on_stall = (fun ~now:_ ~tile:_ ~core:_ _ -> ());
+    on_halt = (fun ~now:_ ~tile:_ ~core:_ -> ());
+    on_deliver = (fun ~now:_ ~tile:_ ~fifo:_ ~occupancy:_ -> ());
+    on_run_end = (fun ~now:_ -> ());
+  }
+
 type t = {
   program : Program.t;
   config : Puma_hwmodel.Config.t;
@@ -30,13 +40,10 @@ type t = {
   network : Network.t;
   core_ready : int array array;
   tcu_ready : int array;
-  faulted : bool;
   mutable fast_enabled : bool;
   mutable last_run_fast : bool;
   mutable now : int;
   mutable total_cycles : int;
-  mutable retire_hook :
-    (cycle:int -> tile:int -> core:int -> Puma_isa.Instr.t -> unit) option;
   mutable probe : probe option;
 }
 
@@ -88,12 +95,10 @@ let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
     network = Network.create config ~energy ~num_tiles:(max 1 ntiles);
     core_ready = Array.init ntiles (fun _ -> Array.make config.cores_per_tile 0);
     tcu_ready = Array.make ntiles 0;
-    faulted = Option.is_some faults;
     fast_enabled = fast;
     last_run_fast = false;
     now = 0;
     total_cycles = 0;
-    retire_hook = None;
     probe = None;
   }
 
@@ -227,102 +232,139 @@ let advance_or_deadlock t =
   end
   else t.now <- !next
 
-(* The cycle-accurate reference loop: full probe/hook dispatch and
-   per-tile energy scoping, stepping through [Core.step]. *)
+(* Probe dispatch for one [Tile.step_tcu] or [Core.step] outcome. *)
+let observe_tcu t ~now ti (r : Tile.step_result) =
+  match t.probe with
+  | None -> ()
+  | Some p -> (
+      match r with
+      | Tile.Retired { cycles; instr } ->
+          p.on_retire ~now ~tile:ti ~core:(-1) ~cycles instr
+      | Tile.Blocked reason -> p.on_stall ~now ~tile:ti ~core:(-1) reason
+      | Tile.Halted -> p.on_halt ~now ~tile:ti ~core:(-1))
+
+let observe_core t ~now ti c (r : Core.step_result) =
+  match t.probe with
+  | None -> ()
+  | Some p -> (
+      match r with
+      | Core.Retired { cycles; instr } ->
+          p.on_retire ~now ~tile:ti ~core:c ~cycles instr
+      | Core.Blocked reason -> p.on_stall ~now ~tile:ti ~core:c reason
+      | Core.Halted -> p.on_halt ~now ~tile:ti ~core:c)
+
+(* A fast-loop core step under a probe: the [Fastexec] return code
+   decoded into the events [Core.step] would have produced. The retired
+   instruction is the one at the pc read before the step. *)
+let step_core_observed t (p : probe) tile fc ti c =
+  let core = Tile.core tile c in
+  let pc = Core.pc core in
+  let r = Tile.step_core_fast tile fc c in
+  (if r >= 0 then
+     p.on_retire ~now:t.now ~tile:ti ~core:c ~cycles:r (Core.code core).(pc)
+   else if r = Fastexec.r_halted then p.on_halt ~now:t.now ~tile:ti ~core:c
+   else
+     p.on_stall ~now:t.now ~tile:ti ~core:c
+       (if r = Fastexec.r_blocked_read then Core.Stall_smem_read
+        else Core.Stall_smem_write));
+  r
+
+(* The two passes [run_reference] and [run_fast] open with. Drain tile
+   outgoing queues into the network, tiles ascending; NoC (and
+   off-chip) energy is attributed to the sending tile. Returns whether
+   anything was sent. *)
+let drain_pass t =
+  let progress = ref false in
+  Array.iter
+    (fun tile ->
+      Energy.set_scope t.energy (Tile.index tile);
+      let rec drain () =
+        match Tile.pop_outgoing tile with
+        | None -> ()
+        | Some (o : Tile.outgoing) ->
+            Network.send t.network ~now:o.issue_cycle
+              {
+                Network.src_tile = Tile.index tile;
+                dst_tile = o.target_tile;
+                fifo_id = o.fifo_id;
+                payload = o.payload;
+                seq = 0 (* assigned by Network.send *);
+              };
+            progress := true;
+            drain ()
+      in
+      drain ())
+    t.tiles;
+  !progress
+
+(* Deliver every arrived message; a full destination FIFO pushes the
+   message back with a one-cycle retry so it stays visible to the
+   time-advance logic. FIFO push energy lands on the destination, and
+   [delivered] counts accepted messages per tile (the fast loop's TCU
+   parking key). Returns whether anything was delivered. *)
+let deliver_pass t delivered =
+  let progress = ref false in
+  let rec deliver () =
+    match Network.pop_arrived t.network ~now:t.now with
+    | None -> ()
+    | Some msg ->
+        let dst = msg.Network.dst_tile in
+        Energy.set_scope t.energy dst;
+        if
+          Tile.deliver t.tiles.(dst) ~fifo:msg.fifo_id ~src_tile:msg.src_tile
+            ~payload:msg.payload
+        then begin
+          Network.confirm_delivered t.network msg;
+          delivered.(dst) <- delivered.(dst) + 1;
+          progress := true;
+          match t.probe with
+          | Some p ->
+              p.on_deliver ~now:t.now ~tile:dst ~fifo:msg.fifo_id
+                ~occupancy:
+                  (Puma_tile.Recv_buffer.occupancy
+                     (Tile.recv_buffer t.tiles.(dst))
+                     ~fifo:msg.fifo_id)
+          | None -> ()
+        end
+        else Network.requeue t.network ~now:t.now msg;
+        deliver ()
+  in
+  deliver ();
+  !progress
+
+(* The cycle-accurate reference loop, stepping through [Core.step]. *)
 let run_reference t ~start =
   let ntiles = Array.length t.tiles in
+  let delivered = Array.make ntiles 0 in
   let finished = ref false in
   while not !finished do
     if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
-    let progress = ref false in
-    (* Drain tile outgoing queues into the network. NoC (and off-chip)
-       energy is attributed to the sending tile. *)
-    Array.iter
-      (fun tile ->
-        Energy.set_scope t.energy (Tile.index tile);
-        let rec drain () =
-          match Tile.pop_outgoing tile with
-          | None -> ()
-          | Some (o : Tile.outgoing) ->
-              Network.send t.network ~now:o.issue_cycle
-                {
-                  Network.src_tile = Tile.index tile;
-                  dst_tile = o.target_tile;
-                  fifo_id = o.fifo_id;
-                  payload = o.payload;
-                  seq = 0 (* assigned by Network.send *);
-                };
-              progress := true;
-              drain ()
-        in
-        drain ())
-      t.tiles;
-    (* Deliver every arrived message; a full destination FIFO pushes the
-       message back with a one-cycle retry so it stays visible to the
-       time-advance logic. FIFO push energy lands on the destination. *)
-    let rec deliver () =
-      match Network.pop_arrived t.network ~now:t.now with
-      | None -> ()
-      | Some msg ->
-          Energy.set_scope t.energy msg.Network.dst_tile;
-          if
-            Tile.deliver t.tiles.(msg.Network.dst_tile) ~fifo:msg.fifo_id
-              ~src_tile:msg.src_tile ~payload:msg.payload
-          then begin
-            Network.confirm_delivered t.network msg;
-            progress := true;
-            match t.probe with
-            | Some p ->
-                let rb = Tile.recv_buffer t.tiles.(msg.Network.dst_tile) in
-                p.on_deliver ~now:t.now ~tile:msg.dst_tile ~fifo:msg.fifo_id
-                  ~occupancy:(Puma_tile.Recv_buffer.occupancy rb ~fifo:msg.fifo_id)
-            | None -> ()
-          end
-          else Network.requeue t.network ~now:t.now msg;
-          deliver ()
-    in
-    deliver ();
+    (* Evaluate both passes: [||] would skip delivery after a drain. *)
+    let sent = drain_pass t in
+    let arrived = deliver_pass t delivered in
+    let progress = ref (sent || arrived) in
     (* Step ready entities (energy scoped to the stepping tile). *)
     for ti = 0 to ntiles - 1 do
       let tile = t.tiles.(ti) in
       Energy.set_scope t.energy ti;
       if t.tcu_ready.(ti) <= t.now then begin
-        match Tile.step_tcu tile ~now:t.now with
-        | Tile.Retired { cycles; instr } ->
+        let r = Tile.step_tcu tile ~now:t.now in
+        observe_tcu t ~now:t.now ti r;
+        match r with
+        | Tile.Retired { cycles; _ } ->
             t.tcu_ready.(ti) <- t.now + cycles;
-            progress := true;
-            (match t.probe with
-            | Some p -> p.on_retire ~now:t.now ~tile:ti ~core:(-1) ~cycles instr
-            | None -> ())
-        | Tile.Blocked reason -> (
-            match t.probe with
-            | Some p -> p.on_stall ~now:t.now ~tile:ti ~core:(-1) reason
-            | None -> ())
-        | Tile.Halted -> (
-            match t.probe with
-            | Some p -> p.on_halt ~now:t.now ~tile:ti ~core:(-1)
-            | None -> ())
+            progress := true
+        | Tile.Blocked _ | Tile.Halted -> ()
       end;
       for c = 0 to Tile.num_cores tile - 1 do
         if t.core_ready.(ti).(c) <= t.now then begin
-          match Tile.step_core tile c with
-          | Core.Retired { cycles; instr } ->
-              (match t.retire_hook with
-              | Some hook -> hook ~cycle:t.now ~tile:ti ~core:c instr
-              | None -> ());
-              (match t.probe with
-              | Some p -> p.on_retire ~now:t.now ~tile:ti ~core:c ~cycles instr
-              | None -> ());
+          let r = Tile.step_core tile c in
+          observe_core t ~now:t.now ti c r;
+          match r with
+          | Core.Retired { cycles; _ } ->
               t.core_ready.(ti).(c) <- t.now + cycles;
               progress := true
-          | Core.Blocked reason -> (
-              match t.probe with
-              | Some p -> p.on_stall ~now:t.now ~tile:ti ~core:c reason
-              | None -> ())
-          | Core.Halted -> (
-              match t.probe with
-              | Some p -> p.on_halt ~now:t.now ~tile:ti ~core:c
-              | None -> ())
+          | Core.Blocked _ | Core.Halted -> ()
         end
       done
     done;
@@ -333,17 +375,16 @@ let run_reference t ~start =
     else if not !progress then advance_or_deadlock t
   done
 
-(* The fast loop: same pass structure and [now] sequence as
-   [run_reference] — drain, deliver, step (TCU then cores, tiles
+(* The fast loop: same pass structure, [now] sequence and energy scoping
+   as [run_reference] — drain, deliver, step (TCU then cores, tiles
    ascending), completion check, re-pass at the same cycle on progress
    (a TCU receive can unblock a core's load within the cycle), advance
-   via the shared helper. Only eligible when nothing can observe the
-   differences: no probe, no retire hook, no fault plan, attribution
-   off. The deltas are exactly: no probe/hook dispatch, no
-   [Energy.set_scope] (dead with attribution off), cores step through
-   the pre-decoded [Fastexec] streams, and tiles that have fully halted
-   are skipped in the stepping pass (stepping a halted entity is a
-   no-op without a probe). *)
+   via the shared helper. The deltas are exactly: cores step through the
+   pre-decoded [Fastexec] streams, blocked and halted entities are
+   parked instead of re-stepped, and tiles that have fully halted are
+   skipped in the stepping pass. A probe therefore sees each stall
+   reason when a stall begins or its dependency changes rather than on
+   every pass, and each halt once. *)
 let run_fast t ~start =
   let ntiles = Array.length t.tiles in
   let fcs = Array.map Tile.fast_code t.tiles in
@@ -366,53 +407,22 @@ let run_fast t ~start =
   let finished = ref false in
   while not !finished do
     if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
-    let progress = ref false in
-    Array.iter
-      (fun tile ->
-        let rec drain () =
-          match Tile.pop_outgoing tile with
-          | None -> ()
-          | Some (o : Tile.outgoing) ->
-              Network.send t.network ~now:o.issue_cycle
-                {
-                  Network.src_tile = Tile.index tile;
-                  dst_tile = o.target_tile;
-                  fifo_id = o.fifo_id;
-                  payload = o.payload;
-                  seq = 0 (* assigned by Network.send *);
-                };
-              progress := true;
-              drain ()
-        in
-        drain ())
-      t.tiles;
-    let rec deliver () =
-      match Network.pop_arrived t.network ~now:t.now with
-      | None -> ()
-      | Some msg ->
-          if
-            Tile.deliver t.tiles.(msg.Network.dst_tile) ~fifo:msg.fifo_id
-              ~src_tile:msg.src_tile ~payload:msg.payload
-          then begin
-            Network.confirm_delivered t.network msg;
-            delivered.(msg.Network.dst_tile) <-
-              delivered.(msg.Network.dst_tile) + 1;
-            progress := true
-          end
-          else Network.requeue t.network ~now:t.now msg;
-          deliver ()
-    in
-    deliver ();
+    let sent = drain_pass t in
+    let arrived = deliver_pass t delivered in
+    let progress = ref (sent || arrived) in
     for ti = 0 to ntiles - 1 do
       let tile = t.tiles.(ti) in
       if not (Tile.all_halted tile) then begin
+        Energy.set_scope t.energy ti;
         (if t.tcu_ready.(ti) <= t.now then
            let park = tcu_park.(ti) in
            if
              park <> never
              && park <> Tile.smem_generation tile + delivered.(ti)
            then begin
-             match Tile.step_tcu tile ~now:t.now with
+             let r = Tile.step_tcu tile ~now:t.now in
+             observe_tcu t ~now:t.now ti r;
+             match r with
              | Tile.Retired { cycles; _ } ->
                  t.tcu_ready.(ti) <- t.now + cycles;
                  progress := true
@@ -427,7 +437,11 @@ let run_fast t ~start =
           if t.core_ready.(ti).(c) <= t.now then begin
             let park = parks.(c) in
             if park <> never && park <> Tile.smem_generation tile then begin
-              let r = Tile.step_core_fast tile fc c in
+              let r =
+                match t.probe with
+                | None -> Tile.step_core_fast tile fc c
+                | Some p -> step_core_observed t p tile fc ti c
+              in
               if r >= 0 then begin
                 t.core_ready.(ti).(c) <- t.now + r;
                 progress := true
@@ -439,29 +453,19 @@ let run_fast t ~start =
         done
       end
     done;
+    Energy.set_scope t.energy (-1);
     let all_halted = Array.for_all Tile.all_halted t.tiles in
     if all_halted && Network.in_flight t.network = 0 then finished := true
     else if not !progress then advance_or_deadlock t
   done
-
-(* Fast mode engages only when the run is observationally equivalent:
-   any instrumentation, fault plan or attribution forces the reference
-   loop. *)
-let fast_eligible t =
-  t.fast_enabled
-  && Option.is_none t.probe
-  && Option.is_none t.retire_hook
-  && (not t.faulted)
-  && not (Energy.attribution_enabled t.energy)
 
 let run t ~inputs =
   inject_inputs t inputs;
   Array.iter Tile.reset t.tiles;
   let start = t.now in
   (match t.probe with Some p -> p.on_run_start ~now:start | None -> ());
-  let fast = fast_eligible t in
-  t.last_run_fast <- fast;
-  if fast then run_fast t ~start else run_reference t ~start;
+  t.last_run_fast <- t.fast_enabled;
+  if t.fast_enabled then run_fast t ~start else run_reference t ~start;
   t.total_cycles <- t.total_cycles + (t.now - start);
   (match t.probe with Some p -> p.on_run_end ~now:t.now | None -> ());
   read_outputs t
@@ -531,42 +535,23 @@ let shard_step t ~now =
     let tile = t.tiles.(ti) in
     Energy.set_scope t.energy (Tile.index tile);
     if t.tcu_ready.(ti) <= now then begin
-      match Tile.step_tcu tile ~now with
-      | Tile.Retired { cycles; instr } ->
+      let r = Tile.step_tcu tile ~now in
+      observe_tcu t ~now ti r;
+      match r with
+      | Tile.Retired { cycles; _ } ->
           t.tcu_ready.(ti) <- now + cycles;
-          progress := true;
-          (match t.probe with
-          | Some p -> p.on_retire ~now ~tile:ti ~core:(-1) ~cycles instr
-          | None -> ())
-      | Tile.Blocked reason -> (
-          match t.probe with
-          | Some p -> p.on_stall ~now ~tile:ti ~core:(-1) reason
-          | None -> ())
-      | Tile.Halted -> (
-          match t.probe with
-          | Some p -> p.on_halt ~now ~tile:ti ~core:(-1)
-          | None -> ())
+          progress := true
+      | Tile.Blocked _ | Tile.Halted -> ()
     end;
     for c = 0 to Tile.num_cores tile - 1 do
       if t.core_ready.(ti).(c) <= now then begin
-        match Tile.step_core tile c with
-        | Core.Retired { cycles; instr } ->
-            (match t.retire_hook with
-            | Some hook -> hook ~cycle:now ~tile:ti ~core:c instr
-            | None -> ());
-            (match t.probe with
-            | Some p -> p.on_retire ~now ~tile:ti ~core:c ~cycles instr
-            | None -> ());
+        let r = Tile.step_core tile c in
+        observe_core t ~now ti c r;
+        match r with
+        | Core.Retired { cycles; _ } ->
             t.core_ready.(ti).(c) <- now + cycles;
             progress := true
-        | Core.Blocked reason -> (
-            match t.probe with
-            | Some p -> p.on_stall ~now ~tile:ti ~core:c reason
-            | None -> ())
-        | Core.Halted -> (
-            match t.probe with
-            | Some p -> p.on_halt ~now ~tile:ti ~core:c
-            | None -> ())
+        | Core.Blocked _ | Core.Halted -> ()
       end
     done
   done;
@@ -586,7 +571,6 @@ let shard_next_event t ~now =
 let shard_all_halted t = Array.for_all Tile.all_halted t.tiles
 let shard_add_cycles t n = t.total_cycles <- t.total_cycles + n
 
-let set_retire_hook t hook = t.retire_hook <- hook
 let set_probe t probe = t.probe <- probe
 let probe_attached t = t.probe <> None
 let set_fast t fast = t.fast_enabled <- fast

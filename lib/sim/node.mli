@@ -9,21 +9,26 @@
 
 exception Deadlock of string
 
-(** Low-level instrumentation callbacks fired by the run loop (the hook
-    behind {!Puma_profile.Profile}). In every callback [core = -1]
-    designates the tile control unit, and [now] is the simulated cycle.
+(** Low-level instrumentation callbacks fired by the run loops (the one
+    observer slot, behind {!Puma_profile.Profile} and {!Trace}). In every
+    callback [core = -1] designates the tile control unit, and [now] is
+    the simulated cycle.
 
-    Semantics the consumer can rely on:
+    Semantics the consumer can rely on, on both the fast and the
+    reference loop:
     - [on_run_start]/[on_run_end] bracket each {!run} (not fired when the
       run aborts on deadlock or the cycle cap);
     - [on_retire] fires once per retired instruction, which occupies the
       entity for [cycles] starting at [now];
-    - [on_stall] fires on {e every} failed step attempt of a ready entity
-      (typically many times per stall episode, all with the same reason
-      until the dependency resolves);
-    - [on_halt] fires when a halted entity is stepped — the first time at
-      exactly the cycle the entity ran out of work, and again on every
-      later scheduler pass (consumers deduplicate);
+    - [on_stall] fires on the first failed step attempt of a stall
+      episode, and again whenever a retry is made; a retry may be skipped
+      while the state the entity waits on is unchanged, so the reason
+      last reported before the next retire or halt is the one that held
+      since that state last changed;
+    - [on_halt] fires at exactly the cycle a stepped entity runs out of
+      work, and may fire again on later passes (consumers deduplicate).
+      A core whose pc ran past its stream counts as halted without
+      another step, so it may see no [on_halt] at all;
     - [on_deliver] fires when a message enters a receive FIFO, with the
       occupancy after the push.
 
@@ -39,6 +44,10 @@ type probe = {
   on_run_end : now:int -> unit;
 }
 
+val null_probe : probe
+(** A probe whose callbacks do nothing: the base for a client that
+    observes only some events ([{ Node.null_probe with on_retire = ... }]). *)
+
 type t
 
 val create :
@@ -51,11 +60,10 @@ val create :
     program's configuration has [write_noise_sigma > 0]; [noise_seed]
     makes it reproducible) and preload constant vectors.
 
-    [fast] (default [true]) allows {!run} to use the pre-decoded fast
-    execution path when nothing can observe the difference — see
-    {!set_fast} for the exact engagement rule. Results are bit-identical
-    either way; pass [~fast:false] to force the cycle-accurate reference
-    loop (e.g. as the golden side of a differential test).
+    [fast] (default [true]) runs {!run} on the pre-decoded fast execution
+    path — see {!set_fast}. Results are bit-identical either way; pass
+    [~fast:false] to force the cycle-accurate reference loop (e.g. as the
+    golden side of a differential test).
 
     [faults] injects device/circuit faults at configuration time: each
     MVMU's fault set is realized deterministically from the plan's model
@@ -95,30 +103,25 @@ val iter_mvmus : t -> (Puma_xbar.Mvmu.t -> unit) -> unit
 (** Visit every MVMU that holds a programmed crossbar image (for fault
     injection and inspection). *)
 
-val set_retire_hook :
-  t -> (cycle:int -> tile:int -> core:int -> Puma_isa.Instr.t -> unit) option -> unit
-(** Install (or clear) a callback invoked at every retired core
-    instruction — the hook behind {!Trace}. Independent of {!set_probe}
-    (a trace and a profiler can coexist). *)
-
 val set_probe : t -> probe option -> unit
-(** Install (or clear) the instrumentation probe. Attaching a probe never
-    changes simulation results: instruction semantics, cycle counts and
-    the energy ledger totals are bit-identical with and without one. *)
+(** Install (or clear) the instrumentation probe; a node has one probe
+    slot. Attaching a probe never changes simulation results, nor which
+    loop runs: instruction semantics, cycle counts and the energy ledger
+    totals are bit-identical with and without one. *)
 
 val probe_attached : t -> bool
 
 val set_fast : t -> bool -> unit
 (** Allow or forbid the fast execution path for subsequent {!run} calls.
-    Even when allowed, fast mode engages only if the run is
-    observationally equivalent to the reference loop: no probe attached,
-    no retire hook installed, no fault plan, per-tile energy attribution
-    off. Outputs, cycle counts, retired counts and the energy ledger
-    (counts {e and} picojoules) are bit-identical in both modes — the
-    contract test/test_fastpath.ml enforces. *)
+    When allowed, every run takes it — with or without a probe, per-tile
+    energy attribution or a fault plan; forbidding it is the only way
+    onto the reference loop. Outputs, cycle counts, retired counts, the
+    energy ledger (counts {e and} picojoules) and everything a probe
+    reports are bit-identical in both modes — the contract
+    test/test_fastpath.ml and test/test_profile.ml enforce. *)
 
 val fast_enabled : t -> bool
-(** Whether the fast path is currently allowed (not whether it ran). *)
+(** Whether the fast path is currently allowed. *)
 
 val last_run_fast : t -> bool
 (** Whether the most recent {!run} actually used the fast loop ([false]
@@ -136,9 +139,11 @@ val cycle_cap : int
     functions expose the reference run loop's passes individually; each
     mirrors the corresponding pass of the monolithic loop exactly, which
     is what makes a zero-cost-fabric cluster bit-identical (outputs,
-    cycles, energy event counts) to one big node. Clusters always execute
-    reference-style — the fast loop's parking bookkeeping is private to a
-    whole-node run. Do not mix these with {!run} on the same node. *)
+    cycles, energy event counts) to one big node. Clusters execute
+    reference-style whatever {!set_fast} says — the fast loop's parking
+    bookkeeping is private to a whole-node run — and dispatch an attached
+    probe from {!shard_step}. Do not mix these with {!run} on the same
+    node. *)
 
 val shard_begin_run : t -> inputs:(string * float array) list -> unit
 (** Inject this shard's inputs (bindings the shard's program slice owns)

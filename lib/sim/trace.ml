@@ -22,10 +22,16 @@ let record t entry =
   t.total <- t.total + 1
 
 let attach t node =
-  Node.set_retire_hook node
-    (Some (fun ~cycle ~tile ~core instr -> record t { cycle; tile; core; instr }))
+  Node.set_probe node
+    (Some
+       {
+         Node.null_probe with
+         on_retire =
+           (fun ~now ~tile ~core ~cycles:_ instr ->
+             if core >= 0 then record t { cycle = now; tile; core; instr });
+       })
 
-let detach node = Node.set_retire_hook node None
+let detach node = Node.set_probe node None
 
 let length t = min t.total t.capacity
 let total_recorded t = t.total

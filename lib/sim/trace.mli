@@ -20,9 +20,13 @@ val create : ?capacity:int -> unit -> t
     65536). *)
 
 val attach : t -> Node.t -> unit
-(** Start recording the node's retired instructions. *)
+(** Start recording the node's retired core instructions. The trace is a
+    {!Node.probe} client: it takes the node's one probe slot, so
+    attaching it replaces an attached {!Puma_profile.Profile} (and
+    attaching a profile replaces it). *)
 
 val detach : Node.t -> unit
+(** Clear the node's probe slot, whichever observer holds it. *)
 
 val length : t -> int
 (** Entries currently retained. *)

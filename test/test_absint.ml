@@ -111,70 +111,76 @@ let prop_range_sound =
       let shadow = Hashtbl.create 8 in
       let failures = ref [] in
       let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
-      Node.set_retire_hook node
+      Node.set_probe node
         (Some
-           (fun ~cycle:_ ~tile ~core instr ->
-             let pc =
-               Option.value ~default:0 (Hashtbl.find_opt shadow (tile, core))
-             in
-             Hashtbl.replace shadow (tile, core) (pc + 1);
-             let code = program.Program.tiles.(tile).Program.core_code.(core) in
-             if pc >= Array.length code || code.(pc) <> instr then
-               fail "tile %d core %d: retire desync at pc %d" tile core pc
-             else begin
-               let c = Puma_tile.Tile.core (Node.tile node tile) core in
-               let rf = Puma_arch.Core.regfile c in
-               let read i =
-                 if i < total then Puma_arch.Regfile.read rf i
-                 else Puma_arch.Core.sreg c (i - total)
-               in
-               let effs = Regflow.effects layout instr in
-               List.iter
-                 (fun (base, width) ->
-                   for i = base to base + width - 1 do
-                     let v = read i in
-                     match ra.Range.interval ~tile ~core ~pc ~reg:i with
-                     | None ->
-                         fail "tile %d core %d pc %d: no interval for %s" tile
-                           core pc
-                           (Regflow.reg_name layout i)
-                     | Some (lo, hi) ->
-                         if v < lo || v > hi then
-                           fail
-                             "tile %d core %d pc %d: %s = %d outside [%d, %d]"
-                             tile core pc
-                             (Regflow.reg_name layout i)
-                             v lo hi
-                   done)
-                 effs.Regflow.defs;
-               (* Saturation completeness for additive lanes: recompute the
-                  unclamped sum from the (unaliased) source registers. *)
-               match instr with
-               | Instr.Alu
-                   {
-                     op = (Instr.Add | Instr.Sub) as op;
-                     dest;
-                     src1;
-                     src2;
-                     vec_width;
-                   }
-                 when abs (dest - src1) >= vec_width
-                      && abs (dest - src2) >= vec_width ->
-                   for k = 0 to vec_width - 1 do
-                     let a = Fixed.to_raw (Fixed.of_raw (read (src1 + k))) in
-                     let b = Fixed.to_raw (Fixed.of_raw (read (src2 + k))) in
-                     let s = if op = Instr.Add then a + b else a - b in
-                     if
-                       (s < Fixed.min_raw || s > Fixed.max_raw)
-                       && not (Hashtbl.mem flagged (tile, core, pc))
-                     then
-                       fail
-                         "tile %d core %d pc %d: lane %d saturates (%d) but \
-                          was not flagged"
-                         tile core pc k s
-                   done
-               | _ -> ()
-             end));
+           {
+             Node.null_probe with
+             on_retire =
+               (fun ~now:_ ~tile ~core ~cycles:_ instr ->
+                 if core >= 0 then begin
+                   let pc =
+                     Option.value ~default:0 (Hashtbl.find_opt shadow (tile, core))
+                   in
+                   Hashtbl.replace shadow (tile, core) (pc + 1);
+                   let code = program.Program.tiles.(tile).Program.core_code.(core) in
+                   if pc >= Array.length code || code.(pc) <> instr then
+                     fail "tile %d core %d: retire desync at pc %d" tile core pc
+                   else begin
+                     let c = Puma_tile.Tile.core (Node.tile node tile) core in
+                     let rf = Puma_arch.Core.regfile c in
+                     let read i =
+                       if i < total then Puma_arch.Regfile.read rf i
+                       else Puma_arch.Core.sreg c (i - total)
+                     in
+                     let effs = Regflow.effects layout instr in
+                     List.iter
+                       (fun (base, width) ->
+                         for i = base to base + width - 1 do
+                           let v = read i in
+                           match ra.Range.interval ~tile ~core ~pc ~reg:i with
+                           | None ->
+                               fail "tile %d core %d pc %d: no interval for %s" tile
+                                 core pc
+                                 (Regflow.reg_name layout i)
+                           | Some (lo, hi) ->
+                               if v < lo || v > hi then
+                                 fail
+                                   "tile %d core %d pc %d: %s = %d outside [%d, %d]"
+                                   tile core pc
+                                   (Regflow.reg_name layout i)
+                                   v lo hi
+                         done)
+                       effs.Regflow.defs;
+                     (* Saturation completeness for additive lanes: recompute the
+                        unclamped sum from the (unaliased) source registers. *)
+                     match instr with
+                     | Instr.Alu
+                         {
+                           op = (Instr.Add | Instr.Sub) as op;
+                           dest;
+                           src1;
+                           src2;
+                           vec_width;
+                         }
+                       when abs (dest - src1) >= vec_width
+                            && abs (dest - src2) >= vec_width ->
+                         for k = 0 to vec_width - 1 do
+                           let a = Fixed.to_raw (Fixed.of_raw (read (src1 + k))) in
+                           let b = Fixed.to_raw (Fixed.of_raw (read (src2 + k))) in
+                           let s = if op = Instr.Add then a + b else a - b in
+                           if
+                             (s < Fixed.min_raw || s > Fixed.max_raw)
+                             && not (Hashtbl.mem flagged (tile, core, pc))
+                           then
+                             fail
+                               "tile %d core %d pc %d: lane %d saturates (%d) but \
+                                was not flagged"
+                               tile core pc k s
+                         done
+                     | _ -> ()
+                   end
+                 end);
+           });
       let rng = Rng.create (spec.seed + 1) in
       let inputs =
         List.map

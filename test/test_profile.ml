@@ -1,5 +1,7 @@
 (* The profiling layer's contract: attaching a profiler never changes
-   simulation results (differential over the model zoo), the cycle
+   simulation results (differential over the model zoo), everything a
+   profile reports is byte-identical on the fast and the reference loop
+   (zoo and random programs), the cycle
    accounting is exhaustive (busy + stalled + idle = makespan for every
    entity), per-tile energy rows sum back to the ledger total, and the
    Chrome trace export is schema-valid and pinned on a tiny program. *)
@@ -27,11 +29,12 @@ let zoo =
     ("rbm", Models.mini_rbm);
   ]
 
-let compile_zoo graph =
-  (* Default crossbar dimension (rbm mis-simulates at 64 — pre-existing);
-     gate off: lenet5 has a known core-imem overflow but still simulates. *)
+(* Gate off: lenet5 has a known core-imem overflow but still simulates. *)
+let compile_gate_off config graph =
   let options = { Compile.default_options with analysis_gate = false } in
-  (Compile.compile ~options Config.sweetspot graph).Compile.program
+  (Compile.compile ~options config graph).Compile.program
+
+let compile_zoo graph = compile_gate_off Config.sweetspot graph
 
 let inputs_for program ~seed =
   let rng = Rng.create seed in
@@ -99,6 +102,83 @@ let test_differential_zoo () =
         core_retired)
     zoo
 
+(* ---- differential: profiled fast loop vs profiled reference loop ---- *)
+
+let random_mlp (n_in, n_hidden, seed) =
+  let rng = Rng.create (seed + 1) in
+  let m = B.create "rand-mlp" in
+  let x = B.input m ~name:"x" ~len:n_in in
+  let w1 =
+    B.const_matrix m ~name:"W1" (Tensor.mat_rand rng n_hidden n_in 0.1)
+  in
+  let w2 = B.const_matrix m ~name:"W2" (Tensor.mat_rand rng 8 n_hidden 0.1) in
+  B.output m ~name:"y"
+    (B.sigmoid m (B.mvm m w2 (B.sigmoid m (B.mvm m w1 x))));
+  B.finish m
+
+(* Two-step unrolled Elman RNN (matrix reuse, add, tanh). *)
+let random_rnn (n_in, n_hidden, seed) =
+  let rng = Rng.create (seed + 2) in
+  let m = B.create "rand-rnn" in
+  let x = B.input m ~name:"x" ~len:n_in in
+  let wx = B.const_matrix m ~name:"Wx" (Tensor.mat_rand rng n_hidden n_in 0.1) in
+  let wh =
+    B.const_matrix m ~name:"Wh" (Tensor.mat_rand rng n_hidden n_hidden 0.1)
+  in
+  let h = ref (B.tanh m (B.mvm m wx x)) in
+  for _ = 1 to 2 do
+    h := B.tanh m (B.add m (B.mvm m wh !h) (B.mvm m wx x))
+  done;
+  B.output m ~name:"y" !h;
+  B.finish m
+
+(* Profile two back-to-back inferences on each loop and list what
+   differs: the probe events feed the JSON accounting and the Chrome
+   trace (slices, FIFO depths, sampled energy), so byte-identical
+   exports mean the fast loop's event stream is as good as the
+   reference loop's. *)
+let profiled_mismatches program =
+  let profiled ~fast =
+    let node = Node.create ~noise_seed:3 ~fast program in
+    let p = Profile.create () in
+    Profile.attach p node;
+    let outputs =
+      List.init 2 (fun i -> Node.run node ~inputs:(inputs_for program ~seed:(42 + i)))
+    in
+    Node.finish_energy node;
+    (node, outputs, Json.to_string (Profile.to_json p), Chrome_trace.to_string p)
+  in
+  let nf, of_, jf, tf = profiled ~fast:true in
+  let nr, or_, jr, tr = profiled ~fast:false in
+  List.filter_map
+    (fun (what, ok) -> if ok then None else Some what)
+    [
+      ("fast loop engaged", Node.last_run_fast nf);
+      ("reference loop used", not (Node.last_run_fast nr));
+      ("outputs", of_ = or_);
+      ("cycles", Node.cycles nf = Node.cycles nr);
+      ( "total energy",
+        Energy.total_pj (Node.energy nf) = Energy.total_pj (Node.energy nr) );
+      ("profile json", jf = jr);
+      ("chrome trace", tf = tr);
+    ]
+
+let test_fast_vs_reference_zoo config () =
+  List.iter
+    (fun (name, graph) ->
+      Alcotest.(check (list string))
+        (name ^ ": profiled fast = reference")
+        []
+        (profiled_mismatches (compile_gate_off config graph)))
+    zoo
+
+let prop_fast_vs_reference name build =
+  QCheck.Test.make ~name ~count:10
+    QCheck.(triple (int_range 8 40) (int_range 8 40) (int_range 0 10_000))
+    (fun spec ->
+      let config = { Config.sweetspot with mvmu_dim = 32 } in
+      profiled_mismatches (compile_gate_off config (build spec)) = [])
+
 (* ---- accounting invariants ---- *)
 
 let check_invariants ?(tol = 1e-9) p node =
@@ -136,18 +216,6 @@ let test_invariants_zoo () =
       Alcotest.(check int) "two runs profiled" 2 (Profile.runs p);
       check_invariants p node)
     zoo
-
-let random_mlp (n_in, n_hidden, seed) =
-  let rng = Rng.create (seed + 1) in
-  let m = B.create "rand-mlp" in
-  let x = B.input m ~name:"x" ~len:n_in in
-  let w1 =
-    B.const_matrix m ~name:"W1" (Tensor.mat_rand rng n_hidden n_in 0.1)
-  in
-  let w2 = B.const_matrix m ~name:"W2" (Tensor.mat_rand rng 8 n_hidden 0.1) in
-  B.output m ~name:"y"
-    (B.sigmoid m (B.mvm m w2 (B.sigmoid m (B.mvm m w1 x))));
-  B.finish m
 
 let prop_invariants_random_mlps =
   QCheck.Test.make ~name:"accounting invariants on random MLPs" ~count:15
@@ -368,6 +436,7 @@ let test_batch_profile_differential () =
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest [ prop_invariants_random_mlps ] in
+  let mini_config = { Config.sweetspot with mvmu_dim = 64 } in
   Alcotest.run "profile"
     [
       ( "differential",
@@ -376,7 +445,16 @@ let () =
             test_differential_zoo;
           Alcotest.test_case "batch runtime" `Quick
             test_batch_profile_differential;
-        ] );
+          Alcotest.test_case "profiled fast=ref zoo @ sweetspot" `Quick
+            (test_fast_vs_reference_zoo Config.sweetspot);
+          Alcotest.test_case "profiled fast=ref zoo @ dim 64" `Quick
+            (test_fast_vs_reference_zoo mini_config);
+        ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [
+              prop_fast_vs_reference "profiled fast=ref random MLPs" random_mlp;
+              prop_fast_vs_reference "profiled fast=ref random RNNs" random_rnn;
+            ] );
       ( "accounting",
         [
           Alcotest.test_case "zoo invariants" `Quick test_invariants_zoo;
