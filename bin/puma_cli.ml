@@ -84,8 +84,8 @@ let fast_arg =
             info [ "fast" ]
               ~doc:
                 "Use the pre-decoded fast execution path (the default), with \
-                 or without a profiler or fault plan attached. Bit-identical \
-                 to the reference loop." );
+                 or without a profiler or fault plan attached, on a single \
+                 node or a cluster. Bit-identical to the reference loop." );
           ( false,
             info [ "no-fast" ]
               ~doc:"Force the cycle-accurate reference execution loop." );
@@ -348,7 +348,7 @@ let run_cmd =
                   sr.Cluster.cross_in)
               (Cluster.analyze_shards ~nodes:r.Compile.nodes_used program);
           let cluster =
-            Cluster.create ~nodes:r.Compile.nodes_used ~topology program
+            Cluster.create ~nodes:r.Compile.nodes_used ~topology ~fast program
           in
           let got = Cluster.run cluster ~inputs in
           report_outputs got;
@@ -1414,7 +1414,7 @@ let faults_cmd =
           in
           let result = Compile.compile ~options config g in
           let report =
-            Puma_fault.Campaign.run_cluster ~domains ~topology
+            Puma_fault.Campaign.run_cluster ~domains ~fast ~topology
               ~nodes:result.Puma_compiler.Compile.nodes_used ~key:model
               result.Puma_compiler.Compile.program spec
           in

@@ -4,8 +4,6 @@ module Fabric = Puma_noc.Fabric
 module Network = Puma_noc.Network
 module Energy = Puma_hwmodel.Energy
 module Node = Puma_sim.Node
-module Tile = Puma_tile.Tile
-module Fixed = Puma_util.Fixed
 
 (* Contiguous block split: node k owns global tile positions
    [k*stride, (k+1)*stride). Programs compiled with a cluster option are
@@ -46,21 +44,18 @@ let split (program : Program.t) ~nodes =
 let split_program program ~nodes = snd (split program ~nodes)
 
 type t = {
-  program : Program.t;
   config : Puma_hwmodel.Config.t;
   nodes : int;
   stride : int;
   fabric : Fabric.t;
   shards : Node.t array;
   shard_programs : Program.t array;
-  network : Network.t;
   interconnect : Energy.t;
-  mutable now : int;
-  mutable total_cycles : int;
+  runner : Node.t;
 }
 
 let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
-    ?(noise_seed = 42) ?node_faults (program : Program.t) =
+    ?(noise_seed = 42) ?node_faults ?(fast = true) (program : Program.t) =
   (match node_faults with
   | Some plans when Array.length plans <> nodes ->
       invalid_arg "Cluster.create: node_faults must have one slot per node"
@@ -80,176 +75,34 @@ let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
       (fun k sp ->
         (* Each chip programs its crossbars from its own noise stream and
            its own fault plan — node k's devices are independent of node
-           j's. The cluster loop is reference-style, so [fast] is moot,
-           but pin it off for clarity. *)
+           j's. *)
         let faults =
           Option.bind node_faults (fun plans -> plans.(k))
         in
-        Node.create ~noise_seed:(noise_seed + k) ?faults ~fast:false sp)
+        Node.create ~noise_seed:(noise_seed + k) ?faults sp)
       shard_programs
   in
   {
-    program;
     config;
     nodes;
     stride;
     fabric;
     shards;
     shard_programs;
-    network;
     interconnect;
-    now = 0;
-    total_cycles = 0;
+    runner = Node.join ~fast ~network ~energy:interconnect program shards;
   }
 
 let config t = t.config
 let nodes t = t.nodes
 let tiles_per_node t = t.stride
 let fabric t = t.fabric
-let cycles t = t.total_cycles
+let cycles t = Node.cycles t.runner
 let shard t k = t.shards.(k)
 let shard_program t k = t.shard_programs.(k)
 let interconnect_energy t = t.interconnect
-
-let deadlock_dump t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "Cluster: all live entities blocked at cycle %d (in flight %d, next \
-        arrival %s)\n"
-       t.now
-       (Network.in_flight t.network)
-       (match Network.next_arrival t.network with
-       | Some a -> string_of_int a
-       | None -> "none"));
-  Array.iteri
-    (fun k shard ->
-      if not (Node.shard_all_halted shard) then
-        Buffer.add_string buf
-          (Printf.sprintf "  node %d not halted (tiles %d..%d)\n" k
-             (k * t.stride)
-             ((k * t.stride) + Node.num_tiles shard - 1)))
-    t.shards;
-  Buffer.contents buf
-
-(* Global output assembly, mirroring [Node.read_outputs] fragment
-   grouping exactly (same hashtable insertion sequence, so the same
-   result order) with the tile lookup routed through the owning shard. *)
-let read_outputs t =
-  let by_name = Hashtbl.create 8 in
-  List.iter
-    (fun (b : Program.io_binding) ->
-      let frags =
-        match Hashtbl.find_opt by_name b.name with
-        | Some l -> l
-        | None ->
-            let l = ref [] in
-            Hashtbl.add by_name b.name l;
-            l
-      in
-      frags := b :: !frags)
-    t.program.Program.outputs;
-  Hashtbl.fold
-    (fun name frags acc ->
-      let total =
-        List.fold_left
-          (fun m (b : Program.io_binding) -> max m (b.offset + b.length))
-          0 !frags
-      in
-      let out = Array.make total 0.0 in
-      List.iter
-        (fun (b : Program.io_binding) ->
-          let k = Fabric.node_of t.fabric b.tile in
-          let local = b.tile - (k * t.stride) in
-          match
-            Tile.host_read
-              (Node.tile t.shards.(k) local)
-              ~addr:b.mem_addr ~width:b.length
-          with
-          | None ->
-              raise
-                (Node.Deadlock
-                   (Printf.sprintf
-                      "output %s fragment at tile %d (node %d) never written"
-                      name b.tile k))
-          | Some raw ->
-              Array.iteri
-                (fun i v -> out.(b.offset + i) <- Fixed.to_float (Fixed.of_raw v))
-                raw)
-        !frags;
-      (name, out) :: acc)
-    by_name []
-
-(* The cluster run loop: the monolithic reference loop's pass structure
-   (drain, deliver, step — tiles in ascending global order — completion
-   check, time advance) with the tile space striped across shards and
-   all traffic on the one shared fabric-aware network. With a zero-cost
-   fabric the event sequence is identical to [Node.run] on the unsplit
-   program, which the differential suite pins bit for bit. *)
-let run t ~inputs =
-  Array.iter (fun shard -> Node.shard_begin_run shard ~inputs) t.shards;
-  let start = t.now in
-  let finished = ref false in
-  while not !finished do
-    if t.now - start > Node.cycle_cap then
-      failwith "Cluster.run: cycle cap exceeded";
-    let progress = ref false in
-    Array.iter
-      (fun shard ->
-        if
-          Node.shard_drain shard ~send:(fun ~src ~dst ~fifo ~payload ~issue ->
-              Network.send t.network ~now:issue
-                {
-                  Network.src_tile = src;
-                  dst_tile = dst;
-                  fifo_id = fifo;
-                  payload;
-                  seq = 0 (* assigned by Network.send *);
-                })
-        then progress := true)
-      t.shards;
-    let rec deliver () =
-      match Network.pop_arrived t.network ~now:t.now with
-      | None -> ()
-      | Some msg ->
-          let k = Fabric.node_of t.fabric msg.Network.dst_tile in
-          let local = msg.Network.dst_tile - (k * t.stride) in
-          if
-            Node.shard_deliver t.shards.(k) ~local_tile:local
-              ~fifo:msg.Network.fifo_id ~src_tile:msg.Network.src_tile
-              ~payload:msg.Network.payload
-          then begin
-            Network.confirm_delivered t.network msg;
-            progress := true
-          end
-          else Network.requeue t.network ~now:t.now msg;
-          deliver ()
-    in
-    deliver ();
-    Array.iter
-      (fun shard -> if Node.shard_step shard ~now:t.now then progress := true)
-      t.shards;
-    let all_halted = Array.for_all Node.shard_all_halted t.shards in
-    if all_halted && Network.in_flight t.network = 0 then finished := true
-    else if not !progress then begin
-      let next =
-        Array.fold_left
-          (fun acc shard -> min acc (Node.shard_next_event shard ~now:t.now))
-          max_int t.shards
-      in
-      let next =
-        match Network.next_arrival t.network with
-        | Some a when a > t.now -> min next a
-        | Some _ | None -> next
-      in
-      if next = max_int then raise (Node.Deadlock (deadlock_dump t))
-      else t.now <- next
-    end
-  done;
-  let elapsed = t.now - start in
-  t.total_cycles <- t.total_cycles + elapsed;
-  Array.iter (fun shard -> Node.shard_add_cycles shard elapsed) t.shards;
-  read_outputs t
+let last_run_fast t = Node.last_run_fast t.runner
+let run t ~inputs = Node.run t.runner ~inputs
 
 (* Energy is kept exact by summing the integer per-category event counts
    across the shard ledgers and the interconnect ledger — never by adding
@@ -276,7 +129,8 @@ let dynamic_energy_pj t =
       else acc +. (Float.of_int n *. Energy.per_event_pj t.config cat))
     0.0 (energy_counts t)
 
-let finish_energy t = Array.iter Node.finish_energy t.shards
+let finish_energy t =
+  Array.iter (Node.finish_energy ~cycles:(cycles t)) t.shards
 
 let total_energy_pj t =
   Array.fold_left

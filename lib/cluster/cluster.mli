@@ -1,17 +1,18 @@
 (** Multi-node scale-out: several {!Puma_sim.Node}s as one machine.
 
     A cluster splits a compiled program into contiguous per-node tile
-    blocks (shards), runs every shard under one global clock, and routes
-    all inter-tile traffic through one shared {!Puma_noc.Network} whose
-    cross-node costs come from a {!Puma_noc.Fabric} — the same
+    blocks (shards), one {!Puma_sim.Node} per chip, and runs them as one
+    {!Puma_sim.Node.join}ed node over the global tile space: one clock,
+    one run loop, and one shared {!Puma_noc.Network} whose cross-node
+    costs come from a {!Puma_noc.Fabric} — the same
     {!Puma_noc.Offchip} constants the analytical estimator uses.
+    Cross-node messages are ordinary network arrivals, so a cluster runs
+    on the node's fast loop by default.
 
-    The run loop reproduces the monolithic reference loop's pass
-    structure over the striped tile space, so a cluster with a zero-cost
-    fabric is bit-identical (outputs, cycles, energy event counts) to
-    {!Puma_sim.Node.run} on the unsplit program — the contract
-    [test/test_cluster.ml] pins for the whole model zoo. Clusters always
-    execute reference-style; the single-node fast path does not apply.
+    A cluster with a zero-cost fabric is bit-identical (outputs, cycles,
+    energy event counts) to {!Puma_sim.Node.run} on the unsplit program
+    — the contract [test/test_cluster.ml] pins for the whole model zoo,
+    along with fast-vs-reference bit-identity under real link costs.
 
     See [docs/SCALEOUT.md]. *)
 
@@ -30,20 +31,28 @@ val create :
   ?zero_cost:bool ->
   ?noise_seed:int ->
   ?node_faults:Puma_xbar.Fault.plan option array ->
+  ?fast:bool ->
   Puma_isa.Program.t ->
   t
 (** Split the program across [nodes] (default 2) chips connected by the
     given fabric topology (default [Mesh2d]). Each node programs its
     crossbars from its own noise stream ([noise_seed + k]) and its own
     entry of [node_faults] (length must equal [nodes]), modelling
-    independent physical chips. *)
+    independent physical chips. [fast] (default [true]) is
+    {!Puma_sim.Node.create}'s: [~fast:false] runs the reference loop,
+    with bit-identical results. *)
 
 val run :
   t -> inputs:(string * float array) list -> (string * float array) list
-(** One inference across the cluster: inject inputs into the owning
-    shards, run the global event loop to completion, assemble outputs
-    from all shards. Raises {!Puma_sim.Node.Deadlock} or [Failure] (cycle
-    cap) like the single-node simulator. *)
+(** One inference across the cluster: {!Puma_sim.Node.run} on the
+    joined node, so inputs land in the owning chips' tiles and outputs
+    are read back from them. Raises {!Puma_sim.Node.Deadlock} (whose dump
+    names each blocked tile's node) or [Failure] (cycle cap) like the
+    single-node simulator. *)
+
+val last_run_fast : t -> bool
+(** Whether the most recent {!run} used the fast loop ([false] before
+    the first run). *)
 
 val config : t -> Puma_hwmodel.Config.t
 val nodes : t -> int
@@ -57,6 +66,11 @@ val cycles : t -> int
 (** Global cycles elapsed in completed {!run} calls. *)
 
 val shard : t -> int -> Puma_sim.Node.t
+(** Chip [k]'s node: its tiles (shared with the cluster's run loop),
+    energy ledger and {!Puma_sim.Node.retired_instructions}. Never
+    {!Puma_sim.Node.run} it directly, and its {!Puma_sim.Node.cycles}
+    stays 0: the clock is the cluster's ({!cycles}). *)
+
 val shard_program : t -> int -> Puma_isa.Program.t
 
 val interconnect_energy : t -> Puma_hwmodel.Energy.t

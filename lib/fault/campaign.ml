@@ -283,29 +283,13 @@ type cluster_report = {
 (* Replay the request batch on one freshly built (and warmed) cluster,
    serially, exactly like Batch.run's cluster backend with one worker —
    so faulted responses line up with a Batch.run golden bit for bit. *)
-let cluster_batch ~nodes ~topology ?node_faults program requests =
-  let cluster = Cluster.create ~nodes ~topology ?node_faults program in
-  let zeros =
-    List.map
-      (fun (name, len) -> (name, Array.make len 0.0))
-      (Batch.input_lengths program)
+let cluster_batch ?fast ~nodes ~topology ?node_faults program requests =
+  let cluster =
+    Batch.warmed_cluster ?fast ~nodes ~topology ?node_faults program
   in
-  ignore (Cluster.run cluster ~inputs:zeros);
-  Array.of_list
-    (List.map
-       (fun (r : Batch.request) ->
-         let c0 = Cluster.cycles cluster in
-         let outputs = Cluster.run cluster ~inputs:r.Batch.inputs in
-         {
-           Batch.index = r.Batch.index;
-           outputs;
-           cycles = Cluster.cycles cluster - c0;
-           dynamic_energy_pj = 0.0;
-           stalls = [];
-         })
-       requests)
+  Array.of_list (List.map (Batch.run_cluster_request cluster) requests)
 
-let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
+let run_cluster ?domains ?fast ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
     program spec =
   if nodes < 1 then
     invalid_arg (Printf.sprintf "Campaign.run_cluster: %d nodes" nodes);
@@ -319,7 +303,8 @@ let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
     Batch.random_requests program ~batch:spec.samples ~seed:spec.input_seed
   in
   let golden, _ =
-    Batch.run ~domains:1 ~cluster_nodes:nodes ~topology program requests
+    Batch.run ~domains:1 ?fast ~cluster_nodes:nodes ~topology program
+      requests
   in
   (* Each chip realizes its faults independently: node [k]'s plan comes
      from its own shard program and a per-node seed mixed from the grid
@@ -347,7 +332,7 @@ let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
             shards
         in
         let plans = Array.map (fun r -> Some r.Remap.plan) remaps in
-        let faulty = cluster_batch ~nodes ~topology ~node_faults:plans
+        let faulty = cluster_batch ?fast ~nodes ~topology ~node_faults:plans
             program requests in
         let c_max_err_ulps, c_mean_err_ulps, c_flip_rate =
           compare_batches ~golden faulty
@@ -360,8 +345,8 @@ let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
               in
               let _, _, flip =
                 compare_batches ~golden
-                  (cluster_batch ~nodes ~topology ~node_faults:only program
-                     requests)
+                  (cluster_batch ?fast ~nodes ~topology ~node_faults:only
+                     program requests)
               in
               flip)
         in

@@ -70,9 +70,8 @@ val run :
 (** Evaluate the full grid. [domains] (default
     {!Puma_util.Pool.default_domains}) shards grid points, not the
     per-point simulations. [fast] is forwarded to the golden and
-    per-point {!Puma_runtime.Batch.run} calls; faulted points always take
-    the cycle-accurate path regardless (fault plans disable fast mode),
-    so it only accelerates the golden batch. *)
+    per-point {!Puma_runtime.Batch.run} calls (bit-identical either
+    way). *)
 
 val by_rate : report -> (float * point list) list
 (** Points grouped by rate, in sweep order. *)
@@ -123,6 +122,7 @@ type cluster_report = {
 
 val run_cluster :
   ?domains:int ->
+  ?fast:bool ->
   ?topology:Puma_noc.Fabric.topology ->
   nodes:int ->
   key:string ->
@@ -135,7 +135,8 @@ val run_cluster :
     (zero, by the bit-identity contract) partitioning effects. Node
     [k]'s fault plan is realized from its shard program with seed
     [Batch.request_seed ~seed:fault_seed ~index:k]. [domains] shards
-    grid points; reports are bit-identical for any value. *)
+    grid points; reports are bit-identical for any value. [fast] is
+    forwarded to every cluster, as in {!run}. *)
 
 val cluster_to_json : cluster_report -> Puma_util.Json.t
 (** Machine-readable report (schema in [docs/SCALEOUT.md]). *)

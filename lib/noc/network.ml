@@ -103,6 +103,7 @@ let node_of t tile =
 let crosses_nodes t ~src ~dst = node_of t src <> node_of t dst
 
 let topology t = t.topology
+let fabric t = t.fabric
 let router_latency = 4
 let words_per_flit = 2
 

@@ -45,6 +45,9 @@ val create :
 
 val topology : t -> Topology.t
 
+val fabric : t -> Fabric.t option
+(** The inter-node fabric given to {!create}, if any. *)
+
 val router_latency : int
 (** Cycles per router traversal (4, matching a 4-stage router at the
     Table 3 design point). *)

@@ -99,8 +99,10 @@ let warmed_node ?noise_seed ?faults ?fast program =
 
 (* The cluster counterpart: split across [nodes] chips on the given
    fabric topology, warmed by the same throwaway all-zero inference. *)
-let warmed_cluster ?noise_seed ?topology ~nodes program =
-  let cluster = Cluster.create ~nodes ?topology ?noise_seed program in
+let warmed_cluster ?noise_seed ?topology ?node_faults ?fast ~nodes program =
+  let cluster =
+    Cluster.create ~nodes ?topology ?noise_seed ?node_faults ?fast program
+  in
   let zeros =
     List.map (fun (name, len) -> (name, Array.make len 0.0))
       (input_lengths program)
@@ -155,6 +157,20 @@ let stall_delta (before : Profile.totals) (after : Profile.totals) =
       | _ -> None)
     after.Profile.by_stall
 
+let run_cluster_request cluster (r : request) =
+  let c0 = Cluster.cycles cluster in
+  let e0 = cluster_energy_counts cluster in
+  let outputs = Cluster.run cluster ~inputs:r.inputs in
+  {
+    index = r.index;
+    outputs;
+    cycles = Cluster.cycles cluster - c0;
+    dynamic_energy_pj =
+      energy_delta_pj (Cluster.config cluster) ~before:e0
+        ~after:(cluster_energy_counts cluster);
+    stalls = [];
+  }
+
 let merge_stalls splits =
   List.filter_map
     (fun reason ->
@@ -196,7 +212,8 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
       ~init:(fun ~worker:_ ->
         match cluster_nodes with
         | Some nodes ->
-            `Cluster (warmed_cluster ?noise_seed ?topology ~nodes program)
+            `Cluster
+              (warmed_cluster ?noise_seed ?topology ?fast ~nodes program)
         | None ->
             (* Attach the profiler only after warm-up, so the profile
                (like every other metric) covers exactly the served
@@ -215,20 +232,7 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
       (fun backend i ->
         let r = requests.(i) in
         match backend with
-        | `Cluster cluster ->
-            let c0 = Cluster.cycles cluster in
-            let e0 = cluster_energy_counts cluster in
-            let outputs = Cluster.run cluster ~inputs:r.inputs in
-            ( {
-                index = r.index;
-                outputs;
-                cycles = Cluster.cycles cluster - c0;
-                dynamic_energy_pj =
-                  energy_delta_pj program.config ~before:e0
-                    ~after:(cluster_energy_counts cluster);
-                stalls = [];
-              },
-              0 )
+        | `Cluster cluster -> (run_cluster_request cluster r, 0)
         | `Node (node, prof) ->
             let c0 = Node.cycles node in
             let e0 = energy_counts node in

@@ -97,12 +97,20 @@ val tiles_used : Puma_isa.Program.t -> int
 val warmed_cluster :
   ?noise_seed:int ->
   ?topology:Puma_noc.Fabric.topology ->
+  ?node_faults:Puma_xbar.Fault.plan option array ->
+  ?fast:bool ->
   nodes:int ->
   Puma_isa.Program.t ->
   Puma_cluster.Cluster.t
 (** {!warmed_node}'s multi-node counterpart: the program split across
     [nodes] chips on the given fabric topology, warmed by the same
-    throwaway all-zero inference. *)
+    throwaway all-zero inference. The optional arguments are
+    {!Puma_cluster.Cluster.create}'s. *)
+
+val run_cluster_request : Puma_cluster.Cluster.t -> request -> response
+(** Serve one request on a (warmed) cluster: its outputs, and its cycles
+    and dynamic energy as deltas of the cluster's global clock and summed
+    ledgers ([stalls] is [[]]). The cluster backend of {!run}. *)
 
 val run :
   ?domains:int ->
@@ -128,7 +136,8 @@ val run :
 
     [domains] defaults to
     {!Puma_util.Pool.default_domains}; [noise_seed], [faults] and [fast]
-    are passed to every node (defaults as {!Puma_sim.Node.create} — with
+    are passed to every node, and [noise_seed] and [fast] to every
+    cluster (defaults as {!Puma_sim.Node.create} — with
     [faults], every worker node carries the same deterministically
     realized fault set, so responses stay independent of the domain
     count; [fast] is bit-identical either way, so batch results never

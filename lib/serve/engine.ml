@@ -1,5 +1,4 @@
 module Batch = Puma_runtime.Batch
-module Cluster = Puma_cluster.Cluster
 module Node = Puma_sim.Node
 module Energy = Puma_hwmodel.Energy
 module Pool = Puma_util.Pool
@@ -480,9 +479,6 @@ let energy_delta_pj config ~before ~after =
     (0, 0.0) Energy.all_categories
   |> snd
 
-let cluster_energy_counts cluster =
-  Array.of_list (List.map snd (Cluster.energy_counts cluster))
-
 let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
     (workload : workload) =
   validate_workload models workload;
@@ -516,7 +512,8 @@ let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
               lazy
                 (match cluster_nodes with
                 | Some nodes ->
-                    `Cluster (Batch.warmed_cluster ?topology ~nodes m.program)
+                    `Cluster
+                      (Batch.warmed_cluster ?topology ?fast ~nodes m.program)
                 | None -> `Node (Batch.warmed_node ?fast m.program)))
             models)
         (fun backends i ->
@@ -536,15 +533,11 @@ let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
                 outputs;
               }
           | `Cluster cluster ->
-              let c0 = Cluster.cycles cluster in
-              let e0 = cluster_energy_counts cluster in
-              let outputs = Cluster.run cluster ~inputs:req.Batch.inputs in
+              let r = Batch.run_cluster_request cluster req in
               {
-                cycles = Cluster.cycles cluster - c0;
-                energy_pj =
-                  energy_delta_pj prog_config ~before:e0
-                    ~after:(cluster_energy_counts cluster);
-                outputs;
+                cycles = r.cycles;
+                energy_pj = r.dynamic_energy_pj;
+                outputs = r.outputs;
               })
   in
   schedule config models workload costs

@@ -175,7 +175,7 @@ val run :
     warmed nodes ([domains] shards the host work, default
     {!Puma_util.Pool.default_domains}; the report is bit-identical for
     any value), then {!schedule}. [fast] selects the simulator fast path
-    (bit-identical either way).
+    on nodes and clusters alike (bit-identical either way).
 
     [cluster_nodes > 1] serves every request on a
     {!Puma_cluster.Cluster} of that many chips (fabric [topology],

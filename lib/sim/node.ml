@@ -49,6 +49,24 @@ type t = {
 
 let cycle_cap = 200_000_000
 
+let assemble ~fast ~energy ~network (program : Program.t) tiles =
+  let ntiles = Array.length tiles in
+  {
+    program;
+    config = program.config;
+    energy;
+    tiles;
+    network;
+    core_ready =
+      Array.init ntiles (fun _ -> Array.make program.config.cores_per_tile 0);
+    tcu_ready = Array.make ntiles 0;
+    fast_enabled = fast;
+    last_run_fast = false;
+    now = 0;
+    total_cycles = 0;
+    probe = None;
+  }
+
 let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
   let config = program.config in
   let energy = Energy.create config in
@@ -87,20 +105,20 @@ let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
     (fun ((b : Program.io_binding), raw) ->
       Tile.host_write tiles.(b.tile) ~addr:b.mem_addr ~values:raw)
     program.constants;
-  {
-    program;
-    config;
-    energy;
-    tiles;
-    network = Network.create config ~energy ~num_tiles:(max 1 ntiles);
-    core_ready = Array.init ntiles (fun _ -> Array.make config.cores_per_tile 0);
-    tcu_ready = Array.make ntiles 0;
-    fast_enabled = fast;
-    last_run_fast = false;
-    now = 0;
-    total_cycles = 0;
-    probe = None;
-  }
+  assemble ~fast ~energy
+    ~network:(Network.create config ~energy ~num_tiles:(max 1 ntiles))
+    program tiles
+
+(* A runner over the concatenated tiles of [shards] (shared, not copied):
+   the tiles keep charging their own shards' ledgers, while [network]
+   charges [energy]. Global tile [i] must sit at position [i]. *)
+let join ?(fast = true) ~network ~energy (program : Program.t) shards =
+  let tiles =
+    Array.concat (Array.to_list (Array.map (fun s -> s.tiles) shards))
+  in
+  if Array.length tiles <> Array.length program.tiles then
+    invalid_arg "Node.join: shards do not cover the program's tiles";
+  assemble ~fast ~energy ~network program tiles
 
 let config t = t.config
 let energy t = t.energy
@@ -207,13 +225,22 @@ let advance_or_deadlock t =
          (match Network.next_arrival t.network with
           | Some a -> string_of_int a
           | None -> "none"));
+    (* Under a fabric (a cluster runner), each line names its chip. *)
+    let where =
+      match Network.fabric t.network with
+      | None -> Printf.sprintf "tile %d"
+      | Some f ->
+          fun ti ->
+            Printf.sprintf "node %d tile %d" (Puma_noc.Fabric.node_of f ti) ti
+    in
     Array.iteri
       (fun ti tile ->
         for c = 0 to Tile.num_cores tile - 1 do
           let core = Tile.core tile c in
           if not (Core.halted core) then
             Buffer.add_string buf
-              (Printf.sprintf "  tile %d core %d blocked at pc %d\n" ti c (Core.pc core))
+              (Printf.sprintf "  %s core %d blocked at pc %d\n" (where ti) c
+                 (Core.pc core))
         done;
         if not (Tile.all_halted tile) then
           begin
@@ -224,8 +251,8 @@ let advance_or_deadlock t =
                      string_of_int (Puma_tile.Recv_buffer.occupancy rb ~fifo:f)))
             in
             Buffer.add_string buf
-              (Printf.sprintf "  tile %d tcu pc %d, fifo occupancy [%s]\n" ti
-                 (Tile.tcu_pc tile) occ)
+              (Printf.sprintf "  %s tcu pc %d, fifo occupancy [%s]\n"
+                 (where ti) (Tile.tcu_pc tile) occ)
           end)
       t.tiles;
     raise (Deadlock (Buffer.contents buf))
@@ -470,106 +497,19 @@ let run t ~inputs =
   (match t.probe with Some p -> p.on_run_end ~now:t.now | None -> ());
   read_outputs t
 
-let finish_energy t =
-  Energy.add_static t.energy ~tiles:(tiles_used t)
-    ~cycles:(Float.of_int t.total_cycles);
+let finish_energy ?cycles t =
+  let cycles = Float.of_int (Option.value cycles ~default:t.total_cycles) in
+  Energy.add_static t.energy ~tiles:(tiles_used t) ~cycles;
   (* Under per-tile attribution, spread the (already recorded) static
      charge over the occupied tiles so the attributed rows account for the
      whole ledger. *)
   if Energy.attribution_enabled t.energy then begin
-    let share =
-      Energy.static_tile_pj t.config ~cycles:(Float.of_int t.total_cycles)
-    in
+    let share = Energy.static_tile_pj t.config ~cycles in
     Array.iteri
       (fun ti tp ->
         if tile_busy tp then Energy.attribute_pj t.energy ~tile:ti Static share)
       t.program.tiles
   end
-
-(* --- Cluster shard API ----------------------------------------------
-
-   [Puma_cluster.Cluster] drives several nodes under one global clock and
-   one shared fabric-aware network. These entry points expose the
-   reference loop's passes individually so the cluster run loop can
-   interleave shards in global tile order; each mirrors the corresponding
-   pass of [run_reference] exactly (that mirroring is what makes a
-   zero-cost-fabric cluster bit-identical to one monolithic node). The
-   fast loop has no shard form: its blocked-entity parking is a per-run
-   local of [run_fast], so clusters always execute reference-style. *)
-
-let shard_begin_run t ~inputs =
-  inject_inputs t inputs;
-  Array.iter Tile.reset t.tiles
-
-let shard_drain t ~send =
-  let progress = ref false in
-  Array.iter
-    (fun tile ->
-      Energy.set_scope t.energy (Tile.index tile);
-      let rec drain () =
-        match Tile.pop_outgoing tile with
-        | None -> ()
-        | Some (o : Tile.outgoing) ->
-            send ~src:(Tile.index tile) ~dst:o.target_tile ~fifo:o.fifo_id
-              ~payload:o.payload ~issue:o.issue_cycle;
-            progress := true;
-            drain ()
-      in
-      drain ())
-    t.tiles;
-  Energy.set_scope t.energy (-1);
-  !progress
-
-let shard_deliver t ~local_tile ~fifo ~src_tile ~payload =
-  let tile = t.tiles.(local_tile) in
-  Energy.set_scope t.energy (Tile.index tile);
-  let accepted = Tile.deliver tile ~fifo ~src_tile ~payload in
-  Energy.set_scope t.energy (-1);
-  accepted
-
-let shard_step t ~now =
-  t.now <- now;
-  let ntiles = Array.length t.tiles in
-  let progress = ref false in
-  for ti = 0 to ntiles - 1 do
-    let tile = t.tiles.(ti) in
-    Energy.set_scope t.energy (Tile.index tile);
-    if t.tcu_ready.(ti) <= now then begin
-      let r = Tile.step_tcu tile ~now in
-      observe_tcu t ~now ti r;
-      match r with
-      | Tile.Retired { cycles; _ } ->
-          t.tcu_ready.(ti) <- now + cycles;
-          progress := true
-      | Tile.Blocked _ | Tile.Halted -> ()
-    end;
-    for c = 0 to Tile.num_cores tile - 1 do
-      if t.core_ready.(ti).(c) <= now then begin
-        let r = Tile.step_core tile c in
-        observe_core t ~now ti c r;
-        match r with
-        | Core.Retired { cycles; _ } ->
-            t.core_ready.(ti).(c) <- now + cycles;
-            progress := true
-        | Core.Blocked _ | Core.Halted -> ()
-      end
-    done
-  done;
-  Energy.set_scope t.energy (-1);
-  !progress
-
-let shard_next_event t ~now =
-  let next = ref max_int in
-  let consider time = if time > now && time < !next then next := time in
-  Array.iteri
-    (fun ti _ ->
-      consider t.tcu_ready.(ti);
-      Array.iter consider t.core_ready.(ti))
-    t.tiles;
-  !next
-
-let shard_all_halted t = Array.for_all Tile.all_halted t.tiles
-let shard_add_cycles t n = t.total_cycles <- t.total_cycles + n
 
 let set_probe t probe = t.probe <- probe
 let probe_attached t = t.probe <> None

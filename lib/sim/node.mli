@@ -72,6 +72,25 @@ val create :
     present. A plan with nothing to inject or remap leaves every stack
     on the exact fast path — bit-identical to passing no plan. *)
 
+val join :
+  ?fast:bool ->
+  network:Puma_noc.Network.t ->
+  energy:Puma_hwmodel.Energy.t ->
+  Puma_isa.Program.t ->
+  t array ->
+  t
+(** [join ~network ~energy program shards] is a node over the global
+    tile space of [program], whose tiles are the concatenation of the
+    shards' tiles — shared, not copied, so crossbar images, constants,
+    per-chip energy ledgers and retired counts stay the shards'. The
+    shards must split [program] into contiguous tile blocks in order
+    (global tile [i] at position [i]). [network] (typically carrying a
+    {!Puma_noc.Fabric}) routes every message and charges [energy],
+    which is also the ledger {!energy} returns and the only one the run
+    loop scopes for per-tile attribution; [fast] as in {!create}.
+    Running the joined node is running the whole machine under one
+    clock; the shards themselves are never {!run}. *)
+
 val config : t -> Puma_hwmodel.Config.t
 val energy : t -> Puma_hwmodel.Energy.t
 val num_tiles : t -> int
@@ -95,9 +114,11 @@ val tiles_used : t -> int
 (** Tiles with at least one instruction (used for static-energy
     accounting). *)
 
-val finish_energy : t -> unit
-(** Charge static energy for the occupied tiles over the simulated cycles
-    (call once after the last [run]). *)
+val finish_energy : ?cycles:int -> t -> unit
+(** Charge static energy for the occupied tiles over [cycles] (default:
+    this node's {!cycles}); call once after the last [run]. A cluster
+    passes its own cycles for each chip, whose tiles it ran through a
+    {!join}ed runner. *)
 
 val iter_mvmus : t -> (Puma_xbar.Mvmu.t -> unit) -> unit
 (** Visit every MVMU that holds a programmed crossbar image (for fault
@@ -128,57 +149,5 @@ val last_run_fast : t -> bool
     before the first run). *)
 
 val cycle_cap : int
-(** Runaway-program guard: a single run may not span more cycles than
-    this (shared by {!run} and the cluster run loop). *)
-
-(** {2 Cluster shard API}
-
-    [Puma_cluster.Cluster] drives several nodes as shards of one logical
-    machine: a single global clock, a single shared fabric-aware
-    {!Puma_noc.Network}, shards stepped in global tile order. These
-    functions expose the reference run loop's passes individually; each
-    mirrors the corresponding pass of the monolithic loop exactly, which
-    is what makes a zero-cost-fabric cluster bit-identical (outputs,
-    cycles, energy event counts) to one big node. Clusters execute
-    reference-style whatever {!set_fast} says — the fast loop's parking
-    bookkeeping is private to a whole-node run — and dispatch an attached
-    probe from {!shard_step}. Do not mix these with {!run} on the same
-    node. *)
-
-val shard_begin_run : t -> inputs:(string * float array) list -> unit
-(** Inject this shard's inputs (bindings the shard's program slice owns)
-    and reset its instruction streams — the prologue {!run} performs. *)
-
-val shard_drain :
-  t ->
-  send:
-    (src:int ->
-    dst:int ->
-    fifo:int ->
-    payload:int array ->
-    issue:int ->
-    unit) ->
-  bool
-(** Drain retired sends from every tile (ascending order) into [send];
-    [src]/[dst] are global tile indices and [issue] the retirement cycle.
-    Returns whether anything was drained. *)
-
-val shard_deliver :
-  t -> local_tile:int -> fifo:int -> src_tile:int -> payload:int array -> bool
-(** Deliver a network message into the shard tile at array position
-    [local_tile]; [false] if the destination FIFO is full (caller
-    requeues). *)
-
-val shard_step : t -> now:int -> bool
-(** Step every ready entity (TCU then cores, tiles ascending) at global
-    cycle [now]; returns whether any instruction retired. *)
-
-val shard_next_event : t -> now:int -> int
-(** Earliest entity ready-time strictly after [now] ([max_int] if none) —
-    the shard's contribution to the cluster's time advance. *)
-
-val shard_all_halted : t -> bool
-
-val shard_add_cycles : t -> int -> unit
-(** Account cluster-run cycles to this shard so {!cycles} and
-    {!finish_energy} report correctly. *)
+(** Runaway-program guard: a single {!run} may not span more cycles
+    than this. *)

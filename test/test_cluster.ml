@@ -287,6 +287,169 @@ let qcheck_cluster_matches_single =
       let out = sorted_outputs (Cluster.run cl ~inputs) in
       ref_out = out)
 
+(* --- fast vs reference loop under real link costs -------------------- *)
+
+(* Everything a cluster exposes after two back-to-back inferences on one
+   loop, and which loop the last one took. *)
+let observe ?node_faults ~fast ~nodes ~topology program =
+  let cl = Cluster.create ~nodes ~topology ?node_faults ~fast program in
+  let outs =
+    List.map
+      (fun seed ->
+        sorted_outputs (Cluster.run cl ~inputs:(inputs_for ~seed program)))
+      [ 3; 4 ]
+  in
+  ( Cluster.last_run_fast cl,
+    ( outs,
+      Cluster.cycles cl,
+      List.map snd (Cluster.energy_counts cl),
+      Cluster.offchip_words cl ) )
+
+let check_fast_matches_reference ?node_faults label ~nodes ~topology program =
+  let fast_taken, (outs, cycles, counts, words) =
+    observe ?node_faults ~fast:true ~nodes ~topology program
+  in
+  let ref_taken, (ref_outs, ref_cycles, ref_counts, ref_words) =
+    observe ?node_faults ~fast:false ~nodes ~topology program
+  in
+  Alcotest.(check bool) (label ^ ": fast loop taken") true fast_taken;
+  Alcotest.(check bool) (label ^ ": reference loop taken") false ref_taken;
+  List.iter2 (check_same_outputs label) ref_outs outs;
+  Alcotest.(check int) (label ^ ": cycles") ref_cycles cycles;
+  Alcotest.(check (list int))
+    (label ^ ": energy event counts")
+    ref_counts counts;
+  Alcotest.(check int) (label ^ ": off-chip words") ref_words words
+
+let compile_cluster ?(dim = 64) ~nodes ~scheme g =
+  let options =
+    { quick_options with Compile.cluster = Some { Partition.nodes; scheme } }
+  in
+  let r = Compile.compile ~options (config_of_dim dim) g in
+  (r.Compile.program, r.Compile.nodes_used)
+
+(* Each scheme meets both node counts and both topologies. *)
+let test_fast_vs_reference_zoo () =
+  List.iter
+    (fun (name, model) ->
+      let g = graph_of model in
+      List.iter
+        (fun (scheme, nodes, topology) ->
+          let program, used = compile_cluster ~nodes ~scheme g in
+          let label =
+            Printf.sprintf "%s %s @ %d/%d nodes on %s" name
+              (Partition.scheme_name scheme) used nodes
+              (Fabric.topology_name topology)
+          in
+          check_fast_matches_reference label ~nodes:used ~topology program)
+        [
+          (Partition.Pipelined, 2, Fabric.Mesh2d);
+          (Partition.Sharded, 2, Fabric.Ring);
+          (Partition.Pipelined, 4, Fabric.Ring);
+          (Partition.Sharded, 4, Fabric.Mesh2d);
+        ])
+    zoo
+
+let test_fast_vs_reference_faults () =
+  let g = graph_of (`Net Models.mini_lstm) in
+  let program, nodes = compile_cluster ~nodes:2 ~scheme:Pipelined g in
+  let plan seed =
+    Some
+      (Puma_xbar.Fault.plan ~seed
+         {
+           Puma_xbar.Fault.ideal with
+           stuck_rate = 0.05;
+           stuck_on_fraction = 0.5;
+         })
+  in
+  check_fast_matches_reference "lstm with per-node faults"
+    ~node_faults:(Array.init nodes (fun k -> plan (11 + k)))
+    ~nodes ~topology:Fabric.Mesh2d program
+
+let qcheck_fast_matches_reference =
+  QCheck.Test.make ~count:qcheck_count
+    ~name:"random graph cluster: fast loop matches reference loop"
+    (QCheck.make
+       QCheck.Gen.(
+         let* net = random_net_gen in
+         let* nodes = oneofl [ 2; 4 ] in
+         let* scheme = oneofl [ Partition.Pipelined; Partition.Sharded ] in
+         let* topology = oneofl [ Fabric.Mesh2d; Fabric.Ring ] in
+         let* seed = int_range 0 1000 in
+         return (net, nodes, scheme, topology, seed)))
+    (fun (net, nodes, scheme, topology, seed) ->
+      let g = Nn.build_graph ~seed:(2024 + seed) net in
+      let program, nodes = compile_cluster ~dim:16 ~nodes ~scheme g in
+      let fast_taken, fast = observe ~fast:true ~nodes ~topology program in
+      let ref_taken, reference = observe ~fast:false ~nodes ~topology program in
+      fast_taken && (not ref_taken) && fast = reference)
+
+(* --- deadlock diagnostic names the chip ------------------------------ *)
+
+(* Drop the last send on the first cross-node channel: its receiver
+   waits forever, and both loops must report the same dump, naming the
+   receiving node. *)
+let test_deadlock_names_node () =
+  let g = graph_of (`Net Models.mini_mlp) in
+  let program, nodes = compile_cluster ~nodes:2 ~scheme:Pipelined g in
+  let stride = Array.length program.Program.tiles / nodes in
+  let cross (tp : Program.tile_program) (i : Puma_isa.Instr.t) =
+    match i with
+    | Send { target; fifo_id; _ } when target / stride <> tp.tile_index / stride
+      ->
+        Some (target, fifo_id)
+    | _ -> None
+  in
+  let src, (target, fifo) =
+    match
+      Array.find_map
+        (fun (tp : Program.tile_program) ->
+          Option.map
+            (fun chan -> (tp.tile_index, chan))
+            (Array.find_map (cross tp) tp.tile_code))
+        program.Program.tiles
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no cross-node send to drop"
+  in
+  let tiles =
+    Array.map
+      (fun (tp : Program.tile_program) ->
+        if tp.tile_index <> src then tp
+        else
+          let code = Array.to_list tp.tile_code in
+          let last =
+            List.fold_left max (-1)
+              (List.mapi
+                 (fun k i -> if cross tp i = Some (target, fifo) then k else -1)
+                 code)
+          in
+          {
+            tp with
+            Program.tile_code =
+              Array.of_list (List.filteri (fun k _ -> k <> last) code);
+          })
+      program.Program.tiles
+  in
+  let broken = { program with Program.tiles } in
+  let dump ~fast =
+    let cl = Cluster.create ~nodes ~fast broken in
+    match Cluster.run cl ~inputs:(inputs_for broken) with
+    | _ -> Alcotest.fail "expected Node.Deadlock"
+    | exception Node.Deadlock msg -> msg
+  in
+  let fast = dump ~fast:true and reference = dump ~fast:false in
+  Alcotest.(check string) "same dump on both loops" reference fast;
+  let line =
+    Printf.sprintf "  node %d tile %d tcu pc" (target / stride) target
+  in
+  Alcotest.(check bool)
+    (Printf.sprintf "dump names the receiver (%S)" line)
+    true
+    (List.exists
+       (String.starts_with ~prefix:line)
+       (String.split_on_char '\n' fast))
+
 (* --- fabric pins the Offchip estimator ------------------------------- *)
 
 let test_fabric_pins_offchip () =
@@ -338,6 +501,16 @@ let () =
         ] );
       ( "qcheck",
         [ QCheck_alcotest.to_alcotest qcheck_cluster_matches_single ] );
+      ( "loops",
+        [
+          Alcotest.test_case "zoo fast vs reference under link costs" `Quick
+            test_fast_vs_reference_zoo;
+          Alcotest.test_case "per-node faults fast vs reference" `Quick
+            test_fast_vs_reference_faults;
+          QCheck_alcotest.to_alcotest qcheck_fast_matches_reference;
+          Alcotest.test_case "deadlock dump names the node" `Quick
+            test_deadlock_names_node;
+        ] );
       ( "fabric",
         [
           Alcotest.test_case "one hop pins the Offchip estimator" `Quick
