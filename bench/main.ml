@@ -1,11 +1,10 @@
 (* Benchmark harness.
 
    `dune exec bench/main.exe` regenerates every table and figure of the
-   paper's evaluation (printed as aligned text tables) and then runs one
-   Bechamel micro-benchmark per artifact, timing the kernel that produces
-   it. `dune exec bench/main.exe -- --list` shows the available
-   experiments; `-- <name>` runs a single one; `-- --no-timing` skips the
-   Bechamel pass. *)
+   paper's evaluation (printed as aligned text tables).
+   `dune exec bench/main.exe -- --list` shows the available experiments;
+   `-- <name>` runs a single one. Host-time measurement of the layers
+   behind them lives in bench/perf. *)
 
 let run_tables which =
   List.iter
@@ -16,55 +15,10 @@ let run_tables which =
       end)
     Experiments.all_experiments
 
-(* One Bechamel test per table/figure: times the experiment kernel. *)
-let bechamel_tests =
-  let open Bechamel in
-  List.map
-    (fun (name, f) ->
-      Test.make ~name (Staged.stage (fun () -> ignore (Sys.opaque_identity (f ())))))
-    (List.filter
-       (fun (name, _) ->
-         (* The heavy simulation/sweep kernels run once in the table pass;
-            timing them repeatedly would dominate the harness. *)
-         not
-           (List.mem name
-              [
-                "figure13"; "table8"; "figure4"; "table1"; "ablation_fifo";
-                "batch_throughput"; "profile_occupancy"; "static_vs_sim";
-                "fault_tolerance"; "sim_throughput"; "sim_hotspots";
-                "serve_latency"; "scaleout";
-              ]))
-       Experiments.all_experiments)
-
-let run_bechamel () =
-  let open Bechamel in
-  print_endline
-    "################ Bechamel timings (per experiment kernel) ################";
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-  in
-  let instances = [ Toolkit.Instance.monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.25) ~kde:None () in
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg instances test in
-      let estimates = Analyze.all ols Toolkit.Instance.monotonic_clock results in
-      Hashtbl.iter
-        (fun label est ->
-          match Analyze.OLS.estimates est with
-          | Some [ t ] -> Printf.printf "%-40s %12.1f ns/run\n" label t
-          | Some _ | None -> Printf.printf "%-40s (no estimate)\n" label)
-        estimates)
-    bechamel_tests
-
 let () =
   let args = Array.to_list Sys.argv |> List.tl in
   if List.mem "--list" args then
     List.iter (fun (n, _) -> print_endline n) Experiments.all_experiments
-  else begin
-    let names =
-      List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args
-    in
-    run_tables names;
-    if (not (List.mem "--no-timing" args)) && names = [] then run_bechamel ()
-  end
+  else
+    run_tables
+      (List.filter (fun a -> not (String.length a > 1 && a.[0] = '-')) args)

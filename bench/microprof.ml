@@ -1,15 +1,14 @@
-(* Hand-rolled wall-clock micro-profiling harness.
+(* Hand-rolled micro-profiling harness on the monotonic clock.
 
-   Bechamel is the right tool for nanosecond-scale kernels; the simulator
-   throughput measurements instead time multi-millisecond sweeps where a
-   best-of-k wall-clock measurement is stable, and where we need the raw
+   The simulator throughput measurements time multi-millisecond sweeps
+   where a best-of-k measurement is stable, and where we need the raw
    seconds to derive rates (simulated cycles per second, inferences per
    second) from the same run. *)
 
 let time f =
-  let t0 = Unix.gettimeofday () in
+  let t0 = Monotonic_clock.now () in
   let r = f () in
-  (r, Unix.gettimeofday () -. t0)
+  (r, Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9)
 
 (* Best-of-[repeats] timing: runs [f] [repeats] times and returns the last
    result with the minimum wall-clock seconds (the minimum filters

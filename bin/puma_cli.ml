@@ -352,12 +352,13 @@ let run_cmd =
           in
           let got = Cluster.run cluster ~inputs in
           report_outputs got;
-          Cluster.finish_energy cluster;
+          let node = Cluster.node cluster in
+          Puma_sim.Node.finish_energy node;
           Printf.printf
             "cluster: %d cycles; %.3f uJ total (%.3f uJ dynamic); %d words \
              over chip-to-chip links\n"
             (Cluster.cycles cluster)
-            (Cluster.total_energy_pj cluster /. 1.0e6)
+            (Puma_hwmodel.Energy.total_pj (Puma_sim.Node.energy node) /. 1.0e6)
             (Cluster.dynamic_energy_pj cluster /. 1.0e6)
             (Cluster.offchip_words cluster)
         end
@@ -779,8 +780,9 @@ let batch_cmd =
       value & flag
       & info [ "profile" ]
           ~doc:
-            "Attach the cycle-level profiler to every worker node and report \
-             the batch's stall decomposition.")
+            "Attach the cycle-level profiler to every worker's machine (a \
+             cluster's every chip with --nodes) and report the batch's \
+             stall decomposition.")
   in
   let nodes =
     Arg.(
@@ -798,8 +800,6 @@ let batch_cmd =
     | Ok m ->
         if batch_size <= 0 then exit_err "batch size must be positive";
         if nodes < 1 then exit_err "--nodes must be positive";
-        if nodes > 1 && profile then
-          exit_err "profiling is single-node only (drop --nodes or --profile)";
         let domains =
           if domains = 0 then Puma_util.Pool.default_domains ()
           else if domains < 0 then exit_err "domains must be positive"
@@ -832,12 +832,14 @@ let batch_cmd =
         let requests =
           Puma_runtime.Batch.random_requests program ~batch:batch_size ~seed
         in
-        let t0 = Unix.gettimeofday () in
+        let t0 = Monotonic_clock.now () in
         let responses, summary =
           Puma_runtime.Batch.run ~domains ~fast ~profile ?cluster_nodes
             ?topology program requests
         in
-        let host_s = Unix.gettimeofday () -. t0 in
+        let host_s =
+          Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+        in
         (* Spot-check the first request against the float reference. *)
         let req = List.hd requests in
         let resp = responses.(0) in

@@ -43,16 +43,7 @@ let split (program : Program.t) ~nodes =
 
 let split_program program ~nodes = snd (split program ~nodes)
 
-type t = {
-  config : Puma_hwmodel.Config.t;
-  nodes : int;
-  stride : int;
-  fabric : Fabric.t;
-  shards : Node.t array;
-  shard_programs : Program.t array;
-  interconnect : Energy.t;
-  runner : Node.t;
-}
+type t = { shards : Node.t array; runner : Node.t }
 
 let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
     ?(noise_seed = 42) ?node_faults ?(fast = true) (program : Program.t) =
@@ -65,9 +56,11 @@ let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
   let fabric =
     Fabric.create ~topology ~zero_cost ~nodes ~tiles_per_node:stride ()
   in
-  let interconnect = Energy.create config in
+  (* One ledger for the whole machine: every chip's tiles and the fabric
+     network charge it. *)
+  let energy = Energy.create config in
   let network =
-    Network.create ~fabric config ~energy:interconnect
+    Network.create ~fabric config ~energy
       ~num_tiles:(max 1 (Array.length program.Program.tiles))
   in
   let shards =
@@ -79,64 +72,32 @@ let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
         let faults =
           Option.bind node_faults (fun plans -> plans.(k))
         in
-        Node.create ~noise_seed:(noise_seed + k) ?faults sp)
+        Node.create ~noise_seed:(noise_seed + k) ?faults ~energy sp)
       shard_programs
   in
-  {
-    config;
-    nodes;
-    stride;
-    fabric;
-    shards;
-    shard_programs;
-    interconnect;
-    runner = Node.join ~fast ~network ~energy:interconnect program shards;
-  }
+  { shards; runner = Node.join ~fast ~network program shards }
 
-let config t = t.config
-let nodes t = t.nodes
-let tiles_per_node t = t.stride
-let fabric t = t.fabric
+let node t = t.runner
+let nodes t = Array.length t.shards
 let cycles t = Node.cycles t.runner
 let shard t k = t.shards.(k)
-let shard_program t k = t.shard_programs.(k)
-let interconnect_energy t = t.interconnect
-let last_run_fast t = Node.last_run_fast t.runner
 let run t ~inputs = Node.run t.runner ~inputs
+let ledger t = Node.energy t.runner
 
-(* Energy is kept exact by summing the integer per-category event counts
-   across the shard ledgers and the interconnect ledger — never by adding
-   the float accumulators, whose order differs between a split and a
-   monolithic run. *)
 let energy_counts t =
-  List.map
-    (fun cat ->
-      let total =
-        Array.fold_left
-          (fun acc shard -> acc + Energy.count (Node.energy shard) cat)
-          (Energy.count t.interconnect cat)
-          t.shards
-      in
-      (cat, total))
-    Energy.all_categories
+  List.map (fun cat -> (cat, Energy.count (ledger t) cat)) Energy.all_categories
 
-let offchip_words t = Energy.count t.interconnect Energy.Offchip
+let offchip_words t = Energy.count (ledger t) Energy.Offchip
 
+(* Exact: integer event counts times per-event energies, never the float
+   accumulators. *)
 let dynamic_energy_pj t =
+  let config = Node.config t.runner in
   List.fold_left
     (fun acc (cat, n) ->
       if cat = Energy.Static then acc
-      else acc +. (Float.of_int n *. Energy.per_event_pj t.config cat))
+      else acc +. (Float.of_int n *. Energy.per_event_pj config cat))
     0.0 (energy_counts t)
-
-let finish_energy t =
-  Array.iter (Node.finish_energy ~cycles:(cycles t)) t.shards
-
-let total_energy_pj t =
-  Array.fold_left
-    (fun acc shard -> acc +. Energy.total_pj (Node.energy shard))
-    (Energy.total_pj t.interconnect)
-    t.shards
 
 (* --- Per-node static gates ------------------------------------------- *)
 

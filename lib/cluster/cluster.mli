@@ -3,11 +3,15 @@
     A cluster splits a compiled program into contiguous per-node tile
     blocks (shards), one {!Puma_sim.Node} per chip, and runs them as one
     {!Puma_sim.Node.join}ed node over the global tile space: one clock,
-    one run loop, and one shared {!Puma_noc.Network} whose cross-node
-    costs come from a {!Puma_noc.Fabric} — the same
+    one run loop, one energy ledger, and one shared {!Puma_noc.Network}
+    whose cross-node costs come from a {!Puma_noc.Fabric} — the same
     {!Puma_noc.Offchip} constants the analytical estimator uses.
     Cross-node messages are ordinary network arrivals, so a cluster runs
     on the node's fast loop by default.
+
+    To every caller above this module a cluster is that joined node
+    ({!node}): run it, profile it, read its cycles, ledger and
+    {!Puma_sim.Node.finish_energy} exactly as a single chip's.
 
     A cluster with a zero-cost fabric is bit-identical (outputs, cycles,
     energy event counts) to {!Puma_sim.Node.run} on the unsplit program
@@ -38,61 +42,45 @@ val create :
     given fabric topology (default [Mesh2d]). Each node programs its
     crossbars from its own noise stream ([noise_seed + k]) and its own
     entry of [node_faults] (length must equal [nodes]), modelling
-    independent physical chips. [fast] (default [true]) is
-    {!Puma_sim.Node.create}'s: [~fast:false] runs the reference loop,
-    with bit-identical results. *)
+    independent physical chips; all of them charge the cluster's one
+    energy ledger. [fast] (default [true]) is {!Puma_sim.Node.create}'s:
+    [~fast:false] runs the reference loop, with bit-identical results. *)
+
+val node : t -> Puma_sim.Node.t
+(** The machine as one node: the {!Puma_sim.Node.join}ed runner over the
+    global tile space. Its {!Puma_sim.Node.energy} is the cluster's one
+    ledger (every chip's tiles plus the fabric), its
+    {!Puma_sim.Node.cycles} the global clock; attach a probe or a
+    profiler to it to observe every chip. *)
 
 val run :
   t -> inputs:(string * float array) list -> (string * float array) list
-(** One inference across the cluster: {!Puma_sim.Node.run} on the
-    joined node, so inputs land in the owning chips' tiles and outputs
-    are read back from them. Raises {!Puma_sim.Node.Deadlock} (whose dump
-    names each blocked tile's node) or [Failure] (cycle cap) like the
-    single-node simulator. *)
+(** One inference across the cluster: {!Puma_sim.Node.run} on {!node},
+    so inputs land in the owning chips' tiles and outputs are read back
+    from them. Raises {!Puma_sim.Node.Deadlock} (whose dump names each
+    blocked tile's node) or [Failure] (cycle cap) like the single-node
+    simulator. *)
 
-val last_run_fast : t -> bool
-(** Whether the most recent {!run} used the fast loop ([false] before
-    the first run). *)
-
-val config : t -> Puma_hwmodel.Config.t
 val nodes : t -> int
-
-val tiles_per_node : t -> int
-(** Global tile stride between consecutive nodes' blocks. *)
-
-val fabric : t -> Puma_noc.Fabric.t
 
 val cycles : t -> int
 (** Global cycles elapsed in completed {!run} calls. *)
 
 val shard : t -> int -> Puma_sim.Node.t
-(** Chip [k]'s node: its tiles (shared with the cluster's run loop),
-    energy ledger and {!Puma_sim.Node.retired_instructions}. Never
-    {!Puma_sim.Node.run} it directly, and its {!Puma_sim.Node.cycles}
-    stays 0: the clock is the cluster's ({!cycles}). *)
-
-val shard_program : t -> int -> Puma_isa.Program.t
-
-val interconnect_energy : t -> Puma_hwmodel.Energy.t
-(** The ledger the shared network charges (NoC hops and off-chip link
-    words); per-node compute energy lives in each shard's ledger. *)
+(** Chip [k]'s node: its tiles (shared with {!node}) and
+    {!Puma_sim.Node.retired_instructions}. Never {!Puma_sim.Node.run} it
+    directly, and its {!Puma_sim.Node.cycles} stays 0: the clock is
+    {!node}'s. *)
 
 val energy_counts : t -> (Puma_hwmodel.Energy.category * int) list
-(** Per-category event counts summed over every shard ledger and the
-    interconnect ledger — integers, so they compare exactly against a
-    monolithic run regardless of how the ledgers were split. *)
+(** Per-category event counts of the cluster's ledger — integers, so
+    they compare exactly against a monolithic run. *)
 
 val offchip_words : t -> int
 (** Words that crossed chip-to-chip links (fabric hop-multiplied). *)
 
 val dynamic_energy_pj : t -> float
 (** Non-static energy derived from {!energy_counts}. *)
-
-val finish_energy : t -> unit
-(** Charge each shard's static energy for its occupied tiles over the
-    cluster cycles (call once after the last {!run}). *)
-
-val total_energy_pj : t -> float
 
 (** {2 Per-node static gates} *)
 

@@ -281,13 +281,11 @@ type cluster_report = {
 }
 
 (* Replay the request batch on one freshly built (and warmed) cluster,
-   serially, exactly like Batch.run's cluster backend with one worker —
-   so faulted responses line up with a Batch.run golden bit for bit. *)
+   serially, exactly like Batch.run with one worker — so faulted
+   responses line up with a Batch.run golden bit for bit. *)
 let cluster_batch ?fast ~nodes ~topology ?node_faults program requests =
-  let cluster =
-    Batch.warmed_cluster ?fast ~nodes ~topology ?node_faults program
-  in
-  Array.of_list (List.map (Batch.run_cluster_request cluster) requests)
+  let node = Batch.warmed_node ?fast ~nodes ~topology ?node_faults program in
+  Array.of_list (List.map (Batch.serve node) requests)
 
 let run_cluster ?domains ?fast ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
     program spec =

@@ -83,32 +83,31 @@ let tiles_used (program : Program.t) =
       if busy then acc + 1 else acc)
     0 program.tiles
 
-(* One warmed node: the first inference on a fresh node is a few cycles
-   cheaper (cold pipelines and attribute memories); running a throwaway
-   all-zero inference first puts every node in the same steady state, so a
-   request's cycle count does not depend on whether it happened to be the
-   first one its worker served. *)
-let warmed_node ?noise_seed ?faults ?fast program =
-  let node = Node.create ?noise_seed ?faults ?fast program in
+(* One warmed machine: the first inference on a fresh node is a few
+   cycles cheaper (cold pipelines and attribute memories); running a
+   throwaway all-zero inference first puts every node in the same steady
+   state, so a request's cycle count does not depend on whether it
+   happened to be the first one its worker served. Several chips (or
+   per-chip fault plans) make the machine a cluster's joined node. *)
+let warmed_node ?noise_seed ?faults ?(nodes = 1) ?topology ?node_faults ?fast
+    program =
+  let node =
+    if nodes = 1 && node_faults = None then
+      Node.create ?noise_seed ?faults ?fast program
+    else if Option.is_some faults then
+      invalid_arg
+        "Batch.warmed_node: ~faults is one chip's plan; a cluster takes \
+         ~node_faults"
+    else
+      Cluster.node
+        (Cluster.create ~nodes ?topology ?noise_seed ?node_faults ?fast program)
+  in
   let zeros =
     List.map (fun (name, len) -> (name, Array.make len 0.0))
       (input_lengths program)
   in
   ignore (Node.run node ~inputs:zeros);
   node
-
-(* The cluster counterpart: split across [nodes] chips on the given
-   fabric topology, warmed by the same throwaway all-zero inference. *)
-let warmed_cluster ?noise_seed ?topology ?node_faults ?fast ~nodes program =
-  let cluster =
-    Cluster.create ~nodes ?topology ?noise_seed ?node_faults ?fast program
-  in
-  let zeros =
-    List.map (fun (name, len) -> (name, Array.make len 0.0))
-      (input_lengths program)
-  in
-  ignore (Cluster.run cluster ~inputs:zeros);
-  cluster
 
 (* Deterministic greedy (least-loaded) schedule of the per-request costs
    over [domains] simulated nodes, in request order. *)
@@ -136,9 +135,6 @@ let energy_counts node =
   Array.of_list
     (List.map (Energy.count (Node.energy node)) Energy.all_categories)
 
-let cluster_energy_counts cluster =
-  Array.of_list (List.map snd (Cluster.energy_counts cluster))
-
 let energy_delta_pj config ~before ~after =
   List.fold_left
     (fun (i, acc) cat ->
@@ -157,17 +153,16 @@ let stall_delta (before : Profile.totals) (after : Profile.totals) =
       | _ -> None)
     after.Profile.by_stall
 
-let run_cluster_request cluster (r : request) =
-  let c0 = Cluster.cycles cluster in
-  let e0 = cluster_energy_counts cluster in
-  let outputs = Cluster.run cluster ~inputs:r.inputs in
+let serve node (r : request) =
+  let c0 = Node.cycles node in
+  let e0 = energy_counts node in
+  let outputs = Node.run node ~inputs:r.inputs in
   {
     index = r.index;
     outputs;
-    cycles = Cluster.cycles cluster - c0;
+    cycles = Node.cycles node - c0;
     dynamic_energy_pj =
-      energy_delta_pj (Cluster.config cluster) ~before:e0
-        ~after:(cluster_energy_counts cluster);
+      energy_delta_pj (Node.config node) ~before:e0 ~after:(energy_counts node);
     stalls = [];
   }
 
@@ -191,71 +186,41 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
     | Some d -> invalid_arg (Printf.sprintf "Batch.run: %d domains" d)
     | None -> Pool.default_domains ()
   in
-  let cluster_nodes =
-    match cluster_nodes with
-    | Some c when c < 1 ->
-        invalid_arg (Printf.sprintf "Batch.run: %d cluster nodes" c)
-    | Some c when c > 1 -> Some c
-    | Some _ | None -> None
-  in
   (match cluster_nodes with
-  | Some _ when profile ->
-      invalid_arg "Batch.run: profiling is single-node only"
-  | Some _ when Option.is_some faults ->
-      invalid_arg
-        "Batch.run: per-node fault plans go through Campaign.run_cluster"
+  | Some c when c < 1 ->
+      invalid_arg (Printf.sprintf "Batch.run: %d cluster nodes" c)
   | Some _ | None -> ());
   let requests = Array.of_list requests in
   let n = Array.length requests in
   let responses =
     Pool.map_init ~domains ~n
       ~init:(fun ~worker:_ ->
-        match cluster_nodes with
-        | Some nodes ->
-            `Cluster
-              (warmed_cluster ?noise_seed ?topology ?fast ~nodes program)
-        | None ->
-            (* Attach the profiler only after warm-up, so the profile
-               (like every other metric) covers exactly the served
-               requests. Only its totals are read, so its trace window
-               is the smallest there is. *)
-            let node = warmed_node ?noise_seed ?faults ?fast program in
-            let prof =
-              if profile then begin
-                let p = Profile.create ~slice_capacity:1 () in
-                Profile.attach p node;
-                Some p
-              end
-              else None
-            in
-            `Node (node, prof))
-      (fun backend i ->
-        let r = requests.(i) in
-        match backend with
-        | `Cluster cluster -> (run_cluster_request cluster r, 0)
-        | `Node (node, prof) ->
-            let c0 = Node.cycles node in
-            let e0 = energy_counts node in
-            let t0 = Option.map Profile.totals prof in
-            let outputs = Node.run node ~inputs:r.inputs in
-            let stalls, busy =
-              match (prof, t0) with
-              | Some p, Some before ->
-                  let after = Profile.totals p in
-                  ( stall_delta before after,
-                    after.Profile.busy_cycles - before.Profile.busy_cycles )
-              | _ -> ([], 0)
-            in
-            ( {
-                index = r.index;
-                outputs;
-                cycles = Node.cycles node - c0;
-                dynamic_energy_pj =
-                  energy_delta_pj program.config ~before:e0
-                    ~after:(energy_counts node);
-                stalls;
-              },
-              busy ))
+        let node =
+          warmed_node ?noise_seed ?faults ?nodes:cluster_nodes ?topology ?fast
+            program
+        in
+        (* Attach the profiler only after warm-up, so the profile (like
+           every other metric) covers exactly the served requests. Only
+           its totals are read, so its trace window is the smallest there
+           is. *)
+        let prof =
+          if profile then begin
+            let p = Profile.create ~slice_capacity:1 () in
+            Profile.attach p node;
+            Some p
+          end
+          else None
+        in
+        (node, prof))
+      (fun (node, prof) i ->
+        match prof with
+        | None -> (serve node requests.(i), 0)
+        | Some p ->
+            let before = Profile.totals p in
+            let r = serve node requests.(i) in
+            let after = Profile.totals p in
+            ( { r with stalls = stall_delta before after },
+              after.Profile.busy_cycles - before.Profile.busy_cycles ))
   in
   let busy_cycles = Array.fold_left (fun acc (_, b) -> acc + b) 0 responses in
   let responses = Array.map fst responses in

@@ -81,36 +81,38 @@ val random_requests :
 val warmed_node :
   ?noise_seed:int ->
   ?faults:Puma_xbar.Fault.plan ->
+  ?nodes:int ->
+  ?topology:Puma_noc.Fabric.topology ->
+  ?node_faults:Puma_xbar.Fault.plan option array ->
   ?fast:bool ->
   Puma_isa.Program.t ->
   Puma_sim.Node.t
-(** A fresh node that has already served one throwaway all-zero inference,
-    so every subsequent request sees identical steady state (the warmed-
-    node pattern behind the determinism guarantee; also used by the
-    serving runtime's fleet). The warm-up's cycles and energy stay on the
-    node's counters — callers measure per-request deltas. *)
+(** A fresh machine that has already served one throwaway all-zero
+    inference, so every subsequent request sees identical steady state
+    (the warmed-node pattern behind the determinism guarantee; also the
+    serving runtime's fleet slot and the fault campaigns' machine). The
+    warm-up's cycles and energy stay on the node's counters — callers
+    measure per-request deltas ({!serve}).
+
+    With [nodes = 1] (the default) and no [node_faults] it is one
+    {!Puma_sim.Node}; otherwise it is the {!Puma_cluster.Cluster.node} of
+    a cluster of [nodes] chips on fabric [topology] (default mesh), with
+    one fault plan per chip from [node_faults]. [faults] is a single
+    chip's plan: combined with a cluster it raises [Invalid_argument].
+    The remaining arguments are {!Puma_sim.Node.create}'s and
+    {!Puma_cluster.Cluster.create}'s. *)
 
 val tiles_used : Puma_isa.Program.t -> int
 (** Tiles with a nonempty instruction stream — the occupied-tile count
     that static (leakage/clock) energy is billed for. *)
 
-val warmed_cluster :
-  ?noise_seed:int ->
-  ?topology:Puma_noc.Fabric.topology ->
-  ?node_faults:Puma_xbar.Fault.plan option array ->
-  ?fast:bool ->
-  nodes:int ->
-  Puma_isa.Program.t ->
-  Puma_cluster.Cluster.t
-(** {!warmed_node}'s multi-node counterpart: the program split across
-    [nodes] chips on the given fabric topology, warmed by the same
-    throwaway all-zero inference. The optional arguments are
-    {!Puma_cluster.Cluster.create}'s. *)
-
-val run_cluster_request : Puma_cluster.Cluster.t -> request -> response
-(** Serve one request on a (warmed) cluster: its outputs, and its cycles
-    and dynamic energy as deltas of the cluster's global clock and summed
-    ledgers ([stalls] is [[]]). The cluster backend of {!run}. *)
+val serve : Puma_sim.Node.t -> request -> response
+(** Serve one request on a (warmed) machine: its outputs, and its cycles
+    and dynamic energy as deltas of the node's clock and ledger ([stalls]
+    is [[]]). Dynamic energy is integer event-count deltas times
+    per-event energies, so it does not depend on what the node served
+    before. The one request path of {!run}, the serving runtime and the
+    fault campaigns, for single chips and clusters alike. *)
 
 val run :
   ?domains:int ->
@@ -123,31 +125,31 @@ val run :
   Puma_isa.Program.t ->
   request list ->
   response array * summary
-(** Execute the batch.
+(** Execute the batch: every worker serves its requests on one
+    {!warmed_node} through {!serve}.
 
-    [cluster_nodes > 1] serves every request on a {!Puma_cluster.Cluster}
-    of that many chips (fabric [topology], default mesh) instead of a
-    single node — [domains] then replicates whole clusters, so the two
-    axes compose: host-parallel workers, each simulating one multi-chip
-    machine. Per-request cycles and dynamic energy come from the
-    cluster's global clock and summed ledgers. [profile] and [faults] are
-    single-node only (per-node fault plans go through
-    [Campaign.run_cluster]) and raise [Invalid_argument] with a cluster.
+    [cluster_nodes > 1] makes each worker's machine a cluster of that
+    many chips (fabric [topology], default mesh) — [domains] then
+    replicates whole clusters, so the two axes compose: host-parallel
+    workers, each simulating one multi-chip machine. [faults] is
+    single-chip only (per-node fault plans go through
+    [Campaign.run_cluster]) and raises [Invalid_argument] with a cluster.
 
     [domains] defaults to
     {!Puma_util.Pool.default_domains}; [noise_seed], [faults] and [fast]
-    are passed to every node, and [noise_seed] and [fast] to every
-    cluster (defaults as {!Puma_sim.Node.create} — with
-    [faults], every worker node carries the same deterministically
-    realized fault set, so responses stay independent of the domain
-    count; [fast] is bit-identical either way, so batch results never
-    depend on it). The response array is in request-index order. Raises
-    like {!Puma_sim.Node.run} on bad programs or missing inputs.
+    are passed to every worker's machine (defaults as
+    {!Puma_sim.Node.create} — with [faults], every worker node carries
+    the same deterministically realized fault set, so responses stay
+    independent of the domain count; [fast] is bit-identical either way,
+    so batch results never depend on it). The response array is in
+    request-index order. Raises like {!Puma_sim.Node.run} on bad programs
+    or missing inputs.
 
     [profile] (default [false]) attaches a {!Puma_profile.Profile} to each
-    worker's node after its warm-up run, filling [response.stalls] and the
-    summary's [busy_cycles]/[stall_cycles] so a request's makespan
-    decomposes into stall classes. Profiling never changes outputs, cycle
-    counts or energy totals (pinned by the differential tests). *)
+    worker's machine after its warm-up run — on a cluster it observes
+    every chip — filling [response.stalls] and the summary's
+    [busy_cycles]/[stall_cycles] so a request's makespan decomposes into
+    stall classes. Profiling never changes outputs, cycle counts or
+    energy totals (pinned by the differential tests). *)
 
 val pp_summary : Format.formatter -> summary -> unit

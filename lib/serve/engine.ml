@@ -1,5 +1,4 @@
 module Batch = Puma_runtime.Batch
-module Node = Puma_sim.Node
 module Energy = Puma_hwmodel.Energy
 module Pool = Puma_util.Pool
 module Rng = Puma_util.Rng
@@ -464,31 +463,13 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
     event_cycles = Array.sub !events 0 !n_events;
   }
 
-(* Per-request dynamic energy from event-count deltas, exactly as
-   Puma_runtime.Batch computes it: integer counts make a request's energy
-   independent of whatever the worker node served before. *)
-let energy_counts node =
-  Array.of_list
-    (List.map (Energy.count (Node.energy node)) Energy.all_categories)
-
-let energy_delta_pj config ~before ~after =
-  List.fold_left
-    (fun (i, acc) cat ->
-      let events = after.(i) - before.(i) in
-      (i + 1, acc +. (Float.of_int events *. Energy.per_event_pj config cat)))
-    (0, 0.0) Energy.all_categories
-  |> snd
-
 let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
     (workload : workload) =
   validate_workload models workload;
-  let cluster_nodes =
-    match cluster_nodes with
-    | Some c when c < 1 ->
-        invalid_arg (Printf.sprintf "Engine.run: %d cluster nodes" c)
-    | Some c when c > 1 -> Some c
-    | Some _ | None -> None
-  in
+  (match cluster_nodes with
+  | Some c when c < 1 ->
+      invalid_arg (Printf.sprintf "Engine.run: %d cluster nodes" c)
+  | Some _ | None -> ());
   let n = Array.length workload in
   let mreq = model_request_indices models workload in
   let counts = model_counts models workload in
@@ -503,42 +484,28 @@ let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
     else
       Pool.map_init ?domains ~n
         ~init:(fun ~worker:_ ->
-          (* One warmed backend per resident model, built lazily so a
+          (* One warmed machine per resident model, built lazily so a
              worker only pays for the models it actually serves. With
              [cluster_nodes], every fleet slot is a whole multi-chip
              cluster instead of a single node. *)
           Array.map
             (fun (m : model) ->
               lazy
-                (match cluster_nodes with
-                | Some nodes ->
-                    `Cluster
-                      (Batch.warmed_cluster ?topology ?fast ~nodes m.program)
-                | None -> `Node (Batch.warmed_node ?fast m.program)))
+                (Batch.warmed_node ?nodes:cluster_nodes ?topology ?fast
+                   m.program))
             models)
-        (fun backends i ->
+        (fun machines i ->
           let a = workload.(i) in
-          let req : Batch.request = requests.(a.model).(mreq.(i)) in
-          let prog_config = models.(a.model).program.Program.config in
-          match Lazy.force backends.(a.model) with
-          | `Node node ->
-              let c0 = Node.cycles node in
-              let e0 = energy_counts node in
-              let outputs = Node.run node ~inputs:req.Batch.inputs in
-              {
-                cycles = Node.cycles node - c0;
-                energy_pj =
-                  energy_delta_pj prog_config ~before:e0
-                    ~after:(energy_counts node);
-                outputs;
-              }
-          | `Cluster cluster ->
-              let r = Batch.run_cluster_request cluster req in
-              {
-                cycles = r.cycles;
-                energy_pj = r.dynamic_energy_pj;
-                outputs = r.outputs;
-              })
+          let r =
+            Batch.serve
+              (Lazy.force machines.(a.model))
+              requests.(a.model).(mreq.(i))
+          in
+          {
+            cycles = r.cycles;
+            energy_pj = r.dynamic_energy_pj;
+            outputs = r.outputs;
+          })
   in
   schedule config models workload costs
 

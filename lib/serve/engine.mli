@@ -177,12 +177,12 @@ val run :
     any value), then {!schedule}. [fast] selects the simulator fast path
     on nodes and clusters alike (bit-identical either way).
 
-    [cluster_nodes > 1] serves every request on a
-    {!Puma_cluster.Cluster} of that many chips (fabric [topology],
-    default mesh): [config.nodes] remains the {e fleet} size the
-    dispatcher schedules over, while [cluster_nodes] is the size of each
-    machine in that fleet. Per-arrival cycles and energy then come from
-    the cluster's global clock and summed ledgers. *)
+    [cluster_nodes > 1] makes every fleet slot a cluster of that many
+    chips (fabric [topology], default mesh; see
+    {!Puma_runtime.Batch.warmed_node}): [config.nodes] remains the
+    {e fleet} size the dispatcher schedules over, while [cluster_nodes]
+    is the size of each machine in that fleet. Each arrival is served by
+    {!Puma_runtime.Batch.serve}, on one chip or a cluster alike. *)
 
 val latency_ms : report -> served -> float
 (** Queue wait + service, virtual milliseconds. *)

@@ -67,9 +67,12 @@ let assemble ~fast ~energy ~network (program : Program.t) tiles =
     probe = None;
   }
 
-let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
+let create ?(noise_seed = 42) ?faults ?(fast = true) ?energy
+    (program : Program.t) =
   let config = program.config in
-  let energy = Energy.create config in
+  let energy =
+    match energy with Some e -> e | None -> Energy.create config
+  in
   let ntiles = Array.length program.tiles in
   let tiles =
     Array.map
@@ -109,15 +112,18 @@ let create ?(noise_seed = 42) ?faults ?(fast = true) (program : Program.t) =
     ~network:(Network.create config ~energy ~num_tiles:(max 1 ntiles))
     program tiles
 
-(* A runner over the concatenated tiles of [shards] (shared, not copied):
-   the tiles keep charging their own shards' ledgers, while [network]
-   charges [energy]. Global tile [i] must sit at position [i]. *)
-let join ?(fast = true) ~network ~energy (program : Program.t) shards =
+(* A runner over the concatenated tiles of [shards] (shared, not copied),
+   charging the one ledger the shards share. Global tile [i] must sit at
+   position [i]. *)
+let join ?(fast = true) ~network (program : Program.t) shards =
   let tiles =
     Array.concat (Array.to_list (Array.map (fun s -> s.tiles) shards))
   in
   if Array.length tiles <> Array.length program.tiles then
     invalid_arg "Node.join: shards do not cover the program's tiles";
+  let energy = shards.(0).energy in
+  if Array.exists (fun s -> s.energy != energy) shards then
+    invalid_arg "Node.join: shards must share one energy ledger";
   assemble ~fast ~energy ~network program tiles
 
 let config t = t.config
@@ -497,8 +503,8 @@ let run t ~inputs =
   (match t.probe with Some p -> p.on_run_end ~now:t.now | None -> ());
   read_outputs t
 
-let finish_energy ?cycles t =
-  let cycles = Float.of_int (Option.value cycles ~default:t.total_cycles) in
+let finish_energy t =
+  let cycles = Float.of_int t.total_cycles in
   Energy.add_static t.energy ~tiles:(tiles_used t) ~cycles;
   (* Under per-tile attribution, spread the (already recorded) static
      charge over the occupied tiles so the attributed rows account for the

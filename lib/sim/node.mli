@@ -54,6 +54,7 @@ val create :
   ?noise_seed:int ->
   ?faults:Puma_xbar.Fault.plan ->
   ?fast:bool ->
+  ?energy:Puma_hwmodel.Energy.t ->
   Puma_isa.Program.t ->
   t
 (** Instantiate tiles, program crossbars (with write noise when the
@@ -70,26 +71,26 @@ val create :
     and seed plus the stack's [(tile, core, mvmu)] coordinates, and its
     weights are routed through the plan's remap permutations when
     present. A plan with nothing to inject or remap leaves every stack
-    on the exact fast path — bit-identical to passing no plan. *)
+    on the exact fast path — bit-identical to passing no plan.
+
+    [energy] is the ledger the tiles and the network charge (default: a
+    fresh one). A multi-chip machine passes one ledger to every chip so
+    that the {!join}ed node has a single ledger for the whole machine. *)
 
 val join :
-  ?fast:bool ->
-  network:Puma_noc.Network.t ->
-  energy:Puma_hwmodel.Energy.t ->
-  Puma_isa.Program.t ->
-  t array ->
-  t
-(** [join ~network ~energy program shards] is a node over the global
-    tile space of [program], whose tiles are the concatenation of the
-    shards' tiles — shared, not copied, so crossbar images, constants,
-    per-chip energy ledgers and retired counts stay the shards'. The
-    shards must split [program] into contiguous tile blocks in order
-    (global tile [i] at position [i]). [network] (typically carrying a
-    {!Puma_noc.Fabric}) routes every message and charges [energy],
-    which is also the ledger {!energy} returns and the only one the run
-    loop scopes for per-tile attribution; [fast] as in {!create}.
-    Running the joined node is running the whole machine under one
-    clock; the shards themselves are never {!run}. *)
+  ?fast:bool -> network:Puma_noc.Network.t -> Puma_isa.Program.t -> t array -> t
+(** [join ~network program shards] is a node over the global tile space
+    of [program], whose tiles are the concatenation of the shards' tiles
+    — shared, not copied, so crossbar images, constants and retired
+    counts stay the shards'. The shards must split [program] into
+    contiguous tile blocks in order (global tile [i] at position [i])
+    and must have been {!create}d with one shared [~energy] ledger
+    ([Invalid_argument] otherwise): that ledger is the joined node's
+    {!energy}, charged by every tile and by [network] (typically carrying
+    a {!Puma_noc.Fabric}), so per-tile attribution and {!finish_energy}
+    see the whole machine. [fast] as in {!create}. Running the joined
+    node is running the whole machine under one clock; the shards
+    themselves are never {!run}. *)
 
 val config : t -> Puma_hwmodel.Config.t
 val energy : t -> Puma_hwmodel.Energy.t
@@ -114,11 +115,9 @@ val tiles_used : t -> int
 (** Tiles with at least one instruction (used for static-energy
     accounting). *)
 
-val finish_energy : ?cycles:int -> t -> unit
-(** Charge static energy for the occupied tiles over [cycles] (default:
-    this node's {!cycles}); call once after the last [run]. A cluster
-    passes its own cycles for each chip, whose tiles it ran through a
-    {!join}ed runner. *)
+val finish_energy : t -> unit
+(** Charge static energy for the occupied tiles over this node's
+    {!cycles}; call once after the last [run]. *)
 
 val iter_mvmus : t -> (Puma_xbar.Mvmu.t -> unit) -> unit
 (** Visit every MVMU that holds a programmed crossbar image (for fault

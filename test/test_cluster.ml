@@ -299,7 +299,7 @@ let observe ?node_faults ~fast ~nodes ~topology program =
         sorted_outputs (Cluster.run cl ~inputs:(inputs_for ~seed program)))
       [ 3; 4 ]
   in
-  ( Cluster.last_run_fast cl,
+  ( Node.last_run_fast (Cluster.node cl),
     ( outs,
       Cluster.cycles cl,
       List.map snd (Cluster.energy_counts cl),

@@ -141,6 +141,27 @@ let test_zero_fault_differential () =
           Alcotest.(check int) "max err 0" 0 p.max_err_ulps;
           Alcotest.(check (float 0.0)) "flip rate 0" 0.0 p.flip_rate)
         report.Campaign.points)
+    [ 1; 2; 4 ];
+  (* The same guarantee on a 2-chip cluster: the golden batch is the plain
+     cluster batch, and zero-fault per-chip plans change nothing. *)
+  let plain, _ = Batch.run ~domains:1 ~cluster_nodes:2 program requests in
+  List.iter
+    (fun domains ->
+      let report =
+        Campaign.run_cluster ~domains ~nodes:2 ~key:"mlp" program
+          { zero_spec with remap = domains mod 2 = 0 }
+      in
+      check_responses_identical
+        (Printf.sprintf "cluster golden d=%d" domains)
+        plain report.Campaign.c_golden;
+      Array.iter
+        (fun (p : Campaign.cluster_point) ->
+          Alcotest.(check int) "no cluster faults" 0 p.c_total_faults;
+          Alcotest.(check int) "cluster max err 0" 0 p.c_max_err_ulps;
+          Alcotest.(check (float 0.0)) "cluster flip rate 0" 0.0 p.c_flip_rate;
+          Alcotest.(check (array (float 0.0)))
+            "per-node flip rates 0" [| 0.0; 0.0 |] p.node_flip_rates)
+        report.Campaign.c_points)
     [ 1; 2; 4 ]
 
 let test_campaign_deterministic_across_domains () =
@@ -165,7 +186,22 @@ let test_campaign_deterministic_across_domains () =
       Alcotest.(check bool) "flip rate" true
         (Float.equal pa.flip_rate pb.flip_rate);
       check_responses_identical "responses" pa.responses pb.responses)
-    a.Campaign.points
+    a.Campaign.points;
+  let a = Campaign.run_cluster ~domains:1 ~nodes:2 ~key:"mlp" program spec in
+  let b = Campaign.run_cluster ~domains:4 ~nodes:2 ~key:"mlp" program spec in
+  check_responses_identical "cluster golden" a.Campaign.c_golden
+    b.Campaign.c_golden;
+  Alcotest.(check bool) "cluster faults realized" true
+    (Array.exists
+       (fun (p : Campaign.cluster_point) -> p.c_total_faults > 0)
+       a.Campaign.c_points);
+  Array.iteri
+    (fun i (pa : Campaign.cluster_point) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "cluster point %d identical" i)
+        true
+        (pa = b.Campaign.c_points.(i)))
+    a.Campaign.c_points
 
 let test_faults_perturb_outputs () =
   let program = Lazy.force mlp32 in

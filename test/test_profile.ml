@@ -15,6 +15,7 @@ module Energy = Puma_hwmodel.Energy
 module Compile = Puma_compiler.Compile
 module Node = Puma_sim.Node
 module Batch = Puma_runtime.Batch
+module Cluster = Puma_cluster.Cluster
 module Models = Puma_nn.Models
 module Profile = Puma_profile.Profile
 module Chrome_trace = Puma_profile.Chrome_trace
@@ -397,42 +398,111 @@ let test_to_json_roundtrip () =
 
 (* ---- batch runtime integration ---- *)
 
+(* Mini MLP at dim 64 pipelined across 2 chips: its cross-node channels
+   carry words over the fabric. *)
+let cluster_mlp =
+  lazy
+    (let options =
+       {
+         Compile.default_options with
+         cluster =
+           Some { Puma_compiler.Partition.nodes = 2; scheme = Pipelined };
+       }
+     in
+     (Compile.compile ~options
+        { Config.sweetspot with mvmu_dim = 64 }
+        (List.assoc "mlp" zoo))
+       .Compile.program)
+
+(* Profiled and plain batches agree on a single-node machine and on a
+   2-chip cluster, whose profile sees every chip. *)
 let test_batch_profile_differential () =
-  let program = compile_zoo (List.assoc "mlp" zoo) in
-  let requests = Batch.random_requests program ~batch:6 ~seed:13 in
-  let r_plain, s_plain = Batch.run ~domains:2 program requests in
-  let r_prof, s_prof = Batch.run ~domains:2 ~profile:true program requests in
-  Array.iteri
-    (fun i (plain : Batch.response) ->
-      let prof = r_prof.(i) in
+  List.iter
+    (fun (label, program, cluster_nodes) ->
+      let requests = Batch.random_requests program ~batch:6 ~seed:13 in
+      let run profile =
+        Batch.run ~domains:2 ?cluster_nodes ~profile program requests
+      in
+      let r_plain, s_plain = run false in
+      let r_prof, s_prof = run true in
+      Array.iteri
+        (fun i (plain : Batch.response) ->
+          let prof = r_prof.(i) in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s request %d outputs" label i)
+            true
+            (plain.Batch.outputs = prof.Batch.outputs);
+          Alcotest.(check int)
+            (Printf.sprintf "%s request %d cycles" label i)
+            plain.Batch.cycles prof.Batch.cycles;
+          (* Same tolerance as the serial-vs-sharded differential: which
+             requests preceded this one on its worker's node shifts the
+             float accumulator history, profiled or not. *)
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "%s request %d energy" label i)
+            plain.Batch.dynamic_energy_pj prof.Batch.dynamic_energy_pj;
+          Alcotest.(check bool) "plain run has no stalls recorded" true
+            (plain.Batch.stalls = []))
+        r_plain;
+      Alcotest.(check int) (label ^ ": same makespan")
+        s_plain.Batch.makespan_cycles s_prof.Batch.makespan_cycles;
+      Alcotest.(check bool) (label ^ ": profiled summary decomposes") true
+        (s_prof.Batch.busy_cycles > 0);
+      (* Each profiled request's stall split is bounded by its makespan
+         times the entity count (coarse sanity; exact accounting is pinned
+         above). *)
+      Array.iter
+        (fun (r : Batch.response) ->
+          List.iter
+            (fun (_, n) -> Alcotest.(check bool) "stall positive" true (n > 0))
+            r.Batch.stalls)
+        r_prof)
+    [
+      ("node", compile_zoo (List.assoc "mlp" zoo), None);
+      ("2-chip cluster", Lazy.force cluster_mlp, Some 2);
+    ]
+
+(* A profiler attached to a cluster's node accounts for the whole
+   machine: the usual invariants hold over the global tile space, and
+   every off-chip word is attributed to a tile that sends across chips. *)
+let test_cluster_attribution () =
+  let program = Lazy.force cluster_mlp in
+  let cl = Cluster.create ~nodes:2 program in
+  let node = Cluster.node cl in
+  let p = Profile.create () in
+  Profile.attach p node;
+  ignore (Cluster.run cl ~inputs:(inputs_for program ~seed:9));
+  ignore (Cluster.run cl ~inputs:(inputs_for program ~seed:10));
+  Node.finish_energy node;
+  Alcotest.(check int) "two runs profiled" 2 (Profile.runs p);
+  check_invariants p node;
+  let en = Node.energy node in
+  let ntiles = Node.num_tiles node in
+  let stride = ntiles / 2 in
+  let sends_off_chip ti =
+    let (tp : Puma_isa.Program.tile_program) =
+      program.Puma_isa.Program.tiles.(ti)
+    in
+    Array.exists
+      (Array.exists (function
+        | Puma_isa.Instr.Send { target; _ } -> target / stride <> ti / stride
+        | _ -> false))
+      (Array.append [| tp.tile_code |] tp.core_code)
+  in
+  let words = Cluster.offchip_words cl in
+  Alcotest.(check bool) "words crossed chips" true (words > 0);
+  Alcotest.(check int) "no unattributed off-chip words" 0
+    (Energy.tile_count en ~tile:(-1) Energy.Offchip);
+  let attributed = ref 0 in
+  for ti = 0 to ntiles - 1 do
+    let n = Energy.tile_count en ~tile:ti Energy.Offchip in
+    if n > 0 then
       Alcotest.(check bool)
-        (Printf.sprintf "request %d outputs" i)
-        true
-        (plain.Batch.outputs = prof.Batch.outputs);
-      Alcotest.(check int)
-        (Printf.sprintf "request %d cycles" i)
-        plain.Batch.cycles prof.Batch.cycles;
-      (* Same tolerance as the serial-vs-sharded differential: which
-         requests preceded this one on its worker's node shifts the float
-         accumulator history, profiled or not. *)
-      Alcotest.(check (float 1e-9))
-        (Printf.sprintf "request %d energy" i)
-        plain.Batch.dynamic_energy_pj prof.Batch.dynamic_energy_pj;
-      Alcotest.(check bool) "plain run has no stalls recorded" true
-        (plain.Batch.stalls = []))
-    r_plain;
-  Alcotest.(check int) "same makespan" s_plain.Batch.makespan_cycles
-    s_prof.Batch.makespan_cycles;
-  Alcotest.(check bool) "profiled summary decomposes" true
-    (s_prof.Batch.busy_cycles > 0);
-  (* Each profiled request's stall split is bounded by its makespan times
-     the entity count (coarse sanity; exact accounting is pinned above). *)
-  Array.iter
-    (fun (r : Batch.response) ->
-      List.iter
-        (fun (_, n) -> Alcotest.(check bool) "stall positive" true (n > 0))
-        r.Batch.stalls)
-    r_prof
+        (Printf.sprintf "tile %d sends across chips" ti)
+        true (sends_off_chip ti);
+    attributed := !attributed + n
+  done;
+  Alcotest.(check int) "off-chip words all attributed" words !attributed
 
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest [ prop_invariants_random_mlps ] in
@@ -458,6 +528,8 @@ let () =
       ( "accounting",
         [
           Alcotest.test_case "zoo invariants" `Quick test_invariants_zoo;
+          Alcotest.test_case "cluster attribution" `Quick
+            test_cluster_attribution;
           Alcotest.test_case "detach" `Quick test_detach;
           Alcotest.test_case "bounded window" `Quick test_slice_window_bounded;
         ]

@@ -11,6 +11,7 @@ module Compile = Puma_compiler.Compile
 module Node = Puma_sim.Node
 module Energy = Puma_hwmodel.Energy
 module Batch = Puma_runtime.Batch
+module Cluster = Puma_cluster.Cluster
 module Cache = Puma_runtime.Program_cache
 
 (* ---- Pool ---- *)
@@ -160,58 +161,72 @@ let test_requests_deterministic () =
         (r.inputs = (List.nth big i).Batch.inputs))
     a
 
+(* Serial reference: one machine, one warm-up inference (the runtime's
+   documented steady-state guarantee), then every request in order. One
+   node, or a cluster of [nodes] chips. *)
+let serial_reference ~nodes program requests =
+  let run, cycles, energy_pj =
+    if nodes = 1 then
+      let node = Node.create program in
+      ( (fun inputs -> Node.run node ~inputs),
+        (fun () -> Node.cycles node),
+        fun () -> Energy.total_pj (Node.energy node) )
+    else
+      let cl = Cluster.create ~nodes program in
+      ( (fun inputs -> Cluster.run cl ~inputs),
+        (fun () -> Cluster.cycles cl),
+        fun () -> Cluster.dynamic_energy_pj cl )
+  in
+  ignore
+    (run
+       (List.map
+          (fun (name, len) -> (name, Array.make len 0.0))
+          (Batch.input_lengths program)));
+  List.map
+    (fun (r : Batch.request) ->
+      let c0 = cycles () and e0 = energy_pj () in
+      let outputs = run r.inputs in
+      (outputs, cycles () - c0, energy_pj () -. e0))
+    requests
+
 (* The differential anchor: a batch run through the runtime with 1, 2 and
    4 domains must be bit-identical — outputs, per-request cycles, dynamic
-   energy — to a serial warmed Puma_sim.Node run. *)
+   energy — to a serial warmed Puma_sim.Node run, and on a 2-chip cluster
+   to a serial warmed Puma_cluster.Cluster run. *)
 let test_differential_serial_vs_sharded () =
   let program = Lazy.force compiled in
   let batch = 8 in
   let requests = Batch.random_requests program ~batch ~seed:3 in
-  (* Serial reference: one node, one warm-up inference (the runtime's
-     documented steady-state guarantee), then every request in order. *)
-  let node = Node.create program in
-  let zeros =
-    List.map (fun (name, len) -> (name, Array.make len 0.0))
-      (Batch.input_lengths program)
-  in
-  ignore (Node.run node ~inputs:zeros);
-  let reference =
-    List.map
-      (fun (r : Batch.request) ->
-        let c0 = Node.cycles node in
-        let e0 = Energy.total_pj (Node.energy node) in
-        let outputs = Node.run node ~inputs:r.inputs in
-        ( outputs,
-          Node.cycles node - c0,
-          Energy.total_pj (Node.energy node) -. e0 ))
-      requests
-  in
   List.iter
-    (fun domains ->
-      let responses, summary = Batch.run ~domains program requests in
-      Alcotest.(check int) "batch size" batch summary.Batch.batch_size;
-      List.iteri
-        (fun i (outputs, cycles, energy) ->
-          let r = responses.(i) in
-          Alcotest.(check int)
-            (Printf.sprintf "request %d index (domains=%d)" i domains)
-            i r.Batch.index;
-          List.iter
-            (fun (name, want) ->
-              let got = List.assoc name r.Batch.outputs in
-              Alcotest.(check bool)
-                (Printf.sprintf "request %d output %s bit-identical (domains=%d)"
-                   i name domains)
-                true (want = got))
-            outputs;
-          Alcotest.(check int)
-            (Printf.sprintf "request %d cycles (domains=%d)" i domains)
-            cycles r.Batch.cycles;
-          Alcotest.(check (float 1e-9))
-            (Printf.sprintf "request %d dynamic energy (domains=%d)" i domains)
-            energy r.Batch.dynamic_energy_pj)
-        reference)
-    [ 1; 2; 4 ]
+    (fun nodes ->
+      let reference = serial_reference ~nodes program requests in
+      List.iter
+        (fun domains ->
+          let responses, summary =
+            Batch.run ~domains ~cluster_nodes:nodes program requests
+          in
+          let label i what =
+            Printf.sprintf "request %d %s (nodes=%d domains=%d)" i what nodes
+              domains
+          in
+          Alcotest.(check int) "batch size" batch summary.Batch.batch_size;
+          List.iteri
+            (fun i (outputs, cycles, energy) ->
+              let r = responses.(i) in
+              Alcotest.(check int) (label i "index") i r.Batch.index;
+              List.iter
+                (fun (name, want) ->
+                  let got = List.assoc name r.Batch.outputs in
+                  Alcotest.(check bool)
+                    (label i ("output " ^ name ^ " bit-identical"))
+                    true (want = got))
+                outputs;
+              Alcotest.(check int) (label i "cycles") cycles r.Batch.cycles;
+              Alcotest.(check (float 1e-9))
+                (label i "dynamic energy") energy r.Batch.dynamic_energy_pj)
+            reference)
+        [ 1; 2; 4 ])
+    [ 1; 2 ]
 
 let test_batch_throughput_scales () =
   let program = Lazy.force compiled in
@@ -264,6 +279,18 @@ let test_empty_batch () =
   Alcotest.(check int) "no cycles" 0 summary.Batch.makespan_cycles;
   Alcotest.(check (float 0.0)) "no throughput" 0.0 summary.Batch.throughput_inf_s
 
+(* A fault plan belongs to one chip: a cluster takes one per chip. *)
+let test_cluster_rejects_single_plan () =
+  let program = Lazy.force compiled in
+  let plan =
+    Puma_xbar.Fault.plan ~seed:1
+      { Puma_xbar.Fault.ideal with stuck_rate = 1e-3 }
+  in
+  Alcotest.(check bool) "faults with nodes > 1 raise" true
+    (match Batch.warmed_node ~faults:plan ~nodes:2 program with
+    | _ -> false
+    | exception Invalid_argument _ -> true)
+
 let () =
   Alcotest.run "runtime"
     [
@@ -296,5 +323,7 @@ let () =
           Alcotest.test_case "noise-seeded nodes agree" `Quick
             test_noise_seeded_nodes_agree;
           Alcotest.test_case "empty batch" `Quick test_empty_batch;
+          Alcotest.test_case "cluster rejects a one-chip fault plan" `Quick
+            test_cluster_rejects_single_plan;
         ] );
     ]

@@ -39,60 +39,78 @@ let workload =
 (* Every served request's outputs, cycle cost and dynamic energy must be
    bit-identical to running the same model's request stream through
    Batch.run — the serving fleet is the batch runtime's warmed-node
-   computation under a scheduler, nothing more. *)
+   computation under a scheduler, nothing more. That holds with every
+   fleet slot a single node and with every slot a 2-chip cluster. *)
 let test_differential_vs_batch () =
   let fleet = Lazy.force fleet and workload = Lazy.force workload in
   Alcotest.(check bool) "workload non-trivial" true (Array.length workload > 6);
-  let report = Engine.run ~domains:1 serve_config fleet workload in
-  Alcotest.(check int)
-    "all arrivals served (unbounded queues)"
-    (Array.length workload)
-    (Array.length report.Engine.served);
-  Array.iteri
-    (fun m (model : Engine.model) ->
-      let requests = Engine.requests_for serve_config fleet workload m in
-      let responses, _ = Batch.run ~domains:1 model.Engine.program requests in
-      let served =
-        Array.to_list report.Engine.served
-        |> List.filter (fun (s : Engine.served) -> s.Engine.model = m)
+  List.iter
+    (fun cluster_nodes ->
+      let report =
+        Engine.run ~domains:1 ?cluster_nodes serve_config fleet workload
       in
       Alcotest.(check int)
-        (Printf.sprintf "model %d request count" m)
-        (List.length requests) (List.length served);
-      List.iter
-        (fun (s : Engine.served) ->
-          let r = responses.(s.Engine.model_request) in
-          Alcotest.(check bool)
-            (Printf.sprintf "model %d request %d outputs bit-identical" m
-               s.Engine.model_request)
-            true
-            (s.Engine.outputs = r.Batch.outputs);
+        "all arrivals served (unbounded queues)"
+        (Array.length workload)
+        (Array.length report.Engine.served);
+      Array.iteri
+        (fun m (model : Engine.model) ->
+          let requests = Engine.requests_for serve_config fleet workload m in
+          let responses, _ =
+            Batch.run ~domains:1 ?cluster_nodes model.Engine.program requests
+          in
+          let served =
+            Array.to_list report.Engine.served
+            |> List.filter (fun (s : Engine.served) -> s.Engine.model = m)
+          in
+          let label what (s : Engine.served) =
+            Printf.sprintf "model %d request %d %s (cluster nodes %d)" m
+              s.Engine.model_request what
+              (Option.value cluster_nodes ~default:1)
+          in
           Alcotest.(check int)
-            (Printf.sprintf "model %d request %d cycles" m
-               s.Engine.model_request)
-            r.Batch.cycles s.Engine.cycles;
-          Alcotest.(check bool)
-            (Printf.sprintf "model %d request %d energy exact" m
-               s.Engine.model_request)
-            true
-            (s.Engine.energy_pj = r.Batch.dynamic_energy_pj))
-        served)
-    fleet
+            (Printf.sprintf "model %d request count" m)
+            (List.length requests) (List.length served);
+          List.iter
+            (fun (s : Engine.served) ->
+              let r = responses.(s.Engine.model_request) in
+              Alcotest.(check bool)
+                (label "outputs bit-identical" s)
+                true
+                (s.Engine.outputs = r.Batch.outputs);
+              Alcotest.(check int) (label "cycles" s) r.Batch.cycles
+                s.Engine.cycles;
+              Alcotest.(check bool) (label "energy exact" s) true
+                (s.Engine.energy_pj = r.Batch.dynamic_energy_pj))
+            served)
+        fleet)
+    [ None; Some 2 ]
 
 (* The report is a pure function of the workload: host domain count and
-   the simulator fast path must not leak into any field. *)
+   the simulator fast path must not leak into any field, on single-node
+   and on 2-chip fleet slots alike. *)
 let test_domain_count_independent () =
   let fleet = Lazy.force fleet and workload = Lazy.force workload in
-  let reference = Engine.run ~domains:1 serve_config fleet workload in
   List.iter
-    (fun domains ->
-      Alcotest.(check bool)
-        (Printf.sprintf "report bit-identical (domains=%d)" domains)
-        true
-        (Engine.run ~domains serve_config fleet workload = reference))
-    [ 2; 4 ];
-  Alcotest.(check bool) "report bit-identical (reference loop)" true
-    (Engine.run ~domains:2 ~fast:false serve_config fleet workload = reference)
+    (fun cluster_nodes ->
+      let run ?fast domains =
+        Engine.run ~domains ?fast ?cluster_nodes serve_config fleet workload
+      in
+      let reference = run 1 in
+      let label what =
+        Printf.sprintf "report bit-identical (%s, cluster nodes %d)" what
+          (Option.value cluster_nodes ~default:1)
+      in
+      List.iter
+        (fun domains ->
+          Alcotest.(check bool)
+            (label (Printf.sprintf "domains=%d" domains))
+            true
+            (run domains = reference))
+        [ 2; 4 ];
+      Alcotest.(check bool) (label "reference loop") true
+        (run ~fast:false 2 = reference))
+    [ None; Some 2 ]
 
 let test_zero_load_drain () =
   let fleet = Lazy.force fleet in
