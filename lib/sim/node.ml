@@ -5,12 +5,13 @@ module Core = Puma_arch.Core
 module Network = Puma_noc.Network
 module Energy = Puma_hwmodel.Energy
 module Fixed = Puma_util.Fixed
+module Heap = Puma_util.Heap
 
 exception Deadlock of string
 
 (* Low-level instrumentation callbacks fired by the run loops. [core = -1]
    designates the tile control unit. The probe is the one observer slot,
-   behind [Puma_profile.Profile] and [Trace]; when it is [None] the run
+   behind [Puma_profile.Profile]; when it is [None] the run
    loop pays one branch per event and allocates nothing. *)
 type probe = {
   on_run_start : now:int -> unit;
@@ -302,33 +303,28 @@ let step_core_observed t (p : probe) tile fc ti c =
         else Core.Stall_smem_write));
   r
 
-(* The two passes [run_reference] and [run_fast] open with. Drain tile
-   outgoing queues into the network, tiles ascending; NoC (and
-   off-chip) energy is attributed to the sending tile. Returns whether
-   anything was sent. *)
-let drain_pass t =
-  let progress = ref false in
-  Array.iter
-    (fun tile ->
+(* Drain one tile's outgoing queue into the network. NoC (and off-chip)
+   energy is attributed to the sending tile. Returns whether anything was
+   sent. *)
+let rec drain_tile t tile =
+  match Tile.pop_outgoing tile with
+  | None -> false
+  | Some (o : Tile.outgoing) ->
       Energy.set_scope t.energy (Tile.index tile);
-      let rec drain () =
-        match Tile.pop_outgoing tile with
-        | None -> ()
-        | Some (o : Tile.outgoing) ->
-            Network.send t.network ~now:o.issue_cycle
-              {
-                Network.src_tile = Tile.index tile;
-                dst_tile = o.target_tile;
-                fifo_id = o.fifo_id;
-                payload = o.payload;
-                seq = 0 (* assigned by Network.send *);
-              };
-            progress := true;
-            drain ()
-      in
-      drain ())
-    t.tiles;
-  !progress
+      Network.send t.network ~now:o.issue_cycle
+        {
+          Network.src_tile = Tile.index tile;
+          dst_tile = o.target_tile;
+          fifo_id = o.fifo_id;
+          payload = o.payload;
+          seq = 0 (* assigned by Network.send *);
+        };
+      ignore (drain_tile t tile);
+      true
+
+(* The reference loop's first pass: drain every tile, ascending. *)
+let drain_pass t =
+  Array.fold_left (fun sent tile -> drain_tile t tile || sent) false t.tiles
 
 (* Deliver every arrived message; a full destination FIFO pushes the
    message back with a one-cycle retry so it stays visible to the
@@ -411,13 +407,14 @@ let run_reference t ~start =
 (* The fast loop: same pass structure, [now] sequence and energy scoping
    as [run_reference] — drain, deliver, step (TCU then cores, tiles
    ascending), completion check, re-pass at the same cycle on progress
-   (a TCU receive can unblock a core's load within the cycle), advance
-   via the shared helper. The deltas are exactly: cores step through the
+   (a TCU receive can unblock a core's load within the cycle), then a
+   time advance. It makes exactly the step attempts the reference loop
+   would, minus those that provably repeat: cores step through the
    pre-decoded [Fastexec] streams, blocked and halted entities are
-   parked instead of re-stepped, and tiles that have fully halted are
-   skipped in the stepping pass. A probe therefore sees each stall
-   reason when a stall begins or its dependency changes rather than on
-   every pass, and each halt once. *)
+   parked instead of re-stepped, a tile is visited only when one of its
+   entities can move, and only tiles whose TCU retired are drained. A
+   probe therefore sees each stall reason when a stall begins or its
+   dependency changes rather than on every pass, and each halt once. *)
 let run_fast t ~start =
   let ntiles = Array.length t.tiles in
   let fcs = Array.map Tile.fast_code t.tiles in
@@ -437,15 +434,93 @@ let run_fast t ~start =
   in
   let tcu_park = Array.make ntiles (-1) in
   let delivered = Array.make ntiles 0 in
+  (* Live counts of entities not yet halted, in the sense of
+     [Tile.all_halted]: the TCU until it steps to [Halted], a core until
+     [Core.halted] (a pc outside its code counts without a step). A tile
+     whose count is 0 is all-halted; a run whose total is 0 is done. *)
+  let core_live =
+    Array.map
+      (fun tile ->
+        Array.init (Tile.num_cores tile) (fun c ->
+            not (Core.halted (Tile.core tile c))))
+      t.tiles
+  in
+  let live =
+    Array.map
+      (Array.fold_left (fun n alive -> if alive then n + 1 else n) 1)
+      core_live
+  in
+  let total_live = ref (Array.fold_left ( + ) 0 live) in
+  let halted ti =
+    live.(ti) <- live.(ti) - 1;
+    decr total_live
+  in
+  let core_halted ti c =
+    if core_live.(ti).(c) && Core.halted (Tile.core t.tiles.(ti) c) then begin
+      core_live.(ti).(c) <- false;
+      halted ti
+    end
+  in
+  (* Wake filter. After a visit, an entity of the tile steps again only
+     once its ready time arrives (a retire) or the tile's parking key
+     moves past its park (a block). So a tile is visited when [woken]
+     (set when a ready time it holds is reached) or when its key differs
+     from the one read at the *start* of its last visit: an entity
+     parked early in a visit must see a later entity's same-cycle store. *)
+  let woken = Array.make ntiles true in
+  let seen = Array.make ntiles (-1) in
+  (* Ready times above [now], tagged with their tile. Seeded with every
+     ready time left by earlier runs (a run ends when pcs leave their
+     code, not when ready times pass). Its minimum and the network's next
+     arrival are exactly the reference scan's next event time. *)
+  let ready = Heap.create () in
+  let ready_at ti time =
+    if time > t.now then Heap.push ready time ti else woken.(ti) <- true
+  in
+  Array.iteri
+    (fun ti r ->
+      ready_at ti r;
+      Array.iter (ready_at ti) t.core_ready.(ti))
+    t.tcu_ready;
+  (* Tiles whose TCU retired since their last drain: only a retired
+     [Send] fills an outgoing queue. *)
+  let outbox = Array.make ntiles true in
+  let advance () =
+    let next =
+      match Network.next_arrival t.network with
+      | Some a when a > t.now -> min a (Heap.min_key ready)
+      | Some _ | None -> Heap.min_key ready
+    in
+    (* Nothing pending: the shared scan finds nothing either and raises
+       the deadlock dump. *)
+    if next = max_int then advance_or_deadlock t
+    else begin
+      t.now <- next;
+      while Heap.min_key ready <= next do
+        match Heap.pop ready with
+        | Some (_, ti) -> woken.(ti) <- true
+        | None -> ()
+      done
+    end
+  in
   let finished = ref false in
   while not !finished do
     if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
-    let sent = drain_pass t in
+    let sent = ref false in
+    for ti = 0 to ntiles - 1 do
+      if outbox.(ti) then begin
+        outbox.(ti) <- false;
+        if drain_tile t t.tiles.(ti) then sent := true
+      end
+    done;
     let arrived = deliver_pass t delivered in
-    let progress = ref (sent || arrived) in
+    let progress = ref (!sent || arrived) in
     for ti = 0 to ntiles - 1 do
       let tile = t.tiles.(ti) in
-      if not (Tile.all_halted tile) then begin
+      let key = Tile.smem_generation tile + delivered.(ti) in
+      if live.(ti) > 0 && (woken.(ti) || key <> seen.(ti)) then begin
+        woken.(ti) <- false;
+        seen.(ti) <- key;
         Energy.set_scope t.energy ti;
         (if t.tcu_ready.(ti) <= t.now then
            let park = tcu_park.(ti) in
@@ -458,11 +533,15 @@ let run_fast t ~start =
              match r with
              | Tile.Retired { cycles; _ } ->
                  t.tcu_ready.(ti) <- t.now + cycles;
+                 ready_at ti (t.now + cycles);
+                 outbox.(ti) <- true;
                  progress := true
              | Tile.Blocked _ ->
                  tcu_park.(ti) <-
                    Tile.smem_generation tile + delivered.(ti)
-             | Tile.Halted -> tcu_park.(ti) <- never
+             | Tile.Halted ->
+                 tcu_park.(ti) <- never;
+                 halted ti
            end);
         let fc = fcs.(ti) in
         let parks = core_park.(ti) in
@@ -477,9 +556,14 @@ let run_fast t ~start =
               in
               if r >= 0 then begin
                 t.core_ready.(ti).(c) <- t.now + r;
+                ready_at ti (t.now + r);
+                core_halted ti c;
                 progress := true
               end
-              else if r = Fastexec.r_halted then parks.(c) <- never
+              else if r = Fastexec.r_halted then begin
+                parks.(c) <- never;
+                core_halted ti c
+              end
               else parks.(c) <- Tile.smem_generation tile
             end
           end
@@ -487,9 +571,8 @@ let run_fast t ~start =
       end
     done;
     Energy.set_scope t.energy (-1);
-    let all_halted = Array.for_all Tile.all_halted t.tiles in
-    if all_halted && Network.in_flight t.network = 0 then finished := true
-    else if not !progress then advance_or_deadlock t
+    if !total_live = 0 && Network.in_flight t.network = 0 then finished := true
+    else if not !progress then advance ()
   done
 
 let run t ~inputs =

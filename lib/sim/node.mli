@@ -10,7 +10,7 @@
 exception Deadlock of string
 
 (** Low-level instrumentation callbacks fired by the run loops (the one
-    observer slot, behind {!Puma_profile.Profile} and {!Trace}). In every
+    observer slot, behind {!Puma_profile.Profile}). In every
     callback [core = -1] designates the tile control unit, and [now] is
     the simulated cycle.
 

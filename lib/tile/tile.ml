@@ -154,9 +154,6 @@ let deliver t ~fifo ~src_tile ~payload =
 let all_halted t =
   t.tcu_halted && Array.for_all Core.halted t.cores
 
-let any_progress_possible t =
-  (not t.tcu_halted) || Array.exists (fun c -> not (Core.halted c)) t.cores
-
 let host_write t ~addr ~values = Shared_mem.host_write t.smem ~addr ~values
 let host_read t ~addr ~width = Shared_mem.peek t.smem ~addr ~width
 

@@ -71,9 +71,6 @@ val deliver : t -> fifo:int -> src_tile:int -> payload:int array -> bool
 val all_halted : t -> bool
 (** Control unit and every core have halted. *)
 
-val any_progress_possible : t -> bool
-(** At least one core or the TCU is not halted. *)
-
 val host_write : t -> addr:int -> values:int array -> unit
 val host_read : t -> addr:int -> width:int -> int array option
 

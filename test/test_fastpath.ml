@@ -73,33 +73,84 @@ let check_identical name (o1, n1) (o2, n2) =
     true
     (Energy.total_pj e1 = Energy.total_pj e2)
 
+(* The last run's outputs and the cycles of each run. *)
 let run_node node program ~seed ~runs =
   let last = ref [] in
-  for i = 0 to runs - 1 do
-    last := Node.run node ~inputs:(inputs_for program ~seed:(seed + i))
-  done;
+  let per_run =
+    List.init runs (fun i ->
+        let before = Node.cycles node in
+        last := Node.run node ~inputs:(inputs_for program ~seed:(seed + i));
+        Node.cycles node - before)
+  in
   Node.finish_energy node;
-  !last
+  (!last, per_run)
 
 (* Fast vs. reference over [runs] back-to-back inferences (state persists
    across runs, so multi-run divergence — e.g. a stale pre-decoded
-   program or parked-entity state leaking between runs — would show). *)
+   program or parked-entity state leaking between runs — would show,
+   run by run). *)
 let differential name program ~runs =
   let fast = Node.create ~noise_seed:3 program in
   let slow = Node.create ~noise_seed:3 ~fast:false program in
-  let o_fast = run_node fast program ~seed:42 ~runs in
-  let o_slow = run_node slow program ~seed:42 ~runs in
+  let o_fast, c_fast = run_node fast program ~seed:42 ~runs in
+  let o_slow, c_slow = run_node slow program ~seed:42 ~runs in
   Alcotest.(check bool) (name ^ ": fast path engaged") true
     (Node.last_run_fast fast);
   Alcotest.(check bool) (name ^ ": reference path used") false
     (Node.last_run_fast slow);
+  Alcotest.(check (list int)) (name ^ ": cycles per run") c_slow c_fast;
   check_identical name (o_fast, fast) (o_slow, slow)
+
+(* One tile, TCU idle: core 1 stores the word core 0 is blocked loading,
+   and core 0's load must succeed in that same cycle. Core 0 is stepped
+   (and parked) before core 1 within the pass, so only the tile's
+   shared-memory generation moving past its value at the start of the
+   visit brings core 0 back in the re-pass. *)
+let same_cycle_wake () =
+  let config = Config.sweetspot in
+  let layout = Puma_isa.Operand.layout config in
+  let assemble source =
+    match Puma_isa.Asm.parse_program layout source with
+    | Ok code -> code
+    | Error e -> Alcotest.fail e
+  in
+  let consumer =
+    assemble
+      "load r0, @10, w=1\n\
+       alu.add r1, r0, r0, w=1\n\
+       store @20, r1, count=0, w=1\n\
+       halt\n"
+  and producer =
+    assemble "load r0, @0, w=1\nstore @10, r0, count=1, w=1\nhalt\n"
+  in
+  let program =
+    {
+      Puma_isa.Program.config;
+      tiles =
+        [|
+          {
+            Puma_isa.Program.tile_index = 0;
+            core_code = [| consumer; producer |];
+            tile_code = [||];
+            mvmu_images = [];
+          };
+        |];
+      inputs =
+        [ { Puma_isa.Program.name = "x"; tile = 0; mem_addr = 0; length = 1; offset = 0 } ];
+      outputs =
+        [ { Puma_isa.Program.name = "y"; tile = 0; mem_addr = 20; length = 1; offset = 0 } ];
+      constants = [];
+    }
+  in
+  Puma_isa.Check.check_exn program;
+  program
 
 let test_zoo_sweetspot () =
   List.iter
     (fun (name, graph) ->
       differential name (compile Config.sweetspot graph) ~runs:2)
-    zoo
+    zoo;
+  differential "same-cycle wake" (same_cycle_wake ()) ~runs:3
 
 let test_zoo_dim64 () =
   List.iter

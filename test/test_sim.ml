@@ -133,145 +133,6 @@ let test_energy_scales_with_work () =
   Alcotest.(check bool) "two runs cost about twice" true
     (e2 > 1.8 *. e1 && e2 < 2.2 *. e1)
 
-let test_trace_records_retirements () =
-  let node = Node.create (compile (small_model ())) in
-  let trace = Puma_sim.Trace.create () in
-  Puma_sim.Trace.attach trace node;
-  ignore (Node.run node ~inputs:[ ("x", Tensor.vec_rand rng 48 1.0) ]);
-  Puma_sim.Trace.detach node;
-  Alcotest.(check int) "one entry per retired core instruction"
-    (Node.retired_instructions node)
-    (Puma_sim.Trace.total_recorded trace);
-  let entries = Puma_sim.Trace.entries trace in
-  let cycles = List.map (fun (e : Puma_sim.Trace.entry) -> e.cycle) entries in
-  Alcotest.(check bool) "cycles nondecreasing per core" true
-    (let by_core = Hashtbl.create 8 in
-     List.for_all
-       (fun (e : Puma_sim.Trace.entry) ->
-         let key = (e.tile, e.core) in
-         let prev = Option.value ~default:(-1) (Hashtbl.find_opt by_core key) in
-         Hashtbl.replace by_core key e.cycle;
-         e.cycle >= prev)
-       entries);
-  ignore cycles;
-  let units = Puma_sim.Trace.unit_counts trace in
-  Alcotest.(check bool) "mvm unit seen" true
-    (List.mem_assoc Puma_isa.Instr.U_mvm units);
-  let layout = Puma_isa.Operand.layout config in
-  Alcotest.(check bool) "dump nonempty" true
-    (String.length (Puma_sim.Trace.dump layout trace) > 0)
-
-let test_trace_unit_counts_are_counts () =
-  (* Regression for the unit_cycles -> unit_counts rename: the tally is
-     retired-instruction counts, never cycle-weighted (an MVM occupies its
-     core for many cycles but contributes exactly 1 per retirement). *)
-  let trace = Puma_sim.Trace.create () in
-  let node = Node.create (compile (small_model ())) in
-  Puma_sim.Trace.attach trace node;
-  ignore (Node.run node ~inputs:[ ("x", Tensor.vec_rand rng 48 1.0) ]);
-  let entries = Puma_sim.Trace.entries trace in
-  let counts = Puma_sim.Trace.unit_counts trace in
-  let total = List.fold_left (fun acc (_, n) -> acc + n) 0 counts in
-  Alcotest.(check int) "sum of counts = retained entries"
-    (List.length entries) total;
-  let mvm_entries =
-    List.length
-      (List.filter
-         (fun (e : Puma_sim.Trace.entry) ->
-           Puma_isa.Instr.unit_of e.instr = Puma_isa.Instr.U_mvm)
-         entries)
-  in
-  Alcotest.(check int) "mvm tally is a count" mvm_entries
-    (List.assoc Puma_isa.Instr.U_mvm counts);
-  (* Cycle-weighting would dwarf the instruction count. *)
-  Alcotest.(check bool) "not cycle-weighted" true (total < Node.cycles node)
-
-let test_trace_ring_buffer_wraps () =
-  let trace = Puma_sim.Trace.create ~capacity:4 () in
-  let node = Node.create (compile (small_model ())) in
-  Puma_sim.Trace.attach trace node;
-  ignore (Node.run node ~inputs:[ ("x", Tensor.vec_rand rng 48 1.0) ]);
-  Alcotest.(check int) "window bounded" 4 (Puma_sim.Trace.length trace);
-  Alcotest.(check bool) "total larger" true
-    (Puma_sim.Trace.total_recorded trace > 4);
-  Alcotest.(check int) "entries match window" 4
-    (List.length (Puma_sim.Trace.entries trace))
-
-let test_trace_capacity_eviction () =
-  (* The bounded trace keeps exactly the most recent [capacity] entries:
-     run the same deterministic program under an unbounded and a bounded
-     trace and compare the bounded window against the full tail. *)
-  let program = compile (small_model ()) in
-  let x = Tensor.vec_rand (Rng.create 31) 48 1.0 in
-  let record capacity =
-    let node = Node.create program in
-    let trace = Puma_sim.Trace.create ~capacity () in
-    Puma_sim.Trace.attach trace node;
-    ignore (Node.run node ~inputs:[ ("x", x) ]);
-    Puma_sim.Trace.detach node;
-    trace
-  in
-  let full = record 1_000_000 in
-  let bounded = record 7 in
-  let all = Puma_sim.Trace.entries full in
-  Alcotest.(check bool) "nothing evicted when capacity suffices" true
-    (Puma_sim.Trace.length full = Puma_sim.Trace.total_recorded full);
-  Alcotest.(check int) "bounded window is capacity" 7
-    (Puma_sim.Trace.length bounded);
-  Alcotest.(check int) "total counts evictions"
-    (List.length all)
-    (Puma_sim.Trace.total_recorded bounded);
-  let tail =
-    List.filteri (fun i _ -> i >= List.length all - 7) all
-  in
-  Alcotest.(check bool) "retained entries are the most recent ones" true
-    (tail = Puma_sim.Trace.entries bounded)
-
-let test_trace_total_vs_length () =
-  let trace = Puma_sim.Trace.create ~capacity:3 () in
-  let node = Node.create (compile (small_model ())) in
-  Puma_sim.Trace.attach trace node;
-  Alcotest.(check int) "empty" 0 (Puma_sim.Trace.length trace);
-  Alcotest.(check int) "nothing recorded" 0 (Puma_sim.Trace.total_recorded trace);
-  ignore (Node.run node ~inputs:[ ("x", Tensor.vec_rand rng 48 1.0) ]);
-  let t1 = Puma_sim.Trace.total_recorded trace in
-  Alcotest.(check bool) "length caps at capacity" true
-    (Puma_sim.Trace.length trace = min t1 3);
-  ignore (Node.run node ~inputs:[ ("x", Tensor.vec_rand rng 48 1.0) ]);
-  Alcotest.(check bool) "total keeps growing" true
-    (Puma_sim.Trace.total_recorded trace > t1);
-  Alcotest.(check int) "length still capped" 3 (Puma_sim.Trace.length trace)
-
-let test_trace_attach_detach_idempotent () =
-  let program = compile (small_model ()) in
-  let node = Node.create program in
-  let x = Tensor.vec_rand (Rng.create 33) 48 1.0 in
-  (* Detach with no trace attached is a no-op. *)
-  Puma_sim.Trace.detach node;
-  (* Re-attaching the same trace keeps recording into it exactly once. *)
-  let a = Puma_sim.Trace.create () in
-  Puma_sim.Trace.attach a node;
-  Puma_sim.Trace.attach a node;
-  ignore (Node.run node ~inputs:[ ("x", x) ]);
-  let after_first = Puma_sim.Trace.total_recorded a in
-  Alcotest.(check int) "single hook, no double counting"
-    (Node.retired_instructions node) after_first;
-  (* Attaching another trace supersedes the first. *)
-  let b = Puma_sim.Trace.create () in
-  Puma_sim.Trace.attach b node;
-  ignore (Node.run node ~inputs:[ ("x", x) ]);
-  Alcotest.(check int) "superseded trace stops growing" after_first
-    (Puma_sim.Trace.total_recorded a);
-  Alcotest.(check bool) "new trace records" true
-    (Puma_sim.Trace.total_recorded b > 0);
-  (* Detach stops recording; a second detach changes nothing. *)
-  Puma_sim.Trace.detach node;
-  Puma_sim.Trace.detach node;
-  let frozen = Puma_sim.Trace.total_recorded b in
-  ignore (Node.run node ~inputs:[ ("x", x) ]);
-  Alcotest.(check int) "detached trace is frozen" frozen
-    (Puma_sim.Trace.total_recorded b)
-
 let test_hand_rolled_loop_program () =
   (* A loop with scalar-register address arithmetic (the rolled-conv
      pattern): accumulate neighbouring input pairs over a 4-element sweep.
@@ -368,19 +229,6 @@ let () =
         ] );
       ( "hand-program",
         [ Alcotest.test_case "rolled loop" `Quick test_hand_rolled_loop_program ] );
-      ( "trace",
-        [
-          Alcotest.test_case "records retirements" `Quick
-            test_trace_records_retirements;
-          Alcotest.test_case "unit counts not cycles" `Quick
-            test_trace_unit_counts_are_counts;
-          Alcotest.test_case "ring buffer" `Quick test_trace_ring_buffer_wraps;
-          Alcotest.test_case "capacity eviction" `Quick
-            test_trace_capacity_eviction;
-          Alcotest.test_case "total vs length" `Quick test_trace_total_vs_length;
-          Alcotest.test_case "attach/detach idempotence" `Quick
-            test_trace_attach_detach_idempotent;
-        ] );
       ( "facade",
         [
           Alcotest.test_case "session" `Quick test_session_facade;
