@@ -51,11 +51,18 @@ let diagnose (p : Program.t) =
   in
   let check_core_instr ~tile ~core ~pc len (i : Instr.t) =
     match i with
-    | Mvm { mask; _ } ->
+    | Mvm { mask; filter; stride } ->
         if mask = 0 then report ~code:"E-MASK" ~tile ~core ~pc "MVM with empty mask"
         else if mask lsr config.mvmus_per_core <> 0 then
           report ~code:"E-MASK" ~tile ~core ~pc "MVM mask 0x%x names a missing MVMU"
-            mask
+            mask;
+        (* Both are 8-bit fields in the encoding. *)
+        List.iter
+          (fun (name, v) ->
+            if v < 0 || v > 255 then
+              report ~code:"E-MVMARG" ~tile ~core ~pc "MVM %s %d out of 0..255"
+                name v)
+          [ ("filter", filter); ("stride", stride) ]
     | Alu { op; dest; src1; src2; vec_width } ->
         check_vec_reg ~tile ~core ~pc "dest" dest vec_width;
         check_vec_reg ~tile ~core ~pc "src1" src1

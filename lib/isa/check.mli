@@ -17,7 +17,8 @@ val diagnose : Program.t -> Diag.t list
     - vector register operands lie within a single register space for
       their full [vec_width] [E-REG]; scalar register indices are in
       range [E-SREG];
-    - MVM masks are non-zero and only name existing MVMUs [E-MASK];
+    - MVM masks are non-zero and only name existing MVMUs [E-MASK]; MVM
+      filter and stride fit their 8-bit fields [E-MVMARG];
     - jump, branch and send targets are within range [E-TARGET];
     - shared-memory addresses fit the tile data memory [E-SMEM]; consumer
       counts fit the encoding [E-COUNT]; FIFO ids exist [E-FIFO];

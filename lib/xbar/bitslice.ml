@@ -1,27 +1,8 @@
 module Fixed = Puma_util.Fixed
 module Tensor = Puma_util.Tensor
-module Bits = Puma_util.Bits
 
-type t = {
-  dim : int;
-  bits_per_cell : int;
-  low_bits : int;  (** Width of the least-significant (possibly partial) slice. *)
-  num_slices : int;
-  noisy : bool;
-  adc : Adc.t;
-  (* Quantized signed raw weights, row-major; the exact-path operand. *)
-  logical : int array;
-  (* [logical] mirrored into an unboxed float array for the fast exact
-     kernel: with |w| <= Fixed.max_raw < 2^15 and inputs bounded by
-     [x_limit], every product and partial sum is an integer below 2^53,
-     so the float dot product is exactly the integer one (float64
-     represents all such integers exactly). *)
-  logical_f : float array;
-  (* Largest input magnitude for which the float kernel is provably
-     exact: dim * (Fixed.max_raw * x_limit) <= 2^52. Inputs beyond it
-     (possible only in hand-written programs that [Set] oversized
-     immediates) fall back to the integer loop. *)
-  x_limit : int;
+(* The materialized device stacks of a noisy or faulted stack. *)
+type physical = {
   (* Range scaling: stored conductances hold [raw lsl scale_shift] so the
      matrix spans the full device range (maximizing noise margin, as in
      ISAAC's per-matrix mapping); the digital shift-and-add undoes it. *)
@@ -32,7 +13,7 @@ type t = {
   (* Static ADC conversion offsets per (slice, physical output line), in
      LSBs; [||] when the fault model has none. *)
   adc_offset : int array array;
-  (* Per-polarity slice stacks, only materialized when noisy. *)
+  (* Per-polarity slice stacks. *)
   pos : Crossbar.t array;
   neg : Crossbar.t array;
   (* Precomputed shift-and-add weight per slice (2^slice-offset). *)
@@ -44,6 +25,25 @@ type t = {
   nf_p : float array;
   nf_n : float array;
 }
+
+type t = {
+  dim : int;
+  (* Quantized signed raw weights, row-major, one native-endian int16 per
+     weight (2 * dim * dim bytes); the exact-path operand. Empty for an
+     unprogrammed stack, whose weights are all zero. Never mutated after
+     [create], so one image could back any number of stacks. *)
+  image : Bytes.t;
+  (* Present only with write noise or faults. *)
+  physical : physical option;
+}
+
+(* The exact kernel, in [bitslice_stubs.c]: [out.(i)] receives the
+   integer dot product of image row [i] with [x] (all zeros for an empty
+   image), wrapping like OCaml [int] arithmetic when oversized inputs
+   overflow. [x] and [out] must have length [dim]. *)
+external mvm_image : Bytes.t -> int array -> int array -> unit
+  = "puma_xbar_mvm_exact"
+[@@noalloc]
 
 let magnitude_parts raw =
   (* Differential pair: raw = pos - neg with pos, neg >= 0. The single
@@ -108,175 +108,118 @@ let create (c : Puma_hwmodel.Config.t) ?rng ?fault (m : Tensor.mat) =
     invalid_arg
       (Printf.sprintf "Bitslice.create: matrix must be %dx%d (got %dx%d)" dim
          dim m.Tensor.rows m.Tensor.cols);
-  let bits = c.bits_per_cell in
-  let num_slices = Puma_hwmodel.Config.slices c in
-  (* Physical slice stacks are materialized whenever an RNG (write noise)
-     or a fault spec is supplied; without either the exact fast path is
-     used. *)
-  let noisy = Option.is_some rng || Option.is_some fault in
-  let perms =
-    match fault with
-    | Some { Fault.perms = Some p; _ } ->
-        if Array.length p.out_perm <> dim || Array.length p.in_perm <> dim then
-          invalid_arg "Bitslice.create: remap permutation length mismatch";
-        Some p
-    | _ -> None
-  in
-  let device = Device.create ~bits ~sigma:c.write_noise_sigma in
-  let logical = Array.make (dim * dim) 0 in
-  let make_stack () =
-    Array.init num_slices (fun _ -> Crossbar.create ~dim ~device)
-  in
-  let pos = if noisy then make_stack () else [||] in
-  let neg = if noisy then make_stack () else [||] in
+  let image = Bytes.create (2 * dim * dim) in
+  let max_mag = ref 0 in
   for i = 0 to dim - 1 do
     for j = 0 to dim - 1 do
       let raw = Fixed.to_raw (Fixed.of_float (Tensor.get m i j)) in
       let raw = if raw = Fixed.min_raw then -Fixed.max_raw else raw in
-      logical.((i * dim) + j) <- raw
+      max_mag := max !max_mag (abs raw);
+      Bytes.set_int16_ne image (2 * ((i * dim) + j)) raw
     done
   done;
-  (* Spread the matrix over the full conductance range. *)
-  let max_mag = Array.fold_left (fun a v -> max a (abs v)) 0 logical in
-  let scale_shift =
-    if max_mag = 0 then 0
+  (* Physical slice stacks are materialized whenever an RNG (write noise)
+     or a fault spec is supplied; without either the exact kernel is
+     used. *)
+  let physical =
+    if Option.is_none rng && Option.is_none fault then None
     else begin
-      let rec go k = if max_mag lsl (k + 1) <= Fixed.max_raw then go (k + 1) else k in
-      go 0
+      let bits = c.bits_per_cell in
+      let num_slices = Puma_hwmodel.Config.slices c in
+      let perms =
+        match fault with
+        | Some { Fault.perms = Some p; _ } ->
+            if Array.length p.out_perm <> dim || Array.length p.in_perm <> dim
+            then invalid_arg "Bitslice.create: remap permutation length mismatch";
+            Some p
+        | _ -> None
+      in
+      let device = Device.create ~bits ~sigma:c.write_noise_sigma in
+      let make_stack () =
+        Array.init num_slices (fun _ -> Crossbar.create ~dim ~device)
+      in
+      let pos = make_stack () and neg = make_stack () in
+      (* Spread the matrix over the full conductance range. *)
+      let scale_shift =
+        if !max_mag = 0 then 0
+        else begin
+          let rec go k =
+            if !max_mag lsl (k + 1) <= Fixed.max_raw then go (k + 1) else k
+          in
+          go 0
+        end
+      in
+      (* The 15 magnitude bits are grouped from the top down, so any
+         partial group lands in the least-significant slice: high-order
+         devices always use their full range (best noise margin where
+         errors cost most). *)
+      let low_bits =
+        let r = 15 mod bits in
+        if r = 0 then bits else r
+      in
+      let slice_offset s = if s = 0 then 0 else low_bits + ((s - 1) * bits) in
+      let split value =
+        Array.init num_slices (fun s ->
+            let width = if s = 0 then low_bits else bits in
+            (value lsr slice_offset s) land ((1 lsl width) - 1))
+      in
+      (* Logical line k is programmed onto physical line perm.(k); the MVM
+         path routes through the same permutation, so in exact arithmetic
+         a remapped stack is equivalent — only the physical placement (and
+         therefore which faults land under live weights) changes. *)
+      let out_line, in_line =
+        match perms with
+        | None -> (Fun.id, Fun.id)
+        | Some p ->
+            ((fun i -> p.Fault.out_perm.(i)), fun j -> p.Fault.in_perm.(j))
+      in
+      for i = 0 to dim - 1 do
+        for j = 0 to dim - 1 do
+          let raw =
+            Bytes.get_int16_ne image (2 * ((i * dim) + j)) lsl scale_shift
+          in
+          let p, n = magnitude_parts raw in
+          let pslices = split p and nslices = split n in
+          let pi = out_line i and pj = in_line j in
+          for s = 0 to num_slices - 1 do
+            Crossbar.write pos.(s) ?rng pi pj pslices.(s);
+            Crossbar.write neg.(s) ?rng pi pj nslices.(s)
+          done
+        done
+      done;
+      (match fault with
+      | Some f -> apply_instance ~dim ~pos ~neg f.Fault.instance
+      | None -> ());
+      Some
+        {
+          scale_shift;
+          perms;
+          adc_offset =
+            (match fault with
+            | Some { Fault.instance = { adc_offset; _ }; _ } -> adc_offset
+            | None -> [||]);
+          pos;
+          neg;
+          slice_weight =
+            Adc.shift_weights ~num_slices ~low_bits ~bits_per_cell:bits;
+          nf_x = Array.make dim 0.0;
+          nf_p = Array.make dim 0.0;
+          nf_n = Array.make dim 0.0;
+        }
     end
   in
-  (* The 15 magnitude bits are grouped from the top down, so any partial
-     group lands in the least-significant slice: high-order devices always
-     use their full range (best noise margin where errors cost most). *)
-  let low_bits =
-    let r = 15 mod bits in
-    if r = 0 then bits else r
-  in
-  let slice_offset s = if s = 0 then 0 else low_bits + ((s - 1) * bits) in
-  let split value =
-    Array.init num_slices (fun s ->
-        let width = if s = 0 then low_bits else bits in
-        (value lsr slice_offset s) land ((1 lsl width) - 1))
-  in
-  if noisy then begin
-    (* Logical line k is programmed onto physical line perm.(k); the MVM
-       path routes through the same permutation, so in exact arithmetic a
-       remapped stack is equivalent — only the physical placement (and
-       therefore which faults land under live weights) changes. *)
-    let out_line, in_line =
-      match perms with
-      | None -> (Fun.id, Fun.id)
-      | Some p -> ((fun i -> p.Fault.out_perm.(i)), fun j -> p.Fault.in_perm.(j))
-    in
-    for i = 0 to dim - 1 do
-      for j = 0 to dim - 1 do
-        let raw = logical.((i * dim) + j) lsl scale_shift in
-        let p, n = magnitude_parts raw in
-        let pslices = split p and nslices = split n in
-        let pi = out_line i and pj = in_line j in
-        for s = 0 to num_slices - 1 do
-          Crossbar.write pos.(s) ?rng pi pj pslices.(s);
-          Crossbar.write neg.(s) ?rng pi pj nslices.(s)
-        done
-      done
-    done;
-    match fault with
-    | Some f -> apply_instance ~dim ~pos ~neg f.Fault.instance
-    | None -> ()
-  end;
-  {
-    dim;
-    bits_per_cell = bits;
-    low_bits;
-    num_slices;
-    noisy;
-    adc = Adc.for_config c;
-    logical;
-    logical_f = Array.map Float.of_int logical;
-    x_limit = (1 lsl 52) / (Fixed.max_raw * dim);
-    scale_shift;
-    perms;
-    adc_offset =
-      (match fault with
-      | Some { Fault.instance = { adc_offset; _ }; _ } -> adc_offset
-      | None -> [||]);
-    pos;
-    neg;
-    slice_weight = Adc.shift_weights ~num_slices ~low_bits ~bits_per_cell:bits;
-    nf_x = Array.make dim 0.0;
-    nf_p = Array.make dim 0.0;
-    nf_n = Array.make dim 0.0;
-  }
+  { dim; image; physical }
+
+let zero (c : Puma_hwmodel.Config.t) =
+  { dim = c.mvmu_dim; image = Bytes.empty; physical = None }
 
 let dim t = t.dim
-let num_slices t = t.num_slices
-let logical_raw t i j = t.logical.((i * t.dim) + j)
-let is_noisy t = t.noisy
+let is_noisy t = Option.is_some t.physical
 
-let mvm_raw_exact t x =
-  Array.init t.dim (fun i ->
-      let base = i * t.dim in
-      let acc = ref 0 in
-      for j = 0 to t.dim - 1 do
-        acc := !acc + (t.logical.(base + j) * x.(j))
-      done;
-      !acc)
-
-(* Scratch-buffer exact kernel for the pre-decoded fast path: computes
-   exactly the same integer results as [mvm_raw_exact] (exact arithmetic,
-   so accumulation order and number representation are immaterial)
-   without the per-call output allocation or bounds checks.
-
-   The hot variant runs in float64 over the mirrored [logical_f] weights:
-   every product and partial sum stays an integer below 2^53 (see
-   [x_limit]), where float64 arithmetic is exact, and it avoids the boxed
-   tagged-int multiply sequence. Four independent accumulators break the
-   serial add dependency chain, which is what actually bounds the scalar
-   integer loop. Inputs beyond [x_limit] take the integer loop instead. *)
 let mvm_raw_exact_into t x out =
-  assert (Array.length x = t.dim && Array.length out = t.dim);
-  let d = t.dim in
-  let xf = t.nf_x in
-  let limit = t.x_limit in
-  let exactable = ref true in
-  for j = 0 to d - 1 do
-    let v = Array.unsafe_get x j in
-    if v > limit || v < -limit then exactable := false;
-    Array.unsafe_set xf j (Float.of_int v)
-  done;
-  if !exactable then begin
-    let wf = t.logical_f in
-    for i = 0 to d - 1 do
-      let base = i * d in
-      let a0 = ref 0.0 and a1 = ref 0.0 and a2 = ref 0.0 and a3 = ref 0.0 in
-      let j = ref 0 in
-      while !j + 3 < d do
-        let k = base + !j in
-        a0 := !a0 +. (Array.unsafe_get wf k *. Array.unsafe_get xf !j);
-        a1 := !a1 +. (Array.unsafe_get wf (k + 1) *. Array.unsafe_get xf (!j + 1));
-        a2 := !a2 +. (Array.unsafe_get wf (k + 2) *. Array.unsafe_get xf (!j + 2));
-        a3 := !a3 +. (Array.unsafe_get wf (k + 3) *. Array.unsafe_get xf (!j + 3));
-        j := !j + 4
-      done;
-      let acc = ref (!a0 +. !a1 +. !a2 +. !a3) in
-      while !j < d do
-        acc := !acc +. (Array.unsafe_get wf (base + !j) *. Array.unsafe_get xf !j);
-        incr j
-      done;
-      Array.unsafe_set out i (Float.to_int !acc)
-    done
-  end
-  else begin
-    let w = t.logical in
-    for i = 0 to d - 1 do
-      let base = i * d in
-      let acc = ref 0 in
-      for j = 0 to d - 1 do
-        acc := !acc + (Array.unsafe_get w (base + j) * Array.unsafe_get x j)
-      done;
-      Array.unsafe_set out i !acc
-    done
-  end
+  if Array.length x <> t.dim || Array.length out <> t.dim then
+    invalid_arg "Bitslice.mvm_raw_exact_into: vector length must be dim";
+  mvm_image t.image x out
 
 (* Noisy-device path. The conversion chain itself is conservatively
    provisioned to be lossless (Section 3.2.1's no-accuracy-compromise
@@ -287,30 +230,29 @@ let mvm_raw_exact_into t x out =
    levels, digitized once per slice, and combined by shift-and-add.
    Inputs and outputs route through the fault-remap permutations when
    present. *)
-let mvm_raw_noisy t x =
-  let d = t.dim in
-  let xf = t.nf_x in
+let mvm_raw_noisy d p x =
+  let xf = p.nf_x in
   (* The permutation covers every index, so the scatter (re)writes the
      whole scratch vector — no stale data survives between calls. *)
-  (match t.perms with
+  (match p.perms with
   | None ->
       for j = 0 to d - 1 do
         xf.(j) <- Float.of_int x.(j)
       done
-  | Some p ->
+  | Some perm ->
       for j = 0 to d - 1 do
-        xf.(p.Fault.in_perm.(j)) <- Float.of_int x.(j)
+        xf.(perm.Fault.in_perm.(j)) <- Float.of_int x.(j)
       done);
-  let accp = t.nf_p and accn = t.nf_n in
+  let accp = p.nf_p and accn = p.nf_n in
   let out = Array.make d 0 in
-  for s = 0 to t.num_slices - 1 do
-    let sw = t.slice_weight.(s) in
-    Crossbar.mvm_acc_into t.pos.(s) xf accp;
-    Crossbar.mvm_acc_into t.neg.(s) xf accn;
-    let off = if t.adc_offset = [||] then [||] else t.adc_offset.(s) in
+  for s = 0 to Array.length p.pos - 1 do
+    let sw = p.slice_weight.(s) in
+    Crossbar.mvm_acc_into p.pos.(s) xf accp;
+    Crossbar.mvm_acc_into p.neg.(s) xf accn;
+    let off = if p.adc_offset = [||] then [||] else p.adc_offset.(s) in
     for i = 0 to d - 1 do
       let phys =
-        match t.perms with None -> i | Some p -> p.Fault.out_perm.(i)
+        match p.perms with None -> i | Some perm -> perm.Fault.out_perm.(i)
       in
       let digital = Float.to_int (Float.round (accp.(phys) -. accn.(phys))) in
       let digital = if off = [||] then digital else digital + off.(phys) in
@@ -320,27 +262,35 @@ let mvm_raw_noisy t x =
   out
 
 let mvm_raw t x =
-  assert (Array.length x = t.dim);
-  if t.noisy then begin
-    let scaled = mvm_raw_noisy t x in
-    (* Undo the range scaling with round-to-nearest. *)
-    let k = t.scale_shift in
-    if k = 0 then scaled
-    else
-      Array.map
-        (fun v ->
-          let half = 1 lsl (k - 1) in
-          if v >= 0 then (v + half) asr k else -((-v + half) asr k))
-        scaled
-  end
-  else mvm_raw_exact t x
+  match t.physical with
+  | None ->
+      let out = Array.make t.dim 0 in
+      mvm_raw_exact_into t x out;
+      out
+  | Some p ->
+      assert (Array.length x = t.dim);
+      let scaled = mvm_raw_noisy t.dim p x in
+      (* Undo the range scaling with round-to-nearest. *)
+      let k = p.scale_shift in
+      if k = 0 then scaled
+      else
+        Array.map
+          (fun v ->
+            let half = 1 lsl (k - 1) in
+            if v >= 0 then (v + half) asr k else -((-v + half) asr k))
+          scaled
 
 (* Stuck-at fault injection: each physical device independently sticks at
    its lowest or highest conductance with probability [rate]. Requires a
    materialized stack (create with ~rng). Returns the number of faults. *)
 let inject_stuck t rng ~rate =
-  if not t.noisy then
-    invalid_arg "Bitslice.inject_stuck: stack has no physical devices (create with ~rng)";
+  let p =
+    match t.physical with
+    | Some p -> p
+    | None ->
+        invalid_arg
+          "Bitslice.inject_stuck: stack has no physical devices (create with ~rng)"
+  in
   if rate < 0.0 || rate > 1.0 then
     invalid_arg "Bitslice.inject_stuck: rate must be in [0, 1]";
   let count = ref 0 in
@@ -357,10 +307,6 @@ let inject_stuck t rng ~rate =
       done
     done
   in
-  Array.iter zap t.pos;
-  Array.iter zap t.neg;
+  Array.iter zap p.pos;
+  Array.iter zap p.neg;
   !count
-
-let mvm_fixed t x =
-  let raw = mvm_raw t (Array.map Fixed.to_raw x) in
-  Array.map Fixed.of_acc raw

@@ -7,17 +7,18 @@
     digital subtraction done after the ADCs.
 
     Two evaluation paths:
-    - with zero write noise (and no [~rng]) the stack is bit-exact
-      w.r.t. the integer matrix-vector product of the quantized weights
-      (the ADC is conservatively provisioned to be lossless), evaluated
-      directly;
-    - with an [~rng] the physical slice stacks are materialized and the
-      column currents are accumulated with the stored (noisy/faulted)
-      analog levels, digitized once per slice and combined by
-      shift-and-add. The conversion chain itself is conservatively
-      provisioned to be lossless (Section 3.2.1), which the
-      materialized-but-noise-free case demonstrates by matching the exact
-      path bit-for-bit. *)
+    - with zero write noise (no [~rng]) and no faults the stack is
+      bit-exact w.r.t. the integer matrix-vector product of the quantized
+      weights (the ADC is conservatively provisioned to be lossless). It
+      keeps only a 16-bit image of those weights, and one native kernel
+      computes the exact product from it;
+    - with an [~rng] or a [~fault] the physical slice stacks are
+      materialized and the column currents are accumulated with the
+      stored (noisy/faulted) analog levels, digitized once per slice and
+      combined by shift-and-add. The conversion chain itself is
+      conservatively provisioned to be lossless (Section 3.2.1), which
+      the materialized-but-noise-free case demonstrates by matching the
+      exact path bit-for-bit. *)
 
 type t
 
@@ -37,11 +38,11 @@ val create :
     stored levels, and static ADC offsets perturb each slice
     digitization on the read path. *)
 
-val dim : t -> int
-val num_slices : t -> int
+val zero : Puma_hwmodel.Config.t -> t
+(** An unprogrammed stack: all weights zero, exact path. It stores no
+    weight data; every MVM yields zeros. *)
 
-val logical_raw : t -> int -> int -> int
-(** The quantized (noise-free) raw weight at (i, j). *)
+val dim : t -> int
 
 val mvm_raw : t -> int array -> int array
 (** [mvm_raw t x_raw] returns per-output accumulators in raw product units
@@ -49,14 +50,13 @@ val mvm_raw : t -> int array -> int array
     reduction; rescale with {!Puma_util.Fixed.of_acc}. *)
 
 val mvm_raw_exact_into : t -> int array -> int array -> unit
-(** Exact-path kernel writing the raw accumulators into the caller's
-    scratch buffer (length [dim]): identical integer arithmetic to the
-    exact {!mvm_raw} path without the per-call allocation. Only
-    meaningful when [not (is_noisy t)] (it ignores the physical
-    stacks). *)
-
-val mvm_fixed : t -> Puma_util.Fixed.t array -> Puma_util.Fixed.t array
-(** Full 16-bit MVM returning rescaled fixed-point outputs. *)
+(** The exact kernel, writing the raw accumulators into the caller's
+    scratch buffer (length [dim]) without allocating. It is what the
+    exact {!mvm_raw} path runs, and it always computes the product of the
+    quantized weights: on a noisy stack it ignores the physical stacks.
+    Inputs outside the 16-bit range are accepted; the sums then wrap
+    like OCaml [int] arithmetic. Raises [Invalid_argument] unless both
+    vectors have length [dim]. *)
 
 val is_noisy : t -> bool
 (** True when physical slice stacks are materialized (created with

@@ -1,5 +1,4 @@
 module Fixed = Puma_util.Fixed
-module Tensor = Puma_util.Tensor
 
 type t = {
   config : Puma_hwmodel.Config.t;
@@ -13,10 +12,9 @@ type t = {
 }
 
 let create (c : Puma_hwmodel.Config.t) =
-  let zero = Tensor.mat_create c.mvmu_dim c.mvmu_dim in
   {
     config = c;
-    stack = Bitslice.create c zero;
+    stack = Bitslice.zero c;
     xbar_in = Array.make c.mvmu_dim 0;
     xbar_out = Array.make c.mvmu_dim 0;
     in_scratch = Array.make c.mvmu_dim 0;
@@ -43,7 +41,7 @@ let execute t ~stride =
   done
 
 (* Allocation-free [execute] used by the pre-decoded fast path. Exact
-   stacks route through the integer kernel into the reused accumulator;
+   stacks route through the exact kernel into the reused accumulator;
    noisy stacks (write noise or faults present) fall back to [execute],
    whose float chain both paths share, keeping results bit-identical. *)
 let execute_fast t ~stride =

@@ -559,6 +559,28 @@ let test_check_diagnose () =
         (Puma_util.Strings.contains ~sub:"tile 0 core 0"
            (Diag.to_string d))
 
+let test_check_mvm_args () =
+  (* MVM filter and stride are 8-bit fields; a negative stride used to
+     pass every gate and then index out of bounds in the simulator. *)
+  let p = (compile ~dim:32 (mlp ())).Compile.program in
+  let codes filter stride =
+    let q = clone p in
+    let code = q.Program.tiles.(0).Program.core_code.(0) in
+    let pc = ref (-1) in
+    Array.iteri
+      (fun k -> function
+        | Instr.Mvm _ when !pc < 0 -> pc := k
+        | _ -> ())
+      code;
+    (match code.(!pc) with
+    | Instr.Mvm m -> code.(!pc) <- Instr.Mvm { m with filter; stride }
+    | _ -> assert false);
+    List.map (fun (d : Diag.t) -> d.Diag.code) (Check.diagnose q)
+  in
+  Alcotest.(check (list string)) "in range" [] (codes 255 255);
+  Alcotest.(check (list string)) "negative stride" [ "E-MVMARG" ] (codes 0 (-1));
+  Alcotest.(check (list string)) "wide filter" [ "E-MVMARG" ] (codes 256 0)
+
 let test_report_json () =
   let r = (compile ~dim:32 (mlp ())).Compile.analysis in
   let j = Analyze.to_json ~name:"mlp" r in
@@ -604,6 +626,7 @@ let () =
           Alcotest.test_case "render" `Quick test_diag_render;
           Alcotest.test_case "order" `Quick test_diag_order;
           Alcotest.test_case "check diagnose" `Quick test_check_diagnose;
+          Alcotest.test_case "check mvm args" `Quick test_check_mvm_args;
           Alcotest.test_case "report json" `Quick test_report_json;
         ] );
     ]

@@ -113,14 +113,69 @@ let test_bitslice_exact_matches_integer_mvm () =
   Alcotest.(check (array int)) "exact path" (quantized_reference m x)
     (Bitslice.mvm_raw stack x)
 
+(* Kernel inputs: int16 values with the range ends and zero mixed in;
+   in [`Wide] also oversized values (hand-written programs can [Set]
+   them) whose products and sums wrap like OCaml ints; in [`Oversized]
+   nothing else. *)
+let kernel_input rng mode d =
+  let edges = [| -32768; 32767; 0 |] in
+  let oversized =
+    [| 1 lsl 20; -(1 lsl 20); 1 lsl 40; -(1 lsl 40); max_int; min_int;
+       max_int - 4097; min_int + 4097 |]
+  in
+  let pick a = a.(Rng.int rng (Array.length a)) in
+  Array.init d (fun _ ->
+      match (mode, Rng.int rng 4) with
+      | `Oversized, _ | `Wide, 1 -> pick oversized
+      | _, 0 -> pick edges
+      | _ -> Rng.int rng 65536 - 32768)
+
+(* Random weights with full-scale entries mixed in: -8.0 quantizes to
+   [min_raw], which the stack clamps to -[max_raw]. *)
+let kernel_weights rng d =
+  let m = Tensor.mat_rand rng d d 0.5 in
+  Tensor.mat_init d d (fun i j ->
+      match Rng.int rng 8 with
+      | 0 -> -8.0
+      | 1 -> 7.9999
+      | _ -> Tensor.get m i j)
+
 let prop_bitslice_exact =
   QCheck.Test.make ~name:"bitslice exact == integer mvm" ~count:30
     QCheck.small_int (fun seed ->
       let rng = Rng.create (seed + 1) in
-      let m = Tensor.mat_rand rng 16 16 0.5 in
-      let stack = Bitslice.create small_config m in
-      let x = Array.init 16 (fun _ -> Rng.int rng 65536 - 32768) in
-      Bitslice.mvm_raw stack x = quantized_reference m x)
+      (* 256 spans two of the kernel's 128-column blocks. *)
+      List.for_all
+        (fun d ->
+          let m = kernel_weights rng d in
+          let stack = Bitslice.create { Config.default with mvmu_dim = d } m in
+          let scratch = Array.make d 1 in
+          List.for_all
+            (fun mode ->
+              let x = kernel_input rng mode d in
+              let expected = quantized_reference m x in
+              Bitslice.mvm_raw_exact_into stack x scratch;
+              Bitslice.mvm_raw stack x = expected && scratch = expected)
+            [ `Narrow; `Wide; `Oversized ])
+        [ 16; 128; 256 ])
+
+let test_bitslice_full_scale () =
+  (* Every weight and input at full scale over four 128-column blocks:
+     the largest sums the kernel's per-block partials must hold, and
+     oversized inputs whose high bytes would not fit them. *)
+  let d = 512 in
+  List.iter
+    (fun (w, x) ->
+      let m = Tensor.mat_init d d (fun _ _ -> w) in
+      let stack = Bitslice.create { Config.default with mvmu_dim = d } m in
+      let x = Array.make d x in
+      Alcotest.(check (array int))
+        (Printf.sprintf "w=%g x=%d" w x.(0))
+        (quantized_reference m x) (Bitslice.mvm_raw stack x))
+    [
+      (7.9999, 32767); (-8.0, 32767); (-8.0, -32768); (7.9999, -1);
+      (-8.0, 255); (7.9999, 1 lsl 20); (-8.0, -(1 lsl 40)); (7.9999, max_int);
+    ]
 
 let test_bitslice_noisy_bitserial_matches_exact_at_zero_noise () =
   (* With sigma > 0 but an RNG that we bypass by sigma = 0, the bit-serial
@@ -262,6 +317,28 @@ let test_mvmu_zero_unprogrammed () =
   let y = Mvmu.mvm unit (Array.make 16 Fixed.one) in
   Array.iter (fun v -> Alcotest.(check int) "zero" 0 (Fixed.to_raw v)) y
 
+let test_mvmu_unprogrammed_any_stride () =
+  let rng = Rng.create 6 in
+  let x = kernel_input rng `Wide 16 in
+  Alcotest.(check (array int)) "zero stack" (Array.make 16 0)
+    (Bitslice.mvm_raw (Bitslice.zero small_config) x);
+  let unit = Mvmu.create small_config in
+  Array.iteri
+    (fun j _ -> (Mvmu.xbar_in unit).(j) <- Rng.int rng 65536 - 32768)
+    (Mvmu.xbar_in unit);
+  List.iter
+    (fun stride ->
+      List.iter
+        (fun (name, execute) ->
+          Array.fill (Mvmu.xbar_out unit) 0 16 123;
+          execute unit ~stride;
+          Array.iter
+            (fun v ->
+              Alcotest.(check int) (Printf.sprintf "%s stride %d" name stride) 0 v)
+            (Mvmu.xbar_out unit))
+        [ ("execute", Mvmu.execute); ("execute_fast", Mvmu.execute_fast) ])
+    [ 0; 1; 7; 15 ]
+
 let () =
   Alcotest.run "xbar"
     [
@@ -284,6 +361,7 @@ let () =
         [
           Alcotest.test_case "exact path" `Quick test_bitslice_exact_matches_integer_mvm;
           QCheck_alcotest.to_alcotest prop_bitslice_exact;
+          Alcotest.test_case "full scale" `Quick test_bitslice_full_scale;
           Alcotest.test_case "bit-serial near exact" `Quick
             test_bitslice_noisy_bitserial_matches_exact_at_zero_noise;
           Alcotest.test_case "noise degrades" `Quick test_bitslice_noise_degrades_gracefully;
@@ -301,6 +379,8 @@ let () =
           Alcotest.test_case "matches float" `Quick test_mvmu_mvm_matches_fixed;
           Alcotest.test_case "input shuffle" `Quick test_mvmu_shuffle_rotation;
           Alcotest.test_case "unprogrammed" `Quick test_mvmu_zero_unprogrammed;
+          Alcotest.test_case "unprogrammed any stride" `Quick
+            test_mvmu_unprogrammed_any_stride;
           Alcotest.test_case "reprogramming" `Quick test_mvmu_reprogramming;
         ] );
     ]
