@@ -1193,7 +1193,7 @@ let run_sim_hotspots () =
   in
   let scratch = Array.make dim 0 in
   let mvmu = Mvmu.create mini_config in
-  Mvmu.program mvmu m;
+  Mvmu.program mvmu (Puma_util.Fixed.image_of_mat m);
   Array.blit x 0 (Mvmu.xbar_in mvmu) 0 dim;
   let t =
     Table.create

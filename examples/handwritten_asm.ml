@@ -43,9 +43,10 @@ let () =
   print_string (Puma_isa.Asm.program_to_string layout code);
   (* A circulant weight matrix: output i averages inputs i and i+1. *)
   let rng = Puma_util.Rng.create 5 in
-  let weights =
-    Tensor.mat_init 32 32 (fun i j ->
-        if j = i || j = (i + 1) mod 32 then 0.5 else 0.0)
+  let image =
+    Fixed.image_of_mat
+      (Tensor.mat_init 32 32 (fun i j ->
+           if j = i || j = (i + 1) mod 32 then 0.5 else 0.0))
   in
   let program =
     {
@@ -56,7 +57,7 @@ let () =
             Puma_isa.Program.tile_index = 0;
             core_code = [| code |];
             tile_code = [||];
-            mvmu_images = [ { core_index = 0; mvmu_index = 0; weights } ];
+            mvmu_images = [ { core_index = 0; mvmu_index = 0; image } ];
           };
         |];
       inputs =

@@ -68,9 +68,10 @@ let () =
   (* Kernel in crossbar row 0. *)
   let rng = Puma_util.Rng.create 3 in
   let kernel = Array.init (k * k) (fun _ -> Puma_util.Rng.uniform rng (-0.3) 0.3) in
-  let weights =
-    Tensor.mat_init 32 32 (fun i j ->
-        if i = 0 && j < k * k then kernel.(j) else 0.0)
+  let image =
+    Fixed.image_of_mat
+      (Tensor.mat_init 32 32 (fun i j ->
+           if i = 0 && j < k * k then kernel.(j) else 0.0))
   in
   let program =
     {
@@ -81,7 +82,7 @@ let () =
             Puma_isa.Program.tile_index = 0;
             core_code = [| code |];
             tile_code = [||];
-            mvmu_images = [ { core_index = 0; mvmu_index = 0; weights } ];
+            mvmu_images = [ { core_index = 0; mvmu_index = 0; image } ];
           };
         |];
       inputs =

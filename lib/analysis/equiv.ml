@@ -1,7 +1,6 @@
 module Instr = Puma_isa.Instr
 module Program = Puma_isa.Program
 module Operand = Puma_isa.Operand
-module Tensor = Puma_util.Tensor
 module Fixed = Puma_util.Fixed
 
 (* ---- The reference dataflow (built by Lgraph.to_reference) ---- *)
@@ -11,7 +10,7 @@ type rpiece = { src : int; src_off : int; piece_len : int; dst_off : int }
 type rop =
   | R_input of { name : string; offset : int }
   | R_const of int array
-  | R_mvm of { weights : Tensor.mat; label : string }
+  | R_mvm of { image : string; label : string }
   | R_alu of Instr.alu_op
   | R_alui of { op : Instr.alu_op; imm : int }
   | R_gather of rpiece array
@@ -50,12 +49,8 @@ type desc =
   | S_op1 of Instr.alu_op * int
   | S_op2 of Instr.alu_op * int * int
 
-(* A crossbar-block matrix, interned by quantized content so float
-   weights and Program_io's raw round trip unify. *)
+(* A dim x dim crossbar-block image, interned by its raws. *)
 type mat_info = {
-  raws : int array;  (* row-major, rows * cols *)
-  rows : int;
-  cols : int;
   mutable label : string;
   zero_col : bool array;
   zero_row : bool array;
@@ -84,7 +79,7 @@ type intern_state = {
   ids : (desc, int) Hashtbl.t;
   descs : desc Grow.t;
   taints : bool Grow.t;  (* does the word depend on an S_undef? *)
-  mats : (int array * int * int, int) Hashtbl.t;
+  mats : (string, int) Hashtbl.t;
   mat_infos : mat_info Grow.t;
   mutable nonce : int;
   const0 : int;  (* set right after creation: intern (S_const 0) *)
@@ -121,15 +116,7 @@ let intern_state () =
       taints = Grow.create false;
       mats = Hashtbl.create 64;
       mat_infos =
-        Grow.create
-          {
-            raws = [||];
-            rows = 0;
-            cols = 0;
-            label = "";
-            zero_col = [||];
-            zero_row = [||];
-          };
+        Grow.create { label = ""; zero_col = [||]; zero_row = [||] };
       nonce = 0;
       const0 = 0;
     }
@@ -138,39 +125,45 @@ let intern_state () =
   assert (z = 0);
   st
 
-let quantize f = Fixed.to_raw (Fixed.of_float f)
+(* ---- Bail-out discipline ----
 
-(* Intern a matrix by quantized content; content-equal blocks unify (the
-   compiler may legitimately use either copy). [label] only sticks on
-   first sight, so reference names win over program-side placeholders. *)
-let intern_mat st ~label (m : Tensor.mat) =
-  let raws = Array.map quantize m.Tensor.data in
-  let key = (raws, m.Tensor.rows, m.Tensor.cols) in
-  match Hashtbl.find_opt st.mats key with
+   [Bail] aborts the whole check into [Unknown] (we cannot model the
+   program soundly); [Trap] aborts into [Refuted] (the runtime would trap
+   before producing outputs). Refutations from output comparison are
+   collected normally. *)
+
+exception Bail of Diag.t
+exception Trap of Diag.t
+
+let bail ?tile ?core ?pc fmt =
+  Printf.ksprintf
+    (fun m ->
+      raise (Bail (Diag.warning ~code:"W-EQUIV-UNKNOWN" ?tile ?core ?pc "%s" m)))
+    fmt
+
+(* Intern an image by content: the program's images and the reference's
+   independently quantized ones unify exactly when their raws agree, and
+   content-equal blocks unify (the compiler may legitimately use either
+   copy). [label] only sticks on first sight, so reference names win
+   over program-side placeholders. *)
+let intern_image st ~dim ~label img =
+  match Hashtbl.find_opt st.mats img with
   | Some id -> id
   | None ->
-      let zero_col =
-        Array.init m.Tensor.cols (fun j ->
-            let all = ref true in
-            for i = 0 to m.Tensor.rows - 1 do
-              if raws.((i * m.Tensor.cols) + j) <> 0 then all := false
-            done;
-            !all)
-      in
-      let zero_row =
-        Array.init m.Tensor.rows (fun i ->
-            let all = ref true in
-            for j = 0 to m.Tensor.cols - 1 do
-              if raws.((i * m.Tensor.cols) + j) <> 0 then all := false
-            done;
-            !all)
-      in
-      let id =
-        Grow.push st.mat_infos
-          { raws; rows = m.Tensor.rows; cols = m.Tensor.cols; label; zero_col;
-            zero_row }
-      in
-      Hashtbl.add st.mats key id;
+      if String.length img <> 2 * dim * dim then
+        bail "MVM image %s is %d bytes, not %dx%d raws" label
+          (String.length img) dim dim;
+      let zero_col = Array.make dim true and zero_row = Array.make dim true in
+      for i = 0 to dim - 1 do
+        for j = 0 to dim - 1 do
+          if Fixed.image_raw img ((i * dim) + j) <> 0 then begin
+            zero_col.(j) <- false;
+            zero_row.(i) <- false
+          end
+        done
+      done;
+      let id = Grow.push st.mat_infos { label; zero_col; zero_row } in
+      Hashtbl.add st.mats img id;
       id
 
 (* The one shared MVM evaluator: both the reference dataflow and the
@@ -186,7 +179,7 @@ let apply_mvm st ~mat (arg : int array) =
     Array.mapi (fun j w -> if info.zero_col.(j) then st.const0 else w) arg
   in
   let app = intern st (S_app (mat, intern st (S_vec masked))) in
-  Array.init info.rows (fun i ->
+  Array.init (Array.length info.zero_row) (fun i ->
       if info.zero_row.(i) then st.const0 else intern st (S_elem (app, i)))
 
 (* ---- Rendering (diagnostic messages only; codes are the contract) ---- *)
@@ -223,27 +216,11 @@ let rec render st ~depth id =
 
 let render st id = render st ~depth:4 id
 
-(* ---- Bail-out discipline ----
-
-   [Bail] aborts the whole check into [Unknown] (we cannot model the
-   program soundly); [Trap] aborts into [Refuted] (the runtime would trap
-   before producing outputs). Refutations from output comparison are
-   collected normally. *)
-
-exception Bail of Diag.t
-exception Trap of Diag.t
-
-let bail ?tile ?core ?pc fmt =
-  Printf.ksprintf
-    (fun m ->
-      raise (Bail (Diag.warning ~code:"W-EQUIV-UNKNOWN" ?tile ?core ?pc "%s" m)))
-    fmt
-
 (* ---- Reference evaluation ---- *)
 
 (* Evaluates the dataflow in index order (it is topologically sorted) and
    records, per (output name, element index), the expected word id. *)
-let eval_reference st (df : dataflow) =
+let eval_reference st ~dim (df : dataflow) =
   let expected : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
   let vals = Array.make (Array.length df) [||] in
   Array.iteri
@@ -264,14 +241,13 @@ let eval_reference st (df : dataflow) =
             if Array.length raws < n.len then
               bail "reference node %d: constant shorter than its segment" i;
             Array.init n.len (fun j -> intern st (S_const raws.(j)))
-        | R_mvm { weights; label } ->
-            let mat = intern_mat st ~label weights in
-            let info = Grow.get st.mat_infos mat in
+        | R_mvm { image; label } ->
+            let mat = intern_image st ~dim ~label image in
             let arg = pred 0 in
-            if Array.length arg > info.cols then
+            if Array.length arg > dim then
               bail "reference node %d: MVM argument wider than the block" i;
             let padded =
-              Array.init info.cols (fun j ->
+              Array.init dim (fun j ->
                   if j < Array.length arg then arg.(j) else st.const0)
             in
             let out = apply_mvm st ~mat padded in
@@ -352,10 +328,10 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
   let push_diag d = diags := d :: !diags in
   let unknowns = ref 0 in
   let body () =
-    let expected = eval_reference st reference in
     let config = p.Program.config in
-    let layout = Operand.layout config in
     let dim = config.Puma_hwmodel.Config.mvmu_dim in
+    let expected = eval_reference st ~dim reference in
+    let layout = Operand.layout config in
     let nmvmus = config.Puma_hwmodel.Config.mvmus_per_core in
     let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
     let ntiles = Array.length p.Program.tiles in
@@ -383,7 +359,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
           })
         p.Program.tiles
     in
-    (* MVMU images, interned by quantized content. *)
+    (* MVMU images, interned by content. *)
     let images : (int * int * int, int) Hashtbl.t = Hashtbl.create 32 in
     Array.iteri
       (fun pos (tp : Program.tile_program) ->
@@ -395,7 +371,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
             in
             Hashtbl.replace images
               (pos, img.Program.core_index, img.Program.mvmu_index)
-              (intern_mat st ~label img.Program.weights))
+              (intern_image st ~dim ~label img.Program.image))
           tp.Program.mvmu_images)
       p.Program.tiles;
     (* Host writes: inputs symbolic, constants concrete raws (sticky). *)

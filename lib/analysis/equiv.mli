@@ -24,9 +24,11 @@
     an output), batch-loop control flow (scalar registers are concrete, so
     the loop executes exactly), and [Remap] line permutations (the plan
     lives outside {!Puma_isa.Program.t} and is exact in ideal arithmetic).
-    Matrices are interned by their {e quantized} content, so a program
-    reloaded through {!Puma_isa.Program_io} (which stores weights as raw
-    fixed point) validates against a freshly-extracted reference.
+    Crossbar images are interned by content (their 16-bit raws), so the
+    program's images and the reference's independently quantized ones
+    unify exactly when they agree, and a program reloaded through
+    {!Puma_isa.Program_io} validates against a freshly-extracted
+    reference.
 
     Soundness caveats (see docs/ANALYSIS.md): the proof assumes the
     scheduler-independence the other passes establish — no shared-memory
@@ -48,10 +50,11 @@ type rop =
   | R_input of { name : string; offset : int }
       (** Words [offset, offset+len) of network input [name]. *)
   | R_const of int array  (** Raw 16-bit fixed-point words. *)
-  | R_mvm of { weights : Puma_util.Tensor.mat; label : string }
-      (** One crossbar-sized matrix block applied to the single
-          predecessor (zero-padded to the block's column count). [label]
-          names the matrix block in diagnostics. *)
+  | R_mvm of { image : string; label : string }
+      (** One crossbar-sized block, as a weight image in
+          {!Puma_isa.Program.mvmu_image}'s format, applied to the single
+          predecessor (zero-padded to the crossbar dim). [label] names the
+          block in diagnostics. *)
   | R_alu of Puma_isa.Instr.alu_op
       (** Elementwise; unary ops take one predecessor, binary two. *)
   | R_alui of { op : Puma_isa.Instr.alu_op; imm : int }

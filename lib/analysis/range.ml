@@ -18,7 +18,6 @@ module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
 module Program = Puma_isa.Program
 module Fixed = Puma_util.Fixed
-module Tensor = Puma_util.Tensor
 module Bset = Absint.Bset
 
 (* ---- Interval primitives. ---- *)
@@ -94,20 +93,17 @@ end)
 (* ---- Per-core crossbar weight images. ---- *)
 
 type wimg = {
-  w : int array;  (** Quantized raw weights, row-major dim*dim. *)
+  w : string;  (** The image the crossbar holds ({!Fixed.clamp_image}). *)
   pos : int array;  (** Per-row sum of positive weights. *)
   neg : int array;  (** Per-row sum of negative weights. *)
 }
 
-let quantize_image dim (m : Tensor.mat) =
-  let w = Array.make (dim * dim) 0 in
+let row_sums dim img =
+  let w = Fixed.clamp_image img in
   let pos = Array.make dim 0 and neg = Array.make dim 0 in
   for i = 0 to dim - 1 do
     for j = 0 to dim - 1 do
-      (* Exactly the quantization the bit-sliced crossbar applies. *)
-      let raw = Fixed.to_raw (Fixed.of_float (Tensor.get m i j)) in
-      let raw = if raw = Fixed.min_raw then -Fixed.max_raw else raw in
-      w.((i * dim) + j) <- raw;
+      let raw = Fixed.image_raw w ((i * dim) + j) in
       if raw > 0 then pos.(i) <- pos.(i) + raw else neg.(i) <- neg.(i) + raw
     done
   done;
@@ -194,9 +190,10 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
             && img.core_index < config.Puma_hwmodel.Config.cores_per_tile
             && img.mvmu_index >= 0
             && img.mvmu_index < num_mvmus
+            && String.length img.image = 2 * dim * dim
           then
             images.(t).((img.core_index * num_mvmus) + img.mvmu_index) <-
-              Some (quantize_image dim img.weights))
+              Some (row_sums dim img.image))
         tp.Program.mvmu_images)
     p.Program.tiles;
   (* ---- Transfer function for one core stream. ---- *)
@@ -353,7 +350,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                       let base = i * dim in
                       let alo = ref 0 and ahi = ref 0 in
                       for j = 0 to dim - 1 do
-                        let wij = w.(base + j) in
+                        let wij = Fixed.image_raw w (base + j) in
                         if wij > 0 then begin
                           alo := !alo + (wij * inl.(j));
                           ahi := !ahi + (wij * inh.(j))

@@ -77,14 +77,13 @@ let create config ?(seed = 1) ~energy code =
 
 let config t = t.config
 let regfile t = t.regfile
-let mvmu t i = t.mvmus.(i)
 let pc t = t.pc
 let halted t = t.halted || t.pc < 0 || t.pc >= Array.length t.code
 let retired t = t.retired
 let busy_cycles t = t.busy_cycles
 
-let program_mvmu t ~index ?rng ?fault m =
-  Puma_xbar.Mvmu.program t.mvmus.(index) ?rng ?fault m
+let program_mvmu t ~index ?rng ?fault image =
+  Puma_xbar.Mvmu.program t.mvmus.(index) ?rng ?fault image
 
 let reset t =
   t.pc <- 0;

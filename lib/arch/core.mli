@@ -67,7 +67,6 @@ val regfile : t -> Regfile.t
 val sreg : t -> int -> int
 (** Current value of scalar register [s] (for inspection). *)
 
-val mvmu : t -> int -> Puma_xbar.Mvmu.t
 val pc : t -> int
 val halted : t -> bool
 val retired : t -> int
@@ -81,10 +80,10 @@ val program_mvmu :
   index:int ->
   ?rng:Puma_util.Rng.t ->
   ?fault:Puma_xbar.Fault.spec ->
-  Puma_util.Tensor.mat ->
+  string ->
   unit
-(** Configuration-time crossbar write; [fault] injects realized
-    device/circuit faults (see {!Puma_xbar.Mvmu.program}). *)
+(** Configuration-time crossbar write of a weight image; [fault] injects
+    realized device/circuit faults (see {!Puma_xbar.Mvmu.program}). *)
 
 val step : t -> mem:mem_iface -> step_result
 (** Execute the next instruction. Raises [Invalid_argument] on a tile

@@ -506,7 +506,8 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
     (fun (s : Lgraph.slot) ->
       let t, c, m = part.Partition.slot_mvmu.(s.slot_id) in
       slot_images.(t) :=
-        { Program.core_index = c; mvmu_index = m; weights = s.block }
+        { Program.core_index = c; mvmu_index = m;
+          image = Fixed.image_of_mat s.block }
         :: !(slot_images.(t)))
     (Lgraph.slots lg);
   let finalized =

@@ -45,11 +45,15 @@ let create ~dim =
 
 let dim t = t.dim
 
-let add_slot t ~matrix ~row_block ~col_block ~block =
+let add_slot t ~matrix ~row_block ~col_block ~source =
   let key = (matrix, row_block, col_block) in
   match Hashtbl.find_opt t.slot_index key with
   | Some id -> id
   | None ->
+      let block =
+        Puma_util.Tensor.mat_sub_block source ~row:(row_block * t.dim)
+          ~col:(col_block * t.dim) ~rows:t.dim ~cols:t.dim
+      in
       let id = t.slot_count in
       t.slot_list <- { slot_id = id; matrix; row_block; col_block; block } :: t.slot_list;
       t.slot_count <- id + 1;
@@ -160,6 +164,7 @@ let quantize f = Puma_util.Fixed.to_raw (Puma_util.Fixed.of_float f)
 
 let to_reference ~matrix_name t =
   let slots = slots t in
+  let images = Array.map (fun s -> Puma_util.Fixed.image_of_mat s.block) slots in
   Array.map
     (fun (n : lnode) ->
       let op =
@@ -170,7 +175,7 @@ let to_reference ~matrix_name t =
             let s = slots.(slot) in
             E.R_mvm
               {
-                weights = s.block;
+                image = images.(slot);
                 label =
                   Printf.sprintf "%s[r%d,c%d]" (matrix_name s.matrix)
                     s.row_block s.col_block;

@@ -42,8 +42,10 @@ type t
 val create : dim:int -> t
 val dim : t -> int
 val add_slot :
-  t -> matrix:int -> row_block:int -> col_block:int -> block:Puma_util.Tensor.mat -> int
-(** Returns the existing slot id if (matrix, row, col) was already added. *)
+  t -> matrix:int -> row_block:int -> col_block:int -> source:Puma_util.Tensor.mat -> int
+(** Returns the existing slot id if (matrix, row, col) was already added;
+    otherwise cuts the slot's zero-padded block out of [source], the
+    whole matrix. *)
 
 val add_node : ?src:int -> t -> op:lop -> preds:int array -> len:int -> int
 val nodes : t -> lnode array
@@ -71,6 +73,7 @@ val to_reference :
 (** Extract the reference dataflow the translation validator
     ({!Puma_analysis.Equiv}) checks compiled programs against.
     [matrix_name] maps a graph matrix id to its name (for diagnostics).
-    The op encodings and fixed-point immediates are re-derived here,
-    independently of {!Codegen}, so a codegen mapping bug is refuted
-    rather than reproduced on both sides. *)
+    The op encodings, fixed-point immediates and crossbar images (one
+    quantization per slot) are re-derived here, independently of
+    {!Codegen}, so a codegen mapping bug is refuted rather than
+    reproduced on both sides. *)

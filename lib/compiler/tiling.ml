@@ -97,13 +97,9 @@ let lower ~dim (g : G.t) =
                 let out_len = seg_len ~dim m.Tensor.rows r in
                 let partials =
                   Array.init col_blocks (fun c ->
-                      let block =
-                        Tensor.mat_sub_block m ~row:(r * dim) ~col:(c * dim)
-                          ~rows:dim ~cols:dim
-                      in
                       let slot =
                         Lgraph.add_slot lg ~matrix ~row_block:r ~col_block:c
-                          ~block
+                          ~source:m
                       in
                       add_node lg ~op:(L_mvm { slot })
                         ~preds:[| in_segs.(c) |] ~len:out_len)

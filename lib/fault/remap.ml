@@ -1,7 +1,7 @@
 module Fault = Puma_xbar.Fault
 module Diag = Puma_analysis.Diag
 module Program = Puma_isa.Program
-module Tensor = Puma_util.Tensor
+module Fixed = Puma_util.Fixed
 module Config = Puma_hwmodel.Config
 
 type t = {
@@ -64,7 +64,7 @@ let assign ~scores ~masses =
     let logical = Array.init dim Fun.id in
     Array.sort
       (fun a b ->
-        match Float.compare masses.(a) masses.(b) with
+        match Int.compare masses.(a) masses.(b) with
         | 0 -> compare a b
         | c -> c)
       logical;
@@ -73,14 +73,16 @@ let assign ~scores ~masses =
     Some perm
   end
 
-let masses (m : Tensor.mat) dim =
-  let row = Array.make dim 0.0 in
-  let col = Array.make dim 0.0 in
+(* Per-line weight mass in raws: the sum of |raw| over the line, so a
+   weight that programs as 0 adds nothing. *)
+let masses image dim =
+  let row = Array.make dim 0 in
+  let col = Array.make dim 0 in
   for i = 0 to dim - 1 do
     for j = 0 to dim - 1 do
-      let v = Float.abs (Tensor.get m i j) in
-      row.(i) <- row.(i) +. v;
-      col.(j) <- col.(j) +. v
+      let v = abs (Fixed.image_raw image ((i * dim) + j)) in
+      row.(i) <- row.(i) + v;
+      col.(j) <- col.(j) + v
     done
   done;
   (row, col)
@@ -104,7 +106,7 @@ let build ?(remap = true) ~model ~seed (program : Program.t) =
           total := !total + Fault.count inst;
           if remap && not (Fault.is_null inst) then begin
             let out_score, in_score = line_scores inst in
-            let row_mass, col_mass = masses img.weights dim in
+            let row_mass, col_mass = masses img.image dim in
             let out_perm =
               Option.value
                 (assign ~scores:out_score ~masses:row_mass)
@@ -125,15 +127,15 @@ let build ?(remap = true) ~model ~seed (program : Program.t) =
             (* Capacity diagnostics from the final placement. *)
             let lost_out = ref 0 and lost_in = ref 0 in
             for i = 0 to dim - 1 do
-              if row_mass.(i) > 0.0 && inst.dead_out.(out_perm.(i)) then
+              if row_mass.(i) > 0 && inst.dead_out.(out_perm.(i)) then
                 incr lost_out
             done;
             for j = 0 to dim - 1 do
-              if col_mass.(j) > 0.0 && inst.dead_in.(in_perm.(j)) then
+              if col_mass.(j) > 0 && inst.dead_in.(in_perm.(j)) then
                 incr lost_in
             done;
             let spares a =
-              Array.fold_left (fun n m -> if m = 0.0 then n + 1 else n) 0 a
+              Array.fold_left (fun n m -> if m = 0 then n + 1 else n) 0 a
             in
             if !lost_out > 0 then
               diags :=
@@ -172,7 +174,7 @@ let build ?(remap = true) ~model ~seed (program : Program.t) =
                   if
                     (not inst.dead_out.(s.out_line))
                     && (not inst.dead_in.(s.in_line))
-                    && Tensor.get img.weights li lj <> 0.0
+                    && Fixed.image_raw img.image ((li * dim) + lj) <> 0
                   then n + 1
                   else n)
                 0 inst.stuck

@@ -146,6 +146,7 @@ let diagnose (p : Program.t) =
           (Array.length tp.tile_code)
           config.imem_tile_bytes;
       Array.iteri (fun pc i -> check_tile_instr ~tile ~pc i) tp.tile_code;
+      let seen = Hashtbl.create 8 in
       List.iter
         (fun (img : Program.mvmu_image) ->
           if img.core_index < 0 || img.core_index >= config.cores_per_tile then
@@ -154,13 +155,15 @@ let diagnose (p : Program.t) =
           if img.mvmu_index < 0 || img.mvmu_index >= config.mvmus_per_core then
             report ~code:"E-IMAGE" ~tile "image mvmu index %d out of range"
               img.mvmu_index;
-          if
-            img.weights.Puma_util.Tensor.rows <> config.mvmu_dim
-            || img.weights.Puma_util.Tensor.cols <> config.mvmu_dim
-          then
-            report ~code:"E-IMAGE" ~tile "image weights are %dx%d, expected %dx%d"
-              img.weights.Puma_util.Tensor.rows img.weights.Puma_util.Tensor.cols
-              config.mvmu_dim config.mvmu_dim)
+          let bytes = 2 * config.mvmu_dim * config.mvmu_dim in
+          if String.length img.image <> bytes then
+            report ~code:"E-IMAGE" ~tile "image is %d bytes, expected %d (%dx%d)"
+              (String.length img.image) bytes config.mvmu_dim config.mvmu_dim;
+          let key = (img.core_index, img.mvmu_index) in
+          if Hashtbl.mem seen key then
+            report ~code:"E-IMAGE" ~tile ~core:img.core_index
+              "mvmu %d is programmed by more than one image" img.mvmu_index;
+          Hashtbl.replace seen key ())
         tp.mvmu_images)
     p.tiles;
   let check_binding kind (b : Program.io_binding) =

@@ -24,8 +24,8 @@ val diagnose : Program.t -> Diag.t list
       counts fit the encoding [E-COUNT]; FIFO ids exist [E-FIFO];
     - instruction streams fit the core / tile instruction memories
       [E-IMEM];
-    - crossbar images name existing cores/MVMUs and have the crossbar's
-      exact shape [E-IMAGE];
+    - crossbar images name existing cores/MVMUs, at most one image each,
+      and hold exactly [2 * dim * dim] bytes [E-IMAGE];
     - I/O and constant bindings name existing tiles and fit the shared
       memory [E-BIND]. *)
 

@@ -1,7 +1,7 @@
 type mvmu_image = {
   core_index : int;
   mvmu_index : int;
-  weights : Puma_util.Tensor.mat;
+  image : string;
 }
 
 type io_binding = {

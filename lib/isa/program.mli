@@ -2,7 +2,7 @@
     tile control unit, and the constant crossbar contents.
 
     A program is the complete artifact the compiler hands to the simulator:
-    instruction streams, the weight matrices to serially write into each
+    instruction streams, the quantized weights to serially write into each
     MVMU at configuration time (Section 3.2.5), and the addresses where the
     host deposits network inputs / collects outputs in tile shared
     memories. *)
@@ -10,7 +10,12 @@
 type mvmu_image = {
   core_index : int;  (** Core within the tile. *)
   mvmu_index : int;  (** MVMU within the core. *)
-  weights : Puma_util.Tensor.mat;  (** dim x dim, zero-padded. *)
+  image : string;
+      (** The dim x dim zero-padded block as 16-bit raws, row-major, one
+          native-endian int16 per weight (2 * dim * dim bytes; see
+          {!Puma_util.Fixed.image_of_mat}). Images are never mutated:
+          every node, stack and analysis built from the program reads
+          this one string. *)
 }
 
 type io_binding = {

@@ -1,5 +1,4 @@
 module Config = Puma_hwmodel.Config
-module Tensor = Puma_util.Tensor
 module Fixed = Puma_util.Fixed
 
 let magic = "PUMA"
@@ -77,12 +76,16 @@ let to_bytes (p : Program.t) =
         (fun (img : Program.mvmu_image) ->
           w_u8 buf img.core_index;
           w_u8 buf img.mvmu_index;
-          let m = img.weights in
-          w_i32 buf m.Tensor.rows;
-          w_i32 buf m.Tensor.cols;
-          Array.iter
-            (fun v -> w_i16_signed buf (Fixed.to_raw (Fixed.of_float v)))
-            m.Tensor.data)
+          (* A well-formed image is dim x dim; any other is kept whole
+             as one row, so the round trip never loses a raw. *)
+          let n = String.length img.image / 2 in
+          let dim = p.config.mvmu_dim in
+          let rows = if n = dim * dim then dim else 1 in
+          w_i32 buf rows;
+          w_i32 buf (n / rows);
+          for k = 0 to n - 1 do
+            Buffer.add_int16_le buf (Fixed.image_raw img.image k)
+          done)
         tp.mvmu_images)
     p.tiles;
   let w_bindings bs =
@@ -227,14 +230,19 @@ let of_bytes data =
                 let mvmu_index = r_u8 cur in
                 let rows = r_len cur "rows" in
                 let cols = r_len cur "cols" in
-                let weights =
-                  Tensor.mat_init rows cols (fun _ _ -> 0.0)
-                in
-                for k = 0 to (rows * cols) - 1 do
-                  weights.Tensor.data.(k) <-
-                    Fixed.to_float (Fixed.of_raw (r_i16_signed cur))
+                let n = rows * cols in
+                need cur (2 * n);
+                let image = Bytes.create (2 * n) in
+                for k = 0 to n - 1 do
+                  Bytes.set_int16_ne image (2 * k)
+                    (Bytes.get_int16_le cur.data (cur.pos + (2 * k)))
                 done;
-                { Program.core_index; mvmu_index; weights })
+                cur.pos <- cur.pos + (2 * n);
+                {
+                  Program.core_index;
+                  mvmu_index;
+                  image = Bytes.unsafe_to_string image;
+                })
           in
           { Program.tile_index; core_code; tile_code; mvmu_images })
     in

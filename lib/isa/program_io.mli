@@ -8,9 +8,9 @@
     - header: magic "PUMA", format version;
     - the full configuration;
     - per tile: the core streams and tile stream in the 7-byte ISA
-      encoding, and the crossbar images with weights quantized to raw
-      16-bit fixed point (the same quantization the MVMUs apply at
-      programming time, so a round trip is behaviour-preserving);
+      encoding, and the crossbar images as little-endian 16-bit raws
+      (copied to and from {!Program.mvmu_image}'s image unchanged, so a
+      round trip is byte-identical);
     - the input/output/constant bindings.
 
     [of_bytes] validates the magic, version and all internal lengths and

@@ -101,7 +101,7 @@ let create ?(noise_seed = 42) ?faults ?(fast = true) ?energy
                 Puma_xbar.Fault.realize plan ~config ~tile:ti
                   ~core:img.core_index ~mvmu:img.mvmu_index)
           in
-          Core.program_mvmu core ~index:img.mvmu_index ?rng ?fault img.weights)
+          Core.program_mvmu core ~index:img.mvmu_index ?rng ?fault img.image)
         tp.mvmu_images)
     program.tiles;
   (* Preload constants. *)
@@ -605,13 +605,3 @@ let probe_attached t = t.probe <> None
 let set_fast t fast = t.fast_enabled <- fast
 let fast_enabled t = t.fast_enabled
 let last_run_fast t = t.last_run_fast
-
-let iter_mvmus t f =
-  Array.iteri
-    (fun ti (tp : Program.tile_program) ->
-      List.iter
-        (fun (img : Program.mvmu_image) ->
-          let core = Tile.core t.tiles.(ti) img.core_index in
-          f (Core.mvmu core img.mvmu_index))
-        tp.mvmu_images)
-    t.program.tiles

@@ -119,10 +119,6 @@ val finish_energy : t -> unit
 (** Charge static energy for the occupied tiles over this node's
     {!cycles}; call once after the last [run]. *)
 
-val iter_mvmus : t -> (Puma_xbar.Mvmu.t -> unit) -> unit
-(** Visit every MVMU that holds a programmed crossbar image (for fault
-    injection and inspection). *)
-
 val set_probe : t -> probe option -> unit
 (** Install (or clear) the instrumentation probe; a node has one probe
     slot. Attaching a probe never changes simulation results, nor which

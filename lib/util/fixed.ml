@@ -67,5 +67,26 @@ let mul_acc xs ys =
   !acc
 
 let of_acc = rescale
+
+(* Crossbar weight images: one native-endian int16 raw per weight. *)
+let image_of_mat (m : Tensor.mat) =
+  let b = Bytes.create (2 * Array.length m.Tensor.data) in
+  Array.iteri (fun k v -> Bytes.set_int16_ne b (2 * k) (of_float v)) m.Tensor.data;
+  Bytes.unsafe_to_string b
+
+let image_raw img k = String.get_int16_ne img (2 * k)
+
+let clamp_image img =
+  let n = String.length img / 2 in
+  let rec has k = k < n && (image_raw img k = min_raw || has (k + 1)) in
+  if not (has 0) then img
+  else begin
+    let b = Bytes.of_string img in
+    for k = 0 to n - 1 do
+      if image_raw img k = min_raw then Bytes.set_int16_ne b (2 * k) (-max_raw)
+    done;
+    Bytes.unsafe_to_string b
+  end
+
 let to_string t = Printf.sprintf "%.6f" (to_float t)
 let pp fmt t = Format.pp_print_string fmt (to_string t)

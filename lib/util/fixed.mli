@@ -77,6 +77,22 @@ val of_acc : int -> t
 (** Rescale an accumulator produced by {!mul_acc} back to a 16-bit value
     (round-to-nearest on the low [frac_bits] bits, then saturate). *)
 
+(** {1 Crossbar weight images}
+
+    A block's raws, row-major, one native-endian int16 per weight, in an
+    immutable [string] that every consumer can share. *)
+
+val image_of_mat : Tensor.mat -> string
+(** The one weight quantizer: {!of_float} of every element. *)
+
+val image_raw : string -> int -> int
+(** [image_raw img k] is the raw of weight [k] (row-major index). *)
+
+val clamp_image : string -> string
+(** The image a crossbar's differential pair holds: raws of -32768 (no
+    magnitude above 32767 fits) clamped to -32767. Returns [img] itself,
+    not a copy, when it holds no -32768. *)
+
 val pp : Format.formatter -> t -> unit
 (** Prints as a decimal float. *)
 

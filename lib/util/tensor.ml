@@ -1,21 +1,13 @@
 type vec = float array
 type mat = { rows : int; cols : int; data : float array }
 
-let vec_create n = Array.make n 0.0
-let vec_init = Array.init
-let vec_of_list = Array.of_list
-let vec_copy = Array.copy
-let vec_map = Array.map
-
 let binop f a b =
   let n = Array.length a in
   assert (n = Array.length b);
   Array.init n (fun i -> f a.(i) b.(i))
 
 let vec_add = binop ( +. )
-let vec_sub = binop ( -. )
 let vec_mul = binop ( *. )
-let vec_scale s = Array.map (fun x -> s *. x)
 
 let dot a b =
   let n = Array.length a in
@@ -25,9 +17,6 @@ let dot a b =
     acc := !acc +. (a.(i) *. b.(i))
   done;
   !acc
-
-let vec_concat vs = Array.concat vs
-let vec_slice v off len = Array.sub v off len
 
 let vec_max_abs_diff a b =
   let n = Array.length a in
@@ -48,7 +37,6 @@ let mat_init rows cols f =
 
 let get m i j = m.data.((i * m.cols) + j)
 let set m i j v = m.data.((i * m.cols) + j) <- v
-let mat_copy m = { m with data = Array.copy m.data }
 
 let mvm m x =
   assert (Array.length x = m.cols);
@@ -68,6 +56,3 @@ let mat_sub_block m ~row ~col ~rows ~cols =
   mat_init rows cols (fun i j ->
       let si = row + i and sj = col + j in
       if si < m.rows && sj < m.cols then get m si sj else 0.0)
-
-let mat_frobenius m =
-  sqrt (Array.fold_left (fun acc x -> acc +. (x *. x)) 0.0 m.data)

@@ -2,7 +2,7 @@
 
     This is the reference numeric substrate: the compiler's reference
     executor and the workload layer use plain float tensors, while the
-    architectural path quantizes them through {!Fixed} and {!Puma_xbar}.
+    compiler quantizes crossbar blocks once ({!Fixed.image_of_mat}).
     Matrices are row-major; [rows] is the output dimension of an MVM
     (y = W x with W of shape [rows] x [cols]). *)
 
@@ -13,21 +13,11 @@ type mat = { rows : int; cols : int; data : float array }
 
 (** {1 Vectors} *)
 
-val vec_create : int -> vec
-val vec_init : int -> (int -> float) -> vec
-val vec_of_list : float list -> vec
-val vec_copy : vec -> vec
 val vec_add : vec -> vec -> vec
-val vec_sub : vec -> vec -> vec
 val vec_mul : vec -> vec -> vec
 (** Element-wise product. *)
 
-val vec_scale : float -> vec -> vec
-val vec_map : (float -> float) -> vec -> vec
 val dot : vec -> vec -> float
-val vec_concat : vec list -> vec
-val vec_slice : vec -> int -> int -> vec
-(** [vec_slice v off len]. *)
 
 val vec_max_abs_diff : vec -> vec -> float
 val vec_rand : Rng.t -> int -> float -> vec
@@ -39,7 +29,6 @@ val mat_create : int -> int -> mat
 val mat_init : int -> int -> (int -> int -> float) -> mat
 val get : mat -> int -> int -> float
 val set : mat -> int -> int -> float -> unit
-val mat_copy : mat -> mat
 val mvm : mat -> vec -> vec
 (** [mvm w x] is the matrix-vector product (length [w.rows]). *)
 
@@ -47,5 +36,3 @@ val mat_transpose : mat -> mat
 val mat_rand : Rng.t -> int -> int -> float -> mat
 val mat_sub_block : mat -> row:int -> col:int -> rows:int -> cols:int -> mat
 (** Extract a block, zero-padding where the block exceeds the matrix. *)
-
-val mat_frobenius : mat -> float

@@ -29,10 +29,11 @@ type physical = {
 type t = {
   dim : int;
   (* Quantized signed raw weights, row-major, one native-endian int16 per
-     weight (2 * dim * dim bytes); the exact-path operand. Empty for an
-     unprogrammed stack, whose weights are all zero. Never mutated after
-     [create], so one image could back any number of stacks. *)
-  image : Bytes.t;
+     weight (2 * dim * dim bytes); the exact-path operand. Usually the
+     program's own image, shared with every other stack programmed from
+     it; a private clamped copy when the image holds -32768. Empty for an
+     unprogrammed stack, whose weights are all zero. *)
+  image : string;
   (* Present only with write noise or faults. *)
   physical : physical option;
 }
@@ -41,7 +42,7 @@ type t = {
    integer dot product of image row [i] with [x] (all zeros for an empty
    image), wrapping like OCaml [int] arithmetic when oversized inputs
    overflow. [x] and [out] must have length [dim]. *)
-external mvm_image : Bytes.t -> int array -> int array -> unit
+external mvm_image : string -> int array -> int array -> unit
   = "puma_xbar_mvm_exact"
 [@@noalloc]
 
@@ -102,28 +103,23 @@ let apply_instance ~dim ~pos ~neg (f : Fault.instance) =
             done))
     f.dead_out
 
-let create (c : Puma_hwmodel.Config.t) ?rng ?fault (m : Tensor.mat) =
+let of_image (c : Puma_hwmodel.Config.t) ?rng ?fault image =
   let dim = c.mvmu_dim in
-  if m.Tensor.rows <> dim || m.Tensor.cols <> dim then
+  if String.length image <> 2 * dim * dim then
     invalid_arg
-      (Printf.sprintf "Bitslice.create: matrix must be %dx%d (got %dx%d)" dim
-         dim m.Tensor.rows m.Tensor.cols);
-  let image = Bytes.create (2 * dim * dim) in
-  let max_mag = ref 0 in
-  for i = 0 to dim - 1 do
-    for j = 0 to dim - 1 do
-      let raw = Fixed.to_raw (Fixed.of_float (Tensor.get m i j)) in
-      let raw = if raw = Fixed.min_raw then -Fixed.max_raw else raw in
-      max_mag := max !max_mag (abs raw);
-      Bytes.set_int16_ne image (2 * ((i * dim) + j)) raw
-    done
-  done;
+      (Printf.sprintf "Bitslice.of_image: image must be %d bytes (got %d)"
+         (2 * dim * dim) (String.length image));
+  let image = Fixed.clamp_image image in
   (* Physical slice stacks are materialized whenever an RNG (write noise)
      or a fault spec is supplied; without either the exact kernel is
      used. *)
   let physical =
     if Option.is_none rng && Option.is_none fault then None
     else begin
+      let max_mag = ref 0 in
+      for k = 0 to (dim * dim) - 1 do
+        max_mag := max !max_mag (abs (Fixed.image_raw image k))
+      done;
       let bits = c.bits_per_cell in
       let num_slices = Puma_hwmodel.Config.slices c in
       let perms =
@@ -175,9 +171,7 @@ let create (c : Puma_hwmodel.Config.t) ?rng ?fault (m : Tensor.mat) =
       in
       for i = 0 to dim - 1 do
         for j = 0 to dim - 1 do
-          let raw =
-            Bytes.get_int16_ne image (2 * ((i * dim) + j)) lsl scale_shift
-          in
+          let raw = Fixed.image_raw image ((i * dim) + j) lsl scale_shift in
           let p, n = magnitude_parts raw in
           let pslices = split p and nslices = split n in
           let pi = out_line i and pj = in_line j in
@@ -210,8 +204,13 @@ let create (c : Puma_hwmodel.Config.t) ?rng ?fault (m : Tensor.mat) =
   in
   { dim; image; physical }
 
+let create (c : Puma_hwmodel.Config.t) ?rng ?fault (m : Tensor.mat) =
+  if m.Tensor.rows <> c.mvmu_dim || m.Tensor.cols <> c.mvmu_dim then
+    invalid_arg "Bitslice.create: matrix must be dim x dim";
+  of_image c ?rng ?fault (Fixed.image_of_mat m)
+
 let zero (c : Puma_hwmodel.Config.t) =
-  { dim = c.mvmu_dim; image = Bytes.empty; physical = None }
+  { dim = c.mvmu_dim; image = ""; physical = None }
 
 let dim t = t.dim
 let is_noisy t = Option.is_some t.physical

@@ -10,7 +10,7 @@
     - with zero write noise (no [~rng]) and no faults the stack is
       bit-exact w.r.t. the integer matrix-vector product of the quantized
       weights (the ADC is conservatively provisioned to be lossless). It
-      keeps only a 16-bit image of those weights, and one native kernel
+      keeps only the 16-bit image of those weights, and one native kernel
       computes the exact product from it;
     - with an [~rng] or a [~fault] the physical slice stacks are
       materialized and the column currents are accumulated with the
@@ -22,6 +22,24 @@
 
 type t
 
+val of_image :
+  Puma_hwmodel.Config.t ->
+  ?rng:Puma_util.Rng.t ->
+  ?fault:Fault.spec ->
+  string ->
+  t
+(** Program the stack from a [dim x dim] weight image
+    ({!Puma_util.Fixed.image_of_mat}). The image is never written; the
+    stack keeps a reference to it, so any number of stacks share one
+    copy. Only an image holding -32768 gets a private
+    {!Puma_util.Fixed.clamp_image} copy. [rng] enables write noise with
+    the config's [write_noise_sigma]. [fault] materializes the stack
+    (even without an [rng]) and applies the realized device/circuit
+    faults: weights are programmed through the spec's remap
+    permutations, then conductance drift, stuck devices and dead lines
+    are applied to the stored levels, and static ADC offsets perturb
+    each slice digitization on the read path. *)
+
 val create :
   Puma_hwmodel.Config.t ->
   ?rng:Puma_util.Rng.t ->
@@ -29,14 +47,8 @@ val create :
   Puma_util.Tensor.mat ->
   t
 (** Quantize a float matrix (shape exactly [dim x dim]; use
-    {!Puma_util.Tensor.mat_sub_block} to pad) to 16-bit fixed point and
-    program the crossbar stack. [rng] enables write noise with the
-    config's [write_noise_sigma]. [fault] materializes the stack (even
-    without an [rng]) and applies the realized device/circuit faults:
-    weights are programmed through the spec's remap permutations, then
-    conductance drift, stuck devices and dead lines are applied to the
-    stored levels, and static ADC offsets perturb each slice
-    digitization on the read path. *)
+    {!Puma_util.Tensor.mat_sub_block} to pad) with
+    {!Puma_util.Fixed.image_of_mat}, then {!of_image}. *)
 
 val zero : Puma_hwmodel.Config.t -> t
 (** An unprogrammed stack: all weights zero, exact path. It stores no

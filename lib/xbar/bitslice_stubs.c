@@ -1,8 +1,8 @@
 /* The exact MVM kernel of Puma_xbar.Bitslice.
 
-   The weight image holds dim * dim native-endian int16 raw weights,
-   row-major, with |w| <= 32767 (Bitslice.create clamps -32768). An empty
-   image stands for an all-zero matrix. The kernel writes
+   The weight image (an OCaml string) holds dim * dim native-endian int16
+   raw weights, row-major, with |w| <= 32767 (Bitslice.of_image clamps
+   -32768). An empty image stands for an all-zero matrix. The kernel writes
    out[i] = sum_j w[i][j] * x[j] as an OCaml int.
 
    Inputs inside the int16 range (every compiled program) take the
@@ -72,7 +72,7 @@ value puma_xbar_mvm_exact(value v_image, value v_x, value v_out)
     for (intnat i = 0; i < d; i++) out[i] = Val_long(0);
     return Val_unit;
   }
-  const int16_t *w = (const int16_t *)Bytes_val(v_image);
+  const int16_t *w = (const int16_t *)String_val(v_image);
   for (intnat j = 0; j < d; j++) {
     intnat v = Long_val(x[j]);
     if (v < INT16_MIN || v > INT16_MAX) {

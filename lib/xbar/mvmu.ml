@@ -21,13 +21,11 @@ let create (c : Puma_hwmodel.Config.t) =
     acc_scratch = Array.make c.mvmu_dim 0;
   }
 
-let program t ?rng ?fault m =
-  t.stack <- Bitslice.create t.config ?rng ?fault m
+let program t ?rng ?fault image =
+  t.stack <- Bitslice.of_image t.config ?rng ?fault image
 let dim t = t.config.mvmu_dim
 let xbar_in t = t.xbar_in
 let xbar_out t = t.xbar_out
-
-let inject_stuck t rng ~rate = Bitslice.inject_stuck t.stack rng ~rate
 
 let execute t ~stride =
   let d = dim t in

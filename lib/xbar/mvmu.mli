@@ -15,14 +15,11 @@ val create : Puma_hwmodel.Config.t -> t
 (** An unprogrammed MVMU (weights all zero, exact path). *)
 
 val program :
-  t ->
-  ?rng:Puma_util.Rng.t ->
-  ?fault:Fault.spec ->
-  Puma_util.Tensor.mat ->
-  unit
-(** Configuration-time serial weight write (Section 3.2.5). [fault]
-    injects realized device/circuit faults into the programmed stack
-    (see {!Bitslice.create}). *)
+  t -> ?rng:Puma_util.Rng.t -> ?fault:Fault.spec -> string -> unit
+(** Configuration-time serial weight write (Section 3.2.5) of a weight
+    image, which the stack shares rather than copies. [fault] injects
+    realized device/circuit faults into the programmed stack (see
+    {!Bitslice.of_image}). *)
 
 val dim : t -> int
 
@@ -31,10 +28,6 @@ val xbar_in : t -> int array
 
 val xbar_out : t -> int array
 (** The XbarOut registers, written by {!execute}. *)
-
-val inject_stuck : t -> Puma_util.Rng.t -> rate:float -> int
-(** Inject stuck-at faults into the programmed crossbar stack (see
-    {!Bitslice.inject_stuck}). *)
 
 val execute : t -> stride:int -> unit
 (** Perform the analog MVM: reads XbarIn (rotated by [stride]), writes

@@ -581,6 +581,41 @@ let test_check_mvm_args () =
   Alcotest.(check (list string)) "negative stride" [ "E-MVMARG" ] (codes 0 (-1));
   Alcotest.(check (list string)) "wide filter" [ "E-MVMARG" ] (codes 256 0)
 
+let test_check_images () =
+  (* E-IMAGE covers every way an image can miss its MVMU: an index that
+     names no core or MVMU, a length that is not 2 * dim * dim bytes,
+     and a second image for an MVMU that already has one. *)
+  let p = (compile ~dim:64 (mlp ())).Compile.program in
+  let codes f =
+    let tp = p.Program.tiles.(0) in
+    let q = clone p in
+    q.Program.tiles.(0) <-
+      { tp with Program.mvmu_images = f tp.Program.mvmu_images };
+    List.map (fun (d : Diag.t) -> d.Diag.code) (Check.diagnose q)
+  in
+  let first = function
+    | (im : Program.mvmu_image) :: rest -> (im, rest)
+    | [] -> Alcotest.fail "tile 0 has no images"
+  in
+  Alcotest.(check (list string)) "as compiled" [] (codes Fun.id);
+  Alcotest.(check (list string)) "duplicated" [ "E-IMAGE" ]
+    (codes (fun ims -> ims @ [ fst (first ims) ]));
+  Alcotest.(check (list string)) "short image" [ "E-IMAGE" ]
+    (codes (fun ims ->
+         let im, rest = first ims in
+         let n = String.length im.Program.image in
+         { im with Program.image = String.sub im.Program.image 0 (n - 2) }
+         :: rest));
+  Alcotest.(check (list string)) "no such mvmu" [ "E-IMAGE" ]
+    (codes (fun ims ->
+         let im, rest = first ims in
+         { im with Program.mvmu_index = p.Program.config.mvmus_per_core }
+         :: rest));
+  Alcotest.(check (list string)) "no such core" [ "E-IMAGE" ]
+    (codes (fun ims ->
+         let im, rest = first ims in
+         { im with Program.core_index = -1 } :: rest))
+
 let test_report_json () =
   let r = (compile ~dim:32 (mlp ())).Compile.analysis in
   let j = Analyze.to_json ~name:"mlp" r in
@@ -627,6 +662,7 @@ let () =
           Alcotest.test_case "order" `Quick test_diag_order;
           Alcotest.test_case "check diagnose" `Quick test_check_diagnose;
           Alcotest.test_case "check mvm args" `Quick test_check_mvm_args;
+          Alcotest.test_case "check images" `Quick test_check_images;
           Alcotest.test_case "report json" `Quick test_report_json;
         ] );
     ]

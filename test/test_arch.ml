@@ -162,7 +162,7 @@ let test_core_mvm_instruction () =
     |]
   in
   let core = Core.create small_config ~energy code in
-  Core.program_mvmu core ~index:0 id16;
+  Core.program_mvmu core ~index:0 (Fixed.image_of_mat id16);
   let rec go () =
     match Core.step core ~mem:null_mem with
     | Core.Retired _ -> go ()
@@ -331,7 +331,7 @@ let test_core_copy_between_spaces () =
       ]
   in
   let core = Core.create small_config ~energy code in
-  Core.program_mvmu core ~index:1 id16;
+  Core.program_mvmu core ~index:1 (Fixed.image_of_mat id16);
   let rec go () =
     match Core.step core ~mem:null_mem with
     | Core.Retired _ -> go ()

@@ -235,6 +235,46 @@ let test_node_faults_are_per_node () =
   Alcotest.(check bool) "node 1 faults perturb" true (out1 <> clean_out);
   Alcotest.(check bool) "different nodes, different damage" true (out0 <> out1)
 
+let test_program_images_never_mutated () =
+  (* Nodes, batch domains and chips share the program's crossbar images
+     instead of copying them, so none of them may write through: after
+     building each kind and running inferences the program must still
+     serialize to the same bytes. *)
+  let g = graph_of (`Net Models.mini_mlp) in
+  let program = compile ~cluster:{ Partition.nodes = 2; scheme = Pipelined } g in
+  let digest () = Digest.to_hex (Digest.bytes (Puma_isa.Program_io.to_bytes program)) in
+  let before = digest () in
+  let inputs = inputs_for program in
+  let infer run =
+    for _ = 1 to 3 do
+      ignore (run ~inputs)
+    done
+  in
+  let noisy =
+    {
+      program with
+      Program.config =
+        { program.Program.config with Config.write_noise_sigma = 0.05 };
+    }
+  in
+  let model =
+    { Puma_xbar.Fault.ideal with stuck_rate = 0.05; stuck_on_fraction = 0.5 }
+  in
+  let remap = Puma_fault.Remap.build ~model ~seed:3 program in
+  List.iter
+    (fun node -> infer (Node.run node))
+    [
+      Node.create program;
+      Node.create noisy;
+      Node.create ~faults:(Puma_xbar.Fault.plan ~seed:5 model) program;
+      Node.create ~faults:remap.Puma_fault.Remap.plan program;
+    ];
+  infer (Cluster.run (Cluster.create ~nodes:2 program));
+  ignore
+    (Puma_runtime.Batch.run ~domains:2 program
+       (Puma_runtime.Batch.random_requests program ~batch:4 ~seed:1));
+  Alcotest.(check string) "program bytes unchanged" before (digest ())
+
 (* --- qcheck: random graphs, random node counts ----------------------- *)
 
 let qcheck_count = 8
@@ -496,6 +536,8 @@ let () =
         ] );
       ( "faults",
         [
+          Alcotest.test_case "program images never mutated" `Quick
+            test_program_images_never_mutated;
           Alcotest.test_case "per-node fault plans stay local" `Quick
             test_node_faults_are_per_node;
         ] );

@@ -556,6 +556,8 @@ let test_program_io_roundtrip () =
         (Program.num_instrs loaded);
       Alcotest.(check int) "checker clean" 0
         (List.length (Puma_isa.Check.diagnose loaded));
+      Alcotest.(check bool) "bytes round trip" true
+        (Puma_isa.Program_io.to_bytes loaded = bytes);
       (* The loaded program must simulate to the same outputs. *)
       let inputs = [ ("x", Tensor.vec_rand rng 70 1.0) ] in
       let o1 = run_program r.Compile.program inputs in

@@ -243,15 +243,15 @@ let test_mutation_swapped_matrices () =
             List.map
               (fun (im : Program.mvmu_image) ->
                 if im.Program.core_index = core && im.Program.mvmu_index = mvmu
-                then { im with Program.weights = w }
+                then { im with Program.image = w }
                 else im)
               tp.Program.mvmu_images;
         }
     in
     replace t1 ~core:i1.Program.core_index ~mvmu:i1.Program.mvmu_index
-      i2.Program.weights;
+      i2.Program.image;
     replace t2 ~core:i2.Program.core_index ~mvmu:i2.Program.mvmu_index
-      i1.Program.weights;
+      i1.Program.image;
     p
   in
   let found = ref None in
@@ -262,7 +262,7 @@ let test_mutation_swapped_matrices () =
           (fun b ->
             if
               !found = None
-              && (snd a).Program.weights <> (snd b).Program.weights
+              && (snd a).Program.image <> (snd b).Program.image
             then begin
               let e =
                 Equiv.check ~reference:r.Compile.equiv_reference (swap a b)

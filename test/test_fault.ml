@@ -296,6 +296,27 @@ let test_remap_capacity_errors () =
   let r = Remap.build ~model ~seed:2 program in
   Alcotest.(check bool) "capacity errors" true (Remap.errors r > 0)
 
+let test_remap_ignores_weights_that_program_as_zero () =
+  (* |w| < 2^-13 quantizes to raw 0: the crossbar stores nothing there,
+     so a stuck device under such a weight is harmless and a line of
+     them is a spare, not a live line. *)
+  let b = Puma_graph.Builder.create "tiny" in
+  let m =
+    Puma_graph.Builder.const_matrix b ~name:"w"
+      (Puma_util.Tensor.mat_init 32 32 (fun _ _ -> 1e-5))
+  in
+  let x = Puma_graph.Builder.input b ~name:"x" ~len:32 in
+  Puma_graph.Builder.output b ~name:"y" (Puma_graph.Builder.mvm b m x);
+  let config = { Config.sweetspot with mvmu_dim = 32 } in
+  let program =
+    (Compile.compile config (Puma_graph.Builder.finish b)).Compile.program
+  in
+  let model = { Fault.ideal with stuck_rate = 0.02; dead_out_rate = 0.1 } in
+  let r = Remap.build ~model ~seed:3 program in
+  Alcotest.(check bool) "faults realized" true (r.Remap.total_faults > 0);
+  Alcotest.(check (list string)) "no live weight meets a fault" []
+    (List.map Diag.to_string r.Remap.diags)
+
 let test_remap_recovers_accuracy () =
   (* The acceptance experiment: at a moderate fault rate the remap pass
      must measurably reduce both the mean ulp error and the argmax flip
@@ -404,6 +425,8 @@ let () =
             test_remap_counts_and_flags;
           Alcotest.test_case "capacity errors" `Quick
             test_remap_capacity_errors;
+          Alcotest.test_case "zero raws are not live" `Quick
+            test_remap_ignores_weights_that_program_as_zero;
           Alcotest.test_case "recovers accuracy" `Quick
             test_remap_recovers_accuracy;
         ] );

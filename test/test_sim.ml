@@ -186,6 +186,60 @@ let test_hand_rolled_loop_program () =
   Alcotest.(check bool) "loop computed pair sums" true
     (Tensor.vec_max_abs_diff expected y < 0.001)
 
+let test_full_scale_image () =
+  (* -8.0 quantizes to raw -32768, which the differential pair cannot
+     hold: the node must compute exactly what a stack created from the
+     same matrix computes (the clamp to -32767), on a private copy, and
+     leave the program's image holding -32768. *)
+  let layout = Puma_isa.Operand.layout config in
+  let source =
+    "load xin0[0], @0, w=32\n\
+     mvm mask=0x01 filter=0 stride=0\n\
+     copy r0, xout0[0], w=32\n\
+     store @32, r0, count=0, w=32\n\
+     halt\n"
+  in
+  let code =
+    match Puma_isa.Asm.parse_program layout source with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  let m =
+    Tensor.mat_init 32 32 (fun i j ->
+        if j = i then -8.0 else if j = (i + 1) mod 32 then 0.25 else 0.0)
+  in
+  let image = Puma_util.Fixed.image_of_mat m in
+  let program =
+    {
+      Puma_isa.Program.config;
+      tiles =
+        [|
+          {
+            Puma_isa.Program.tile_index = 0;
+            core_code = [| code |];
+            tile_code = [||];
+            mvmu_images = [ { core_index = 0; mvmu_index = 0; image } ];
+          };
+        |];
+      inputs = [ { Puma_isa.Program.name = "x"; tile = 0; mem_addr = 0; length = 32; offset = 0 } ];
+      outputs = [ { Puma_isa.Program.name = "y"; tile = 0; mem_addr = 32; length = 32; offset = 0 } ];
+      constants = [];
+    }
+  in
+  Puma_isa.Check.check_exn program;
+  let x = Array.init 32 (fun j -> if j mod 2 = 0 then 0.75 else -0.5) in
+  let y = List.assoc "y" (Node.run (Node.create program) ~inputs:[ ("x", x) ]) in
+  let module Fixed = Puma_util.Fixed in
+  let stack = Puma_xbar.Bitslice.create config m in
+  let want =
+    Puma_xbar.Bitslice.mvm_raw stack
+      (Array.map (fun v -> Fixed.to_raw (Fixed.of_float v)) x)
+    |> Array.map (fun a -> Fixed.to_float (Fixed.of_acc a))
+  in
+  Alcotest.(check (array (float 0.0))) "node = Bitslice.create" want y;
+  Alcotest.(check int) "image still holds -32768" Fixed.min_raw
+    (Fixed.image_raw image 0)
+
 let test_session_facade () =
   let g = small_model () in
   let session = Puma.Session.create ~config g in
@@ -228,7 +282,10 @@ let () =
           Alcotest.test_case "energy scales" `Quick test_energy_scales_with_work;
         ] );
       ( "hand-program",
-        [ Alcotest.test_case "rolled loop" `Quick test_hand_rolled_loop_program ] );
+        [
+          Alcotest.test_case "rolled loop" `Quick test_hand_rolled_loop_program;
+          Alcotest.test_case "full-scale image" `Quick test_full_scale_image;
+        ] );
       ( "facade",
         [
           Alcotest.test_case "session" `Quick test_session_facade;

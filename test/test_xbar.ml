@@ -273,7 +273,7 @@ let test_mvmu_mvm_matches_fixed () =
   let rng = Rng.create 5 in
   let m = Tensor.mat_rand rng 16 16 0.25 in
   let unit = Mvmu.create small_config in
-  Mvmu.program unit m;
+  Mvmu.program unit (Fixed.image_of_mat m);
   let xf = Array.init 16 (fun _ -> Rng.uniform rng (-1.0) 1.0) in
   let x = Array.map Fixed.of_float xf in
   let y = Mvmu.mvm unit x in
@@ -290,7 +290,7 @@ let test_mvmu_shuffle_rotation () =
   (* With the identity matrix, output = rotated input. *)
   let id = Tensor.mat_init 16 16 (fun i j -> if i = j then 1.0 else 0.0) in
   let unit = Mvmu.create small_config in
-  Mvmu.program unit id;
+  Mvmu.program unit (Fixed.image_of_mat id);
   let x = Array.init 16 (fun i -> Fixed.to_raw (Fixed.of_float (Float.of_int i /. 16.0))) in
   Array.blit x 0 (Mvmu.xbar_in unit) 0 16;
   Mvmu.execute unit ~stride:3;
@@ -304,9 +304,9 @@ let test_mvmu_reprogramming () =
   let ones = Tensor.mat_init 16 16 (fun _ _ -> 0.25) in
   let id16 = Tensor.mat_init 16 16 (fun i j -> if i = j then 1.0 else 0.0) in
   let x = Array.make 16 Fixed.one in
-  Mvmu.program unit ones;
+  Mvmu.program unit (Fixed.image_of_mat ones);
   let y1 = Mvmu.mvm unit x in
-  Mvmu.program unit id16;
+  Mvmu.program unit (Fixed.image_of_mat id16);
   let y2 = Mvmu.mvm unit x in
   Alcotest.(check bool) "reprogramming changes the matrix" true (y1 <> y2);
   Alcotest.(check (float 1e-3)) "identity after reprogram" 1.0
