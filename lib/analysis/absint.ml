@@ -66,18 +66,19 @@ module type DOMAIN = sig
   (** [widen old next] must be an upper bound of both; called in place of
       {!join}'s result once a block has been visited more than
       [widen_after] times. Finite-height domains can pass {!join}. *)
-
-  val transfer : pc:int -> state -> state
-  (** Abstract effect of one instruction; may mutate and return its
-      argument (the solver always passes a private copy). *)
 end
 
 module Make (D : DOMAIN) = struct
   (* Block-level fixpoint by chaotic iteration. [state.(b)] is the
      boundary state of block [b]: its entry state under [Forward], the
      state at its end (after all successors' contributions) under
-     [Backward]. [None] marks blocks no contribution ever reached. *)
-  let solve ?(direction = Forward) ?(widen_after = 3) ~entry (cfg : Cfg.t) =
+     [Backward]. [None] marks blocks no contribution ever reached.
+     [transfer ~pc s] is the abstract effect of one instruction; it may
+     mutate and return [s] (always a private copy). It is an argument,
+     not part of the domain, so a client's per-run context lives in the
+     closure and nothing outlives the solve. *)
+  let solve ?(direction = Forward) ?(widen_after = 3) ~entry ~transfer
+      (cfg : Cfg.t) =
     let nb = Cfg.num_blocks cfg in
     let state : D.state option array = Array.make nb None in
     if nb > 0 then begin
@@ -104,11 +105,11 @@ module Make (D : DOMAIN) = struct
             (match direction with
             | Forward ->
                 for pc = blk.Cfg.first to blk.Cfg.last do
-                  s := D.transfer ~pc !s
+                  s := transfer ~pc !s
                 done
             | Backward ->
                 for pc = blk.Cfg.last downto blk.Cfg.first do
-                  s := D.transfer ~pc !s
+                  s := transfer ~pc !s
                 done);
             Some !s
       in

@@ -42,10 +42,6 @@ module type DOMAIN = sig
   (** [widen old next]: upper bound of both that guarantees termination
       on infinite-height domains. Finite-height domains can reuse
       {!join}. *)
-
-  val transfer : pc:int -> state -> state
-  (** Abstract effect of the instruction at [pc]; may mutate and return
-      its argument (the solver always passes a private copy). *)
 end
 
 module Make (D : DOMAIN) : sig
@@ -53,6 +49,7 @@ module Make (D : DOMAIN) : sig
     ?direction:direction ->
     ?widen_after:int ->
     entry:(unit -> D.state) ->
+    transfer:(pc:int -> D.state -> D.state) ->
     Cfg.t ->
     D.state option array
   (** Fixpoint boundary state per block: the block's entry state under
@@ -62,6 +59,8 @@ module Make (D : DOMAIN) : sig
       [Forward]; under [Backward] every block is seeded (exit edges are
       implicit in the CFG), so the boundary state must be neutral for
       [join] (true for the union-style backward domains used here).
-      Widening kicks in once a block has been revisited more than
-      [widen_after] times (default 3). *)
+      [transfer ~pc s] is the abstract effect of the instruction at
+      [pc]; it may mutate and return [s] (the solver always passes a
+      private copy). Widening kicks in once a block has been revisited
+      more than [widen_after] times (default 3). *)
 end

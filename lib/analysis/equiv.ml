@@ -75,11 +75,29 @@ module Grow = struct
   let get g i = g.data.(i)
 end
 
+(* Images keyed by content. Hashing samples about 64 raws, so a lookup
+   reads the whole image only to confirm a match. *)
+module Images = Hashtbl.Make (struct
+  type t = string
+
+  let equal = String.equal
+
+  let hash s =
+    let n = String.length s / 2 in
+    let step = max 1 (n / 64) in
+    let h = ref n and k = ref 0 in
+    while !k < n do
+      h := (!h * 31) + String.get_int16_ne s (2 * !k);
+      k := !k + step
+    done;
+    !h land max_int
+end)
+
 type intern_state = {
   ids : (desc, int) Hashtbl.t;
   descs : desc Grow.t;
   taints : bool Grow.t;  (* does the word depend on an S_undef? *)
-  mats : (string, int) Hashtbl.t;
+  mats : int Images.t;
   mat_infos : mat_info Grow.t;
   mutable nonce : int;
   const0 : int;  (* set right after creation: intern (S_const 0) *)
@@ -114,7 +132,7 @@ let intern_state () =
       ids = Hashtbl.create 4096;
       descs = Grow.create (S_const 0);
       taints = Grow.create false;
-      mats = Hashtbl.create 64;
+      mats = Images.create 64;
       mat_infos =
         Grow.create { label = ""; zero_col = [||]; zero_row = [||] };
       nonce = 0;
@@ -147,23 +165,27 @@ let bail ?tile ?core ?pc fmt =
    copy). [label] only sticks on first sight, so reference names win
    over program-side placeholders. *)
 let intern_image st ~dim ~label img =
-  match Hashtbl.find_opt st.mats img with
+  match Images.find_opt st.mats img with
   | Some id -> id
   | None ->
       if String.length img <> 2 * dim * dim then
         bail "MVM image %s is %d bytes, not %dx%d raws" label
           (String.length img) dim dim;
-      let zero_col = Array.make dim true and zero_row = Array.make dim true in
+      (* OR the raws together per row and per column: one branch-free
+         pass that reads the image directly. *)
+      let col = Array.make dim 0 and zero_row = Array.make dim true in
       for i = 0 to dim - 1 do
+        let row = ref 0 in
         for j = 0 to dim - 1 do
-          if Fixed.image_raw img ((i * dim) + j) <> 0 then begin
-            zero_col.(j) <- false;
-            zero_row.(i) <- false
-          end
-        done
+          let r = String.get_int16_ne img (2 * ((i * dim) + j)) in
+          row := !row lor r;
+          col.(j) <- col.(j) lor r
+        done;
+        zero_row.(i) <- !row = 0
       done;
+      let zero_col = Array.map (fun c -> c = 0) col in
       let id = Grow.push st.mat_infos { label; zero_col; zero_row } in
-      Hashtbl.add st.mats img id;
+      Images.add st.mats img id;
       id
 
 (* The one shared MVM evaluator: both the reference dataflow and the
@@ -334,6 +356,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
     let layout = Operand.layout config in
     let nmvmus = config.Puma_hwmodel.Config.mvmus_per_core in
     let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
+    let footprint = Smem.footprint p in
     let ntiles = Array.length p.Program.tiles in
     (* Send targets name tiles by [tile_index]; map back to positions. *)
     let tile_pos : (int, int) Hashtbl.t = Hashtbl.create 8 in
@@ -341,15 +364,17 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
       (fun pos (tp : Program.tile_program) ->
         Hashtbl.replace tile_pos tp.Program.tile_index pos)
       p.Program.tiles;
+    (* Per-tile memory sized to the tile's footprint: every access the
+       range checks below (against capacity) let through falls inside
+       it. *)
     let tiles =
-      Array.map
-        (fun (tp : Program.tile_program) ->
-          ignore tp;
+      Array.init ntiles (fun pos ->
+          let words = footprint pos in
           {
-            mem = Array.make smem_words st.const0;
-            mem_state = Array.make smem_words (-1);
-            wr_core = Array.make smem_words (-2);
-            wr_pc = Array.make smem_words (-1);
+            mem = Array.make words st.const0;
+            mem_state = Array.make words (-1);
+            wr_core = Array.make words (-2);
+            wr_pc = Array.make words (-1);
             cores =
               Array.init config.Puma_hwmodel.Config.cores_per_tile (fun _ ->
                   {
@@ -357,7 +382,6 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                     sregs = Array.make Operand.num_scalar_regs 0;
                   });
           })
-        p.Program.tiles
     in
     (* MVMU images, interned by content. *)
     let images : (int * int * int, int) Hashtbl.t = Hashtbl.create 32 in

@@ -63,11 +63,18 @@ type chan = {
   mutable c_recvs : int list;  (* event ids, reversed *)
 }
 
+(* Why a cross-stream edge exists; rendered only by --dump-hb. *)
+type reason = Smem_word of int | Fifo of int
+
+let render_reason = function
+  | Smem_word a -> Printf.sprintf "smem[%d]" a
+  | Fifo f -> Printf.sprintf "fifo %d" f
+
 type build = {
   evs : ev array;
   succs : int list array;
-  (* Cross-stream edges with a human-readable reason, for --dump-hb. *)
-  cross : (int * int * string) list;
+  (* Cross-stream edges with their reason, for --dump-hb. *)
+  cross : (int * int * reason) list;
   chans : ((int * int) * chan) list;  (* keyed (dst tile, fifo), sorted *)
   (* Candidate race pairs (a < b, representative word); confirmed or
      dismissed once reachability is known. *)
@@ -206,8 +213,8 @@ let build_graph ~with_cores (p : Program.t) =
         in
         ignore (link ids))
       streams;
-    (* Shared-memory synchronization, per tile. *)
-    let smem_words = p.config.Puma_hwmodel.Config.smem_bytes / 2 in
+    (* Shared-memory synchronization, per tile, over its footprint. *)
+    let footprint = Smem.footprint p in
     let suspects = ref [] in
     let suspect_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
     let add_suspect a b word =
@@ -220,6 +227,7 @@ let build_graph ~with_cores (p : Program.t) =
     Array.iter
       (fun (tp : Program.tile_program) ->
         let tile = tp.tile_index in
+        let smem_words = footprint tile in
         let host = Array.make smem_words false in
         let mark (b : Program.io_binding) =
           if b.tile = tile then
@@ -250,7 +258,7 @@ let build_graph ~with_cores (p : Program.t) =
               (* Unique writer: every read of the word blocks until it. *)
               List.iter
                 (fun r ->
-                  add_edge ~reason:(Printf.sprintf "smem[%d]" a) w r)
+                  add_edge ~reason:(Smem_word a) w r)
                 readers.(a)
           | ws, _ ->
               (* Multiple writers (or a host-initialized word overwritten
@@ -315,7 +323,7 @@ let build_graph ~with_cores (p : Program.t) =
         in
         if single_sender && List.length sends = List.length recvs then
           List.iter2
-            (fun s r -> add_edge ~reason:(Printf.sprintf "fifo %d" fifo) s r)
+            (fun s r -> add_edge ~reason:(Fifo fifo) s r)
             sends recvs)
       chan_list;
     let notes =
@@ -631,7 +639,7 @@ let analyze ?(dump_hb = false) (p : Program.t) =
                 Diag.info ~code:"I-ORDER" "hb: %s -> %s (%s)"
                   (describe b.evs.(a))
                   (describe b.evs.(bb))
-                  reason)
+                  (render_reason reason))
               b.cross
           in
           Diag.info ~code:"I-ORDER"

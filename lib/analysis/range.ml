@@ -6,9 +6,10 @@
    clamping semantics), activation-function LUTs (monotone, so endpoint
    evaluation is exact on intervals) and MVMs (bounding the dot product
    with the actual programmed crossbar weights). Shared memory is
-   modelled as a flow-insensitive per-word interval map joined across
-   global passes until the whole program reaches a fixpoint; tile
-   send/receive channels forward intervals between tiles.
+   modelled as a flow-insensitive per-word interval map that stores
+   join into; tile send/receive channels forward intervals between
+   tiles. A core stream is solved again only when a word it loaded has
+   grown since its last solve began, until no stream is stale.
 
    Diagnostics: [W-SAT] where some execution may clamp, [E-OVERFLOW]
    where every execution clamps, [I-RANGE] inferred per-register ranges
@@ -74,12 +75,6 @@ let widen_state old cand =
   done;
   cand
 
-(* The per-stream transfer function is provided through this ref so the
-   {!Absint.Make} domain can close over the analysis context (weights,
-   shared-memory map); streams are solved one at a time. *)
-let cur_transfer : (pc:int -> state -> state) ref =
-  ref (fun ~pc:_ s -> s)
-
 module Solver = Absint.Make (struct
   type nonrec state = state
 
@@ -87,27 +82,86 @@ module Solver = Absint.Make (struct
   let equal = equal_state
   let join = join_state
   let widen = widen_state
-  let transfer ~pc s = !cur_transfer ~pc s
 end)
 
 (* ---- Per-core crossbar weight images. ---- *)
 
+(* Each part is built on first use, at most once per run: uniform
+   inputs need only the row sums, other inputs only the clamped image. *)
 type wimg = {
-  w : string;  (** The image the crossbar holds ({!Fixed.clamp_image}). *)
-  pos : int array;  (** Per-row sum of positive weights. *)
-  neg : int array;  (** Per-row sum of negative weights. *)
+  w : string Lazy.t;
+      (** The image the crossbar holds ({!Fixed.clamp_image}). *)
+  sums : (int array * int array) Lazy.t;
+      (** Per-row sums of positive and of negative weights. *)
 }
 
+(* Weight signs are data, so the per-weight loops here split each raw
+   with a sign mask ([raw asr 62] is -1 or 0) instead of branching, and
+   read the image directly rather than through out-of-line helpers.
+   [raw - ((raw + max_raw) asr 62)] is the differential-pair clamp of
+   -32768 to -32767 ({!Fixed.clamp_image}), folded into the same pass. *)
 let row_sums dim img =
-  let w = Fixed.clamp_image img in
   let pos = Array.make dim 0 and neg = Array.make dim 0 in
+  let max_raw = Fixed.max_raw in
   for i = 0 to dim - 1 do
+    let p = ref 0 and n = ref 0 in
     for j = 0 to dim - 1 do
-      let raw = Fixed.image_raw w ((i * dim) + j) in
-      if raw > 0 then pos.(i) <- pos.(i) + raw else neg.(i) <- neg.(i) + raw
-    done
+      let raw = String.get_int16_ne img (2 * ((i * dim) + j)) in
+      let raw = raw - ((raw + max_raw) asr 62) in
+      let m = raw asr 62 in
+      p := !p + (raw land lnot m);
+      n := !n + (raw land m)
+    done;
+    pos.(i) <- !p;
+    neg.(i) <- !n
   done;
-  { w; pos; neg }
+  (pos, neg)
+
+let wimg dim img =
+  { w = lazy (Fixed.clamp_image img); sums = lazy (row_sums dim img) }
+
+(* Exact bound of each row's dot product over the input box
+   [inl, inh], before rounding and saturation. *)
+let mvm_bound dim w inl inh out_lo out_hi =
+  for i = 0 to dim - 1 do
+    let base = 2 * i * dim in
+    let alo = ref 0 and ahi = ref 0 in
+    for j = 0 to dim - 1 do
+      let wij = String.get_int16_ne w (base + (2 * j)) in
+      let m = wij asr 62 in
+      let wp = wij land lnot m and wn = wij land m in
+      alo := !alo + (wp * inl.(j)) + (wn * inh.(j));
+      ahi := !ahi + (wp * inh.(j)) + (wn * inl.(j))
+    done;
+    out_lo.(i) <- !alo;
+    out_hi.(i) <- !ahi
+  done
+
+let same (a : int array) b =
+  let rec go i = i < 0 || (a.(i) = b.(i) && go (i - 1)) in
+  go (Array.length a - 1)
+
+(* A non-uniform MVM's last bound, keyed by its input intervals. *)
+type memo = {
+  m_inl : int array;
+  m_inh : int array;
+  m_lo : int array;
+  m_hi : int array;
+}
+
+(* One core stream with its latest solve. [reads] holds the shared-memory
+   words that solve loaded (static addresses only: other loads read top)
+   and [start] the clock value at which it began. *)
+type stream = {
+  tile : int;
+  core : int;
+  code : Instr.t array;
+  cfg : Cfg.t;
+  transfer : pc:int -> state -> state;
+  reads : int list ref;
+  mutable start : int;
+  mutable states : state option array;
+}
 
 (* ---- The analysis proper. ---- *)
 
@@ -126,38 +180,49 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
   let total = layout.Operand.total in
   let width = total + Operand.num_scalar_regs in
   let num_mvmus = Operand.size_of layout Operand.Xbar_in / dim in
-  let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
   let ntiles = Array.length p.Program.tiles in
-  (* Shared-memory interval map, one pair of arrays per tile; lo > hi
+  (* Shared-memory interval map, one pair of arrays per tile sized to its
+     footprint ({!Smem.footprint}: no access reaches past it); lo > hi
      marks words no static write reaches (loads of those read as top:
      at runtime they block on the attribute protocol instead of yielding
-     a value, so any interval is sound). *)
-  let mlo = Array.init ntiles (fun _ -> Array.make smem_words 1) in
-  let mhi = Array.init ntiles (fun _ -> Array.make smem_words 0) in
+     a value, so any interval is sound). [stamp] holds the clock at each
+     word's latest growth. *)
+  let footprint = Smem.footprint p in
+  let per_tile v = Array.init ntiles (fun t -> Array.make (footprint t) v) in
+  let mlo = per_tile 1 and mhi = per_tile 0 in
+  let stamp = per_tile 0 in
+  let clock = ref 0 in
   let map_dirty = ref false in
+  let grow t a =
+    map_dirty := true;
+    stamp.(t).(a) <- !clock
+  in
   let map_join t a lo hi =
-    if a >= 0 && a < smem_words then begin
-      let l = mlo.(t) and h = mhi.(t) in
+    let l = mlo.(t) and h = mhi.(t) in
+    if a >= 0 && a < Array.length l then begin
       if l.(a) > h.(a) then begin
         l.(a) <- lo;
         h.(a) <- hi;
-        map_dirty := true
+        grow t a
       end
       else begin
         if lo < l.(a) then begin
           l.(a) <- lo;
-          map_dirty := true
+          grow t a
         end;
         if hi > h.(a) then begin
           h.(a) <- hi;
-          map_dirty := true
+          grow t a
         end
       end
     end
   in
-  let map_read t a =
-    if a >= 0 && a < smem_words && mlo.(t).(a) <= mhi.(t).(a) then
-      (mlo.(t).(a), mhi.(t).(a))
+  let map_read ~note t a =
+    let l = mlo.(t) and h = mhi.(t) in
+    if a >= 0 && a < Array.length l then begin
+      note a;
+      if l.(a) <= h.(a) then (l.(a), h.(a)) else (vlo_top, vhi_top)
+    end
     else (vlo_top, vhi_top)
   in
   (* Host-visible bindings seed the map: inputs with the caller-supplied
@@ -193,7 +258,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
             && String.length img.image = 2 * dim * dim
           then
             images.(t).((img.core_index * num_mvmus) + img.mvmu_index) <-
-              Some (row_sums dim img.image))
+              Some (wimg dim img.image))
         tp.Program.mvmu_images)
     p.Program.tiles;
   (* ---- Transfer function for one core stream. ---- *)
@@ -307,9 +372,11 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
     | Instr.Imm_addr a -> (a, a)
     | Instr.Sreg_addr s -> sreg_interval st s
   in
-  let make_transfer ~tile ~core (code : Instr.t array) =
+  let make_transfer ~tile ~core ~note (code : Instr.t array) =
     let imgs = images.(tile) in
     let img m = imgs.((core * num_mvmus) + m) in
+    let inl = Array.make dim 0 and inh = Array.make dim 0 in
+    let memo : (int, memo) Hashtbl.t = Hashtbl.create 16 in
     fun ~pc (st : state) ->
       (match code.(pc) with
       | Instr.Halt | Jmp _ | Brn _ | Send _ | Receive _ -> ()
@@ -325,8 +392,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                     st.lo.(xout + i) <- 0;
                     st.hi.(xout + i) <- 0
                   done
-              | Some { w; pos; neg } ->
-                  let inl = Array.make dim 0 and inh = Array.make dim 0 in
+              | Some { w; sums } ->
                   for j = 0 to dim - 1 do
                     let src = xin + ((j + stride) mod dim) in
                     inl.(j) <- st.lo.(src);
@@ -337,32 +403,35 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                     if inl.(j) <> inl.(0) || inh.(j) <> inh.(0) then
                       uniform := false
                   done;
-                  let out_lo = Array.make dim 0 and out_hi = Array.make dim 0 in
-                  if !uniform then begin
-                    let l = inl.(0) and h = inh.(0) in
-                    for i = 0 to dim - 1 do
-                      out_lo.(i) <- (l * pos.(i)) + (h * neg.(i));
-                      out_hi.(i) <- (h * pos.(i)) + (l * neg.(i))
-                    done
-                  end
-                  else
-                    for i = 0 to dim - 1 do
-                      let base = i * dim in
-                      let alo = ref 0 and ahi = ref 0 in
-                      for j = 0 to dim - 1 do
-                        let wij = Fixed.image_raw w (base + j) in
-                        if wij > 0 then begin
-                          alo := !alo + (wij * inl.(j));
-                          ahi := !ahi + (wij * inh.(j))
-                        end
-                        else if wij < 0 then begin
-                          alo := !alo + (wij * inh.(j));
-                          ahi := !ahi + (wij * inl.(j))
-                        end
-                      done;
-                      out_lo.(i) <- !alo;
-                      out_hi.(i) <- !ahi
-                    done;
+                  let out_lo, out_hi =
+                    if !uniform then begin
+                      let l = inl.(0) and h = inh.(0) in
+                      let pos, neg = Lazy.force sums in
+                      ( Array.init dim (fun i -> (l * pos.(i)) + (h * neg.(i))),
+                        Array.init dim (fun i -> (h * pos.(i)) + (l * neg.(i)))
+                      )
+                    end
+                    else begin
+                      (* The dim^2 bound, redone only when this MVM's input
+                         intervals differ from its last visit's. *)
+                      let key = (pc * num_mvmus) + m in
+                      match Hashtbl.find_opt memo key with
+                      | Some e when same e.m_inl inl && same e.m_inh inh ->
+                          (e.m_lo, e.m_hi)
+                      | _ ->
+                          let out_lo = Array.make dim 0
+                          and out_hi = Array.make dim 0 in
+                          mvm_bound dim (Lazy.force w) inl inh out_lo out_hi;
+                          Hashtbl.replace memo key
+                            {
+                              m_inl = Array.copy inl;
+                              m_inh = Array.copy inh;
+                              m_lo = out_lo;
+                              m_hi = out_hi;
+                            };
+                          (out_lo, out_hi)
+                    end
+                  in
                   for i = 0 to dim - 1 do
                     let lo, hi =
                       sat "mvm accumulation"
@@ -488,7 +557,8 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
           for k = 0 to vec_width - 1 do
             if in_reg (dest + k) then begin
               let lo, hi =
-                if al = ah then map_read tile (al + k) else (vlo_top, vhi_top)
+                if al = ah then map_read ~note tile (al + k)
+                else (vlo_top, vhi_top)
               in
               st.lo.(dest + k) <- lo;
               st.hi.(dest + k) <- hi
@@ -513,7 +583,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
               end
             done;
             if !l <= !h then
-              for a = 0 to smem_words - 1 do
+              for a = 0 to Array.length mlo.(tile) - 1 do
                 map_join tile a !l !h
               done
           end);
@@ -568,7 +638,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                           let l = ref max_int and h = ref min_int in
                           for k = 0 to sw - 1 do
                             if
-                              saddr + k < smem_words
+                              saddr + k < Array.length mlo.(src)
                               && mlo.(src).(saddr + k) <= mhi.(src).(saddr + k)
                             then begin
                               l := min !l mlo.(src).(saddr + k);
@@ -597,59 +667,76 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
   let streams =
     Array.to_list p.Program.tiles
     |> List.concat_map (fun (tp : Program.tile_program) ->
-           Array.to_list
-             (Array.mapi
-                (fun core code ->
+           let tile = tp.Program.tile_index in
+           Array.to_list tp.Program.core_code
+           |> List.mapi (fun core code -> (core, code))
+           |> List.filter_map (fun (core, code) ->
                   if Array.length code = 0 then None
-                  else
+                  else begin
+                    let reads = ref [] in
+                    let note a = reads := a :: !reads in
                     Some
-                      ( tp.Program.tile_index,
-                        core,
-                        code,
-                        Cfg.build code,
-                        make_transfer ~tile:tp.Program.tile_index ~core code ))
-                tp.Program.core_code)
-           |> List.filter_map Fun.id)
+                      {
+                        tile;
+                        core;
+                        code;
+                        cfg = Cfg.build code;
+                        transfer = make_transfer ~tile ~core ~note code;
+                        reads;
+                        start = 0;
+                        states = [||];
+                      }
+                  end))
   in
-  let solve_streams () =
-    List.map
-      (fun (tile, core, code, cfg, transfer) ->
-        cur_transfer := transfer;
-        let states = Solver.solve ~entry cfg in
-        (tile, core, code, cfg, transfer, states))
-      streams
+  (* Each solve starts a new clock tick. A stream is stale when a word
+     its latest solve loaded has grown since that solve began (stamp at
+     or after its start, its own stores included); solving a stream that
+     is not stale would repeat its last solve exactly. *)
+  let solve s =
+    incr clock;
+    s.start <- !clock;
+    s.reads := [];
+    s.states <- Solver.solve ~entry ~transfer:s.transfer s.cfg
+  in
+  let stale s =
+    let st = stamp.(s.tile) in
+    List.exists (fun a -> st.(a) >= s.start) !(s.reads)
+  in
+  (* One sweep: every stream in order that is stale when reached (all of
+     them on the first), then the channels. Only solves that would
+     repeat themselves exactly are skipped, so the map and the states
+     are those of solving every stream in every sweep. *)
+  let sweep ~all =
+    map_dirty := false;
+    List.iter (fun s -> if all || stale s then solve s) streams;
+    process_channels ()
   in
   let widen_map () =
     for t = 0 to ntiles - 1 do
-      Array.fill mlo.(t) 0 smem_words vlo_top;
-      Array.fill mhi.(t) 0 smem_words vhi_top
+      Array.fill mlo.(t) 0 (Array.length mlo.(t)) vlo_top;
+      Array.fill mhi.(t) 0 (Array.length mhi.(t)) vhi_top
     done
   in
   let max_passes = 12 in
   let rec fixpoint n =
-    map_dirty := false;
-    let solved = solve_streams () in
-    process_channels ();
-    if not !map_dirty then solved
-    else if n + 1 >= max_passes then begin
-      (* Did not converge: widen the whole map to top (nothing can grow
-         past it) and run one final, self-consistent pass. *)
-      widen_map ();
-      map_dirty := false;
-      let solved = solve_streams () in
-      process_channels ();
-      solved
-    end
-    else fixpoint (n + 1)
+    sweep ~all:(n = 0);
+    if !map_dirty then
+      if n + 1 < max_passes then fixpoint (n + 1)
+      else begin
+        (* Did not converge: widen the whole map to top (nothing can grow
+           past it) and run one final, self-consistent sweep. *)
+        widen_map ();
+        sweep ~all:true
+      end
   in
-  let solved = fixpoint 0 in
+  fixpoint 0;
   (* ---- Report walk over the converged states. ---- *)
   let diags = ref [] in
   let kept : (int * int * int, int array * int array) Hashtbl.t =
     Hashtbl.create (if keep_states then 256 else 1)
   in
   List.iter
-    (fun (tile, core, code, (cfg : Cfg.t), transfer, states) ->
+    (fun { tile; core; code; cfg; transfer; states; _ } ->
       let sum_lo = Array.make width max_int
       and sum_hi = Array.make width min_int in
       let defined = Bset.create width in
@@ -737,7 +824,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
           else incr k
         done
       end)
-    solved;
+    streams;
   let interval ~tile ~core ~pc ~reg =
     match Hashtbl.find_opt kept (tile, core, pc) with
     | Some (lo, hi) when reg >= 0 && reg < width -> Some (lo.(reg), hi.(reg))

@@ -69,18 +69,14 @@ let clip width (base, w) =
   let lo = max 0 base and hi = min width (base + w) in
   (lo, max 0 (hi - lo))
 
-(* The two dataflow passes as {!Absint} domains over {!Absint.Bset}. The
-   per-pc effects array and universe width are supplied through these
-   refs (set before each solve; analyses of distinct streams never
-   interleave). *)
-let cur_eff : effects array ref = ref [||]
-let cur_width = ref 0
-
 let iter_range_w width set (base, w) =
   let lo, w = clip width (base, w) in
   for k = lo to lo + w - 1 do
     set k
   done
+
+(* The two dataflow passes as {!Absint} domains over {!Absint.Bset}; their
+   transfer functions close over one stream's effects array. *)
 
 (* Forward must-defined: join is intersection (defined on every path). *)
 module Defined = Absint.Make (struct
@@ -94,11 +90,11 @@ module Defined = Absint.Make (struct
     a
 
   let widen = join
-
-  let transfer ~pc s =
-    List.iter (iter_range_w !cur_width (Bset.set s)) !cur_eff.(pc).defs;
-    s
 end)
+
+let defined_transfer width (eff : effects array) ~pc s =
+  List.iter (iter_range_w width (Bset.set s)) eff.(pc).defs;
+  s
 
 (* Backward liveness: join is union (live on some path). *)
 module Live = Absint.Make (struct
@@ -112,24 +108,26 @@ module Live = Absint.Make (struct
     a
 
   let widen = join
-
-  let transfer ~pc s =
-    let e = !cur_eff.(pc) in
-    let w = !cur_width in
-    List.iter (iter_range_w w (Bset.clear s)) e.defs;
-    List.iter (iter_range_w w (Bset.set s)) e.strict;
-    List.iter (iter_range_w w (Bset.set s)) e.soft;
-    s
 end)
+
+let live_transfer width (eff : effects array) ~pc s =
+  let e = eff.(pc) in
+  List.iter (iter_range_w width (Bset.clear s)) e.defs;
+  List.iter (iter_range_w width (Bset.set s)) e.strict;
+  List.iter (iter_range_w width (Bset.set s)) e.soft;
+  s
+
+let solve_live width eff cfg =
+  Live.solve ~direction:Absint.Backward
+    ~entry:(fun () -> Bset.create width)
+    ~transfer:(live_transfer width eff) cfg
 
 (* Liveness as a reusable building block: per-block live-out sets (None
    for blocks backward propagation never reaches). Used here for the
    dead-store check and by {!Resource} for register pressure. *)
 let liveness ~(layout : Operand.layout) (cfg : Cfg.t) =
   let width = layout.Operand.total + Operand.num_scalar_regs in
-  cur_eff := Array.map (effects layout) cfg.Cfg.code;
-  cur_width := width;
-  Live.solve ~direction:Absint.Backward ~entry:(fun () -> Bset.create width) cfg
+  solve_live width (Array.map (effects layout) cfg.Cfg.code) cfg
 
 let analyze ~(layout : Operand.layout) ~tile ~core code =
   let width = layout.Operand.total + Operand.num_scalar_regs in
@@ -141,9 +139,11 @@ let analyze ~(layout : Operand.layout) ~tile ~core code =
     let eff = Array.map (effects layout) code in
     let iter_range set r = iter_range_w width set r in
     (* ---- Forward must-defined analysis (def before use). ---- *)
-    cur_eff := eff;
-    cur_width := width;
-    let inb = Defined.solve ~entry:(fun () -> Bset.create width) cfg in
+    let inb =
+      Defined.solve
+        ~entry:(fun () -> Bset.create width)
+        ~transfer:(defined_transfer width eff) cfg
+    in
     for b = 0 to nb - 1 do
       match inb.(b) with
       | None -> ()
@@ -174,13 +174,7 @@ let analyze ~(layout : Operand.layout) ~tile ~core code =
           end
     done;
     (* ---- Backward liveness (dead register writes). ---- *)
-    cur_eff := eff;
-    cur_width := width;
-    let live_out =
-      Live.solve ~direction:Absint.Backward
-        ~entry:(fun () -> Bset.create width)
-        cfg
-    in
+    let live_out = solve_live width eff cfg in
     for b = 0 to nb - 1 do
       if cfg.Cfg.reachable.(b) then begin
         let live =

@@ -21,17 +21,57 @@ type reader = {
   r_width : int;
 }
 
-let analyze_tile ~smem_words ~tile ~(writers : writer list)
+(* A tile's static footprint: one past the highest word any of its
+   instructions or I/O bindings can touch, capped at capacity. Keyed
+   both by position and by [tile_index] (the gates address tiles either
+   way), so it covers an access under either key; a register-indirect
+   load or store reaches the whole memory. *)
+let footprint (p : Program.t) =
+  let capacity = p.config.Puma_hwmodel.Config.smem_bytes / 2 in
+  let n = Array.length p.tiles in
+  let ends = Array.make n 0 in
+  let reach k e = if k >= 0 && k < n && e > ends.(k) then ends.(k) <- e in
+  Array.iteri
+    (fun pos (tp : Program.tile_program) ->
+      let e = ref 0 in
+      let touch a w = if a + w > !e then e := a + w in
+      Array.iter
+        (Array.iter (function
+          | Instr.Load { addr = Instr.Imm_addr a; vec_width; _ }
+          | Instr.Store { addr = Instr.Imm_addr a; vec_width; _ } ->
+              touch a vec_width
+          | Instr.Load { addr = Instr.Sreg_addr _; _ }
+          | Instr.Store { addr = Instr.Sreg_addr _; _ } ->
+              touch 0 capacity
+          | _ -> ()))
+        tp.core_code;
+      Array.iter
+        (function
+          | Instr.Send { mem_addr; vec_width; _ }
+          | Instr.Receive { mem_addr; vec_width; _ } ->
+              touch mem_addr vec_width
+          | _ -> ())
+        tp.tile_code;
+      reach pos !e;
+      reach tp.tile_index !e)
+    p.tiles;
+  let bind (b : Program.io_binding) = reach b.tile (b.mem_addr + b.length) in
+  List.iter bind p.inputs;
+  List.iter bind p.outputs;
+  List.iter (fun (b, _) -> bind b) p.constants;
+  fun k -> if k >= 0 && k < n then min ends.(k) capacity else capacity
+
+let analyze_tile ~words ~tile ~(writers : writer list)
     ~(readers : reader list) ~(outputs : Program.io_binding list) =
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let written = Array.make smem_words false in
-  let multi = Array.make smem_words false in
-  let reads = Array.make smem_words 0 in
+  let written = Array.make words false in
+  let multi = Array.make words false in
+  let reads = Array.make words 0 in
   List.iter
     (fun w ->
       for a = w.w_addr to w.w_addr + w.w_width - 1 do
-        if a >= 0 && a < smem_words then begin
+        if a >= 0 && a < words then begin
           if written.(a) then multi.(a) <- true;
           written.(a) <- true
         end
@@ -40,16 +80,16 @@ let analyze_tile ~smem_words ~tile ~(writers : writer list)
   List.iter
     (fun r ->
       for a = r.r_addr to r.r_addr + r.r_width - 1 do
-        if a >= 0 && a < smem_words then reads.(a) <- reads.(a) + 1
+        if a >= 0 && a < words then reads.(a) <- reads.(a) + 1
       done)
     readers;
   (* Multiple writers on one word defeat the single-writer discipline the
      consumer counts rely on; report once per maximal run of words. *)
   let a = ref 0 in
-  while !a < smem_words do
+  while !a < words do
     if multi.(!a) then begin
       let b = ref !a in
-      while !b + 1 < smem_words && multi.(!b + 1) do
+      while !b + 1 < words && multi.(!b + 1) do
         incr b
       done;
       add
@@ -66,7 +106,7 @@ let analyze_tile ~smem_words ~tile ~(writers : writer list)
     (fun r ->
       let bad = ref None in
       for a = r.r_addr to r.r_addr + r.r_width - 1 do
-        if !bad = None && a >= 0 && a < smem_words && not written.(a) then
+        if !bad = None && a >= 0 && a < words && not written.(a) then
           bad := Some a
       done;
       match !bad with
@@ -81,7 +121,7 @@ let analyze_tile ~smem_words ~tile ~(writers : writer list)
     (fun (b : Program.io_binding) ->
       let bad = ref None in
       for a = b.mem_addr to b.mem_addr + b.length - 1 do
-        if !bad = None && a >= 0 && a < smem_words && not written.(a) then
+        if !bad = None && a >= 0 && a < words && not written.(a) then
           bad := Some a
       done;
       match !bad with
@@ -100,7 +140,7 @@ let analyze_tile ~smem_words ~tile ~(writers : writer list)
         let bad = ref None in
         for a = w.w_addr to w.w_addr + w.w_width - 1 do
           if
-            !bad = None && a >= 0 && a < smem_words && (not multi.(a))
+            !bad = None && a >= 0 && a < words && (not multi.(a))
             && reads.(a) <> w.w_count
           then bad := Some a
         done;
@@ -117,7 +157,7 @@ let analyze_tile ~smem_words ~tile ~(writers : writer list)
   List.rev !diags
 
 let analyze (p : Program.t) =
-  let smem_words = p.config.Puma_hwmodel.Config.smem_bytes / 2 in
+  let footprint = footprint p in
   let diags = ref [] in
   Array.iter
     (fun (tp : Program.tile_program) ->
@@ -214,8 +254,9 @@ let analyze (p : Program.t) =
         diags :=
           List.rev_append
             (List.rev
-               (analyze_tile ~smem_words ~tile ~writers:(List.rev !writers)
-                  ~readers:(List.rev !readers) ~outputs))
+               (analyze_tile ~words:(footprint tile) ~tile
+                  ~writers:(List.rev !writers) ~readers:(List.rev !readers)
+                  ~outputs))
             !diags)
     p.tiles;
   List.rev !diags

@@ -18,18 +18,24 @@ let lo = Fixed.to_float (Fixed.of_raw Fixed.min_raw)
 let hi = Fixed.to_float (Fixed.of_raw Fixed.max_raw)
 let step = (hi -. lo) /. Float.of_int (table_entries - 1)
 
-let tables : (Puma_isa.Instr.alu_op, float array) Hashtbl.t = Hashtbl.create 4
+(* Built once at start-up and never written again, so domains that
+   simulate or analyze concurrently share them safely. *)
+let build op =
+  Array.init table_entries (fun k ->
+      reference op (lo +. (Float.of_int k *. step)))
 
-let table op =
-  match Hashtbl.find_opt tables op with
-  | Some t -> t
-  | None ->
-      let t =
-        Array.init table_entries (fun k ->
-            reference op (lo +. (Float.of_int k *. step)))
-      in
-      Hashtbl.add tables op t;
-      t
+let sigmoid = build Sigmoid
+let tanh_ = build Tanh
+let exp_ = build Exp
+let log_ = build Log
+
+let table (op : Puma_isa.Instr.alu_op) =
+  match op with
+  | Sigmoid -> sigmoid
+  | Tanh -> tanh_
+  | Exp -> exp_
+  | Log -> log_
+  | op -> build op
 
 (* The interpolation body, shared by [eval] and callers that hoist the
    table lookup out of per-element loops (the fast-path ALU decoder):

@@ -16,9 +16,9 @@ val eval : Puma_isa.Instr.alu_op -> Puma_util.Fixed.t -> Puma_util.Fixed.t
     value saturates to the most negative representable value. *)
 
 val table : Puma_isa.Instr.alu_op -> float array
-(** The (memoized) table for one transcendental op, for callers that hoist
-    the per-op lookup out of a per-element loop; raises [Invalid_argument]
-    for non-transcendental ops. *)
+(** The table (built at start-up) for one transcendental op, for callers
+    that hoist the per-op lookup out of a per-element loop; raises
+    [Invalid_argument] for non-transcendental ops. *)
 
 val eval_with : float array -> Puma_util.Fixed.t -> Puma_util.Fixed.t
 (** [eval_with (table op) x] = [eval op x], with the identical float

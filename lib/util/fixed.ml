@@ -14,13 +14,21 @@ let to_raw t = t
 let zero = 0
 let one = 1 lsl frac_bits
 
-let of_float f =
+(* The one quantizer. Inside the saturation guards |scaled| < 2^15, so
+   the fraction [r] left after truncating toward zero is exact, and
+   truncating [2r] adds the carry of rounding half away from zero, as
+   [Float.round] does, with neither a call nor a branch. [@inline] keeps
+   {!image_of_mat}'s loop call-free; other modules call it out of line. *)
+let[@inline] of_float f =
   if Float.is_nan f then 0
   else
     let scaled = f *. scale in
     if scaled >= Float.of_int max_raw then max_raw
     else if scaled <= Float.of_int min_raw then min_raw
-    else saturate (Float.to_int (Float.round scaled))
+    else
+      let t = Float.to_int scaled in
+      let r = scaled -. Float.of_int t in
+      t + Float.to_int (r +. r)
 
 let to_float t = Float.of_int t /. scale
 let add a b = saturate (a + b)
@@ -68,22 +76,31 @@ let mul_acc xs ys =
 
 let of_acc = rescale
 
-(* Crossbar weight images: one native-endian int16 raw per weight. *)
+(* Crossbar weight images: one native-endian int16 raw per weight. The
+   per-weight loops below stay in this module: dune's dev profile builds
+   with -opaque, so callers elsewhere pay a call per {!image_raw}. *)
 let image_of_mat (m : Tensor.mat) =
-  let b = Bytes.create (2 * Array.length m.Tensor.data) in
-  Array.iteri (fun k v -> Bytes.set_int16_ne b (2 * k) (of_float v)) m.Tensor.data;
+  let data = m.Tensor.data in
+  let b = Bytes.create (2 * Array.length data) in
+  for k = 0 to Array.length data - 1 do
+    Bytes.set_int16_ne b (2 * k) (of_float data.(k))
+  done;
   Bytes.unsafe_to_string b
 
 let image_raw img k = String.get_int16_ne img (2 * k)
 
 let clamp_image img =
   let n = String.length img / 2 in
-  let rec has k = k < n && (image_raw img k = min_raw || has (k + 1)) in
-  if not (has 0) then img
+  let k = ref 0 in
+  while !k < n && String.get_int16_ne img (2 * !k) <> min_raw do
+    incr k
+  done;
+  if !k = n then img
   else begin
     let b = Bytes.of_string img in
-    for k = 0 to n - 1 do
-      if image_raw img k = min_raw then Bytes.set_int16_ne b (2 * k) (-max_raw)
+    for k = !k to n - 1 do
+      if String.get_int16_ne img (2 * k) = min_raw then
+        Bytes.set_int16_ne b (2 * k) (-max_raw)
     done;
     Bytes.unsafe_to_string b
   end

@@ -37,7 +37,8 @@ val to_raw : t -> int
 (** Raw two's complement value in [-32768, 32767]. *)
 
 val of_float : float -> t
-(** Round-to-nearest conversion with saturation. *)
+(** Round-to-nearest conversion (ties away from zero) with saturation;
+    NaN converts to zero. *)
 
 val to_float : t -> float
 

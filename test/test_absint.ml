@@ -238,6 +238,62 @@ let test_dump_ranges () =
   Alcotest.(check bool) "I-RANGE emitted" true
     (List.exists (fun (d : Diag.t) -> d.code = "I-RANGE") diags)
 
+(* ---- Shared-memory precision across streams ----
+
+   Tile 0's core 0 loads word 10, which core 1 stores later in stream
+   order, and word 20, which tile 0's control unit receives from tile 1.
+   Both loads must see the exact stored values, not top: core 0 has to
+   be solved again once the map holds them. *)
+
+let test_cross_stream_precision () =
+  let config = tiny_config in
+  let layout = Operand.layout config in
+  let r k = Operand.gpr layout k in
+  let load dest a =
+    Instr.Load { dest = r dest; addr = Instr.Imm_addr a; vec_width = 1 }
+  in
+  let store imm a =
+    [
+      Instr.Set { dest = r 0; imm };
+      Instr.Store
+        { src = r 0; addr = Instr.Imm_addr a; count = 1; vec_width = 1 };
+    ]
+  in
+  let stream is = Array.of_list (is @ [ Instr.Halt ]) in
+  let tile ~index cores tcu =
+    {
+      Program.tile_index = index;
+      core_code = Array.of_list (List.map stream cores);
+      tile_code = stream tcu;
+      mvmu_images = [];
+    }
+  in
+  let recv =
+    Instr.Receive { mem_addr = 20; fifo_id = 0; count = 1; vec_width = 1 }
+  in
+  let send =
+    Instr.Send { mem_addr = 5; fifo_id = 0; target = 0; vec_width = 1 }
+  in
+  let program =
+    {
+      Program.config;
+      tiles =
+        [|
+          tile ~index:0 [ [ load 0 10; load 1 20 ]; store 100 10 ] [ recv ];
+          tile ~index:1 [ store (-300) 5 ] [ send ];
+        |];
+      inputs = [];
+      outputs = [];
+      constants = [];
+    }
+  in
+  let ra = Range.run ~keep_states:true program in
+  let interval pc reg = ra.Range.interval ~tile:0 ~core:0 ~pc ~reg in
+  Alcotest.(check (option (pair int int)))
+    "load of a later core's store" (Some (100, 100)) (interval 0 (r 0));
+  Alcotest.(check (option (pair int int)))
+    "load of a received word" (Some (-300, -300)) (interval 1 (r 1))
+
 (* ---- Static lower bounds vs the simulator ---- *)
 
 let test_static_lb_vs_sim () =
@@ -327,6 +383,8 @@ let () =
           Alcotest.test_case "no false saturation" `Quick
             test_no_false_saturation;
           Alcotest.test_case "dump ranges" `Quick test_dump_ranges;
+          Alcotest.test_case "cross-stream precision" `Quick
+            test_cross_stream_precision;
         ] );
       ( "resource",
         [

@@ -624,6 +624,30 @@ let test_report_json () =
   Alcotest.(check bool) "errors" true
     (Puma_util.Strings.contains ~sub:"\"errors\":0" j)
 
+(* The gates keep no module-level state: two programs analyzed from two
+   domains at once get exactly their serial reports. *)
+let test_parallel_domains () =
+  let jobs =
+    [|
+      ("mlp", compile (mlp ()));
+      ("rbm@64", compile ~dim:64 Models.mini_rbm);
+    |]
+  in
+  let analyze (_, (r : Compile.result)) =
+    Analyze.to_json
+      (Analyze.program ~ranges:true ~resources:true ~order:true
+         ~dump_ranges:true ~dump_hb:true ~equiv:r.Compile.equiv_reference
+         r.Compile.program)
+  in
+  let serial = Array.map analyze jobs in
+  let parallel = Array.make (Array.length jobs) "" in
+  Puma_util.Pool.parallel_for ~domains:2 ~n:(Array.length jobs) (fun i ->
+      parallel.(i) <- analyze jobs.(i));
+  Array.iteri
+    (fun i (name, _) ->
+      Alcotest.(check string) (name ^ " report") serial.(i) parallel.(i))
+    jobs
+
 let () =
   Alcotest.run "analysis"
     [
@@ -633,6 +657,7 @@ let () =
           Alcotest.test_case "batch loop" `Quick test_batch_loop_clean;
           Alcotest.test_case "lenet5 imem" `Quick test_lenet5_imem_overflow;
           Alcotest.test_case "compile gate" `Quick test_compile_gate;
+          Alcotest.test_case "parallel domains" `Quick test_parallel_domains;
         ] );
       ( "mutations",
         [

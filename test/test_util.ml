@@ -60,6 +60,47 @@ let test_fixed_mul_acc () =
   let acc = Fixed.mul_acc xs ys in
   check_float "acc rescale" 3.75 (Fixed.to_float (Fixed.of_acc acc))
 
+(* The crossbar image and the scalar quantizer share one rounding: round
+   half away from zero, saturating, NaN to zero. [oracle] restates it
+   with [Float.round]; every edge value must agree three ways. *)
+let test_fixed_image_edges () =
+  let oracle f =
+    if Float.is_nan f then 0
+    else
+      let s = f *. Fixed.scale in
+      if s >= Float.of_int Fixed.max_raw then Fixed.max_raw
+      else if s <= Float.of_int Fixed.min_raw then Fixed.min_raw
+      else Float.to_int (Float.round s)
+  in
+  let ties =
+    List.concat_map
+      (fun k ->
+        let t = (Float.of_int k +. 0.5) /. Fixed.scale in
+        List.concat_map
+          (fun t -> [ t; Float.pred t; Float.succ t ])
+          [ t; -.t ])
+      [ 0; 1; 2; 7; 100; 4095; 4096; 12345; 32765; 32766; 32767 ]
+  in
+  let ends =
+    [ 8.0; -8.0; Float.pred 8.0; Float.succ (-8.0);
+      Float.of_int Fixed.max_raw /. Fixed.scale;
+      Float.of_int Fixed.min_raw /. Fixed.scale;
+      Float.infinity; Float.neg_infinity; Float.nan; -0.0; 0.0; 1e-300;
+      -1e-300 ]
+  in
+  let values = Array.of_list (ties @ ends) in
+  let img =
+    Fixed.image_of_mat
+      { Tensor.rows = 1; cols = Array.length values; data = values }
+  in
+  Array.iteri
+    (fun k f ->
+      let name = Printf.sprintf "%h" f in
+      let raw = Fixed.to_raw (Fixed.of_float f) in
+      Alcotest.(check int) (name ^ " of_float") (oracle f) raw;
+      Alcotest.(check int) (name ^ " image") raw (Fixed.image_raw img k))
+    values
+
 let prop_fixed_add_commutes =
   QCheck.Test.make ~name:"fixed add commutes" ~count:500
     (QCheck.pair (QCheck.float_range (-8.0) 8.0) (QCheck.float_range (-8.0) 8.0))
@@ -386,6 +427,7 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_fixed_div_by_zero;
           Alcotest.test_case "shifts and logic" `Quick test_fixed_shifts_logic;
           Alcotest.test_case "mul_acc" `Quick test_fixed_mul_acc;
+          Alcotest.test_case "image edges" `Quick test_fixed_image_edges;
         ]
         @ qc );
       ( "rng",
