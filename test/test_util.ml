@@ -427,9 +427,9 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_fixed_div_by_zero;
           Alcotest.test_case "shifts and logic" `Quick test_fixed_shifts_logic;
           Alcotest.test_case "mul_acc" `Quick test_fixed_mul_acc;
-          Alcotest.test_case "image edges" `Quick test_fixed_image_edges;
         ]
-        @ qc );
+        @ qc
+        @ [ Alcotest.test_case "image edges" `Quick test_fixed_image_edges ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
