@@ -948,28 +948,30 @@ let run_sim_throughput () =
             (fun (n, len) -> (n, Puma_util.Tensor.vec_rand rng len 0.8))
             (Puma_runtime.Batch.input_lengths program)
         in
-        let node_ref = Node.create ~fast:false program in
-        let node_fast = Node.create ~fast:true program in
+        let node_ref = Node.create program in
+        let node_fast = Node.create program in
         (* Warm-up doubles as the bit-identity gate; one extra steady-state
            run measures the per-inference cycle count. *)
-        let o_ref = Node.run node_ref ~inputs in
+        let o_ref = Node.run_reference node_ref ~inputs in
         let o_fast = Node.run node_fast ~inputs in
         assert (Node.last_run_fast node_fast);
         assert (not (Node.last_run_fast node_ref));
         assert (o_ref = o_fast);
         assert (Node.cycles node_ref = Node.cycles node_fast);
         let c0 = Node.cycles node_ref in
-        ignore (Node.run node_ref ~inputs);
+        ignore (Node.run_reference node_ref ~inputs);
         ignore (Node.run node_fast ~inputs);
         let per_run = Node.cycles node_ref - c0 in
         assert (Node.cycles node_ref = Node.cycles node_fast);
-        let sweep node () =
+        let sweep run node () =
           for _ = 1 to runs do
-            ignore (Node.run node ~inputs)
+            ignore (run node ~inputs)
           done
         in
-        let (), ref_s = Microprof.best ~repeats (sweep node_ref) in
-        let (), fast_s = Microprof.best ~repeats (sweep node_fast) in
+        let (), ref_s =
+          Microprof.best ~repeats (sweep Node.run_reference node_ref)
+        in
+        let (), fast_s = Microprof.best ~repeats (sweep Node.run node_fast) in
         (* Both nodes served the same run sequence: the accumulated energy
            ledgers must agree bit for bit, counts and picojoules. *)
         List.iter

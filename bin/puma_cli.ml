@@ -75,22 +75,6 @@ let dim_arg =
   let doc = "Crossbar dimension (power of two)." in
   Arg.(value & opt int 128 & info [ "dim" ] ~doc)
 
-let fast_arg =
-  Arg.(
-    value
-    & vflag true
-        [
-          ( true,
-            info [ "fast" ]
-              ~doc:
-                "Use the pre-decoded fast execution path (the default), with \
-                 or without a profiler or fault plan attached, on a single \
-                 node or a cluster. Bit-identical to the reference loop." );
-          ( false,
-            info [ "no-fast" ]
-              ~doc:"Force the cycle-accurate reference execution loop." );
-        ])
-
 let config_of_dim dim = { Config.sweetspot with mvmu_dim = dim }
 
 let exit_err msg =
@@ -283,7 +267,7 @@ let run_cmd =
              translation validator (for full-size models, whose analysis \
              costs more than their simulation).")
   in
-  let run model seed nodes topology scheme seq_len no_analysis dim fast =
+  let run model seed nodes topology scheme seq_len no_analysis dim =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
@@ -312,7 +296,7 @@ let run_cmd =
             want
         in
         if nodes = 1 then begin
-          let session = Puma.Session.create ~config ~fast g in
+          let session = Puma.Session.create ~config g in
           let got = Puma.Session.infer session inputs in
           report_outputs got;
           Format.printf "%a@." Puma_sim.Metrics.pp
@@ -348,7 +332,7 @@ let run_cmd =
                   sr.Cluster.cross_in)
               (Cluster.analyze_shards ~nodes:r.Compile.nodes_used program);
           let cluster =
-            Cluster.create ~nodes:r.Compile.nodes_used ~topology ~fast program
+            Cluster.create ~nodes:r.Compile.nodes_used ~topology program
           in
           let got = Cluster.run cluster ~inputs in
           report_outputs got;
@@ -370,7 +354,7 @@ let run_cmd =
           multi-node cluster)")
     Term.(
       const run $ model $ seed $ nodes $ topology_arg $ scheme_arg
-      $ seq_len_arg $ no_analysis $ dim_arg $ fast_arg)
+      $ seq_len_arg $ no_analysis $ dim_arg)
 
 (* ---- graph ---- *)
 
@@ -793,8 +777,7 @@ let batch_cmd =
              --scheme, connected by --topology); 1 keeps single-node \
              workers.")
   in
-  let run model batch_size domains seed profile nodes topology scheme dim fast
-      =
+  let run model batch_size domains seed profile nodes topology scheme dim =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
@@ -834,7 +817,7 @@ let batch_cmd =
         in
         let t0 = Monotonic_clock.now () in
         let responses, summary =
-          Puma_runtime.Batch.run ~domains ~fast ~profile ?cluster_nodes
+          Puma_runtime.Batch.run ~domains ~profile ?cluster_nodes
             ?topology program requests
         in
         let host_s =
@@ -867,7 +850,7 @@ let batch_cmd =
           multi-chip cluster instead of a single node")
     Term.(
       const run $ model $ batch_size $ domains $ seed $ profile $ nodes
-      $ topology_arg $ scheme_arg $ dim_arg $ fast_arg)
+      $ topology_arg $ scheme_arg $ dim_arg)
 
 (* ---- serve ---- *)
 
@@ -1074,7 +1057,7 @@ let serve_cmd =
   in
   let run models arrival duration nodes cluster_nodes topology scheme
       max_batch queue_limit slo seed input_seed domains json trace replay
-      budget dim fast =
+      budget dim =
     let domains =
       if domains = 0 then Puma_util.Pool.default_domains ()
       else if domains < 0 then exit_err "domains must be positive"
@@ -1104,7 +1087,7 @@ let serve_cmd =
                        (m.name, m.priority, m.queue_limit, m.slo_ms)))
             in
             let report =
-              Serve_engine.run ~domains ~fast (Serve_trace.config_of t) fleet
+              Serve_engine.run ~domains (Serve_trace.config_of t) fleet
                 (Serve_trace.workload_of t)
             in
             (match Serve_trace.check t report with
@@ -1153,7 +1136,7 @@ let serve_cmd =
           { Serve_engine.nodes; max_batch; input_seed }
         in
         let report =
-          Serve_engine.run ~domains ~fast ?cluster_nodes
+          Serve_engine.run ~domains ?cluster_nodes
             ?topology:cluster_topology serve_config fleet workload
         in
         (match trace with
@@ -1175,8 +1158,7 @@ let serve_cmd =
     Term.(
       const run $ models_arg $ arrival $ duration $ nodes $ cluster_nodes
       $ topology_arg $ scheme_arg $ max_batch $ queue_limit $ slo $ seed
-      $ input_seed $ domains $ json $ trace $ replay $ budget $ dim_arg
-      $ fast_arg)
+      $ input_seed $ domains $ json $ trace $ replay $ budget $ dim_arg)
 
 (* ---- profile ---- *)
 
@@ -1215,7 +1197,7 @@ let profile_cmd =
             "Also write a Chrome trace-event file (load in chrome://tracing \
              or ui.perfetto.dev; 1 trace microsecond = 1 simulated cycle).")
   in
-  let run target runs seed top json chrome dim fast =
+  let run target runs seed top json chrome dim =
     if runs <= 0 then exit_err "--runs must be positive";
     (* Gate off, as in analyze/bench: a program that fails static analysis
        (lenet5's known core-imem overflow) still simulates, and profiling
@@ -1240,7 +1222,7 @@ let profile_cmd =
         | Ok m -> compile_model m
         | Error e -> exit_err e
     in
-    let node = Puma_sim.Node.create ~fast program in
+    let node = Puma_sim.Node.create program in
     let profile = Puma_profile.Profile.create () in
     Puma_profile.Profile.attach profile node;
     let rng = Puma_util.Rng.create seed in
@@ -1273,8 +1255,7 @@ let profile_cmd =
          "Simulate with the cycle-level profiler attached: stall accounting, \
           per-tile energy attribution, optional Chrome trace export")
     Term.(
-      const run $ target $ runs $ seed $ top $ json $ chrome $ dim_arg
-      $ fast_arg)
+      const run $ target $ runs $ seed $ top $ json $ chrome $ dim_arg)
 
 (* ---- faults ---- *)
 
@@ -1366,8 +1347,7 @@ let faults_cmd =
              radius next to the cluster-wide flip rate.")
   in
   let run model rates seeds fault_seed samples input_seed remap stuck_on
-      drift_tau drift_age adc_sigma domains json nodes topology scheme dim
-      fast =
+      drift_tau drift_age adc_sigma domains json nodes topology scheme dim =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
@@ -1416,7 +1396,7 @@ let faults_cmd =
           in
           let result = Compile.compile ~options config g in
           let report =
-            Puma_fault.Campaign.run_cluster ~domains ~fast ~topology
+            Puma_fault.Campaign.run_cluster ~domains ~topology
               ~nodes:result.Puma_compiler.Compile.nodes_used ~key:model
               result.Puma_compiler.Compile.program spec
           in
@@ -1433,7 +1413,7 @@ let faults_cmd =
           in
           let program = result.Puma_compiler.Compile.program in
           let report =
-            Puma_fault.Campaign.run ~domains ~fast ~key:model program spec
+            Puma_fault.Campaign.run ~domains ~key:model program spec
           in
           if json then
             print_endline
@@ -1460,7 +1440,7 @@ let faults_cmd =
     Term.(
       const run $ model $ rates $ seeds $ fault_seed $ samples $ input_seed
       $ remap $ stuck_on $ drift_tau $ drift_age $ adc_sigma $ domains $ json
-      $ nodes $ topology_arg $ scheme_arg $ dim_arg $ fast_arg)
+      $ nodes $ topology_arg $ scheme_arg $ dim_arg)
 
 (* ---- estimate ---- *)
 

@@ -46,7 +46,7 @@ let split_program program ~nodes = snd (split program ~nodes)
 type t = { shards : Node.t array; runner : Node.t }
 
 let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
-    ?(noise_seed = 42) ?node_faults ?(fast = true) (program : Program.t) =
+    ?(noise_seed = 42) ?node_faults (program : Program.t) =
   (match node_faults with
   | Some plans when Array.length plans <> nodes ->
       invalid_arg "Cluster.create: node_faults must have one slot per node"
@@ -75,7 +75,7 @@ let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
         Node.create ~noise_seed:(noise_seed + k) ?faults ~energy sp)
       shard_programs
   in
-  { shards; runner = Node.join ~fast ~network program shards }
+  { shards; runner = Node.join ~network program shards }
 
 let node t = t.runner
 let nodes t = Array.length t.shards

@@ -7,7 +7,8 @@
     whose cross-node costs come from a {!Puma_noc.Fabric} — the same
     {!Puma_noc.Offchip} constants the analytical estimator uses.
     Cross-node messages are ordinary network arrivals, so a cluster runs
-    on the node's fast loop by default.
+    on the node's fast loop; {!Puma_sim.Node.run_reference} on {!node}
+    runs it on the reference loop, the oracle.
 
     To every caller above this module a cluster is that joined node
     ({!node}): run it, profile it, read its cycles, ledger and
@@ -35,7 +36,6 @@ val create :
   ?zero_cost:bool ->
   ?noise_seed:int ->
   ?node_faults:Puma_xbar.Fault.plan option array ->
-  ?fast:bool ->
   Puma_isa.Program.t ->
   t
 (** Split the program across [nodes] (default 2) chips connected by the
@@ -43,8 +43,7 @@ val create :
     crossbars from its own noise stream ([noise_seed + k]) and its own
     entry of [node_faults] (length must equal [nodes]), modelling
     independent physical chips; all of them charge the cluster's one
-    energy ledger. [fast] (default [true]) is {!Puma_sim.Node.create}'s:
-    [~fast:false] runs the reference loop, with bit-identical results. *)
+    energy ledger. *)
 
 val node : t -> Puma_sim.Node.t
 (** The machine as one node: the {!Puma_sim.Node.join}ed runner over the

@@ -24,17 +24,7 @@ type buf = {
   mutable count : int;
 }
 
-(* The graph node whose emission is in progress. A module-level ref so
-   the spill code emitted from inside {!Regalloc} callbacks is tagged
-   with the node that triggered the spill. *)
-let emission_src = ref (-1)
-
 let buf () = { rev = []; srcs = []; count = 0 }
-
-let push b i =
-  b.rev <- i :: b.rev;
-  b.srcs <- !emission_src :: b.srcs;
-  b.count <- b.count + 1
 
 let to_array b = Array.of_list (List.rev b.rev)
 let src_array b = Array.of_list (List.rev b.srcs)
@@ -63,6 +53,16 @@ let conv_unop : G.unop -> Instr.alu_op = function
 
 let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
     (part : Partition.t) (sched : Schedule.t) =
+  (* The graph node whose emission is in progress. [push] and the
+     {!Regalloc} emit callbacks close over it, so spill code is tagged
+     with the node that triggered the spill. Local to this compile, so
+     concurrent compiles never see each other's node. *)
+  let emission_src = ref (-1) in
+  let push b i =
+    b.rev <- i :: b.rev;
+    b.srcs <- !emission_src :: b.srcs;
+    b.count <- b.count + 1
+  in
   let layout = Operand.layout config in
   let ns = Lgraph.nodes lg in
   let nvals = Array.length ns in

@@ -22,17 +22,17 @@ module Session = struct
     compile_result : Puma_compiler.Compile.result option;
   }
 
-  let of_program ?noise_seed ?fast program =
+  let of_program ?noise_seed program =
     {
-      node = Puma_sim.Node.create ?noise_seed ?fast program;
+      node = Puma_sim.Node.create ?noise_seed program;
       program;
       compile_result = None;
     }
 
-  let create ?(config = Config.sweetspot) ?options ?noise_seed ?fast g =
+  let create ?(config = Config.sweetspot) ?options ?noise_seed g =
     let result = Puma_compiler.Compile.compile ?options config g in
     {
-      node = Puma_sim.Node.create ?noise_seed ?fast result.program;
+      node = Puma_sim.Node.create ?noise_seed result.program;
       program = result.program;
       compile_result = Some result;
     }

@@ -47,11 +47,10 @@ module Session : sig
     ?config:Config.t ->
     ?options:Puma_compiler.Compile.options ->
     ?noise_seed:int ->
-    ?fast:bool ->
     Graph.t ->
     t
 
-  val of_program : ?noise_seed:int -> ?fast:bool -> Puma_isa.Program.t -> t
+  val of_program : ?noise_seed:int -> Puma_isa.Program.t -> t
 
   val infer :
     t -> (string * float array) list -> (string * float array) list

@@ -90,7 +90,7 @@ let compare_batches ~(golden : Batch.response array)
     (if !elements = 0 then 0.0 else !sum_err /. float_of_int !elements),
     if n = 0 then 0.0 else float_of_int !flips /. float_of_int n )
 
-let run ?domains ?fast ~key program spec =
+let run ?domains ~key program spec =
   List.iter
     (fun r ->
       match Fault_model.validate (at_rate spec.base r) with
@@ -100,7 +100,7 @@ let run ?domains ?fast ~key program spec =
   let requests =
     Batch.random_requests program ~batch:spec.samples ~seed:spec.input_seed
   in
-  let golden, _ = Batch.run ~domains:1 ?fast program requests in
+  let golden, _ = Batch.run ~domains:1 program requests in
   let grid =
     List.concat_map
       (fun rate -> List.map (fun seed -> (rate, seed)) spec.fault_seeds)
@@ -115,7 +115,7 @@ let run ?domains ?fast ~key program spec =
         let model = at_rate spec.base rate in
         let r = Remap.build ~remap:spec.remap ~model ~seed:fault_seed program in
         let responses, _ =
-          Batch.run ~domains:1 ~faults:r.Remap.plan ?fast program requests
+          Batch.run ~domains:1 ~faults:r.Remap.plan program requests
         in
         let max_err_ulps, mean_err_ulps, flip_rate =
           compare_batches ~golden responses
@@ -283,11 +283,11 @@ type cluster_report = {
 (* Replay the request batch on one freshly built (and warmed) cluster,
    serially, exactly like Batch.run with one worker — so faulted
    responses line up with a Batch.run golden bit for bit. *)
-let cluster_batch ?fast ~nodes ~topology ?node_faults program requests =
-  let node = Batch.warmed_node ?fast ~nodes ~topology ?node_faults program in
+let cluster_batch ~nodes ~topology ?node_faults program requests =
+  let node = Batch.warmed_node ~nodes ~topology ?node_faults program in
   Array.of_list (List.map (Batch.serve node) requests)
 
-let run_cluster ?domains ?fast ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
+let run_cluster ?domains ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
     program spec =
   if nodes < 1 then
     invalid_arg (Printf.sprintf "Campaign.run_cluster: %d nodes" nodes);
@@ -301,8 +301,7 @@ let run_cluster ?domains ?fast ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
     Batch.random_requests program ~batch:spec.samples ~seed:spec.input_seed
   in
   let golden, _ =
-    Batch.run ~domains:1 ?fast ~cluster_nodes:nodes ~topology program
-      requests
+    Batch.run ~domains:1 ~cluster_nodes:nodes ~topology program requests
   in
   (* Each chip realizes its faults independently: node [k]'s plan comes
      from its own shard program and a per-node seed mixed from the grid
@@ -330,7 +329,7 @@ let run_cluster ?domains ?fast ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
             shards
         in
         let plans = Array.map (fun r -> Some r.Remap.plan) remaps in
-        let faulty = cluster_batch ?fast ~nodes ~topology ~node_faults:plans
+        let faulty = cluster_batch ~nodes ~topology ~node_faults:plans
             program requests in
         let c_max_err_ulps, c_mean_err_ulps, c_flip_rate =
           compare_batches ~golden faulty
@@ -343,7 +342,7 @@ let run_cluster ?domains ?fast ?(topology = Puma_noc.Fabric.Mesh2d) ~nodes ~key
               in
               let _, _, flip =
                 compare_batches ~golden
-                  (cluster_batch ?fast ~nodes ~topology ~node_faults:only
+                  (cluster_batch ~nodes ~topology ~node_faults:only
                      program requests)
               in
               flip)

@@ -66,12 +66,10 @@ type report = {
 }
 
 val run :
-  ?domains:int -> ?fast:bool -> key:string -> Puma_isa.Program.t -> spec -> report
+  ?domains:int -> key:string -> Puma_isa.Program.t -> spec -> report
 (** Evaluate the full grid. [domains] (default
     {!Puma_util.Pool.default_domains}) shards grid points, not the
-    per-point simulations. [fast] is forwarded to the golden and
-    per-point {!Puma_runtime.Batch.run} calls (bit-identical either
-    way). *)
+    per-point simulations. *)
 
 val by_rate : report -> (float * point list) list
 (** Points grouped by rate, in sweep order. *)
@@ -122,7 +120,6 @@ type cluster_report = {
 
 val run_cluster :
   ?domains:int ->
-  ?fast:bool ->
   ?topology:Puma_noc.Fabric.topology ->
   nodes:int ->
   key:string ->

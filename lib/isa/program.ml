@@ -38,6 +38,15 @@ let num_cores t =
           0 tile.core_code)
     0 t.tiles
 
+let tile_busy tp =
+  Array.exists (fun code -> Array.length code > 0) tp.core_code
+  || Array.length tp.tile_code > 0
+
+let tiles_used t =
+  Array.fold_left
+    (fun acc tp -> if tile_busy tp then acc + 1 else acc)
+    0 t.tiles
+
 let num_instrs t =
   Array.fold_left
     (fun acc tile ->

@@ -48,6 +48,13 @@ val num_tiles : t -> int
 val num_cores : t -> int
 (** Total cores with a nonempty instruction stream. *)
 
+val tile_busy : tile_program -> bool
+(** The tile has a nonempty core or tile instruction stream. *)
+
+val tiles_used : t -> int
+(** Occupied tiles ({!tile_busy}) — the count static (leakage/clock)
+    energy is billed for. *)
+
 val num_instrs : t -> int
 (** Total static instructions (core + tile streams). *)
 

@@ -73,34 +73,24 @@ let random_requests program ~batch ~seed =
       in
       { index; inputs })
 
-let tiles_used (program : Program.t) =
-  Array.fold_left
-    (fun acc (tp : Program.tile_program) ->
-      let busy =
-        Array.exists (fun code -> Array.length code > 0) tp.core_code
-        || Array.length tp.tile_code > 0
-      in
-      if busy then acc + 1 else acc)
-    0 program.tiles
-
 (* One warmed machine: the first inference on a fresh node is a few
    cycles cheaper (cold pipelines and attribute memories); running a
    throwaway all-zero inference first puts every node in the same steady
    state, so a request's cycle count does not depend on whether it
    happened to be the first one its worker served. Several chips (or
    per-chip fault plans) make the machine a cluster's joined node. *)
-let warmed_node ?noise_seed ?faults ?(nodes = 1) ?topology ?node_faults ?fast
-    program =
+let warmed_node ?noise_seed ?faults ?(nodes = 1) ?topology ?node_faults program
+    =
   let node =
     if nodes = 1 && node_faults = None then
-      Node.create ?noise_seed ?faults ?fast program
+      Node.create ?noise_seed ?faults program
     else if Option.is_some faults then
       invalid_arg
         "Batch.warmed_node: ~faults is one chip's plan; a cluster takes \
          ~node_faults"
     else
       Cluster.node
-        (Cluster.create ~nodes ?topology ?noise_seed ?node_faults ?fast program)
+        (Cluster.create ~nodes ?topology ?noise_seed ?node_faults program)
   in
   let zeros =
     List.map (fun (name, len) -> (name, Array.make len 0.0))
@@ -178,8 +168,8 @@ let merge_stalls splits =
       if n > 0 then Some (reason, n) else None)
     Puma_arch.Core.all_stalls
 
-let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
-    ?(profile = false) (program : Program.t) requests =
+let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?(profile = false)
+    (program : Program.t) requests =
   let domains =
     match domains with
     | Some d when d >= 1 -> d
@@ -196,8 +186,7 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
     Pool.map_init ~domains ~n
       ~init:(fun ~worker:_ ->
         let node =
-          warmed_node ?noise_seed ?faults ?nodes:cluster_nodes ?topology ?fast
-            program
+          warmed_node ?noise_seed ?faults ?nodes:cluster_nodes ?topology program
         in
         (* Attach the profiler only after warm-up, so the profile (like
            every other metric) covers exactly the served requests. Only
@@ -235,7 +224,7 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?fast
   in
   let static_ledger = Energy.create config in
   Energy.add_static static_ledger
-    ~tiles:(domains * tiles_used program)
+    ~tiles:(domains * Program.tiles_used program)
     ~cycles:(Float.of_int makespan_cycles);
   let static_pj = Energy.total_pj static_ledger in
   let cycle_floats = Array.map Float.of_int costs in

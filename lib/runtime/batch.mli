@@ -84,7 +84,6 @@ val warmed_node :
   ?nodes:int ->
   ?topology:Puma_noc.Fabric.topology ->
   ?node_faults:Puma_xbar.Fault.plan option array ->
-  ?fast:bool ->
   Puma_isa.Program.t ->
   Puma_sim.Node.t
 (** A fresh machine that has already served one throwaway all-zero
@@ -102,10 +101,6 @@ val warmed_node :
     The remaining arguments are {!Puma_sim.Node.create}'s and
     {!Puma_cluster.Cluster.create}'s. *)
 
-val tiles_used : Puma_isa.Program.t -> int
-(** Tiles with a nonempty instruction stream — the occupied-tile count
-    that static (leakage/clock) energy is billed for. *)
-
 val serve : Puma_sim.Node.t -> request -> response
 (** Serve one request on a (warmed) machine: its outputs, and its cycles
     and dynamic energy as deltas of the node's clock and ledger ([stalls]
@@ -120,7 +115,6 @@ val run :
   ?topology:Puma_noc.Fabric.topology ->
   ?noise_seed:int ->
   ?faults:Puma_xbar.Fault.plan ->
-  ?fast:bool ->
   ?profile:bool ->
   Puma_isa.Program.t ->
   request list ->
@@ -136,12 +130,11 @@ val run :
     [Campaign.run_cluster]) and raises [Invalid_argument] with a cluster.
 
     [domains] defaults to
-    {!Puma_util.Pool.default_domains}; [noise_seed], [faults] and [fast]
-    are passed to every worker's machine (defaults as
+    {!Puma_util.Pool.default_domains}; [noise_seed] and [faults] are
+    passed to every worker's machine (defaults as
     {!Puma_sim.Node.create} — with [faults], every worker node carries
     the same deterministically realized fault set, so responses stay
-    independent of the domain count; [fast] is bit-identical either way,
-    so batch results never depend on it). The response array is in
+    independent of the domain count). The response array is in
     request-index order. Raises like {!Puma_sim.Node.run} on bad programs
     or missing inputs.
 

@@ -436,7 +436,7 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
     let tiles =
       config.nodes
       * Array.fold_left
-          (fun acc (m : model) -> acc + Batch.tiles_used m.program)
+          (fun acc (m : model) -> acc + Program.tiles_used m.program)
           0 models
     in
     let ledger = Energy.create models.(0).program.Program.config in
@@ -463,7 +463,7 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
     event_cycles = Array.sub !events 0 !n_events;
   }
 
-let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
+let run ?domains ?cluster_nodes ?topology (config : config) models
     (workload : workload) =
   validate_workload models workload;
   (match cluster_nodes with
@@ -491,8 +491,7 @@ let run ?domains ?fast ?cluster_nodes ?topology (config : config) models
           Array.map
             (fun (m : model) ->
               lazy
-                (Batch.warmed_node ?nodes:cluster_nodes ?topology ?fast
-                   m.program))
+                (Batch.warmed_node ?nodes:cluster_nodes ?topology m.program))
             models)
         (fun machines i ->
           let a = workload.(i) in

@@ -164,7 +164,6 @@ val schedule : config -> model array -> workload -> cost array -> report
 
 val run :
   ?domains:int ->
-  ?fast:bool ->
   ?cluster_nodes:int ->
   ?topology:Puma_noc.Fabric.topology ->
   config ->
@@ -174,8 +173,7 @@ val run :
 (** Phase 1 + phase 2: simulate every arrival's request on per-worker
     warmed nodes ([domains] shards the host work, default
     {!Puma_util.Pool.default_domains}; the report is bit-identical for
-    any value), then {!schedule}. [fast] selects the simulator fast path
-    on nodes and clusters alike (bit-identical either way).
+    any value), then {!schedule}.
 
     [cluster_nodes > 1] makes every fleet slot a cluster of that many
     chips (fabric [topology], default mesh; see

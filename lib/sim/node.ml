@@ -41,7 +41,6 @@ type t = {
   network : Network.t;
   core_ready : int array array;
   tcu_ready : int array;
-  mutable fast_enabled : bool;
   mutable last_run_fast : bool;
   mutable now : int;
   mutable total_cycles : int;
@@ -50,7 +49,7 @@ type t = {
 
 let cycle_cap = 200_000_000
 
-let assemble ~fast ~energy ~network (program : Program.t) tiles =
+let assemble ~energy ~network (program : Program.t) tiles =
   let ntiles = Array.length tiles in
   {
     program;
@@ -61,15 +60,13 @@ let assemble ~fast ~energy ~network (program : Program.t) tiles =
     core_ready =
       Array.init ntiles (fun _ -> Array.make program.config.cores_per_tile 0);
     tcu_ready = Array.make ntiles 0;
-    fast_enabled = fast;
     last_run_fast = false;
     now = 0;
     total_cycles = 0;
     probe = None;
   }
 
-let create ?(noise_seed = 42) ?faults ?(fast = true) ?energy
-    (program : Program.t) =
+let create ?(noise_seed = 42) ?faults ?energy (program : Program.t) =
   let config = program.config in
   let energy =
     match energy with Some e -> e | None -> Energy.create config
@@ -109,14 +106,14 @@ let create ?(noise_seed = 42) ?faults ?(fast = true) ?energy
     (fun ((b : Program.io_binding), raw) ->
       Tile.host_write tiles.(b.tile) ~addr:b.mem_addr ~values:raw)
     program.constants;
-  assemble ~fast ~energy
+  assemble ~energy
     ~network:(Network.create config ~energy ~num_tiles:(max 1 ntiles))
     program tiles
 
 (* A runner over the concatenated tiles of [shards] (shared, not copied),
    charging the one ledger the shards share. Global tile [i] must sit at
    position [i]. *)
-let join ?(fast = true) ~network (program : Program.t) shards =
+let join ~network (program : Program.t) shards =
   let tiles =
     Array.concat (Array.to_list (Array.map (fun s -> s.tiles) shards))
   in
@@ -125,7 +122,7 @@ let join ?(fast = true) ~network (program : Program.t) shards =
   let energy = shards.(0).energy in
   if Array.exists (fun s -> s.energy != energy) shards then
     invalid_arg "Node.join: shards must share one energy ledger";
-  assemble ~fast ~energy ~network program tiles
+  assemble ~energy ~network program tiles
 
 let config t = t.config
 let energy t = t.energy
@@ -143,14 +140,7 @@ let retired_instructions t =
       acc + !per_core)
     0 t.tiles
 
-let tile_busy (tp : Program.tile_program) =
-  Array.exists (fun code -> Array.length code > 0) tp.core_code
-  || Array.length tp.tile_code > 0
-
-let tiles_used t =
-  Array.fold_left
-    (fun acc tp -> if tile_busy tp then acc + 1 else acc)
-    0 t.program.tiles
+let tiles_used t = Program.tiles_used t.program
 
 let inject_inputs t inputs =
   List.iter
@@ -362,7 +352,7 @@ let deliver_pass t delivered =
   !progress
 
 (* The cycle-accurate reference loop, stepping through [Core.step]. *)
-let run_reference t ~start =
+let reference_loop t ~start =
   let ntiles = Array.length t.tiles in
   let delivered = Array.make ntiles 0 in
   let finished = ref false in
@@ -575,16 +565,20 @@ let run_fast t ~start =
     else if not !progress then advance ()
   done
 
-let run t ~inputs =
+(* One inference on [loop]: the prologue and epilogue both loops share. *)
+let run_with ~last_fast loop t ~inputs =
   inject_inputs t inputs;
   Array.iter Tile.reset t.tiles;
   let start = t.now in
   (match t.probe with Some p -> p.on_run_start ~now:start | None -> ());
-  t.last_run_fast <- t.fast_enabled;
-  if t.fast_enabled then run_fast t ~start else run_reference t ~start;
+  t.last_run_fast <- last_fast;
+  loop t ~start;
   t.total_cycles <- t.total_cycles + (t.now - start);
   (match t.probe with Some p -> p.on_run_end ~now:t.now | None -> ());
   read_outputs t
+
+let run = run_with ~last_fast:true run_fast
+let run_reference = run_with ~last_fast:false reference_loop
 
 let finish_energy t =
   let cycles = Float.of_int t.total_cycles in
@@ -596,12 +590,11 @@ let finish_energy t =
     let share = Energy.static_tile_pj t.config ~cycles in
     Array.iteri
       (fun ti tp ->
-        if tile_busy tp then Energy.attribute_pj t.energy ~tile:ti Static share)
+        if Program.tile_busy tp then
+          Energy.attribute_pj t.energy ~tile:ti Static share)
       t.program.tiles
   end
 
 let set_probe t probe = t.probe <- probe
 let probe_attached t = t.probe <> None
-let set_fast t fast = t.fast_enabled <- fast
-let fast_enabled t = t.fast_enabled
 let last_run_fast t = t.last_run_fast

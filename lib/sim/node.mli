@@ -14,9 +14,9 @@ exception Deadlock of string
     callback [core = -1] designates the tile control unit, and [now] is
     the simulated cycle.
 
-    Semantics the consumer can rely on, on both the fast and the
-    reference loop:
-    - [on_run_start]/[on_run_end] bracket each {!run} (not fired when the
+    Semantics the consumer can rely on, on both {!run} and
+    {!run_reference}:
+    - [on_run_start]/[on_run_end] bracket each run (not fired when the
       run aborts on deadlock or the cycle cap);
     - [on_retire] fires once per retired instruction, which occupies the
       entity for [cycles] starting at [now];
@@ -53,18 +53,12 @@ type t
 val create :
   ?noise_seed:int ->
   ?faults:Puma_xbar.Fault.plan ->
-  ?fast:bool ->
   ?energy:Puma_hwmodel.Energy.t ->
   Puma_isa.Program.t ->
   t
 (** Instantiate tiles, program crossbars (with write noise when the
     program's configuration has [write_noise_sigma > 0]; [noise_seed]
     makes it reproducible) and preload constant vectors.
-
-    [fast] (default [true]) runs {!run} on the pre-decoded fast execution
-    path — see {!set_fast}. Results are bit-identical either way; pass
-    [~fast:false] to force the cycle-accurate reference loop (e.g. as the
-    golden side of a differential test).
 
     [faults] injects device/circuit faults at configuration time: each
     MVMU's fault set is realized deterministically from the plan's model
@@ -77,8 +71,7 @@ val create :
     fresh one). A multi-chip machine passes one ledger to every chip so
     that the {!join}ed node has a single ledger for the whole machine. *)
 
-val join :
-  ?fast:bool -> network:Puma_noc.Network.t -> Puma_isa.Program.t -> t array -> t
+val join : network:Puma_noc.Network.t -> Puma_isa.Program.t -> t array -> t
 (** [join ~network program shards] is a node over the global tile space
     of [program], whose tiles are the concatenation of the shards' tiles
     — shared, not copied, so crossbar images, constants and retired
@@ -88,7 +81,7 @@ val join :
     ([Invalid_argument] otherwise): that ledger is the joined node's
     {!energy}, charged by every tile and by [network] (typically carrying
     a {!Puma_noc.Fabric}), so per-tile attribution and {!finish_energy}
-    see the whole machine. [fast] as in {!create}. Running the joined
+    see the whole machine. Running the joined
     node is running the whole machine under one clock; the shards
     themselves are never {!run}. *)
 
@@ -108,12 +101,22 @@ val run :
 (** Inject inputs, execute to completion, read outputs back. Raises
     {!Deadlock} or [Failure] on a runaway program (cycle cap). The
     instruction streams are reset between runs but register/memory
-    contents persist (as in hardware), so each [run] is one inference. *)
+    contents persist (as in hardware), so each [run] is one inference.
+    Every run takes the pre-decoded fast loop — with or without a probe,
+    per-tile energy attribution or a fault plan. *)
+
+val run_reference :
+  t -> inputs:(string * float array) list -> (string * float array) list
+(** {!run} on the cycle-accurate reference loop, which steps every
+    entity through [Core.step]: the test oracle the fast loop is pinned
+    to. Outputs, cycle counts, retired counts, the energy ledger (counts
+    {e and} picojoules) and everything a probe reports are bit-identical
+    to {!run} — the contract test/test_fastpath.ml and
+    test/test_profile.ml enforce. *)
 
 val retired_instructions : t -> int
 val tiles_used : t -> int
-(** Tiles with at least one instruction (used for static-energy
-    accounting). *)
+(** {!Puma_isa.Program.tiles_used} of the node's program. *)
 
 val finish_energy : t -> unit
 (** Charge static energy for the occupied tiles over this node's
@@ -121,27 +124,15 @@ val finish_energy : t -> unit
 
 val set_probe : t -> probe option -> unit
 (** Install (or clear) the instrumentation probe; a node has one probe
-    slot. Attaching a probe never changes simulation results, nor which
-    loop runs: instruction semantics, cycle counts and the energy ledger
-    totals are bit-identical with and without one. *)
+    slot. Attaching a probe never changes simulation results: instruction
+    semantics, cycle counts and the energy ledger totals are
+    bit-identical with and without one. *)
 
 val probe_attached : t -> bool
 
-val set_fast : t -> bool -> unit
-(** Allow or forbid the fast execution path for subsequent {!run} calls.
-    When allowed, every run takes it — with or without a probe, per-tile
-    energy attribution or a fault plan; forbidding it is the only way
-    onto the reference loop. Outputs, cycle counts, retired counts, the
-    energy ledger (counts {e and} picojoules) and everything a probe
-    reports are bit-identical in both modes — the contract
-    test/test_fastpath.ml and test/test_profile.ml enforce. *)
-
-val fast_enabled : t -> bool
-(** Whether the fast path is currently allowed. *)
-
 val last_run_fast : t -> bool
-(** Whether the most recent {!run} actually used the fast loop ([false]
-    before the first run). *)
+(** Whether the most recent run was {!run} on the fast loop ([false]
+    after {!run_reference} and before the first run). *)
 
 val cycle_cap : int
 (** Runaway-program guard: a single {!run} may not span more cycles

@@ -88,8 +88,8 @@ let test_zero_cost_differential () =
     (fun (name, model) ->
       let program = compile (graph_of model) in
       let inputs = inputs_for program in
-      let reference = Node.create ~fast:false program in
-      let ref_out = Node.run reference ~inputs in
+      let reference = Node.create program in
+      let ref_out = Node.run_reference reference ~inputs in
       let ref_cycles = Node.cycles reference in
       let ref_counts = energy_count_list (Node.energy reference) in
       List.iter
@@ -112,9 +112,9 @@ let test_zero_cost_differential () =
 let test_zero_cost_multiple_inferences () =
   let program = compile (graph_of (List.assoc "lstm" zoo)) in
   let i1 = inputs_for ~seed:3 program and i2 = inputs_for ~seed:4 program in
-  let reference = Node.create ~fast:false program in
-  let r1 = Node.run reference ~inputs:i1 in
-  let r2 = Node.run reference ~inputs:i2 in
+  let reference = Node.create program in
+  let r1 = Node.run_reference reference ~inputs:i1 in
+  let r2 = Node.run_reference reference ~inputs:i2 in
   let cl = Cluster.create ~nodes:2 ~zero_cost:true program in
   let c1 = Cluster.run cl ~inputs:i1 in
   let c2 = Cluster.run cl ~inputs:i2 in
@@ -132,9 +132,9 @@ let test_zero_cost_multiple_inferences () =
 let test_cluster_schemes_end_to_end () =
   let g = graph_of (`Net Models.mini_mlp) in
   let single = compile g in
-  let single_node = Node.create ~fast:false single in
+  let single_node = Node.create single in
   let inputs = inputs_for single in
-  let ref_out = Node.run single_node ~inputs in
+  let ref_out = Node.run_reference single_node ~inputs in
   List.iter
     (fun scheme ->
       let program =
@@ -320,8 +320,8 @@ let qcheck_cluster_matches_single =
       let g = Nn.build_graph ~seed:(2024 + seed) net in
       let single = compile ~dim:16 g in
       let inputs = inputs_for ~seed single in
-      let reference = Node.create ~fast:false single in
-      let ref_out = sorted_outputs (Node.run reference ~inputs) in
+      let reference = Node.create single in
+      let ref_out = sorted_outputs (Node.run_reference reference ~inputs) in
       let program = compile ~dim:16 ~cluster:{ Partition.nodes; scheme } g in
       let cl = Cluster.create ~nodes ~topology program in
       let out = sorted_outputs (Cluster.run cl ~inputs) in
@@ -330,13 +330,15 @@ let qcheck_cluster_matches_single =
 (* --- fast vs reference loop under real link costs -------------------- *)
 
 (* Everything a cluster exposes after two back-to-back inferences on one
-   loop, and which loop the last one took. *)
-let observe ?node_faults ~fast ~nodes ~topology program =
-  let cl = Cluster.create ~nodes ~topology ?node_faults ~fast program in
+   loop ([Node.run] or [Node.run_reference] on its node), and which loop
+   the last one took. *)
+let observe ?node_faults run ~nodes ~topology program =
+  let cl = Cluster.create ~nodes ~topology ?node_faults program in
   let outs =
     List.map
       (fun seed ->
-        sorted_outputs (Cluster.run cl ~inputs:(inputs_for ~seed program)))
+        sorted_outputs
+          (run (Cluster.node cl) ~inputs:(inputs_for ~seed program)))
       [ 3; 4 ]
   in
   ( Node.last_run_fast (Cluster.node cl),
@@ -347,10 +349,10 @@ let observe ?node_faults ~fast ~nodes ~topology program =
 
 let check_fast_matches_reference ?node_faults label ~nodes ~topology program =
   let fast_taken, (outs, cycles, counts, words) =
-    observe ?node_faults ~fast:true ~nodes ~topology program
+    observe ?node_faults Node.run ~nodes ~topology program
   in
   let ref_taken, (ref_outs, ref_cycles, ref_counts, ref_words) =
-    observe ?node_faults ~fast:false ~nodes ~topology program
+    observe ?node_faults Node.run_reference ~nodes ~topology program
   in
   Alcotest.(check bool) (label ^ ": fast loop taken") true fast_taken;
   Alcotest.(check bool) (label ^ ": reference loop taken") false ref_taken;
@@ -420,8 +422,10 @@ let qcheck_fast_matches_reference =
     (fun (net, nodes, scheme, topology, seed) ->
       let g = Nn.build_graph ~seed:(2024 + seed) net in
       let program, nodes = compile_cluster ~dim:16 ~nodes ~scheme g in
-      let fast_taken, fast = observe ~fast:true ~nodes ~topology program in
-      let ref_taken, reference = observe ~fast:false ~nodes ~topology program in
+      let fast_taken, fast = observe Node.run ~nodes ~topology program in
+      let ref_taken, reference =
+        observe Node.run_reference ~nodes ~topology program
+      in
       fast_taken && (not ref_taken) && fast = reference)
 
 (* --- deadlock diagnostic names the chip ------------------------------ *)
@@ -472,13 +476,13 @@ let test_deadlock_names_node () =
       program.Program.tiles
   in
   let broken = { program with Program.tiles } in
-  let dump ~fast =
-    let cl = Cluster.create ~nodes ~fast broken in
-    match Cluster.run cl ~inputs:(inputs_for broken) with
+  let dump run =
+    let cl = Cluster.create ~nodes broken in
+    match run (Cluster.node cl) ~inputs:(inputs_for broken) with
     | _ -> Alcotest.fail "expected Node.Deadlock"
     | exception Node.Deadlock msg -> msg
   in
-  let fast = dump ~fast:true and reference = dump ~fast:false in
+  let fast = dump Node.run and reference = dump Node.run_reference in
   Alcotest.(check string) "same dump on both loops" reference fast;
   let line =
     Printf.sprintf "  node %d tile %d tcu pc" (target / stride) target

@@ -472,6 +472,68 @@ let test_compile_deterministic () =
   in
   Alcotest.(check bool) "bit-identical programs" true (bytes () = bytes ())
 
+(* Compiles running on several domains at once must not see each other's
+   state: codegen tags every instruction with its source node
+   ([core_src]/[tile_src]), and that tag is per compile. Two different
+   models alternate on a 2-domain pool; every job must equal its serial
+   compile — the program, the codegen statistics and provenance, and the
+   per-instruction layer labels of the full [Compile.result]. *)
+let test_compile_concurrent () =
+  let module Codegen = Puma_compiler.Codegen in
+  let graphs =
+    [|
+      Puma_nn.Network.build_graph Puma_nn.Models.mini_mlp;
+      Puma_nn.Network.build_graph Puma_nn.Models.mini_lstm;
+    |]
+  in
+  let job g =
+    let o = Compile.default_options in
+    let lg = Tiling.lower ~dim:tiny_config.mvmu_dim g in
+    let part = Partition.partition tiny_config o.partition_strategy lg in
+    let sched = Schedule.build ~coalesce:o.coalesce_mvms lg part in
+    let generated =
+      Codegen.generate tiny_config ~wrap_batch_loop:false g lg part sched
+    in
+    let r = compile g in
+    let p = r.Compile.program in
+    let labels =
+      Array.to_list p.Program.tiles
+      |> List.concat_map (fun (tp : Program.tile_program) ->
+             let tile = tp.tile_index in
+             List.init (Array.length tp.tile_code) (fun pc ->
+                 r.Compile.layer_of ~tile ~core:None ~pc)
+             @ List.concat
+                 (List.mapi
+                    (fun c code ->
+                      List.init (Array.length code) (fun pc ->
+                          r.Compile.layer_of ~tile ~core:(Some c) ~pc))
+                    (Array.to_list tp.core_code)))
+    in
+    ( generated,
+      (Puma_isa.Program_io.to_bytes p, r.Compile.codegen_stats, labels) )
+  in
+  let serial = Array.map job graphs in
+  let n = 64 in
+  let parallel =
+    Puma_util.Pool.map_init ~domains:2 ~n
+      ~init:(fun ~worker:_ -> ())
+      (fun () i -> job graphs.(i mod 2))
+  in
+  Array.iteri
+    (fun i ((program, stats, prov), result) ->
+      let (program', stats', prov'), result' = serial.(i mod 2) in
+      let name = Printf.sprintf "job %d (model %d)" i (i mod 2) in
+      Alcotest.(check bool) (name ^ ": program") true (program = program');
+      Alcotest.(check bool) (name ^ ": stats") true (stats = stats');
+      Alcotest.(check bool)
+        (name ^ ": core_src") true
+        (prov.Codegen.core_src = prov'.Codegen.core_src);
+      Alcotest.(check bool)
+        (name ^ ": tile_src") true
+        (prov.Codegen.tile_src = prov'.Codegen.tile_src);
+      Alcotest.(check bool) (name ^ ": compile result") true (result = result'))
+    parallel
+
 (* ---- Graph optimization (CSE + DCE) ---- *)
 
 let test_optimize_cse_merges_duplicates () =
@@ -704,6 +766,8 @@ let () =
           Alcotest.test_case "multi-node" `Quick test_e2e_multi_node;
           Alcotest.test_case "mvm-free graph" `Quick test_e2e_mvm_free_graph;
           Alcotest.test_case "deterministic compile" `Quick test_compile_deterministic;
+          Alcotest.test_case "concurrent compiles" `Quick
+            test_compile_concurrent;
         ] );
       ( "checker",
         [ Alcotest.test_case "rejects bad programs" `Quick

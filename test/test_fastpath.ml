@@ -6,7 +6,8 @@
    (at the sweetspot crossbar dimension and at the bench's dim-64 mini
    config), with a profiler attached, with a fault plan installed, through
    the batched runtime at several domain counts, and property-based over
-   random MLP/RNN programs. *)
+   random MLP/RNN programs. The reference side is always
+   [Node.run_reference], the oracle. *)
 
 module B = Puma_graph.Builder
 module Tensor = Puma_util.Tensor
@@ -73,13 +74,14 @@ let check_identical name (o1, n1) (o2, n2) =
     true
     (Energy.total_pj e1 = Energy.total_pj e2)
 
-(* The last run's outputs and the cycles of each run. *)
-let run_node node program ~seed ~runs =
+(* The last run's outputs and the cycles of each run, on [run]
+   ([Node.run] or the [Node.run_reference] oracle). *)
+let run_node run node program ~seed ~runs =
   let last = ref [] in
   let per_run =
     List.init runs (fun i ->
         let before = Node.cycles node in
-        last := Node.run node ~inputs:(inputs_for program ~seed:(seed + i));
+        last := run node ~inputs:(inputs_for program ~seed:(seed + i));
         Node.cycles node - before)
   in
   Node.finish_energy node;
@@ -91,9 +93,11 @@ let run_node node program ~seed ~runs =
    run by run). *)
 let differential name program ~runs =
   let fast = Node.create ~noise_seed:3 program in
-  let slow = Node.create ~noise_seed:3 ~fast:false program in
-  let o_fast, c_fast = run_node fast program ~seed:42 ~runs in
-  let o_slow, c_slow = run_node slow program ~seed:42 ~runs in
+  let slow = Node.create ~noise_seed:3 program in
+  let o_fast, c_fast = run_node Node.run fast program ~seed:42 ~runs in
+  let o_slow, c_slow =
+    run_node Node.run_reference slow program ~seed:42 ~runs
+  in
   Alcotest.(check bool) (name ^ ": fast path engaged") true
     (Node.last_run_fast fast);
   Alcotest.(check bool) (name ^ ": reference path used") false
@@ -162,15 +166,14 @@ let test_zoo_dim64 () =
 
 let test_profiler_rides_fast_loop () =
   let program = compile Config.sweetspot (List.assoc "mlp" zoo) in
-  let plain = Node.create ~noise_seed:3 ~fast:false program in
-  let o_plain = run_node plain program ~seed:7 ~runs:1 in
+  let plain = Node.create ~noise_seed:3 program in
+  let o_plain = run_node Node.run_reference plain program ~seed:7 ~runs:1 in
   let profiled = Node.create ~noise_seed:3 program in
   let p = Profile.create () in
   Profile.attach p profiled;
-  let o_prof = run_node profiled program ~seed:7 ~runs:1 in
+  let o_prof = run_node Node.run profiled program ~seed:7 ~runs:1 in
   Alcotest.(check bool) "profiled run took the fast loop" true
     (Node.last_run_fast profiled);
-  Alcotest.(check bool) "fast still allowed" true (Node.fast_enabled profiled);
   (* Attribution changes how the ledger is recorded internally, so compare
      the observable results against the unprofiled reference run. *)
   Alcotest.(check bool) "profiled outputs bit-identical" true
@@ -180,7 +183,7 @@ let test_profiler_rides_fast_loop () =
   (* Detaching leaves the node on the fast loop, and it still matches. *)
   Profile.detach profiled;
   let o_fast = Node.run profiled ~inputs:(inputs_for program ~seed:8) in
-  let o_ref = Node.run plain ~inputs:(inputs_for program ~seed:8) in
+  let o_ref = Node.run_reference plain ~inputs:(inputs_for program ~seed:8) in
   Alcotest.(check bool) "post-detach fast engaged" true
     (Node.last_run_fast profiled);
   Alcotest.(check bool) "post-detach outputs bit-identical" true
@@ -191,45 +194,76 @@ let test_faults_ride_fast_loop () =
   let spec = { Fault.ideal with Fault.stuck_rate = 0.01 } in
   let plan = Fault.plan ~seed:11 spec in
   let fast = Node.create ~noise_seed:3 ~faults:plan program in
-  let slow = Node.create ~noise_seed:3 ~faults:plan ~fast:false program in
-  let o_fast = run_node fast program ~seed:21 ~runs:1 in
-  let o_slow = run_node slow program ~seed:21 ~runs:1 in
+  let slow = Node.create ~noise_seed:3 ~faults:plan program in
+  let o_fast = run_node Node.run fast program ~seed:21 ~runs:1 in
+  let o_slow = run_node Node.run_reference slow program ~seed:21 ~runs:1 in
   Alcotest.(check bool) "faulted node takes the fast loop" true
     (Node.last_run_fast fast);
   Alcotest.(check bool) "reference path used" false (Node.last_run_fast slow);
   check_identical "mlp+faults" (o_fast, fast) (o_slow, slow)
 
-(* ---- the batched runtime is fast/slow agnostic at any domain count ---- *)
+(* ---- the batched runtime matches the oracle at any domain count ---- *)
 
+(* Each request served on one node warmed and driven by the reference
+   loop alone: its outputs, cycles and dynamic energy (event-count deltas
+   times per-event energies, summed in category order) are what every
+   [Batch.run] worker must report, whichever worker served it. *)
 let test_batch_domains () =
   let program = compile mini_config (List.assoc "rnn" zoo) in
   let requests = Batch.random_requests program ~batch:6 ~seed:5 in
+  let oracle = Node.create ~noise_seed:3 program in
+  let zeros =
+    List.map (fun (name, len) -> (name, Array.make len 0.0))
+      (Batch.input_lengths program)
+  in
+  ignore (Node.run_reference oracle ~inputs:zeros);
+  let counts () =
+    List.map (Energy.count (Node.energy oracle)) Energy.all_categories
+  in
+  let expected =
+    List.map
+      (fun (r : Batch.request) ->
+        let before = Node.cycles oracle and e0 = counts () in
+        let outputs = Node.run_reference oracle ~inputs:r.inputs in
+        let energy_pj =
+          List.fold_left2
+            (fun acc cat (b, a) ->
+              acc
+              +. (Float.of_int (a - b)
+                 *. Energy.per_event_pj (Node.config oracle) cat))
+            0.0 Energy.all_categories
+            (List.combine e0 (counts ()))
+        in
+        (outputs, Node.cycles oracle - before, energy_pj))
+      requests
+  in
   List.iter
     (fun domains ->
-      let r_fast, s_fast =
-        Batch.run ~domains ~noise_seed:3 ~fast:true program requests
-      in
-      let r_slow, s_slow =
-        Batch.run ~domains ~noise_seed:3 ~fast:false program requests
+      let responses, summary =
+        Batch.run ~domains ~noise_seed:3 program requests
       in
       let name = Printf.sprintf "rnn batch @%d domains" domains in
       Alcotest.(check int)
         (name ^ ": response count")
-        (Array.length r_slow) (Array.length r_fast);
-      (* Per-request [dynamic_energy_pj] is computed from integer
-         event-count deltas, so responses and summary — energies
-         included — are bit-identical regardless of which pool worker
-         served each request. *)
-      Array.iteri
-        (fun i (slow : Batch.response) ->
+        (List.length expected) (Array.length responses);
+      List.iteri
+        (fun i (outputs, cycles, energy_pj) ->
+          let r = responses.(i) in
           Alcotest.(check bool)
-            (Printf.sprintf "%s: response %d bit-identical" name i)
+            (Printf.sprintf "%s: response %d outputs bit-identical" name i)
+            true (r.outputs = outputs);
+          Alcotest.(check int)
+            (Printf.sprintf "%s: response %d cycles" name i)
+            cycles r.cycles;
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: response %d energy bit-identical" name i)
             true
-            (r_fast.(i) = slow))
-        r_slow;
-      Alcotest.(check bool)
-        (name ^ ": summary bit-identical")
-        true (s_fast = s_slow))
+            (r.dynamic_energy_pj = energy_pj))
+        expected;
+      Alcotest.(check int)
+        (name ^ ": serial cycles")
+        (List.fold_left (fun acc (_, c, _) -> acc + c) 0 expected)
+        summary.serial_cycles)
     [ 1; 2; 4 ]
 
 (* ---- property: random programs agree exactly, with shrinking ---- *)
@@ -266,10 +300,10 @@ let agree graph =
   let config = { Config.sweetspot with Config.mvmu_dim = 32 } in
   let program = compile config graph in
   let fast = Node.create ~noise_seed:3 program in
-  let slow = Node.create ~noise_seed:3 ~fast:false program in
+  let slow = Node.create ~noise_seed:3 program in
   let inputs = inputs_for program ~seed:77 in
   let o_fast = Node.run fast ~inputs in
-  let o_slow = Node.run slow ~inputs in
+  let o_slow = Node.run_reference slow ~inputs in
   Node.finish_energy fast;
   Node.finish_energy slow;
   let e1 = Node.energy fast and e2 = Node.energy slow in

@@ -85,9 +85,9 @@ let random_channels rng =
 
 type outcome = Completed | Ordering_crash of string | Other_crash of string
 
-let run_loop ~fast p =
-  let node = Node.create ~fast p in
-  match ignore (Node.run node ~inputs:[]) with
+let run_loop run p =
+  let node = Node.create p in
+  match ignore (run node ~inputs:[]) with
   | () -> Completed
   | exception Network.Reordered msg -> Ordering_crash msg
   | exception Invalid_argument msg
@@ -102,12 +102,12 @@ let sound (seed : int) =
   let r = Analyze.program ~order:true p in
   let clean = r.Analyze.errors = 0 in
   List.for_all
-    (fun fast ->
-      match run_loop ~fast p with
+    (fun run ->
+      match run_loop run p with
       | Completed -> true
       | Ordering_crash _ -> not clean
       | Other_crash _ -> false)
-    [ true; false ]
+    [ Node.run; Node.run_reference ]
 
 let prop_clean_never_reorders =
   QCheck.Test.make ~name:"analyzer-clean programs never reorder" ~count:120

@@ -139,18 +139,18 @@ let random_rnn (n_in, n_hidden, seed) =
    exports mean the fast loop's event stream is as good as the
    reference loop's. *)
 let profiled_mismatches program =
-  let profiled ~fast =
-    let node = Node.create ~noise_seed:3 ~fast program in
+  let profiled run =
+    let node = Node.create ~noise_seed:3 program in
     let p = Profile.create () in
     Profile.attach p node;
     let outputs =
-      List.init 2 (fun i -> Node.run node ~inputs:(inputs_for program ~seed:(42 + i)))
+      List.init 2 (fun i -> run node ~inputs:(inputs_for program ~seed:(42 + i)))
     in
     Node.finish_energy node;
     (node, outputs, Json.to_string (Profile.to_json p), Chrome_trace.to_string p)
   in
-  let nf, of_, jf, tf = profiled ~fast:true in
-  let nr, or_, jr, tr = profiled ~fast:false in
+  let nf, of_, jf, tf = profiled Node.run in
+  let nr, or_, jr, tr = profiled Node.run_reference in
   List.filter_map
     (fun (what, ok) -> if ok then None else Some what)
     [

@@ -86,15 +86,15 @@ let test_differential_vs_batch () =
         fleet)
     [ None; Some 2 ]
 
-(* The report is a pure function of the workload: host domain count and
-   the simulator fast path must not leak into any field, on single-node
-   and on 2-chip fleet slots alike. *)
+(* The report is a pure function of the workload: the host domain count
+   must not leak into any field, on single-node and on 2-chip fleet slots
+   alike. *)
 let test_domain_count_independent () =
   let fleet = Lazy.force fleet and workload = Lazy.force workload in
   List.iter
     (fun cluster_nodes ->
-      let run ?fast domains =
-        Engine.run ~domains ?fast ?cluster_nodes serve_config fleet workload
+      let run domains =
+        Engine.run ~domains ?cluster_nodes serve_config fleet workload
       in
       let reference = run 1 in
       let label what =
@@ -107,9 +107,7 @@ let test_domain_count_independent () =
             (label (Printf.sprintf "domains=%d" domains))
             true
             (run domains = reference))
-        [ 2; 4 ];
-      Alcotest.(check bool) (label "reference loop") true
-        (run ~fast:false 2 = reference))
+        [ 2; 4 ])
     [ None; Some 2 ]
 
 let test_zero_load_drain () =
