@@ -1359,7 +1359,7 @@ let run_scaleout () =
       }
     in
     let r = Compile.compile ~options mini_config g in
-    Puma_fault.Campaign.run_cluster ~nodes:r.Compile.nodes_used
+    Puma_fault.Campaign.run ~nodes:r.Compile.nodes_used
       ~key:"mini-lstm" r.Compile.program
       {
         Puma_fault.Campaign.default_spec with
@@ -1368,9 +1368,9 @@ let run_scaleout () =
         samples = (if quick then 4 else 8);
       }
   in
-  let ft = Puma_fault.Campaign.cluster_table fault_report in
+  let ft = Puma_fault.Campaign.table fault_report in
   let fault_json =
-    match Puma_fault.Campaign.cluster_to_json fault_report with
+    match Puma_fault.Campaign.to_json fault_report with
     | Json.Obj fields -> Json.Obj (("table", Json.String "faults") :: fields)
     | j -> j
   in

@@ -295,8 +295,15 @@ let run_cmd =
                 (Puma_util.Tensor.vec_max_abs_diff w h))
             want
         in
+        let options =
+          {
+            Compile.default_options with
+            static_analysis = not no_analysis;
+            check_equiv = not no_analysis;
+          }
+        in
         if nodes = 1 then begin
-          let session = Puma.Session.create ~config g in
+          let session = Puma.Session.create ~config ~options g in
           let got = Puma.Session.infer session inputs in
           report_outputs got;
           Format.printf "%a@." Puma_sim.Metrics.pp
@@ -306,12 +313,7 @@ let run_cmd =
           let topology = parse_topology topology in
           let scheme = parse_scheme scheme in
           let options =
-            {
-              Compile.default_options with
-              cluster = Some { Partition.nodes; scheme };
-              static_analysis = not no_analysis;
-              check_equiv = not no_analysis;
-            }
+            { options with cluster = Some { Partition.nodes; scheme } }
           in
           let r = Compile.compile ~options config g in
           let program = r.Compile.program in
@@ -1383,52 +1385,39 @@ let faults_cmd =
             remap;
           }
         in
-        let config = config_of_dim dim in
-        let cache = Puma_runtime.Program_cache.create () in
-        let g = graph_of m in
-        if nodes > 1 then begin
-          let topology = parse_topology topology in
-          let options =
-            {
-              Compile.default_options with
-              cluster = Some { Partition.nodes; scheme = parse_scheme scheme };
-            }
-          in
-          let result = Compile.compile ~options config g in
-          let report =
-            Puma_fault.Campaign.run_cluster ~domains ~topology
-              ~nodes:result.Puma_compiler.Compile.nodes_used ~key:model
-              result.Puma_compiler.Compile.program spec
-          in
-          if json then
-            print_endline
-              (Puma_util.Json.to_string
-                 (Puma_fault.Campaign.cluster_to_json report))
-          else Puma_util.Table.print (Puma_fault.Campaign.cluster_table report)
-        end
+        let cluster =
+          if nodes > 1 then
+            Some { Partition.nodes; scheme = parse_scheme scheme }
+          else None
+        in
+        let result =
+          Compile.compile
+            ~options:{ Compile.default_options with cluster }
+            (config_of_dim dim) (graph_of m)
+        in
+        (* Without a cluster option, [nodes_used] counts the chips the
+           program spills onto, which one chip's simulator models itself. *)
+        let nodes_used =
+          if nodes > 1 then result.Compile.nodes_used else 1
+        in
+        let report =
+          Puma_fault.Campaign.run ~domains ~nodes:nodes_used
+            ~topology:(parse_topology topology) ~key:model
+            result.Compile.program spec
+        in
+        if json then
+          print_endline
+            (Puma_util.Json.to_string (Puma_fault.Campaign.to_json report))
         else begin
-          let result =
-            Puma_runtime.Program_cache.get cache ~config ~key:model (fun () ->
-                g)
-          in
-          let program = result.Puma_compiler.Compile.program in
-          let report =
-            Puma_fault.Campaign.run ~domains ~key:model program spec
-          in
-          if json then
-            print_endline
-              (Puma_util.Json.to_string (Puma_fault.Campaign.to_json report))
-          else begin
-            Puma_util.Table.print (Puma_fault.Campaign.table report);
-            Array.iter
-              (fun (p : Puma_fault.Campaign.point) ->
-                List.iter
-                  (fun d ->
-                    Format.printf "rate %.0e seed %d: %a@." p.rate p.fault_seed
-                      Puma_analysis.Diag.pp d)
-                  p.diags)
-              report.points
-          end
+          Puma_util.Table.print (Puma_fault.Campaign.table report);
+          Array.iter
+            (fun (p : Puma_fault.Campaign.point) ->
+              List.iter
+                (fun d ->
+                  Format.printf "rate %.0e seed %d: %a@." p.rate p.fault_seed
+                    Puma_analysis.Diag.pp d)
+                p.diags)
+            report.points
         end
   in
   Cmd.v

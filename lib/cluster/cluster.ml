@@ -46,10 +46,10 @@ let split_program program ~nodes = snd (split program ~nodes)
 type t = { shards : Node.t array; runner : Node.t }
 
 let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
-    ?(noise_seed = 42) ?node_faults (program : Program.t) =
-  (match node_faults with
+    ?(noise_seed = 42) ?faults (program : Program.t) =
+  (match faults with
   | Some plans when Array.length plans <> nodes ->
-      invalid_arg "Cluster.create: node_faults must have one slot per node"
+      invalid_arg "Cluster.create: faults must have one slot per node"
   | Some _ | None -> ());
   let config = program.Program.config in
   let stride, shard_programs = split program ~nodes in
@@ -69,9 +69,7 @@ let create ?(nodes = 2) ?(topology = Fabric.Mesh2d) ?(zero_cost = false)
         (* Each chip programs its crossbars from its own noise stream and
            its own fault plan — node k's devices are independent of node
            j's. *)
-        let faults =
-          Option.bind node_faults (fun plans -> plans.(k))
-        in
+        let faults = Option.bind faults (fun plans -> plans.(k)) in
         Node.create ~noise_seed:(noise_seed + k) ?faults ~energy sp)
       shard_programs
   in

@@ -35,13 +35,13 @@ val create :
   ?topology:Puma_noc.Fabric.topology ->
   ?zero_cost:bool ->
   ?noise_seed:int ->
-  ?node_faults:Puma_xbar.Fault.plan option array ->
+  ?faults:Puma_xbar.Fault.plan option array ->
   Puma_isa.Program.t ->
   t
 (** Split the program across [nodes] (default 2) chips connected by the
     given fabric topology (default [Mesh2d]). Each node programs its
     crossbars from its own noise stream ([noise_seed + k]) and its own
-    entry of [node_faults] (length must equal [nodes]), modelling
+    slot of [faults] (length must equal [nodes]), modelling
     independent physical chips; all of them charge the cluster's one
     energy ledger. *)
 

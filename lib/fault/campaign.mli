@@ -1,20 +1,25 @@
 (** Monte-Carlo fault-injection campaigns.
 
     A campaign sweeps a grid of fault rates x fault seeds over one
-    compiled program: each grid point realizes a fault plan (optionally
-    with the {!Remap} healing pass), replays the same input batch through
+    compiled program on a machine of one or more chips: each grid point
+    realizes one fault plan per chip (optionally with the {!Remap}
+    healing pass), replays the same input batch through
     {!Puma_runtime.Batch.run}, and compares every response against a
-    golden fault-free run of the identical batch. Accuracy is reported in
-    fixed-point ulps (Q3.12 raw-value distance) and as the argmax flip
-    rate — the fraction of inferences whose predicted class changed.
+    golden fault-free run of the identical batch on the same machine.
+    Accuracy is reported in fixed-point ulps (Q3.12 raw-value distance)
+    and as the argmax flip rate — the fraction of inferences whose
+    predicted class changed. On several chips each point also measures
+    every chip's blast radius: the flip rate with only that chip's
+    faults live.
 
     Determinism: the golden run and every point use the same
     {!Puma_runtime.Batch.random_requests} batch (from [input_seed]) and
-    run their node simulations serially inside the point, while points
+    run their machine simulations serially inside the point, while points
     are sharded across domains with {!Puma_util.Pool}. Every point is a
-    function of [(program, spec, rate, fault_seed)] only, so reports are
-    bit-identical regardless of the domain count, and a single point can
-    be re-realized in isolation from its coordinates. *)
+    function of [(program, nodes, topology, spec, rate, fault_seed)]
+    only, so reports are bit-identical regardless of the domain count,
+    and a single point can be re-realized in isolation from its
+    coordinates. *)
 
 (** Campaign specification. [base] supplies the fault-model shape —
     stuck-ON fraction, drift parameters, ADC offset sigma — while the
@@ -38,21 +43,28 @@ val at_rate : Fault_model.t -> float -> Fault_model.t
     [dead_out_rate] all set to [r] — the swept "fault rate" applies
     per-device for stuck cells and per-line for dead lines. *)
 
-(** One evaluated grid point. *)
+(** One evaluated grid point. Counts and diagnostics sum over every
+    chip. *)
 type point = {
   rate : float;
   fault_seed : int;
   total_faults : int;  (** Realized faulty elements across all MVMUs. *)
+  node_faults : int array;  (** Realized faulty elements per chip. *)
   remapped_mvmus : int;  (** Stacks given non-identity permutations. *)
   fault_errors : int;  (** [E-FAULT] diagnostics from the remap pass. *)
   fault_warnings : int;  (** [W-FAULT] diagnostics from the remap pass. *)
   diags : Puma_analysis.Diag.t list;
+      (** Chip by chip; locations name global tile indices. *)
   max_err_ulps : int;
       (** Max Q3.12 raw distance to the golden outputs over all samples
           and output elements. *)
   mean_err_ulps : float;  (** Mean over all output elements. *)
   flip_rate : float;
-      (** Fraction of samples whose output argmax changed. *)
+      (** Fraction of samples whose output argmax changed, with every
+          chip faulted. *)
+  node_flip_rates : float array;
+      (** Flip rate with only chip [k]'s faults live; [[| flip_rate |]]
+          on one chip. *)
   mean_cycles : float;  (** Mean per-request simulated cycles. *)
   responses : Puma_runtime.Batch.response array;
       (** Raw responses (request-index order) for differential tests. *)
@@ -60,16 +72,30 @@ type point = {
 
 type report = {
   key : string;  (** Model/program label for rendering. *)
+  nodes : int;  (** Chips the program runs on. *)
+  topology : Puma_noc.Fabric.topology;  (** Their chip-to-chip fabric. *)
   spec : spec;
   golden : Puma_runtime.Batch.response array;
   points : point array;  (** Rate-major, seed-minor grid order. *)
 }
 
 val run :
-  ?domains:int -> key:string -> Puma_isa.Program.t -> spec -> report
-(** Evaluate the full grid. [domains] (default
-    {!Puma_util.Pool.default_domains}) shards grid points, not the
-    per-point simulations. *)
+  ?domains:int ->
+  ?nodes:int ->
+  ?topology:Puma_noc.Fabric.topology ->
+  key:string ->
+  Puma_isa.Program.t ->
+  spec ->
+  report
+(** Evaluate the full grid on a machine of [nodes] chips (default 1)
+    linked by fabric [topology] (default mesh). Chip [k]'s plan is
+    {!Remap.build} on its shard from {!Puma_cluster.Cluster.split_program}
+    (on one chip, the whole program); chip 0 takes the point's
+    [fault_seed], chip [k > 0] [Batch.request_seed ~seed:fault_seed
+    ~index:k]. The per-chip blast-radius reruns happen only when
+    [nodes > 1]. [domains] (default {!Puma_util.Pool.default_domains})
+    shards grid points, not the per-point simulations; reports are
+    bit-identical for any value. *)
 
 val by_rate : report -> (float * point list) list
 (** Points grouped by rate, in sweep order. *)
@@ -79,67 +105,7 @@ val to_json : report -> Puma_util.Json.t
     raw responses. *)
 
 val table : report -> Puma_util.Table.t
-(** One row per (rate, seed) point plus a mean row per rate. *)
+(** One row per (rate, seed) point plus a mean row per rate; on several
+    chips, one [n<k> flip] column per chip before the flip rate. *)
 
 val pp : Format.formatter -> report -> unit
-
-(** {2 Multi-node campaigns}
-
-    The scale-out counterpart: the program is split across a
-    {!Puma_cluster.Cluster} and every chip realizes its faults
-    independently (its own shard program, its own derived seed) —
-    modelling a multi-chip machine whose defect maps are uncorrelated.
-    Each grid point measures the cluster-wide argmax flip rate with all
-    chips faulted, plus one blast-radius rerun per chip with only that
-    chip's plan live. *)
-
-(** One evaluated multi-node grid point. *)
-type cluster_point = {
-  c_rate : float;
-  c_fault_seed : int;
-  node_faults : int array;  (** Realized faulty elements per node. *)
-  c_total_faults : int;  (** Sum over all nodes. *)
-  c_fault_errors : int;  (** [E-FAULT] diagnostics over all nodes. *)
-  c_fault_warnings : int;  (** [W-FAULT] diagnostics over all nodes. *)
-  node_flip_rates : float array;
-      (** Flip rate with only node [k]'s faults live. *)
-  c_flip_rate : float;  (** Flip rate with every node faulted. *)
-  c_max_err_ulps : int;
-  c_mean_err_ulps : float;
-  c_mean_cycles : float;  (** Mean per-request cluster cycles (faulted). *)
-}
-
-type cluster_report = {
-  c_key : string;
-  c_nodes : int;
-  c_topology : Puma_noc.Fabric.topology;
-  c_spec : spec;
-  c_golden : Puma_runtime.Batch.response array;
-  c_points : cluster_point array;  (** Rate-major, seed-minor order. *)
-}
-
-val run_cluster :
-  ?domains:int ->
-  ?topology:Puma_noc.Fabric.topology ->
-  nodes:int ->
-  key:string ->
-  Puma_isa.Program.t ->
-  spec ->
-  cluster_report
-(** Evaluate the grid on an [nodes]-chip cluster (fabric [topology],
-    default mesh). The golden batch is a fault-free cluster run of the
-    same requests, so the comparison isolates fault effects from any
-    (zero, by the bit-identity contract) partitioning effects. Node
-    [k]'s fault plan is realized from its shard program with seed
-    [Batch.request_seed ~seed:fault_seed ~index:k]. [domains] shards
-    grid points; reports are bit-identical for any value. [fast] is
-    forwarded to every cluster, as in {!run}. *)
-
-val cluster_to_json : cluster_report -> Puma_util.Json.t
-(** Machine-readable report (schema in [docs/SCALEOUT.md]). *)
-
-val cluster_table : cluster_report -> Puma_util.Table.t
-(** One row per (rate, seed) point: per-node flip rates, then the
-    cluster flip rate. *)
-
-val pp_cluster : Format.formatter -> cluster_report -> unit

@@ -139,7 +139,8 @@ let build ?(remap = true) ~model ~seed (program : Program.t) =
             in
             if !lost_out > 0 then
               diags :=
-                Diag.error ~code:"E-FAULT" ~tile:ti ~core:img.core_index
+                Diag.error ~code:"E-FAULT" ~tile:tp.tile_index
+                  ~core:img.core_index
                   "mvmu %d: %d live output line(s) remain on dead columns \
                    (%d dead, %d spare rows) — those outputs are destroyed"
                   img.mvmu_index !lost_out
@@ -150,7 +151,8 @@ let build ?(remap = true) ~model ~seed (program : Program.t) =
                 :: !diags;
             if !lost_in > 0 then
               diags :=
-                Diag.error ~code:"E-FAULT" ~tile:ti ~core:img.core_index
+                Diag.error ~code:"E-FAULT" ~tile:tp.tile_index
+                  ~core:img.core_index
                   "mvmu %d: %d live input line(s) remain on dead rows (%d \
                    dead, %d spare columns) — their contributions are lost"
                   img.mvmu_index !lost_in
@@ -181,7 +183,8 @@ let build ?(remap = true) ~model ~seed (program : Program.t) =
             in
             if residual > 0 then
               diags :=
-                Diag.warning ~code:"W-FAULT" ~tile:ti ~core:img.core_index
+                Diag.warning ~code:"W-FAULT" ~tile:tp.tile_index
+                  ~core:img.core_index
                   "mvmu %d: %d stuck device(s) remain under nonzero weights \
                    after remapping (of %d stuck)"
                   img.mvmu_index residual

@@ -24,7 +24,9 @@ type t = {
           {!Puma_runtime.Batch.run}: model + seed, with the remap table
           filled in (empty when [remap:false]). *)
   diags : Puma_analysis.Diag.t list;
-      (** Capacity diagnostics, sorted; only produced when remapping. *)
+      (** Capacity diagnostics, sorted; only produced when remapping.
+          Locations name each tile by its [tile_index], so a cluster
+          shard's diagnostics carry global tile indices. *)
   total_faults : int;
       (** Realized faulty elements over all programmed MVMUs
           ({!Puma_xbar.Fault.count}); independent of remapping. *)

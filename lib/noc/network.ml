@@ -16,7 +16,7 @@ module Heap = Puma_util.Heap
 type t = {
   config : Puma_hwmodel.Config.t;
   topology : Topology.t;
-  fabric : Fabric.t option;
+  fabric : Fabric.t;
   energy : Puma_hwmodel.Energy.t;
   pending : message Heap.t;
   (* Wormhole routing preserves ordering between a given source and
@@ -29,7 +29,7 @@ type t = {
   next_delivery : (int * int * int, int) Hashtbl.t;
 }
 
-let create ?fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
+let create ~fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
   {
     config = c;
     topology = Topology.create ~concentration:4 ~num_tiles ();
@@ -41,16 +41,6 @@ let create ?fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
     next_delivery = Hashtbl.create 32;
   }
 
-(* Tiles beyond [tiles_per_node] live on further nodes; messages between
-   nodes cross the HyperTransport-like chip-to-chip link (Section 3.2.5:
-   larger models scale to multiple nodes). *)
-let node_of t tile =
-  match t.fabric with
-  | Some f -> Fabric.node_of f tile
-  | None -> tile / t.config.tiles_per_node
-
-let crosses_nodes t ~src ~dst = node_of t src <> node_of t dst
-
 let topology t = t.topology
 let fabric t = t.fabric
 let router_latency = 4
@@ -59,13 +49,8 @@ let words_per_flit = 2
 let transit_cycles t ~src ~dst ~words =
   let hops = Topology.hops t.topology src dst in
   let flits = (words + words_per_flit - 1) / words_per_flit in
-  let base = (hops * router_latency) + flits in
-  match t.fabric with
-  | Some f -> base + Fabric.transfer_cycles f t.config ~src ~dst ~words
-  | None ->
-      if crosses_nodes t ~src ~dst then
-        base + Offchip.transfer_cycles t.config ~words
-      else base
+  (hops * router_latency) + flits
+  + Fabric.transfer_cycles t.fabric t.config ~src ~dst ~words
 
 let send t ~now msg =
   let chan = (msg.src_tile, msg.dst_tile, msg.fifo_id) in
@@ -85,15 +70,10 @@ let send t ~now msg =
   Hashtbl.replace t.last_arrival key arrival;
   let hops = Topology.hops t.topology msg.src_tile msg.dst_tile in
   Puma_hwmodel.Energy.add t.energy Noc (words * max 1 hops);
-  (match t.fabric with
-  | Some f ->
-      let events =
-        Fabric.offchip_words f ~src:msg.src_tile ~dst:msg.dst_tile ~words
-      in
-      if events > 0 then Puma_hwmodel.Energy.add t.energy Offchip events
-  | None ->
-      if crosses_nodes t ~src:msg.src_tile ~dst:msg.dst_tile then
-        Puma_hwmodel.Energy.add t.energy Offchip words);
+  let events =
+    Fabric.offchip_words t.fabric ~src:msg.src_tile ~dst:msg.dst_tile ~words
+  in
+  if events > 0 then Puma_hwmodel.Energy.add t.energy Offchip events;
   Heap.push t.pending arrival msg
 
 let pop_arrived t ~now =

@@ -32,21 +32,22 @@ exception Reordered of string
 type t
 
 val create :
-  ?fabric:Fabric.t ->
+  fabric:Fabric.t ->
   Puma_hwmodel.Config.t ->
   energy:Puma_hwmodel.Energy.t ->
   num_tiles:int ->
   t
-(** Without [fabric], tiles group into nodes of [Config.tiles_per_node]
-    and every cross-node message pays one {!Offchip} link (the original
-    single-chip-with-spill model — behavior is unchanged). With [fabric],
-    the node mapping, extra latency, and off-chip energy all come from
-    the {!Fabric}, multiplying per-hop costs along its topology. *)
+(** The [fabric] is the one chip-to-chip cost model: the node mapping,
+    extra latency and off-chip energy of a message all come from it,
+    multiplying per-hop costs along its topology. A single chip whose
+    tiles spill past [Config.tiles_per_node] passes an all-to-all fabric
+    ({!Puma_sim.Node.create} does), so every cross-node message pays
+    exactly one {!Offchip} link. *)
 
 val topology : t -> Topology.t
 
-val fabric : t -> Fabric.t option
-(** The inter-node fabric given to {!create}, if any. *)
+val fabric : t -> Fabric.t
+(** The inter-node fabric given to {!create}. *)
 
 val router_latency : int
 (** Cycles per router traversal (4, matching a 4-stage router at the
@@ -55,9 +56,9 @@ val router_latency : int
 val words_per_flit : int
 
 val transit_cycles : t -> src:int -> dst:int -> words:int -> int
-(** Total network latency for a message. Tiles are grouped into nodes of
-    [tiles_per_node]; messages between nodes additionally cross the
-    6.4 GB/s chip-to-chip link (latency and energy). *)
+(** Total network latency for a message: router hops and flit
+    serialization, plus {!Fabric.transfer_cycles} when the message
+    crosses nodes (the 6.4 GB/s chip-to-chip link per fabric hop). *)
 
 val send : t -> now:int -> message -> unit
 (** Inject a message; it arrives at [now + transit_cycles]. Charges NoC

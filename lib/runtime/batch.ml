@@ -77,20 +77,22 @@ let random_requests program ~batch ~seed =
    cycles cheaper (cold pipelines and attribute memories); running a
    throwaway all-zero inference first puts every node in the same steady
    state, so a request's cycle count does not depend on whether it
-   happened to be the first one its worker served. Several chips (or
-   per-chip fault plans) make the machine a cluster's joined node. *)
-let warmed_node ?noise_seed ?faults ?(nodes = 1) ?topology ?node_faults program
-    =
-  let node =
-    if nodes = 1 && node_faults = None then
-      Node.create ?noise_seed ?faults program
-    else if Option.is_some faults then
+   happened to be the first one its worker served. Several chips make
+   the machine a cluster's joined node. *)
+let warmed_node ?noise_seed ?faults ?(nodes = 1) ?topology program =
+  (match faults with
+  | Some plans when Array.length plans <> nodes ->
       invalid_arg
-        "Batch.warmed_node: ~faults is one chip's plan; a cluster takes \
-         ~node_faults"
+        (Printf.sprintf "Batch.warmed_node: %d fault plans for %d chips"
+           (Array.length plans) nodes)
+  | Some _ | None -> ());
+  let node =
+    if nodes = 1 then
+      Node.create ?noise_seed
+        ?faults:(Option.bind faults (fun plans -> plans.(0)))
+        program
     else
-      Cluster.node
-        (Cluster.create ~nodes ?topology ?noise_seed ?node_faults program)
+      Cluster.node (Cluster.create ~nodes ?topology ?noise_seed ?faults program)
   in
   let zeros =
     List.map (fun (name, len) -> (name, Array.make len 0.0))

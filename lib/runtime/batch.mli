@@ -80,10 +80,9 @@ val random_requests :
 
 val warmed_node :
   ?noise_seed:int ->
-  ?faults:Puma_xbar.Fault.plan ->
+  ?faults:Puma_xbar.Fault.plan option array ->
   ?nodes:int ->
   ?topology:Puma_noc.Fabric.topology ->
-  ?node_faults:Puma_xbar.Fault.plan option array ->
   Puma_isa.Program.t ->
   Puma_sim.Node.t
 (** A fresh machine that has already served one throwaway all-zero
@@ -93,13 +92,12 @@ val warmed_node :
     warm-up's cycles and energy stay on the node's counters — callers
     measure per-request deltas ({!serve}).
 
-    With [nodes = 1] (the default) and no [node_faults] it is one
-    {!Puma_sim.Node}; otherwise it is the {!Puma_cluster.Cluster.node} of
-    a cluster of [nodes] chips on fabric [topology] (default mesh), with
-    one fault plan per chip from [node_faults]. [faults] is a single
-    chip's plan: combined with a cluster it raises [Invalid_argument].
-    The remaining arguments are {!Puma_sim.Node.create}'s and
-    {!Puma_cluster.Cluster.create}'s. *)
+    With [nodes = 1] (the default) it is one {!Puma_sim.Node}; otherwise
+    it is the {!Puma_cluster.Cluster.node} of a cluster of [nodes] chips
+    on fabric [topology] (default mesh). [faults] holds one fault plan
+    slot per chip ([None] leaves that chip fault-free); an array of any
+    other length raises [Invalid_argument]. The remaining arguments are
+    {!Puma_sim.Node.create}'s and {!Puma_cluster.Cluster.create}'s. *)
 
 val serve : Puma_sim.Node.t -> request -> response
 (** Serve one request on a (warmed) machine: its outputs, and its cycles
@@ -114,7 +112,7 @@ val run :
   ?cluster_nodes:int ->
   ?topology:Puma_noc.Fabric.topology ->
   ?noise_seed:int ->
-  ?faults:Puma_xbar.Fault.plan ->
+  ?faults:Puma_xbar.Fault.plan option array ->
   ?profile:bool ->
   Puma_isa.Program.t ->
   request list ->
@@ -125,16 +123,14 @@ val run :
     [cluster_nodes > 1] makes each worker's machine a cluster of that
     many chips (fabric [topology], default mesh) — [domains] then
     replicates whole clusters, so the two axes compose: host-parallel
-    workers, each simulating one multi-chip machine. [faults] is
-    single-chip only (per-node fault plans go through
-    [Campaign.run_cluster]) and raises [Invalid_argument] with a cluster.
+    workers, each simulating one multi-chip machine.
 
     [domains] defaults to
-    {!Puma_util.Pool.default_domains}; [noise_seed] and [faults] are
-    passed to every worker's machine (defaults as
-    {!Puma_sim.Node.create} — with [faults], every worker node carries
-    the same deterministically realized fault set, so responses stay
-    independent of the domain count). The response array is in
+    {!Puma_util.Pool.default_domains}; [noise_seed] and [faults] (one
+    slot per chip, as in {!warmed_node}) are passed to every worker's
+    machine — with [faults], every worker machine carries the same
+    deterministically realized fault set, so responses stay independent
+    of the domain count. The response array is in
     request-index order. Raises like {!Puma_sim.Node.run} on bad programs
     or missing inputs.
 

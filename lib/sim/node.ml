@@ -3,6 +3,7 @@ module Tile = Puma_tile.Tile
 module Fastexec = Puma_tile.Fastexec
 module Core = Puma_arch.Core
 module Network = Puma_noc.Network
+module Fabric = Puma_noc.Fabric
 module Energy = Puma_hwmodel.Energy
 module Fixed = Puma_util.Fixed
 module Heap = Puma_util.Heap
@@ -106,8 +107,16 @@ let create ?(noise_seed = 42) ?faults ?energy (program : Program.t) =
     (fun ((b : Program.io_binding), raw) ->
       Tile.host_write tiles.(b.tile) ~addr:b.mem_addr ~values:raw)
     program.constants;
+  (* Tiles past [tiles_per_node] spill onto further chips, each one
+     chip-to-chip link from every other. *)
+  let fabric =
+    let per = config.tiles_per_node in
+    Fabric.create ~topology:All_to_all
+      ~nodes:(max 1 ((ntiles + per - 1) / per))
+      ~tiles_per_node:per ()
+  in
   assemble ~energy
-    ~network:(Network.create config ~energy ~num_tiles:(max 1 ntiles))
+    ~network:(Network.create ~fabric config ~energy ~num_tiles:(max 1 ntiles))
     program tiles
 
 (* A runner over the concatenated tiles of [shards] (shared, not copied),
@@ -222,13 +231,11 @@ let advance_or_deadlock t =
          (match Network.next_arrival t.network with
           | Some a -> string_of_int a
           | None -> "none"));
-    (* Under a fabric (a cluster runner), each line names its chip. *)
+    (* On a machine of several chips, each line names its chip. *)
     let where =
-      match Network.fabric t.network with
-      | None -> Printf.sprintf "tile %d"
-      | Some f ->
-          fun ti ->
-            Printf.sprintf "node %d tile %d" (Puma_noc.Fabric.node_of f ti) ti
+      let f = Network.fabric t.network in
+      if Fabric.nodes f = 1 then Printf.sprintf "tile %d"
+      else fun ti -> Printf.sprintf "node %d tile %d" (Fabric.node_of f ti) ti
     in
     Array.iteri
       (fun ti tile ->

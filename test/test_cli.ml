@@ -52,6 +52,7 @@ let test_known_good_exit_0 () =
       [ "analyze"; "mlp"; "--dim"; "32"; "--equiv" ];
       [ "compile"; "mlp"; "--dim"; "32"; "--no-equiv" ];
       [ "run"; "mlp"; "--dim"; "32" ];
+      [ "run"; "lenet5"; "--no-analysis" ];
       [
         "batch"; "--model"; "mlp"; "--dim"; "32"; "--batch-size"; "2";
         "--domains"; "1";

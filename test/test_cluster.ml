@@ -224,7 +224,7 @@ let test_node_faults_are_per_node () =
   let faulty k =
     let plans = Array.make 2 None in
     plans.(k) <- Some plan;
-    let cl = Cluster.create ~nodes:2 ~node_faults:plans program in
+    let cl = Cluster.create ~nodes:2 ~faults:plans program in
     Cluster.run cl ~inputs
   in
   let out0 = faulty 0 and out1 = faulty 1 in
@@ -332,8 +332,8 @@ let qcheck_cluster_matches_single =
 (* Everything a cluster exposes after two back-to-back inferences on one
    loop ([Node.run] or [Node.run_reference] on its node), and which loop
    the last one took. *)
-let observe ?node_faults run ~nodes ~topology program =
-  let cl = Cluster.create ~nodes ~topology ?node_faults program in
+let observe ?faults run ~nodes ~topology program =
+  let cl = Cluster.create ~nodes ~topology ?faults program in
   let outs =
     List.map
       (fun seed ->
@@ -347,12 +347,12 @@ let observe ?node_faults run ~nodes ~topology program =
       List.map snd (Cluster.energy_counts cl),
       Cluster.offchip_words cl ) )
 
-let check_fast_matches_reference ?node_faults label ~nodes ~topology program =
+let check_fast_matches_reference ?faults label ~nodes ~topology program =
   let fast_taken, (outs, cycles, counts, words) =
-    observe ?node_faults Node.run ~nodes ~topology program
+    observe ?faults Node.run ~nodes ~topology program
   in
   let ref_taken, (ref_outs, ref_cycles, ref_counts, ref_words) =
-    observe ?node_faults Node.run_reference ~nodes ~topology program
+    observe ?faults Node.run_reference ~nodes ~topology program
   in
   Alcotest.(check bool) (label ^ ": fast loop taken") true fast_taken;
   Alcotest.(check bool) (label ^ ": reference loop taken") false ref_taken;
@@ -405,7 +405,7 @@ let test_fast_vs_reference_faults () =
          })
   in
   check_fast_matches_reference "lstm with per-node faults"
-    ~node_faults:(Array.init nodes (fun k -> plan (11 + k)))
+    ~faults:(Array.init nodes (fun k -> plan (11 + k)))
     ~nodes ~topology:Fabric.Mesh2d program
 
 let qcheck_fast_matches_reference =

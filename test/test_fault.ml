@@ -148,20 +148,20 @@ let test_zero_fault_differential () =
   List.iter
     (fun domains ->
       let report =
-        Campaign.run_cluster ~domains ~nodes:2 ~key:"mlp" program
+        Campaign.run ~domains ~nodes:2 ~key:"mlp" program
           { zero_spec with remap = domains mod 2 = 0 }
       in
       check_responses_identical
         (Printf.sprintf "cluster golden d=%d" domains)
-        plain report.Campaign.c_golden;
+        plain report.Campaign.golden;
       Array.iter
-        (fun (p : Campaign.cluster_point) ->
-          Alcotest.(check int) "no cluster faults" 0 p.c_total_faults;
-          Alcotest.(check int) "cluster max err 0" 0 p.c_max_err_ulps;
-          Alcotest.(check (float 0.0)) "cluster flip rate 0" 0.0 p.c_flip_rate;
+        (fun (p : Campaign.point) ->
+          Alcotest.(check int) "no cluster faults" 0 p.total_faults;
+          Alcotest.(check int) "cluster max err 0" 0 p.max_err_ulps;
+          Alcotest.(check (float 0.0)) "cluster flip rate 0" 0.0 p.flip_rate;
           Alcotest.(check (array (float 0.0)))
             "per-node flip rates 0" [| 0.0; 0.0 |] p.node_flip_rates)
-        report.Campaign.c_points)
+        report.Campaign.points)
     [ 1; 2; 4 ]
 
 let test_campaign_deterministic_across_domains () =
@@ -187,21 +187,68 @@ let test_campaign_deterministic_across_domains () =
         (Float.equal pa.flip_rate pb.flip_rate);
       check_responses_identical "responses" pa.responses pb.responses)
     a.Campaign.points;
-  let a = Campaign.run_cluster ~domains:1 ~nodes:2 ~key:"mlp" program spec in
-  let b = Campaign.run_cluster ~domains:4 ~nodes:2 ~key:"mlp" program spec in
-  check_responses_identical "cluster golden" a.Campaign.c_golden
-    b.Campaign.c_golden;
+  let a = Campaign.run ~domains:1 ~nodes:2 ~key:"mlp" program spec in
+  let b = Campaign.run ~domains:4 ~nodes:2 ~key:"mlp" program spec in
+  check_responses_identical "cluster golden" a.Campaign.golden
+    b.Campaign.golden;
   Alcotest.(check bool) "cluster faults realized" true
     (Array.exists
-       (fun (p : Campaign.cluster_point) -> p.c_total_faults > 0)
-       a.Campaign.c_points);
+       (fun (p : Campaign.point) -> p.total_faults > 0)
+       a.Campaign.points);
   Array.iteri
-    (fun i (pa : Campaign.cluster_point) ->
+    (fun i (pa : Campaign.point) ->
       Alcotest.(check bool)
         (Printf.sprintf "cluster point %d identical" i)
         true
-        (pa = b.Campaign.c_points.(i)))
-    a.Campaign.c_points
+        (pa = b.Campaign.points.(i)))
+    a.Campaign.points
+
+(* The seed rule: chip 0 realizes from the point's fault seed, chip k
+   from [Batch.request_seed ~seed:fault_seed ~index:k], each on its own
+   shard. On one chip the campaign is a plain faulted batch. *)
+let test_chip_seed_rule () =
+  let program = Lazy.force mlp32 in
+  let spec =
+    {
+      Campaign.default_spec with
+      rates = [ 5e-3 ];
+      fault_seeds = [ 3 ];
+      samples = 4;
+      remap = true;
+    }
+  in
+  let model = Campaign.at_rate spec.Campaign.base 5e-3 in
+  let one = Campaign.run ~domains:1 ~key:"mlp" program spec in
+  let p = one.Campaign.points.(0) in
+  let plan = Remap.build ~remap:true ~model ~seed:3 program in
+  let requests =
+    Batch.random_requests program ~batch:spec.Campaign.samples
+      ~seed:spec.Campaign.input_seed
+  in
+  let want, _ =
+    Batch.run ~domains:1 ~faults:[| Some plan.Remap.plan |] program requests
+  in
+  check_responses_identical "one chip == plain faulted batch" want
+    p.responses;
+  Alcotest.(check int) "one chip: faults" plan.Remap.total_faults
+    p.total_faults;
+  Alcotest.(check (array int)) "one chip: node faults"
+    [| p.total_faults |] p.node_faults;
+  Alcotest.(check (array (float 0.0))) "one chip: node flip rates"
+    [| p.flip_rate |] p.node_flip_rates;
+  let two = Campaign.run ~domains:1 ~nodes:2 ~key:"mlp" program spec in
+  let p = two.Campaign.points.(0) in
+  let shards = Puma_cluster.Cluster.split_program program ~nodes:2 in
+  let chip k seed =
+    (Remap.build ~remap:true ~model ~seed shards.(k)).Remap.total_faults
+  in
+  Alcotest.(check int) "two chips: node faults sum" p.total_faults
+    (Array.fold_left ( + ) 0 p.node_faults);
+  Alcotest.(check (array int)) "two chips: per-chip seeds"
+    [| chip 0 3; chip 1 (Batch.request_seed ~seed:3 ~index:1) |]
+    p.node_faults;
+  Alcotest.(check int) "two chips: one flip rate per chip" 2
+    (Array.length p.node_flip_rates)
 
 let test_faults_perturb_outputs () =
   let program = Lazy.force mlp32 in
@@ -266,7 +313,9 @@ let test_perms_without_faults_bit_identical () =
     program.Puma_isa.Program.tiles;
   let requests = Batch.random_requests program ~batch:3 ~seed:5 in
   let plain, _ = Batch.run ~domains:1 program requests in
-  let permuted, _ = Batch.run ~domains:1 ~faults:plan program requests in
+  let permuted, _ =
+    Batch.run ~domains:1 ~faults:[| Some plan |] program requests
+  in
   check_responses_identical "permuted" plain permuted
 
 let test_remap_counts_and_flags () =
@@ -373,6 +422,12 @@ let test_report_json () =
   | Ok j ->
       Alcotest.(check (option string)) "model" (Some "mlp")
         (Option.bind (Json.member "model" j) Json.to_str);
+      Alcotest.(check (option int)) "nodes" (Some 1)
+        (match Json.member "nodes" j with
+        | Some (Json.Int n) -> Some n
+        | _ -> None);
+      Alcotest.(check (option string)) "topology" (Some "mesh")
+        (Option.bind (Json.member "topology" j) Json.to_str);
       Alcotest.(check (option bool)) "remap flag" (Some true)
         (match Json.member "remap" j with
         | Some (Json.Bool b) -> Some b
@@ -390,9 +445,10 @@ let test_report_json () =
                 true
                 (Json.member field p <> None))
             [
-              "rate"; "fault_seed"; "total_faults"; "remapped_mvmus";
-              "fault_errors"; "fault_warnings"; "max_err_ulps";
-              "mean_err_ulps"; "flip_rate"; "mean_cycles";
+              "rate"; "fault_seed"; "total_faults"; "node_faults";
+              "remapped_mvmus"; "fault_errors"; "fault_warnings";
+              "max_err_ulps"; "mean_err_ulps"; "flip_rate";
+              "node_flip_rates"; "mean_cycles";
             ])
         points;
       ignore (Puma_util.Table.render (Campaign.table report))
@@ -416,6 +472,7 @@ let () =
           Alcotest.test_case "faults perturb" `Quick test_faults_perturb_outputs;
           Alcotest.test_case "drift and adc perturb" `Quick
             test_drift_and_adc_perturb;
+          Alcotest.test_case "per-chip seed rule" `Quick test_chip_seed_rule;
         ] );
       ( "remap",
         [

@@ -1,5 +1,6 @@
 module Topology = Puma_noc.Topology
 module Network = Puma_noc.Network
+module Fabric = Puma_noc.Fabric
 module Offchip = Puma_noc.Offchip
 module Config = Puma_hwmodel.Config
 module Energy = Puma_hwmodel.Energy
@@ -46,7 +47,11 @@ let test_topology_average_hops () =
 
 let make_network () =
   let energy = Energy.create Config.default in
-  (Network.create Config.default ~energy ~num_tiles:16, energy)
+  let fabric =
+    Fabric.create ~topology:All_to_all ~nodes:1
+      ~tiles_per_node:Config.default.tiles_per_node ()
+  in
+  (Network.create ~fabric Config.default ~energy ~num_tiles:16, energy)
 
 let msg src dst words =
   {
@@ -158,7 +163,10 @@ let test_network_cross_node_penalty () =
      pay the off-chip serialization; 0 and 1 stay on-chip. *)
   let energy = Energy.create Config.default in
   let cfg = { Config.default with tiles_per_node = 2 } in
-  let net = Network.create cfg ~energy ~num_tiles:4 in
+  let fabric =
+    Fabric.create ~topology:All_to_all ~nodes:2 ~tiles_per_node:2 ()
+  in
+  let net = Network.create ~fabric cfg ~energy ~num_tiles:4 in
   let local = Network.transit_cycles net ~src:0 ~dst:1 ~words:64 in
   let remote = Network.transit_cycles net ~src:0 ~dst:2 ~words:64 in
   Alcotest.(check bool) "crossing nodes is much slower" true

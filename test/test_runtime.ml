@@ -279,17 +279,24 @@ let test_empty_batch () =
   Alcotest.(check int) "no cycles" 0 summary.Batch.makespan_cycles;
   Alcotest.(check (float 0.0)) "no throughput" 0.0 summary.Batch.throughput_inf_s
 
-(* A fault plan belongs to one chip: a cluster takes one per chip. *)
+(* A fault plan belongs to one chip: a machine takes one slot per chip. *)
 let test_cluster_rejects_single_plan () =
   let program = Lazy.force compiled in
   let plan =
     Puma_xbar.Fault.plan ~seed:1
       { Puma_xbar.Fault.ideal with stuck_rate = 1e-3 }
   in
-  Alcotest.(check bool) "faults with nodes > 1 raise" true
-    (match Batch.warmed_node ~faults:plan ~nodes:2 program with
+  let raises ~nodes faults =
+    match Batch.warmed_node ~faults ~nodes program with
     | _ -> false
-    | exception Invalid_argument _ -> true)
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "one plan for two chips raises" true
+    (raises ~nodes:2 [| Some plan |]);
+  Alcotest.(check bool) "two plans for one chip raise" true
+    (raises ~nodes:1 [| Some plan; None |]);
+  Alcotest.(check bool) "one slot per chip is accepted" false
+    (raises ~nodes:2 [| Some plan; None |])
 
 let () =
   Alcotest.run "runtime"
