@@ -20,10 +20,14 @@ type slot = {
   block : Puma_util.Tensor.mat;
 }
 
+type sum = { terms : int array; adds : int array }
+type sum_tree = Term of int | Plus of sum_tree * sum_tree
+
 type t = {
   dim : int;
   mutable node_list : lnode list;  (* reverse *)
   mutable node_count : int;
+  mutable sum_list : sum list;  (* reverse *)
   mutable slot_list : slot list;  (* reverse *)
   mutable slot_count : int;
   slot_index : (int * int * int, int) Hashtbl.t;
@@ -36,6 +40,7 @@ let create ~dim =
     dim;
     node_list = [];
     node_count = 0;
+    sum_list = [];
     slot_list = [];
     slot_count = 0;
     slot_index = Hashtbl.create 64;
@@ -82,6 +87,54 @@ let nodes t =
       let a = Array.of_list (List.rev t.node_list) in
       t.nodes_cache <- Some a;
       a
+
+let add_sum ?src t ~terms ~len =
+  let k = Array.length terms in
+  if k = 0 then invalid_arg "Lgraph.add_sum: no terms";
+  let acc = ref terms.(0) in
+  let adds =
+    Array.init (k - 1) (fun i ->
+        acc :=
+          add_node ?src t ~op:(L_binop Puma_graph.Graph.Add)
+            ~preds:[| !acc; terms.(i + 1) |] ~len;
+        !acc)
+  in
+  if k = 1 then terms.(0)
+  else begin
+    t.sum_list <- { terms = Array.copy terms; adds } :: t.sum_list;
+    adds.(k - 2)
+  end
+
+(* Re-wire one sum's Add nodes into [tree], numbering the internal nodes
+   in post-order: children before parents keeps every pred id below its
+   consumer's, and the root lands on the last id, the one consumers of the
+   sum already reference. *)
+let rewire a (s : sum) tree =
+  let next = ref 0 and leaves = ref [] in
+  let rec go = function
+    | Term id ->
+        leaves := id :: !leaves;
+        id
+    | Plus (l, r) ->
+        let l = go l in
+        let r = go r in
+        if !next >= Array.length s.adds then
+          invalid_arg "Lgraph.reshape_sums: tree has too many terms";
+        let id = s.adds.(!next) in
+        incr next;
+        a.(id) <- { (a.(id)) with preds = [| l; r |] };
+        id
+  in
+  ignore (go tree);
+  let sorted xs = List.sort compare xs in
+  if sorted !leaves <> sorted (Array.to_list s.terms) then
+    invalid_arg "Lgraph.reshape_sums: tree leaves are not the sum's terms"
+
+let reshape_sums t f =
+  let a = Array.copy (nodes t) in
+  List.iter (fun s -> rewire a s (f s.terms)) t.sum_list;
+  t.node_list <- List.rev (Array.to_list a);
+  t.nodes_cache <- Some a
 
 let slots t =
   match t.slots_cache with

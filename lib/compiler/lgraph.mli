@@ -48,6 +48,22 @@ val add_slot :
     whole matrix. *)
 
 val add_node : ?src:int -> t -> op:lop -> preds:int array -> len:int -> int
+
+type sum_tree = Term of int | Plus of sum_tree * sum_tree
+
+val add_sum : ?src:int -> t -> terms:int array -> len:int -> int
+(** The sum of [terms]: the term itself when there is one, otherwise
+    k-1 [Add] nodes folding the terms left to right, recorded (terms and
+    add ids) so {!reshape_sums} can regroup them. Returns the id of the
+    result. *)
+
+val reshape_sums : t -> (int array -> sum_tree) -> unit
+(** Re-wire every recorded sum's [Add] nodes, in place, into the tree the
+    function gives for its terms; the tree's leaves must be exactly those
+    terms. The adds are numbered in post-order, so preds keep smaller ids
+    than their consumers and the root keeps the id the sum's consumers
+    reference. Arrays from earlier {!nodes} calls keep the old shape. *)
+
 val nodes : t -> lnode array
 val node : t -> int -> lnode
 val num_nodes : t -> int
@@ -63,10 +79,9 @@ val levels : t -> int array
     used by MVM coalescing. *)
 
 val reverse_postorder : t -> int array
-(** Global linearization order (Section 5.3): a reverse postorder that
-    consumes values soon after production, computed over the whole graph
-    at once so per-core subsequences are globally consistent (deadlock
-    avoidance, Section 5.3.3). *)
+(** A reverse postorder of the whole graph, which consumes values soon
+    after production. {!Schedule} breaks priority ties by position in it
+    when it builds the global linearization (Section 5.3). *)
 
 val to_reference :
   matrix_name:(int -> string) -> t -> Puma_analysis.Equiv.dataflow

@@ -79,6 +79,53 @@ let assign_nodes lg order ~nodes ~scheme ~capacity =
     per_node;
   (node_of_pos, per_node)
 
+(* Regroup every partial-sum reduction the tiler recorded to follow the
+   placement of its terms: sort them by place, fold each core's run into
+   one value, then combine core sums with a balanced tree within each
+   tile, tile sums within each node, and node sums. Each boundary is
+   crossed by one value per combine, exactly as a left-to-right chain
+   crosses it, but the depth falls from k-1 adds to about log k. *)
+let reduce_by_place lg place_of_slot =
+  let place id =
+    match (Lgraph.node lg id).op with
+    | L_mvm { slot } -> place_of_slot slot
+    | L_input _ | L_const _ | L_binop _ | L_unop _ | L_immop _ | L_gather _
+    | L_output _ ->
+        invalid_arg "Partition: a reduction term is not an MVM"
+  in
+  let chain = function
+    | [] -> invalid_arg "Partition: empty reduction"
+    | t :: ts -> List.fold_left (fun acc u -> Lgraph.Plus (acc, u)) t ts
+  in
+  let rec balanced = function
+    | [ t ] -> t
+    | ts ->
+        let half = (List.length ts + 1) / 2 in
+        Lgraph.Plus
+          ( balanced (List.filteri (fun i _ -> i < half) ts),
+            balanced (List.filteri (fun i _ -> i >= half) ts) )
+  in
+  (* Combine the members of each [key] group with [f], in order; a group
+     keeps the place of its first member, which agrees on coarser keys. *)
+  let combine key f xs =
+    let rec go acc = function
+      | [] -> List.rev acc
+      | (p, _) :: _ as xs ->
+          let group, rest = List.partition (fun (q, _) -> key q = key p) xs in
+          go ((p, f (List.map snd group)) :: acc) rest
+    in
+    go [] xs
+  in
+  Lgraph.reshape_sums lg (fun terms ->
+      Array.to_list terms
+      |> List.map (fun id -> (place id, Lgraph.Term id))
+      |> List.stable_sort (fun (p, _) (q, _) ->
+             compare (p.node, p.tile, p.core) (q.node, q.tile, q.core))
+      |> combine (fun p -> (p.node, p.tile, p.core)) chain
+      |> combine (fun p -> (p.node, p.tile)) balanced
+      |> combine (fun p -> p.node) balanced
+      |> List.map snd |> balanced)
+
 let partition ?cluster (config : Puma_hwmodel.Config.t) strategy lg =
   let num_slots = Lgraph.num_slots lg in
   let mvmus_per_core = config.mvmus_per_core in
@@ -164,6 +211,11 @@ let partition ?cluster (config : Puma_hwmodel.Config.t) strategy lg =
         (nodes, stride)
   in
   let node_of_tile tile = min (tile / tiles_per_node) (nodes_used - 1) in
+  let place_of_slot s =
+    let tile, core, _ = slot_mvmu.(s) in
+    { tile; core; node = node_of_tile tile }
+  in
+  reduce_by_place lg place_of_slot;
   (* Place non-MVM nodes by demand, in reverse topological order. *)
   let ns = Lgraph.nodes lg in
   let cons = Lgraph.consumers lg in
@@ -171,18 +223,14 @@ let partition ?cluster (config : Puma_hwmodel.Config.t) strategy lg =
     Array.make (Array.length ns) { tile = 0; core = 0; node = 0 }
   in
   let assigned = Array.make (Array.length ns) false in
-  let place_of_slot s =
-    let tile, core, _ = slot_mvmu.(s) in
-    { tile; core; node = node_of_tile tile }
-  in
   (* First pass: MVM nodes are pinned to their slot's core, and partial-sum
      reductions (binops whose operands are all MVM outputs or earlier such
-     reductions — the combine tree the tiler emits for multi-column-block
-     matrices) are pinned next to their first operand. Reducing partials
-     where they are produced mirrors the in-tile accumulation of the
-     architecture; placing them by demand instead would funnel every
-     partial of a wide layer into the one tile that consumes the final
-     sums, overflowing its shared memory with remote copies. *)
+     reductions — the trees [reduce_by_place] shaped) are pinned next to
+     an operand. Reducing partials where they are produced mirrors the
+     in-tile accumulation of the architecture; placing them by demand
+     instead would funnel every partial of a wide layer into the one tile
+     that consumes the final sums, overflowing its shared memory with
+     remote copies. *)
   Array.iter
     (fun (n : Lgraph.lnode) ->
       match n.op with
@@ -192,11 +240,12 @@ let partition ?cluster (config : Puma_hwmodel.Config.t) strategy lg =
       | L_binop _
         when Array.length n.preds > 0
              && Array.for_all (fun p -> assigned.(p)) n.preds ->
-          (* Pin at the LAST operand — the fresh partial of the combine
-             chain — so a reduction spanning several tiles walks from
-             tile to tile shipping one accumulator value per hop, rather
-             than pulling every partial into the first slot's tile (which
-             would exceed its FIFO fan-in on wide layers). *)
+          (* Pin at the LAST operand, the right subtree of a reduction
+             tree: every combine then ships exactly one value across the
+             boundary between its halves, and the root lands with the
+             last term, rather than every partial being pulled into the
+             first slot's tile (which would exceed its FIFO fan-in on
+             wide layers). *)
           node_place.(n.id) <-
             node_place.(n.preds.(Array.length n.preds - 1));
           assigned.(n.id) <- true

@@ -7,9 +7,14 @@
     inputs (same column block), then producer-consumer neighbours —
     realized by packing slots in (matrix, row-block, column-block) order.
     The random strategy (the Table 8 baseline) shuffles slots before
-    packing. Non-MVM nodes are placed by demand: each node goes to the
-    core of its first consumer (computed in reverse topological order), so
-    values are produced where they are used.
+    packing. Once slots are placed, every recorded partial-sum reduction
+    ({!Lgraph.add_sum}) is reshaped in place to follow them: each core
+    folds its own partials, then core sums combine as a balanced tree
+    within a tile, tile sums within a node, and node sums last — as many
+    boundary crossings as a chain, at logarithmic depth. Non-MVM nodes
+    are placed by demand: each node goes to the core of its first
+    consumer (computed in reverse topological order), so values are
+    produced where they are used.
 
     With a {!cluster}, placement becomes node-aware: slots are first
     assigned to cluster nodes (layer-pipelined contiguous runs or

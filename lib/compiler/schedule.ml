@@ -8,8 +8,44 @@ type open_group = {
   mutable member_set : (int, unit) Hashtbl.t;
 }
 
+(* Priority list scheduling: Kahn's algorithm, releasing the ready node
+   with the smallest (class, reverse-postorder position). Class 0 holds
+   MVMs and the nodes that feed them (input staging), class 1 everything
+   else, so each core issues its MVMs before it blocks on the partials
+   and results of others. One order serves every core (5.3.3). *)
+let priority_order lg =
+  let ns = Lgraph.nodes lg in
+  let n = Array.length ns in
+  let cons = Lgraph.consumers lg in
+  let pos = Array.make n 0 in
+  Array.iteri (fun i id -> pos.(id) <- i) (Lgraph.reverse_postorder lg);
+  let is_mvm id =
+    match ns.(id).Lgraph.op with L_mvm _ -> true | _ -> false
+  in
+  let key id =
+    (if is_mvm id || Array.exists is_mvm cons.(id) then 0 else n) + pos.(id)
+  in
+  let waiting = Array.map (fun (nd : Lgraph.lnode) -> Array.length nd.preds) ns in
+  let ready = Puma_util.Heap.create () in
+  Array.iteri (fun id w -> if w = 0 then Puma_util.Heap.push ready (key id) id) waiting;
+  let order = Array.make n 0 in
+  let rec drain k =
+    match Puma_util.Heap.pop ready with
+    | None -> assert (k = n)
+    | Some (_, id) ->
+        order.(k) <- id;
+        Array.iter
+          (fun c ->
+            waiting.(c) <- waiting.(c) - 1;
+            if waiting.(c) = 0 then Puma_util.Heap.push ready (key c) c)
+          cons.(id);
+        drain (k + 1)
+  in
+  drain 0;
+  order
+
 let build ~coalesce lg (part : Partition.t) =
-  let order = Lgraph.reverse_postorder lg in
+  let order = priority_order lg in
   let mvmus_per_core = part.config.mvmus_per_core in
   let items = ref [] in
   let cores = ref [] in

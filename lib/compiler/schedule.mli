@@ -1,11 +1,15 @@
 (** Instruction scheduling (Section 5.3).
 
-    Linearizes the whole lowered graph at once in reverse postorder —
-    reducing register pressure (5.3.1) and guaranteeing a globally
-    consistent order across cores and tiles so that blocking communication
-    cannot deadlock (5.3.3) — and fuses independent MVM operations mapped
-    to different MVMUs of the same core into coalesced groups that execute
-    as a single MVM instruction (5.3.2).
+    Linearizes the whole lowered graph at once by priority list
+    scheduling — one topological order shared by every core and tile, so
+    blocking communication cannot deadlock (5.3.3) — and fuses
+    independent MVM operations mapped to different MVMUs of the same core
+    into coalesced groups that execute as a single MVM instruction
+    (5.3.2). Among ready nodes, MVMs and the nodes that feed them (input
+    staging: gathers, inputs, constants) go first, so a core issues all
+    its MVMs before it waits on another core's partial sum; ties keep
+    reverse-postorder position, which consumes values soon after they
+    are produced (5.3.1).
 
     A group stays open, accumulating members, until (a) a member's output
     is consumed, (b) another MVM needs an MVMU the group already uses,

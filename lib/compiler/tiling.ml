@@ -104,16 +104,7 @@ let lower ~dim (g : G.t) =
                       add_node lg ~op:(L_mvm { slot })
                         ~preds:[| in_segs.(c) |] ~len:out_len)
                 in
-                Array.fold_left
-                  (fun acc p ->
-                    match acc with
-                    | None -> Some p
-                    | Some a ->
-                        Some
-                          (add_node lg ~op:(L_binop G.Add)
-                             ~preds:[| a; p |] ~len:out_len))
-                  None partials
-                |> Option.get)
+                Lgraph.add_sum ~src:!cur_src lg ~terms:partials ~len:out_len)
         | G.Binop op ->
             let a = segs_of n.preds.(0) and b = segs_of n.preds.(1) in
             Array.init k (fun s ->

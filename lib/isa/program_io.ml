@@ -4,104 +4,123 @@ module Fixed = Puma_util.Fixed
 let magic = "PUMA"
 let format_version = 1
 
-(* ---- Writer ---- *)
+(* ---- Writer ----
 
-let w_u8 buf v =
+   [to_bytes] runs the writer twice over one description of the format:
+   first over a sink that only counts bytes, then into a buffer of
+   exactly that length. A growing buffer would leave a program's worth of
+   freed doubling steps behind (tens of MB on a full-size model). *)
+
+type sink = { out : bytes; counting : bool; mutable at : int }
+
+let w_u8 s v =
   assert (v >= 0 && v < 256);
-  Buffer.add_char buf (Char.chr v)
+  if not s.counting then Bytes.set_uint8 s.out s.at v;
+  s.at <- s.at + 1
 
-let w_u16 buf v =
+let w_u16 s v =
   assert (v >= 0 && v < 65536);
-  w_u8 buf (v land 0xFF);
-  w_u8 buf ((v lsr 8) land 0xFF)
+  if not s.counting then Bytes.set_uint16_le s.out s.at v;
+  s.at <- s.at + 2
 
-let w_i32 buf v =
-  for k = 0 to 3 do
-    w_u8 buf ((v asr (8 * k)) land 0xFF)
-  done
+let w_i32 s v =
+  if not s.counting then Bytes.set_int32_le s.out s.at (Int32.of_int v);
+  s.at <- s.at + 4
 
-let w_f64 buf v =
-  let bits = Int64.bits_of_float v in
-  for k = 0 to 7 do
-    w_u8 buf (Int64.to_int (Int64.shift_right_logical bits (8 * k)) land 0xFF)
-  done
+let w_f64 s v =
+  if not s.counting then Bytes.set_int64_le s.out s.at (Int64.bits_of_float v);
+  s.at <- s.at + 8
 
-let w_string buf s =
-  w_i32 buf (String.length s);
-  Buffer.add_string buf s
+let w_raw s str =
+  if not s.counting then Bytes.blit_string str 0 s.out s.at (String.length str);
+  s.at <- s.at + String.length str
 
-let w_i16_signed buf v = w_u16 buf (Puma_util.Bits.to_unsigned ~width:16 v)
+let w_string s str =
+  w_i32 s (String.length str);
+  w_raw s str
 
-let w_config buf (c : Config.t) =
-  w_i32 buf c.mvmu_dim;
-  w_i32 buf c.mvmus_per_core;
-  w_i32 buf c.cores_per_tile;
-  w_i32 buf c.tiles_per_node;
-  w_i32 buf c.vfu_width;
-  w_f64 buf c.rf_multiplier;
-  w_i32 buf c.bits_per_cell;
-  w_f64 buf c.write_noise_sigma;
-  w_f64 buf c.frequency_ghz;
-  w_i32 buf c.num_fifos;
-  w_i32 buf c.fifo_depth;
-  w_i32 buf c.smem_bytes;
-  w_i32 buf c.imem_core_bytes;
-  w_i32 buf c.imem_tile_bytes
+let w_i16_signed s v = w_u16 s (Puma_util.Bits.to_unsigned ~width:16 v)
 
-let w_code buf instrs =
-  w_i32 buf (Array.length instrs);
-  Buffer.add_bytes buf (Encode.encode_program instrs)
+let w_config s (c : Config.t) =
+  w_i32 s c.mvmu_dim;
+  w_i32 s c.mvmus_per_core;
+  w_i32 s c.cores_per_tile;
+  w_i32 s c.tiles_per_node;
+  w_i32 s c.vfu_width;
+  w_f64 s c.rf_multiplier;
+  w_i32 s c.bits_per_cell;
+  w_f64 s c.write_noise_sigma;
+  w_f64 s c.frequency_ghz;
+  w_i32 s c.num_fifos;
+  w_i32 s c.fifo_depth;
+  w_i32 s c.smem_bytes;
+  w_i32 s c.imem_core_bytes;
+  w_i32 s c.imem_tile_bytes
 
-let w_binding buf (b : Program.io_binding) =
-  w_string buf b.name;
-  w_i32 buf b.tile;
-  w_i32 buf b.mem_addr;
-  w_i32 buf b.length;
-  w_i32 buf b.offset
+let w_code s instrs =
+  w_i32 s (Array.length instrs);
+  let n = Encode.program_bytes instrs in
+  if not s.counting then Bytes.blit (Encode.encode_program instrs) 0 s.out s.at n;
+  s.at <- s.at + n
 
-let to_bytes (p : Program.t) =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf magic;
-  w_u16 buf format_version;
-  w_config buf p.config;
-  w_i32 buf (Array.length p.tiles);
+let w_binding s (b : Program.io_binding) =
+  w_string s b.name;
+  w_i32 s b.tile;
+  w_i32 s b.mem_addr;
+  w_i32 s b.length;
+  w_i32 s b.offset
+
+let write s (p : Program.t) =
+  w_raw s magic;
+  w_u16 s format_version;
+  w_config s p.config;
+  w_i32 s (Array.length p.tiles);
   Array.iter
     (fun (tp : Program.tile_program) ->
-      w_i32 buf tp.tile_index;
-      w_i32 buf (Array.length tp.core_code);
-      Array.iter (w_code buf) tp.core_code;
-      w_code buf tp.tile_code;
-      w_i32 buf (List.length tp.mvmu_images);
+      w_i32 s tp.tile_index;
+      w_i32 s (Array.length tp.core_code);
+      Array.iter (w_code s) tp.core_code;
+      w_code s tp.tile_code;
+      w_i32 s (List.length tp.mvmu_images);
       List.iter
         (fun (img : Program.mvmu_image) ->
-          w_u8 buf img.core_index;
-          w_u8 buf img.mvmu_index;
+          w_u8 s img.core_index;
+          w_u8 s img.mvmu_index;
           (* A well-formed image is dim x dim; any other is kept whole
              as one row, so the round trip never loses a raw. *)
           let n = String.length img.image / 2 in
           let dim = p.config.mvmu_dim in
           let rows = if n = dim * dim then dim else 1 in
-          w_i32 buf rows;
-          w_i32 buf (n / rows);
-          for k = 0 to n - 1 do
-            Buffer.add_int16_le buf (Fixed.image_raw img.image k)
-          done)
+          w_i32 s rows;
+          w_i32 s (n / rows);
+          if not s.counting then
+            for k = 0 to n - 1 do
+              Bytes.set_int16_le s.out (s.at + (2 * k)) (Fixed.image_raw img.image k)
+            done;
+          s.at <- s.at + (2 * n))
         tp.mvmu_images)
     p.tiles;
   let w_bindings bs =
-    w_i32 buf (List.length bs);
-    List.iter (w_binding buf) bs
+    w_i32 s (List.length bs);
+    List.iter (w_binding s) bs
   in
   w_bindings p.inputs;
   w_bindings p.outputs;
-  w_i32 buf (List.length p.constants);
+  w_i32 s (List.length p.constants);
   List.iter
     (fun (b, data) ->
-      w_binding buf b;
-      w_i32 buf (Array.length data);
-      Array.iter (w_i16_signed buf) data)
-    p.constants;
-  Buffer.to_bytes buf
+      w_binding s b;
+      w_i32 s (Array.length data);
+      Array.iter (w_i16_signed s) data)
+    p.constants
+
+let to_bytes p =
+  let size = { out = Bytes.empty; counting = true; at = 0 } in
+  write size p;
+  let s = { out = Bytes.create size.at; counting = false; at = 0 } in
+  write s p;
+  assert (s.at = Bytes.length s.out);
+  s.out
 
 (* ---- Reader ---- *)
 

@@ -385,13 +385,16 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
                     else acc)
                   [] served))
         in
+        Stats.sort_floats lats;
         let served_n = Array.length lats in
         let rejected_n =
           Array.fold_left
             (fun acc (r : rejection) -> if r.model = m then acc + 1 else acc)
             0 rejections
         in
-        let pct p = if served_n = 0 then 0.0 else Stats.percentile lats p in
+        let pct p =
+          if served_n = 0 then 0.0 else Stats.percentile_sorted lats p
+        in
         let energy_pj =
           Array.fold_left
             (fun acc (s : served) ->

@@ -16,9 +16,38 @@ let geomean xs =
   let acc = Array.fold_left (fun acc x -> assert (x > 0.0); acc +. log x) 0.0 xs in
   exp (acc /. Float.of_int n)
 
-let percentile xs p =
-  let sorted = Array.copy xs in
-  Array.sort compare sorted;
+(* Heap sort. Monomorphic in [float array], so no comparison boxes its
+   operands, as [Array.sort compare] does on every call. *)
+let sort_floats (a : float array) =
+  let swap i j =
+    let t = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- t
+  in
+  let rec sift root stop =
+    let child = (2 * root) + 1 in
+    if child < stop then begin
+      let child =
+        if child + 1 < stop && Float.compare a.(child) a.(child + 1) < 0 then
+          child + 1
+        else child
+      in
+      if Float.compare a.(root) a.(child) < 0 then begin
+        swap root child;
+        sift child stop
+      end
+    end
+  in
+  let n = Array.length a in
+  for root = (n / 2) - 1 downto 0 do
+    sift root n
+  done;
+  for stop = n - 1 downto 1 do
+    swap 0 stop;
+    sift 0 stop
+  done
+
+let percentile_sorted sorted p =
   let n = Array.length sorted in
   assert (n > 0);
   let rank = p /. 100.0 *. Float.of_int (n - 1) in
@@ -27,6 +56,11 @@ let percentile xs p =
   let hi = Stdlib.min (lo + 1) (n - 1) in
   let frac = rank -. Float.of_int lo in
   sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+
+let percentile xs p =
+  let sorted = Array.copy xs in
+  sort_floats sorted;
+  percentile_sorted sorted p
 
 let relative_error ~reference ~measured =
   assert (reference <> 0.0);

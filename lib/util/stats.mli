@@ -11,6 +11,14 @@ val geomean : float array -> float
 val percentile : float array -> float -> float
 (** [percentile xs p] with [p] in [0, 100], linear interpolation. *)
 
+val sort_floats : float array -> unit
+(** Sort in place, in [Float.compare] order (NaN first). Allocates
+    nothing. *)
+
+val percentile_sorted : float array -> float -> float
+(** {!percentile} of an array already in {!sort_floats} order, for
+    several percentiles of one sample at the cost of one sort. *)
+
 val relative_error : reference:float -> measured:float -> float
 (** [(measured - reference) / reference] magnitude; reference must be
     nonzero. *)

@@ -723,6 +723,212 @@ let test_checker_rejects_bad_programs () =
        false
      with Failure _ -> true)
 
+(* A hand-built program (negative immediates in the constants, a
+   non-square image, two tiles) serializes to exactly the bytes of the
+   growing-buffer writer the exact-size writer replaced, pinned here by
+   length and digest; it still round-trips. *)
+let handmade_program () =
+  let image n f =
+    let b = Bytes.create (2 * n) in
+    for k = 0 to n - 1 do
+      Bytes.set_int16_ne b (2 * k) (f k)
+    done;
+    Bytes.to_string b
+  in
+  let dim = tiny_config.mvmu_dim in
+  let binding name tile mem_addr length offset =
+    { Program.name; tile; mem_addr; length; offset }
+  in
+  {
+    Program.config = tiny_config;
+    tiles =
+      [|
+        {
+          Program.tile_index = 0;
+          core_code =
+            [|
+              [|
+                Instr.Set { dest = 3; imm = 7 };
+                Instr.Mvm { mask = 3; filter = 0; stride = 0 };
+                Instr.Halt;
+              |];
+              [| Instr.Halt |];
+            |];
+          tile_code =
+            [|
+              Instr.Send { mem_addr = 16; fifo_id = 1; target = 1; vec_width = 4 };
+              Instr.Halt;
+            |];
+          mvmu_images =
+            [
+              { core_index = 0; mvmu_index = 1;
+                image = image (dim * dim) (fun k -> ((k * 37) mod 65536) - 32768) };
+              { core_index = 1; mvmu_index = 0; image = image 3 (fun k -> k - 1) };
+            ];
+        };
+        {
+          Program.tile_index = 1;
+          core_code = [| [||]; [||] |];
+          tile_code =
+            [|
+              Instr.Receive { mem_addr = 8; fifo_id = 1; count = 1; vec_width = 4 };
+              Instr.Halt;
+            |];
+          mvmu_images = [];
+        };
+      |];
+    inputs = [ binding "x" 0 0 4 0 ];
+    outputs = [ binding "y" 1 8 4 0; binding "y" 1 12 2 4 ];
+    constants = [ (binding "bias" 0 32 3 0, [| -32768; -1; 32767 |]) ];
+  }
+
+let test_program_io_exact_bytes () =
+  let p = handmade_program () in
+  let bytes = Puma_isa.Program_io.to_bytes p in
+  Alcotest.(check int) "length" 2365 (Bytes.length bytes);
+  Alcotest.(check string) "digest" "884bd4c27594d0a9763fc769642eede6"
+    (Digest.to_hex (Digest.bytes bytes));
+  (match Puma_isa.Program_io.of_bytes bytes with
+  | Error e -> Alcotest.fail e
+  | Ok loaded ->
+      Alcotest.(check bool) "round trip" true
+        (Puma_isa.Program_io.to_bytes loaded = bytes));
+  (* A compiled model: the writer's own exact-length assert holds and the
+     bytes round-trip. *)
+  let r = compile (Puma_nn.Network.build_graph Puma_nn.Models.mini_lstm) in
+  let bytes = Puma_isa.Program_io.to_bytes r.Compile.program in
+  match Puma_isa.Program_io.of_bytes bytes with
+  | Error e -> Alcotest.fail e
+  | Ok loaded ->
+      Alcotest.(check bool) "compiled round trip" true
+        (Puma_isa.Program_io.to_bytes loaded = bytes)
+
+(* ---- Reduction trees and priority scheduling ---- *)
+
+(* Longest chain of [Add]s from any MVM partial to each node. *)
+let add_depths lg =
+  let depth = Array.make (Lgraph.num_nodes lg) 0 in
+  Array.iter
+    (fun (n : Lgraph.lnode) ->
+      match n.op with
+      | Lgraph.L_binop G.Add ->
+          depth.(n.id) <-
+            1 + Array.fold_left (fun acc p -> max acc depth.(p)) 0 n.preds
+      | _ -> ())
+    (Lgraph.nodes lg);
+  depth
+
+let test_reduction_depth () =
+  List.iter
+    (fun cols ->
+      let m = B.create "wide" in
+      let x = B.input m ~name:"x" ~len:(32 * cols) in
+      let w = B.const_matrix m ~name:"W" (Tensor.mat_create 32 (32 * cols)) in
+      B.output m ~name:"y" (B.mvm m w x);
+      let lg = Tiling.lower ~dim:32 (B.finish m) in
+      let part = Partition.partition tiny_config Partition.Locality lg in
+      let per_core = Hashtbl.create 8 in
+      Array.iter
+        (fun (n : Lgraph.lnode) ->
+          match n.op with
+          | Lgraph.L_mvm _ ->
+              let p = part.Partition.node_place.(n.id) in
+              let k = (p.Partition.tile, p.Partition.core) in
+              Hashtbl.replace per_core k
+                (1 + Option.value ~default:0 (Hashtbl.find_opt per_core k))
+          | _ -> ())
+        (Lgraph.nodes lg);
+      let run = Hashtbl.fold (fun _ c acc -> max acc c) per_core 0 in
+      let cores = Hashtbl.length per_core in
+      let rec log2_ceil k = if k <= 1 then 0 else 1 + log2_ceil ((k + 1) / 2) in
+      let sum =
+        Array.fold_left
+          (fun acc (n : Lgraph.lnode) ->
+            match n.op with Lgraph.L_output _ -> n.preds.(0) | _ -> acc)
+          (-1) (Lgraph.nodes lg)
+      in
+      let depth = (add_depths lg).(sum) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%d blocks on %d cores: depth %d <= %d + %d" cols
+           cores depth run (log2_ceil cores))
+        true
+        (depth <= run + log2_ceil cores);
+      if cols >= 8 then
+        Alcotest.(check bool) "shallower than a chain" true (depth < cols - 1))
+    [ 1; 2; 3; 5; 8; 11; 16 ]
+
+(* Reshaping the reductions into trees moves no value across a new
+   boundary: the counts that left-to-right chains gave, pinned as
+   (model, dim, cross_core, cross_tile, cross_node), bound every
+   placement from above. *)
+let test_reduction_no_extra_transfers () =
+  let zoo =
+    [
+      ("mlp", Puma_nn.Network.build_graph Puma_nn.Models.mini_mlp);
+      ("lstm", Puma_nn.Network.build_graph Puma_nn.Models.mini_lstm);
+      ("rnn", Puma_nn.Network.build_graph Puma_nn.Models.mini_rnn);
+      ("lenet5", Puma_nn.Network.build_graph Puma_nn.Models.lenet5);
+      ("bm", Puma_nn.Models.mini_bm);
+      ("rbm", Puma_nn.Models.mini_rbm);
+    ]
+  in
+  let chain_counts =
+    [
+      ("mlp", 64, 18, 0, 0); ("lstm", 64, 83, 58, 0); ("rnn", 64, 13, 0, 0);
+      ("lenet5", 64, 883, 2, 0); ("bm", 64, 32, 48, 0); ("rbm", 64, 56, 112, 0);
+      ("mlp", 128, 6, 0, 0); ("lstm", 128, 43, 0, 0); ("rnn", 128, 0, 0, 0);
+      ("lenet5", 128, 823, 0, 0); ("bm", 128, 16, 0, 0); ("rbm", 128, 20, 16, 0);
+      ("mlpl4", 128, 135, 324, 81);
+    ]
+  in
+  let options cluster =
+    { Compile.default_options with
+      analysis_gate = false; check_equiv = false; static_analysis = false;
+      cluster }
+  in
+  let edges name dim =
+    let config = { Config.sweetspot with mvmu_dim = dim } in
+    let r =
+      if name = "mlpl4" then
+        Compile.compile
+          ~options:(options (Some { Partition.nodes = 2; scheme = Pipelined }))
+          config
+          (Puma_nn.Network.build_graph Puma_nn.Models.mlp_l4)
+      else Compile.compile ~options:(options None) config (List.assoc name zoo)
+    in
+    r.Compile.edge_stats
+  in
+  List.iter
+    (fun (name, dim, cross_core, cross_tile, cross_node) ->
+      let e = edges name dim in
+      let check what have bound =
+        Alcotest.(check bool)
+          (Printf.sprintf "%s dim %d %s %d <= %d" name dim what have bound)
+          true (have <= bound)
+      in
+      check "cross-core" e.Partition.cross_core cross_core;
+      check "cross-tile" e.Partition.cross_tile cross_tile;
+      check "cross-node" e.Partition.cross_node cross_node)
+    chain_counts
+
+(* Issuing MVMs before reductions lets every core fire both of its
+   crossbars at once: a dense 1120x1120 layer (9x9 blocks at dim 128,
+   two MVMUs per core) takes one MVM instruction per pair of slots. *)
+let test_coalescing_dense_layer () =
+  let m = B.create "dense" in
+  let x = B.input m ~name:"x" ~len:1120 in
+  let w = B.const_matrix m ~name:"W" (Tensor.mat_rand rng 1120 1120 0.05) in
+  B.output m ~name:"y" (B.relu m (B.mvm m w x));
+  let config = Config.sweetspot in
+  let lg = Tiling.lower ~dim:config.mvmu_dim (B.finish m) in
+  let part = Partition.partition config Partition.Locality lg in
+  let sched = Schedule.build ~coalesce:true lg part in
+  let slots = Lgraph.num_slots lg in
+  Alcotest.(check int) "slots" 81 slots;
+  Alcotest.(check int) "MVM instructions"
+    ((slots + config.mvmus_per_core - 1) / config.mvmus_per_core)
+    (Schedule.num_mvm_instructions sched)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -785,5 +991,14 @@ let () =
           Alcotest.test_case "rejects garbage" `Quick test_program_io_rejects_garbage;
           Alcotest.test_case "config fidelity" `Quick test_program_io_preserves_config;
           Alcotest.test_case "file save/load" `Quick test_program_io_file;
+          Alcotest.test_case "exact bytes" `Quick test_program_io_exact_bytes;
+        ] );
+      ( "reduction",
+        [
+          Alcotest.test_case "tree depth" `Quick test_reduction_depth;
+          Alcotest.test_case "no extra transfers" `Quick
+            test_reduction_no_extra_transfers;
+          Alcotest.test_case "coalescing dense layer" `Quick
+            test_coalescing_dense_layer;
         ] );
     ]

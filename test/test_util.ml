@@ -292,6 +292,47 @@ let test_stats_percentile_edges () =
   check_float "p100 is max" 5.0 (Stats.percentile xs 100.0);
   check_float "single element" 7.0 (Stats.percentile [| 7.0 |] 50.0)
 
+(* The float-specialized sort must give every percentile exactly as the
+   polymorphic [Array.sort compare] definition did, on samples with
+   duplicates, negative values, infinities and NaN. *)
+let prop_percentile_matches_polymorphic_sort =
+  let old_percentile xs p =
+    let sorted = Array.copy xs in
+    Array.sort compare sorted;
+    let n = Array.length sorted in
+    assert (n > 0);
+    let rank = p /. 100.0 *. Float.of_int (n - 1) in
+    let lo = Float.to_int (Float.of_int (Float.to_int rank) |> Float.min (Float.of_int (n - 1))) in
+    let lo = if lo < 0 then 0 else lo in
+    let hi = Stdlib.min (lo + 1) (n - 1) in
+    let frac = rank -. Float.of_int lo in
+    sorted.(lo) +. (frac *. (sorted.(hi) -. sorted.(lo)))
+  in
+  let value =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, oneofl [ 0.0; -0.0; 1.0; -1.0; 2.5; -7.0; 1e300 ]);
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity ]);
+          (3, float_range (-1e6) 1e6);
+        ])
+  in
+  let sample =
+    QCheck.make
+      ~print:QCheck.Print.(pair (array float) float)
+      QCheck.Gen.(
+        pair (array_size (int_range 1 40) value) (float_range 0.0 100.0))
+  in
+  QCheck.Test.make ~name:"percentile = polymorphic-sort definition"
+    ~count:1000 sample (fun (xs, p) ->
+      let before = Array.copy xs in
+      let got = Stats.percentile xs p in
+      let sorted = Array.copy xs in
+      Stats.sort_floats sorted;
+      Float.equal got (old_percentile xs p)
+      && Float.equal got (Stats.percentile_sorted sorted p)
+      && Array.for_all2 (fun a b -> Float.equal a b) before xs)
+
 let test_stats_relative_error () =
   check_float "10%" 0.1 (Stats.relative_error ~reference:10.0 ~measured:11.0);
   check_float "sign-insensitive" 0.1
@@ -452,6 +493,7 @@ let () =
           Alcotest.test_case "geomean" `Quick test_stats_geomean;
           Alcotest.test_case "percentile edges" `Quick test_stats_percentile_edges;
           Alcotest.test_case "relative error" `Quick test_stats_relative_error;
+          QCheck_alcotest.to_alcotest prop_percentile_matches_polymorphic_sort;
         ] );
       ( "bits",
         [
