@@ -613,14 +613,16 @@ let run_static_vs_sim () =
   (* Cross-validation of the abstract-interpretation cost estimator: the
      static cycle bound must never exceed the simulated makespan, and the
      gap it leaves is exactly what the profiler books as stall + idle
-     time on the critical stream. *)
+     time on the critical stream. The compiler's critical path (CP), the
+     longest latency chain through the lowered graph, is a second bound
+     that must hold as well. *)
   let t =
     Table.create
       ~title:"Static cost estimator vs simulator (cycles per inference)"
       ~headers:
         [
-          "Workload"; "Static LB"; "Simulated"; "LB/sim"; "Busy";
-          "Static nJ"; "Simulated nJ";
+          "Workload"; "Static LB"; "CP"; "Simulated"; "LB/sim"; "CP/sim";
+          "Busy"; "Static nJ"; "Simulated nJ";
         ]
   in
   List.iter
@@ -655,6 +657,12 @@ let run_static_vs_sim () =
         failwith
           (Printf.sprintf "%s: static bound %d exceeds simulated %d" label lb
              sim);
+      (* The critical path needs no analysis, so it bounds every row. *)
+      let cp = r.Compile.critical_path_cycles in
+      if cp > sim then
+        failwith
+          (Printf.sprintf "%s: critical path %d exceeds simulated %d" label cp
+             sim);
       let static_cell f = if skipped then "n/a (I-SKIP)" else f () in
       let tot = Puma_profile.Profile.totals profile in
       let entity_cycles =
@@ -669,9 +677,11 @@ let run_static_vs_sim () =
         [
           label;
           static_cell (fun () -> string_of_int lb);
+          string_of_int cp;
           string_of_int sim;
           static_cell (fun () ->
               Printf.sprintf "%.2f" (fi lb /. Float.max 1.0 (fi sim)));
+          Printf.sprintf "%.2f" (fi cp /. Float.max 1.0 (fi sim));
           (if entity_cycles = 0 then "-"
            else
              Table.fmt_pct

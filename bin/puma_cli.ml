@@ -81,6 +81,13 @@ let exit_err msg =
   prerr_endline ("error: " ^ msg);
   exit 1
 
+(* Every compile goes through here: a compile-time [Failure] (Codegen's
+   E-SMEM overflow, the analysis gate's report) is an error exit, not an
+   uncaught exception. *)
+let compile ?options config g =
+  try Puma_compiler.Compile.compile ?options config g
+  with Failure msg -> exit_err msg
+
 (* ---- Cluster arguments (run / batch / serve / faults) ---- *)
 
 module Partition = Puma_compiler.Partition
@@ -189,7 +196,7 @@ let compile_cmd =
         let options =
           { Compile.default_options with check_equiv = not no_equiv }
         in
-        let r = Compile.compile ~options config (graph_of m) in
+        let r = compile ~options config (graph_of m) in
         Puma_isa.Check.check_exn r.Compile.program;
         Printf.printf
           "%d instructions across %d tiles / %d cores; %d MVMU slots; %d MVM \
@@ -315,7 +322,7 @@ let run_cmd =
           let options =
             { options with cluster = Some { Partition.nodes; scheme } }
           in
-          let r = Compile.compile ~options config g in
+          let r = compile ~options config g in
           let program = r.Compile.program in
           Printf.printf
             "partitioned %s across %d nodes (%s fabric, %d tiles/node)\n"
@@ -652,7 +659,7 @@ let analyze_cmd =
                     repair_ordering = not no_repair;
                   }
                 in
-                (Compile.compile ~options config (graph_of m))
+                (compile ~options config (graph_of m))
                   .Compile.equiv_reference))
     in
     let report_of target =
@@ -671,7 +678,7 @@ let analyze_cmd =
             repair_ordering = not no_repair;
           }
         in
-        let r = Compile.compile ~options config (graph_of m) in
+        let r = compile ~options config (graph_of m) in
         analyze
           ?equiv:(if equiv then Some r.Compile.equiv_reference else None)
           ~layer_of:r.Compile.layer_of r.Compile.program
@@ -801,7 +808,7 @@ let batch_cmd =
                 cluster = Some { Partition.nodes; scheme = parse_scheme scheme };
               }
             in
-            Compile.compile ~options config g
+            compile ~options config g
           else
             Puma_runtime.Program_cache.get cache ~config ~key:model (fun () ->
                 g)
@@ -1036,7 +1043,7 @@ let serve_cmd =
                   (* Cluster layouts are not what the cache holds; compile
                      directly with the node-aware partitioner. *)
                   let options = { Compile.default_options with cluster } in
-                  Compile.compile ~options config (graph_of m)
+                  compile ~options config (graph_of m)
               | None ->
                   Puma_runtime.Program_cache.get cache ~config ~key:name
                     (fun () -> graph_of m)
@@ -1206,7 +1213,7 @@ let profile_cmd =
        it is exactly the point. *)
     let compile_model m =
       let options = { Compile.default_options with analysis_gate = false } in
-      (Compile.compile ~options (config_of_dim dim) (graph_of m))
+      (compile ~options (config_of_dim dim) (graph_of m))
         .Compile.program
     in
     let program =
@@ -1391,7 +1398,7 @@ let faults_cmd =
           else None
         in
         let result =
-          Compile.compile
+          compile
             ~options:{ Compile.default_options with cluster }
             (config_of_dim dim) (graph_of m)
         in

@@ -123,10 +123,11 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
     smem_ptr.(tile) <- a + len;
     if smem_ptr.(tile) > smem_words then
       failwith
-        (Printf.sprintf
-           "Codegen: tile %d shared memory overflow (%d words used of %d; \
-            last allocation %d words)"
-           tile smem_ptr.(tile) smem_words len);
+        (Puma_isa.Diag.to_string
+           (Puma_isa.Diag.error ~code:"E-SMEM" ~tile
+              "shared memory overflows during code generation: %d words \
+               needed of %d (last allocation %d words)"
+              smem_ptr.(tile) smem_words len));
     a
   in
   let home_addr = Array.make nvals (-1) in

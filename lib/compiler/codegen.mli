@@ -47,4 +47,5 @@ val generate :
   Schedule.t ->
   Puma_isa.Program.t * stats * provenance
 (** Raises [Failure] when a tile would need more receive FIFOs than the
-    hardware provides or a tile memory overflows. *)
+    hardware provides or a tile memory overflows; an overflow's message is
+    the rendered [E-SMEM] diagnostic ({!Puma_isa.Diag.to_string}). *)

@@ -35,6 +35,7 @@ type result = {
   edge_stats : Partition.edge_stats;
   num_mvm_nodes : int;
   num_mvm_instructions : int;
+  critical_path_cycles : int;
   tiles_used : int;
   cores_used : int;
   mvmus_used : int;
@@ -210,6 +211,7 @@ let compile ?(options = default_options) (config : Puma_hwmodel.Config.t) g =
     edge_stats = Partition.edge_stats part lg;
     num_mvm_nodes;
     num_mvm_instructions = Schedule.num_mvm_instructions sched;
+    critical_path_cycles = Schedule.critical_path_cycles config lg;
     tiles_used = part.Partition.tiles_used;
     cores_used = part.Partition.cores_used;
     mvmus_used = Lgraph.num_slots lg;

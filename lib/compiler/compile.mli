@@ -71,6 +71,9 @@ type result = {
   edge_stats : Partition.edge_stats;
   num_mvm_nodes : int;  (** MVM operations before coalescing. *)
   num_mvm_instructions : int;  (** After coalescing. *)
+  critical_path_cycles : int;
+      (** {!Schedule.critical_path_cycles} of the lowered graph: a static
+          lower bound on one inference's simulated cycles. *)
   tiles_used : int;
   cores_used : int;
   mvmus_used : int;

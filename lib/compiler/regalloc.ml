@@ -77,12 +77,12 @@ let release t off len =
    boundaries. With same-or-smaller-size neighbours this never fragments:
    any request fits whenever enough non-pinned values can be evicted,
    because pinned blocks occupy whole aligned slots. *)
-let round_pow2 n =
+let reg_words n =
   let rec go p = if p >= n then p else go (2 * p) in
   go 1
 
 let try_claim t len =
-  let size = round_pow2 len in
+  let size = reg_words len in
   let rec go acc = function
     | [] -> None
     | (o, l) :: rest ->
@@ -175,7 +175,7 @@ let define t ~id ~len ~pos:_ ~exclude =
   in
   let off = claim t len ~exclude:(id :: exclude) in
   s.reg <- Some off;
-  s.reg_size <- round_pow2 len;
+  s.reg_size <- reg_words len;
   s.ever_resident <- true;
   gpr_flat t off
 
@@ -217,7 +217,7 @@ let use t ~id ~pos:_ ~exclude =
       | Some (addr, persistent) ->
           let off = claim t s.len ~exclude:(id :: exclude) in
           s.reg <- Some off;
-          s.reg_size <- round_pow2 s.len;
+          s.reg_size <- reg_words s.len;
           t.emit
             (Instr.Load
                {
@@ -240,7 +240,7 @@ let try_inplace t ~src ~dst ~len ~pos =
   | Some s
     when s.reg <> None
          && List.for_all (fun u -> u <= pos) s.next_uses
-         && round_pow2 len <= s.reg_size -> (
+         && reg_words len <= s.reg_size -> (
       match Hashtbl.find_opt t.values dst with
       | Some d when d.reg = None ->
           let d = if d.len = 0 then { d with len } else d in

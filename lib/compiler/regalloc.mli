@@ -29,6 +29,11 @@ val create :
   t
 (** [alloc_smem len] must return a fresh sticky spill slot address. *)
 
+val reg_words : int -> int
+(** Registers a value of [len] words occupies: [len] rounded up to a
+    power of two. An element-wise result may take over a dying operand's
+    range when its own size is at most the operand's ({!try_inplace}). *)
+
 val set_next_uses : t -> id:int -> positions:int list -> unit
 (** Register the (ascending) code positions at which value [id] is used on
     this core. Must be called before the value is defined or used. *)

@@ -5,47 +5,193 @@ type t = { items : item array; item_core : (int * int) array }
 type open_group = {
   mutable members : int list;  (* reverse order *)
   mutable mvmus : int;  (* bitmask of used MVMUs *)
-  mutable member_set : (int, unit) Hashtbl.t;
 }
 
+(* The fewest cycles the simulator can spend on a node: an MVM or a
+   vector ALU operation occupies its core for its full latency; staging
+   (inputs, constants, gathers) and outputs are charged nothing. *)
+let weight (config : Puma_hwmodel.Config.t) (n : Lgraph.lnode) =
+  match n.op with
+  | L_mvm _ -> Puma_hwmodel.Latency.mvm config
+  | L_binop _ | L_unop _ | L_immop _ ->
+      Puma_hwmodel.Latency.alu config ~vec_width:n.len
+  | L_input _ | L_const _ | L_gather _ | L_output _ -> 0
+
+(* Longest weighted path from each node to a sink, the node included.
+   Preds have smaller ids than their consumers, so one backward sweep
+   suffices. *)
+let bottom_levels config ns cons =
+  let bl = Array.make (Array.length ns) 0 in
+  for id = Array.length ns - 1 downto 0 do
+    bl.(id) <-
+      weight config ns.(id)
+      + Array.fold_left (fun acc c -> max acc bl.(c)) 0 cons.(id)
+  done;
+  bl
+
+let critical_path_cycles config lg =
+  Array.fold_left max 0
+    (bottom_levels config (Lgraph.nodes lg) (Lgraph.consumers lg))
+
 (* Priority list scheduling: Kahn's algorithm, releasing the ready node
-   with the smallest (class, reverse-postorder position). Class 0 holds
-   MVMs and the nodes that feed them (input staging), class 1 everything
-   else, so each core issues its MVMs before it blocks on the partials
-   and results of others. One order serves every core (5.3.3). *)
-let priority_order lg =
+   with the largest bottom level, ties by reverse-postorder position.
+   One order serves every core (5.3.3).
+
+   A register-file guard keeps the order from outrunning the registers
+   {!Regalloc} will find: a node issues only if its result and its
+   operands not yet resident on its core fit beside the values there that
+   still await a use, sized by {!Regalloc.reg_words}, a dying operand's
+   range reused in place by an element-wise result. A node that does not
+   fit waits until its core frees registers; when nothing ready fits, the
+   lowest unscheduled reverse-postorder node, always ready, goes next. *)
+let priority_order lg (part : Partition.t) =
+  let config = part.config in
   let ns = Lgraph.nodes lg in
   let n = Array.length ns in
   let cons = Lgraph.consumers lg in
+  let rpo = Lgraph.reverse_postorder lg in
   let pos = Array.make n 0 in
-  Array.iteri (fun i id -> pos.(id) <- i) (Lgraph.reverse_postorder lg);
-  let is_mvm id =
-    match ns.(id).Lgraph.op with L_mvm _ -> true | _ -> false
+  Array.iteri (fun i id -> pos.(id) <- i) rpo;
+  let bl = bottom_levels config ns cons in
+  let top = Array.fold_left max 0 bl in
+  let key id = ((top - bl.(id)) * n) + pos.(id) in
+  let cores_per_tile = config.cores_per_tile in
+  let core_of id =
+    let p = part.node_place.(id) in
+    (p.Partition.tile * cores_per_tile) + p.Partition.core
   in
-  let key id =
-    (if is_mvm id || Array.exists is_mvm cons.(id) then 0 else n) + pos.(id)
+  let ncores =
+    Array.fold_left
+      (fun acc (p : Partition.place) ->
+        max acc ((p.tile * cores_per_tile) + p.core + 1))
+      1 part.node_place
+  in
+  let capacity =
+    Puma_isa.Operand.size_of (Puma_isa.Operand.layout config) Gpr
+  in
+  let words id = Regalloc.reg_words ns.(id).Lgraph.len in
+  (* One slot per value and core that consumes it, numbered in order of
+     first use: the value's register words, its consumers on that core not
+     yet scheduled, and whether it is resident there. [uses.(id)] lists
+     the slots of [id]'s distinct operands, [own.(id)] the slot of [id] on
+     its own core (-1 when nothing there consumes it). *)
+  let slot_ids = Hashtbl.create n in
+  let slot_of p on =
+    let k = (p * ncores) + on in
+    match Hashtbl.find slot_ids k with
+    | s -> s
+    | exception Not_found ->
+        let s = Hashtbl.length slot_ids in
+        Hashtbl.add slot_ids k s;
+        s
+  in
+  let uses =
+    Array.map
+      (fun (nd : Lgraph.lnode) ->
+        let on = core_of nd.id in
+        (* A binop may read one value twice; it uses one slot. *)
+        List.sort_uniq compare (Array.to_list nd.preds)
+        |> List.map (fun p -> slot_of p on)
+        |> Array.of_list)
+      ns
+  in
+  let nslots = Hashtbl.length slot_ids in
+  let slot_words = Array.make nslots 0 in
+  Hashtbl.iter (fun k s -> slot_words.(s) <- words (k / ncores)) slot_ids;
+  let left = Array.make nslots 0 in
+  Array.iter (Array.iter (fun s -> left.(s) <- left.(s) + 1)) uses;
+  let resident = Array.make nslots false in
+  let own =
+    Array.init n (fun id ->
+        match ns.(id).op with
+        | L_binop _ | L_unop _ | L_immop _ | L_gather _ | L_mvm _ -> (
+            match Hashtbl.find slot_ids ((id * ncores) + core_of id) with
+            | s -> s
+            | exception Not_found -> -1)
+        | L_input _ | L_const _ | L_output _ -> -1)
+  in
+  let live = Array.make ncores 0 in
+  let fits id =
+    let u = uses.(id) in
+    let need = ref 0 and inplace = ref false in
+    for j = 0 to Array.length u - 1 do
+      let s = u.(j) in
+      if not resident.(s) then need := !need + slot_words.(s);
+      if left.(s) = 1 && words id <= slot_words.(s) then inplace := true
+    done;
+    (match ns.(id).op with
+    | L_binop _ | L_unop _ | L_immop _ when !inplace -> ()
+    | L_binop _ | L_unop _ | L_immop _ | L_gather _ | L_mvm _ ->
+        need := !need + words id
+    | L_input _ | L_const _ | L_output _ -> ());
+    live.(core_of id) + !need <= capacity
+  in
+  (* Issue [id]; true when its core freed registers. *)
+  let issue id =
+    let on = core_of id in
+    let u = uses.(id) in
+    let freed = ref false in
+    for j = 0 to Array.length u - 1 do
+      let s = u.(j) in
+      if not resident.(s) then begin
+        resident.(s) <- true;
+        live.(on) <- live.(on) + slot_words.(s)
+      end;
+      left.(s) <- left.(s) - 1;
+      if left.(s) = 0 then begin
+        resident.(s) <- false;
+        live.(on) <- live.(on) - slot_words.(s);
+        freed := true
+      end
+    done;
+    let s = own.(id) in
+    if s >= 0 then begin
+      resident.(s) <- true;
+      live.(on) <- live.(on) + slot_words.(s)
+    end;
+    !freed
   in
   let waiting = Array.map (fun (nd : Lgraph.lnode) -> Array.length nd.preds) ns in
+  let scheduled = Array.make n false in
   let ready = Puma_util.Heap.create () in
-  Array.iteri (fun id w -> if w = 0 then Puma_util.Heap.push ready (key id) id) waiting;
+  let parked = Array.make ncores [] in
+  let push id = Puma_util.Heap.push ready (key id) id in
+  Array.iteri (fun id w -> if w = 0 then push id) waiting;
   let order = Array.make n 0 in
-  let rec drain k =
+  let next_rpo = ref 0 in
+  let rec pick () =
     match Puma_util.Heap.pop ready with
-    | None -> assert (k = n)
+    | Some (_, id) when fits id -> Some id
     | Some (_, id) ->
-        order.(k) <- id;
-        Array.iter
-          (fun c ->
-            waiting.(c) <- waiting.(c) - 1;
-            if waiting.(c) = 0 then Puma_util.Heap.push ready (key c) c)
-          cons.(id);
-        drain (k + 1)
+        parked.(core_of id) <- id :: parked.(core_of id);
+        pick ()
+    | None -> None
   in
-  drain 0;
+  for k = 0 to n - 1 do
+    let id =
+      match pick () with
+      | Some id -> id
+      | None ->
+          while scheduled.(rpo.(!next_rpo)) do incr next_rpo done;
+          rpo.(!next_rpo)
+    in
+    order.(k) <- id;
+    scheduled.(id) <- true;
+    if issue id then begin
+      let on = core_of id in
+      List.iter (fun w -> if not scheduled.(w) then push w) parked.(on);
+      parked.(on) <- []
+    end;
+    Array.iter
+      (fun c ->
+        waiting.(c) <- waiting.(c) - 1;
+        if waiting.(c) = 0 then push c)
+      cons.(id)
+  done;
   order
 
 let build ~coalesce lg (part : Partition.t) =
-  let order = priority_order lg in
+  let order = priority_order lg part in
   let mvmus_per_core = part.config.mvmus_per_core in
   let items = ref [] in
   let cores = ref [] in
@@ -91,22 +237,11 @@ let build ~coalesce lg (part : Partition.t) =
           | Some g when joinable g ->
               g.members <- id :: g.members;
               g.mvmus <- g.mvmus lor mvmu_bit;
-              Hashtbl.replace g.member_set id ();
               Hashtbl.replace member_core id core
-          | Some _ ->
+          | Some _ | None ->
               flush core;
-              let g =
-                { members = [ id ]; mvmus = mvmu_bit; member_set = Hashtbl.create 4 }
-              in
-              Hashtbl.replace g.member_set id ();
-              Hashtbl.replace open_groups core g;
-              Hashtbl.replace member_core id core
-          | None ->
-              let g =
-                { members = [ id ]; mvmus = mvmu_bit; member_set = Hashtbl.create 4 }
-              in
-              Hashtbl.replace g.member_set id ();
-              Hashtbl.replace open_groups core g;
+              Hashtbl.replace open_groups core
+                { members = [ id ]; mvmus = mvmu_bit };
               Hashtbl.replace member_core id core)
       | Lgraph.L_mvm _ -> emit (core_of id) (Mvm_group [| id |])
       | Lgraph.L_input _ | L_const _ | L_binop _ | L_unop _ | L_immop _

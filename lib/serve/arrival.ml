@@ -117,7 +117,9 @@ let times p ~seed ~duration_s =
   if envelope <= 0.0 || duration_s <= 0.0 then [||]
   else begin
     let root = Rng.create seed in
-    let accepted = ref [] in
+    (* Unboxed and grown by doubling: a list of boxed floats outlives
+       minor collections and is promoted whole. *)
+    let accepted = ref (Array.make 256 0.0) and count = ref 0 in
     let t = ref 0.0 in
     let k = ref 0 in
     let continue = ref true in
@@ -129,10 +131,14 @@ let times p ~seed ~duration_s =
       t := !t +. (-.log u /. envelope);
       if !t >= duration_s then continue := false
       else begin
-        if Rng.float coin_rng 1.0 *. envelope <= rate_at p !t then
-          accepted := !t :: !accepted;
+        if Rng.float coin_rng 1.0 *. envelope <= rate_at p !t then begin
+          if !count = Array.length !accepted then
+            accepted := Array.append !accepted !accepted;
+          !accepted.(!count) <- !t;
+          incr count
+        end;
         incr k
       end
     done;
-    Array.of_list (List.rev !accepted)
+    Array.sub !accepted 0 !count
   end

@@ -230,7 +230,24 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
   let heap = Heap.create () in
   let comp_seq = ref 0 in
   let busy_cycles = ref 0 in
-  let served_acc = ref [] in
+  (* Served requests by arrival index (each is served at most once), so
+     arrival order needs no sort; [arrival = -1] marks an empty slot. *)
+  let unserved =
+    {
+      arrival = -1;
+      model = 0;
+      model_request = 0;
+      arrival_cycle = 0;
+      start_cycle = 0;
+      finish_cycle = 0;
+      node = 0;
+      cycles = 0;
+      energy_pj = 0.0;
+      outputs = [];
+    }
+  in
+  let served_at = Array.make n unserved in
+  let served_n = ref 0 in
   let rejected_acc = ref [] in
   let events = ref (Array.make 64 0) in
   let n_events = ref 0 in
@@ -295,7 +312,7 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
               let c = costs.(idx) in
               finish := !finish + c.cycles;
               busy_cycles := !busy_cycles + c.cycles;
-              served_acc :=
+              served_at.(idx) <-
                 {
                   arrival = idx;
                   model = m;
@@ -307,8 +324,8 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
                   cycles = c.cycles;
                   energy_pj = c.energy_pj;
                   outputs = c.outputs;
-                }
-                :: !served_acc;
+                };
+              incr served_n;
               incr b
             done;
             Heap.push heap (!finish, !comp_seq, nd);
@@ -356,8 +373,15 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
     | Some _, false -> do_completion ()
     | _, true -> do_arrival ()
   done;
-  let by_arrival (a : served) (b : served) = compare a.arrival b.arrival in
-  let served = Array.of_list (List.sort by_arrival !served_acc) in
+  let served = Array.make !served_n unserved in
+  let k = ref 0 in
+  Array.iter
+    (fun (s : served) ->
+      if s.arrival >= 0 then begin
+        served.(!k) <- s;
+        incr k
+      end)
+    served_at;
   let rejections =
     Array.of_list
       (List.sort
@@ -376,15 +400,20 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
     Array.mapi
       (fun m (mdl : model) ->
         let lats =
-          Array.of_list
-            (List.rev
-               (Array.fold_left
-                  (fun acc (s : served) ->
-                    if s.model = m then
-                      ms_of_cycles (s.finish_cycle - s.arrival_cycle) :: acc
-                    else acc)
-                  [] served))
+          Array.make
+            (Array.fold_left
+               (fun acc (s : served) -> if s.model = m then acc + 1 else acc)
+               0 served)
+            0.0
         in
+        let k = ref 0 in
+        Array.iter
+          (fun (s : served) ->
+            if s.model = m then begin
+              lats.(!k) <- ms_of_cycles (s.finish_cycle - s.arrival_cycle);
+              incr k
+            end)
+          served;
         Stats.sort_floats lats;
         let served_n = Array.length lats in
         let rejected_n =

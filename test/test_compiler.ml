@@ -929,6 +929,153 @@ let test_coalescing_dense_layer () =
     ((slots + config.mvmus_per_core - 1) / config.mvmus_per_core)
     (Schedule.num_mvm_instructions sched)
 
+(* ---- Scheduling priority and its static bound ---- *)
+
+let bench_minis () =
+  [
+    ("mlp", Puma_nn.Network.build_graph Puma_nn.Models.mini_mlp);
+    ("lstm", Puma_nn.Network.build_graph Puma_nn.Models.mini_lstm);
+    ("rnn", Puma_nn.Network.build_graph Puma_nn.Models.mini_rnn);
+    ("bm", Puma_nn.Models.mini_bm);
+    ("rbm", Puma_nn.Models.mini_rbm);
+  ]
+
+let random_inputs g =
+  Array.to_list (G.nodes g)
+  |> List.filter_map (fun (n : G.node) ->
+         match n.op with
+         | G.Input name -> Some (name, Tensor.vec_rand rng n.len 1.0)
+         | _ -> None)
+
+(* The schedule is a topological order of the whole lowered graph: every
+   node exactly once, after all of its preds. *)
+let check_schedule_order name lg (sched : Schedule.t) =
+  let n = Lgraph.num_nodes lg in
+  let at = Array.make n (-1) in
+  Array.iteri
+    (fun k it ->
+      let place id =
+        Alcotest.(check int) (Printf.sprintf "%s: node %d once" name id) (-1)
+          at.(id);
+        at.(id) <- k
+      in
+      match it with
+      | Schedule.Single id -> place id
+      | Schedule.Mvm_group ms -> Array.iter place ms)
+    sched.Schedule.items;
+  Array.iter
+    (fun (nd : Lgraph.lnode) ->
+      Alcotest.(check bool) (Printf.sprintf "%s: node %d listed" name nd.id)
+        true (at.(nd.id) >= 0);
+      Array.iter
+        (fun p ->
+          if not (at.(p) < at.(nd.id)) then
+            Alcotest.failf "%s: node %d issues before its pred %d" name nd.id p)
+        nd.preds)
+    (Lgraph.nodes lg)
+
+let test_schedule_topological () =
+  List.iter
+    (fun dim ->
+      let config = { Config.sweetspot with mvmu_dim = dim } in
+      List.iter
+        (fun (name, g) ->
+          let lg = Tiling.lower ~dim g in
+          let part = Partition.partition config Partition.Locality lg in
+          check_schedule_order
+            (Printf.sprintf "%s dim %d" name dim)
+            lg
+            (Schedule.build ~coalesce:true lg part))
+        (bench_minis ()))
+    [ 64; 128 ];
+  let config = Config.sweetspot in
+  let lg =
+    Tiling.lower ~dim:config.mvmu_dim
+      (Puma_nn.Network.build_graph Puma_nn.Models.mlp_l4)
+  in
+  let part =
+    Partition.partition
+      ~cluster:{ Partition.nodes = 2; scheme = Pipelined }
+      config Partition.Locality lg
+  in
+  check_schedule_order "mlpl4 x2" lg (Schedule.build ~coalesce:true lg part)
+
+(* Two chains share one core: the long one (three vector operations) is
+   built first, so reverse postorder alone would start the short one
+   (a single relu). The critical path goes first. *)
+let test_schedule_long_chain_first () =
+  let m = B.create "chains" in
+  let x = B.input m ~name:"x" ~len:32 in
+  B.output m ~name:"long" (B.sigmoid m (B.tanh m (B.mul_imm m x 0.5)));
+  B.output m ~name:"short" (B.relu m x);
+  let config =
+    { tiny_config with tiles_per_node = 1; cores_per_tile = 1; mvmus_per_core = 1 }
+  in
+  let lg = Tiling.lower ~dim:config.mvmu_dim (B.finish m) in
+  let part = Partition.partition config Partition.Locality lg in
+  let sched = Schedule.build ~coalesce:true lg part in
+  let find op =
+    let id = ref (-1) in
+    Array.iter
+      (fun (nd : Lgraph.lnode) -> if nd.op = op then id := nd.id)
+      (Lgraph.nodes lg);
+    !id
+  in
+  let long_head = find (Lgraph.L_immop (G.Mul_imm 0.5)) in
+  let short_head = find (Lgraph.L_unop G.Relu) in
+  let index_in order id =
+    let k = ref (-1) in
+    Array.iteri (fun i x -> if x = id then k := i) order;
+    !k
+  in
+  let rpo = Lgraph.reverse_postorder lg in
+  Alcotest.(check bool) "reverse postorder starts the short chain" true
+    (index_in rpo short_head < index_in rpo long_head);
+  let issued =
+    Array.map
+      (function Schedule.Single id -> id | Schedule.Mvm_group ms -> ms.(0))
+      sched.Schedule.items
+  in
+  Alcotest.(check bool) "one core" true
+    (Array.for_all (fun tc -> tc = (0, 0)) sched.Schedule.item_core);
+  Alcotest.(check bool) "long chain's head first" true
+    (index_in issued long_head < index_in issued short_head)
+
+(* The critical path weighs each node by the fewest cycles the simulator
+   can spend on it, so it never exceeds one simulated inference. *)
+let test_critical_path_bound () =
+  List.iter
+    (fun dim ->
+      let config = { Config.sweetspot with mvmu_dim = dim } in
+      List.iter
+        (fun (name, g) ->
+          let r = Compile.compile config g in
+          let node = Puma_sim.Node.create r.Compile.program in
+          ignore (Puma_sim.Node.run node ~inputs:(random_inputs g));
+          let sim = Puma_sim.Node.cycles node in
+          let cp = r.Compile.critical_path_cycles in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s dim %d: 0 < CP %d <= simulated %d" name dim cp
+               sim)
+            true
+            (0 < cp && cp <= sim))
+        (bench_minis ()))
+    [ 64; 128 ]
+
+(* A shared-memory overflow during code generation is a diagnostic with
+   a stable code, still raised as [Failure]. *)
+let test_smem_overflow_diagnostic () =
+  let m = B.create "smem" in
+  let x = B.input m ~name:"x" ~len:64 in
+  let w = B.const_matrix m ~name:"W" (Tensor.mat_rand rng 64 64 0.1) in
+  B.output m ~name:"y" (B.relu m (B.mvm m w x));
+  let config = { tiny_config with smem_bytes = 64 } in
+  match Compile.compile config (B.finish m) with
+  | _ -> Alcotest.fail "expected a shared-memory overflow"
+  | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "E-SMEM in %S" msg) true
+        (String.starts_with ~prefix:"error[E-SMEM]" msg)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -952,6 +1099,12 @@ let () =
           Alcotest.test_case "coalescing constraints" `Quick
             test_schedule_coalescing_constraints;
           Alcotest.test_case "covers all nodes" `Quick test_schedule_covers_all_nodes;
+          Alcotest.test_case "topological on benchmarks" `Quick
+            test_schedule_topological;
+          Alcotest.test_case "long chain first" `Quick
+            test_schedule_long_chain_first;
+          Alcotest.test_case "critical path bound" `Quick
+            test_critical_path_bound;
         ] );
       ( "end-to-end",
         [
@@ -974,6 +1127,8 @@ let () =
           Alcotest.test_case "deterministic compile" `Quick test_compile_deterministic;
           Alcotest.test_case "concurrent compiles" `Quick
             test_compile_concurrent;
+          Alcotest.test_case "smem overflow diagnostic" `Quick
+            test_smem_overflow_diagnostic;
         ] );
       ( "checker",
         [ Alcotest.test_case "rejects bad programs" `Quick
