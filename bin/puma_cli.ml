@@ -82,8 +82,8 @@ let exit_err msg =
   exit 1
 
 (* Every compile goes through here: a compile-time [Failure] (Codegen's
-   E-SMEM overflow, the analysis gate's report) is an error exit, not an
-   uncaught exception. *)
+   E-SMEM, E-FIFO and E-COUNT budgets, the analysis gate's report) is an
+   error exit, not an uncaught exception. *)
 let compile ?options config g =
   try Puma_compiler.Compile.compile ?options config g
   with Failure msg -> exit_err msg

@@ -160,7 +160,8 @@ let bail ?tile ?core ?pc fmt =
     fmt
 
 (* Intern an image by content: the program's images and the reference's
-   independently quantized ones unify exactly when their raws agree, and
+   unify exactly when their raws agree (an image on the wrong MVMU does
+   not), and
    content-equal blocks unify (the compiler may legitimately use either
    copy). [label] only sticks on first sight, so reference names win
    over program-side placeholders. *)

@@ -24,11 +24,12 @@
     an output), batch-loop control flow (scalar registers are concrete, so
     the loop executes exactly), and [Remap] line permutations (the plan
     lives outside {!Puma_isa.Program.t} and is exact in ideal arithmetic).
-    Crossbar images are interned by content (their 16-bit raws), so the
-    program's images and the reference's independently quantized ones
-    unify exactly when they agree, and a program reloaded through
-    {!Puma_isa.Program_io} validates against a freshly-extracted
-    reference.
+    Crossbar images are interned by content (their 16-bit raws). Both
+    sides read the image lowering quantized once per slot, so an image
+    placed on the wrong MVMU is still refuted, and a program reloaded
+    through {!Puma_isa.Program_io} validates against a freshly-extracted
+    reference. Quantization itself is part of lowering, which the float
+    oracle checks, not this proof.
 
     Soundness caveats (see docs/ANALYSIS.md): the proof assumes the
     scheduler-independence the other passes establish — no shared-memory

@@ -220,49 +220,24 @@ let pressure_of layout (cfg : Cfg.t) =
   let width = total + Operand.num_scalar_regs in
   let live_out = Regflow.liveness ~layout cfg in
   let eff = Array.map (Regflow.effects layout) cfg.Cfg.code in
-  let xin_b = Operand.base_of layout Operand.Xbar_in
-  and xin_s = Operand.size_of layout Operand.Xbar_in
-  and xout_b = Operand.base_of layout Operand.Xbar_out
-  and xout_s = Operand.size_of layout Operand.Xbar_out
-  and gpr_b = Operand.base_of layout Operand.Gpr
-  and gpr_s = Operand.size_of layout Operand.Gpr in
-  let hw =
-    ref
-      {
-        xin_hw = 0;
-        xin_cap = xin_s;
-        xout_hw = 0;
-        xout_cap = xout_s;
-        gpr_hw = 0;
-        gpr_cap = gpr_s;
-        sreg_hw = 0;
-      }
+  let xout_b = Operand.base_of layout Operand.Xbar_out
+  and gpr_b = Operand.base_of layout Operand.Gpr in
+  (* Live words per space (xin, xout, gpr, sregs), which tile the bitset
+     in that order. A def or use moves a count only when it flips a bit,
+     so each pc costs its operands, not the register file's width. *)
+  let space k =
+    if k < xout_b then 0 else if k < gpr_b then 1 else if k < total then 2 else 3
   in
-  let measure live =
-    let count base size =
-      let c = ref 0 in
-      for k = base to base + size - 1 do
-        if Absint.Bset.get live k then incr c
-      done;
-      !c
-    in
-    let xin = count xin_b xin_s
-    and xout = count xout_b xout_s
-    and gpr = count gpr_b gpr_s
-    and sreg = count total Operand.num_scalar_regs in
-    hw :=
-      {
-        !hw with
-        xin_hw = max !hw.xin_hw xin;
-        xout_hw = max !hw.xout_hw xout;
-        gpr_hw = max !hw.gpr_hw gpr;
-        sreg_hw = max !hw.sreg_hw sreg;
-      }
+  let live_words = Array.make 4 0 and peak = Array.make 4 0 in
+  let measure () =
+    for s = 0 to 3 do
+      if live_words.(s) > peak.(s) then peak.(s) <- live_words.(s)
+    done
   in
-  let iter_range set (base, w) =
+  let iter_range f (base, w) =
     let lo = max 0 base and hi = min width (base + w) in
     for k = lo to hi - 1 do
-      set k
+      f k
     done
   in
   for b = 0 to Cfg.num_blocks cfg - 1 do
@@ -271,18 +246,37 @@ let pressure_of layout (cfg : Cfg.t) =
     | Some out ->
         if cfg.Cfg.reachable.(b) then begin
           let live = Absint.Bset.copy out in
-          measure live;
+          Array.fill live_words 0 4 0;
+          for k = 0 to width - 1 do
+            if Absint.Bset.get live k then
+              live_words.(space k) <- live_words.(space k) + 1
+          done;
+          measure ();
+          let flip on k =
+            if Absint.Bset.get live k <> on then begin
+              if on then Absint.Bset.set live k else Absint.Bset.clear live k;
+              live_words.(space k) <- live_words.(space k) + if on then 1 else -1
+            end
+          in
           let blk = cfg.Cfg.blocks.(b) in
           for pc = blk.Cfg.last downto blk.Cfg.first do
             let e = eff.(pc) in
-            List.iter (iter_range (Absint.Bset.clear live)) e.Regflow.defs;
-            List.iter (iter_range (Absint.Bset.set live)) e.Regflow.strict;
-            List.iter (iter_range (Absint.Bset.set live)) e.Regflow.soft;
-            measure live
+            List.iter (iter_range (flip false)) e.Regflow.defs;
+            List.iter (iter_range (flip true)) e.Regflow.strict;
+            List.iter (iter_range (flip true)) e.Regflow.soft;
+            measure ()
           done
         end
   done;
-  !hw
+  {
+    xin_hw = peak.(0);
+    xin_cap = Operand.size_of layout Operand.Xbar_in;
+    xout_hw = peak.(1);
+    xout_cap = Operand.size_of layout Operand.Xbar_out;
+    gpr_hw = peak.(2);
+    gpr_cap = Operand.size_of layout Operand.Gpr;
+    sreg_hw = peak.(3);
+  }
 
 (* ---- Estimation over a whole program. ---- *)
 

@@ -26,6 +26,15 @@ type buf = {
 
 let buf () = { rev = []; srcs = []; count = 0 }
 
+(* A budget the program does not fit is a rendered diagnostic with a
+   stable code, raised as [Failure] so every caller that stops on a
+   failed compile keeps working. *)
+let fail_diag ~code ~tile fmt =
+  Printf.ksprintf
+    (fun m ->
+      failwith (Puma_isa.Diag.to_string (Puma_isa.Diag.error ~code ~tile "%s" m)))
+    fmt
+
 let to_array b = Array.of_list (List.rev b.rev)
 let src_array b = Array.of_list (List.rev b.srcs)
 
@@ -122,12 +131,10 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
     let a = smem_ptr.(tile) in
     smem_ptr.(tile) <- a + len;
     if smem_ptr.(tile) > smem_words then
-      failwith
-        (Puma_isa.Diag.to_string
-           (Puma_isa.Diag.error ~code:"E-SMEM" ~tile
-              "shared memory overflows during code generation: %d words \
-               needed of %d (last allocation %d words)"
-              smem_ptr.(tile) smem_words len));
+      fail_diag ~code:"E-SMEM" ~tile
+        "shared memory overflows during code generation: %d words needed \
+         of %d (last allocation %d words)"
+        smem_ptr.(tile) smem_words len;
     a
   in
   let home_addr = Array.make nvals (-1) in
@@ -164,13 +171,12 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
   let fifo_of ~src ~dst =
     let l = List.sort compare !(Hashtbl.find senders dst) in
     if List.length l > config.num_fifos then
-      failwith
-        (Printf.sprintf
-           "Codegen: tile %d receives from %d tiles (%s) but only %d FIFOs \
-            exist"
-           dst (List.length l)
-           (String.concat "," (List.map string_of_int l))
-           config.num_fifos);
+      fail_diag ~code:"E-FIFO" ~tile:dst
+        "code generation needs one receive FIFO per sender tile: tile %d \
+         receives from %d tiles (%s) but only %d FIFOs exist"
+        dst (List.length l)
+        (String.concat "," (List.map string_of_int l))
+        config.num_fifos;
     let rec index k = function
       | [] -> assert false
       | x :: rest -> if x = src then k else index (k + 1) rest
@@ -226,8 +232,11 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
   let output_bindings = ref [] in
   let const_bindings = ref [] in
   (* ---- Post-production glue: store, send/receive, externals. ---- *)
-  let check_count n =
-    if n > 255 then failwith "Codegen: more than 255 consumers of one value";
+  let check_count ~tile n =
+    if n > 255 then
+      fail_diag ~code:"E-COUNT" ~tile
+        "code generation needs a consumer count of %d, but a store/receive \
+         count holds 0..255" n;
     n
   in
   let post_production pos id =
@@ -242,7 +251,7 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
               {
                 src = r;
                 addr = Instr.Imm_addr home_addr.(id);
-                count = check_count (home_count id);
+                count = check_count ~tile:ht (home_count id);
                 vec_width = node.len;
               });
          Regalloc.consume_use alloc ~id ~pos
@@ -263,7 +272,7 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
                {
                  mem_addr = Hashtbl.find remote_addr (id, rt);
                  fifo_id = fifo;
-                 count = check_count (remote_count id rt);
+                 count = check_count ~tile:rt (remote_count id rt);
                  vec_width = node.len;
                }))
         (remote_tiles id);
@@ -508,7 +517,7 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
       let t, c, m = part.Partition.slot_mvmu.(s.slot_id) in
       slot_images.(t) :=
         { Program.core_index = c; mvmu_index = m;
-          image = Fixed.image_of_mat s.block }
+          image = s.image }
         :: !(slot_images.(t)))
     (Lgraph.slots lg);
   let finalized =

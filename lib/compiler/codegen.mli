@@ -46,6 +46,8 @@ val generate :
   Partition.t ->
   Schedule.t ->
   Puma_isa.Program.t * stats * provenance
-(** Raises [Failure] when a tile would need more receive FIFOs than the
-    hardware provides or a tile memory overflows; an overflow's message is
-    the rendered [E-SMEM] diagnostic ({!Puma_isa.Diag.to_string}). *)
+(** Raises [Failure] when the program does not fit a hardware budget. The
+    message is a rendered diagnostic ({!Puma_isa.Diag.to_string}):
+    [E-FIFO] when a tile would need more receive FIFOs than exist,
+    [E-COUNT] when one value has more consumers than a count holds, and
+    [E-SMEM] when a tile's shared memory overflows. *)

@@ -17,7 +17,7 @@ type slot = {
   matrix : int;
   row_block : int;
   col_block : int;
-  block : Puma_util.Tensor.mat;
+  image : string;
 }
 
 type sum = { terms : int array; adds : int array }
@@ -55,12 +55,12 @@ let add_slot t ~matrix ~row_block ~col_block ~source =
   match Hashtbl.find_opt t.slot_index key with
   | Some id -> id
   | None ->
-      let block =
-        Puma_util.Tensor.mat_sub_block source ~row:(row_block * t.dim)
-          ~col:(col_block * t.dim) ~rows:t.dim ~cols:t.dim
+      let image =
+        Puma_util.Fixed.image_of_sub_block source ~row:(row_block * t.dim)
+          ~col:(col_block * t.dim) ~dim:t.dim
       in
       let id = t.slot_count in
-      t.slot_list <- { slot_id = id; matrix; row_block; col_block; block } :: t.slot_list;
+      t.slot_list <- { slot_id = id; matrix; row_block; col_block; image } :: t.slot_list;
       t.slot_count <- id + 1;
       t.slots_cache <- None;
       Hashtbl.add t.slot_index key id;
@@ -194,7 +194,8 @@ let reverse_postorder t =
    Deliberately independent of Codegen: the binop/unop/immop encodings and
    the fixed-point immediate quantization are re-derived here, so a wrong
    mapping in the code generator refutes instead of reproducing on both
-   sides of the Equiv check. *)
+   sides of the Equiv check. Crossbar images are the slots' own, quantized
+   once by [add_slot]: Equiv still refutes one placed on the wrong MVMU. *)
 
 module E = Puma_analysis.Equiv
 
@@ -217,7 +218,6 @@ let quantize f = Puma_util.Fixed.to_raw (Puma_util.Fixed.of_float f)
 
 let to_reference ~matrix_name t =
   let slots = slots t in
-  let images = Array.map (fun s -> Puma_util.Fixed.image_of_mat s.block) slots in
   Array.map
     (fun (n : lnode) ->
       let op =
@@ -228,7 +228,7 @@ let to_reference ~matrix_name t =
             let s = slots.(slot) in
             E.R_mvm
               {
-                image = images.(slot);
+                image = s.image;
                 label =
                   Printf.sprintf "%s[r%d,c%d]" (matrix_name s.matrix)
                     s.row_block s.col_block;

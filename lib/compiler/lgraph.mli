@@ -34,7 +34,9 @@ type slot = {
   matrix : int;  (** Graph matrix id. *)
   row_block : int;
   col_block : int;
-  block : Puma_util.Tensor.mat;  (** dim x dim, zero-padded. *)
+  image : string;
+      (** dim x dim raws, zero-padded, in {!Puma_util.Fixed.image_of_mat}'s
+          format; Codegen and {!to_reference} share this string. *)
 }
 
 type t
@@ -44,8 +46,9 @@ val dim : t -> int
 val add_slot :
   t -> matrix:int -> row_block:int -> col_block:int -> source:Puma_util.Tensor.mat -> int
 (** Returns the existing slot id if (matrix, row, col) was already added;
-    otherwise cuts the slot's zero-padded block out of [source], the
-    whole matrix. *)
+    otherwise quantizes the slot's zero-padded block of [source], the
+    whole matrix, into its image ({!Puma_util.Fixed.image_of_sub_block}):
+    the one quantization every later consumer reads. *)
 
 val add_node : ?src:int -> t -> op:lop -> preds:int array -> len:int -> int
 
@@ -88,7 +91,8 @@ val to_reference :
 (** Extract the reference dataflow the translation validator
     ({!Puma_analysis.Equiv}) checks compiled programs against.
     [matrix_name] maps a graph matrix id to its name (for diagnostics).
-    The op encodings, fixed-point immediates and crossbar images (one
-    quantization per slot) are re-derived here, independently of
-    {!Codegen}, so a codegen mapping bug is refuted rather than
-    reproduced on both sides. *)
+    The op encodings and fixed-point immediates are re-derived here,
+    independently of {!Codegen}, so a codegen mapping bug is refuted
+    rather than reproduced on both sides. Crossbar images are the slots'
+    own, quantized once in {!add_slot}: interned by content, one placed
+    on the wrong MVMU is still refuted. *)

@@ -18,7 +18,7 @@ let one = 1 lsl frac_bits
    the fraction [r] left after truncating toward zero is exact, and
    truncating [2r] adds the carry of rounding half away from zero, as
    [Float.round] does, with neither a call nor a branch. [@inline] keeps
-   {!image_of_mat}'s loop call-free; other modules call it out of line. *)
+   the image loops below call-free; other modules call it out of line. *)
 let[@inline] of_float f =
   if Float.is_nan f then 0
   else
@@ -84,6 +84,18 @@ let image_of_mat (m : Tensor.mat) =
   let b = Bytes.create (2 * Array.length data) in
   for k = 0 to Array.length data - 1 do
     Bytes.set_int16_ne b (2 * k) (of_float data.(k))
+  done;
+  Bytes.unsafe_to_string b
+
+(* The zero-padded dim x dim block of [m] at ([row], [col]), in place. *)
+let image_of_sub_block (m : Tensor.mat) ~row ~col ~dim =
+  let data = m.Tensor.data and cols = m.Tensor.cols in
+  let b = Bytes.make (2 * dim * dim) '\000' in
+  for i = 0 to min dim (m.Tensor.rows - row) - 1 do
+    let src = ((row + i) * cols) + col in
+    for j = 0 to min dim (cols - col) - 1 do
+      Bytes.set_int16_ne b (2 * ((i * dim) + j)) (of_float data.(src + j))
+    done
   done;
   Bytes.unsafe_to_string b
 

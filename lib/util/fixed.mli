@@ -86,6 +86,12 @@ val of_acc : int -> t
 val image_of_mat : Tensor.mat -> string
 (** The one weight quantizer: {!of_float} of every element. *)
 
+val image_of_sub_block : Tensor.mat -> row:int -> col:int -> dim:int -> string
+(** [image_of_sub_block m ~row ~col ~dim] is the image of the [dim] x [dim]
+    block of [m] whose top-left weight is ([row], [col]), zero-padded
+    where the block runs past [m]'s edge: equal to {!image_of_mat} of that
+    padded block, without building it. *)
+
 val image_raw : string -> int -> int
 (** [image_raw img k] is the raw of weight [k] (row-major index). *)
 

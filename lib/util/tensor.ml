@@ -51,8 +51,3 @@ let mvm m x =
 let mat_transpose m = mat_init m.cols m.rows (fun i j -> get m j i)
 let mat_rand rng rows cols amplitude =
   mat_init rows cols (fun _ _ -> Rng.uniform rng (-.amplitude) amplitude)
-
-let mat_sub_block m ~row ~col ~rows ~cols =
-  mat_init rows cols (fun i j ->
-      let si = row + i and sj = col + j in
-      if si < m.rows && sj < m.cols then get m si sj else 0.0)

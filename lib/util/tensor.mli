@@ -2,7 +2,8 @@
 
     This is the reference numeric substrate: the compiler's reference
     executor and the workload layer use plain float tensors, while the
-    compiler quantizes crossbar blocks once ({!Fixed.image_of_mat}).
+    compiler quantizes each crossbar block once, straight from its source
+    matrix ({!Fixed.image_of_sub_block}).
     Matrices are row-major; [rows] is the output dimension of an MVM
     (y = W x with W of shape [rows] x [cols]). *)
 
@@ -34,5 +35,3 @@ val mvm : mat -> vec -> vec
 
 val mat_transpose : mat -> mat
 val mat_rand : Rng.t -> int -> int -> float -> mat
-val mat_sub_block : mat -> row:int -> col:int -> rows:int -> cols:int -> mat
-(** Extract a block, zero-padding where the block exceeds the matrix. *)

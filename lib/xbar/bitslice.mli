@@ -46,8 +46,7 @@ val create :
   ?fault:Fault.spec ->
   Puma_util.Tensor.mat ->
   t
-(** Quantize a float matrix (shape exactly [dim x dim]; use
-    {!Puma_util.Tensor.mat_sub_block} to pad) with
+(** Quantize a float matrix (shape exactly [dim x dim]) with
     {!Puma_util.Fixed.image_of_mat}, then {!of_image}. *)
 
 val zero : Puma_hwmodel.Config.t -> t

@@ -74,6 +74,51 @@ let test_tiling_slot_reuse () =
   (* 40x40 over 32 -> 2x2 = 4 slots, not 8. *)
   Alcotest.(check int) "slots shared" 4 (Lgraph.num_slots lg)
 
+(* Each slot's image is its block, quantized once at tiling: equal to
+   an independent quantization of a zero-padded block built here, and the
+   very strings the compiled program programs into its MVMUs. *)
+let test_tiling_slot_images () =
+  let m = B.create "ragged" in
+  let x = B.input m ~name:"x" ~len:70 in
+  let rng = Rng.create 26 in
+  let w1 = Tensor.mat_rand rng 150 70 0.5 and w2 = Tensor.mat_rand rng 14 150 0.5 in
+  let h = B.relu m (B.mvm m (B.const_matrix m ~name:"W1" w1) x) in
+  B.output m ~name:"y" (B.mvm m (B.const_matrix m ~name:"W2" w2) h);
+  let g = B.finish m in
+  List.iter
+    (fun dim ->
+      let lg = Tiling.lower ~dim g in
+      let expect (s : Lgraph.slot) =
+        let src = if s.Lgraph.matrix = 0 then w1 else w2 in
+        Puma_util.Fixed.image_of_mat
+          (Tensor.mat_init dim dim (fun i j ->
+               let i = (s.row_block * dim) + i and j = (s.col_block * dim) + j in
+               if i < src.Tensor.rows && j < src.Tensor.cols then Tensor.get src i j
+               else 0.0))
+      in
+      let slots = Array.to_list (Lgraph.slots lg) in
+      let blocks n = (n + dim - 1) / dim in
+      Alcotest.(check int) (Printf.sprintf "dim %d slots" dim)
+        ((blocks 150 * blocks 70) + (blocks 14 * blocks 150))
+        (List.length slots);
+      List.iter
+        (fun (s : Lgraph.slot) ->
+          Alcotest.(check bool)
+            (Printf.sprintf "dim %d slot %d image" dim s.slot_id)
+            true (String.equal s.image (expect s)))
+        slots;
+      let r = compile ~config:{ Config.sweetspot with mvmu_dim = dim } g in
+      let programmed =
+        Array.to_list r.Compile.program.Program.tiles
+        |> List.concat_map (fun (t : Program.tile_program) ->
+               List.map (fun (i : Program.mvmu_image) -> i.image) t.mvmu_images)
+      in
+      Alcotest.(check (list string))
+        (Printf.sprintf "dim %d programmed images" dim)
+        (List.sort compare (List.map expect slots))
+        (List.sort compare programmed))
+    [ 64; 128 ]
+
 let test_tiling_mvm_adder_tree () =
   let m = B.create "wide" in
   let x = B.input m ~name:"x" ~len:100 in
@@ -1076,6 +1121,16 @@ let test_smem_overflow_diagnostic () =
       Alcotest.(check bool) (Printf.sprintf "E-SMEM in %S" msg) true
         (String.starts_with ~prefix:"error[E-SMEM]" msg)
 
+(* So is a tile that needs more receive FIFOs than it has: rbm's tile 4
+   receives from 4 tiles at dim 64. *)
+let test_fifo_budget_diagnostic () =
+  let config = { Config.sweetspot with mvmu_dim = 64; num_fifos = 2 } in
+  match Compile.compile config Puma_nn.Models.mini_rbm with
+  | _ -> Alcotest.fail "expected a receive-FIFO shortage"
+  | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "E-FIFO in %S" msg) true
+        (String.starts_with ~prefix:"error[E-FIFO]" msg)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -1083,6 +1138,7 @@ let () =
         [
           Alcotest.test_case "segments" `Quick test_tiling_segments;
           Alcotest.test_case "slot reuse" `Quick test_tiling_slot_reuse;
+          Alcotest.test_case "slot images" `Quick test_tiling_slot_images;
           Alcotest.test_case "adder tree" `Quick test_tiling_mvm_adder_tree;
           Alcotest.test_case "levels/order" `Quick test_tiling_levels_and_order;
         ] );
@@ -1129,6 +1185,8 @@ let () =
             test_compile_concurrent;
           Alcotest.test_case "smem overflow diagnostic" `Quick
             test_smem_overflow_diagnostic;
+          Alcotest.test_case "fifo budget diagnostic" `Quick
+            test_fifo_budget_diagnostic;
         ] );
       ( "checker",
         [ Alcotest.test_case "rejects bad programs" `Quick

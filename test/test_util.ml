@@ -259,13 +259,6 @@ let test_tensor_transpose () =
   let tt = Tensor.mat_transpose (Tensor.mat_transpose m) in
   Alcotest.(check (array (float 1e-12))) "double transpose" m.Tensor.data tt.Tensor.data
 
-let test_tensor_sub_block_padding () =
-  let m = Tensor.mat_init 3 3 (fun i j -> Float.of_int ((i * 3) + j)) in
-  let b = Tensor.mat_sub_block m ~row:2 ~col:2 ~rows:2 ~cols:2 in
-  Alcotest.(check (float 1e-9)) "in range" 8.0 (Tensor.get b 0 0);
-  Alcotest.(check (float 1e-9)) "pad row" 0.0 (Tensor.get b 1 0);
-  Alcotest.(check (float 1e-9)) "pad col" 0.0 (Tensor.get b 0 1)
-
 let test_tensor_ops () =
   let a = [| 1.0; 2.0 |] and b = [| 3.0; 5.0 |] in
   Alcotest.(check (array (float 1e-9))) "add" [| 4.0; 7.0 |] (Tensor.vec_add a b);
@@ -484,7 +477,6 @@ let () =
         [
           Alcotest.test_case "mvm" `Quick test_tensor_mvm;
           Alcotest.test_case "transpose" `Quick test_tensor_transpose;
-          Alcotest.test_case "sub block pad" `Quick test_tensor_sub_block_padding;
           Alcotest.test_case "vector ops" `Quick test_tensor_ops;
         ] );
       ( "stats",
