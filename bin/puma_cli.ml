@@ -94,6 +94,15 @@ module Partition = Puma_compiler.Partition
 module Fabric = Puma_noc.Fabric
 module Cluster = Puma_cluster.Cluster
 
+let nodes_arg =
+  Arg.(
+    value & opt int 1
+    & info [ "nodes" ] ~docv:"N"
+        ~doc:
+          "Split the model across this many PUMA nodes (chips), partitioned \
+           by --scheme and connected by the --topology fabric; 1 keeps a \
+           single node.")
+
 let topology_arg =
   Arg.(
     value & opt string "mesh"
@@ -133,6 +142,13 @@ let parse_scheme s =
   | Some sc -> sc
   | None ->
       exit_err (Printf.sprintf "unknown scheme %S (try pipelined, sharded)" s)
+
+(* The compile option that splits a model across [nodes] chips; [None]
+   keeps one node. *)
+let cluster_of ~nodes scheme =
+  if nodes < 1 then exit_err "--nodes must be positive";
+  if nodes = 1 then None
+  else Some { Partition.nodes; scheme = parse_scheme scheme }
 
 let apply_seq_len m = function
   | None -> m
@@ -188,16 +204,23 @@ let compile_cmd =
             "Skip the translation validator (the symbolic proof that the \
              compiled program computes the source dataflow).")
   in
-  let run model asm output no_equiv dim =
+  let run model asm output no_equiv nodes scheme dim =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
         let config = config_of_dim dim in
+        let cluster = cluster_of ~nodes scheme in
         let options =
-          { Compile.default_options with check_equiv = not no_equiv }
+          { Compile.default_options with check_equiv = not no_equiv; cluster }
         in
         let r = compile ~options config (graph_of m) in
         Puma_isa.Check.check_exn r.Compile.program;
+        Option.iter
+          (fun (c : Partition.cluster) ->
+            Printf.printf "partitioned %s across %d nodes (%d tiles/node)\n"
+              (Partition.scheme_name c.scheme) r.Compile.nodes_used
+              r.Compile.tiles_per_node)
+          cluster;
         Printf.printf
           "%d instructions across %d tiles / %d cores; %d MVMU slots; %d MVM \
            instructions (%d MVM operations before coalescing)\n"
@@ -246,7 +269,9 @@ let compile_cmd =
   in
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a model and report compiler statistics")
-    Term.(const run $ model $ asm $ output $ no_equiv $ dim_arg)
+    Term.(
+      const run $ model $ asm $ output $ no_equiv $ nodes_arg $ scheme_arg
+      $ dim_arg)
 
 (* ---- run ---- *)
 
@@ -256,14 +281,6 @@ let run_cmd =
   in
   let seed =
     Arg.(value & opt int 7 & info [ "seed" ] ~doc:"Input RNG seed.")
-  in
-  let nodes =
-    Arg.(
-      value & opt int 1
-      & info [ "nodes" ]
-          ~doc:
-            "Split the model across this many PUMA nodes (chips) connected \
-             by the chip-to-chip fabric; 1 keeps the single-node simulator.")
   in
   let no_analysis =
     Arg.(
@@ -278,7 +295,7 @@ let run_cmd =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
-        if nodes < 1 then exit_err "--nodes must be positive";
+        let cluster = cluster_of ~nodes scheme in
         let m = apply_seq_len m seq_len in
         let g = graph_of m in
         let config = config_of_dim dim in
@@ -309,52 +326,48 @@ let run_cmd =
             check_equiv = not no_analysis;
           }
         in
-        if nodes = 1 then begin
-          let session = Puma.Session.create ~config ~options g in
-          let got = Puma.Session.infer session inputs in
-          report_outputs got;
-          Format.printf "%a@." Puma_sim.Metrics.pp
-            (Puma.Session.metrics session)
-        end
-        else begin
-          let topology = parse_topology topology in
-          let scheme = parse_scheme scheme in
-          let options =
-            { options with cluster = Some { Partition.nodes; scheme } }
-          in
-          let r = compile ~options config g in
-          let program = r.Compile.program in
-          Printf.printf
-            "partitioned %s across %d nodes (%s fabric, %d tiles/node)\n"
-            (Partition.scheme_name scheme)
-            r.Compile.nodes_used
-            (Fabric.topology_name topology)
-            r.Compile.tiles_per_node;
-          if not no_analysis then
-            List.iter
-              (fun (sr : Cluster.shard_report) ->
-                Printf.printf
-                  "node %d gates: %d errors, %d warnings (%d out / %d in \
-                   cross-node channels)\n"
-                  sr.Cluster.node sr.Cluster.report.errors
-                  sr.Cluster.report.warnings sr.Cluster.cross_out
-                  sr.Cluster.cross_in)
-              (Cluster.analyze_shards ~nodes:r.Compile.nodes_used program);
-          let cluster =
-            Cluster.create ~nodes:r.Compile.nodes_used ~topology program
-          in
-          let got = Cluster.run cluster ~inputs in
-          report_outputs got;
-          let node = Cluster.node cluster in
-          Puma_sim.Node.finish_energy node;
-          Printf.printf
-            "cluster: %d cycles; %.3f uJ total (%.3f uJ dynamic); %d words \
-             over chip-to-chip links\n"
-            (Cluster.cycles cluster)
-            (Puma_hwmodel.Energy.total_pj (Puma_sim.Node.energy node) /. 1.0e6)
-            (Cluster.dynamic_energy_pj cluster /. 1.0e6)
-            (Cluster.offchip_words cluster)
-        end
+        match cluster with
+        | None ->
+            let session = Puma.Session.create ~config ~options g in
+            let got = Puma.Session.infer session inputs in
+            report_outputs got;
+            Format.printf "%a@." Puma_sim.Metrics.pp
+              (Puma.Session.metrics session)
+        | Some { Partition.scheme; _ } ->
+            let topology = parse_topology topology in
+            let options = { options with cluster } in
+            let r = compile ~options config g in
+            let program = r.Compile.program in
+            Printf.printf
+              "partitioned %s across %d nodes (%s fabric, %d tiles/node)\n"
+              (Partition.scheme_name scheme)
+              r.Compile.nodes_used
+              (Fabric.topology_name topology)
+              r.Compile.tiles_per_node;
+            if not no_analysis then
+              List.iter
+                (fun (sr : Cluster.shard_report) ->
+                  Printf.printf
+                    "node %d gates: %d errors, %d warnings (%d out / %d in \
+                     cross-node channels)\n"
+                    sr.Cluster.node sr.Cluster.report.errors
+                    sr.Cluster.report.warnings sr.Cluster.cross_out
+                    sr.Cluster.cross_in)
+                (Cluster.analyze_shards ~nodes:r.Compile.nodes_used program);
+            let cluster =
+              Cluster.create ~nodes:r.Compile.nodes_used ~topology program
+            in
+            let got = Cluster.run cluster ~inputs in
+            report_outputs got;
+            let node = Cluster.node cluster in
+            Puma_sim.Node.finish_energy node;
+            Printf.printf
+              "cluster: %d cycles; %.3f uJ total (%.3f uJ dynamic); %d words \
+               over chip-to-chip links\n"
+              (Cluster.cycles cluster)
+              (Puma_hwmodel.Energy.total_pj (Puma_sim.Node.energy node) /. 1.0e6)
+              (Cluster.dynamic_energy_pj cluster /. 1.0e6)
+              (Cluster.offchip_words cluster)
   in
   Cmd.v
     (Cmd.info "run"
@@ -362,7 +375,7 @@ let run_cmd =
          "Simulate one inference and validate it (optionally across a \
           multi-node cluster)")
     Term.(
-      const run $ model $ seed $ nodes $ topology_arg $ scheme_arg
+      const run $ model $ seed $ nodes_arg $ topology_arg $ scheme_arg
       $ seq_len_arg $ no_analysis $ dim_arg)
 
 (* ---- graph ---- *)
@@ -777,21 +790,12 @@ let batch_cmd =
              cluster's every chip with --nodes) and report the batch's \
              stall decomposition.")
   in
-  let nodes =
-    Arg.(
-      value & opt int 1
-      & info [ "nodes" ]
-          ~doc:
-            "Serve every request on a cluster of this many chips (split by \
-             --scheme, connected by --topology); 1 keeps single-node \
-             workers.")
-  in
   let run model batch_size domains seed profile nodes topology scheme dim =
     match find_mini model with
     | Error e -> exit_err e
     | Ok m ->
         if batch_size <= 0 then exit_err "batch size must be positive";
-        if nodes < 1 then exit_err "--nodes must be positive";
+        let cluster = cluster_of ~nodes scheme in
         let domains =
           if domains = 0 then Puma_util.Pool.default_domains ()
           else if domains < 0 then exit_err "domains must be positive"
@@ -801,14 +805,8 @@ let batch_cmd =
         let cache = Puma_runtime.Program_cache.create () in
         let g = graph_of m in
         let result =
-          if nodes > 1 then
-            let options =
-              {
-                Compile.default_options with
-                cluster = Some { Partition.nodes; scheme = parse_scheme scheme };
-              }
-            in
-            compile ~options config g
+          if cluster <> None then
+            compile ~options:{ Compile.default_options with cluster } config g
           else
             Puma_runtime.Program_cache.get cache ~config ~key:model (fun () ->
                 g)
@@ -858,7 +856,7 @@ let batch_cmd =
           for any --domains); --nodes > 1 serves every request on a \
           multi-chip cluster instead of a single node")
     Term.(
-      const run $ model $ batch_size $ domains $ seed $ profile $ nodes
+      const run $ model $ batch_size $ domains $ seed $ profile $ nodes_arg
       $ topology_arg $ scheme_arg $ dim_arg)
 
 (* ---- serve ---- *)
@@ -1346,15 +1344,6 @@ let faults_cmd =
       value & flag
       & info [ "json" ] ~doc:"Emit the campaign report as one JSON document.")
   in
-  let nodes =
-    Arg.(
-      value & opt int 1
-      & info [ "nodes" ]
-          ~doc:
-            "Run the campaign on a cluster of this many chips, each \
-             realizing its faults independently; reports per-chip blast \
-             radius next to the cluster-wide flip rate.")
-  in
   let run model rates seeds fault_seed samples input_seed remap stuck_on
       drift_tau drift_age adc_sigma domains json nodes topology scheme dim =
     match find_mini model with
@@ -1362,7 +1351,7 @@ let faults_cmd =
     | Ok m ->
         if seeds <= 0 then exit_err "--seeds must be positive";
         if samples <= 0 then exit_err "--samples must be positive";
-        if nodes < 1 then exit_err "--nodes must be positive";
+        let cluster = cluster_of ~nodes scheme in
         let domains =
           if domains = 0 then Puma_util.Pool.default_domains ()
           else if domains < 0 then exit_err "domains must be positive"
@@ -1391,11 +1380,6 @@ let faults_cmd =
             input_seed;
             remap;
           }
-        in
-        let cluster =
-          if nodes > 1 then
-            Some { Partition.nodes; scheme = parse_scheme scheme }
-          else None
         in
         let result =
           compile
@@ -1432,11 +1416,13 @@ let faults_cmd =
        ~doc:
          "Monte-Carlo fault-injection campaign: sweep stuck-cell / \
           dead-line rates across seeds, compare against a golden \
-          fault-free run, optionally heal with the remapping pass")
+          fault-free run, optionally heal with the remapping pass; with \
+          --nodes each chip realizes its faults independently and the \
+          report adds per-chip blast radius")
     Term.(
       const run $ model $ rates $ seeds $ fault_seed $ samples $ input_seed
       $ remap $ stuck_on $ drift_tau $ drift_age $ adc_sigma $ domains $ json
-      $ nodes $ topology_arg $ scheme_arg $ dim_arg)
+      $ nodes_arg $ topology_arg $ scheme_arg $ dim_arg)
 
 (* ---- estimate ---- *)
 

@@ -33,13 +33,6 @@ let vlo_top = Fixed.min_raw
 let vhi_top = Fixed.max_raw
 let sat_raw v = if v < vlo_top then vlo_top else if v > vhi_top then vhi_top else v
 
-(* Round-to-nearest rescale of a 2*frac_bits product/accumulator, without
-   the final clamp (mirrors {!Puma_util.Fixed.rescale}; monotone). *)
-let round_scale p =
-  let half = 1 lsl (Fixed.frac_bits - 1) in
-  if p >= 0 then (p + half) asr Fixed.frac_bits
-  else -((-p + half) asr Fixed.frac_bits)
-
 type flags = {
   mutable possible : bool;
   mutable guaranteed : bool;
@@ -305,7 +298,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
     | Mul ->
         let a = l1 * l2 and b = l1 * h2 and c = h1 * l2 and d = h1 * h2 in
         let pmin = min (min a b) (min c d) and pmax = max (max a b) (max c d) in
-        sat name (round_scale pmin) (round_scale pmax)
+        sat name (Fixed.round_scale pmin) (Fixed.round_scale pmax)
     | Div ->
         if l2 <= 0 && h2 >= 0 then
           if l2 = 0 && h2 = 0 then begin
@@ -435,8 +428,8 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                   for i = 0 to dim - 1 do
                     let lo, hi =
                       sat "mvm accumulation"
-                        (round_scale out_lo.(i))
-                        (round_scale out_hi.(i))
+                        (Fixed.round_scale out_lo.(i))
+                        (Fixed.round_scale out_hi.(i))
                     in
                     st.lo.(xout + i) <- lo;
                     st.hi.(xout + i) <- hi

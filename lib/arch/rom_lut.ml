@@ -18,30 +18,18 @@ let lo = Fixed.to_float (Fixed.of_raw Fixed.min_raw)
 let hi = Fixed.to_float (Fixed.of_raw Fixed.max_raw)
 let step = (hi -. lo) /. Float.of_int (table_entries - 1)
 
-(* Built once at start-up and never written again, so domains that
-   simulate or analyze concurrently share them safely. *)
-let build op =
+(* The knots are built at start-up and never written again. *)
+let knots op =
   Array.init table_entries (fun k ->
       reference op (lo +. (Float.of_int k *. step)))
 
-let sigmoid = build Sigmoid
-let tanh_ = build Tanh
-let exp_ = build Exp
-let log_ = build Log
+let sigmoid = knots Sigmoid
+let tanh_ = knots Tanh
+let exp_ = knots Exp
+let log_ = knots Log
 
-let table (op : Puma_isa.Instr.alu_op) =
-  match op with
-  | Sigmoid -> sigmoid
-  | Tanh -> tanh_
-  | Exp -> exp_
-  | Log -> log_
-  | op -> build op
-
-(* The interpolation body, shared by [eval] and callers that hoist the
-   table lookup out of per-element loops (the fast-path ALU decoder):
-   both spellings perform the identical float chain, so results are
-   bit-identical. *)
-let eval_with t x =
+(* The interpolation the ROM computes. *)
+let interpolate t x =
   let xf = Fixed.to_float x in
   let pos = (xf -. lo) /. step in
   let k = Float.to_int pos in
@@ -50,7 +38,51 @@ let eval_with t x =
   let v = t.(k) +. (frac *. (t.(k + 1) -. t.(k))) in
   Fixed.of_float v
 
-let eval op x = eval_with (table op) x
+(* Inputs are 16-bit, so each op is exactly a table of the 65,536 output
+   raws of [interpolate], indexed by input raw - min_raw and stored as
+   native-endian int16 (128 KB). Built on first use: domains racing on an
+   empty slot build identical strings and either may be published. *)
+let luts = Array.init 4 (fun _ -> Atomic.make "")
+
+let lut (op : Puma_isa.Instr.alu_op) =
+  let slot, t =
+    match op with
+    | Sigmoid -> (0, sigmoid)
+    | Tanh -> (1, tanh_)
+    | Exp -> (2, exp_)
+    | Log -> (3, log_)
+    | _ -> invalid_arg "Rom_lut: not a transcendental op"
+  in
+  let cached = Atomic.get luts.(slot) in
+  if cached <> "" then cached
+  else begin
+    let b = Bytes.create (2 * (Fixed.max_raw - Fixed.min_raw + 1)) in
+    for r = Fixed.min_raw to Fixed.max_raw do
+      Bytes.set_int16_ne b
+        (2 * (r - Fixed.min_raw))
+        (Fixed.to_raw (interpolate t (Fixed.of_raw r)))
+    done;
+    let s = Bytes.unsafe_to_string b in
+    Atomic.set luts.(slot) s;
+    s
+  end
+
+let[@inline] lookup lut raw =
+  let r =
+    if raw < Fixed.min_raw then Fixed.min_raw
+    else if raw > Fixed.max_raw then Fixed.max_raw
+    else raw
+  in
+  String.get_int16_ne lut (2 * (r - Fixed.min_raw))
+
+let eval op (x : Fixed.t) = Fixed.of_raw (lookup (lut op) (x :> int))
+
+let apply op =
+  let lut = lut op in
+  fun (a : int array) oa (d : int array) od w ->
+    for k = 0 to w - 1 do
+      d.(od + k) <- lookup lut a.(oa + k)
+    done
 
 let max_abs_error op =
   let worst = ref 0.0 in

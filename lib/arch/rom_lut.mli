@@ -13,16 +13,19 @@ val table_entries : int
 val eval : Puma_isa.Instr.alu_op -> Puma_util.Fixed.t -> Puma_util.Fixed.t
 (** LUT evaluation for [Sigmoid], [Tanh], [Log] and [Exp]; raises
     [Invalid_argument] for non-transcendental ops. [Log] of a non-positive
-    value saturates to the most negative representable value. *)
+    value saturates to the most negative representable value.
 
-val table : Puma_isa.Instr.alu_op -> float array
-(** The table (built at start-up) for one transcendental op, for callers
-    that hoist the per-op lookup out of a per-element loop; raises
-    [Invalid_argument] for non-transcendental ops. *)
+    The ROM interpolates between the 1024 knots in floating point; as the
+    input is 16-bit, each op is evaluated as an exact table of the 65,536
+    results of that interpolation, built once per process on first use
+    and safe to share between domains. *)
 
-val eval_with : float array -> Puma_util.Fixed.t -> Puma_util.Fixed.t
-(** [eval_with (table op) x] = [eval op x], with the identical float
-    chain (bit-identical results). *)
+val apply :
+  Puma_isa.Instr.alu_op -> int array -> int -> int array -> int -> int -> unit
+(** [apply op a oa d od w] sets [d.(od + k)] to the raw of
+    [eval op (of_raw a.(oa + k))] for [k] from [0] to [w - 1] ascending.
+    [apply op] fetches the table once, so a caller can hoist it out of a
+    per-instruction loop; raises [Invalid_argument] as {!eval} does. *)
 
 val reference : Puma_isa.Instr.alu_op -> float -> float
 (** The exact float function being tabulated (for accuracy tests). *)

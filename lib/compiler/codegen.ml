@@ -26,15 +26,6 @@ type buf = {
 
 let buf () = { rev = []; srcs = []; count = 0 }
 
-(* A budget the program does not fit is a rendered diagnostic with a
-   stable code, raised as [Failure] so every caller that stops on a
-   failed compile keeps working. *)
-let fail_diag ~code ~tile fmt =
-  Printf.ksprintf
-    (fun m ->
-      failwith (Puma_isa.Diag.to_string (Puma_isa.Diag.error ~code ~tile "%s" m)))
-    fmt
-
 let to_array b = Array.of_list (List.rev b.rev)
 let src_array b = Array.of_list (List.rev b.srcs)
 
@@ -131,7 +122,7 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
     let a = smem_ptr.(tile) in
     smem_ptr.(tile) <- a + len;
     if smem_ptr.(tile) > smem_words then
-      fail_diag ~code:"E-SMEM" ~tile
+      Puma_isa.Diag.fail ~code:"E-SMEM" ~tile
         "shared memory overflows during code generation: %d words needed \
          of %d (last allocation %d words)"
         smem_ptr.(tile) smem_words len;
@@ -171,7 +162,7 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
   let fifo_of ~src ~dst =
     let l = List.sort compare !(Hashtbl.find senders dst) in
     if List.length l > config.num_fifos then
-      fail_diag ~code:"E-FIFO" ~tile:dst
+      Puma_isa.Diag.fail ~code:"E-FIFO" ~tile:dst
         "code generation needs one receive FIFO per sender tile: tile %d \
          receives from %d tiles (%s) but only %d FIFOs exist"
         dst (List.length l)
@@ -234,7 +225,7 @@ let generate (config : Puma_hwmodel.Config.t) ~wrap_batch_loop (_g : G.t) lg
   (* ---- Post-production glue: store, send/receive, externals. ---- *)
   let check_count ~tile n =
     if n > 255 then
-      fail_diag ~code:"E-COUNT" ~tile
+      Puma_isa.Diag.fail ~code:"E-COUNT" ~tile
         "code generation needs a consumer count of %d, but a store/receive \
          count holds 0..255" n;
     n

@@ -71,11 +71,10 @@ let assign_nodes lg order ~nodes ~scheme ~capacity =
   Array.iteri
     (fun k used ->
       if used > capacity then
-        failwith
-          (Printf.sprintf
-             "Partition: %s placement puts %d MVMUs on node %d but a node \
-              holds %d; use more nodes"
-             (scheme_name scheme) used k capacity))
+        Puma_isa.Diag.fail ~code:"E-PLACE"
+          "%s placement puts %d MVMUs on node %d but a node holds %d; use \
+           more nodes"
+          (scheme_name scheme) used k capacity)
     per_node;
   (node_of_pos, per_node)
 
@@ -136,21 +135,18 @@ let partition ?cluster (config : Puma_hwmodel.Config.t) strategy lg =
      catches runaway models that would swamp the functional simulator. *)
   let max_nodes = 64 in
   if num_slots > capacity * max_nodes then
-    failwith
-      (Printf.sprintf
-         "Partition: model needs %d MVMUs but at most %d nodes (%d MVMUs) \
-          are supported by the functional path"
-         num_slots max_nodes (capacity * max_nodes));
+    Puma_isa.Diag.fail ~code:"E-MAXNODES"
+      "model needs %d MVMUs but at most %d nodes (%d MVMUs) are supported \
+       by the functional path"
+      num_slots max_nodes (capacity * max_nodes);
   (match cluster with
   | Some { nodes; _ } when nodes < 1 ->
       invalid_arg "Partition: cluster nodes must be >= 1"
   | Some { nodes; _ } when num_slots > capacity * nodes ->
-      failwith
-        (Printf.sprintf
-           "Partition: model needs %d MVMUs but %d nodes hold %d; use at \
-            least %d nodes"
-           num_slots nodes (capacity * nodes)
-           ((num_slots + capacity - 1) / capacity))
+      Puma_isa.Diag.fail ~code:"E-NODES"
+        "model needs %d MVMUs but %d nodes hold %d; use at least %d nodes"
+        num_slots nodes (capacity * nodes)
+        ((num_slots + capacity - 1) / capacity)
   | Some _ | None -> ());
   (* Order slots, then pack sequentially into MVMUs -> cores -> tiles. *)
   let order = Array.init num_slots (fun i -> i) in

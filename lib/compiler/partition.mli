@@ -61,10 +61,12 @@ type t = {
 val partition :
   ?cluster:cluster -> Puma_hwmodel.Config.t -> strategy -> Lgraph.t -> t
 (** Without [cluster], models larger than one node spill onto further
-    nodes (tiles beyond [tiles_per_node] belong to the next node); raises
-    [Failure] beyond a 64-node sanity cap. With [cluster], raises
-    [Failure] when the model does not fit the requested node count (the
-    message names the minimum). *)
+    nodes (tiles beyond [tiles_per_node] belong to the next node). Each
+    budget it cannot meet raises [Failure] carrying a rendered
+    diagnostic ({!Puma_isa.Diag.fail}): [E-MAXNODES] beyond a 64-node
+    sanity cap; with [cluster], [E-NODES] when the model does not fit the
+    requested node count (the message names the minimum) and [E-PLACE]
+    when the scheme puts more MVMUs on one node than it holds. *)
 
 val slot_place : t -> int -> place
 val mvmu_of_slot : t -> int -> int

@@ -72,6 +72,7 @@ let per_event_pj (c : Config.t) = function
 
 type t = {
   cfg : Config.t;
+  pj : float array; (* [per_event_pj cfg] by category index *)
   counts : int array;
   energies : float array;
   (* Opt-in per-tile attribution (the profiling layer). Row [i] tracks
@@ -88,6 +89,7 @@ type t = {
 let create cfg =
   {
     cfg;
+    pj = Array.of_list (List.map (per_event_pj cfg) all_categories);
     counts = Array.make num_categories 0;
     energies = Array.make num_categories 0.0;
     tile_counts = [||];
@@ -116,7 +118,7 @@ let set_scope t tile = t.scope <- tile
 let add t cat n =
   let i = index cat in
   t.counts.(i) <- t.counts.(i) + n;
-  let pj = Float.of_int n *. per_event_pj t.cfg cat in
+  let pj = Float.of_int n *. t.pj.(i) in
   t.energies.(i) <- t.energies.(i) +. pj;
   let rows = Array.length t.tile_counts in
   if rows > 0 then begin

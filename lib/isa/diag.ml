@@ -53,6 +53,11 @@ let pp fmt d =
 
 let to_string d = Format.asprintf "%a" pp d
 
+let fail ~code ?tile fmt =
+  Printf.ksprintf
+    (fun m -> failwith (to_string (error ~code ?tile "%s" m)))
+    fmt
+
 let to_json d =
   let module Json = Puma_util.Json in
   let int_opt = function Some v -> Json.Int v | None -> Json.Null in

@@ -66,6 +66,11 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+val fail : code:string -> ?tile:int -> ('a, unit, string, 'b) format4 -> 'a
+(** [fail ~code ?tile fmt ...] raises [Failure] carrying the rendered
+    error diagnostic: how a compile pass reports a budget it cannot meet,
+    so callers that catch [Failure] print it with its stable code. *)
+
 val to_json : t -> Puma_util.Json.t
 (** One JSON object: [{"code":...,"severity":...,"tile":...,"core":...,
     "pc":...,"message":...}]; absent location fields are [null]. *)

@@ -13,6 +13,20 @@ exception Reordered of string
 
 module Heap = Puma_util.Heap
 
+(* Channel tables keyed by one int: tile and fifo ids (each below 2^21)
+   packed into 21-bit fields, hashed by a multiplicative mix rather than
+   the polymorphic hash. *)
+module Chan = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash k = (k * 0x9E3779B97F4A7C1) lsr 20
+end)
+
+let pair src dst = (src lsl 21) lor dst
+let chan msg = (pair msg.src_tile msg.dst_tile lsl 21) lor msg.fifo_id
+let find tbl k = Option.value ~default:0 (Chan.find_opt tbl k)
+
 type t = {
   config : Puma_hwmodel.Config.t;
   topology : Topology.t;
@@ -21,12 +35,12 @@ type t = {
   pending : message Heap.t;
   (* Wormhole routing preserves ordering between a given source and
      destination: a later message never overtakes an earlier one. *)
-  last_arrival : (int * int, int) Hashtbl.t;
+  last_arrival : int Chan.t;
   (* Sequence counters per (src, dst, fifo): next seq to assign on
      injection and next seq expected at delivery. Never reset, so the
      order contract holds across multiple runs on the same network. *)
-  next_seq : (int * int * int, int) Hashtbl.t;
-  next_delivery : (int * int * int, int) Hashtbl.t;
+  next_seq : int Chan.t;
+  next_delivery : int Chan.t;
 }
 
 let create ~fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
@@ -36,9 +50,9 @@ let create ~fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
     fabric;
     energy;
     pending = Heap.create ();
-    last_arrival = Hashtbl.create 32;
-    next_seq = Hashtbl.create 32;
-    next_delivery = Hashtbl.create 32;
+    last_arrival = Chan.create 32;
+    next_seq = Chan.create 32;
+    next_delivery = Chan.create 32;
   }
 
 let topology t = t.topology
@@ -53,21 +67,20 @@ let transit_cycles t ~src ~dst ~words =
   + Fabric.transfer_cycles t.fabric t.config ~src ~dst ~words
 
 let send t ~now msg =
-  let chan = (msg.src_tile, msg.dst_tile, msg.fifo_id) in
-  let seq = Option.value ~default:0 (Hashtbl.find_opt t.next_seq chan) in
-  Hashtbl.replace t.next_seq chan (seq + 1);
+  let seq = find t.next_seq (chan msg) in
+  Chan.replace t.next_seq (chan msg) (seq + 1);
   msg.seq <- seq;
   let words = Array.length msg.payload in
   let arrival =
     now + transit_cycles t ~src:msg.src_tile ~dst:msg.dst_tile ~words
   in
-  let key = (msg.src_tile, msg.dst_tile) in
+  let key = pair msg.src_tile msg.dst_tile in
   let arrival =
-    match Hashtbl.find_opt t.last_arrival key with
+    match Chan.find_opt t.last_arrival key with
     | Some prev when prev >= arrival -> prev + 1
     | Some _ | None -> arrival
   in
-  Hashtbl.replace t.last_arrival key arrival;
+  Chan.replace t.last_arrival key arrival;
   let hops = Topology.hops t.topology msg.src_tile msg.dst_tile in
   Puma_hwmodel.Energy.add t.energy Noc (words * max 1 hops);
   let events =
@@ -84,10 +97,7 @@ let pop_arrived t ~now =
 let requeue t ~now msg = Heap.push t.pending (now + 1) msg
 
 let confirm_delivered t msg =
-  let chan = (msg.src_tile, msg.dst_tile, msg.fifo_id) in
-  let expected =
-    Option.value ~default:0 (Hashtbl.find_opt t.next_delivery chan)
-  in
+  let expected = find t.next_delivery (chan msg) in
   if msg.seq <> expected then
     raise
       (Reordered
@@ -95,7 +105,7 @@ let confirm_delivered t msg =
             "Network: fifo %d packet from tile %d delivered to tile %d out of \
              injection order (seq %d, expected %d)"
             msg.fifo_id msg.src_tile msg.dst_tile msg.seq expected));
-  Hashtbl.replace t.next_delivery chan (expected + 1)
+  Chan.replace t.next_delivery (chan msg) (expected + 1)
 
 let in_flight t = Heap.size t.pending
 let next_arrival t = Option.map fst (Heap.peek t.pending)

@@ -94,46 +94,16 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
       Some (gpr, base - layout.Operand.gpr_base, Energy.Rf)
     else None
   in
-  (* Monomorphic element-wise loops for the hot ALU ops, replicating the
-     [Vfu.apply_*] Fixed chains exactly; everything else dispatches to the
-     shared [Vfu] entry points per element. *)
+  (* The hot ALU ops run one vector kernel per instruction ([Fixed.Vec],
+     [Rom_lut.apply]): the same scalar definitions [Vfu.apply_*] reaches,
+     inlined. Everything else dispatches to [Vfu] per element. *)
   let binary_loop op (sa, oa, _) (sb, ob, _) (dd, od, _) w =
     match (op : Instr.alu_op) with
-    | Add ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.add (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw sb.(ob + k)))
-          done
-    | Sub ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.sub (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw sb.(ob + k)))
-          done
-    | Mul ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.mul (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw sb.(ob + k)))
-          done
-    | Min ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.min (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw sb.(ob + k)))
-          done
-    | Max ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.max (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw sb.(ob + k)))
-          done
+    | Add -> fun () -> Fixed.Vec.add sa oa sb ob dd od w
+    | Sub -> fun () -> Fixed.Vec.sub sa oa sb ob dd od w
+    | Mul -> fun () -> Fixed.Vec.mul sa oa sb ob dd od w
+    | Min -> fun () -> Fixed.Vec.min sa oa sb ob dd od w
+    | Max -> fun () -> Fixed.Vec.max sa oa sb ob dd od w
     | _ ->
         fun () ->
           for k = 0 to w - 1 do
@@ -142,23 +112,10 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
   in
   let unary_loop op (sa, oa, _) (dd, od, _) w =
     match (op : Instr.alu_op) with
-    | Relu ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw (Fixed.max Fixed.zero (Fixed.of_raw sa.(oa + k)))
-          done
+    | Relu -> fun () -> Fixed.Vec.relu sa oa dd od w
     | Sigmoid | Tanh | Log | Exp ->
-        (* Hoist the per-op table lookup out of the element loop;
-           [Rom_lut.eval_with] is the identical interpolation chain
-           [Vfu.apply_unary] reaches through [Rom_lut.eval]. *)
-        let tbl = Puma_arch.Rom_lut.table op in
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Puma_arch.Rom_lut.eval_with tbl (Fixed.of_raw sa.(oa + k)))
-          done
+        let f = Puma_arch.Rom_lut.apply op in
+        fun () -> f sa oa dd od w
     | _ ->
         fun () ->
           for k = 0 to w - 1 do
@@ -167,20 +124,8 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
   in
   let alui_loop op imm (sa, oa, _) (dd, od, _) w =
     match (op : Instr.alu_op) with
-    | Add ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.add (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw imm))
-          done
-    | Mul ->
-        fun () ->
-          for k = 0 to w - 1 do
-            dd.(od + k) <-
-              Fixed.to_raw
-                (Fixed.mul (Fixed.of_raw sa.(oa + k)) (Fixed.of_raw imm))
-          done
+    | Add -> fun () -> Fixed.Vec.add_imm imm sa oa dd od w
+    | Mul -> fun () -> Fixed.Vec.mul_imm imm sa oa dd od w
     | _ ->
         fun () ->
           for k = 0 to w - 1 do

@@ -25,14 +25,27 @@ let words t = Array.length t.data
 let in_range t addr width =
   addr >= 0 && width >= 0 && addr + width <= Array.length t.data
 
+(* Validity and overwrite scans stop at the first word that blocks, so a
+   retried access that still blocks costs O(1) in the usual case. *)
+let ready t addr width =
+  let k = ref addr in
+  while !k < addr + width && t.valid.(!k) do incr k done;
+  !k = addr + width
+
+(* A counted word still awaiting consumers must not be overwritten. *)
+let writable t addr width count =
+  count = 0
+  ||
+  let k = ref addr in
+  while !k < addr + width && not (t.valid.(!k) && t.count.(!k) > 0) do
+    incr k
+  done;
+  !k = addr + width
+
 let read t ~addr ~width =
   if not (in_range t addr width) then
     invalid_arg (Printf.sprintf "Shared_mem.read: [%d, %d) out of range" addr (addr + width));
-  let ok = ref true in
-  for k = addr to addr + width - 1 do
-    if not t.valid.(k) then ok := false
-  done;
-  if not !ok then None
+  if not (ready t addr width) then None
   else begin
     let values = Array.sub t.data addr width in
     for k = addr to addr + width - 1 do
@@ -52,11 +65,7 @@ let read t ~addr ~width =
 let read_into t ~addr ~width ~dst ~dst_pos =
   if not (in_range t addr width) then
     invalid_arg (Printf.sprintf "Shared_mem.read: [%d, %d) out of range" addr (addr + width));
-  let ok = ref true in
-  for k = addr to addr + width - 1 do
-    if not t.valid.(k) then ok := false
-  done;
-  if not !ok then false
+  if not (ready t addr width) then false
   else begin
     Array.blit t.data addr dst dst_pos width;
     for k = addr to addr + width - 1 do
@@ -72,24 +81,14 @@ let read_into t ~addr ~width ~dst ~dst_pos =
 let peek t ~addr ~width =
   if not (in_range t addr width) then
     invalid_arg "Shared_mem.peek: out of range";
-  let ok = ref true in
-  for k = addr to addr + width - 1 do
-    if not t.valid.(k) then ok := false
-  done;
-  if !ok then Some (Array.sub t.data addr width) else None
+  if ready t addr width then Some (Array.sub t.data addr width) else None
 
 let write t ~addr ~values ~count =
   let width = Array.length values in
   if not (in_range t addr width) then
     invalid_arg (Printf.sprintf "Shared_mem.write: [%d, %d) out of range" addr (addr + width));
   if count < 0 then invalid_arg "Shared_mem.write: negative count";
-  let blocked = ref false in
-  if count > 0 then
-    for k = addr to addr + width - 1 do
-      (* A counted word still awaiting consumers must not be overwritten. *)
-      if t.valid.(k) && t.count.(k) > 0 then blocked := true
-    done;
-  if !blocked then false
+  if not (writable t addr width count) then false
   else begin
     Array.iteri
       (fun i v ->
@@ -110,12 +109,7 @@ let write_from t ~addr ~src ~src_pos ~width ~count =
   if not (in_range t addr width) then
     invalid_arg (Printf.sprintf "Shared_mem.write: [%d, %d) out of range" addr (addr + width));
   if count < 0 then invalid_arg "Shared_mem.write: negative count";
-  let blocked = ref false in
-  if count > 0 then
-    for k = addr to addr + width - 1 do
-      if t.valid.(k) && t.count.(k) > 0 then blocked := true
-    done;
-  if !blocked then false
+  if not (writable t addr width count) then false
   else begin
     for i = 0 to width - 1 do
       let k = addr + i in

@@ -6,7 +6,7 @@ let scale = Float.of_int (1 lsl frac_bits)
 let min_raw = -(1 lsl (total_bits - 1))
 let max_raw = (1 lsl (total_bits - 1)) - 1
 
-let saturate r =
+let[@inline] saturate r =
   if r < min_raw then min_raw else if r > max_raw then max_raw else r
 
 let of_raw r = saturate r
@@ -31,19 +31,19 @@ let[@inline] of_float f =
       t + Float.to_int (r +. r)
 
 let to_float t = Float.of_int t /. scale
-let add a b = saturate (a + b)
-let sub a b = saturate (a - b)
+let[@inline] add a b = saturate (a + b)
+let[@inline] sub a b = saturate (a - b)
 
-(* Round-to-nearest rescale of a product/accumulator carrying 2*frac_bits
-   fraction bits down to frac_bits. *)
-let rescale p =
+(* Round-to-nearest (ties away from zero) rescale of a product or
+   accumulator carrying 2*frac_bits fraction bits down to frac_bits,
+   unclamped: the one rounding rule the simulator and the range analysis
+   share. *)
+let[@inline] round_scale p =
   let half = 1 lsl (frac_bits - 1) in
-  let rounded =
-    if p >= 0 then (p + half) asr frac_bits else -(-p + half) asr frac_bits
-  in
-  saturate rounded
+  if p >= 0 then (p + half) asr frac_bits else -((-p + half) asr frac_bits)
 
-let mul a b = rescale (a * b)
+let[@inline] rescale p = saturate (round_scale p)
+let[@inline] mul a b = rescale (a * b)
 
 let div a b =
   if b = 0 then if a >= 0 then max_raw else min_raw
@@ -51,8 +51,8 @@ let div a b =
 
 let neg a = saturate (-a)
 let abs a = saturate (Stdlib.abs a)
-let min a b = Stdlib.min a b
-let max a b = Stdlib.max a b
+let[@inline] min (a : int) b = if a <= b then a else b
+let[@inline] max (a : int) b = if a >= b then a else b
 let compare = Int.compare
 let equal = Int.equal
 let shift_left a n = saturate (a lsl n)
@@ -75,6 +75,63 @@ let mul_acc xs ys =
   !acc
 
 let of_acc = rescale
+
+(* Vector kernels over raw operands, one call per instruction: dune's dev
+   profile builds with -opaque, so a loop outside this module pays a call
+   per scalar op. Each inlines its scalar definition and walks [k] upward,
+   so overlapping source and destination ranges behave as the scalar
+   loop does. The one-source kernels come first: below them, [add], [sub],
+   [mul], [min] and [max] name the vector kernels. *)
+module Vec = struct
+  type v = int array
+
+  let add_imm imm (a : v) oa (d : v) od w =
+    let imm = saturate imm in
+    for k = 0 to w - 1 do
+      d.(od + k) <- add (saturate a.(oa + k)) imm
+    done
+
+  let mul_imm imm (a : v) oa (d : v) od w =
+    let imm = saturate imm in
+    for k = 0 to w - 1 do
+      d.(od + k) <- mul (saturate a.(oa + k)) imm
+    done
+
+  let relu (a : v) oa (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- max zero (saturate a.(oa + k))
+    done
+
+  let of_acc (a : v) oa (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- rescale a.(oa + k)
+    done
+
+  let add (a : v) oa (b : v) ob (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- add (saturate a.(oa + k)) (saturate b.(ob + k))
+    done
+
+  let sub (a : v) oa (b : v) ob (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- sub (saturate a.(oa + k)) (saturate b.(ob + k))
+    done
+
+  let mul (a : v) oa (b : v) ob (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- mul (saturate a.(oa + k)) (saturate b.(ob + k))
+    done
+
+  let min (a : v) oa (b : v) ob (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- min (saturate a.(oa + k)) (saturate b.(ob + k))
+    done
+
+  let max (a : v) oa (b : v) ob (d : v) od w =
+    for k = 0 to w - 1 do
+      d.(od + k) <- max (saturate a.(oa + k)) (saturate b.(ob + k))
+    done
+end
 
 (* Crossbar weight images: one native-endian int16 raw per weight. The
    per-weight loops below stay in this module: dune's dev profile builds

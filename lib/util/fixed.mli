@@ -49,6 +49,12 @@ val mul : t -> t -> t
 (** Fixed-point multiply: the 32-bit product is rescaled by [frac_bits]
     with round-to-nearest and saturated. *)
 
+val round_scale : int -> int
+(** [round_scale p] rounds [p], carrying [2 * frac_bits] fraction bits, to
+    [frac_bits] bits, to nearest with ties away from zero, without
+    saturating: [round_scale (-p) = - (round_scale p)]. The range analysis
+    bounds products with it. *)
+
 val div : t -> t -> t
 (** Fixed-point divide; division by zero saturates to the signed extreme
     of the numerator (hardware-style saturation, no exception). *)
@@ -77,6 +83,32 @@ val mul_acc : t array -> t array -> int
 val of_acc : int -> t
 (** Rescale an accumulator produced by {!mul_acc} back to a 16-bit value
     (round-to-nearest on the low [frac_bits] bits, then saturate). *)
+
+(** {1 Vector kernels}
+
+    Element-wise loops over raw [int array] operands, as the VFU applies
+    an instruction: [d.(od + k) <- op a.(oa + k) b.(ob + k)] for [k] from
+    [0] to [w - 1] in ascending order, each source raw read through
+    {!of_raw}. Equal to the scalar loop element by element, including
+    when the destination range overlaps a source range. *)
+module Vec : sig
+  val add : int array -> int -> int array -> int -> int array -> int -> int -> unit
+  val sub : int array -> int -> int array -> int -> int array -> int -> int -> unit
+  val mul : int array -> int -> int array -> int -> int array -> int -> int -> unit
+  val min : int array -> int -> int array -> int -> int array -> int -> int -> unit
+  val max : int array -> int -> int array -> int -> int array -> int -> int -> unit
+
+  val relu : int array -> int -> int array -> int -> int -> unit
+  (** [relu a oa d od w]: {!max} of {!zero} and each source raw. *)
+
+  val add_imm : int -> int array -> int -> int array -> int -> int -> unit
+  (** [add_imm imm a oa d od w]: {!add} with the immediate [of_raw imm]. *)
+
+  val mul_imm : int -> int array -> int -> int array -> int -> int -> unit
+
+  val of_acc : int array -> int -> int array -> int -> int -> unit
+  (** [of_acc a oa d od w]: {!of_acc} of each accumulator, read as is. *)
+end
 
 (** {1 Crossbar weight images}
 

@@ -34,9 +34,7 @@ let execute t ~stride =
     else Array.init d (fun j -> t.xbar_in.((j + stride) mod d))
   in
   let acc = Bitslice.mvm_raw t.stack input in
-  for i = 0 to d - 1 do
-    t.xbar_out.(i) <- Fixed.to_raw (Fixed.of_acc acc.(i))
-  done
+  Fixed.Vec.of_acc acc 0 t.xbar_out 0 d
 
 (* Allocation-free [execute] used by the pre-decoded fast path. Exact
    stacks route through the exact kernel into the reused accumulator;
@@ -58,9 +56,7 @@ let execute_fast t ~stride =
     in
     let acc = t.acc_scratch in
     Bitslice.mvm_raw_exact_into t.stack input acc;
-    for i = 0 to d - 1 do
-      t.xbar_out.(i) <- Fixed.to_raw (Fixed.of_acc acc.(i))
-    done
+    Fixed.Vec.of_acc acc 0 t.xbar_out 0 d
   end
 
 let mvm t x =

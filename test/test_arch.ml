@@ -56,6 +56,37 @@ let test_lut_sigmoid_range () =
     end
   done
 
+(* The per-op tables hold, for every 16-bit input, the ROM's float
+   interpolation between its knots, restated here; [apply] reads the same
+   tables, saturating raws beyond 16 bits as [of_raw] does. *)
+let test_lut_exhaustive () =
+  let n = Rom_lut.table_entries in
+  let lo = Fixed.to_float (Fixed.of_raw Fixed.min_raw) in
+  let step = (Fixed.to_float (Fixed.of_raw Fixed.max_raw) -. lo) /. Float.of_int (n - 1) in
+  let raws = Array.init 65_540 (fun i -> Fixed.min_raw - 2 + i) in
+  List.iter
+    (fun op ->
+      let knots =
+        Array.init n (fun k -> Rom_lut.reference op (lo +. (Float.of_int k *. step)))
+      in
+      let out = Array.make (Array.length raws) 0 in
+      Rom_lut.apply op raws 0 out 0 (Array.length raws);
+      Array.iteri
+        (fun i raw ->
+          let x = Fixed.of_raw raw in
+          let pos = (Fixed.to_float x -. lo) /. step in
+          let k = max 0 (min (n - 2) (Float.to_int pos)) in
+          let frac = pos -. Float.of_int k in
+          let want =
+            Fixed.to_raw (Fixed.of_float (knots.(k) +. (frac *. (knots.(k + 1) -. knots.(k)))))
+          in
+          let got = Fixed.to_raw (Rom_lut.eval op x) in
+          if got <> want || out.(i) <> want then
+            Alcotest.failf "%s raw %d: eval %d, apply %d, interpolation %d"
+              (Instr.alu_op_name op) raw got out.(i) want)
+        raws)
+    [ Instr.Sigmoid; Instr.Tanh; Instr.Exp; Instr.Log ]
+
 (* ---- VFU ---- *)
 
 let rng = Puma_util.Rng.create 1
@@ -367,6 +398,7 @@ let () =
           Alcotest.test_case "exp/log" `Quick test_lut_exp_log;
           Alcotest.test_case "rejects linear op" `Quick test_lut_rejects_non_transcendental;
           Alcotest.test_case "sigmoid range" `Quick test_lut_sigmoid_range;
+          Alcotest.test_case "exhaustive tables" `Quick test_lut_exhaustive;
         ] );
       ( "vfu",
         [

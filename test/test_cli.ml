@@ -37,6 +37,7 @@ let test_unknown_model_exits_1 () =
     unknown_model_cases
 
 let test_known_good_exit_0 () =
+  let program = Filename.temp_file "puma_mlpl4_x2" ".puma" in
   List.iter
     (fun args ->
       Alcotest.(check int)
@@ -58,7 +59,11 @@ let test_known_good_exit_0 () =
         "--domains"; "1";
       ];
       [ "profile"; "mlp"; "--dim"; "32"; "--runs"; "1" ];
-    ]
+      [ "compile"; "MLPL4"; "--nodes"; "2"; "-o"; program ];
+    ];
+  let size = In_channel.with_open_bin program In_channel.length in
+  Sys.remove program;
+  Alcotest.(check bool) "multi-chip program saved" true (size > 0L)
 
 let test_bad_flag_values_exit_nonzero () =
   List.iter
@@ -77,6 +82,7 @@ let test_bad_flag_values_exit_nonzero () =
       [ "serve"; "--arrival"; "bursty:100" ];
       [ "serve"; "--models"; "mlp=notanint" ];
       [ "serve"; "--nodes"; "0" ];
+      [ "compile"; "mlp"; "--nodes"; "0" ];
       [ "serve"; "--duration"; "0" ];
       (* The reference loop is a library oracle, not a CLI mode. *)
       [ "run"; "mlp"; "--no-fast" ];

@@ -196,6 +196,26 @@ let test_partition_spills_to_more_nodes () =
   Alcotest.(check bool) "uses tiles beyond one node" true
     (part.Partition.tiles_used > small.tiles_per_node)
 
+(* Partition's budgets are diagnostics with stable codes, raised as
+   [Failure]: MLPL4's 324 crossbar blocks fit neither one 256-MVMU node
+   nor 64 one-MVMU nodes. *)
+let test_partition_diagnostics () =
+  let lg =
+    Tiling.lower ~dim:128 (Puma_nn.Network.build_graph Puma_nn.Models.mlp_l4)
+  in
+  let expect code ?cluster config =
+    match Partition.partition ?cluster config Partition.Locality lg with
+    | _ -> Alcotest.failf "expected %s" code
+    | exception Failure msg ->
+        Alcotest.(check bool) (Printf.sprintf "%s in %S" code msg) true
+          (String.starts_with ~prefix:(Printf.sprintf "error[%s]" code) msg)
+  in
+  expect "E-NODES"
+    ~cluster:{ Partition.nodes = 1; scheme = Pipelined }
+    { Config.sweetspot with tiles_per_node = 16 };
+  expect "E-MAXNODES"
+    { Config.sweetspot with tiles_per_node = 1; cores_per_tile = 1; mvmus_per_core = 1 }
+
 let test_e2e_multi_node () =
   (* Two tiles per node force the second layer onto another node; results
      stay exact and the off-chip link shows up in latency and energy. *)
@@ -1149,6 +1169,7 @@ let () =
             test_partition_spills_to_more_nodes;
           Alcotest.test_case "locality beats random" `Quick
             test_partition_locality_beats_random;
+          Alcotest.test_case "diagnostics" `Quick test_partition_diagnostics;
         ] );
       ( "schedule",
         [

@@ -62,6 +62,53 @@ let test_smem_bounds () =
        false
      with Invalid_argument _ -> true)
 
+(* A blocked access touches nothing, wherever in the range the word that
+   blocks it sits: data, valid bits, counts and generation are unchanged. *)
+let test_smem_blocked_access_is_pure () =
+  let addr = 1 and width = 5 in
+  let snapshot m =
+    ( Shared_mem.generation m,
+      List.init (Shared_mem.words m) (fun a ->
+          ( Shared_mem.valid m ~addr:a,
+            Shared_mem.pending_count m ~addr:a,
+            Shared_mem.peek m ~addr:a ~width:1 )) )
+  in
+  let check_blocked name m f =
+    let before = snapshot m in
+    Alcotest.(check bool) (name ^ " blocks") true (f ());
+    Alcotest.(check bool) (name ^ " touches nothing") true (snapshot m = before)
+  in
+  List.iter
+    (fun blocker ->
+      let where = Printf.sprintf "blocker at %d" blocker in
+      (* Loads: every word valid and counted but the blocker. *)
+      let m = Shared_mem.create ~words:8 in
+      for a = addr to addr + width - 1 do
+        if a <> blocker then
+          assert (Shared_mem.write m ~addr:a ~values:[| 10 + a |] ~count:2)
+      done;
+      let dst = Array.make 8 (-1) in
+      check_blocked ("read, " ^ where) m (fun () ->
+          Shared_mem.read m ~addr ~width = None);
+      check_blocked ("read_into, " ^ where) m (fun () ->
+          not (Shared_mem.read_into m ~addr ~width ~dst ~dst_pos:2));
+      Alcotest.(check bool) "dst untouched" true (Array.for_all (( = ) (-1)) dst);
+      check_blocked ("peek, " ^ where) m (fun () ->
+          Shared_mem.peek m ~addr ~width = None);
+      (* Stores: every word sticky but the blocker, which awaits a reader. *)
+      let m = Shared_mem.create ~words:8 in
+      for a = addr to addr + width - 1 do
+        assert (
+          Shared_mem.write m ~addr:a ~values:[| a |]
+            ~count:(if a = blocker then 1 else 0))
+      done;
+      let src = Array.init 8 (fun i -> 100 + i) in
+      check_blocked ("write, " ^ where) m (fun () ->
+          not (Shared_mem.write m ~addr ~values:(Array.sub src 0 width) ~count:1));
+      check_blocked ("write_from, " ^ where) m (fun () ->
+          not (Shared_mem.write_from m ~addr ~src ~src_pos:3 ~width ~count:2)))
+    [ addr; addr + (width / 2); addr + width - 1 ]
+
 (* ---- Receive buffer ---- *)
 
 let test_recv_fifo_order () =
@@ -261,6 +308,8 @@ let () =
             test_smem_partial_validity_blocks_vector_read;
           Alcotest.test_case "peek" `Quick test_smem_peek_does_not_consume;
           Alcotest.test_case "bounds" `Quick test_smem_bounds;
+          Alcotest.test_case "blocked access is pure" `Quick
+            test_smem_blocked_access_is_pure;
         ] );
       ( "recv-buffer",
         [

@@ -162,6 +162,78 @@ let prop_fixed_add_neg_is_sub =
       let fa = Fixed.of_float a and fb = Fixed.of_float b in
       Fixed.equal (Fixed.add fa (Fixed.neg fb)) (Fixed.sub fa fb))
 
+(* Rescaling rounds half away from zero on both signs. *)
+let test_fixed_rescale_negative () =
+  List.iter
+    (fun (p, want) ->
+      Alcotest.(check int) (Printf.sprintf "of_acc %d" p) want
+        (Fixed.to_raw (Fixed.of_acc p));
+      Alcotest.(check int) (Printf.sprintf "round_scale %d" p) want
+        (Fixed.round_scale p))
+    [ (-1, 0); (-2048, -1); (-2049, -1); (-4096, -1); (-6144, -2); (-8191, -2) ]
+
+let prop_fixed_rescale_odd =
+  let bound = Fixed.max_raw lsl Fixed.frac_bits in
+  QCheck.Test.make ~name:"rescale (-p) = -(rescale p) unsaturated" ~count:1000
+    (QCheck.int_range (-bound) bound)
+    (fun p ->
+      Fixed.to_raw (Fixed.of_acc (-p)) = -Fixed.to_raw (Fixed.of_acc p))
+
+(* Each vector kernel equals its scalar loop, element by element and in
+   ascending order, on raws beyond the 16-bit range and on operand
+   ranges that overlap (one buffer holds every operand when [alias]). *)
+let prop_fixed_vec_kernels =
+  let raw =
+    QCheck.Gen.(
+      oneof
+        [
+          int_range Fixed.min_raw Fixed.max_raw;
+          int_range (-100_000) 100_000;
+          oneofl [ -32769; -32768; 32767; 32768; 0 ];
+          int_range (-(1 lsl 31)) (1 lsl 31);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      tup4 (array_size (return 24) raw) (tup4 (0 -- 8) (0 -- 8) (0 -- 8) (0 -- 16))
+        raw bool)
+  in
+  QCheck.Test.make ~name:"vector kernels = scalar loops" ~count:500
+    (QCheck.make gen) (fun (init, (oa, ob, od, w), imm, alias) ->
+      let scalar f (a : int array) oa (b : int array) ob d od w =
+        for k = 0 to w - 1 do
+          d.(od + k) <- f a.(oa + k) b.(ob + k)
+        done
+      in
+      let run kernel =
+        let a = Array.copy init in
+        let b = if alias then a else Array.copy init in
+        let d = if alias then a else Array.make 24 7 in
+        kernel a b d;
+        (a, b, d)
+      in
+      let fx f x y = Fixed.to_raw (f (Fixed.of_raw x) (Fixed.of_raw y)) in
+      let cases =
+        [
+          (Fixed.Vec.add, fx Fixed.add); (Fixed.Vec.sub, fx Fixed.sub);
+          (Fixed.Vec.mul, fx Fixed.mul); (Fixed.Vec.min, fx Fixed.min);
+          (Fixed.Vec.max, fx Fixed.max);
+          ((fun a oa _ _ d od w -> Fixed.Vec.relu a oa d od w),
+           fun x _ -> fx Fixed.max 0 x);
+          ((fun a oa _ _ d od w -> Fixed.Vec.add_imm imm a oa d od w),
+           fun x _ -> fx Fixed.add x imm);
+          ((fun a oa _ _ d od w -> Fixed.Vec.mul_imm imm a oa d od w),
+           fun x _ -> fx Fixed.mul x imm);
+          ((fun a oa _ _ d od w -> Fixed.Vec.of_acc a oa d od w),
+           fun x _ -> Fixed.to_raw (Fixed.of_acc x));
+        ]
+      in
+      List.for_all
+        (fun (kernel, f) ->
+          run (fun a b d -> kernel a oa b ob d od w)
+          = run (fun a b d -> scalar f a oa b ob d od w))
+        cases)
+
 (* ---- Rng ---- *)
 
 let test_rng_deterministic () =
@@ -441,7 +513,8 @@ let () =
         prop_fixed_add_commutes; prop_fixed_of_acc_matches_mul;
         prop_fixed_roundtrip_raw; prop_fixed_float_roundtrip_1ulp;
         prop_fixed_mul_commutes; prop_fixed_saturates_in_range;
-        prop_fixed_add_neg_is_sub;
+        prop_fixed_add_neg_is_sub; prop_fixed_rescale_odd;
+        prop_fixed_vec_kernels;
       ]
   in
   let qc_rng =
@@ -461,6 +534,8 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_fixed_div_by_zero;
           Alcotest.test_case "shifts and logic" `Quick test_fixed_shifts_logic;
           Alcotest.test_case "mul_acc" `Quick test_fixed_mul_acc;
+          Alcotest.test_case "negative rescale" `Quick
+            test_fixed_rescale_negative;
         ]
         @ qc
         @ [ Alcotest.test_case "image edges" `Quick test_fixed_image_edges ] );
