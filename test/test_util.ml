@@ -534,11 +534,13 @@ let () =
           Alcotest.test_case "div by zero" `Quick test_fixed_div_by_zero;
           Alcotest.test_case "shifts and logic" `Quick test_fixed_shifts_logic;
           Alcotest.test_case "mul_acc" `Quick test_fixed_mul_acc;
-          Alcotest.test_case "negative rescale" `Quick
-            test_fixed_rescale_negative;
         ]
         @ qc
-        @ [ Alcotest.test_case "image edges" `Quick test_fixed_image_edges ] );
+        @ [
+            Alcotest.test_case "image edges" `Quick test_fixed_image_edges;
+            Alcotest.test_case "negative rescale" `Quick
+              test_fixed_rescale_negative;
+          ] );
       ( "rng",
         [
           Alcotest.test_case "deterministic" `Quick test_rng_deterministic;
