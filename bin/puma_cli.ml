@@ -582,8 +582,9 @@ let analyze_cmd =
       & info [ "order" ]
           ~doc:
             "Run the happens-before concurrency analysis: report shared-\
-             memory races (E-RACE) and same-FIFO sends the NoC can reorder \
-             (E-FIFO-ORDER).")
+             memory races (E-RACE) and receive FIFOs whose in-flight \
+             packets can exceed the FIFO depth or whose senders are \
+             unordered (E-FIFO-ORDER).")
   in
   let dump_hb =
     Arg.(
@@ -598,7 +599,7 @@ let analyze_cmd =
       value & flag
       & info [ "no-repair" ]
           ~doc:
-            "Compile zoo models without the ordering repair pass, so \
+            "Compile zoo models without the channel repair pass, so \
              E-FIFO-ORDER hazards in the raw generated code stay visible.")
   in
   let equiv =

@@ -29,12 +29,10 @@ module Program = Puma_isa.Program
        in-flight pressure can exceed the receive-FIFO depth. Pressure of
        the j-th send is 1 + #{i < j : NOT hb(recv_i, send_j)}: packets
        whose receive is not guaranteed to have retired when send_j
-       issues. If every send's pressure is at most [fifo_depth] no
-       delivery ever finds the FIFO full, the NoC never requeues, and
-       per-channel arrival order equals send order; above the depth,
-       requeue-on-full ([Puma_noc.Network.requeue]) can reorder packets
-       and break the receive pairing (and, with mixed widths, crash the
-       receive width check). *)
+       issues. The NoC delivers each channel in order whatever the
+       pressure; at most [fifo_depth] means no delivery ever finds the
+       FIFO full, so the channel needs no buffering beyond the receive
+       FIFO, while above the depth packets wait in the network. *)
 
 type access = { a_addr : int; a_width : int; a_write : bool }
 
@@ -412,9 +410,8 @@ let width_of (e : ev) =
   match e.e_access with Some a -> a.a_width | None -> 0
 
 (* Single-sender channels with matched send/receive counts whose
-   in-flight pressure can exceed the FIFO depth. Also returns, per
-   channel, the first HB-unordered send pair and the first such pair
-   with differing widths (for diagnostics). *)
+   in-flight pressure can exceed the FIFO depth, each with its first
+   HB-unordered send pair (for diagnostics). *)
 let overflow_channels (p : Program.t) (b : build) (h : hb) =
   let depth = p.config.Puma_hwmodel.Config.fifo_depth in
   List.filter_map
@@ -430,34 +427,19 @@ let overflow_channels (p : Program.t) (b : build) (h : hb) =
       in
       if n = 0 || (not single_sender) || Array.length recvs <> n then None
       else begin
-        let max_p = ref 0 and first_overflow = ref None in
+        let max_p = ref 0 and pair = ref None in
         for j = 0 to n - 1 do
           let pressure = ref 1 in
           for i = 0 to j - 1 do
-            if not (hb_before h recvs.(i) sends.(j)) then incr pressure
+            if not (hb_before h recvs.(i) sends.(j)) then begin
+              incr pressure;
+              if !pair = None then pair := Some (i, j)
+            end
           done;
-          if !pressure > !max_p then max_p := !pressure;
-          if !pressure > depth && !first_overflow = None then
-            first_overflow := Some j
+          if !pressure > !max_p then max_p := !pressure
         done;
-        match !first_overflow with
-        | None -> None
-        | Some _ ->
-            let unordered i j = not (hb_before h recvs.(i) sends.(j)) in
-            let find_pair ~mismatch =
-              let found = ref None in
-              for j = 0 to n - 1 do
-                for i = 0 to j - 1 do
-                  if
-                    !found = None && unordered i j
-                    && ((not mismatch)
-                       || width_of b.evs.(sends.(i))
-                          <> width_of b.evs.(sends.(j)))
-                  then found := Some (i, j)
-                done
-              done;
-              !found
-            in
+        match !pair with
+        | Some pair when !max_p > depth ->
             let transfers =
               Array.init n (fun k ->
                   {
@@ -474,8 +456,8 @@ let overflow_channels (p : Program.t) (b : build) (h : hb) =
                   hz_transfers = transfers;
                   hz_max_pressure = !max_p;
                 },
-                find_pair ~mismatch:true,
-                find_pair ~mismatch:false )
+                pair )
+        | Some _ | None -> None
       end)
     b.chans
 
@@ -535,7 +517,7 @@ let hazards (p : Program.t) =
   match prepare_capped p with
   | `Too_large | `Cyclic _ -> []
   | `Ok (b, h) | `Truncated (b, h) ->
-      List.map (fun (hz, _, _) -> hz) (overflow_channels p b h)
+      List.map fst (overflow_channels p b h)
 
 let analyze ?(dump_hb = false) (p : Program.t) =
   match prepare_capped p with
@@ -599,35 +581,16 @@ let analyze ?(dump_hb = false) (p : Program.t) =
       in
       let overflow =
         List.map
-          (fun (hz, mismatch, any_pair) ->
+          (fun (hz, (i, j)) ->
             let t = hz.hz_transfers in
-            match (mismatch, any_pair) with
-            | Some (i, j), _ ->
-                Diag.error ~code:"E-FIFO-ORDER" ~tile:hz.hz_dst
-                  ~pc:t.(j).xf_recv_pc
-                  "fifo %d from tile %d: up to %d packets in flight \
-                   exceed the %d-deep receive FIFO, and the send at tile \
-                   %d pc %d (width %d) is unordered with the send at \
-                   tile %d pc %d (width %d): requeue-on-full can deliver \
-                   them out of order and break the receive width contract"
-                  hz.hz_fifo hz.hz_src hz.hz_max_pressure depth hz.hz_src
-                  t.(i).xf_send_pc t.(i).xf_width hz.hz_src
-                  t.(j).xf_send_pc t.(j).xf_width
-            | None, Some (i, j) ->
-                Diag.error ~code:"E-FIFO-ORDER" ~tile:hz.hz_dst
-                  ~pc:t.(j).xf_recv_pc
-                  "fifo %d from tile %d: up to %d packets in flight \
-                   exceed the %d-deep receive FIFO (sends at pc %d and \
-                   pc %d are unordered): requeue-on-full can reorder \
-                   same-fifo packets and corrupt receive pairing"
-                  hz.hz_fifo hz.hz_src hz.hz_max_pressure depth
-                  t.(i).xf_send_pc t.(j).xf_send_pc
-            | None, None ->
-                (* Unreachable: an overflow implies an unordered pair. *)
-                Diag.error ~code:"E-FIFO-ORDER" ~tile:hz.hz_dst
-                  "fifo %d from tile %d: up to %d packets in flight \
-                   exceed the %d-deep receive FIFO"
-                  hz.hz_fifo hz.hz_src hz.hz_max_pressure depth)
+            Diag.error ~code:"E-FIFO-ORDER" ~tile:hz.hz_dst
+              ~pc:t.(j).xf_recv_pc
+              "fifo %d from tile %d: up to %d packets in flight exceed the \
+               %d-deep receive FIFO (sends at pc %d and pc %d are \
+               unordered): the excess needs network buffering beyond the \
+               receive FIFO"
+              hz.hz_fifo hz.hz_src hz.hz_max_pressure depth
+              t.(i).xf_send_pc t.(j).xf_send_pc)
           (overflow_channels p b h)
       in
       let dump =

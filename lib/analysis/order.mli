@@ -1,4 +1,4 @@
-(** Happens-before analysis: smem race and NoC reordering hazards.
+(** Happens-before analysis: smem races and NoC channel hazards.
 
     Builds the partial order induced by per-stream program order,
     single-writer shared-memory synchronization (reads block until the
@@ -10,14 +10,15 @@
       different streams with at least one write. Only multi-writer words
       (or host-initialized words also written at runtime) can race —
       single-writer words are ordered by the blocking read.
-    - [E-FIFO-ORDER]: a (dst, fifo) channel whose receive pairing the
-      NoC cannot be relied on to preserve: either sends from different
-      streams with no HB order between them, or a single-sender channel
-      whose in-flight pressure exceeds the receive-FIFO depth, where
-      requeue-on-full ({!Puma_noc.Network.requeue}) can reorder packets.
-      The pressure of the j-th send is [1 + #{i < j : NOT hb(recv_i,
+    - [E-FIFO-ORDER]: a (dst, fifo) channel that either receives sends
+      from different streams with no HB order between them (the receive
+      pairing is then timing-dependent), or is a single-sender channel
+      whose in-flight pressure exceeds the receive-FIFO depth. The
+      pressure of the j-th send is [1 + #{i < j : NOT hb(recv_i,
       send_j)}]; when it never exceeds [fifo_depth], no delivery finds
-      the FIFO full and arrival order equals send order.
+      the FIFO full and at most [fifo_depth] packets are ever queued on
+      the channel. The NoC delivers each channel in order either way
+      ({!Puma_noc.Network}); the criterion bounds buffering.
     - [I-ORDER]: informational notes (control-flow approximation, size
       truncation) and, in dump mode, the HB graph's cross-stream edges.
 

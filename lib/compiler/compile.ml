@@ -67,8 +67,9 @@ let compile ?(options = default_options) (config : Puma_hwmodel.Config.t) g =
     Codegen.generate config ~wrap_batch_loop:options.wrap_batch_loop g lg part
       sched
   in
-  (* Serialize channels the happens-before analysis flags as reorderable
-     before the analysis gate sees the program (a no-op on clean code). *)
+  (* Bound the channels the happens-before analysis flags for in-flight
+     pressure before the analysis gate sees the program (a no-op on
+     clean code). *)
   let program, provenance, sequencing_stats =
     if options.repair_ordering then Sequencing.repair program ~provenance
     else (program, provenance, Sequencing.no_repair)

@@ -19,8 +19,10 @@ type options = {
           records the report in {!result.analysis}. *)
   repair_ordering : bool;
       (** Run the {!Sequencing} repair pass on channels the
-          happens-before analysis flags as reorderable (default on). A
-          program with no flagged channel passes through byte-identical.
+          happens-before analysis flags for in-flight pressure above the
+          receive-FIFO depth (default on), bounding each to [fifo_depth]
+          queued packets. A program with no flagged channel passes
+          through byte-identical.
           Turning it off leaves any [E-FIFO-ORDER] for the analysis
           gate. *)
   check_equiv : bool;
@@ -64,7 +66,7 @@ type result = {
           (matrix / binding name, glue ops inheriting their nearest
           labelled predecessor's) each emitted instruction belongs to. *)
   sequencing_stats : Sequencing.stats;
-      (** What the ordering repair pass did ({!Sequencing.no_repair}
+      (** What the channel repair pass did ({!Sequencing.no_repair}
           when [repair_ordering] is off or nothing was flagged). *)
   codegen_stats : Codegen.stats;
   optimize_stats : Optimize.stats option;

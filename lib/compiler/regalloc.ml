@@ -142,11 +142,10 @@ let claim t len ~exclude =
     | None ->
         if evict_one t ~exclude then go ()
         else
-          failwith
-            (Printf.sprintf
-               "Regalloc: cannot fit a %d-word value in a %d-word register \
-                file even after evicting everything"
-               len t.capacity)
+          Puma_isa.Diag.fail ~code:"E-REGFILE"
+            "cannot fit a %d-word value in a %d-word register file even \
+             after evicting everything"
+            len t.capacity
   in
   go ()
 

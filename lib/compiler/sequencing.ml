@@ -2,13 +2,13 @@ module Instr = Puma_isa.Instr
 module Program = Puma_isa.Program
 module Order = Puma_analysis.Order
 
-(* Ordering repair (credit-based channel sequencing).
+(* Channel repair (credit-based channel sequencing).
 
    The happens-before pass ([Puma_analysis.Order]) flags single-sender
    channels whose in-flight pressure can exceed the receive-FIFO depth:
-   there the NoC's requeue-on-full can reorder packets and break the
-   k-th-send/k-th-receive pairing (the rbm@dim64 crash). This pass
-   restores a static depth bound with a credit loop per flagged channel
+   there packets beyond the depth wait in the network, which models no
+   bound on that buffering. This pass restores a static depth bound
+   with a credit loop per flagged channel
    (dst, fifo) with transfers t_0 .. t_{n-1} and FIFO depth d:
 
    - after receive r_k (k <= n-d-1) the destination sends a one-word
@@ -16,8 +16,8 @@ module Order = Puma_analysis.Order
    - before send s_k (k >= d) the sender receives one credit.
 
    Send s_k then cannot issue until r_{k-d} has retired, so at most d
-   packets are ever in flight, no delivery finds the FIFO full, and
-   arrival order equals send order. The ack channel itself carries the
+   packets are ever in flight and no delivery finds the FIFO full. The
+   ack channel itself carries the
    same bound (credit i is consumed before s_{i+d}, which precedes
    r_{i+d} and therefore the (i+d)-th credit), so the repair introduces
    no new hazard; [Compile.compile] re-runs the analysis on the repaired

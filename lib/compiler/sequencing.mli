@@ -1,15 +1,16 @@
-(** Ordering repair: credit-based sequencing of hazardous channels.
+(** Channel repair: credit-based sequencing of over-pressured channels.
 
     Consumes the happens-before analyzer's channel hazards
     ({!Puma_analysis.Order.hazards}: single-sender fifos whose in-flight
-    pressure can exceed the receive-FIFO depth, where the NoC's
-    requeue-on-full can reorder packets) and repairs each by threading a
-    credit loop: the destination sends a one-word token back on a
-    dedicated ack fifo after each receive, and the sender consumes one
-    token before every send beyond the first [fifo_depth]. The repaired
-    channel (and the ack channel itself) keeps at most [fifo_depth]
-    packets in flight, so delivery never requeues and packet order is
-    preserved; the re-run analysis reports zero [E-FIFO-ORDER].
+    pressure can exceed the receive-FIFO depth, so packets beyond the
+    depth wait in the network) and repairs each by threading a credit
+    loop: the destination sends a one-word token back on a dedicated ack
+    fifo after each receive, and the sender consumes one token before
+    every send beyond the first [fifo_depth]. The repaired channel (and
+    the ack channel itself) keeps at most [fifo_depth] packets in
+    flight, so its buffering is bounded by the receive FIFO; the re-run
+    analysis reports zero [E-FIFO-ORDER]. Ordering needs no repair: the
+    NoC delivers each channel in order.
 
     When the credit loop is infeasible (the sender has no free receive
     fifo for the ack channel, or a tile memory cannot fit the token

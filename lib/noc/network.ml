@@ -3,13 +3,7 @@ type message = {
   dst_tile : int;
   fifo_id : int;
   payload : int array;
-  mutable seq : int;
-      (* Per-(src, dst, fifo) injection sequence number, assigned by
-         [send]; [confirm_delivered] checks deliveries stay in this
-         order. *)
 }
-
-exception Reordered of string
 
 module Heap = Puma_util.Heap
 
@@ -25,22 +19,24 @@ end)
 
 let pair src dst = (src lsl 21) lor dst
 let chan msg = (pair msg.src_tile msg.dst_tile lsl 21) lor msg.fifo_id
-let find tbl k = Option.value ~default:0 (Chan.find_opt tbl k)
+
+(* One (src, dst, fifo) channel: its messages with their arrival times,
+   in injection order. *)
+type channel = (int * message) Queue.t
 
 type t = {
   config : Puma_hwmodel.Config.t;
   topology : Topology.t;
   fabric : Fabric.t;
   energy : Puma_hwmodel.Energy.t;
-  pending : message Heap.t;
+  channels : channel Chan.t;
+  (* The head of every non-empty channel, keyed by its arrival time or,
+     once refused, its retry time. *)
+  heads : channel Heap.t;
   (* Wormhole routing preserves ordering between a given source and
-     destination: a later message never overtakes an earlier one. *)
+     destination: a later message never arrives before an earlier one. *)
   last_arrival : int Chan.t;
-  (* Sequence counters per (src, dst, fifo): next seq to assign on
-     injection and next seq expected at delivery. Never reset, so the
-     order contract holds across multiple runs on the same network. *)
-  next_seq : int Chan.t;
-  next_delivery : int Chan.t;
+  mutable in_flight : int;
 }
 
 let create ~fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
@@ -49,10 +45,10 @@ let create ~fabric (c : Puma_hwmodel.Config.t) ~energy ~num_tiles =
     topology = Topology.create ~concentration:4 ~num_tiles ();
     fabric;
     energy;
-    pending = Heap.create ();
+    channels = Chan.create 32;
+    heads = Heap.create ();
     last_arrival = Chan.create 32;
-    next_seq = Chan.create 32;
-    next_delivery = Chan.create 32;
+    in_flight = 0;
   }
 
 let topology t = t.topology
@@ -67,9 +63,6 @@ let transit_cycles t ~src ~dst ~words =
   + Fabric.transfer_cycles t.fabric t.config ~src ~dst ~words
 
 let send t ~now msg =
-  let seq = find t.next_seq (chan msg) in
-  Chan.replace t.next_seq (chan msg) (seq + 1);
-  msg.seq <- seq;
   let words = Array.length msg.payload in
   let arrival =
     now + transit_cycles t ~src:msg.src_tile ~dst:msg.dst_tile ~words
@@ -87,25 +80,34 @@ let send t ~now msg =
     Fabric.offchip_words t.fabric ~src:msg.src_tile ~dst:msg.dst_tile ~words
   in
   if events > 0 then Puma_hwmodel.Energy.add t.energy Offchip events;
-  Heap.push t.pending arrival msg
+  let ch =
+    match Chan.find_opt t.channels (chan msg) with
+    | Some ch -> ch
+    | None ->
+        let ch = Queue.create () in
+        Chan.add t.channels (chan msg) ch;
+        ch
+  in
+  if Queue.is_empty ch then Heap.push t.heads arrival ch;
+  Queue.push (arrival, msg) ch;
+  t.in_flight <- t.in_flight + 1
 
-let pop_arrived t ~now =
-  match Heap.peek t.pending with
-  | Some (arrival, _) when arrival <= now -> Option.map snd (Heap.pop t.pending)
-  | Some _ | None -> None
+let deliver_arrived t ~now accept =
+  let progress = ref false in
+  while Heap.min_key t.heads <= now do
+    match Heap.pop t.heads with
+    | None -> ()
+    | Some (_, ch) ->
+        if accept (snd (Queue.peek ch)) then begin
+          ignore (Queue.pop ch);
+          t.in_flight <- t.in_flight - 1;
+          progress := true;
+          if not (Queue.is_empty ch) then
+            Heap.push t.heads (fst (Queue.peek ch)) ch
+        end
+        else Heap.push t.heads (now + 1) ch
+  done;
+  !progress
 
-let requeue t ~now msg = Heap.push t.pending (now + 1) msg
-
-let confirm_delivered t msg =
-  let expected = find t.next_delivery (chan msg) in
-  if msg.seq <> expected then
-    raise
-      (Reordered
-         (Printf.sprintf
-            "Network: fifo %d packet from tile %d delivered to tile %d out of \
-             injection order (seq %d, expected %d)"
-            msg.fifo_id msg.src_tile msg.dst_tile msg.seq expected));
-  Chan.replace t.next_delivery (chan msg) (expected + 1)
-
-let in_flight t = Heap.size t.pending
-let next_arrival t = Option.map fst (Heap.peek t.pending)
+let in_flight t = t.in_flight
+let next_arrival t = Heap.min_key t.heads

@@ -3,31 +3,22 @@
     Messages traverse a concentrated 2D mesh (four tiles per router,
     Table 3) with a fixed per-router latency and per-flit serialization
     (32-bit flits, so two 16-bit words per flit);
-    energy is charged per word per hop. Delivery is decoupled from
-    arrival: the node simulator pops arrived messages and retries ones the
-    destination FIFO cannot yet accept. *)
+    energy is charged per word per hop.
+
+    Each (src, dst, fifo) channel is one FIFO queue, so messages are
+    delivered in injection order by construction, as the receive
+    buffer's per-sender FIFOs require (Section 4.2). Delivery is
+    decoupled from arrival: a channel's head that the destination FIFO
+    cannot yet accept stays first in its channel and is offered again
+    one cycle later (backpressure at the ejection port), holding back
+    every later message on that channel. *)
 
 type message = {
   src_tile : int;
   dst_tile : int;
   fifo_id : int;
   payload : int array;
-  mutable seq : int;
-      (** Per-(src, dst, fifo) injection sequence number. Assigned by
-          {!send} (any caller-supplied value is overwritten); used by
-          {!confirm_delivered} to assert deliveries follow injection
-          order on each channel. *)
 }
-
-exception Reordered of string
-(** Raised by {!confirm_delivered} when a packet lands out of injection
-    order on its (src, dst, fifo) channel — the situation the static
-    [E-FIFO-ORDER] analysis exists to rule out. Ordering is only at risk
-    when {!requeue} fires: a requeued packet can fall behind a later
-    one whose arrival time ties or follows within the retry window. The
-    happens-before analyzer guarantees repaired/clean programs keep
-    per-channel in-flight pressure at or below [fifo_depth], so delivery
-    never requeues and this exception never fires for them. *)
 
 type t
 
@@ -61,25 +52,21 @@ val transit_cycles : t -> src:int -> dst:int -> words:int -> int
     crosses nodes (the 6.4 GB/s chip-to-chip link per fabric hop). *)
 
 val send : t -> now:int -> message -> unit
-(** Inject a message; it arrives at [now + transit_cycles]. Charges NoC
-    energy. *)
+(** Inject a message; it arrives at [now + transit_cycles], or one cycle
+    after the previous message between the same two tiles if that is
+    later. Charges NoC energy. *)
 
-val pop_arrived : t -> now:int -> message option
-(** Pop one message whose arrival time has passed, if any. *)
-
-val requeue : t -> now:int -> message -> unit
-(** Destination FIFO full: retry delivery one cycle later (models
-    backpressure at the ejection port). *)
-
-val confirm_delivered : t -> message -> unit
-(** Record a successful delivery (the destination accepted the packet)
-    and assert it is the next one in injection order for its
-    (src, dst, fifo) channel; raises {!Reordered} otherwise. Pure
-    bookkeeping — no timing or energy effect — so calling it from a run
-    loop cannot perturb simulation results. Counters persist for the
-    lifetime of the network, so the contract holds across repeated runs
-    of the same node. *)
+val deliver_arrived : t -> now:int -> (message -> bool) -> bool
+(** Offer the head of every channel whose head has arrived by [now] to
+    the callback, earliest first. An accepted head ([true]) leaves its
+    channel, whose next message is offered once it arrives (in this call
+    if it already has). A refused head stays first in its channel, which
+    is offered again at [now + 1]. Returns whether any head was
+    accepted. *)
 
 val in_flight : t -> int
-val next_arrival : t -> int option
-(** Earliest pending arrival time, for simulator scheduling. *)
+(** Messages sent and not yet accepted. *)
+
+val next_arrival : t -> int
+(** Earliest time a channel head is next offered, for simulator
+    scheduling; [max_int] when nothing is in flight. *)

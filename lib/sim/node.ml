@@ -218,9 +218,7 @@ let advance_or_deadlock t =
       ignore tile;
       Array.iter consider t.core_ready.(ti))
     t.tiles;
-  (match Network.next_arrival t.network with
-  | Some a -> consider a
-  | None -> ());
+  consider (Network.next_arrival t.network);
   if !next = max_int then begin
     let buf = Buffer.create 256 in
     Buffer.add_string buf
@@ -229,8 +227,8 @@ let advance_or_deadlock t =
          t.now
          (Network.in_flight t.network)
          (match Network.next_arrival t.network with
-          | Some a -> string_of_int a
-          | None -> "none"));
+          | a when a = max_int -> "none"
+          | a -> string_of_int a));
     (* On a machine of several chips, each line names its chip. *)
     let where =
       let f = Network.fabric t.network in
@@ -314,7 +312,6 @@ let rec drain_tile t tile =
           dst_tile = o.target_tile;
           fifo_id = o.fifo_id;
           payload = o.payload;
-          seq = 0 (* assigned by Network.send *);
         };
       ignore (drain_tile t tile);
       true
@@ -323,40 +320,29 @@ let rec drain_tile t tile =
 let drain_pass t =
   Array.fold_left (fun sent tile -> drain_tile t tile || sent) false t.tiles
 
-(* Deliver every arrived message; a full destination FIFO pushes the
-   message back with a one-cycle retry so it stays visible to the
-   time-advance logic. FIFO push energy lands on the destination, and
+(* Offer every arrived channel head to its destination tile; a full
+   receive FIFO leaves the head waiting in the network for a retry one
+   cycle later. FIFO push energy lands on the destination, and
    [delivered] counts accepted messages per tile (the fast loop's TCU
    parking key). Returns whether anything was delivered. *)
 let deliver_pass t delivered =
-  let progress = ref false in
-  let rec deliver () =
-    match Network.pop_arrived t.network ~now:t.now with
-    | None -> ()
-    | Some msg ->
-        let dst = msg.Network.dst_tile in
-        Energy.set_scope t.energy dst;
-        if
-          Tile.deliver t.tiles.(dst) ~fifo:msg.fifo_id ~src_tile:msg.src_tile
-            ~payload:msg.payload
-        then begin
-          Network.confirm_delivered t.network msg;
-          delivered.(dst) <- delivered.(dst) + 1;
-          progress := true;
-          match t.probe with
-          | Some p ->
-              p.on_deliver ~now:t.now ~tile:dst ~fifo:msg.fifo_id
-                ~occupancy:
-                  (Puma_tile.Recv_buffer.occupancy
-                     (Tile.recv_buffer t.tiles.(dst))
-                     ~fifo:msg.fifo_id)
-          | None -> ()
-        end
-        else Network.requeue t.network ~now:t.now msg;
-        deliver ()
-  in
-  deliver ();
-  !progress
+  Network.deliver_arrived t.network ~now:t.now (fun msg ->
+      let dst = msg.Network.dst_tile in
+      Energy.set_scope t.energy dst;
+      Tile.deliver t.tiles.(dst) ~fifo:msg.fifo_id ~src_tile:msg.src_tile
+        ~payload:msg.payload
+      && begin
+        delivered.(dst) <- delivered.(dst) + 1;
+        (match t.probe with
+        | Some p ->
+            p.on_deliver ~now:t.now ~tile:dst ~fifo:msg.fifo_id
+              ~occupancy:
+                (Puma_tile.Recv_buffer.occupancy
+                   (Tile.recv_buffer t.tiles.(dst))
+                   ~fifo:msg.fifo_id)
+        | None -> ());
+        true
+      end)
 
 (* The cycle-accurate reference loop, stepping through [Core.step]. *)
 let reference_loop t ~start =
@@ -484,9 +470,8 @@ let run_fast t ~start =
   let outbox = Array.make ntiles true in
   let advance () =
     let next =
-      match Network.next_arrival t.network with
-      | Some a when a > t.now -> min a (Heap.min_key ready)
-      | Some _ | None -> Heap.min_key ready
+      let a = Network.next_arrival t.network in
+      if a > t.now then min a (Heap.min_key ready) else Heap.min_key ready
     in
     (* Nothing pending: the shared scan finds nothing either and raises
        the deadlock dump. *)

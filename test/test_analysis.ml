@@ -393,7 +393,7 @@ let test_mutation_fifo_order () =
   p.Program.tiles.(b) <-
     { tb with Program.tile_code = Array.append recvs tb.tile_code };
   let r = Analyze.program ~order:true p in
-  Alcotest.(check bool) "reorder hazard reported" true
+  Alcotest.(check bool) "over-depth hazard reported" true
     (List.mem "E-FIFO-ORDER" (error_codes r));
   let msg =
     List.find

@@ -1151,6 +1151,23 @@ let test_fifo_budget_diagnostic () =
       Alcotest.(check bool) (Printf.sprintf "E-FIFO in %S" msg) true
         (String.starts_with ~prefix:"error[E-FIFO]" msg)
 
+(* A value that cannot fit even after every evictable value is gone is
+   an [E-REGFILE] diagnostic: one value fills the file, and the next may
+   not evict it. *)
+let test_regfile_diagnostic () =
+  let layout = Puma_isa.Operand.layout tiny_config in
+  let capacity = Puma_isa.Operand.size_of layout Gpr in
+  let r =
+    Puma_compiler.Regalloc.create ~layout ~alloc_smem:(fun _ -> 0)
+      ~emit:ignore
+  in
+  ignore (Puma_compiler.Regalloc.define r ~id:0 ~len:capacity ~pos:0 ~exclude:[]);
+  match Puma_compiler.Regalloc.define r ~id:1 ~len:1 ~pos:1 ~exclude:[ 0 ] with
+  | _ -> Alcotest.fail "expected a register-file shortage"
+  | exception Failure msg ->
+      Alcotest.(check bool) (Printf.sprintf "E-REGFILE in %S" msg) true
+        (String.starts_with ~prefix:"error[E-REGFILE]" msg)
+
 let () =
   Alcotest.run "compiler"
     [
@@ -1208,6 +1225,8 @@ let () =
             test_smem_overflow_diagnostic;
           Alcotest.test_case "fifo budget diagnostic" `Quick
             test_fifo_budget_diagnostic;
+          Alcotest.test_case "register file diagnostic" `Quick
+            test_regfile_diagnostic;
         ] );
       ( "checker",
         [ Alcotest.test_case "rejects bad programs" `Quick

@@ -80,10 +80,10 @@ let test_zoo_proved_dim64 () =
     (zoo ())
 
 let test_zoo_proved_unrepaired () =
-  (* The validator models per-channel NoC delivery in order, so even the
-     programs the Sequencing pass would repair (rbm@64's reorder hazard)
-     prove: E-FIFO-ORDER is a scheduler-robustness property, not a
-     dataflow one. *)
+  (* The validator models per-channel NoC delivery in order, as the NoC
+     delivers, so even the programs the Sequencing pass would repair
+     (rbm@64's over-depth channels) prove: E-FIFO-ORDER is a buffering
+     property, not a dataflow one. *)
   List.iter
     (fun (name, g) ->
       check_proved

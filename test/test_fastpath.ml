@@ -31,10 +31,7 @@ let zoo =
     ("rbm", Models.mini_rbm);
   ]
 
-(* The bench's mini configuration. rbm at mvmu_dim 64 used to crash on
-   NoC packet reordering (a 64-wide receive meeting a 52-word packet);
-   the compiler's ordering repair pass now serializes the hazardous
-   channels, so the full zoo runs here. *)
+(* The bench's mini configuration, with the full zoo. *)
 let mini_config = { Config.sweetspot with Config.mvmu_dim = 64 }
 let mini_zoo = zoo
 

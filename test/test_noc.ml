@@ -59,8 +59,20 @@ let msg src dst words =
     dst_tile = dst;
     fifo_id = 0;
     payload = Array.make words 1;
-    seq = 0;
   }
+
+(* The heads offered at [now] that [refuse] lets through, in the order
+   they were accepted. *)
+let deliver_all ?(refuse = fun _ -> false) net ~now =
+  let got = ref [] in
+  ignore
+    (Network.deliver_arrived net ~now (fun m ->
+         (not (refuse m))
+         && begin
+           got := m :: !got;
+           true
+         end));
+  List.rev !got
 
 let test_network_delivery_time () =
   let net, _ = make_network () in
@@ -68,10 +80,10 @@ let test_network_delivery_time () =
   let expect = Network.transit_cycles net ~src:0 ~dst:5 ~words:4 in
   Network.send net ~now:10 m;
   Alcotest.(check bool) "not arrived early" true
-    (Network.pop_arrived net ~now:(10 + expect - 1) = None);
-  (match Network.pop_arrived net ~now:(10 + expect) with
-  | Some m' -> Alcotest.(check int) "dst" 5 m'.Network.dst_tile
-  | None -> Alcotest.fail "message lost");
+    (deliver_all net ~now:(10 + expect - 1) = []);
+  (match deliver_all net ~now:(10 + expect) with
+  | [ m' ] -> Alcotest.(check int) "dst" 5 m'.Network.dst_tile
+  | _ -> Alcotest.fail "message lost");
   Alcotest.(check int) "empty" 0 (Network.in_flight net)
 
 let test_network_transit_model () =
@@ -90,11 +102,11 @@ let test_network_ordering_by_arrival () =
   let net, _ = make_network () in
   Network.send net ~now:0 (msg 0 15 2) (* far *) ;
   Network.send net ~now:0 (msg 0 1 2) (* near *) ;
-  (* The near message must pop first. *)
+  (* The near message must be delivered first. *)
   let rec advance t =
-    match Network.pop_arrived net ~now:t with
-    | Some m -> m
-    | None -> advance (t + 1)
+    match deliver_all net ~now:t with
+    | m :: _ -> m
+    | [] -> advance (t + 1)
   in
   let first = advance 0 in
   Alcotest.(check int) "near first" 1 first.Network.dst_tile
@@ -104,22 +116,50 @@ let test_network_energy_charged () =
   Network.send net ~now:0 (msg 0 5 8);
   Alcotest.(check bool) "noc energy" true (Energy.count energy Noc > 0)
 
-let test_network_requeue () =
+(* A head its destination refuses stays first in its channel: a later
+   message on the same channel is not offered past it, and the channel
+   is offered again one cycle later. *)
+let test_network_refused_head_blocks () =
+  let net, _ = make_network () in
+  Network.send net ~now:0 { (msg 0 1 1) with Network.payload = [| 1 |] };
+  Network.send net ~now:0 { (msg 0 1 1) with Network.payload = [| 2 |] };
+  let offered = ref [] in
+  let progress =
+    Network.deliver_arrived net ~now:100 (fun m ->
+        offered := m.Network.payload.(0) :: !offered;
+        false)
+  in
+  Alcotest.(check bool) "no progress" false progress;
+  Alcotest.(check (list int)) "only the head is offered" [ 1 ] !offered;
+  Alcotest.(check int) "retried next cycle" 101 (Network.next_arrival net);
+  Alcotest.(check (list int)) "injection order" [ 1; 2 ]
+    (List.map
+       (fun m -> m.Network.payload.(0))
+       (deliver_all net ~now:101));
+  Alcotest.(check int) "empty" max_int (Network.next_arrival net)
+
+(* While one fifo's head waits, another fifo of the same pair delivers. *)
+let test_network_other_fifo_passes () =
   let net, _ = make_network () in
   Network.send net ~now:0 (msg 0 1 1);
-  let rec advance t =
-    match Network.pop_arrived net ~now:t with
-    | Some m -> (m, t)
-    | None -> advance (t + 1)
+  Network.send net ~now:0 { (msg 0 1 1) with Network.fifo_id = 1 };
+  let got =
+    deliver_all ~refuse:(fun m -> m.Network.fifo_id = 0) net ~now:100
   in
-  let m, t = advance 0 in
-  Network.requeue net ~now:t m;
-  Alcotest.(check bool) "not immediately available" true
-    (Network.pop_arrived net ~now:t = None);
-  (match Network.pop_arrived net ~now:(t + 1) with
-  | Some _ -> ()
-  | None -> Alcotest.fail "requeued message lost");
-  Alcotest.(check bool) "next arrival none" true (Network.next_arrival net = None)
+  Alcotest.(check (list int)) "fifo 1 delivered" [ 1 ]
+    (List.map (fun m -> m.Network.fifo_id) got);
+  Alcotest.(check int) "fifo 0 waits" 1 (Network.in_flight net)
+
+let test_network_in_flight_counts_messages () =
+  let net, _ = make_network () in
+  for _ = 1 to 3 do
+    Network.send net ~now:0 (msg 0 1 1)
+  done;
+  Network.send net ~now:0 (msg 2 1 1);
+  Alcotest.(check int) "four messages on two channels" 4
+    (Network.in_flight net);
+  ignore (deliver_all ~refuse:(fun m -> m.Network.src_tile = 0) net ~now:100);
+  Alcotest.(check int) "three wait on one channel" 3 (Network.in_flight net)
 
 let test_network_heap_many_messages () =
   let net, _ = make_network () in
@@ -134,11 +174,8 @@ let test_network_heap_many_messages () =
   let popped = ref 0 in
   let rec drain t =
     if Network.in_flight net > 0 then begin
-      match Network.pop_arrived net ~now:t with
-      | Some _ ->
-          incr popped;
-          drain t
-      | None -> drain (t + 17)
+      popped := !popped + List.length (deliver_all net ~now:t);
+      drain (t + 17)
     end
   in
   drain 0;
@@ -151,9 +188,9 @@ let test_network_per_pair_fifo_order () =
   Network.send net ~now:0 { (msg 0 5 128) with Network.fifo_id = 1 };
   Network.send net ~now:1 { (msg 0 5 1) with Network.fifo_id = 2 };
   let rec advance t =
-    match Network.pop_arrived net ~now:t with
-    | Some m -> m
-    | None -> advance (t + 1)
+    match deliver_all net ~now:t with
+    | m :: _ -> m
+    | [] -> advance (t + 1)
   in
   let first = advance 0 in
   Alcotest.(check int) "large message first" 1 first.Network.fifo_id
@@ -200,10 +237,15 @@ let () =
           Alcotest.test_case "transit model" `Quick test_network_transit_model;
           Alcotest.test_case "arrival ordering" `Quick test_network_ordering_by_arrival;
           Alcotest.test_case "energy" `Quick test_network_energy_charged;
-          Alcotest.test_case "requeue" `Quick test_network_requeue;
+          Alcotest.test_case "refused head blocks its channel" `Quick
+            test_network_refused_head_blocks;
           Alcotest.test_case "heap stress" `Quick test_network_heap_many_messages;
           Alcotest.test_case "per-pair order" `Quick test_network_per_pair_fifo_order;
           Alcotest.test_case "cross-node penalty" `Quick test_network_cross_node_penalty;
+          Alcotest.test_case "other fifo passes a waiting head" `Quick
+            test_network_other_fifo_passes;
+          Alcotest.test_case "in flight counts messages" `Quick
+            test_network_in_flight_counts_messages;
         ] );
       ("offchip", [ Alcotest.test_case "transfer" `Quick test_offchip_transfer ]);
     ]

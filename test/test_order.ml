@@ -1,10 +1,10 @@
-(* Happens-before / ordering analyzer tests: the soundness contract of
-   [Puma_analysis.Order] against the simulator. Random multi-tile
-   send/receive programs are analyzed and then executed; a program the
-   analyzer passes clean must never trip the receive width contract or
-   the NoC's delivered-in-injection-order assertion, on either run loop.
-   (The contrapositive — every runtime ordering crash was statically
-   flagged — follows.) *)
+(* Channel-ordering tests: the NoC against the receive pairing, and the
+   happens-before analyzer's [E-FIFO-ORDER] pressure criterion. Random
+   multi-tile send/receive programs run on both loops. Each send reads
+   its own source words, so every packet carries a distinct payload; the
+   NoC delivers each (src, dst, fifo) channel in injection order, so
+   every program, flagged by the analyzer or not, completes with each
+   receive landing exactly the payload of the send it pairs with. *)
 
 module Analyze = Puma_analysis.Analyze
 module Order = Puma_analysis.Order
@@ -12,9 +12,9 @@ module Diag = Puma_analysis.Diag
 module Config = Puma_hwmodel.Config
 module Instr = Puma_isa.Instr
 module Program = Puma_isa.Program
-module Network = Puma_noc.Network
 module Node = Puma_sim.Node
 module Rng = Puma_util.Rng
+module Fixed = Puma_util.Fixed
 
 let config = Config.sweetspot
 let smem_words = config.Config.smem_bytes / 2
@@ -25,26 +25,41 @@ let smem_words = config.Config.smem_bytes / 2
    pressure exceeding the FIFO depth. *)
 type channel = { src : int; dst : int; fifo : int; widths : int array }
 
+(* The program and, per receive, the output naming its landing words
+   with the values they must hold: the payload of the matching send.
+   Each tile's sends read consecutive words of a host-written constant
+   block holding values unique across the program; receives land on
+   distinct fresh words above the block. *)
 let build_program ntiles channels =
-  (* Send sources read a host-written constant block (words 0..15);
-     receives land on distinct fresh words above it. *)
-  let src_words = 16 in
-  let land_next = Array.make ntiles (src_words + 1) in
+  let block = 64 in
+  let raw tile word = (tile * block) + word + 1 in
+  let src_next = Array.make ntiles 0 in
+  let land_next = Array.make ntiles block in
   let ops = Array.make ntiles [] in
   let push t i = ops.(t) <- i :: ops.(t) in
+  let landings = ref [] in
   List.iter
     (fun c ->
       Array.iter
         (fun w ->
+          let src = src_next.(c.src) in
+          src_next.(c.src) <- src + w;
+          assert (src + w <= block);
           push c.src
             (Instr.Send
-               { mem_addr = 0; fifo_id = c.fifo; target = c.dst; vec_width = w });
+               { mem_addr = src; fifo_id = c.fifo; target = c.dst; vec_width = w });
           let landing = land_next.(c.dst) in
           land_next.(c.dst) <- landing + w;
           assert (landing + w < smem_words);
           push c.dst
             (Instr.Receive
-               { mem_addr = landing; fifo_id = c.fifo; count = 0; vec_width = w }))
+               { mem_addr = landing; fifo_id = c.fifo; count = 0; vec_width = w });
+          let name = Printf.sprintf "r%d" (List.length !landings) in
+          landings :=
+            ( { Program.name; tile = c.dst; mem_addr = landing; length = w; offset = 0 },
+              Array.init w (fun k ->
+                  Fixed.to_float (Fixed.of_raw (raw c.src (src + k)))) )
+            :: !landings)
         c.widths)
     channels;
   let tiles =
@@ -62,12 +77,14 @@ let build_program ntiles channels =
             Program.name = Printf.sprintf "c%d" t;
             tile = t;
             mem_addr = 0;
-            length = src_words;
+            length = block;
             offset = 0;
           },
-          Array.init src_words (fun i -> i) ))
+          Array.init block (raw t) ))
   in
-  { Program.config; tiles; inputs = []; outputs = []; constants }
+  let landings = List.rev !landings in
+  ( { Program.config; tiles; inputs = []; outputs = List.map fst landings; constants },
+    landings )
 
 let random_channels rng =
   let ntiles = 2 + Rng.int rng 3 in
@@ -83,36 +100,30 @@ let random_channels rng =
   in
   (ntiles, channels)
 
-type outcome = Completed | Ordering_crash of string | Other_crash of string
-
-let run_loop run p =
-  let node = Node.create p in
-  match ignore (run node ~inputs:[]) with
-  | () -> Completed
-  | exception Network.Reordered msg -> Ordering_crash msg
-  | exception Invalid_argument msg
-    when Puma_util.Strings.contains ~sub:"width" msg ->
-      Ordering_crash msg
-  | exception e -> Other_crash (Printexc.to_string e)
-
-let sound (seed : int) =
-  let rng = Rng.create seed in
-  let ntiles, channels = random_channels rng in
-  let p = build_program ntiles channels in
-  let r = Analyze.program ~order:true p in
-  let clean = r.Analyze.errors = 0 in
+(* Both loops complete [seed]'s program, and every receive lands the
+   payload of the send it pairs with. *)
+let delivers_in_order seed =
+  let ntiles, channels = random_channels (Rng.create seed) in
+  let p, expected = build_program ntiles channels in
   List.for_all
     (fun run ->
-      match run_loop run p with
-      | Completed -> true
-      | Ordering_crash _ -> not clean
-      | Other_crash _ -> false)
+      let outputs = run (Node.create p) ~inputs:[] in
+      List.for_all
+        (fun ((b : Program.io_binding), v) -> List.assoc b.name outputs = v)
+        expected)
     [ Node.run; Node.run_reference ]
 
-let prop_clean_never_reorders =
-  QCheck.Test.make ~name:"analyzer-clean programs never reorder" ~count:120
+let prop_every_program_in_order =
+  QCheck.Test.make ~name:"every program delivers in order" ~count:120
     QCheck.(int_range 0 100_000)
-    sound
+    delivers_in_order
+
+(* A seed whose program keeps more packets in flight on one channel
+   than its receive FIFO holds, so a head is refused while a later
+   packet on the same channel has already arrived. *)
+let test_pinned_seed () =
+  Alcotest.(check bool) "seed 4 delivers in order" true
+    (delivers_in_order 4)
 
 (* A flagged burst actually lists the channel with its widths, and the
    repaired form of the same shape would be clean: transfers capped at
@@ -121,7 +132,7 @@ let test_hazard_shape () =
   let burst =
     [ { src = 0; dst = 1; fifo = 0; widths = [| 2; 1; 2; 1 |] } ]
   in
-  let p = build_program 2 burst in
+  let p, _ = build_program 2 burst in
   let hazards = Order.hazards p in
   Alcotest.(check int) "one hazardous channel" 1 (List.length hazards);
   let hz = List.hd hazards in
@@ -133,11 +144,11 @@ let test_hazard_shape () =
     [ { src = 0; dst = 1; fifo = 0; widths = [| 2; 1 |] } ]
   in
   Alcotest.(check int) "depth-bounded burst is clean" 0
-    (List.length (Order.hazards (build_program 2 shallow)))
+    (List.length (Order.hazards (fst (build_program 2 shallow))))
 
 (* The HB dump names cross-stream edges as I-ORDER infos. *)
 let test_dump_hb () =
-  let p =
+  let p, _ =
     build_program 2 [ { src = 0; dst = 1; fifo = 0; widths = [| 1 |] } ]
   in
   let r = Analyze.program ~dump_hb:true p in
@@ -152,5 +163,9 @@ let () =
           Alcotest.test_case "burst shape" `Quick test_hazard_shape;
           Alcotest.test_case "hb dump" `Quick test_dump_hb;
         ] );
-      ("property", [ QCheck_alcotest.to_alcotest prop_clean_never_reorders ]);
+      ( "property",
+        [
+          QCheck_alcotest.to_alcotest prop_every_program_in_order;
+          Alcotest.test_case "pinned seed" `Quick test_pinned_seed;
+        ] );
     ]
