@@ -11,13 +11,6 @@ module Bset = struct
 
   let create n = Bytes.make ((n + 7) / 8) '\000'
 
-  let full n =
-    let b = Bytes.make ((n + 7) / 8) '\255' in
-    let rem = n land 7 in
-    if rem <> 0 then
-      Bytes.set b (Bytes.length b - 1) (Char.chr ((1 lsl rem) - 1));
-    b
-
   let copy = Bytes.copy
   let equal = Bytes.equal
 
@@ -42,13 +35,6 @@ module Bset = struct
       Bytes.set dst k
         (Char.chr (Char.code (Bytes.get dst k) lor Char.code (Bytes.get src k)))
     done
-
-  let count b n =
-    let c = ref 0 in
-    for i = 0 to n - 1 do
-      if get b i then incr c
-    done;
-    !c
 end
 
 type direction = Forward | Backward
@@ -97,59 +83,76 @@ module Make (D : DOMAIN) = struct
         match direction with Forward -> b = 0 | Backward -> true
       in
       let block_out b =
-        match state.(b) with
-        | None -> None
-        | Some s ->
+        Option.map
+          (fun s ->
+            let { Cfg.first; last; _ } = cfg.Cfg.blocks.(b) in
             let s = ref (D.copy s) in
-            let blk = cfg.Cfg.blocks.(b) in
-            (match direction with
-            | Forward ->
-                for pc = blk.Cfg.first to blk.Cfg.last do
-                  s := transfer ~pc !s
-                done
-            | Backward ->
-                for pc = blk.Cfg.last downto blk.Cfg.first do
-                  s := transfer ~pc !s
-                done);
-            Some !s
+            for k = 0 to last - first do
+              let pc =
+                match direction with Forward -> first + k | Backward -> last - k
+              in
+              s := transfer ~pc !s
+            done;
+            !s)
+          state.(b)
       in
-      let visits = Array.make nb 0 in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        let outs = Array.init nb block_out in
+      let order k =
+        match direction with Forward -> k | Backward -> nb - 1 - k
+      in
+      (* The join of [b]'s contributions as a fresh state. An out state
+         may feed several blocks, so it is copied before joining into. *)
+      let incoming outs b =
+        let ins = List.filter_map (fun p -> outs.(p)) (edges_in b) in
+        match ins with
+        | _ when seeded b -> Some (List.fold_left D.join (entry ()) ins)
+        | [] -> None
+        | first :: rest -> Some (List.fold_left D.join (D.copy first) rest)
+      in
+      (* Blocks are visited in order (reverse under [Backward]), each
+         out state recomputed as soon as its block's state moves. With
+         no back edge every contribution into a block is final when the
+         block is reached, so the first pass is the fixpoint and no
+         confirming pass runs. *)
+      let back_edge =
+        Array.to_seqi cfg.Cfg.blocks
+        |> Seq.exists (fun (b, blk) -> List.exists (( >= ) b) blk.Cfg.succs)
+      in
+      let outs = Array.make nb None and visits = Array.make nb 0 in
+      let rec pass () =
+        let changed = ref false in
         for k = 0 to nb - 1 do
-          let b = match direction with Forward -> k | Backward -> nb - 1 - k in
-          let contribs = List.filter_map (fun p -> outs.(p)) (edges_in b) in
-          let contribs = if seeded b then entry () :: contribs else contribs in
-          match contribs with
-          | [] -> ()
-          | first :: rest ->
-              let ni = List.fold_left D.join (D.copy first) rest in
-              (match state.(b) with
-              | None ->
-                  state.(b) <- Some ni;
-                  visits.(b) <- 1;
-                  changed := true
-              | Some cur ->
-                  (* Accumulate so iterates only grow even if a transfer
-                     is re-run against a moving environment (the Range
-                     pass re-solves streams while its shared-memory map
-                     is still converging). *)
-                  let cand = D.join (D.copy cur) ni in
-                  if not (D.equal cur cand) then begin
-                    visits.(b) <- visits.(b) + 1;
-                    let cand =
-                      if visits.(b) > widen_after then D.widen cur cand
-                      else cand
-                    in
-                    if not (D.equal cur cand) then begin
-                      state.(b) <- Some cand;
-                      changed := true
-                    end
-                  end)
-        done
-      done
+          let b = order k in
+          let moved =
+            match (incoming outs b, state.(b)) with
+            | None, _ -> None
+            | Some ni, None ->
+                visits.(b) <- 1;
+                Some ni
+            | Some ni, Some cur ->
+                (* Accumulate so iterates only grow even if a transfer is
+                   re-run against a moving environment (the Range pass
+                   re-solves streams while its shared-memory map is still
+                   converging). *)
+                let cand = D.join ni cur in
+                if D.equal cur cand then None
+                else begin
+                  visits.(b) <- visits.(b) + 1;
+                  let cand =
+                    if visits.(b) > widen_after then D.widen cur cand else cand
+                  in
+                  if D.equal cur cand then None else Some cand
+                end
+          in
+          Option.iter
+            (fun s ->
+              state.(b) <- Some s;
+              outs.(b) <- block_out b;
+              changed := true)
+            moved
+        done;
+        if back_edge && !changed then pass ()
+      in
+      pass ()
     end;
     state
 end

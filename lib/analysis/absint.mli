@@ -14,7 +14,6 @@ module Bset : sig
   val create : int -> t
   (** [create n] is the empty set over a universe of [n] elements. *)
 
-  val full : int -> t
   val copy : t -> t
   val equal : t -> t -> bool
   val get : t -> int -> bool
@@ -22,9 +21,6 @@ module Bset : sig
   val clear : t -> int -> unit
   val inter_into : t -> t -> unit
   val union_into : t -> t -> unit
-
-  val count : t -> int -> int
-  (** [count b n] is the number of set elements below [n]. *)
 end
 
 type direction = Forward | Backward
@@ -61,6 +57,9 @@ module Make (D : DOMAIN) : sig
       [join] (true for the union-style backward domains used here).
       [transfer ~pc s] is the abstract effect of the instruction at
       [pc]; it may mutate and return [s] (the solver always passes a
-      private copy). Widening kicks in once a block has been revisited
-      more than [widen_after] times (default 3). *)
+      private copy). Blocks are visited in order (reverse order under
+      [Backward]); a CFG with no back edge is solved in that one pass,
+      with each instruction's transfer run once. Widening kicks in once a
+      block has been revisited more than [widen_after] times (default
+      3). *)
 end

@@ -73,23 +73,30 @@ let program ?(ranges = false) ?(resources = false) ?input_range
         ]
     else begin
       let layout = Operand.layout p.config in
+      (* One flow per core stream, shared with the register-pressure
+         estimate. *)
+      let flows =
+        Array.map
+          (fun (tp : Program.tile_program) ->
+            Array.map (Regflow.flow ~layout) tp.core_code)
+          p.tiles
+      in
       let regflow = ref [] in
-      Array.iter
-        (fun (tp : Program.tile_program) ->
+      Array.iteri
+        (fun pos (tp : Program.tile_program) ->
           Array.iteri
-            (fun core code ->
-              if Array.length code > 0 then
-                regflow :=
-                  Regflow.analyze ~layout ~tile:tp.tile_index ~core code
-                  :: !regflow)
-            tp.core_code)
+            (fun core f ->
+              regflow :=
+                Regflow.analyze ~layout ~tile:tp.tile_index ~core f :: !regflow)
+            flows.(pos))
         p.tiles;
       structural
       @ List.concat (List.rev !regflow)
       @ Smem.analyze p @ Channel.analyze p
       @ (if order then Order.analyze ~dump_hb p else [])
       @ (if ranges then Range.analyze ?input_range ~dump_ranges p else [])
-      @ (if resources then Resource.report (Resource.estimate p) else [])
+      @ (if resources then Resource.report (Resource.estimate ~flows p)
+         else [])
     end
   in
   (* Translation validation runs even on structurally invalid programs

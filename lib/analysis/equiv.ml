@@ -126,10 +126,11 @@ let fresh_undef st =
   st.nonce <- st.nonce + 1;
   intern st (S_undef st.nonce)
 
-let intern_state () =
+(* Sized up front to the expected number of ids, so it never rehashes. *)
+let intern_state ~size =
   let st =
     {
-      ids = Hashtbl.create 4096;
+      ids = Hashtbl.create (max 64 size);
       descs = Grow.create (S_const 0);
       taints = Grow.create false;
       mats = Images.create 64;
@@ -344,7 +345,12 @@ type tile_state = {
 type step = Stepped | Blocked | Halted_step
 
 let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
-  let st = intern_state () in
+  (* About one id per reference word; the program's words mostly reuse
+     them. *)
+  let st =
+    intern_state
+      ~size:(Array.fold_left (fun n (r : rnode) -> n + r.len) 0 reference)
+  in
   let steps = ref 0 in
   let mvm_apps = ref 0 in
   let diags = ref [] in
@@ -357,7 +363,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
     let layout = Operand.layout config in
     let nmvmus = config.Puma_hwmodel.Config.mvmus_per_core in
     let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
-    let footprint = Smem.footprint p in
+    let footprint = Program.footprint p in
     let ntiles = Array.length p.Program.tiles in
     (* Send targets name tiles by [tile_index]; map back to positions. *)
     let tile_pos : (int, int) Hashtbl.t = Hashtbl.create 8 in

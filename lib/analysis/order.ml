@@ -212,7 +212,7 @@ let build_graph ~with_cores (p : Program.t) =
         ignore (link ids))
       streams;
     (* Shared-memory synchronization, per tile, over its footprint. *)
-    let footprint = Smem.footprint p in
+    let footprint = Program.footprint p in
     let suspects = ref [] in
     let suspect_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
     let add_suspect a b word =

@@ -9,7 +9,9 @@
    modelled as a flow-insensitive per-word interval map that stores
    join into; tile send/receive channels forward intervals between
    tiles. A core stream is solved again only when a word it loaded has
-   grown since its last solve began, until no stream is stale.
+   grown since its last solve began, until no stream is stale; each
+   stream's last solve therefore saw the final map, and the diagnostics
+   are the ones that solve's transfers recorded.
 
    Diagnostics: [W-SAT] where some execution may clamp, [E-OVERFLOW]
    where every execution clamps, [I-RANGE] inferred per-register ranges
@@ -33,6 +35,8 @@ let vlo_top = Fixed.min_raw
 let vhi_top = Fixed.max_raw
 let sat_raw v = if v < vlo_top then vlo_top else if v > vhi_top then vhi_top else v
 
+(* What the latest transfer at one pc found: some execution may clamp
+   ([possible]), every execution clamps ([guaranteed]). *)
 type flags = {
   mutable possible : bool;
   mutable guaranteed : bool;
@@ -79,20 +83,16 @@ end)
 
 (* ---- Per-core crossbar weight images. ---- *)
 
-(* Each part is built on first use, at most once per run: uniform
-   inputs need only the row sums, other inputs only the clamped image. *)
-type wimg = {
-  w : string Lazy.t;
-      (** The image the crossbar holds ({!Fixed.clamp_image}). *)
-  sums : (int array * int array) Lazy.t;
-      (** Per-row sums of positive and of negative weights. *)
-}
+(* The program's image, and its per-row sums of positive and of negative
+   weights, built on first use (only uniform inputs need them). *)
+type wimg = { w : string; sums : (int array * int array) Lazy.t }
 
 (* Weight signs are data, so the per-weight loops here split each raw
    with a sign mask ([raw asr 62] is -1 or 0) instead of branching, and
    read the image directly rather than through out-of-line helpers.
    [raw - ((raw + max_raw) asr 62)] is the differential-pair clamp of
-   -32768 to -32767 ({!Fixed.clamp_image}), folded into the same pass. *)
+   -32768 to -32767 ({!Fixed.clamp_image}), folded into each pass so the
+   crossbar's image is never built. *)
 let row_sums dim img =
   let pos = Array.make dim 0 and neg = Array.make dim 0 in
   let max_raw = Fixed.max_raw in
@@ -110,17 +110,18 @@ let row_sums dim img =
   done;
   (pos, neg)
 
-let wimg dim img =
-  { w = lazy (Fixed.clamp_image img); sums = lazy (row_sums dim img) }
+let wimg dim img = { w = img; sums = lazy (row_sums dim img) }
 
 (* Exact bound of each row's dot product over the input box
    [inl, inh], before rounding and saturation. *)
 let mvm_bound dim w inl inh out_lo out_hi =
+  let max_raw = Fixed.max_raw in
   for i = 0 to dim - 1 do
     let base = 2 * i * dim in
     let alo = ref 0 and ahi = ref 0 in
     for j = 0 to dim - 1 do
       let wij = String.get_int16_ne w (base + (2 * j)) in
+      let wij = wij - ((wij + max_raw) asr 62) in
       let m = wij asr 62 in
       let wp = wij land lnot m and wn = wij land m in
       alo := !alo + (wp * inl.(j)) + (wn * inh.(j));
@@ -144,7 +145,10 @@ type memo = {
 
 (* One core stream with its latest solve. [reads] holds the shared-memory
    words that solve loaded (static addresses only: other loads read top)
-   and [start] the clock value at which it began. *)
+   and [start] the clock value at which it began. [flags.(pc)] is what
+   its transfer at [pc] found, and [post.(pc)] the state after it (kept
+   only for [keep_states] or [dump_ranges]); the solver's last visit of
+   a pc is from its block's final state, so both describe the solution. *)
 type stream = {
   tile : int;
   core : int;
@@ -153,7 +157,8 @@ type stream = {
   transfer : pc:int -> state -> state;
   reads : int list ref;
   mutable start : int;
-  mutable states : state option array;
+  flags : flags array;
+  post : state option array;
 }
 
 (* ---- The analysis proper. ---- *)
@@ -175,12 +180,12 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
   let num_mvmus = Operand.size_of layout Operand.Xbar_in / dim in
   let ntiles = Array.length p.Program.tiles in
   (* Shared-memory interval map, one pair of arrays per tile sized to its
-     footprint ({!Smem.footprint}: no access reaches past it); lo > hi
+     footprint ({!Program.footprint}: no access reaches past it); lo > hi
      marks words no static write reaches (loads of those read as top:
      at runtime they block on the attribute protocol instead of yielding
      a value, so any interval is sound). [stamp] holds the clock at each
      word's latest growth. *)
-  let footprint = Smem.footprint p in
+  let footprint = Program.footprint p in
   let per_tile v = Array.init ntiles (fun t -> Array.make (footprint t) v) in
   let mlo = per_tile 1 and mhi = per_tile 0 in
   let stamp = per_tile 0 in
@@ -255,21 +260,18 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
         tp.Program.mvmu_images)
     p.Program.tiles;
   (* ---- Transfer function for one core stream. ---- *)
-  let cur_flags : flags option ref = ref None in
+  let keep = keep_states || dump_ranges in
+  let cur_flags = ref (no_flags ()) in
   let flag_possible what =
-    match !cur_flags with
-    | Some f ->
-        f.possible <- true;
-        if f.what = "" then f.what <- what
-    | None -> ()
+    let f = !cur_flags in
+    f.possible <- true;
+    if f.what = "" then f.what <- what
   in
   let flag_guaranteed what =
-    match !cur_flags with
-    | Some f ->
-        f.possible <- true;
-        f.guaranteed <- true;
-        f.what <- what
-    | None -> ()
+    let f = !cur_flags in
+    f.possible <- true;
+    f.guaranteed <- true;
+    f.what <- what
   in
   (* Clamp an exact (unsaturated) result interval to the representable
      range, recording whether some/all of it is cut off. *)
@@ -365,12 +367,14 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
     | Instr.Imm_addr a -> (a, a)
     | Instr.Sreg_addr s -> sreg_interval st s
   in
-  let make_transfer ~tile ~core ~note (code : Instr.t array) =
+  let make_transfer ~tile ~core ~note ~flags ~post (code : Instr.t array) =
     let imgs = images.(tile) in
     let img m = imgs.((core * num_mvmus) + m) in
     let inl = Array.make dim 0 and inh = Array.make dim 0 in
     let memo : (int, memo) Hashtbl.t = Hashtbl.create 16 in
     fun ~pc (st : state) ->
+      flags.(pc) <- no_flags ();
+      cur_flags := flags.(pc);
       (match code.(pc) with
       | Instr.Halt | Jmp _ | Brn _ | Send _ | Receive _ -> ()
       | Mvm { mask; filter = _; stride } ->
@@ -414,7 +418,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                       | _ ->
                           let out_lo = Array.make dim 0
                           and out_hi = Array.make dim 0 in
-                          mvm_bound dim (Lazy.force w) inl inh out_lo out_hi;
+                          mvm_bound dim w inl inh out_lo out_hi;
                           Hashtbl.replace memo key
                             {
                               m_inl = Array.copy inl;
@@ -580,6 +584,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                 map_join tile a !l !h
               done
           end);
+      if keep then post.(pc) <- Some (copy_state st);
       st
   in
   (* ---- Tile channel model: k-th class join of sends into receives. ---- *)
@@ -668,16 +673,21 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
                   else begin
                     let reads = ref [] in
                     let note a = reads := a :: !reads in
+                    let n = Array.length code in
+                    let flags = Array.make n (no_flags ()) in
+                    let post = Array.make (if keep then n else 0) None in
                     Some
                       {
                         tile;
                         core;
                         code;
                         cfg = Cfg.build code;
-                        transfer = make_transfer ~tile ~core ~note code;
+                        transfer =
+                          make_transfer ~tile ~core ~note ~flags ~post code;
                         reads;
                         start = 0;
-                        states = [||];
+                        flags;
+                        post;
                       }
                   end))
   in
@@ -689,7 +699,7 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
     incr clock;
     s.start <- !clock;
     s.reads := [];
-    s.states <- Solver.solve ~entry ~transfer:s.transfer s.cfg
+    ignore (Solver.solve ~entry ~transfer:s.transfer s.cfg)
   in
   let stale s =
     let st = stamp.(s.tile) in
@@ -716,67 +726,58 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
     if !map_dirty then
       if n + 1 < max_passes then fixpoint (n + 1)
       else begin
-        (* Did not converge: widen the whole map to top (nothing can grow
-           past it) and run one final, self-consistent sweep. *)
+        (* Did not converge: widen the whole map to top and solve every
+           stream again. Only out-of-range immediates and widened bounds
+           can still grow it, finitely many values, so the stale
+           re-solves end. *)
         widen_map ();
-        sweep ~all:true
+        sweep ~all:true;
+        while !map_dirty do
+          sweep ~all:false
+        done
       end
   in
   fixpoint 0;
-  (* ---- Report walk over the converged states. ---- *)
+  (* ---- Report from each stream's last solve. ---- *)
   let diags = ref [] in
-  let kept : (int * int * int, int array * int array) Hashtbl.t =
-    Hashtbl.create (if keep_states then 256 else 1)
-  in
   List.iter
-    (fun { tile; core; code; cfg; transfer; states; _ } ->
-      let sum_lo = Array.make width max_int
-      and sum_hi = Array.make width min_int in
-      let defined = Bset.create width in
-      let eff = Array.map (Regflow.effects layout) code in
-      for b = 0 to Cfg.num_blocks cfg - 1 do
-        match states.(b) with
-        | None -> ()
-        | Some entry_state ->
-            if cfg.Cfg.reachable.(b) then begin
-              let st = ref (copy_state entry_state) in
-              let blk = cfg.Cfg.blocks.(b) in
-              for pc = blk.Cfg.first to blk.Cfg.last do
-                let f = no_flags () in
-                cur_flags := Some f;
-                st := transfer ~pc !st;
-                cur_flags := None;
-                if f.guaranteed then
-                  diags :=
-                    Diag.error ~code:"E-OVERFLOW" ~tile ~core ~pc
-                      "%s saturates on every execution: the inferred result \
-                       range lies entirely outside the representable \
-                       fixed-point range"
-                      f.what
-                    :: !diags
-                else if f.possible then
-                  diags :=
-                    Diag.warning ~code:"W-SAT" ~tile ~core ~pc
-                      "%s may saturate: part of the inferred result range \
-                       falls outside the representable fixed-point range"
-                      f.what
-                    :: !diags;
-                if keep_states then
-                  Hashtbl.replace kept (tile, core, pc)
-                    (Array.copy !st.lo, Array.copy !st.hi);
+    (fun { tile; core; code; flags; post; _ } ->
+      Array.iteri
+        (fun pc f ->
+          if f.guaranteed then
+            diags :=
+              Diag.error ~code:"E-OVERFLOW" ~tile ~core ~pc
+                "%s saturates on every execution: the inferred result range \
+                 lies entirely outside the representable fixed-point range"
+                f.what
+              :: !diags
+          else if f.possible then
+            diags :=
+              Diag.warning ~code:"W-SAT" ~tile ~core ~pc
+                "%s may saturate: part of the inferred result range falls \
+                 outside the representable fixed-point range"
+                f.what
+              :: !diags)
+        flags;
+      if dump_ranges then begin
+        (* The hull of every post-instruction interval of each register
+           some reachable instruction defines. *)
+        let sum_lo = Array.make width max_int
+        and sum_hi = Array.make width min_int in
+        let defined = Bset.create width in
+        Array.iteri
+          (fun pc ->
+            Option.iter (fun st ->
                 List.iter
                   (fun (base, w) ->
                     let lo = max 0 base and hi = min width (base + w) in
                     for k = lo to hi - 1 do
                       Bset.set defined k;
-                      if !st.lo.(k) < sum_lo.(k) then sum_lo.(k) <- !st.lo.(k);
-                      if !st.hi.(k) > sum_hi.(k) then sum_hi.(k) <- !st.hi.(k)
+                      if st.lo.(k) < sum_lo.(k) then sum_lo.(k) <- st.lo.(k);
+                      if st.hi.(k) > sum_hi.(k) then sum_hi.(k) <- st.hi.(k)
                     done)
-                  eff.(pc).defs
-              done
-            end
-      done;
-      if dump_ranges then begin
+                  (Regflow.effects layout code.(pc)).defs))
+          post;
         (* Group maximal runs of consecutively-indexed registers with the
            same interval into one info line. *)
         let render_bound v ~is_sreg =
@@ -819,8 +820,11 @@ let run ?(input_range = (Fixed.min_raw, Fixed.max_raw)) ?(dump_ranges = false)
       end)
     streams;
   let interval ~tile ~core ~pc ~reg =
-    match Hashtbl.find_opt kept (tile, core, pc) with
-    | Some (lo, hi) when reg >= 0 && reg < width -> Some (lo.(reg), hi.(reg))
+    match List.find_opt (fun s -> s.tile = tile && s.core = core) streams with
+    | Some { post; _ }
+      when keep_states && pc >= 0 && pc < Array.length post && reg >= 0
+           && reg < width ->
+        Option.map (fun st -> (st.lo.(reg), st.hi.(reg))) post.(pc)
     | _ -> None
   in
   { diags = List.rev !diags; interval }

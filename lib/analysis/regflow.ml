@@ -122,21 +122,22 @@ let solve_live width eff cfg =
     ~entry:(fun () -> Bset.create width)
     ~transfer:(live_transfer width eff) cfg
 
-(* Liveness as a reusable building block: per-block live-out sets (None
-   for blocks backward propagation never reaches). Used here for the
-   dead-store check and by {!Resource} for register pressure. *)
-let liveness ~(layout : Operand.layout) (cfg : Cfg.t) =
-  let width = layout.Operand.total + Operand.num_scalar_regs in
-  solve_live width (Array.map (effects layout) cfg.Cfg.code) cfg
+(* One stream's CFG, effects and liveness, built once and shared by the
+   dataflow checks here and {!Resource}'s register pressure. *)
+type flow = { cfg : Cfg.t; eff : effects array; live_out : Bset.t option array }
 
-let analyze ~(layout : Operand.layout) ~tile ~core code =
+let flow ~(layout : Operand.layout) code =
   let width = layout.Operand.total + Operand.num_scalar_regs in
   let cfg = Cfg.build code in
+  let eff = Array.map (effects layout) code in
+  { cfg; eff; live_out = solve_live width eff cfg }
+
+let analyze ~(layout : Operand.layout) ~tile ~core { cfg; eff; live_out } =
+  let width = layout.Operand.total + Operand.num_scalar_regs in
   let nb = Cfg.num_blocks cfg in
   if nb = 0 then []
   else begin
     let diags = ref [] in
-    let eff = Array.map (effects layout) code in
     let iter_range set r = iter_range_w width set r in
     (* ---- Forward must-defined analysis (def before use). ---- *)
     let inb =
@@ -174,7 +175,6 @@ let analyze ~(layout : Operand.layout) ~tile ~core code =
           end
     done;
     (* ---- Backward liveness (dead register writes). ---- *)
-    let live_out = solve_live width eff cfg in
     for b = 0 to nb - 1 do
       if cfg.Cfg.reachable.(b) then begin
         let live =

@@ -35,15 +35,16 @@ val reg_name : Puma_isa.Operand.layout -> int -> string
 (** Render a combined-space register index (e.g. ["xin0[3]"], ["r12"],
     ["s2"]). *)
 
-val liveness :
-  layout:Puma_isa.Operand.layout -> Cfg.t -> Absint.Bset.t option array
-(** Per-block live-out sets over the combined register space (the
-    backward-liveness fixpoint; [None] only for streams with no blocks).
-    Shared with {!Resource}'s register-pressure estimation. *)
+type flow = {
+  cfg : Cfg.t;
+  eff : effects array;  (** Per pc. *)
+  live_out : Absint.Bset.t option array;
+      (** Per-block live-out sets (the backward-liveness fixpoint). *)
+}
+(** One stream's CFG, effects and liveness; {!Analyze.program} builds it
+    once per core stream for both {!analyze} and {!Resource.estimate}. *)
+
+val flow : layout:Puma_isa.Operand.layout -> Puma_isa.Instr.t array -> flow
 
 val analyze :
-  layout:Puma_isa.Operand.layout ->
-  tile:int ->
-  core:int ->
-  Puma_isa.Instr.t array ->
-  Diag.t list
+  layout:Puma_isa.Operand.layout -> tile:int -> core:int -> flow -> Diag.t list

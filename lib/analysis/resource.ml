@@ -215,11 +215,9 @@ let min_path cost (cfg : Cfg.t) =
 
 (* ---- Liveness-based register pressure. ---- *)
 
-let pressure_of layout (cfg : Cfg.t) =
+let pressure_of layout ({ cfg; eff; live_out } : Regflow.flow) =
   let total = layout.Operand.total in
   let width = total + Operand.num_scalar_regs in
-  let live_out = Regflow.liveness ~layout cfg in
-  let eff = Array.map (Regflow.effects layout) cfg.Cfg.code in
   let xout_b = Operand.base_of layout Operand.Xbar_out
   and gpr_b = Operand.base_of layout Operand.Gpr in
   (* Live words per space (xin, xout, gpr, sregs), which tile the bitset
@@ -292,66 +290,52 @@ let trailing_cost cost code =
   | Puma_isa.Instr.Halt -> 0.0
   | i -> cost i
 
-let estimate (p : Program.t) =
+let estimate ?flows (p : Program.t) =
   let config = p.Program.config in
   let layout = Operand.layout config in
   let streams = ref [] in
-  Array.iter
-    (fun (tp : Program.tile_program) ->
+  let add ~tile ~core ~cycles ~energy ~imem_capacity ~pressure cfg code =
+    let min_cycles =
+      min_path (fun pc -> float_of_int (cycles code.(pc))) cfg
+      -. trailing_cost (fun i -> float_of_int (cycles i)) code
+    in
+    streams :=
+      {
+        tile;
+        core;
+        instrs = Array.length code;
+        imem_bytes = Encode.program_bytes code;
+        imem_capacity;
+        min_cycles = int_of_float (Float.max 0.0 min_cycles);
+        min_energy_pj = min_path (fun pc -> energy code.(pc)) cfg;
+        pressure;
+      }
+      :: !streams
+  in
+  Array.iteri
+    (fun pos (tp : Program.tile_program) ->
       let tile = tp.Program.tile_index in
       Array.iteri
         (fun core code ->
           if Array.length code > 0 then begin
-            let cfg = Cfg.build code in
-            let energy_of = core_energy_pj config layout in
-            let cycles =
-              min_path
-                (fun pc -> float_of_int (core_cycles config code.(pc)))
-                cfg
-              -. trailing_cost
-                   (fun i -> float_of_int (core_cycles config i))
-                   code
+            let flow =
+              match flows with
+              | Some f -> f.(pos).(core)
+              | None -> Regflow.flow ~layout code
             in
-            let cycles = Float.max 0.0 cycles in
-            let energy = min_path (fun pc -> energy_of code.(pc)) cfg in
-            streams :=
-              {
-                tile;
-                core = Some core;
-                instrs = Array.length code;
-                imem_bytes = Encode.program_bytes code;
-                imem_capacity = config.Config.imem_core_bytes;
-                min_cycles = int_of_float cycles;
-                min_energy_pj = energy;
-                pressure = Some (pressure_of layout cfg);
-              }
-              :: !streams
+            add ~tile ~core:(Some core) ~cycles:(core_cycles config)
+              ~energy:(core_energy_pj config layout)
+              ~imem_capacity:config.Config.imem_core_bytes
+              ~pressure:(Some (pressure_of layout flow))
+              flow.Regflow.cfg code
           end)
         tp.Program.core_code;
       let code = tp.Program.tile_code in
-      if Array.length code > 0 then begin
-        let cfg = Cfg.build code in
-        let cycles =
-          min_path (fun pc -> float_of_int (tile_cycles config code.(pc))) cfg
-          -. trailing_cost
-               (fun i -> float_of_int (tile_cycles config i))
-               code
-        in
-        let cycles = Float.max 0.0 cycles in
-        let energy = min_path (fun pc -> tile_energy_pj config code.(pc)) cfg in
-        streams :=
-          {
-            tile;
-            core = None;
-            instrs = Array.length code;
-            imem_bytes = Encode.program_bytes code;
-            imem_capacity = config.Config.imem_tile_bytes;
-            min_cycles = int_of_float cycles;
-            min_energy_pj = energy;
-            pressure = None;
-          }
-          :: !streams
-      end)
+      if Array.length code > 0 then
+        add ~tile ~core:None ~cycles:(tile_cycles config)
+          ~energy:(tile_energy_pj config)
+          ~imem_capacity:config.Config.imem_tile_bytes ~pressure:None
+          (Cfg.build code) code)
     p.Program.tiles;
   let streams = List.rev !streams in
   {

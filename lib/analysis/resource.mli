@@ -47,7 +47,10 @@ type t = {
   energy_lower_bound_pj : float;  (** Sum over streams. *)
 }
 
-val estimate : Puma_isa.Program.t -> t
+val estimate : ?flows:Regflow.flow array array -> Puma_isa.Program.t -> t
+(** [flows.(pos).(core)] is the {!Regflow.flow} of the core stream at
+    tile position [pos], when the caller has built them already (as
+    {!Analyze.program} does); by default each is built here. *)
 
 val imem_breakdown :
   layer_of:layer_of ->

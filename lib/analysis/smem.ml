@@ -21,46 +21,6 @@ type reader = {
   r_width : int;
 }
 
-(* A tile's static footprint: one past the highest word any of its
-   instructions or I/O bindings can touch, capped at capacity. Keyed
-   both by position and by [tile_index] (the gates address tiles either
-   way), so it covers an access under either key; a register-indirect
-   load or store reaches the whole memory. *)
-let footprint (p : Program.t) =
-  let capacity = p.config.Puma_hwmodel.Config.smem_bytes / 2 in
-  let n = Array.length p.tiles in
-  let ends = Array.make n 0 in
-  let reach k e = if k >= 0 && k < n && e > ends.(k) then ends.(k) <- e in
-  Array.iteri
-    (fun pos (tp : Program.tile_program) ->
-      let e = ref 0 in
-      let touch a w = if a + w > !e then e := a + w in
-      Array.iter
-        (Array.iter (function
-          | Instr.Load { addr = Instr.Imm_addr a; vec_width; _ }
-          | Instr.Store { addr = Instr.Imm_addr a; vec_width; _ } ->
-              touch a vec_width
-          | Instr.Load { addr = Instr.Sreg_addr _; _ }
-          | Instr.Store { addr = Instr.Sreg_addr _; _ } ->
-              touch 0 capacity
-          | _ -> ()))
-        tp.core_code;
-      Array.iter
-        (function
-          | Instr.Send { mem_addr; vec_width; _ }
-          | Instr.Receive { mem_addr; vec_width; _ } ->
-              touch mem_addr vec_width
-          | _ -> ())
-        tp.tile_code;
-      reach pos !e;
-      reach tp.tile_index !e)
-    p.tiles;
-  let bind (b : Program.io_binding) = reach b.tile (b.mem_addr + b.length) in
-  List.iter bind p.inputs;
-  List.iter bind p.outputs;
-  List.iter (fun (b, _) -> bind b) p.constants;
-  fun k -> if k >= 0 && k < n then min ends.(k) capacity else capacity
-
 let analyze_tile ~words ~tile ~(writers : writer list)
     ~(readers : reader list) ~(outputs : Program.io_binding list) =
   let diags = ref [] in
@@ -157,7 +117,7 @@ let analyze_tile ~words ~tile ~(writers : writer list)
   List.rev !diags
 
 let analyze (p : Program.t) =
-  let footprint = footprint p in
+  let footprint = Program.footprint p in
   let diags = ref [] in
   Array.iter
     (fun (tp : Program.tile_program) ->

@@ -20,11 +20,3 @@
       its per-word checks are skipped. *)
 
 val analyze : Puma_isa.Program.t -> Diag.t list
-
-val footprint : Puma_isa.Program.t -> int -> int
-(** [footprint p] maps a tile (by position or [tile_index]) to the number
-    of leading shared-memory words its instructions and I/O bindings can
-    touch: one past the highest static access, the whole capacity for a
-    tile with a register-indirect load or store, never more than
-    capacity. The gates size per-tile state to it; their out-of-range
-    checks still compare against capacity. *)

@@ -133,19 +133,3 @@ let vec_width_of = function
   | Receive { vec_width; _ } ->
       vec_width
   | Mvm _ | Alu_int _ | Set _ | Set_sreg _ | Jmp _ | Brn _ | Halt -> 1
-
-let defs_uses = function
-  | Alu { op; dest; src1; src2; vec_width; _ } ->
-      let uses =
-        if alu_op_arity op = 1 then [ (src1, vec_width) ]
-        else [ (src1, vec_width); (src2, vec_width) ]
-      in
-      ([ (dest, vec_width) ], uses)
-  | Alui { dest; src1; vec_width; _ } ->
-      ([ (dest, vec_width) ], [ (src1, vec_width) ])
-  | Set { dest; _ } -> ([ (dest, 1) ], [])
-  | Copy { dest; src; vec_width } -> ([ (dest, vec_width) ], [ (src, vec_width) ])
-  | Load { dest; vec_width; _ } -> ([ (dest, vec_width) ], [])
-  | Store { src; vec_width; _ } -> ([], [ (src, vec_width) ])
-  | Mvm _ | Alu_int _ | Set_sreg _ | Send _ | Receive _ | Jmp _ | Brn _ | Halt ->
-      ([], [])

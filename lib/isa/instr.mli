@@ -110,9 +110,3 @@ val is_tile_instr : t -> bool
 
 val vec_width_of : t -> int
 (** The number of vector elements an instruction touches (1 for scalar). *)
-
-val defs_uses : t -> (int * int) list * (int * int) list
-(** [(defs, uses)] as lists of [(first_flat_register, width)] ranges
-    touched by a core instruction; tile instructions and MVM return empty
-    lists (MVM ranges depend on the MVMU layout and are handled by the
-    simulator directly). Used by liveness analysis and hazard checks. *)

@@ -87,3 +87,40 @@ let iter_instrs t f =
       Array.iter (fun code -> Array.iter f code) tile.core_code;
       Array.iter f tile.tile_code)
     t.tiles
+
+(* Keyed both by position and by [tile_index] (callers address tiles
+   either way), so it covers an access under either key. *)
+let footprint (p : t) =
+  let capacity = p.config.smem_bytes / 2 in
+  let n = Array.length p.tiles in
+  let ends = Array.make n 0 in
+  let reach k e = if k >= 0 && k < n && e > ends.(k) then ends.(k) <- e in
+  Array.iteri
+    (fun pos (tp : tile_program) ->
+      let e = ref 0 in
+      let touch a w = if a + w > !e then e := a + w in
+      Array.iter
+        (Array.iter (function
+          | Instr.Load { addr = Instr.Imm_addr a; vec_width; _ }
+          | Instr.Store { addr = Instr.Imm_addr a; vec_width; _ } ->
+              touch a vec_width
+          | Instr.Load { addr = Instr.Sreg_addr _; _ }
+          | Instr.Store { addr = Instr.Sreg_addr _; _ } ->
+              touch 0 capacity
+          | _ -> ()))
+        tp.core_code;
+      Array.iter
+        (function
+          | Instr.Send { mem_addr; vec_width; _ }
+          | Instr.Receive { mem_addr; vec_width; _ } ->
+              touch mem_addr vec_width
+          | _ -> ())
+        tp.tile_code;
+      reach pos !e;
+      reach tp.tile_index !e)
+    p.tiles;
+  let bind (b : io_binding) = reach b.tile (b.mem_addr + b.length) in
+  List.iter bind p.inputs;
+  List.iter bind p.outputs;
+  List.iter (fun (b, _) -> bind b) p.constants;
+  fun k -> if k >= 0 && k < n then min ends.(k) capacity else capacity

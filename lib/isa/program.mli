@@ -66,3 +66,12 @@ val code_size_ok : t -> bool
     fit the tile instruction memory (encoded at 7 bytes each). *)
 
 val iter_instrs : t -> (Instr.t -> unit) -> unit
+
+val footprint : t -> int -> int
+(** [footprint p] maps a tile (by position or [tile_index]) to the number
+    of leading shared-memory words its instructions and I/O bindings can
+    touch: one past the highest static access, the whole capacity for a
+    tile with a register-indirect load or store, never more than
+    capacity. The simulator sizes each tile's shared memory to it and the
+    static gates size their per-tile state to it; out-of-range checks
+    still compare against capacity. *)

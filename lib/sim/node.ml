@@ -73,11 +73,15 @@ let create ?(noise_seed = 42) ?faults ?energy (program : Program.t) =
     match energy with Some e -> e | None -> Energy.create config
   in
   let ntiles = Array.length program.tiles in
+  (* A tile's shared memory holds just the words its program can touch:
+     no static access or binding reaches past its footprint, and a
+     register-indirect access gets the whole capacity. *)
+  let footprint = Program.footprint program in
   let tiles =
-    Array.map
-      (fun (tp : Program.tile_program) ->
-        Tile.create config ~index:tp.tile_index ~energy ~core_code:tp.core_code
-          ~tile_code:tp.tile_code)
+    Array.mapi
+      (fun i (tp : Program.tile_program) ->
+        Tile.create ~smem_words:(footprint i) config ~index:tp.tile_index
+          ~energy ~core_code:tp.core_code ~tile_code:tp.tile_code)
       program.tiles
   in
   (* Program the crossbars (serial configuration-time writes). *)

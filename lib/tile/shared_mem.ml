@@ -10,7 +10,7 @@ type t = {
 }
 
 let create ~words =
-  if words <= 0 then invalid_arg "Shared_mem.create: words must be positive";
+  if words < 0 then invalid_arg "Shared_mem.create: words must be non-negative";
   {
     data = Array.make words 0;
     valid = Array.make words false;

@@ -38,7 +38,8 @@ type t = {
   mutable fast_code : Fastexec.code array option;
 }
 
-let create (config : Puma_hwmodel.Config.t) ~index ~energy ~core_code ~tile_code =
+let create ~smem_words (config : Puma_hwmodel.Config.t) ~index ~energy
+    ~core_code ~tile_code =
   if Array.length core_code > config.cores_per_tile then
     invalid_arg "Tile.create: more core streams than cores per tile";
   let cores =
@@ -53,7 +54,7 @@ let create (config : Puma_hwmodel.Config.t) ~index ~energy ~core_code ~tile_code
     index;
     energy;
     cores;
-    smem = Shared_mem.create ~words:(config.smem_bytes / 2);
+    smem = Shared_mem.create ~words:smem_words;
     recv = Recv_buffer.create ~num_fifos:config.num_fifos ~depth:config.fifo_depth;
     tile_code;
     outgoing = Queue.create ();

@@ -24,12 +24,15 @@ type step_result =
 type t
 
 val create :
+  smem_words:int ->
   Puma_hwmodel.Config.t ->
   index:int ->
   energy:Puma_hwmodel.Energy.t ->
   core_code:Puma_isa.Instr.t array array ->
   tile_code:Puma_isa.Instr.t array ->
   t
+(** [smem_words] sizes the shared memory; {!Puma_sim.Node.create}
+    passes {!Puma_isa.Program.footprint}. *)
 
 val index : t -> int
 val num_cores : t -> int

@@ -294,6 +294,90 @@ let test_cross_stream_precision () =
   Alcotest.(check (option (pair int int)))
     "load of a received word" (Some (-300, -300)) (interval 1 (r 1))
 
+(* ---- The report is each stream's last solve ----
+
+   Range reports the W-SAT / E-OVERFLOW flags its last solve of each
+   stream recorded; keeping per-pc states must not change them. The
+   looping programs (the batch loop's back edge makes the solver
+   iterate and widen) are pinned to digests of their reports. *)
+
+let zoo =
+  [
+    ("mlp", Network.build_graph Models.mini_mlp);
+    ("lstm", Network.build_graph Models.mini_lstm);
+    ("rnn", Network.build_graph Models.mini_rnn);
+    ("bm", Models.mini_bm);
+    ("rbm", Models.mini_rbm);
+  ]
+
+let zoo_program ~wrap ~dim g =
+  let options =
+    { gate_off with check_equiv = false; wrap_batch_loop = wrap }
+  in
+  (Compile.compile ~options { Config.sweetspot with mvmu_dim = dim } g)
+    .Compile.program
+
+let check_kept_states_agree name p =
+  let sat (d : Diag.t) = d.code = "W-SAT" || d.code = "E-OVERFLOW" in
+  let kept = List.filter sat (Range.run ~keep_states:true p).Range.diags in
+  Alcotest.(check (list string))
+    (name ^ ": analyze = flags of run ~keep_states")
+    (List.map Diag.to_string kept)
+    (List.map Diag.to_string (Range.analyze p))
+
+let test_report_is_last_solve () =
+  List.iter
+    (fun dim ->
+      List.iter
+        (fun (name, g) ->
+          check_kept_states_agree
+            (Printf.sprintf "%s@%d" name dim)
+            (zoo_program ~wrap:false ~dim g))
+        zoo)
+    [ 64; 128 ]
+
+let digest diags =
+  Digest.to_hex
+    (Digest.string (String.concat "\n" (List.map Diag.to_string diags)))
+
+let test_looping_report_pinned () =
+  (* (model, dim, W-SAT count, digest of Range.analyze, digest of the
+     --dump-ranges report), captured when the report still came from a
+     separate walk over the converged states. *)
+  List.iter
+    (fun (name, dim, wsat, plain, dump) ->
+      let p = zoo_program ~wrap:true ~dim (List.assoc name zoo) in
+      let tag = Printf.sprintf "%s@%d loop" name dim in
+      let diags = Range.analyze p in
+      Alcotest.(check int) (tag ^ " W-SAT") wsat
+        (List.length (List.filter (fun (d : Diag.t) -> d.code = "W-SAT") diags));
+      Alcotest.(check string) (tag ^ " report") plain (digest diags);
+      Alcotest.(check string) (tag ^ " ranges") dump
+        (digest (Range.analyze ~dump_ranges:true p));
+      check_kept_states_agree tag p)
+    [
+      ( "mlp", 64, 5, "6af6aae892305629efafd3c2c6b3774f",
+        "fca49acafd8caa92e57083d200e22606" );
+      ( "lstm", 64, 109, "8c6c45ec1d3cc5a2a7ec6eb800b8f9b3",
+        "fd1babd468a23f22ad786991b2696657" );
+      ( "rnn", 64, 16, "05962010d3f7c6bad089280dd57fd33d",
+        "e4dcdb60652bd75284087d457a37ff16" );
+      ( "bm", 64, 96, "dd30a738cf7ab9a808269c59ef8eb2a3",
+        "93f12c3a825af001b51bc461acb8a4cf" );
+      ( "rbm", 64, 128, "5c279afe113ada95aab99a0749746820",
+        "4f9cb4fe66de085ef189eb86a35ccdc5" );
+      ( "mlp", 128, 3, "c2cb9e0f3d0bcf1dab37c71305c2bab2",
+        "fa84dfebc8304ba8d8f74d7fe5e79cd6" );
+      ( "lstm", 128, 33, "1b21fa83aa2421e45865fbaade860345",
+        "5365f1b900032bbcdc64857f9e5f60bb" );
+      ( "rnn", 128, 6, "226b57e9dfd3565290fe0bf04471716f",
+        "c1027294e12d1b18e6d244ee243613b6" );
+      ( "bm", 128, 24, "c840e9d3c366a7d4cdf303529cb022b3",
+        "0805e35259398e67c8dbb1f03bbe33ee" );
+      ( "rbm", 128, 32, "a8f6c9f2cfcd76959e4d467a50509a5e",
+        "ff73a66073a90c677b8515cc3e57da02" );
+    ]
+
 (* ---- Static lower bounds vs the simulator ---- *)
 
 let test_static_lb_vs_sim () =
@@ -393,5 +477,12 @@ let () =
             test_pressure_within_capacity;
           Alcotest.test_case "lenet5 imem attribution" `Quick
             test_lenet5_imem_attribution;
+        ] );
+      ( "report",
+        [
+          Alcotest.test_case "last solve on the zoo" `Quick
+            test_report_is_last_solve;
+          Alcotest.test_case "looping programs pinned" `Quick
+            test_looping_report_pinned;
         ] );
     ]

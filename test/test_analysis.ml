@@ -428,7 +428,8 @@ let test_cfg_shape () =
   Alcotest.(check (list int)) "entry loops on itself" [ 0 ] preds.(0);
   Alcotest.(check (list int)) "exit pred" [ 0 ] preds.(1)
 
-let run_regflow code = Regflow.analyze ~layout ~tile:0 ~core:0 code
+let run_regflow code =
+  Regflow.analyze ~layout ~tile:0 ~core:0 (Regflow.flow ~layout code)
 
 let codes_of diags =
   List.map (fun (d : Diag.t) -> d.code) diags |> List.sort_uniq compare

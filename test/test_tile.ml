@@ -143,7 +143,8 @@ let test_recv_independent_fifos () =
 
 let make_tile ?(tile_code = [||]) () =
   let energy = Energy.create small_config in
-  Tile.create small_config ~index:0 ~energy ~core_code:[||] ~tile_code
+  Tile.create ~smem_words:(small_config.smem_bytes / 2) small_config ~index:0
+    ~energy ~core_code:[||] ~tile_code
 
 let test_tcu_send_blocks_until_valid () =
   let tile =
@@ -297,6 +298,118 @@ let prop_smem_matches_model =
       done;
       !ok)
 
+(* ---- Tiles sized to the program's footprint ----
+
+   [Node.create] gives each tile only the shared-memory words its
+   program can touch ({!Puma_isa.Program.footprint}), the whole capacity
+   when a register-indirect access could reach anywhere. *)
+
+module Program = Puma_isa.Program
+module Node = Puma_sim.Node
+
+let capacity = small_config.smem_bytes / 2
+let gpr k = Puma_isa.Operand.gpr (Puma_isa.Operand.layout small_config) k
+let smem_words node i = Shared_mem.words (Tile.shared_mem (Node.tile node i))
+
+let one_tile ?(inputs = []) ?(outputs = []) code =
+  {
+    Program.config = small_config;
+    tiles =
+      [|
+        {
+          Program.tile_index = 0;
+          core_code = [| Array.of_list (code @ [ Instr.Halt ]) |];
+          tile_code = [||];
+          mvmu_images = [];
+        };
+      |];
+    inputs;
+    outputs;
+    constants = [];
+  }
+
+let test_zoo_tiles_sized_to_footprint () =
+  List.iter
+    (fun (name, net) ->
+      let p =
+        (Puma_compiler.Compile.compile Config.sweetspot
+           (Puma_nn.Network.build_graph net))
+          .Puma_compiler.Compile.program
+      in
+      let node = Node.create p in
+      let footprint = Program.footprint p in
+      Array.iteri
+        (fun i _ ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s tile %d" name i)
+            (footprint i) (smem_words node i);
+          Alcotest.(check bool)
+            (Printf.sprintf "%s tile %d below capacity" name i)
+            true
+            (footprint i < Config.sweetspot.smem_bytes / 2))
+        p.Program.tiles)
+    [ ("mlp", Puma_nn.Models.mini_mlp); ("lstm", Puma_nn.Models.mini_lstm) ]
+
+let test_indirect_access_gets_capacity () =
+  let p =
+    one_tile
+      [
+        Instr.Set_sreg { dest = 0; imm = 4 };
+        Instr.Load { dest = gpr 0; addr = Instr.Sreg_addr 0; vec_width = 1 };
+      ]
+  in
+  Alcotest.(check int) "full capacity" capacity (smem_words (Node.create p) 0)
+
+let test_bindings_past_last_access () =
+  let binding name mem_addr length =
+    { Program.name; tile = 0; mem_addr; length; offset = 0 }
+  in
+  let p =
+    one_tile
+      ~inputs:[ binding "x" 200 4 ]
+      ~outputs:[ binding "y" 100 8 ]
+      [
+        Instr.Set { dest = gpr 0; imm = 1 };
+        Instr.Store
+          { src = gpr 0; addr = Instr.Imm_addr 0; count = 0; vec_width = 1 };
+      ]
+  in
+  let node = Node.create p in
+  Alcotest.(check int) "covers the input binding" 204 (smem_words node 0);
+  let tile = Node.tile node 0 in
+  Tile.host_write tile ~addr:200 ~values:[| 1; 2; 3; 4 |];
+  Alcotest.(check bool) "input readable" true
+    (Tile.host_read tile ~addr:200 ~width:4 = Some [| 1; 2; 3; 4 |]);
+  Alcotest.(check bool) "output words present, not yet written" true
+    (Tile.host_read tile ~addr:100 ~width:8 = None)
+
+let test_access_past_capacity () =
+  (* The same exception a full-capacity memory raises. *)
+  let expected =
+    try
+      ignore
+        (Shared_mem.read (Shared_mem.create ~words:capacity)
+           ~addr:(capacity - 1) ~width:2);
+      "no exception"
+    with Invalid_argument m -> m
+  in
+  let p =
+    one_tile
+      [
+        Instr.Load
+          { dest = gpr 0; addr = Instr.Imm_addr (capacity - 1); vec_width = 2 };
+      ]
+  in
+  let node = Node.create p in
+  Alcotest.(check int) "capped at capacity" capacity (smem_words node 0);
+  let got =
+    try
+      ignore (Node.run node ~inputs:[]);
+      "no exception"
+    with Invalid_argument m -> m
+  in
+  Alcotest.(check string) "Invalid_argument" expected got
+
 let () =
   Alcotest.run "tile"
     [
@@ -326,5 +439,15 @@ let () =
           Alcotest.test_case "rejects core instr" `Quick test_tcu_rejects_core_instr;
           Alcotest.test_case "reset" `Quick test_tile_reset;
           Alcotest.test_case "width mismatch" `Quick test_tile_receive_width_mismatch;
+        ] );
+      ( "footprint",
+        [
+          Alcotest.test_case "zoo tiles" `Quick test_zoo_tiles_sized_to_footprint;
+          Alcotest.test_case "indirect access" `Quick
+            test_indirect_access_gets_capacity;
+          Alcotest.test_case "bindings past last access" `Quick
+            test_bindings_past_last_access;
+          Alcotest.test_case "access past capacity" `Quick
+            test_access_past_capacity;
         ] );
     ]
