@@ -92,8 +92,7 @@ let program ?(ranges = false) ?(resources = false) ?input_range
         p.tiles;
       structural
       @ List.concat (List.rev !regflow)
-      @ Smem.analyze p @ Channel.analyze p
-      @ (if order then Order.analyze ~dump_hb p else [])
+      @ Order.analyze ~order ~dump_hb p
       @ (if ranges then Range.analyze ?input_range ~dump_ranges p else [])
       @ (if resources then Resource.report (Resource.estimate ~flows p)
          else [])

@@ -1,10 +1,11 @@
 (** Whole-program static analysis driver for compiled PUMA programs.
 
     Runs, in order: the structural checker ({!Puma_isa.Check.diagnose}),
-    per-core register dataflow ({!Regflow}), shared tile-memory
-    consumer-count analysis ({!Smem}), inter-tile channel / deadlock
-    analysis ({!Channel}) and — opt-in — fixed-point value-range analysis
-    ({!Range}) and static resource/cost estimation ({!Resource}). If the
+    per-core register dataflow ({!Regflow}), the multi-stream gates
+    ({!Order}: channel matching, deadlock and shared-memory consumer
+    counts, plus — opt-in — happens-before ordering) and — opt-in —
+    fixed-point value-range analysis ({!Range}) and static
+    resource/cost estimation ({!Resource}). If the
     structural pass reports any error the semantic passes are skipped
     (and an [I-SKIP] info says so), since their preconditions do not hold
     on malformed programs; E-IMEM attribution still runs in that case
@@ -35,8 +36,8 @@ val program :
     [dump_ranges] are forwarded to it. [resources] (default off) runs
     {!Resource.report} and, when [layer_of] provenance is supplied,
     appends a per-layer byte attribution to every [E-IMEM] message.
-    [order] (default off) runs the happens-before pass ({!Order}:
-    [E-RACE] / [E-FIFO-ORDER]); [dump_hb] additionally dumps the HB
+    [order] (default off) adds {!Order}'s happens-before checks
+    ([E-RACE] / [E-FIFO-ORDER]); [dump_hb] additionally dumps the HB
     graph as [I-ORDER] infos (implies [order]). [equiv] (default off)
     runs the translation validator ({!Equiv}) against the given
     reference dataflow; unlike the other semantic passes it also runs on

@@ -35,7 +35,7 @@
     scheduler-independence the other passes establish — no shared-memory
     races ([E-RACE]) and no same-fifo multi-sender channels (those are
     downgraded to [W-EQUIV-UNKNOWN] here); per-channel NoC delivery is
-    modelled in order, which the runtime asserts. *)
+    modelled in order, as the NoC delivers it. *)
 
 (** {1 The reference dataflow} *)
 

@@ -1,51 +1,34 @@
 module Instr = Puma_isa.Instr
 module Program = Puma_isa.Program
 
-(* Happens-before analysis over the spatial program.
+(* The multi-stream gates over one collection of events (see order.mli
+   for the checks and the Halt rule).
 
-   Events are the synchronizing operations of every stream (each core
-   plus the tile control unit of every tile): shared-memory accesses and
-   channel sends/receives. The happens-before partial order is the
-   transitive closure of
-     - program order within a stream,
-     - single-writer shared-memory synchronization (a read of a word
-       blocks until its unique writer has produced it, whether the word
-       is counted or persistent), and
-     - channel pairing (the k-th send on a single-sender fifo is
-       consumed by the k-th receive).
-   All three edge kinds are sound orderings of the simulator, so any
-   cycle means the program cannot run to completion; the channel
-   deadlock pass reports those, and this pass bails out quietly.
+   Event ids put every tile's TCU events first, in tile order, then
+   every core's, so each stream's events are consecutive and the graph
+   without core events is a prefix. A race is reported at the lower id
+   of its pair: within a tile, the TCU before its cores, and core k
+   before core k + 1.
 
-   On top of the partial order we check:
-     - [E-RACE]: two accesses to the same shared-memory word, at least
-       one a write and not both from the same stream, that are
-       HB-unordered. Single-writer words cannot race (the read blocks on
-       the write); races arise only on multi-writer words or words both
-       host-initialized and runtime-written.
-     - [E-FIFO-ORDER]: per (dst, fifo) channel, either sends from
-       different streams whose arrival order no HB path fixes (pairing
-       is then timing-dependent), or a single-sender channel whose
-       in-flight pressure can exceed the receive-FIFO depth. Pressure of
-       the j-th send is 1 + #{i < j : NOT hb(recv_i, send_j)}: packets
-       whose receive is not guaranteed to have retired when send_j
-       issues. The NoC delivers each channel in order whatever the
-       pressure; at most [fifo_depth] means no delivery ever finds the
-       FIFO full, so the channel needs no buffering beyond the receive
-       FIFO, while above the depth packets wait in the network. *)
-
-type access = { a_addr : int; a_width : int; a_write : bool }
+   The happens-before edges (program order, single-writer shared-memory
+   synchronization, single-sender channel pairing) are all sound
+   orderings of the simulator, so a cycle means the program cannot run
+   to completion; the deadlock check reports those, and the ordering
+   checks bail out quietly. *)
 
 type role =
   | Rsend of { fifo : int; target : int }
   | Rrecv of { fifo : int }
-  | Rmem
+  | Rload
+  | Rstore
 
 type ev = {
   e_tile : int;
   e_core : int;  (* -1 = tile control unit *)
   e_pc : int;
-  e_access : access option;
+  e_addr : int;
+  e_width : int;
+  e_count : int;  (* consumer count a store or receive initializes *)
   e_role : role;
 }
 
@@ -56,10 +39,425 @@ let describe (e : ev) =
 (* Streams are identified by (tile, core) with core = -1 for the TCU. *)
 let stream_of (e : ev) = (e.e_tile, e.e_core)
 
-type chan = {
-  mutable c_sends : int list;  (* event ids, reversed *)
-  mutable c_recvs : int list;  (* event ids, reversed *)
+(* One tile's events and its accesses per shared-memory word, over the
+   tile's footprint. *)
+type tile_events = {
+  tile : int;
+  tcu : int * int;  (* event ids [first, last) of the TCU stream *)
+  cores : int * int;  (* event ids of all its core streams *)
+  writers : int list array;  (* per word: the event ids that write it *)
+  readers : int list array;
+  host : int array;  (* per word: input/constant bindings covering it *)
+  dynamic : bool;  (* some core addresses smem through a register *)
 }
+
+type chan = { sends : int array; recvs : int array }
+
+type events = {
+  evs : ev array;  (* every tile's TCU events, then every core's *)
+  n_tcu : int;
+  tiles : tile_events array;  (* in program order *)
+  chans : ((int * int) * chan) list;  (* keyed (dst tile, fifo), sorted *)
+  approx : (int * int) list;  (* core streams with control flow *)
+}
+
+let has_cf code =
+  Array.exists (function Instr.Jmp _ | Instr.Brn _ -> true | _ -> false) code
+
+(* One past the last pc whose instruction can run. *)
+let extent code =
+  if has_cf code then Array.length code
+  else
+    let rec go pc =
+      if pc >= Array.length code || code.(pc) = Instr.Halt then pc
+      else go (pc + 1)
+    in
+    go 0
+
+let collect (p : Program.t) =
+  let evs = ref [] and n = ref 0 in
+  let add e =
+    evs := e :: !evs;
+    incr n
+  in
+  let ev ~tile ~core ~pc ~addr ~width ?(count = 0) role =
+    add
+      {
+        e_tile = tile;
+        e_core = core;
+        e_pc = pc;
+        e_addr = addr;
+        e_width = width;
+        e_count = count;
+        e_role = role;
+      }
+  in
+  (* TCU events first, so a graph without core events is a prefix. *)
+  let tcu =
+    Array.map
+      (fun (tp : Program.tile_program) ->
+        let tile = tp.tile_index and first = !n in
+        for pc = 0 to extent tp.tile_code - 1 do
+          match tp.tile_code.(pc) with
+          | Instr.Send { mem_addr; fifo_id; target; vec_width } ->
+              ev ~tile ~core:(-1) ~pc ~addr:mem_addr ~width:vec_width
+                (Rsend { fifo = fifo_id; target })
+          | Instr.Receive { mem_addr; fifo_id; count; vec_width } ->
+              ev ~tile ~core:(-1) ~pc ~addr:mem_addr ~width:vec_width ~count
+                (Rrecv { fifo = fifo_id })
+          | _ -> ()
+        done;
+        (first, !n))
+      p.tiles
+  in
+  let n_tcu = !n and approx = ref [] in
+  let cores =
+    Array.map
+      (fun (tp : Program.tile_program) ->
+        let tile = tp.tile_index and first = !n and dynamic = ref false in
+        Array.iteri
+          (fun core code ->
+            if has_cf code then approx := (tile, core) :: !approx;
+            for pc = 0 to extent code - 1 do
+              match code.(pc) with
+              | Instr.Load { addr = Instr.Imm_addr a; vec_width; _ } ->
+                  ev ~tile ~core ~pc ~addr:a ~width:vec_width Rload
+              | Instr.Store { addr = Instr.Imm_addr a; count; vec_width; _ }
+                ->
+                  ev ~tile ~core ~pc ~addr:a ~width:vec_width ~count Rstore
+              | Instr.Load { addr = Instr.Sreg_addr _; _ }
+              | Instr.Store { addr = Instr.Sreg_addr _; _ } ->
+                  dynamic := true
+              | _ -> ()
+            done)
+          tp.core_code;
+        ((first, !n), !dynamic))
+      p.tiles
+  in
+  let evs = Array.of_list (List.rev !evs) in
+  let footprint = Program.footprint p in
+  let tiles =
+    Array.mapi
+      (fun pos (tp : Program.tile_program) ->
+        let tile = tp.tile_index in
+        let words = footprint tile in
+        let host = Array.make words 0 in
+        let mark (b : Program.io_binding) =
+          if b.tile = tile then
+            for a = max b.mem_addr 0 to min (b.mem_addr + b.length) words - 1 do
+              host.(a) <- host.(a) + 1
+            done
+        in
+        List.iter mark p.inputs;
+        List.iter (fun (b, _) -> mark b) p.constants;
+        let writers = Array.make words [] and readers = Array.make words [] in
+        let note (first, last) =
+          for id = first to last - 1 do
+            let e = evs.(id) in
+            let words_of =
+              match e.e_role with
+              | Rrecv _ | Rstore -> writers
+              | Rsend _ | Rload -> readers
+            in
+            for a = max e.e_addr 0 to min (e.e_addr + e.e_width) words - 1 do
+              words_of.(a) <- id :: words_of.(a)
+            done
+          done
+        in
+        let cores, dynamic = cores.(pos) in
+        note tcu.(pos);
+        note cores;
+        { tile; tcu = tcu.(pos); cores; writers; readers; host; dynamic })
+      p.tiles
+  in
+  let chans : (int * int, int list * int list) Hashtbl.t = Hashtbl.create 16 in
+  let push key ~send id =
+    let s, r = Option.value ~default:([], []) (Hashtbl.find_opt chans key) in
+    Hashtbl.replace chans key (if send then (id :: s, r) else (s, id :: r))
+  in
+  for id = 0 to n_tcu - 1 do
+    let e = evs.(id) in
+    match e.e_role with
+    | Rsend { fifo; target } -> push (target, fifo) ~send:true id
+    | Rrecv { fifo } -> push (e.e_tile, fifo) ~send:false id
+    | Rload | Rstore -> ()
+  done;
+  let chans =
+    Hashtbl.fold
+      (fun k (s, r) acc ->
+        ( k,
+          {
+            sends = Array.of_list (List.rev s);
+            recvs = Array.of_list (List.rev r);
+          } )
+        :: acc)
+      chans []
+    |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
+  in
+  { evs; n_tcu; tiles; chans; approx = List.rev !approx }
+
+(* ---- Per-channel send/receive matching. ---- *)
+
+let matching (c : events) =
+  List.concat_map
+    (fun ((dst, fifo), ch) ->
+      let sender s = c.evs.(s).e_tile in
+      let senders =
+        List.sort_uniq Stdlib.compare (List.map sender (Array.to_list ch.sends))
+      in
+      let ns = Array.length ch.sends and nr = Array.length ch.recvs in
+      match senders with
+      | _ :: _ :: _ ->
+          Diag.warning ~code:"W-FIFOSHARE" ~tile:dst
+            "fifo %d is written by %d tiles (%s); per-message pairing not \
+             checked"
+            fifo (List.length senders)
+            (String.concat ", "
+               (List.map (fun t -> Printf.sprintf "tile %d" t) senders))
+          ::
+          (if ns = nr then []
+           else
+             [
+               Diag.error
+                 ~code:(if ns > nr then "E-SENDU" else "E-RECVU")
+                 ~tile:dst "fifo %d carries %d send(s) but %d receive(s)" fifo
+                 ns nr;
+             ])
+      | _ ->
+          List.init (max ns nr) (fun k ->
+              if k >= nr then
+                let s = c.evs.(ch.sends.(k)) in
+                Some
+                  (Diag.error ~code:"E-SENDU" ~tile:s.e_tile ~pc:s.e_pc
+                     "send on fifo %d to tile %d has no matching receive" fifo
+                     dst)
+              else
+                let r = c.evs.(ch.recvs.(k)) in
+                if k >= ns then
+                  Some
+                    (Diag.error ~code:"E-RECVU" ~tile:dst ~pc:r.e_pc
+                       "receive on fifo %d has no matching send" fifo)
+                else
+                  let s = c.evs.(ch.sends.(k)) in
+                  if s.e_width = r.e_width then None
+                  else
+                    Some
+                      (Diag.error ~code:"E-CHANW" ~tile:dst ~pc:r.e_pc
+                         "receive #%d on fifo %d expects %d word(s) but the \
+                          matching send (tile %d pc %d) carries %d"
+                         k fifo r.e_width s.e_tile s.e_pc s.e_width))
+          |> List.filter_map Fun.id)
+    c.chans
+
+(* ---- Deadlock detection by abstract execution. ----
+
+   Sends never block (the runtime FIFOs are virtualized queues); a
+   receive blocks until its channel holds a token. Running every tile
+   stream to a fixpoint is exact for linear streams: if some stream is
+   wedged, each blocked tile waits on a channel whose remaining senders
+   (if any) are themselves blocked, and any cycle in that wait-for graph
+   is a real deadlock. Blocked tiles with no remaining sender are
+   reported by matching as [E-RECVU] instead. *)
+
+let deadlocks (c : events) =
+  let streams = Array.map (fun t -> (t.tile, t.tcu)) c.tiles in
+  let n = Array.length streams in
+  let ptr = Array.map (fun (_, (first, _)) -> first) streams in
+  let last idx = snd (snd streams.(idx)) in
+  let tokens : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
+  let avail key = Option.value ~default:0 (Hashtbl.find_opt tokens key) in
+  let progress = ref true in
+  while !progress do
+    progress := false;
+    Array.iteri
+      (fun idx (tile, _) ->
+        let running = ref true in
+        while !running && ptr.(idx) < last idx do
+          match c.evs.(ptr.(idx)).e_role with
+          | Rsend { fifo; target } ->
+              Hashtbl.replace tokens (target, fifo) (avail (target, fifo) + 1);
+              ptr.(idx) <- ptr.(idx) + 1;
+              progress := true
+          | Rrecv { fifo } ->
+              let key = (tile, fifo) in
+              if avail key > 0 then begin
+                Hashtbl.replace tokens key (avail key - 1);
+                ptr.(idx) <- ptr.(idx) + 1;
+                progress := true
+              end
+              else running := false
+          | Rload | Rstore -> assert false
+        done)
+      streams
+  done;
+  let blocked idx = ptr.(idx) < last idx in
+  (* A blocked stream waits at a receive. *)
+  let waits idx =
+    let e = c.evs.(ptr.(idx)) in
+    match e.e_role with
+    | Rrecv { fifo } -> (fifo, e.e_pc)
+    | Rsend _ | Rload | Rstore -> assert false
+  in
+  (* Wait-for edges between blocked stream indices. *)
+  let edges idx =
+    let tile = fst streams.(idx) in
+    let fifo, _ = waits idx in
+    let out = ref [] in
+    for j = 0 to n - 1 do
+      if blocked j then begin
+        let pending = ref false in
+        for id = ptr.(j) to last j - 1 do
+          match c.evs.(id).e_role with
+          | Rsend { fifo = f; target } when target = tile && f = fifo ->
+              pending := true
+          | _ -> ()
+        done;
+        if !pending then out := j :: !out
+      end
+    done;
+    List.sort_uniq Stdlib.compare !out
+  in
+  (* DFS with gray/black coloring; a gray hit closes a cycle. *)
+  let color = Array.make n 0 in
+  let cycles = ref [] in
+  let rec visit path idx =
+    if color.(idx) = 1 then begin
+      (* [path] is most-recent-first; the cycle is everything back to the
+         revisited node, restored to call order. *)
+      let rec take = function
+        | [] -> []
+        | x :: rest -> if x = idx then [ x ] else x :: take rest
+      in
+      cycles := List.rev (take path) :: !cycles
+    end
+    else if color.(idx) = 0 then begin
+      color.(idx) <- 1;
+      List.iter (visit (idx :: path)) (edges idx);
+      color.(idx) <- 2
+    end
+  in
+  for idx = 0 to n - 1 do
+    if blocked idx && color.(idx) = 0 then visit [] idx
+  done;
+  List.rev_map
+    (fun cycle ->
+      let describe idx =
+        let fifo, pc = waits idx in
+        Printf.sprintf "tile %d (pc %d waits on fifo %d)" (fst streams.(idx)) pc
+          fifo
+      in
+      let head = List.hd cycle in
+      let tile = fst streams.(head) in
+      let _, pc = waits head in
+      Diag.error ~code:"E-DEADLOCK" ~tile ~pc
+        "cross-tile wait cycle: %s -> back to tile %d"
+        (String.concat " -> " (List.map describe cycle))
+        tile)
+    !cycles
+  |> List.rev
+
+(* ---- Shared-memory consumer counts, per tile. ---- *)
+
+let consumer_counts (p : Program.t) (c : events) =
+  List.concat_map
+    (fun t ->
+      let tile = t.tile in
+      if t.dynamic then
+        [
+          Diag.info ~code:"I-DYNADDR" ~tile
+            "tile uses register-indirect shared-memory addressing: \
+             consumer-count checks are skipped, and register-indirect \
+             accesses are not race-checked";
+        ]
+      else begin
+        let diags = ref [] in
+        let add d = diags := d :: !diags in
+        let words = Array.length t.host in
+        let nwrites a = List.length t.writers.(a) + t.host.(a) in
+        let multi a = nwrites a > 1 in
+        (* The first word of [addr, addr + width) that fails [bad]. *)
+        let first_bad ~addr ~width bad =
+          let rec go a =
+            if a >= min (addr + width) words then None
+            else if bad a then Some a
+            else go (a + 1)
+          in
+          go (max addr 0)
+        in
+        (* Multiple writers on one word defeat the single-writer
+           discipline the consumer counts rely on; report once per
+           maximal run of words. *)
+        let a = ref 0 in
+        while !a < words do
+          if multi !a then begin
+            let b = ref !a in
+            while !b + 1 < words && multi (!b + 1) do
+              incr b
+            done;
+            add
+              (Diag.warning ~code:"W-MULTIWRITE" ~tile
+                 "smem[%d..%d] has multiple static writers; consumer counts \
+                  are not checked there"
+                 !a !b);
+            a := !b + 1
+          end
+          else incr a
+        done;
+        let each (first, last) f =
+          for id = first to last - 1 do
+            f c.evs.(id)
+          done
+        in
+        let core (e : ev) = if e.e_core < 0 then None else Some e.e_core in
+        let unwritten a = nwrites a = 0 in
+        let check (e : ev) =
+          match e.e_role with
+          | Rsend _ | Rload -> (
+              match first_bad ~addr:e.e_addr ~width:e.e_width unwritten with
+              | Some a ->
+                  add
+                    (Diag.error ~code:"E-RBW" ~tile ?core:(core e) ~pc:e.e_pc
+                       "%s reads smem[%d] which no instruction or binding \
+                        writes"
+                       (if e.e_core < 0 then "send" else "load")
+                       a)
+              | None -> ())
+          | (Rrecv _ | Rstore) when e.e_count > 0 -> (
+              let reads a = List.length t.readers.(a) in
+              match
+                first_bad ~addr:e.e_addr ~width:e.e_width (fun a ->
+                    (not (multi a)) && reads a <> e.e_count)
+              with
+              | Some a ->
+                  add
+                    (Diag.error ~code:"E-CONSUME" ~tile ?core:(core e)
+                       ~pc:e.e_pc
+                       "%s writes smem[%d] with consumer count %d but %d \
+                        static read(s) consume it"
+                       (if e.e_core < 0 then "receive" else "store")
+                       a e.e_count (reads a))
+              | None -> ())
+          | Rrecv _ | Rstore -> ()
+        in
+        each t.tcu check;
+        each t.cores check;
+        List.iter
+          (fun (b : Program.io_binding) ->
+            if b.tile = tile then
+              match first_bad ~addr:b.mem_addr ~width:b.length unwritten with
+              | Some a ->
+                  add
+                    (Diag.error ~code:"E-RBW" ~tile
+                       "output binding %S collects smem[%d] which no \
+                        instruction writes"
+                       b.name a)
+              | None -> ())
+          p.outputs;
+        List.rev !diags
+      end)
+    (Array.to_list c.tiles)
+
+(* ---- The happens-before graph. ---- *)
 
 (* Why a cross-stream edge exists; rendered only by --dump-hb. *)
 type reason = Smem_word of int | Fifo of int
@@ -68,125 +466,30 @@ let render_reason = function
   | Smem_word a -> Printf.sprintf "smem[%d]" a
   | Fifo f -> Printf.sprintf "fifo %d" f
 
-type build = {
-  evs : ev array;
+type graph = {
+  n : int;  (* events [0, n) are in the graph *)
   succs : int list array;
   (* Cross-stream edges with their reason, for --dump-hb. *)
   cross : (int * int * reason) list;
-  chans : ((int * int) * chan) list;  (* keyed (dst tile, fifo), sorted *)
   (* Candidate race pairs (a < b, representative word); confirmed or
      dismissed once reachability is known. *)
   suspects : (int * int * int) list;
-  notes : Diag.t list;
   with_cores : bool;
 }
 
-(* Beyond this many events the descendant bitsets get too large; we
-   first retry with core smem events dropped (keeping channel analysis
-   exact), then give up entirely. *)
+(* Beyond this many events the descendant bitsets get too large; the
+   graph then leaves out the core events (channel ordering stays exact,
+   races go unchecked), and beyond it again is not built at all. The
+   checks on the collection always see every event. *)
 let max_events = 16384
 
-let collect ~with_cores (p : Program.t) =
-  let evs = ref [] and n = ref 0 in
-  let add e =
-    evs := e :: !evs;
-    incr n;
-    !n - 1
-  in
-  let streams = ref [] and approx = ref [] in
-  Array.iter
-    (fun (tp : Program.tile_program) ->
-      let tile = tp.tile_index in
-      let ids = ref [] in
-      (try
-         Array.iteri
-           (fun pc i ->
-             match i with
-             | Instr.Send { mem_addr; fifo_id; target; vec_width } ->
-                 ids :=
-                   add
-                     {
-                       e_tile = tile;
-                       e_core = -1;
-                       e_pc = pc;
-                       e_access =
-                         Some
-                           { a_addr = mem_addr; a_width = vec_width; a_write = false };
-                       e_role = Rsend { fifo = fifo_id; target };
-                     }
-                   :: !ids
-             | Instr.Receive { mem_addr; fifo_id; vec_width; _ } ->
-                 ids :=
-                   add
-                     {
-                       e_tile = tile;
-                       e_core = -1;
-                       e_pc = pc;
-                       e_access =
-                         Some
-                           { a_addr = mem_addr; a_width = vec_width; a_write = true };
-                       e_role = Rrecv { fifo = fifo_id };
-                     }
-                   :: !ids
-             | Instr.Halt -> raise Exit
-             | _ -> ())
-           tp.tile_code
-       with Exit -> ());
-      streams := List.rev !ids :: !streams;
-      if with_cores then
-        Array.iteri
-          (fun core code ->
-            let ids = ref [] in
-            let has_cf =
-              Array.exists
-                (function Instr.Jmp _ | Instr.Brn _ -> true | _ -> false)
-                code
-            in
-            if has_cf then approx := (tile, core) :: !approx;
-            (try
-               Array.iteri
-                 (fun pc i ->
-                   match i with
-                   | Instr.Load { addr = Instr.Imm_addr a; vec_width; _ } ->
-                       ids :=
-                         add
-                           {
-                             e_tile = tile;
-                             e_core = core;
-                             e_pc = pc;
-                             e_access =
-                               Some
-                                 { a_addr = a; a_width = vec_width; a_write = false };
-                             e_role = Rmem;
-                           }
-                         :: !ids
-                   | Instr.Store { addr = Instr.Imm_addr a; vec_width; _ } ->
-                       ids :=
-                         add
-                           {
-                             e_tile = tile;
-                             e_core = core;
-                             e_pc = pc;
-                             e_access =
-                               Some
-                                 { a_addr = a; a_width = vec_width; a_write = true };
-                             e_role = Rmem;
-                           }
-                         :: !ids
-                   | Instr.Halt when not has_cf -> raise Exit
-                   | _ -> ())
-                 code
-             with Exit -> ());
-            streams := List.rev !ids :: !streams)
-          tp.core_code)
-    p.tiles;
-  (Array.of_list (List.rev !evs), List.rev !streams, List.rev !approx)
-
-let build_graph ~with_cores (p : Program.t) =
-  let evs, streams, approx = collect ~with_cores p in
-  let n = Array.length evs in
+let build_graph (c : events) =
+  let total = Array.length c.evs in
+  let n = if total <= max_events then total else c.n_tcu in
   if n > max_events then None
   else begin
+    let evs = c.evs in
+    let inside l = if n = total then l else List.filter (fun id -> id < n) l in
     let succs = Array.make n [] in
     let cross = ref [] in
     let edge_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
@@ -200,19 +503,11 @@ let build_graph ~with_cores (p : Program.t) =
         | _ -> ()
       end
     in
-    (* Program order. *)
-    List.iter
-      (fun ids ->
-        let rec link = function
-          | a :: (b :: _ as rest) ->
-              add_edge a b;
-              link rest
-          | _ -> []
-        in
-        ignore (link ids))
-      streams;
+    (* Program order: each stream's events have consecutive ids. *)
+    for id = 0 to n - 2 do
+      if stream_of evs.(id) = stream_of evs.(id + 1) then add_edge id (id + 1)
+    done;
     (* Shared-memory synchronization, per tile, over its footprint. *)
-    let footprint = Program.footprint p in
     let suspects = ref [] in
     let suspect_seen : (int * int, unit) Hashtbl.t = Hashtbl.create 64 in
     let add_suspect a b word =
@@ -223,41 +518,14 @@ let build_graph ~with_cores (p : Program.t) =
       end
     in
     Array.iter
-      (fun (tp : Program.tile_program) ->
-        let tile = tp.tile_index in
-        let smem_words = footprint tile in
-        let host = Array.make smem_words false in
-        let mark (b : Program.io_binding) =
-          if b.tile = tile then
-            for a = b.mem_addr to min (b.mem_addr + b.length) smem_words - 1 do
-              host.(a) <- true
-            done
-        in
-        List.iter mark p.inputs;
-        List.iter (fun (b, _) -> mark b) p.constants;
-        let writers = Array.make smem_words [] in
-        let readers = Array.make smem_words [] in
-        Array.iteri
-          (fun id (e : ev) ->
-            if e.e_tile = tile then
-              match e.e_access with
-              | Some { a_addr; a_width; a_write } ->
-                  for a = a_addr to min (a_addr + a_width) smem_words - 1 do
-                    if a >= 0 then
-                      if a_write then writers.(a) <- id :: writers.(a)
-                      else readers.(a) <- id :: readers.(a)
-                  done
-              | None -> ())
-          evs;
-        for a = 0 to smem_words - 1 do
-          match (writers.(a), host.(a)) with
+      (fun t ->
+        for a = 0 to Array.length t.host - 1 do
+          let readers = inside t.readers.(a) in
+          match (inside t.writers.(a), t.host.(a) > 0) with
           | [], _ -> ()
           | [ w ], false ->
               (* Unique writer: every read of the word blocks until it. *)
-              List.iter
-                (fun r ->
-                  add_edge ~reason:(Smem_word a) w r)
-                readers.(a)
+              List.iter (fun r -> add_edge ~reason:(Smem_word a) w r) readers
           | ws, _ ->
               (* Multiple writers (or a host-initialized word overwritten
                  at runtime): blocking no longer pins which value a read
@@ -279,69 +547,29 @@ let build_graph ~with_cores (p : Program.t) =
                     (fun r ->
                       if stream_of evs.(w) <> stream_of evs.(r) then
                         add_suspect w r a)
-                    readers.(a))
+                    readers)
                 ws
         done)
-      p.tiles;
+      c.tiles;
     (* Channel pairing. *)
-    let chans : (int * int, chan) Hashtbl.t = Hashtbl.create 16 in
-    let chan key =
-      match Hashtbl.find_opt chans key with
-      | Some c -> c
-      | None ->
-          let c = { c_sends = []; c_recvs = [] } in
-          Hashtbl.add chans key c;
-          c
-    in
-    Array.iteri
-      (fun id (e : ev) ->
-        match e.e_role with
-        | Rsend { fifo; target } ->
-            let c = chan (target, fifo) in
-            c.c_sends <- id :: c.c_sends
-        | Rrecv { fifo } ->
-            let c = chan (e.e_tile, fifo) in
-            c.c_recvs <- id :: c.c_recvs
-        | Rmem -> ())
-      evs;
-    let chan_list =
-      Hashtbl.fold (fun k c acc -> (k, c) :: acc) chans []
-      |> List.sort (fun (a, _) (b, _) -> Stdlib.compare a b)
-    in
     List.iter
-      (fun ((_, fifo), c) ->
-        let sends = List.rev c.c_sends and recvs = List.rev c.c_recvs in
+      (fun ((_, fifo), ch) ->
         let single_sender =
-          match sends with
-          | [] -> true
-          | s :: rest ->
-              List.for_all
-                (fun s' -> stream_of evs.(s') = stream_of evs.(s))
-                rest
+          Array.for_all
+            (fun s -> stream_of evs.(s) = stream_of evs.(ch.sends.(0)))
+            ch.sends
         in
-        if single_sender && List.length sends = List.length recvs then
-          List.iter2
-            (fun s r -> add_edge ~reason:(Fifo fifo) s r)
-            sends recvs)
-      chan_list;
-    let notes =
-      List.rev_map
-        (fun (tile, core) ->
-          Diag.info ~code:"I-ORDER" ~tile ~core
-            "stream has control flow; happens-before uses static \
-             instruction order (approximate)")
-        approx
-      |> List.rev
-    in
+        if single_sender && Array.length ch.sends = Array.length ch.recvs then
+          Array.iter2 (fun s r -> add_edge ~reason:(Fifo fifo) s r) ch.sends
+            ch.recvs)
+      c.chans;
     Some
       {
-        evs;
+        n;
         succs;
         cross = List.rev !cross;
-        chans = chan_list;
         suspects = List.rev !suspects;
-        notes;
-        with_cores;
+        with_cores = n = total;
       }
   end
 
@@ -352,12 +580,12 @@ type hb = { desc : int array array }
 let bit_test a i = a.(i / 63) land (1 lsl (i mod 63)) <> 0
 
 (* Kahn topological order; None on a cycle (real deadlock — reported by
-   the channel pass — or an artifact of the static-order approximation
+   the deadlock check — or an artifact of the static-order approximation
    on streams with control flow). *)
-let topo_order (b : build) =
-  let n = Array.length b.evs in
+let topo_order (g : graph) =
+  let n = g.n in
   let indeg = Array.make n 0 in
-  Array.iter (List.iter (fun s -> indeg.(s) <- indeg.(s) + 1)) b.succs;
+  Array.iter (List.iter (fun s -> indeg.(s) <- indeg.(s) + 1)) g.succs;
   let queue = Queue.create () in
   Array.iteri (fun i d -> if d = 0 then Queue.add i queue) indeg;
   let order = Array.make n 0 in
@@ -370,12 +598,12 @@ let topo_order (b : build) =
       (fun s ->
         indeg.(s) <- indeg.(s) - 1;
         if indeg.(s) = 0 then Queue.add s queue)
-      b.succs.(v)
+      g.succs.(v)
   done;
   if !k = n then Some order else None
 
-let reachability (b : build) order =
-  let n = Array.length b.evs in
+let reachability (g : graph) order =
+  let n = g.n in
   let words = (n + 62) / 63 in
   let desc = Array.init n (fun _ -> Array.make words 0) in
   for k = n - 1 downto 0 do
@@ -388,7 +616,7 @@ let reachability (b : build) order =
         for w = 0 to words - 1 do
           dv.(w) <- dv.(w) lor ds.(w)
         done)
-      b.succs.(v)
+      g.succs.(v)
   done;
   { desc }
 
@@ -406,24 +634,19 @@ type hazard = {
   hz_max_pressure : int;
 }
 
-let width_of (e : ev) =
-  match e.e_access with Some a -> a.a_width | None -> 0
-
 (* Single-sender channels with matched send/receive counts whose
    in-flight pressure can exceed the FIFO depth, each with its first
    HB-unordered send pair (for diagnostics). *)
-let overflow_channels (p : Program.t) (b : build) (h : hb) =
+let overflow_channels (p : Program.t) (c : events) (h : hb) =
   let depth = p.config.Puma_hwmodel.Config.fifo_depth in
+  let evs = c.evs in
   List.filter_map
-    (fun (((dst, fifo), c) : (int * int) * chan) ->
-      let sends = Array.of_list (List.rev c.c_sends) in
-      let recvs = Array.of_list (List.rev c.c_recvs) in
+    (fun ((dst, fifo), { sends; recvs }) ->
       let n = Array.length sends in
       let single_sender =
-        n = 0
-        || Array.for_all
-             (fun s -> stream_of b.evs.(s) = stream_of b.evs.(sends.(0)))
-             sends
+        Array.for_all
+          (fun s -> stream_of evs.(s) = stream_of evs.(sends.(0)))
+          sends
       in
       if n = 0 || (not single_sender) || Array.length recvs <> n then None
       else begin
@@ -443,14 +666,14 @@ let overflow_channels (p : Program.t) (b : build) (h : hb) =
             let transfers =
               Array.init n (fun k ->
                   {
-                    xf_send_pc = b.evs.(sends.(k)).e_pc;
-                    xf_recv_pc = b.evs.(recvs.(k)).e_pc;
-                    xf_width = width_of b.evs.(sends.(k));
+                    xf_send_pc = evs.(sends.(k)).e_pc;
+                    xf_recv_pc = evs.(recvs.(k)).e_pc;
+                    xf_width = evs.(sends.(k)).e_width;
                   })
             in
             Some
               ( {
-                  hz_src = b.evs.(sends.(0)).e_tile;
+                  hz_src = evs.(sends.(0)).e_tile;
                   hz_dst = dst;
                   hz_fifo = fifo;
                   hz_transfers = transfers;
@@ -459,68 +682,57 @@ let overflow_channels (p : Program.t) (b : build) (h : hb) =
                 pair )
         | Some _ | None -> None
       end)
-    b.chans
+    c.chans
 
 (* Channels fed by several streams: any pair of sends whose order no HB
    path fixes makes arrival order (and thus receive pairing)
    timing-dependent. *)
-let unordered_sender_pairs (b : build) (h : hb) =
+let unordered_sender_pairs (c : events) (h : hb) =
+  let evs = c.evs in
   List.filter_map
-    (fun (((dst, fifo), c) : (int * int) * chan) ->
-      let sends = Array.of_list (List.rev c.c_sends) in
-      let multi =
-        Array.length sends > 1
-        && Array.exists
-             (fun s -> stream_of b.evs.(s) <> stream_of b.evs.(sends.(0)))
-             sends
-      in
-      if not multi then None
-      else begin
-        let found = ref None in
-        Array.iteri
-          (fun j sj ->
-            for i = 0 to j - 1 do
-              let si = sends.(i) in
-              if
-                !found = None
-                && stream_of b.evs.(si) <> stream_of b.evs.(sj)
-                && (not (hb_before h si sj))
-                && not (hb_before h sj si)
-              then found := Some (si, sj)
-            done)
-          sends;
-        Option.map (fun pair -> (dst, fifo, pair)) !found
-      end)
-    b.chans
+    (fun ((dst, fifo), { sends; _ }) ->
+      let found = ref None in
+      Array.iteri
+        (fun j sj ->
+          for i = 0 to j - 1 do
+            let si = sends.(i) in
+            if
+              !found = None
+              && stream_of evs.(si) <> stream_of evs.(sj)
+              && (not (hb_before h si sj))
+              && not (hb_before h sj si)
+            then found := Some (si, sj)
+          done)
+        sends;
+      Option.map (fun pair -> (dst, fifo, pair)) !found)
+    c.chans
 
-let prepare ~with_cores p =
-  match build_graph ~with_cores p with
-  | None -> Error None
-  | Some b -> (
-      match topo_order b with
-      | None -> Error (Some b)
-      | Some order -> Ok (b, reachability b order))
-
-(* Build the graph, dropping core events if the full graph is too
-   large. *)
-let prepare_capped p =
-  match prepare ~with_cores:true p with
-  | Error None -> (
-      match prepare ~with_cores:false p with
-      | Error None -> `Too_large
-      | Error (Some b) -> `Cyclic b
-      | Ok (b, h) -> `Truncated (b, h))
-  | Error (Some b) -> `Cyclic b
-  | Ok (b, h) -> `Ok (b, h)
+let happens_before (c : events) =
+  match build_graph c with
+  | None -> `Too_large
+  | Some g -> (
+      match topo_order g with
+      | None -> `Cyclic g
+      | Some order -> `Ok (g, reachability g order))
 
 let hazards (p : Program.t) =
-  match prepare_capped p with
+  let c = collect p in
+  match happens_before c with
   | `Too_large | `Cyclic _ -> []
-  | `Ok (b, h) | `Truncated (b, h) ->
-      List.map fst (overflow_channels p b h)
+  | `Ok (_, h) -> List.map fst (overflow_channels p c h)
 
-let analyze ?(dump_hb = false) (p : Program.t) =
-  match prepare_capped p with
+let ordering ~dump_hb (p : Program.t) (c : events) =
+  let notes g =
+    if not g.with_cores then []
+    else
+      List.map
+        (fun (tile, core) ->
+          Diag.info ~code:"I-ORDER" ~tile ~core
+            "stream has control flow; happens-before uses static \
+             instruction order (approximate)")
+        c.approx
+  in
+  match happens_before c with
   | `Too_large ->
       [
         Diag.info ~code:"I-ORDER"
@@ -528,56 +740,55 @@ let analyze ?(dump_hb = false) (p : Program.t) =
            skipped"
           max_events;
       ]
-  | `Cyclic b ->
-      b.notes
+  | `Cyclic g ->
+      notes g
       @ [
           Diag.info ~code:"I-ORDER"
             "happens-before graph is cyclic (a wait cycle or a \
              control-flow approximation artifact); ordering analysis \
              skipped";
         ]
-  | (`Ok (b, h) | `Truncated (b, h)) as r ->
+  | `Ok (g, h) ->
+      let evs = c.evs in
       let depth = p.config.Puma_hwmodel.Config.fifo_depth in
       let truncated =
-        match r with
-        | `Truncated _ ->
-            [
-              Diag.info ~code:"I-ORDER"
-                "happens-before graph exceeds %d events with core \
-                 accesses; race detection skipped (channel analysis \
-                 kept)"
-                max_events;
-            ]
-        | _ -> []
+        if g.with_cores then []
+        else
+          [
+            Diag.info ~code:"I-ORDER"
+              "happens-before graph exceeds %d events with core accesses; \
+               race detection skipped (channel analysis kept)"
+              max_events;
+          ]
       in
       let races =
-        if not b.with_cores then []
+        if not g.with_cores then []
         else
-          List.map
-            (fun (a, bb, word) ->
-              let x = b.evs.(a) and y = b.evs.(bb) in
-              Diag.error ~code:"E-RACE" ~tile:x.e_tile
-                ?core:(if x.e_core >= 0 then Some x.e_core else None)
-                ~pc:x.e_pc
-                "%s and %s both touch smem[%d] with no happens-before \
-                 order between them (at least one is a write): the value \
-                 observed is timing-dependent"
-                (describe x) (describe y) word)
-            (List.filter
-               (fun (a, bb, _) ->
-                 (not (hb_before h a bb)) && not (hb_before h bb a))
-               b.suspects)
+          List.filter_map
+            (fun (a, b, word) ->
+              if hb_before h a b || hb_before h b a then None
+              else
+                let x = evs.(a) and y = evs.(b) in
+                Some
+                  (Diag.error ~code:"E-RACE" ~tile:x.e_tile
+                     ?core:(if x.e_core >= 0 then Some x.e_core else None)
+                     ~pc:x.e_pc
+                     "%s and %s both touch smem[%d] with no happens-before \
+                      order between them (at least one is a write): the \
+                      value observed is timing-dependent"
+                     (describe x) (describe y) word))
+            g.suspects
       in
       let multi =
         List.map
           (fun (dst, fifo, (si, sj)) ->
-            let x = b.evs.(si) and y = b.evs.(sj) in
+            let x = evs.(si) and y = evs.(sj) in
             Diag.error ~code:"E-FIFO-ORDER" ~tile:dst
-              "fifo %d receives sends from %s (width %d) and %s (width \
-               %d) whose arrival order no happens-before path fixes; \
+              "fifo %d receives sends from %s (width %d) and %s (width %d) \
+               whose arrival order no happens-before path fixes; \
                per-message pairing is timing-dependent"
-              fifo (describe x) (width_of x) (describe y) (width_of y))
-          (unordered_sender_pairs b h)
+              fifo (describe x) x.e_width (describe y) y.e_width)
+          (unordered_sender_pairs c h)
       in
       let overflow =
         List.map
@@ -589,27 +800,27 @@ let analyze ?(dump_hb = false) (p : Program.t) =
                %d-deep receive FIFO (sends at pc %d and pc %d are \
                unordered): the excess needs network buffering beyond the \
                receive FIFO"
-              hz.hz_fifo hz.hz_src hz.hz_max_pressure depth
-              t.(i).xf_send_pc t.(j).xf_send_pc)
-          (overflow_channels p b h)
+              hz.hz_fifo hz.hz_src hz.hz_max_pressure depth t.(i).xf_send_pc
+              t.(j).xf_send_pc)
+          (overflow_channels p c h)
       in
       let dump =
         if not dump_hb then []
-        else begin
-          let cross_edges =
-            List.map
-              (fun (a, bb, reason) ->
-                Diag.info ~code:"I-ORDER" "hb: %s -> %s (%s)"
-                  (describe b.evs.(a))
-                  (describe b.evs.(bb))
-                  (render_reason reason))
-              b.cross
-          in
+        else
           Diag.info ~code:"I-ORDER"
-            "hb graph: %d events, %d cross-stream edges%s"
-            (Array.length b.evs) (List.length b.cross)
-            (if b.with_cores then "" else " (core accesses dropped)")
-          :: cross_edges
-        end
+            "hb graph: %d events, %d cross-stream edges%s" g.n
+            (List.length g.cross)
+            (if g.with_cores then "" else " (core accesses dropped)")
+          :: List.map
+               (fun (a, b, reason) ->
+                 Diag.info ~code:"I-ORDER" "hb: %s -> %s (%s)"
+                   (describe evs.(a)) (describe evs.(b))
+                   (render_reason reason))
+               g.cross
       in
-      b.notes @ truncated @ races @ multi @ overflow @ dump
+      notes g @ truncated @ races @ multi @ overflow @ dump
+
+let analyze ?(order = false) ?(dump_hb = false) (p : Program.t) =
+  let c = collect p in
+  matching c @ deadlocks c @ consumer_counts p c
+  @ (if order || dump_hb then ordering ~dump_hb p c else [])

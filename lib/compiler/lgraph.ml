@@ -23,29 +23,42 @@ type slot = {
 type sum = { terms : int array; adds : int array }
 type sum_tree = Term of int | Plus of sum_tree * sum_tree
 
+(* An append-only array, doubled when full, so indexing is O(1) while
+   the graph grows. *)
+type 'a grow = { mutable items : 'a array; mutable count : int }
+
+let grow () = { items = [||]; count = 0 }
+
+let push g x =
+  if g.count = Array.length g.items then begin
+    let a = Array.make (max 16 (2 * g.count)) x in
+    Array.blit g.items 0 a 0 g.count;
+    g.items <- a
+  end;
+  g.items.(g.count) <- x;
+  g.count <- g.count + 1
+
+let get g i =
+  if i < 0 || i >= g.count then invalid_arg "index out of bounds"
+  else g.items.(i)
+
+let contents g = Array.sub g.items 0 g.count
+
 type t = {
   dim : int;
-  mutable node_list : lnode list;  (* reverse *)
-  mutable node_count : int;
+  nodes : lnode grow;
   mutable sum_list : sum list;  (* reverse *)
-  mutable slot_list : slot list;  (* reverse *)
-  mutable slot_count : int;
+  slots : slot grow;
   slot_index : (int * int * int, int) Hashtbl.t;
-  mutable nodes_cache : lnode array option;
-  mutable slots_cache : slot array option;
 }
 
 let create ~dim =
   {
     dim;
-    node_list = [];
-    node_count = 0;
+    nodes = grow ();
     sum_list = [];
-    slot_list = [];
-    slot_count = 0;
+    slots = grow ();
     slot_index = Hashtbl.create 64;
-    nodes_cache = None;
-    slots_cache = None;
   }
 
 let dim t = t.dim
@@ -59,34 +72,24 @@ let add_slot t ~matrix ~row_block ~col_block ~source =
         Puma_util.Fixed.image_of_sub_block source ~row:(row_block * t.dim)
           ~col:(col_block * t.dim) ~dim:t.dim
       in
-      let id = t.slot_count in
-      t.slot_list <- { slot_id = id; matrix; row_block; col_block; image } :: t.slot_list;
-      t.slot_count <- id + 1;
-      t.slots_cache <- None;
+      let id = t.slots.count in
+      push t.slots { slot_id = id; matrix; row_block; col_block; image };
       Hashtbl.add t.slot_index key id;
       id
 
 let add_node ?(src = -1) t ~op ~preds ~len =
   Array.iter
     (fun p ->
-      if p < 0 || p >= t.node_count then
+      if p < 0 || p >= t.nodes.count then
         invalid_arg (Printf.sprintf "Lgraph.add_node: pred %d undefined" p))
     preds;
   if len <= 0 || len > t.dim then
     invalid_arg (Printf.sprintf "Lgraph.add_node: segment length %d not in 1..%d" len t.dim);
-  let id = t.node_count in
-  t.node_list <- { id; op; preds; len; src } :: t.node_list;
-  t.node_count <- id + 1;
-  t.nodes_cache <- None;
+  let id = t.nodes.count in
+  push t.nodes { id; op; preds; len; src };
   id
 
-let nodes t =
-  match t.nodes_cache with
-  | Some a -> a
-  | None ->
-      let a = Array.of_list (List.rev t.node_list) in
-      t.nodes_cache <- Some a;
-      a
+let nodes t = contents t.nodes
 
 let add_sum ?src t ~terms ~len =
   let k = Array.length terms in
@@ -131,26 +134,18 @@ let rewire a (s : sum) tree =
     invalid_arg "Lgraph.reshape_sums: tree leaves are not the sum's terms"
 
 let reshape_sums t f =
-  let a = Array.copy (nodes t) in
+  let a = nodes t in
   List.iter (fun s -> rewire a s (f s.terms)) t.sum_list;
-  t.node_list <- List.rev (Array.to_list a);
-  t.nodes_cache <- Some a
+  t.nodes.items <- a
 
-let slots t =
-  match t.slots_cache with
-  | Some a -> a
-  | None ->
-      let a = Array.of_list (List.rev t.slot_list) in
-      t.slots_cache <- Some a;
-      a
-
-let node t id = (nodes t).(id)
-let num_nodes t = t.node_count
-let slot t id = (slots t).(id)
-let num_slots t = t.slot_count
+let slots t = contents t.slots
+let node t id = get t.nodes id
+let num_nodes t = t.nodes.count
+let slot t id = get t.slots id
+let num_slots t = t.slots.count
 
 let consumers t =
-  let cons = Array.make t.node_count [] in
+  let cons = Array.make t.nodes.count [] in
   Array.iter
     (fun (n : lnode) ->
       Array.iter (fun p -> cons.(p) <- n.id :: cons.(p)) n.preds)
@@ -159,7 +154,7 @@ let consumers t =
 
 let levels t =
   let ns = nodes t in
-  let lev = Array.make t.node_count 0 in
+  let lev = Array.make t.nodes.count 0 in
   Array.iter
     (fun (n : lnode) ->
       let m = Array.fold_left (fun acc p -> max acc (lev.(p) + 1)) 0 n.preds in
@@ -169,7 +164,7 @@ let levels t =
 
 let reverse_postorder t =
   let ns = nodes t in
-  let visited = Array.make t.node_count false in
+  let visited = Array.make t.nodes.count false in
   let order = ref [] in
   let rec visit id =
     if not visited.(id) then begin
@@ -181,10 +176,10 @@ let reverse_postorder t =
   (* Depth-first from each sink in reverse creation order: values feeding a
      sink are fully consumed before unrelated producers start. *)
   let cons = consumers t in
-  for id = t.node_count - 1 downto 0 do
+  for id = t.nodes.count - 1 downto 0 do
     if Array.length cons.(id) = 0 then visit id
   done;
-  for id = 0 to t.node_count - 1 do
+  for id = 0 to t.nodes.count - 1 do
     visit id
   done;
   Array.of_list (List.rev !order)

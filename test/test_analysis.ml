@@ -520,6 +520,154 @@ let test_regflow_loop_carried () =
   Alcotest.(check (list string)) "loop is clean" []
     (codes_of (run_regflow code))
 
+(* A one-tile program at dim 32 with the given core streams. *)
+let one_tile ?(outputs = []) core_code =
+  {
+    Program.config = config 32;
+    tiles =
+      [|
+        {
+          Program.tile_index = 0;
+          core_code;
+          tile_code = [| Instr.Halt |];
+          mvmu_images = [];
+        };
+      |];
+    inputs = [];
+    outputs;
+    constants = [];
+  }
+
+let set_r0 = Instr.Set { dest = gpr 0; imm = 1 }
+
+let store ?(count = 0) addr =
+  Instr.Store { src = gpr 0; addr; count; vec_width = 1 }
+
+(* A two-core tile where core 0 also stores through a scalar register:
+   the tile gets one I-DYNADDR saying what is not checked there, and the
+   race between the two cores' immediate stores is still reported. *)
+let test_dynamic_addressing () =
+  let p =
+    one_tile
+      ~outputs:
+        [ { Program.name = "y"; tile = 0; mem_addr = 10; length = 1; offset = 0 } ]
+      [|
+        [|
+          set_r0;
+          Instr.Set_sreg { dest = 0; imm = 20 };
+          store (Instr.Sreg_addr 0);
+          store (Instr.Imm_addr 10);
+          Instr.Halt;
+        |];
+        [| set_r0; store (Instr.Imm_addr 10); Instr.Halt |];
+      |]
+  in
+  let r = Analyze.program ~order:true p in
+  Alcotest.(check (list string)) "race between immediate stores" [ "E-RACE" ]
+    (error_codes r);
+  match
+    List.filter (fun (d : Diag.t) -> d.code = "I-DYNADDR") r.Analyze.diags
+  with
+  | [ d ] ->
+      Alcotest.(check string) "note"
+        "info[I-DYNADDR] tile 0: tile uses register-indirect shared-memory \
+         addressing: consumer-count checks are skipped, and \
+         register-indirect accesses are not race-checked"
+        (Diag.to_string d)
+  | ds -> Alcotest.failf "expected one I-DYNADDR, got %d" (List.length ds)
+
+(* Instructions after a linear stream's first Halt never run, so a load
+   there consumes nothing: the counted store below is read exactly once. *)
+let test_halt_rule () =
+  let load =
+    Instr.Load { dest = gpr 0; addr = Instr.Imm_addr 0; vec_width = 1 }
+  in
+  let p =
+    one_tile
+      [|
+        [| set_r0; store ~count:1 (Instr.Imm_addr 0); Instr.Halt |];
+        [| load; Instr.Halt; load |];
+      |]
+  in
+  Alcotest.(check (list string)) "no consumer-count error" []
+    (error_codes (Analyze.program p))
+
+(* A program past the happens-before graph's 16,384-event cap: core 0 of
+   tile 0 stores 8,200 counted words that core 1 loads once each, and
+   tile 0 sends one constant word to tile 1. The graph leaves the core
+   events out, but matching and consumer counts still see every event. *)
+let test_event_cap () =
+  let k = 8200 in
+  let config = { Config.sweetspot with imem_core_bytes = 1 lsl 20 } in
+  let gpr0 = Operand.gpr (Operand.layout config) 0 in
+  let program ~count0 ~send =
+    let producer =
+      Array.concat
+        [
+          [| Instr.Set { dest = gpr0; imm = 1 } |];
+          Array.init k (fun a ->
+              Instr.Store
+                {
+                  src = gpr0;
+                  addr = Instr.Imm_addr a;
+                  count = (if a = 0 then count0 else 1);
+                  vec_width = 1;
+                });
+          [| Instr.Halt |];
+        ]
+    in
+    let consumer =
+      Array.append
+        (Array.init k (fun a ->
+             Instr.Load { dest = gpr0; addr = Instr.Imm_addr a; vec_width = 1 }))
+        [| Instr.Halt |]
+    in
+    let tile tile_index core_code tile_code =
+      { Program.tile_index; core_code; tile_code; mvmu_images = [] }
+    in
+    let binding name tile mem_addr =
+      { Program.name; tile; mem_addr; length = 1; offset = 0 }
+    in
+    {
+      Program.config;
+      tiles =
+        [|
+          tile 0 [| producer; consumer |]
+            (Array.append
+               (if send then
+                  [|
+                    Instr.Send
+                      { mem_addr = k; fifo_id = 0; target = 1; vec_width = 1 };
+                  |]
+                else [||])
+               [| Instr.Halt |]);
+          tile 1 [||]
+            [|
+              Instr.Receive { mem_addr = 0; fifo_id = 0; count = 0; vec_width = 1 };
+              Instr.Halt;
+            |];
+        |];
+      inputs = [];
+      outputs = [ binding "y" 1 0 ];
+      constants = [ (binding "c" 0 k, [| 1 |]) ];
+    }
+  in
+  let clean = Analyze.program ~order:true (program ~count0:1 ~send:true) in
+  Alcotest.(check (list string)) "clean" [] (error_codes clean);
+  Alcotest.(check bool) "race detection skipped" true
+    (List.exists
+       (fun (d : Diag.t) ->
+         d.code = "I-ORDER"
+         && Puma_util.Strings.contains
+              ~sub:"race detection skipped (channel analysis kept)"
+              d.Diag.message)
+       clean.Analyze.diags);
+  Alcotest.(check (list string)) "skewed count" [ "E-CONSUME" ]
+    (error_codes (Analyze.program ~order:true (program ~count0:2 ~send:true)));
+  Alcotest.(check bool) "dropped send" true
+    (List.mem "E-RECVU"
+       (error_codes (Analyze.program ~order:true (program ~count0:1 ~send:false))))
+
 (* ---- Diag plumbing ---- *)
 
 let test_diag_render () =
@@ -681,6 +829,10 @@ let () =
           Alcotest.test_case "dead store" `Quick test_regflow_deadstore;
           Alcotest.test_case "loop carried" `Quick
             test_regflow_loop_carried;
+          Alcotest.test_case "dynamic addressing" `Quick
+            test_dynamic_addressing;
+          Alcotest.test_case "halt rule" `Quick test_halt_rule;
+          Alcotest.test_case "event cap" `Quick test_event_cap;
         ] );
       ( "diag",
         [
