@@ -197,8 +197,8 @@ let run_figure11_batch () =
 (* The paper's batch sweep (Figure 11(c)/(d), Table 8) measured on the
    functional simulator instead of the analytical model: a batch of
    independent requests is sharded across parallel simulated nodes by
-   puma_runtime, compiling the model once (program cache) and simulating
-   it many times. Throughput is simulated inferences/s over the batch
+   puma_runtime, compiling the model once and simulating it many times.
+   Throughput is simulated inferences/s over the batch
    makespan; the runtime guarantees bit-identical outputs and per-request
    cycles for every node count. *)
 let batch_domains = [ 1; 2; 4 ]
@@ -215,12 +215,12 @@ let run_batch_throughput () =
              batch_domains
         @ [ "Speedup @4"; "p50/p95 cycles" ])
   in
-  let cache = Puma_runtime.Program_cache.create () in
-  let net = Models.mini_mlp in
+  let program =
+    (Compile.compile config (Network.build_graph Models.mini_mlp))
+      .Compile.program
+  in
   List.iter
     (fun batch ->
-      let result = Puma_runtime.Program_cache.get_network cache ~config net in
-      let program = result.Compile.program in
       let requests =
         Puma_runtime.Batch.random_requests program ~batch ~seed:7
       in
@@ -248,16 +248,7 @@ let run_batch_throughput () =
             Printf.sprintf "%.0f/%.0f" last.p50_cycles last.p95_cycles;
           ]))
     batches;
-  let c =
-    Table.create ~title:"Program cache over the sweep"
-      ~headers:[ "Compilations"; "Cache hits" ]
-  in
-  Table.add_row c
-    [
-      string_of_int (Puma_runtime.Program_cache.misses cache);
-      string_of_int (Puma_runtime.Program_cache.hits cache);
-    ];
-  [ t; c ]
+  [ t ]
 
 (* ------------------------------------------------------------------ *)
 (* Table 6: comparison with ML accelerators                            *)

@@ -258,6 +258,3 @@ let latency_no_pipelining config (w : Workload.t) =
       0.0 layer_times
   in
   cycles /. (c.frequency_ghz *. 1.0e9)
-
-let energy_breakdown config (w : Workload.t) =
-  [ ("dynamic", dynamic_energy_pj config w /. 1.0e12) ]

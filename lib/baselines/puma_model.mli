@@ -47,7 +47,3 @@ val latency_no_pipelining :
   Puma_hwmodel.Config.t -> Workload.t -> float
 (** Single-inference latency with inter-layer pipelining disabled (the
     Section 4.1.2 ablation): layers run to completion sequentially. *)
-
-val energy_breakdown :
-  Puma_hwmodel.Config.t -> Workload.t -> (string * float) list
-(** Per-category dynamic energy (joules) for one inference. *)

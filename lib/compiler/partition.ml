@@ -344,10 +344,6 @@ let partition ?cluster (config : Puma_hwmodel.Config.t) strategy lg =
   { config; slot_mvmu; node_place; tiles_used; cores_used; nodes_used;
     tiles_per_node }
 
-let slot_place t s =
-  let tile, core, _ = t.slot_mvmu.(s) in
-  { tile; core; node = min (tile / t.tiles_per_node) (t.nodes_used - 1) }
-
 let mvmu_of_slot t s =
   let _, _, m = t.slot_mvmu.(s) in
   m

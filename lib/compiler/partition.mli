@@ -68,7 +68,6 @@ val partition :
     requested node count (the message names the minimum) and [E-PLACE]
     when the scheme puts more MVMUs on one node than it holds. *)
 
-val slot_place : t -> int -> place
 val mvmu_of_slot : t -> int -> int
 (** MVMU index within its core. *)
 

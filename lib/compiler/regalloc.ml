@@ -288,7 +288,3 @@ let consume_use t ~id ~pos =
 let spill_loads t = t.spill_loads
 let spill_stores t = t.spill_stores
 let total_uses t = t.total_uses
-
-let spilled_access_fraction t =
-  if t.total_uses = 0 then 0.0
-  else Float.of_int t.spill_loads /. Float.of_int t.total_uses

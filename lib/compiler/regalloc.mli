@@ -66,6 +66,3 @@ val spill_loads : t -> int
 
 val spill_stores : t -> int
 val total_uses : t -> int
-
-val spilled_access_fraction : t -> float
-(** Fraction of uses that required a reload (Table 8 metric). *)

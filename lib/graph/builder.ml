@@ -11,7 +11,6 @@ let finish t =
   t
 
 let len v = v.vlen
-let node_id v = v.id
 
 let input t ~name ~len =
   { id = Graph.add_node t ~op:(Input name) ~preds:[||] ~len; vlen = len }

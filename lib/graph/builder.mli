@@ -25,7 +25,6 @@ val finish : t -> Graph.t
     model is inconsistent. *)
 
 val len : value -> int
-val node_id : value -> int
 
 val input : t -> name:string -> len:int -> value
 

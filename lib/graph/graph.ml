@@ -95,8 +95,6 @@ let consumers t =
     (nodes t);
   Array.map (fun l -> Array.of_list (List.rev l)) cons
 
-let topological_order t = Array.init t.node_count (fun i -> i)
-
 let reverse_postorder t =
   let ns = nodes t in
   let visited = Array.make t.node_count false in

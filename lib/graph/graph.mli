@@ -44,9 +44,6 @@ val outputs : t -> node list
 val consumers : t -> int array array
 (** [consumers g .(id)] lists the node ids using [id] as a predecessor. *)
 
-val topological_order : t -> int array
-(** Creation order (already topological). *)
-
 val reverse_postorder : t -> int array
 (** Reverse postorder of the DAG from its inputs: the schedule order that
     consumes produced values as early as possible (Section 5.3.1). *)

@@ -9,8 +9,6 @@ let severity_rank = function Error -> 0 | Warning -> 1 | Info -> 2
 
 type loc = { tile : int option; core : int option; pc : int option }
 
-let no_loc = { tile = None; core = None; pc = None }
-
 type t = { code : string; severity : severity; loc : loc; message : string }
 
 let make severity ~code ?tile ?core ?pc fmt =

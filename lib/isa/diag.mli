@@ -20,8 +20,6 @@ type loc = {
   pc : int option;
 }
 
-val no_loc : loc
-
 type t = {
   code : string;  (** Stable code, e.g. "E-UBD", "W-DEADSTORE". *)
   severity : severity;

@@ -46,12 +46,6 @@ let alu_op_is_transcendental = function
 
 (* Range metadata for the value-range analyzer and its soundness tests. *)
 
-let alu_op_saturates = function
-  | Add | Sub | Mul | Div | Shl -> true
-  | Shr | And | Or | Invert | Relu | Sigmoid | Tanh | Log | Exp | Rand
-  | Subsample | Min | Max ->
-      false
-
 let alu_op_is_monotone = function
   | Relu | Sigmoid | Tanh | Log | Exp -> true
   | Add | Sub | Mul | Div | Shl | Shr | And | Or | Invert | Rand | Subsample
@@ -116,20 +110,3 @@ let unit_name = function
   | U_inter_tile -> "Inter-Tile Data Transfer"
 
 let all_units = [ U_inter_tile; U_inter_core; U_control; U_sfu; U_vfu; U_mvm ]
-
-let is_tile_instr = function
-  | Send _ | Receive _ -> true
-  | Mvm _ | Alu _ | Alui _ | Alu_int _ | Set _ | Set_sreg _ | Copy _ | Load _
-  | Store _ | Jmp _ | Brn _ | Halt ->
-      false
-
-let vec_width_of = function
-  | Alu { vec_width; _ }
-  | Alui { vec_width; _ }
-  | Copy { vec_width; _ }
-  | Load { vec_width; _ }
-  | Store { vec_width; _ }
-  | Send { vec_width; _ }
-  | Receive { vec_width; _ } ->
-      vec_width
-  | Mvm _ | Alu_int _ | Set _ | Set_sreg _ | Jmp _ | Brn _ | Halt -> 1

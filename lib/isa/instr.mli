@@ -36,12 +36,6 @@ val alu_op_is_transcendental : alu_op -> bool
 val alu_op_arity : alu_op -> int
 (** 1 for unary (nonlinear, invert, rand), 2 for binary. *)
 
-val alu_op_saturates : alu_op -> bool
-(** Whether the op's exact result can exceed the representable
-    fixed-point range, making the VFU's saturation stage observable
-    (arithmetic and left shift). Bounded ops — comparisons, selects,
-    LUT nonlinears, bit ops, right shift — never clamp their result. *)
-
 val alu_op_is_monotone : alu_op -> bool
 (** Unary ops non-decreasing in their input, so interval endpoints map
     to result-range endpoints (the ROM-LUT nonlinears and Relu). *)
@@ -104,9 +98,3 @@ val unit_of : t -> unit_class
 
 val unit_name : unit_class -> string
 val all_units : unit_class list
-
-val is_tile_instr : t -> bool
-(** True for [send]/[receive] (and [Halt]). *)
-
-val vec_width_of : t -> int
-(** The number of vector elements an instruction touches (1 for scalar). *)

@@ -27,8 +27,6 @@ let shapes t =
   in
   go t.input t.layers
 
-let output_shape t = List.nth (shapes t) (List.length t.layers)
-
 let fold_layers t f init =
   let rec go acc shape = function
     | [] -> acc
@@ -47,24 +45,7 @@ let layer_steps t (l : Layer.t) =
 let total_macs t =
   fold_layers t (fun acc s l -> acc + (layer_steps t l * Layer.macs s l)) 0
 
-let total_vector_elems t =
-  fold_layers t
-    (fun acc s l -> acc + (layer_steps t l * Layer.vector_elems s l))
-    0
-
 let weight_bytes t = 2 * total_params t
-
-let max_activation_words t =
-  List.fold_left (fun acc s -> max acc (Layer.shape_len s)) 0 (shapes t)
-
-let total_activation_words t =
-  let rec go acc shape = function
-    | [] -> acc
-    | l :: rest ->
-        let out = Layer.out_shape shape l in
-        go (acc + (layer_steps t l * Layer.shape_len out)) out rest
-  in
-  go (t.seq_len * Layer.shape_len t.input) t.input t.layers
 
 let num_layers t = List.length t.layers
 

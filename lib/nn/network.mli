@@ -35,8 +35,6 @@ val with_seq_len : t -> int -> t
 val shapes : t -> Layer.shape list
 (** Input shape followed by each layer's output shape. *)
 
-val output_shape : t -> Layer.shape
-
 val total_params : t -> int
 val total_macs : t -> int
 (** MACs per inference (all time-steps of recurrent layers; one pass of
@@ -45,15 +43,8 @@ val total_macs : t -> int
 val layer_steps : t -> Layer.t -> int
 (** How many times a layer executes per inference. *)
 
-val total_vector_elems : t -> int
 val weight_bytes : t -> int
 (** 16-bit weights. *)
-
-val max_activation_words : t -> int
-(** Largest inter-layer activation vector (one time-step). *)
-
-val total_activation_words : t -> int
-(** Sum of all inter-layer activation traffic per inference. *)
 
 val num_layers : t -> int
 

@@ -101,12 +101,6 @@ let peak_rate = function
   | Bursty { burst_rps; _ } -> burst_rps
   | Diurnal { mean_rps; amplitude; _ } -> mean_rps *. (1.0 +. amplitude)
 
-let mean_rate = function
-  | Poisson { rate_rps } -> rate_rps
-  | Bursty { base_rps; burst_rps; duty; _ } ->
-      (duty *. burst_rps) +. ((1.0 -. duty) *. base_rps)
-  | Diurnal { mean_rps; _ } -> mean_rps
-
 (* Thinning (Lewis–Shedler): candidates arrive as a homogeneous Poisson
    process at the envelope rate; candidate k survives with probability
    lambda(t_k) / peak. Each candidate's gap and coin come from its own

@@ -54,9 +54,6 @@ val rate_at : process -> float -> float
 val peak_rate : process -> float
 (** An upper bound on {!rate_at} over all [t] (the thinning envelope). *)
 
-val mean_rate : process -> float
-(** Time-averaged rate over one period (the offered load). *)
-
 val times : process -> seed:int -> duration_s:float -> float array
 (** Arrival times in [0, duration_s), nondecreasing. See the determinism
     note above; the array for a shorter duration is a prefix of the array

@@ -22,8 +22,6 @@ let model ?(priority = 0) ?(queue_limit = 0) ?slo_ms ~name program =
 
 type config = { nodes : int; max_batch : int; input_seed : int }
 
-let default_config = { nodes = 4; max_batch = 4; input_seed = 7 }
-
 type arrival = { cycle : int; model : int }
 type workload = arrival array
 

@@ -56,9 +56,6 @@ type config = {
   input_seed : int;  (** Root seed of every request's inputs. *)
 }
 
-val default_config : config
-(** 4 nodes, max_batch 4, input_seed 7. *)
-
 type arrival = { cycle : int; model : int }
 
 type workload = arrival array

@@ -1,5 +1,7 @@
 module Json = Puma_util.Json
 module Program = Puma_isa.Program
+module Partition = Puma_compiler.Partition
+module Fabric = Puma_noc.Fabric
 
 type model_spec = {
   name : string;
@@ -23,6 +25,9 @@ type recorded = { model : int; arrival_cycle : int; outcome : outcome }
 type t = {
   mvmu_dim : int;
   nodes : int;
+  chips : int;
+  scheme : Partition.scheme;
+  topology : Fabric.topology;
   max_batch : int;
   input_seed : int;
   frequency_ghz : float;
@@ -33,8 +38,9 @@ type t = {
 
 let version = 1
 
-let of_report ?(arrival_spec = "") (models : Engine.model array)
-    (report : Engine.report) =
+let of_report ?(arrival_spec = "") ?(chips = 1)
+    ?(scheme = Partition.Pipelined) ?(topology = Fabric.Mesh2d)
+    (models : Engine.model array) (report : Engine.report) =
   let requests = Array.make report.Engine.arrivals None in
   Array.iter
     (fun (s : Engine.served) ->
@@ -67,6 +73,9 @@ let of_report ?(arrival_spec = "") (models : Engine.model array)
   {
     mvmu_dim = models.(0).Engine.program.Program.config.mvmu_dim;
     nodes = report.Engine.nodes;
+    chips;
+    scheme;
+    topology;
     max_batch = report.Engine.max_batch;
     input_seed = report.Engine.input_seed;
     frequency_ghz = report.Engine.frequency_ghz;
@@ -129,6 +138,9 @@ let to_json t =
       ("version", Json.Int version);
       ("mvmu_dim", Json.Int t.mvmu_dim);
       ("nodes", Json.Int t.nodes);
+      ("chips", Json.Int t.chips);
+      ("scheme", Json.String (Partition.scheme_name t.scheme));
+      ("topology", Json.String (Fabric.topology_name t.topology));
       ("max_batch", Json.Int t.max_batch);
       ("input_seed", Json.Int t.input_seed);
       ("frequency_ghz", Json.Float t.frequency_ghz);
@@ -220,9 +232,21 @@ let decode doc =
       if i > 0 && r.arrival_cycle < requests.(i - 1).arrival_cycle then
         raise (Bad (Printf.sprintf "request %d arrives out of order" i)))
     requests;
+  (* Traces recorded before machines had several chips omit these keys:
+     their machines were single chips. *)
+  let machine_key key default read =
+    match field doc key with None -> default | Some _ -> read key
+  in
   {
     mvmu_dim = int_field doc "mvmu_dim";
     nodes = int_field doc "nodes";
+    chips = machine_key "chips" 1 (int_field doc);
+    scheme =
+      machine_key "scheme" Partition.Pipelined (fun key ->
+          need key (Partition.scheme_of_string (str_field doc key)));
+    topology =
+      machine_key "topology" Fabric.Mesh2d (fun key ->
+          need key (Fabric.topology_of_string (str_field doc key)));
     max_batch = int_field doc "max_batch";
     input_seed = int_field doc "input_seed";
     frequency_ghz = float_field doc "frequency_ghz";

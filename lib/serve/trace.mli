@@ -1,7 +1,8 @@
 (** Serving-run record / replay.
 
     A trace file is one JSON document capturing everything a serving run
-    decided: the fleet shape, the resident models (by name, with their
+    decided: the fleet shape (with each machine's chip count, partitioning
+    scheme and fabric topology), the resident models (by name, with their
     scheduling parameters and the crossbar dimension they were compiled
     at), and one record per arrival — its model, arrival cycle, and
     admission fate (with start/finish/node/cycles/energy for admitted
@@ -12,7 +13,8 @@
 
     Format (version 1):
     {v
-    { "version": 1, "mvmu_dim": 128, "nodes": 4, "max_batch": 4,
+    { "version": 1, "mvmu_dim": 128, "nodes": 4, "chips": 1,
+      "scheme": "pipelined", "topology": "mesh", "max_batch": 4,
       "input_seed": 7, "frequency_ghz": 1.0, "arrival_spec": "poisson:2000",
       "models": [ {"name": "mlp", "priority": 0, "queue_limit": 0,
                    "slo_ms": null}, ... ],
@@ -22,7 +24,9 @@
                      "cycles": 418, "energy_pj": 6190.5}, ... ] }
     v}
     Request inputs are not stored: they regenerate from [input_seed] and
-    the per-model request index ({!Engine.model_input_seed}). *)
+    the per-model request index ({!Engine.model_input_seed}). A trace
+    without the machine keys ([chips], [scheme], [topology]) loads as
+    single-chip machines. *)
 
 type model_spec = {
   name : string;
@@ -45,7 +49,10 @@ type recorded = { model : int; arrival_cycle : int; outcome : outcome }
 
 type t = {
   mvmu_dim : int;
-  nodes : int;
+  nodes : int;  (** Fleet size. *)
+  chips : int;  (** Chips per fleet machine. *)
+  scheme : Puma_compiler.Partition.scheme;
+  topology : Puma_noc.Fabric.topology;
   max_batch : int;
   input_seed : int;
   frequency_ghz : float;
@@ -56,7 +63,15 @@ type t = {
 }
 
 val of_report :
-  ?arrival_spec:string -> Engine.model array -> Engine.report -> t
+  ?arrival_spec:string ->
+  ?chips:int ->
+  ?scheme:Puma_compiler.Partition.scheme ->
+  ?topology:Puma_noc.Fabric.topology ->
+  Engine.model array ->
+  Engine.report ->
+  t
+(** The machine defaults to one chip ([Pipelined], [Mesh2d]): pass the
+    machine the fleet's programs were compiled and run for. *)
 
 val to_json : t -> Puma_util.Json.t
 

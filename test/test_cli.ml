@@ -82,6 +82,7 @@ let test_bad_flag_values_exit_nonzero () =
       [ "serve"; "--arrival"; "bursty:100" ];
       [ "serve"; "--models"; "mlp=notanint" ];
       [ "serve"; "--nodes"; "0" ];
+      [ "serve"; "--fleet"; "0" ];
       [ "compile"; "mlp"; "--nodes"; "0" ];
       [ "serve"; "--duration"; "0" ];
       (* The reference loop is a library oracle, not a CLI mode. *)
@@ -89,13 +90,55 @@ let test_bad_flag_values_exit_nonzero () =
       [ "batch"; "--model"; "mlp"; "--fast" ];
     ]
 
+(* Inputs every command must reject with an "error:" line and exit 1,
+   never with an uncaught exception (exit 125). The saved program is
+   lenet5 compiled with the analysis gate off at dim 64, so it overflows
+   a core's instruction memory (E-IMEM) and fails the structural check. *)
+let test_invalid_input_exits_1 () =
+  let module Compile = Puma_compiler.Compile in
+  let saved = Filename.temp_file "puma_lenet5_imem" ".puma" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove saved)
+    (fun () ->
+      let r =
+        Compile.compile
+          ~options:{ Compile.default_options with analysis_gate = false }
+          { Puma_hwmodel.Config.sweetspot with mvmu_dim = 64 }
+          (Puma_nn.Network.build_graph Puma_nn.Models.lenet5)
+      in
+      Puma_isa.Program_io.save saved r.Compile.program;
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          let status, err = Cli_runner.run_capture args in
+          let says sub = Puma_util.Strings.contains ~sub err in
+          Alcotest.(check int) ("exit 1: " ^ what) 1 status;
+          Alcotest.(check bool) ("error line: " ^ what) true (says "error:");
+          Alcotest.(check bool)
+            ("no uncaught exception: " ^ what)
+            false
+            (says "uncaught exception"))
+        [
+          [ "run"; "lenet5" ];
+          [ "batch"; "--model"; "lenet5" ];
+          [ "serve"; "--models"; "lenet5" ];
+          [ "exec"; saved ];
+          [ "profile"; saved ];
+          [ "run"; "mlp"; "--dim"; "0" ];
+          [ "compile"; "mlp"; "--dim"; "48" ];
+          [ "run"; "lstm"; "--seq-len"; "0" ];
+          [ "accuracy"; "--bits"; "0" ];
+          [ "accuracy"; "--samples"; "0" ];
+          [ "estimate"; "VGG16"; "--batch"; "0" ];
+        ])
+
 (* A tiny serve run at dim 32 with a handful of arrivals, exercising the
    full record -> replay -> budget-gate pipeline through the real
    executable. *)
 let serve_args =
   [
     "serve"; "--models"; "mlp,rnn=1"; "--arrival"; "poisson:1500";
-    "--duration"; "0.002"; "--dim"; "32"; "--nodes"; "2"; "--domains"; "1";
+    "--duration"; "0.002"; "--dim"; "32"; "--fleet"; "2"; "--domains"; "1";
     "--seed"; "3";
   ]
 
@@ -154,6 +197,26 @@ let test_serve_replay_errors () =
         (Printf.sprintf "parse error names the line (stderr: %S)" stderr)
         true
         (contains stderr "line 3"))
+
+(* A fleet of 2-chip machines records its machine in the trace, and the
+   replay rebuilds that machine: on single chips the decisions differ. *)
+let test_serve_two_chip_roundtrip () =
+  let trace = Filename.temp_file "puma_serve_2chip" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      Alcotest.(check int) "2-chip record exits 0" 0
+        (run
+           [
+             "serve"; "--models"; "mlp"; "--nodes"; "2"; "--dim"; "64";
+             "--duration"; "0.0005"; "--arrival"; "poisson:20000";
+             "--domains"; "1"; "--trace"; trace;
+           ]);
+      Alcotest.(check bool) "trace records the chips" true
+        (Puma_util.Strings.contains ~sub:{|"chips":2|}
+           (Cli_runner.slurp trace));
+      Alcotest.(check int) "2-chip replay reproduces -> 0" 0
+        (run [ "serve"; "--replay"; trace ]))
 
 (* ---- translation validation of saved program files ---- *)
 
@@ -262,6 +325,8 @@ let () =
           Alcotest.test_case "known good -> 0" `Quick test_known_good_exit_0;
           Alcotest.test_case "bad flags -> nonzero" `Quick
             test_bad_flag_values_exit_nonzero;
+          Alcotest.test_case "invalid input -> 1" `Quick
+            test_invalid_input_exits_1;
         ] );
       ( "serve",
         [
@@ -269,6 +334,8 @@ let () =
             test_serve_roundtrip;
           Alcotest.test_case "replay errors name the failure" `Quick
             test_serve_replay_errors;
+          Alcotest.test_case "2-chip record/replay roundtrip" `Quick
+            test_serve_two_chip_roundtrip;
         ] );
       ( "equiv",
         [

@@ -1,6 +1,5 @@
-(* The batched-inference runtime: worker pool, program cache, and the
-   serial-vs-sharded differential guarantee every later performance PR
-   regresses against. *)
+(* The batched-inference runtime: worker pool and the serial-vs-sharded
+   differential guarantee every later performance PR regresses against. *)
 
 module B = Puma_graph.Builder
 module Tensor = Puma_util.Tensor
@@ -12,7 +11,6 @@ module Node = Puma_sim.Node
 module Energy = Puma_hwmodel.Energy
 module Batch = Puma_runtime.Batch
 module Cluster = Puma_cluster.Cluster
-module Cache = Puma_runtime.Program_cache
 
 (* ---- Pool ---- *)
 
@@ -51,77 +49,6 @@ let test_pool_propagates_exception () =
            if i = 42 then failwith "boom");
        false
      with Failure msg -> msg = "boom")
-
-(* ---- Program cache ---- *)
-
-let test_cache_compiles_once () =
-  let cache = Cache.create () in
-  let config = { Config.sweetspot with mvmu_dim = 32 } in
-  let net = Puma_nn.Models.mini_mlp in
-  let r1 = Cache.get_network cache ~config net in
-  let r2 = Cache.get_network cache ~config net in
-  Alcotest.(check bool) "same compilation" true (r1 == r2);
-  Alcotest.(check int) "one miss" 1 (Cache.misses cache);
-  Alcotest.(check int) "one hit" 1 (Cache.hits cache);
-  (* A different configuration is a different program. *)
-  let r3 = Cache.get_network cache ~config:{ config with mvmu_dim = 64 } net in
-  Alcotest.(check bool) "distinct program" true (r1 != r3);
-  Alcotest.(check int) "two programs" 2 (Cache.length cache)
-
-let test_cache_by_key () =
-  let cache = Cache.create () in
-  let config = { Config.sweetspot with mvmu_dim = 32 } in
-  let builds = ref 0 in
-  let build () =
-    incr builds;
-    Puma_nn.Network.build_graph Puma_nn.Models.mini_mlp
-  in
-  ignore (Cache.get cache ~config ~key:"mlp" build);
-  ignore (Cache.get cache ~config ~key:"mlp" build);
-  Alcotest.(check int) "built once" 1 !builds
-
-(* The serving runtime's size-bounded mode: a fill past the capacity
-   evicts the entry whose last lookup is oldest. *)
-let test_cache_lru_eviction () =
-  let cache = Cache.create ~capacity:2 () in
-  let config = { Config.sweetspot with mvmu_dim = 32 } in
-  let build () = Puma_nn.Network.build_graph Puma_nn.Models.mini_mlp in
-  let get key = ignore (Cache.get cache ~config ~key build) in
-  let resident key = Cache.mem cache ~config ~key in
-  get "a";
-  get "b";
-  Alcotest.(check int) "at capacity" 2 (Cache.length cache);
-  Alcotest.(check int) "no evictions yet" 0 (Cache.evictions cache);
-  (* A hit on "a" makes "b" the LRU victim of the next fill. *)
-  get "a";
-  get "c";
-  Alcotest.(check int) "still at capacity" 2 (Cache.length cache);
-  Alcotest.(check int) "one eviction" 1 (Cache.evictions cache);
-  Alcotest.(check bool) "a pinned by its hit" true (resident "a");
-  Alcotest.(check bool) "b evicted" false (resident "b");
-  Alcotest.(check bool) "c resident" true (resident "c");
-  (* Re-fetching "b" recompiles and pushes out the now-oldest "a". *)
-  get "b";
-  Alcotest.(check int) "second eviction" 2 (Cache.evictions cache);
-  Alcotest.(check bool) "a evicted in turn" false (resident "a");
-  Alcotest.(check int) "four misses total" 4 (Cache.misses cache)
-
-let test_cache_lru_hit_identity () =
-  (* Hits under the bound return the physically identical result — the
-     co-resident fleet shares one compiled program per model. *)
-  let cache = Cache.create ~capacity:2 () in
-  let config = { Config.sweetspot with mvmu_dim = 32 } in
-  let net = Puma_nn.Models.mini_mlp in
-  let r1 = Cache.get_network cache ~config net in
-  let r2 = Cache.get_network cache ~config net in
-  Alcotest.(check bool) "physically equal" true (r1 == r2);
-  Alcotest.(check int) "one hit" 1 (Cache.hits cache);
-  Alcotest.(check int) "no evictions" 0 (Cache.evictions cache)
-
-let test_cache_bad_capacity () =
-  Alcotest.check_raises "capacity 0 rejected"
-    (Invalid_argument "Program_cache.create: capacity must be >= 1")
-    (fun () -> ignore (Cache.create ~capacity:0 ()))
 
 (* ---- Batched runtime ---- *)
 
@@ -307,17 +234,6 @@ let () =
           Alcotest.test_case "map with worker state" `Quick test_pool_map_init;
           Alcotest.test_case "exception propagation" `Quick
             test_pool_propagates_exception;
-        ] );
-      ( "program-cache",
-        [
-          Alcotest.test_case "compiles once" `Quick test_cache_compiles_once;
-          Alcotest.test_case "keyed lookup" `Quick test_cache_by_key;
-          Alcotest.test_case "LRU eviction order" `Quick
-            test_cache_lru_eviction;
-          Alcotest.test_case "LRU hit shares the program" `Quick
-            test_cache_lru_hit_identity;
-          Alcotest.test_case "bad capacity rejected" `Quick
-            test_cache_bad_capacity;
         ] );
       ( "batch",
         [
