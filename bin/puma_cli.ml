@@ -465,8 +465,8 @@ let graph_cmd =
     else begin
       let s = Graph.stats g in
       Printf.printf
-        "%s: %d nodes, %d MVM ops (%d MACs), %d vector ops, %d nonlinear              (%d transcendental), %d weight parameters, widest vector %d
-"
+        "%s: %d nodes, %d MVM ops (%d MACs), %d vector ops, %d nonlinear \
+         (%d transcendental), %d weight parameters, widest vector %d\n"
         (Graph.name g) (Graph.num_nodes g) s.Graph.num_mvms s.Graph.mvm_macs
         s.Graph.num_vector_ops s.Graph.num_nonlinear s.Graph.num_transcendental
         s.Graph.weight_params s.Graph.max_vector_len

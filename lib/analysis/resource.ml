@@ -9,21 +9,20 @@
    - register pressure: liveness-based high-water marks per register
      space against the physical capacities;
    - cost lower bounds: the cheapest terminating path through every
-     stream's CFG under the {!Puma_hwmodel.Latency} model (cycles) and
-     the simulator's per-event energy charges (dynamic pJ). The program
-     bound takes the slowest stream (they run concurrently); energy sums
-     across streams. Both are sound lower bounds for any execution the
-     cycle-approximate simulator can produce: the simulator charges the
-     same per-instruction costs and only adds stalls, contention and
-     repeated loop trips on top. *)
+     stream's CFG, each instruction costed by the simulator's own
+     per-instruction table ({!Puma_arch.Cost}: occupancy in cycles,
+     dynamic pJ). The program bound takes the slowest stream (they run
+     concurrently); energy sums across streams. Both are sound lower
+     bounds for any execution the cycle-approximate simulator can
+     produce: it charges the same table and only adds stalls,
+     contention and repeated loop trips on top. *)
 
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
 module Program = Puma_isa.Program
 module Encode = Puma_isa.Encode
 module Config = Puma_hwmodel.Config
-module Latency = Puma_hwmodel.Latency
-module Energy = Puma_hwmodel.Energy
+module Cost = Puma_arch.Cost
 
 type layer_of = tile:int -> core:int option -> pc:int -> string option
 
@@ -53,108 +52,6 @@ type t = {
   cycle_lower_bound : int;
   energy_lower_bound_pj : float;
 }
-
-(* ---- Per-instruction latency and energy mirrors. ---- *)
-
-let core_cycles config (i : Instr.t) =
-  match i with
-  | Instr.Mvm _ -> Latency.mvm config
-  | Alu { vec_width; _ } | Alui { vec_width; _ } ->
-      Latency.alu config ~vec_width
-  | Alu_int _ -> Latency.alu_int
-  | Set _ | Set_sreg _ -> Latency.set
-  | Copy { vec_width; _ } -> Latency.copy config ~vec_width
-  | Load { vec_width; _ } -> Latency.load config ~vec_width
-  | Store { vec_width; _ } -> Latency.store config ~vec_width
-  | Jmp _ -> Latency.jump
-  | Brn _ -> Latency.branch
-  | Halt -> 0
-  | Send { vec_width; _ } -> Latency.send_occupancy config ~vec_width
-  | Receive { vec_width; _ } -> Latency.receive_occupancy config ~vec_width
-
-let tile_cycles config (i : Instr.t) =
-  match i with
-  | Instr.Send { vec_width; _ } -> Latency.send_occupancy config ~vec_width
-  | Receive { vec_width; _ } -> Latency.receive_occupancy config ~vec_width
-  | _ -> 0
-
-(* Dynamic energy of one retired instruction, mirroring the charges the
-   simulator's core ([Puma_arch.Core.step]) records per event. *)
-let core_energy_pj config layout =
-  let pj = Energy.per_event_pj config in
-  let fetch = pj Energy.Fetch
-  and vfu = pj Energy.Vfu
-  and sfu = pj Energy.Sfu
-  and lut = pj Energy.Lut
-  and rf = pj Energy.Rf
-  and xreg = pj Energy.Xbar_reg
-  and mvm = pj Energy.Mvm
-  and smem = pj Energy.Smem
-  and bus = pj Energy.Bus
-  and attr = pj Energy.Attr
-  and fifo = pj Energy.Fifo in
-  let reg base width =
-    match Operand.space_of layout base with
-    | Operand.Xbar_in | Operand.Xbar_out -> xreg *. float_of_int width
-    | Operand.Gpr -> rf *. float_of_int width
-  in
-  let dim = layout.Operand.mvmu_dim in
-  let num_mvmus = Operand.size_of layout Operand.Xbar_in / dim in
-  fun (i : Instr.t) ->
-    match i with
-    | Instr.Mvm { mask; _ } ->
-        let active = ref 0 in
-        for m = 0 to num_mvmus - 1 do
-          if mask land (1 lsl m) <> 0 then incr active
-        done;
-        fetch +. (float_of_int !active *. (mvm +. (xreg *. float_of_int (2 * dim))))
-    | Alu { op; dest; src1; src2; vec_width } ->
-        let srcs =
-          if op = Instr.Subsample then reg src1 (2 * vec_width)
-          else if Instr.alu_op_arity op = 1 then reg src1 vec_width
-          else reg src1 vec_width +. reg src2 vec_width
-        in
-        let lut_e =
-          if Instr.alu_op_is_transcendental op then
-            lut *. float_of_int vec_width
-          else 0.
-        in
-        fetch +. srcs +. reg dest vec_width
-        +. (vfu *. float_of_int vec_width)
-        +. lut_e
-    | Alui { dest; src1; vec_width; _ } ->
-        fetch +. reg src1 vec_width +. reg dest vec_width
-        +. (vfu *. float_of_int vec_width)
-    | Alu_int _ | Set_sreg _ | Brn _ -> fetch +. sfu
-    | Set { dest; _ } -> fetch +. reg dest 1
-    | Copy { dest; src; vec_width } ->
-        fetch +. reg src vec_width +. reg dest vec_width
-    | Load { dest; vec_width; _ } ->
-        fetch +. reg dest vec_width
-        +. ((smem +. bus) *. float_of_int vec_width)
-        +. attr
-    | Store { src; vec_width; _ } ->
-        fetch +. reg src vec_width
-        +. ((smem +. bus) *. float_of_int vec_width)
-        +. attr
-    | Jmp _ -> fetch
-    | Halt -> 0.
-    | Send { vec_width; _ } ->
-        ((smem +. bus) *. float_of_int vec_width) +. attr
-    | Receive { vec_width; _ } ->
-        ((fifo +. smem +. bus) *. float_of_int vec_width) +. attr
-
-let tile_energy_pj config (i : Instr.t) =
-  let pj = Energy.per_event_pj config in
-  match i with
-  | Instr.Send { vec_width; _ } ->
-      ((pj Energy.Smem +. pj Energy.Bus) *. float_of_int vec_width)
-      +. pj Energy.Attr
-  | Receive { vec_width; _ } ->
-      ((pj Energy.Fifo +. pj Energy.Smem +. pj Energy.Bus)
-      *. float_of_int vec_width)
-      +. pj Energy.Attr
-  | _ -> 0.
 
 (* ---- Cheapest terminating path through a stream CFG. ---- *)
 
@@ -278,26 +175,26 @@ let pressure_of layout ({ cfg; eff; live_out } : Regflow.flow) =
 
 (* ---- Estimation over a whole program. ---- *)
 
-(* The simulator ends a stream at the RETIRE time of its final
+(* Every stream is costed with the simulator's own table ({!Cost}), so
+   the bounds stay sound as long as the simulator only adds stalls,
+   contention and loop trips on top of it.
+
+   The simulator ends a stream at the RETIRE time of its final
    instruction: a core whose pc runs off the end reads as halted
    immediately, so the last instruction's occupancy never extends the
    makespan (an explicit trailing Halt costs nothing either way). A
    sound per-stream bound therefore excludes the terminal instruction's
-   cost; every terminating path ends at the same final pc, so this is
+   cycles; every terminating path ends at the same final pc, so this is
    one subtraction. *)
-let trailing_cost cost code =
-  match code.(Array.length code - 1) with
-  | Puma_isa.Instr.Halt -> 0.0
-  | i -> cost i
-
 let estimate ?flows (p : Program.t) =
   let config = p.Program.config in
   let layout = Operand.layout config in
   let streams = ref [] in
-  let add ~tile ~core ~cycles ~energy ~imem_capacity ~pressure cfg code =
+  let add ~tile ~core ~imem_capacity ~pressure cfg code =
+    let costs = Array.map (Cost.of_instr config layout) code in
     let min_cycles =
-      min_path (fun pc -> float_of_int (cycles code.(pc))) cfg
-      -. trailing_cost (fun i -> float_of_int (cycles i)) code
+      min_path (fun pc -> float_of_int costs.(pc).Cost.cycles) cfg
+      -. float_of_int costs.(Array.length code - 1).Cost.cycles
     in
     streams :=
       {
@@ -307,7 +204,8 @@ let estimate ?flows (p : Program.t) =
         imem_bytes = Encode.program_bytes code;
         imem_capacity;
         min_cycles = int_of_float (Float.max 0.0 min_cycles);
-        min_energy_pj = min_path (fun pc -> energy code.(pc)) cfg;
+        min_energy_pj =
+          min_path (fun pc -> Cost.energy_pj config costs.(pc)) cfg;
         pressure;
       }
       :: !streams
@@ -323,8 +221,7 @@ let estimate ?flows (p : Program.t) =
               | Some f -> f.(pos).(core)
               | None -> Regflow.flow ~layout code
             in
-            add ~tile ~core:(Some core) ~cycles:(core_cycles config)
-              ~energy:(core_energy_pj config layout)
+            add ~tile ~core:(Some core)
               ~imem_capacity:config.Config.imem_core_bytes
               ~pressure:(Some (pressure_of layout flow))
               flow.Regflow.cfg code
@@ -332,18 +229,23 @@ let estimate ?flows (p : Program.t) =
         tp.Program.core_code;
       let code = tp.Program.tile_code in
       if Array.length code > 0 then
-        add ~tile ~core:None ~cycles:(tile_cycles config)
-          ~energy:(tile_energy_pj config)
-          ~imem_capacity:config.Config.imem_tile_bytes ~pressure:None
-          (Cfg.build code) code)
+        add ~tile ~core:None ~imem_capacity:config.Config.imem_tile_bytes
+          ~pressure:None (Cfg.build code) code)
     p.Program.tiles;
   let streams = List.rev !streams in
   {
     streams;
     cycle_lower_bound =
       List.fold_left (fun acc s -> max acc s.min_cycles) 0 streams;
+    (* This sum and the simulator's ledger round their additions in
+       different orders, so on a straight-line program (bound = energy in
+       exact arithmetic) either can land a few ulps above the other.
+       Shaving a relative 1e-9, far above the rounding error of a run's
+       additions and far below any printed precision, keeps the bound
+       at or under the ledger. *)
     energy_lower_bound_pj =
-      List.fold_left (fun acc s -> acc +. s.min_energy_pj) 0. streams;
+      (1. -. 1e-9)
+      *. List.fold_left (fun acc s -> acc +. s.min_energy_pj) 0. streams;
   }
 
 (* ---- Instruction-memory attribution to source-graph layers. ---- *)

@@ -2,15 +2,15 @@
 
     Capacity accounting (instruction-memory budgets with per-layer
     attribution, liveness-based register-pressure high-water marks) and
-    sound lower bounds on execution cost (cycles and dynamic energy)
-    derived from the {!Puma_hwmodel} latency and energy models, with no
-    simulation. The cycle bound is the cheapest terminating CFG path of
-    the slowest stream, excluding the terminal instruction's occupancy
-    (the simulator ends a stream at its final instruction's retire
-    time); the simulator charges the same per-instruction latencies and
-    only adds stalls, contention and loop trips on top, so
-    [cycle_lower_bound <= simulated makespan] for every program
-    (cross-validated by the [static_vs_sim] bench table and the property
+    sound lower bounds on execution cost (cycles and dynamic energy),
+    with no simulation. Each instruction is costed by the table the
+    simulator itself charges ({!Puma_arch.Cost}). The cycle bound is the
+    cheapest terminating CFG path of the slowest stream, excluding the
+    terminal instruction's occupancy (the simulator ends a stream at its
+    final instruction's retire time); the simulator only adds stalls,
+    contention and loop trips on top, so [cycle_lower_bound <= simulated
+    makespan] and [energy_lower_bound_pj <= dynamic energy] for every
+    program (cross-validated by the [static_vs_sim] bench table and the
     tests).
 
     Diagnostics from {!report}: [I-PRESSURE] per core stream (register
@@ -44,7 +44,9 @@ type stream = {
 type t = {
   streams : stream list;
   cycle_lower_bound : int;  (** Max over streams (they run concurrently). *)
-  energy_lower_bound_pj : float;  (** Sum over streams. *)
+  energy_lower_bound_pj : float;
+      (** Sum over streams, less a relative 1e-9 so float rounding cannot
+          lift it above the simulator's ledger. *)
 }
 
 val estimate : ?flows:Regflow.flow array array -> Puma_isa.Program.t -> t

@@ -1,7 +1,6 @@
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
 module Energy = Puma_hwmodel.Energy
-module Latency = Puma_hwmodel.Latency
 
 type mem_iface = {
   load : addr:int -> width:int -> int array option;
@@ -38,6 +37,14 @@ type step_result =
    every scheduler iteration until the dependency resolves). *)
 let blocked_smem_read = Blocked Stall_smem_read
 let blocked_smem_write = Blocked Stall_smem_write
+let blocked_recv_fifo = Blocked Stall_recv_fifo
+let blocked_mvmu = Blocked Stall_mvmu
+
+let blocked = function
+  | Stall_smem_read -> blocked_smem_read
+  | Stall_smem_write -> blocked_smem_write
+  | Stall_recv_fifo -> blocked_recv_fifo
+  | Stall_mvmu -> blocked_mvmu
 
 type t = {
   config : Puma_hwmodel.Config.t;
@@ -46,6 +53,7 @@ type t = {
   sregs : int array;
   mvmus : Puma_xbar.Mvmu.t array;
   code : Instr.t array;
+  costs : Cost.t array;
   rng : Puma_util.Rng.t;
   energy : Energy.t;
   mutable pc : int;
@@ -67,6 +75,7 @@ let create config ?(seed = 1) ~energy code =
     sregs = Array.make Operand.num_scalar_regs 0;
     mvmus;
     code;
+    costs = Array.map (Cost.of_instr config layout) code;
     rng = Puma_util.Rng.create seed;
     energy;
     pc = 0;
@@ -89,61 +98,34 @@ let reset t =
   t.pc <- 0;
   t.halted <- false
 
-let reg_energy_cat t idx : Energy.category =
-  match Regfile.space_of t.regfile idx with
-  | Xbar_in | Xbar_out -> Xbar_reg
-  | Gpr -> Rf
-
-let charge_reg_range t base width =
-  (* Vector operands are overwhelmingly within one space; charge by the
-     space of the first element. *)
-  Energy.add t.energy (reg_energy_cat t base) width
-
 let sreg t s = t.sregs.(s)
 
-(* Fast-path internals: accessors and retirement helpers for the
-   pre-decoded executor (Puma_tile.Fastexec). The helpers repeat
-   [retire]/[retire_jump] minus the result allocation; keeping them here
-   keeps every mutation of the retirement state in one module. *)
+(* Fast-path internals: accessors and the retirement step shared with the
+   pre-decoded executor (Puma_tile.Fastexec), so every mutation of the
+   retirement state stays in this module. *)
 let layout t = t.layout
 let code t = t.code
 let sregs t = t.sregs
 let mvmus t = t.mvmus
 let rng t = t.rng
-let energy t = t.energy
 let force_halt t = t.halted <- true
 
-let retire_fast t ~cycles =
-  t.pc <- t.pc + 1;
-  t.retired <- t.retired + 1;
-  t.busy_cycles <- t.busy_cycles + cycles;
-  Energy.add t.energy Fetch 1;
-  cycles
-
-let retire_jump_fast t ~target ~cycles =
+(* Retire the instruction at [pc] (which is in range): charge its cost
+   table entry, move to [target], return its occupancy. *)
+let commit t ~target =
+  let cost = Array.unsafe_get t.costs t.pc in
+  Energy.charge t.energy cost.charges;
   t.pc <- target;
   t.retired <- t.retired + 1;
-  t.busy_cycles <- t.busy_cycles + cycles;
-  Energy.add t.energy Fetch 1;
-  cycles
+  t.busy_cycles <- t.busy_cycles + cost.cycles;
+  cost.cycles
 
 let resolve_addr t = function
   | Instr.Imm_addr a -> a
   | Instr.Sreg_addr s -> t.sregs.(s)
 
-let retire t ~cycles instr =
-  t.pc <- t.pc + 1;
-  t.retired <- t.retired + 1;
-  t.busy_cycles <- t.busy_cycles + cycles;
-  Energy.add t.energy Fetch 1;
-  Retired { cycles; instr }
-
-let retire_jump t ~cycles ~target instr =
-  t.pc <- target;
-  t.retired <- t.retired + 1;
-  t.busy_cycles <- t.busy_cycles + cycles;
-  Energy.add t.energy Fetch 1;
-  Retired { cycles; instr }
+let retire_to t ~target instr = Retired { cycles = commit t ~target; instr }
+let retire t instr = retire_to t ~target:(t.pc + 1) instr
 
 let step t ~mem =
   if t.halted then Halted
@@ -153,107 +135,71 @@ let step t ~mem =
   end
   else
     let instr = t.code.(t.pc) in
-    let c = t.config in
     match instr with
     | Halt ->
         t.halted <- true;
         Halted
     | Mvm { mask; filter = _; stride } ->
-        let actives = ref 0 in
         Array.iteri
           (fun i m ->
-            if mask land (1 lsl i) <> 0 then begin
-              incr actives;
-              Puma_xbar.Mvmu.execute m ~stride;
-              Energy.add t.energy Mvm 1;
-              Energy.add t.energy Xbar_reg (2 * Puma_xbar.Mvmu.dim m)
-            end)
+            if mask land (1 lsl i) <> 0 then Puma_xbar.Mvmu.execute m ~stride)
           t.mvmus;
-        (* Coalesced MVMs on different MVMUs run in parallel: one MVM
-           latency regardless of how many mask bits are set. *)
-        retire t ~cycles:(Latency.mvm c) instr
+        retire t instr
     | Alu { op; dest; src1; src2; vec_width } ->
-        let arity = Instr.alu_op_arity op in
         (match op with
         | Subsample ->
             for k = 0 to vec_width - 1 do
               let v = Regfile.read t.regfile (src1 + (2 * k)) in
               Regfile.write t.regfile (dest + k) v
-            done;
-            charge_reg_range t src1 (2 * vec_width)
-        | _ when arity = 1 ->
+            done
+        | _ when Instr.alu_op_arity op = 1 ->
             for k = 0 to vec_width - 1 do
               let v = Regfile.read t.regfile (src1 + k) in
               Regfile.write t.regfile (dest + k) (Vfu.apply_unary op ~rng:t.rng v)
-            done;
-            charge_reg_range t src1 vec_width
+            done
         | _ ->
             for k = 0 to vec_width - 1 do
               let a = Regfile.read t.regfile (src1 + k) in
               let b = Regfile.read t.regfile (src2 + k) in
               Regfile.write t.regfile (dest + k) (Vfu.apply_binary op a b)
-            done;
-            charge_reg_range t src1 vec_width;
-            charge_reg_range t src2 vec_width);
-        charge_reg_range t dest vec_width;
-        Energy.add t.energy Vfu vec_width;
-        if Vfu.is_lut_op op then Energy.add t.energy Lut vec_width;
-        retire t ~cycles:(Latency.alu c ~vec_width) instr
+            done);
+        retire t instr
     | Alui { op; dest; src1; imm; vec_width } ->
         for k = 0 to vec_width - 1 do
           let a = Regfile.read t.regfile (src1 + k) in
           Regfile.write t.regfile (dest + k) (Vfu.apply_binary op a imm)
         done;
-        charge_reg_range t src1 vec_width;
-        charge_reg_range t dest vec_width;
-        Energy.add t.energy Vfu vec_width;
-        retire t ~cycles:(Latency.alu c ~vec_width) instr
+        retire t instr
     | Alu_int { op; dest; src1; src2 } ->
         t.sregs.(dest) <- Sfu.apply op t.sregs.(src1) t.sregs.(src2);
-        Energy.add t.energy Sfu 1;
-        retire t ~cycles:Latency.alu_int instr
+        retire t instr
     | Set { dest; imm } ->
         Regfile.write t.regfile dest imm;
-        charge_reg_range t dest 1;
-        retire t ~cycles:Latency.set instr
+        retire t instr
     | Set_sreg { dest; imm } ->
         t.sregs.(dest) <- imm;
-        Energy.add t.energy Sfu 1;
-        retire t ~cycles:Latency.set instr
+        retire t instr
     | Copy { dest; src; vec_width } ->
         for k = 0 to vec_width - 1 do
           Regfile.write t.regfile (dest + k) (Regfile.read t.regfile (src + k))
         done;
-        charge_reg_range t src vec_width;
-        charge_reg_range t dest vec_width;
-        retire t ~cycles:(Latency.copy c ~vec_width) instr
+        retire t instr
     | Load { dest; addr; vec_width } -> (
         let a = resolve_addr t addr in
         match mem.load ~addr:a ~width:vec_width with
         | None -> blocked_smem_read
         | Some values ->
             Regfile.write_vec t.regfile dest values;
-            charge_reg_range t dest vec_width;
-            Energy.add t.energy Smem vec_width;
-            Energy.add t.energy Bus vec_width;
-            Energy.add t.energy Attr 1;
-            retire t ~cycles:(Latency.load c ~vec_width) instr)
+            retire t instr)
     | Store { src; addr; count; vec_width } ->
         let a = resolve_addr t addr in
         let values = Regfile.read_vec t.regfile src vec_width in
-        if mem.store ~addr:a ~values ~count then begin
-          charge_reg_range t src vec_width;
-          Energy.add t.energy Smem vec_width;
-          Energy.add t.energy Bus vec_width;
-          Energy.add t.energy Attr 1;
-          retire t ~cycles:(Latency.store c ~vec_width) instr
-        end
+        if mem.store ~addr:a ~values ~count then retire t instr
         else blocked_smem_write
-    | Jmp { pc } -> retire_jump t ~cycles:Latency.jump ~target:pc instr
+    | Jmp { pc } -> retire_to t ~target:pc instr
     | Brn { op; src1; src2; pc } ->
-        Energy.add t.energy Sfu 1;
         if Sfu.branch_taken op t.sregs.(src1) t.sregs.(src2) then
-          retire_jump t ~cycles:Latency.branch ~target:pc instr
-        else retire t ~cycles:Latency.branch instr
+          retire_to t ~target:pc instr
+        else retire t instr
     | Send _ | Receive _ ->
         invalid_arg "Core.step: tile instruction in core stream"

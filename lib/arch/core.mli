@@ -50,6 +50,10 @@ type step_result =
   | Blocked of stall  (** Waiting (see {!stall}); PC unchanged. *)
   | Halted  (** Executed [Halt] or ran off the end of the stream. *)
 
+val blocked : stall -> step_result
+(** [Blocked s], preallocated: a blocked step is retried every scheduler
+    iteration and must not allocate. *)
+
 type t
 
 val create :
@@ -86,15 +90,16 @@ val program_mvmu :
     realized device/circuit faults (see {!Puma_xbar.Mvmu.program}). *)
 
 val step : t -> mem:mem_iface -> step_result
-(** Execute the next instruction. Raises [Invalid_argument] on a tile
-    instruction (send/receive) in a core stream. *)
+(** Execute the next instruction; a retired one is charged its {!Cost}
+    entry. Raises [Invalid_argument] on a tile instruction (send/receive)
+    in a core stream. *)
 
 val reset : t -> unit
 (** Rewind PC and halted state (register contents are preserved). *)
 
 (** {2 Fast-path internals}
 
-    Accessors and retirement helpers for the pre-decoded executor
+    Accessors and the retirement step for the pre-decoded executor
     ({!Puma_tile.Fastexec}). They expose mutable state; any consumer must
     preserve {!step}'s observable semantics bit for bit (the contract
     checked by the fast-path differential suite). *)
@@ -106,16 +111,13 @@ val sregs : t -> int array
 
 val mvmus : t -> Puma_xbar.Mvmu.t array
 val rng : t -> Puma_util.Rng.t
-val energy : t -> Puma_hwmodel.Energy.t
 
 val force_halt : t -> unit
 (** Latch the halted flag (as executing [Halt] or running off the end
     of the stream does). *)
 
-val retire_fast : t -> cycles:int -> int
-(** Retirement bookkeeping of a fall-through instruction — PC increment,
-    retired/busy counters, fetch energy — without allocating a
-    {!step_result}. Returns [cycles]. *)
-
-val retire_jump_fast : t -> target:int -> cycles:int -> int
-(** Like {!retire_fast} but setting the PC to [target]. *)
+val commit : t -> target:int -> int
+(** Retire the instruction at the current pc without allocating a
+    {!step_result}: charge its {!Cost} entry, set the pc to [target] and
+    count it in {!retired} and {!busy_cycles}. Returns its occupancy in
+    cycles. The pc must be in range. *)

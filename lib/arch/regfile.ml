@@ -17,8 +17,6 @@ let create layout mvmus =
 
 let layout t = t.layout
 let gpr t = t.gpr
-let space_of t idx = Operand.space_of t.layout idx
-
 let read t idx =
   let l = t.layout in
   match Operand.space_of l idx with

@@ -25,5 +25,3 @@ val read_vec : t -> int -> int -> int array
 (** [read_vec t base width]. *)
 
 val write_vec : t -> int -> int array -> unit
-
-val space_of : t -> int -> Puma_isa.Operand.space

@@ -115,7 +115,7 @@ let attribution_enabled t = Array.length t.tile_counts > 0
 let attributed_tiles t = max 0 (Array.length t.tile_counts - 1)
 let set_scope t tile = t.scope <- tile
 
-let add t cat n =
+let[@inline] add t cat n =
   let i = index cat in
   t.counts.(i) <- t.counts.(i) + n;
   let pj = Float.of_int n *. t.pj.(i) in
@@ -126,6 +126,14 @@ let add t cat n =
     t.tile_counts.(r).(i) <- t.tile_counts.(r).(i) + n;
     t.tile_energies.(r).(i) <- t.tile_energies.(r).(i) +. pj
   end
+
+(* [add] inlined per event: the simulator records every retired
+   instruction's charges through here. *)
+let rec charge t = function
+  | [] -> ()
+  | (cat, n) :: rest ->
+      add t cat n;
+      charge t rest
 
 let add_pj t cat pj =
   let i = index cat in

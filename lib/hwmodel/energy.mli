@@ -38,6 +38,10 @@ val config : t -> Config.t
 val add : t -> category -> int -> unit
 (** [add t cat n] records [n] events of category [cat]. *)
 
+val charge : t -> (category * int) list -> unit
+(** [charge t events] is {!add} for each [(cat, n)] in order, without
+    allocating. *)
+
 val add_pj : t -> category -> float -> unit
 (** Record raw picojoules against a category (used for {!Static}). *)
 

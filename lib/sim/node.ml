@@ -265,26 +265,17 @@ let advance_or_deadlock t =
   end
   else t.now <- !next
 
-(* Probe dispatch for one [Tile.step_tcu] or [Core.step] outcome. *)
-let observe_tcu t ~now ti (r : Tile.step_result) =
+(* Probe dispatch for one [Tile.step_tcu] (core [-1]) or [Core.step]
+   outcome. *)
+let observe t ~now ti c (r : Core.step_result) =
   match t.probe with
   | None -> ()
   | Some p -> (
       match r with
-      | Tile.Retired { cycles; instr } ->
-          p.on_retire ~now ~tile:ti ~core:(-1) ~cycles instr
-      | Tile.Blocked reason -> p.on_stall ~now ~tile:ti ~core:(-1) reason
-      | Tile.Halted -> p.on_halt ~now ~tile:ti ~core:(-1))
-
-let observe_core t ~now ti c (r : Core.step_result) =
-  match t.probe with
-  | None -> ()
-  | Some p -> (
-      match r with
-      | Core.Retired { cycles; instr } ->
+      | Retired { cycles; instr } ->
           p.on_retire ~now ~tile:ti ~core:c ~cycles instr
-      | Core.Blocked reason -> p.on_stall ~now ~tile:ti ~core:c reason
-      | Core.Halted -> p.on_halt ~now ~tile:ti ~core:c)
+      | Blocked reason -> p.on_stall ~now ~tile:ti ~core:c reason
+      | Halted -> p.on_halt ~now ~tile:ti ~core:c)
 
 (* A fast-loop core step under a probe: the [Fastexec] return code
    decoded into the events [Core.step] would have produced. The retired
@@ -365,17 +356,17 @@ let reference_loop t ~start =
       Energy.set_scope t.energy ti;
       if t.tcu_ready.(ti) <= t.now then begin
         let r = Tile.step_tcu tile ~now:t.now in
-        observe_tcu t ~now:t.now ti r;
+        observe t ~now:t.now ti (-1) r;
         match r with
-        | Tile.Retired { cycles; _ } ->
+        | Core.Retired { cycles; _ } ->
             t.tcu_ready.(ti) <- t.now + cycles;
             progress := true
-        | Tile.Blocked _ | Tile.Halted -> ()
+        | Core.Blocked _ | Core.Halted -> ()
       end;
       for c = 0 to Tile.num_cores tile - 1 do
         if t.core_ready.(ti).(c) <= t.now then begin
           let r = Tile.step_core tile c in
-          observe_core t ~now:t.now ti c r;
+          observe t ~now:t.now ti c r;
           match r with
           | Core.Retired { cycles; _ } ->
               t.core_ready.(ti).(c) <- t.now + cycles;
@@ -515,17 +506,17 @@ let run_fast t ~start =
              && park <> Tile.smem_generation tile + delivered.(ti)
            then begin
              let r = Tile.step_tcu tile ~now:t.now in
-             observe_tcu t ~now:t.now ti r;
+             observe t ~now:t.now ti (-1) r;
              match r with
-             | Tile.Retired { cycles; _ } ->
+             | Core.Retired { cycles; _ } ->
                  t.tcu_ready.(ti) <- t.now + cycles;
                  ready_at ti (t.now + cycles);
                  outbox.(ti) <- true;
                  progress := true
-             | Tile.Blocked _ ->
+             | Core.Blocked _ ->
                  tcu_park.(ti) <-
                    Tile.smem_generation tile + delivered.(ti)
-             | Tile.Halted ->
+             | Core.Halted ->
                  tcu_park.(ti) <- never;
                  halted ti
            end);

@@ -1,18 +1,19 @@
 (* Pre-decoded fast execution path for a core's instruction stream.
 
    [decode] lowers every instruction into a closure with its operand
-   views, latency, and energy-event sequence resolved once, so the
-   per-cycle cost drops to an array index plus an indirect call —
-   no pattern match on boxed ISA values, no register-space dispatch, no
-   per-retire allocation. [step] then drives one instruction.
+   views resolved once, so the per-cycle cost drops to an array index
+   plus an indirect call — no pattern match on boxed ISA values, no
+   register-space dispatch, no per-retire allocation. [step] then drives
+   one instruction.
 
    Bit-identity with [Core.step] is the contract, checked by
    test/test_fastpath.ml:
    - register and memory mutations happen in the same element order
      (ascending [k] loops, so overlapping vector operands behave
      identically);
-   - the per-category [Energy.add] sequence is reproduced call for call
-     (float accumulation order matters for bit-identical ledgers);
+   - retirement goes through [Core.commit], which records the same
+     [Cost] entry [Core.step] records (float accumulation order matters
+     for bit-identical ledgers);
    - RNG-consuming ops ([Rand]) go through the same [Vfu] entry points in
      the same element order;
    - anything that cannot be resolved statically — operands crossing a
@@ -26,8 +27,6 @@ module Core = Puma_arch.Core
 module Regfile = Puma_arch.Regfile
 module Vfu = Puma_arch.Vfu
 module Sfu = Puma_arch.Sfu
-module Energy = Puma_hwmodel.Energy
-module Latency = Puma_hwmodel.Latency
 module Fixed = Puma_util.Fixed
 module Mvmu = Puma_xbar.Mvmu
 
@@ -40,15 +39,12 @@ let r_blocked_write = -3
 
 type code = (unit -> int) array
 
-(* A vector operand resolved to a flat backing array: (buffer, offset,
-   energy category of the containing register space). *)
-type view = int array * int * Energy.category
+(* A vector operand resolved to a flat backing array: (buffer, offset). *)
+type view = int array * int
 
 let decode (core : Core.t) (smem : Shared_mem.t) : code =
-  let cfg = Core.config core in
   let layout = Core.layout core in
   let gpr = Regfile.gpr (Core.regfile core) in
-  let energy = Core.energy core in
   let sregs = Core.sregs core in
   let mvmus = Core.mvmus core in
   let rng = Core.rng core in
@@ -68,9 +64,6 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
     | Core.Blocked _ -> r_blocked_write
     | Core.Halted -> r_halted
   in
-  (* Retirement bookkeeping, mirroring [Core.retire]/[Core.retire_jump]. *)
-  let commit cycles = Core.retire_fast core ~cycles in
-  let commit_jump ~target cycles = Core.retire_jump_fast core ~target ~cycles in
   (* Resolve [base, base+width) to a single backing array, or [None] when
      the range is empty, out of bounds (the reference path's lazy
      exception must be preserved) or crosses an MVMU/space boundary
@@ -80,7 +73,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
     else if base + width <= layout.Operand.xbar_out_base then
       let off = base - layout.Operand.xbar_in_base in
       let m = off / dim and e = off mod dim in
-      if e + width <= dim then Some (Mvmu.xbar_in mvmus.(m), e, Energy.Xbar_reg)
+      if e + width <= dim then Some (Mvmu.xbar_in mvmus.(m), e)
       else None
     else if
       base >= layout.Operand.xbar_out_base
@@ -88,16 +81,16 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
     then
       let off = base - layout.Operand.xbar_out_base in
       let m = off / dim and e = off mod dim in
-      if e + width <= dim then Some (Mvmu.xbar_out mvmus.(m), e, Energy.Xbar_reg)
+      if e + width <= dim then Some (Mvmu.xbar_out mvmus.(m), e)
       else None
     else if base >= layout.Operand.gpr_base then
-      Some (gpr, base - layout.Operand.gpr_base, Energy.Rf)
+      Some (gpr, base - layout.Operand.gpr_base)
     else None
   in
   (* The hot ALU ops run one vector kernel per instruction ([Fixed.Vec],
      [Rom_lut.apply]): the same scalar definitions [Vfu.apply_*] reaches,
      inlined. Everything else dispatches to [Vfu] per element. *)
-  let binary_loop op (sa, oa, _) (sb, ob, _) (dd, od, _) w =
+  let binary_loop op (sa, oa) (sb, ob) (dd, od) w =
     match (op : Instr.alu_op) with
     | Add -> fun () -> Fixed.Vec.add sa oa sb ob dd od w
     | Sub -> fun () -> Fixed.Vec.sub sa oa sb ob dd od w
@@ -110,7 +103,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
             dd.(od + k) <- Vfu.apply_binary op sa.(oa + k) sb.(ob + k)
           done
   in
-  let unary_loop op (sa, oa, _) (dd, od, _) w =
+  let unary_loop op (sa, oa) (dd, od) w =
     match (op : Instr.alu_op) with
     | Relu -> fun () -> Fixed.Vec.relu sa oa dd od w
     | Sigmoid | Tanh | Log | Exp ->
@@ -122,7 +115,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
             dd.(od + k) <- Vfu.apply_unary op ~rng sa.(oa + k)
           done
   in
-  let alui_loop op imm (sa, oa, _) (dd, od, _) w =
+  let alui_loop op imm (sa, oa) (dd, od) w =
     match (op : Instr.alu_op) with
     | Add -> fun () -> Fixed.Vec.add_imm imm sa oa dd od w
     | Mul -> fun () -> Fixed.Vec.mul_imm imm sa oa dd od w
@@ -132,8 +125,8 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
             dd.(od + k) <- Vfu.apply_binary op sa.(oa + k) imm
           done
   in
-  let cat_of (_, _, c) = c in
-  let decode_one (instr : Instr.t) : unit -> int =
+  let decode_one pc (instr : Instr.t) : unit -> int =
+    let next = pc + 1 in
     match instr with
     | Halt ->
         fun () ->
@@ -148,32 +141,23 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
                (fun i -> mask land (1 lsl i) <> 0)
                (List.init (Array.length mvmus) Fun.id))
         in
-        let cycles = Latency.mvm cfg in
-        let two_dim = 2 * cfg.Puma_hwmodel.Config.mvmu_dim in
         fun () ->
           for k = 0 to Array.length actives - 1 do
-            Mvmu.execute_fast mvmus.(actives.(k)) ~stride;
-            Energy.add energy Energy.Mvm 1;
-            Energy.add energy Energy.Xbar_reg two_dim
+            Mvmu.execute_fast mvmus.(actives.(k)) ~stride
           done;
-          commit cycles
+          Core.commit core ~target:next
     | Alu { op; dest; src1; src2; vec_width = w } -> (
-        let cycles = Latency.alu cfg ~vec_width:w in
-        let lut = Vfu.is_lut_op op in
         match Instr.alu_op_arity op with
         | 1 when op = Subsample -> (
             (* Reads src1 + 2k for k < w: the source view must cover
                2w - 1 elements. *)
             match (view src1 ((2 * w) - 1), view dest w) with
-            | Some ((sa, oa, _) as sv), Some ((dd, od, _) as dv) ->
+            | Some (sa, oa), Some (dd, od) ->
                 fun () ->
                   for k = 0 to w - 1 do
                     dd.(od + k) <- sa.(oa + (2 * k))
                   done;
-                  Energy.add energy (cat_of sv) (2 * w);
-                  Energy.add energy (cat_of dv) w;
-                  Energy.add energy Energy.Vfu w;
-                  commit cycles
+                  Core.commit core ~target:next
             | _ -> generic)
         | 1 -> (
             match (view src1 w, view dest w) with
@@ -181,11 +165,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
                 let body = unary_loop op sv dv w in
                 fun () ->
                   body ();
-                  Energy.add energy (cat_of sv) w;
-                  Energy.add energy (cat_of dv) w;
-                  Energy.add energy Energy.Vfu w;
-                  if lut then Energy.add energy Energy.Lut w;
-                  commit cycles
+                  Core.commit core ~target:next
             | _ -> generic)
         | _ -> (
             match (view src1 w, view src2 w, view dest w) with
@@ -193,61 +173,45 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
                 let body = binary_loop op sv1 sv2 dv w in
                 fun () ->
                   body ();
-                  Energy.add energy (cat_of sv1) w;
-                  Energy.add energy (cat_of sv2) w;
-                  Energy.add energy (cat_of dv) w;
-                  Energy.add energy Energy.Vfu w;
-                  if lut then Energy.add energy Energy.Lut w;
-                  commit cycles
+                  Core.commit core ~target:next
             | _ -> generic))
     | Alui { op; dest; src1; imm; vec_width = w } -> (
-        let cycles = Latency.alu cfg ~vec_width:w in
         match (view src1 w, view dest w) with
         | Some sv, Some dv ->
             let body = alui_loop op imm sv dv w in
             fun () ->
               body ();
-              Energy.add energy (cat_of sv) w;
-              Energy.add energy (cat_of dv) w;
-              Energy.add energy Energy.Vfu w;
-              commit cycles
+              Core.commit core ~target:next
         | _ -> generic)
     | Alu_int { op; dest; src1; src2 } ->
         fun () ->
           sregs.(dest) <- Sfu.apply op sregs.(src1) sregs.(src2);
-          Energy.add energy Energy.Sfu 1;
-          commit Latency.alu_int
+          Core.commit core ~target:next
     | Set { dest; imm } -> (
         match view dest 1 with
-        | Some ((dd, od, _) as dv) ->
+        | Some (dd, od) ->
             fun () ->
               dd.(od) <- imm;
-              Energy.add energy (cat_of dv) 1;
-              commit Latency.set
+              Core.commit core ~target:next
         | None -> generic)
     | Set_sreg { dest; imm } ->
         fun () ->
           sregs.(dest) <- imm;
-          Energy.add energy Energy.Sfu 1;
-          commit Latency.set
+          Core.commit core ~target:next
     | Copy { dest; src; vec_width = w } -> (
-        let cycles = Latency.copy cfg ~vec_width:w in
         match (view src w, view dest w) with
-        | Some ((ss, os, _) as sv), Some ((dd, od, _) as dv) ->
+        | Some (ss, os), Some (dd, od) ->
             (* Ascending element loop, not a blit: overlapping src/dest
                ranges must copy exactly as the reference path does. *)
             fun () ->
               for k = 0 to w - 1 do
                 dd.(od + k) <- ss.(os + k)
               done;
-              Energy.add energy (cat_of sv) w;
-              Energy.add energy (cat_of dv) w;
-              commit cycles
+              Core.commit core ~target:next
         | _ -> generic)
     | Load { dest; addr; vec_width = w } -> (
-        let cycles = Latency.load cfg ~vec_width:w in
         match view dest w with
-        | Some ((dd, od, _) as dv) ->
+        | Some (dd, od) ->
             fun () ->
               let a =
                 match addr with
@@ -255,19 +219,12 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
                 | Instr.Sreg_addr s -> sregs.(s)
               in
               if Shared_mem.read_into smem ~addr:a ~width:w ~dst:dd ~dst_pos:od
-              then begin
-                Energy.add energy (cat_of dv) w;
-                Energy.add energy Energy.Smem w;
-                Energy.add energy Energy.Bus w;
-                Energy.add energy Energy.Attr 1;
-                commit cycles
-              end
+              then Core.commit core ~target:next
               else r_blocked_read
         | None -> generic)
     | Store { src; addr; count; vec_width = w } -> (
-        let cycles = Latency.store cfg ~vec_width:w in
         match view src w with
-        | Some ((ss, os, _) as sv) ->
+        | Some (ss, os) ->
             fun () ->
               let a =
                 match addr with
@@ -277,29 +234,22 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
               if
                 Shared_mem.write_from smem ~addr:a ~src:ss ~src_pos:os ~width:w
                   ~count
-              then begin
-                Energy.add energy (cat_of sv) w;
-                Energy.add energy Energy.Smem w;
-                Energy.add energy Energy.Bus w;
-                Energy.add energy Energy.Attr 1;
-                commit cycles
-              end
+              then Core.commit core ~target:next
               else r_blocked_write
         | None -> generic)
-    | Jmp { pc } -> fun () -> commit_jump ~target:pc Latency.jump
+    | Jmp { pc } -> fun () -> Core.commit core ~target:pc
     | Brn { op; src1; src2; pc } ->
         fun () ->
-          (* SFU charge precedes the register reads, as in the reference. *)
-          Energy.add energy Energy.Sfu 1;
-          if Sfu.branch_taken op sregs.(src1) sregs.(src2) then
-            commit_jump ~target:pc Latency.branch
-          else commit Latency.branch
+          Core.commit core
+            ~target:
+              (if Sfu.branch_taken op sregs.(src1) sregs.(src2) then pc
+               else next)
     | Send _ | Receive _ ->
         (* Tile instruction in a core stream: the reference path raises;
            keep that behavior (and its laziness). *)
         generic
   in
-  Array.map decode_one (Core.code core)
+  Array.mapi decode_one (Core.code core)
 
 (* Run one instruction of [core] through its pre-decoded [code]. Mirrors
    the halt/pc-range prologue of [Core.step]: [Core.halted] already

@@ -1,11 +1,12 @@
 (** Pre-decoded fast execution path for a core's instruction stream.
 
-    {!decode} lowers every instruction into a closure with operand views,
-    latency and energy-event sequence resolved once, so per-cycle cost
-    drops to an array index plus an indirect call. Bit-identity with
-    {!Puma_arch.Core.step} is the contract (same mutation order, same
-    per-category [Energy.add] sequence, same RNG consumption); anything
-    that cannot be resolved statically falls back to [Core.step]. *)
+    {!decode} lowers every instruction into a closure with its operand
+    views resolved once, so per-cycle cost drops to an array index plus
+    an indirect call. Bit-identity with {!Puma_arch.Core.step} is the
+    contract (same mutation order, the same {!Puma_arch.Cost} entry
+    recorded through {!Puma_arch.Core.commit}, same RNG consumption);
+    anything that cannot be resolved statically falls back to
+    [Core.step]. *)
 
 type code = (unit -> int) array
 (** One closure per instruction, indexed by pc. Each call executes the

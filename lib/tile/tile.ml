@@ -1,7 +1,7 @@
 module Instr = Puma_isa.Instr
 module Core = Puma_arch.Core
+module Cost = Puma_arch.Cost
 module Energy = Puma_hwmodel.Energy
-module Latency = Puma_hwmodel.Latency
 
 type outgoing = {
   target_tile : int;
@@ -10,25 +10,14 @@ type outgoing = {
   issue_cycle : int;
 }
 
-type step_result =
-  | Retired of { cycles : int; instr : Instr.t }
-  | Blocked of Core.stall
-  | Halted
-
-(* Preallocated: blocked steps are retried every scheduler iteration and
-   must not allocate. *)
-let blocked_smem_read = Blocked Core.Stall_smem_read
-let blocked_smem_write = Blocked Core.Stall_smem_write
-let blocked_recv_fifo = Blocked Core.Stall_recv_fifo
-
 type t = {
-  config : Puma_hwmodel.Config.t;
   index : int;
   energy : Energy.t;
   cores : Core.t array;
   smem : Shared_mem.t;
   recv : Recv_buffer.t;
   tile_code : Instr.t array;
+  tile_costs : Cost.t array;
   outgoing : outgoing Queue.t;
   mutable tcu_pc : int;
   mutable tcu_halted : bool;
@@ -50,13 +39,16 @@ let create ~smem_words (config : Puma_hwmodel.Config.t) ~index ~energy
         Core.create config ~seed:((index * 31) + i + 1) ~energy code)
   in
   {
-    config;
     index;
     energy;
     cores;
     smem = Shared_mem.create ~words:smem_words;
     recv = Recv_buffer.create ~num_fifos:config.num_fifos ~depth:config.fifo_depth;
     tile_code;
+    tile_costs =
+      Array.map
+        (Cost.of_instr config (Puma_isa.Operand.layout config))
+        tile_code;
     outgoing = Queue.create ();
     tcu_pc = 0;
     tcu_halted = false;
@@ -91,7 +83,15 @@ let fast_code t =
    cycles, negative blocked/halted). *)
 let step_core_fast t fc i = Fastexec.step t.cores.(i) fc.(i)
 
-let step_tcu t ~now =
+(* Retire the control unit's instruction: charge its cost table entry,
+   advance the pc, return its occupancy. *)
+let retire_tcu t =
+  let cost = t.tile_costs.(t.tcu_pc) in
+  Energy.charge t.energy cost.charges;
+  t.tcu_pc <- t.tcu_pc + 1;
+  cost.cycles
+
+let step_tcu t ~now : Core.step_result =
   if t.tcu_halted then Halted
   else if t.tcu_pc < 0 || t.tcu_pc >= Array.length t.tile_code then begin
     t.tcu_halted <- true;
@@ -104,9 +104,9 @@ let step_tcu t ~now =
         Halted
     | Send { mem_addr; fifo_id; target; vec_width } as instr -> (
         match Shared_mem.read t.smem ~addr:mem_addr ~width:vec_width with
-        | None -> blocked_smem_read
+        | None -> Core.blocked Stall_smem_read
         | Some payload ->
-            let cycles = Latency.send_occupancy t.config ~vec_width in
+            let cycles = retire_tcu t in
             Queue.add
               {
                 target_tile = target;
@@ -115,14 +115,10 @@ let step_tcu t ~now =
                 issue_cycle = now + cycles;
               }
               t.outgoing;
-            Energy.add t.energy Smem vec_width;
-            Energy.add t.energy Bus vec_width;
-            Energy.add t.energy Attr 1;
-            t.tcu_pc <- t.tcu_pc + 1;
             Retired { cycles; instr })
     | Receive { mem_addr; fifo_id; count; vec_width } as instr -> (
         match Recv_buffer.peek t.recv ~fifo:fifo_id with
-        | None -> blocked_recv_fifo
+        | None -> Core.blocked Stall_recv_fifo
         | Some pkt ->
             if Array.length pkt.payload <> vec_width then
               invalid_arg
@@ -132,15 +128,9 @@ let step_tcu t ~now =
             if Shared_mem.write t.smem ~addr:mem_addr ~values:pkt.payload ~count
             then begin
               ignore (Recv_buffer.pop t.recv ~fifo:fifo_id);
-              let cycles = Latency.receive_occupancy t.config ~vec_width in
-              Energy.add t.energy Fifo vec_width;
-              Energy.add t.energy Smem vec_width;
-              Energy.add t.energy Bus vec_width;
-              Energy.add t.energy Attr 1;
-              t.tcu_pc <- t.tcu_pc + 1;
-              Retired { cycles; instr }
+              Retired { cycles = retire_tcu t; instr }
             end
-            else blocked_smem_write)
+            else Core.blocked Stall_smem_write)
     | Mvm _ | Alu _ | Alui _ | Alu_int _ | Set _ | Set_sreg _ | Copy _
     | Load _ | Store _ | Jmp _ | Brn _ ->
         invalid_arg "Tile.step_tcu: core instruction in tile stream"

@@ -13,14 +13,6 @@ type outgoing = {
   issue_cycle : int;  (** Core-clock cycle at which the send retired. *)
 }
 
-type step_result =
-  | Retired of { cycles : int; instr : Puma_isa.Instr.t }
-  | Blocked of Puma_arch.Core.stall
-      (** Waiting; the payload says on what (send → {!Puma_arch.Core.Stall_smem_read},
-          receive → [Stall_recv_fifo] while the packet is missing, then
-          [Stall_smem_write] until the destination words drain). *)
-  | Halted
-
 type t
 
 val create :
@@ -59,11 +51,13 @@ val step_core_fast : t -> Fastexec.code array -> int -> int
     pre-decoded stream; returns a {!Fastexec} return code ([>= 0] retired
     cycles, negative blocked/halted). Bit-identical to {!step_core}. *)
 
-val step_tcu : t -> now:int -> step_result
-(** Advance the tile control unit by one send/receive instruction.
-    A [send] blocks until its shared-memory operand is valid; a [receive]
-    blocks until a packet is available in its FIFO and the destination
-    words are writable. *)
+val step_tcu : t -> now:int -> Puma_arch.Core.step_result
+(** Advance the tile control unit by one send/receive instruction,
+    charging its {!Puma_arch.Cost} entry when it retires. A [send] blocks
+    until its shared-memory operand is valid
+    ({!Puma_arch.Core.Stall_smem_read}); a [receive] blocks on
+    [Stall_recv_fifo] until a packet is in its FIFO, then on
+    [Stall_smem_write] until the destination words are writable. *)
 
 val pop_outgoing : t -> outgoing option
 (** Drain the next message issued by a retired [send]. *)

@@ -278,34 +278,3 @@ let mvm_raw t x =
             let half = 1 lsl (k - 1) in
             if v >= 0 then (v + half) asr k else -((-v + half) asr k))
           scaled
-
-(* Stuck-at fault injection: each physical device independently sticks at
-   its lowest or highest conductance with probability [rate]. Requires a
-   materialized stack (create with ~rng). Returns the number of faults. *)
-let inject_stuck t rng ~rate =
-  let p =
-    match t.physical with
-    | Some p -> p
-    | None ->
-        invalid_arg
-          "Bitslice.inject_stuck: stack has no physical devices (create with ~rng)"
-  in
-  if rate < 0.0 || rate > 1.0 then
-    invalid_arg "Bitslice.inject_stuck: rate must be in [0, 1]";
-  let count = ref 0 in
-  let zap xb =
-    let d = Crossbar.device xb in
-    let max_l = Float.of_int (Device.max_level d) in
-    for i = 0 to t.dim - 1 do
-      for j = 0 to t.dim - 1 do
-        if Puma_util.Rng.float rng 1.0 < rate then begin
-          incr count;
-          let stuck = if Puma_util.Rng.bool rng then max_l else 0.0 in
-          Crossbar.force xb i j stuck
-        end
-      done
-    done
-  in
-  Array.iter zap p.pos;
-  Array.iter zap p.neg;
-  !count

@@ -72,10 +72,3 @@ val mvm_raw_exact_into : t -> int array -> int array -> unit
 val is_noisy : t -> bool
 (** True when physical slice stacks are materialized (created with
     [~rng] and/or [~fault]); the exact fast path is used otherwise. *)
-
-val inject_stuck : t -> Puma_util.Rng.t -> rate:float -> int
-(** Stuck-at fault injection: each physical device independently sticks
-    at its lowest or highest conductance with probability [rate]
-    (yield/endurance failures, cf. the paper's reliability discussion).
-    Returns the number of faulted devices; raises [Invalid_argument] on a
-    stack without physical devices. *)

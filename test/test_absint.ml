@@ -406,7 +406,14 @@ let test_static_lb_vs_sim () =
         (Printf.sprintf "%s: static %d <= simulated %d" name
            est.Resource.cycle_lower_bound (Node.cycles node))
         true
-        (est.Resource.cycle_lower_bound <= Node.cycles node))
+        (est.Resource.cycle_lower_bound <= Node.cycles node);
+      (* The ledger holds only dynamic energy until [finish_energy]. *)
+      let dynamic_pj = Puma_hwmodel.Energy.total_pj (Node.energy node) in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: static %.3f pJ <= simulated %.3f pJ" name
+           est.Resource.energy_lower_bound_pj dynamic_pj)
+        true
+        (est.Resource.energy_lower_bound_pj <= dynamic_pj))
     [
       ("mlp", Models.mini_mlp, false);
       ("mlp-loop", Models.mini_mlp, true);

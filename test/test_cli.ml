@@ -314,6 +314,16 @@ let test_analyze_equiv_program_file () =
       Alcotest.(check bool) "error explains the missing flag" true
         (Puma_util.Strings.contains ~sub:"--reference" err))
 
+(* `graph` prints its summary as one line with single spaces. *)
+let test_graph_summary () =
+  let status, out = Cli_runner.run_capture_out [ "graph"; "mlp" ] in
+  Alcotest.(check int) "exit" 0 status;
+  Alcotest.(check string) "summary line"
+    "MLP-64-150-150-14: 14 nodes, 3 MVM ops (34200 MACs), 3 vector ops, 3 \
+     nonlinear (3 transcendental), 34200 weight parameters, widest vector \
+     150\n"
+    out
+
 let () =
   Alcotest.run "cli"
     [
@@ -342,4 +352,6 @@ let () =
           Alcotest.test_case "revalidate saved artifacts" `Quick
             test_analyze_equiv_program_file;
         ] );
+      ( "graph",
+        [ Alcotest.test_case "summary line" `Quick test_graph_summary ] );
     ]

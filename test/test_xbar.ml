@@ -4,6 +4,7 @@ module Adc = Puma_xbar.Adc
 module Dac = Puma_xbar.Dac
 module Bitslice = Puma_xbar.Bitslice
 module Mvmu = Puma_xbar.Mvmu
+module Fault = Puma_xbar.Fault
 module Fixed = Puma_util.Fixed
 module Tensor = Puma_util.Tensor
 module Rng = Puma_util.Rng
@@ -225,21 +226,26 @@ let test_bitslice_shape_check () =
 
 (* ---- Fault injection ---- *)
 
-let test_faults_require_physical_stack () =
-  let m = Tensor.mat_rand (Rng.create 1) 16 16 0.3 in
-  let stack = Bitslice.create small_config m in
-  Alcotest.(check bool) "exact stack rejects faults" true
-    (try
-       ignore (Bitslice.inject_stuck stack (Rng.create 2) ~rate:0.1);
-       false
-     with Invalid_argument _ -> true)
+(* A stack programmed through the fault path with stuck devices at
+   [rate] (every other impairment off). *)
+let stuck_stack ~rate m =
+  let instance =
+    Fault.realize_instance
+      { Fault.ideal with stuck_rate = rate }
+      ~seed:8 ~tile:0 ~core:0 ~mvmu:0 ~dim:16
+      ~slices:(Config.slices small_config)
+  in
+  ( Fault.count instance,
+    Bitslice.of_image small_config
+      ~fault:{ Fault.instance; perms = None }
+      (Fixed.image_of_mat m) )
 
 let test_faults_zero_rate_is_noop () =
   let m = Tensor.mat_rand (Rng.create 1) 16 16 0.3 in
-  let stack = Bitslice.create small_config ~rng:(Rng.create 3) m in
-  Alcotest.(check int) "no faults at rate 0" 0
-    (Bitslice.inject_stuck stack (Rng.create 2) ~rate:0.0);
-  (* A materialized noise-free stack still matches the exact reference. *)
+  let n, stack = stuck_stack ~rate:0.0 m in
+  Alcotest.(check int) "no faults at rate 0" 0 n;
+  (* The materialized fault-free stack still matches the exact one. *)
+  Alcotest.(check bool) "materialized" true (Bitslice.is_noisy stack);
   let exact = Bitslice.create small_config m in
   let x = Array.init 16 (fun _ -> Rng.int (Rng.create 5) 4096 - 2048) in
   Alcotest.(check (array int)) "exact behaviour" (Bitslice.mvm_raw exact x)
@@ -252,8 +258,7 @@ let test_faults_degrade_with_rate () =
   let x = Array.init 16 (fun _ -> Rng.int rng 4096 - 2048) in
   let reference = Bitslice.mvm_raw exact x in
   let err rate =
-    let stack = Bitslice.create small_config ~rng:(Rng.create 7) m in
-    let n = Bitslice.inject_stuck stack (Rng.create 8) ~rate in
+    let n, stack = stuck_stack ~rate m in
     if rate > 0.0 then
       Alcotest.(check bool) "some faults injected" true (n > 0);
     let out = Bitslice.mvm_raw stack x in
@@ -369,10 +374,8 @@ let () =
         ] );
       ( "faults",
         [
-          Alcotest.test_case "require physical stack" `Quick
-            test_faults_require_physical_stack;
-          Alcotest.test_case "rate 0 noop" `Quick test_faults_zero_rate_is_noop;
           Alcotest.test_case "degrade with rate" `Quick test_faults_degrade_with_rate;
+          Alcotest.test_case "rate 0 noop" `Quick test_faults_zero_rate_is_noop;
         ] );
       ( "mvmu",
         [
