@@ -902,12 +902,12 @@ let run_fault_tolerance () =
   [ t ]
 
 (* ------------------------------------------------------------------ *)
-(* Simulator throughput: pre-decoded fast path vs reference loop       *)
+(* Simulator throughput: the node loop's fast vs reference mode       *)
 (* ------------------------------------------------------------------ *)
 
 (* Measures host-side simulation speed (simulated cycles per wall second
-   and inferences per wall second) of every zoo model under the
-   cycle-accurate reference loop and the pre-decoded fast path, asserting
+   and inferences per wall second) of every zoo model in the node loop's
+   reference mode ([Node.run_reference]) and its fast mode, asserting
    in-bench that the two are bit-identical (outputs, cycles, and the full
    energy ledger) and that the fast path is never slower. Writes
    BENCH_sim_throughput.json. PUMA_BENCH_QUICK=1 runs a reduced sweep

@@ -7,44 +7,33 @@ type mem_iface = {
   store : addr:int -> values:int array -> count:int -> bool;
 }
 
-type stall =
-  | Stall_smem_read
-  | Stall_smem_write
-  | Stall_recv_fifo
-  | Stall_mvmu
+type stall = Stall_smem_read | Stall_smem_write | Stall_recv_fifo
 
 let stall_name = function
   | Stall_smem_read -> "smem-read"
   | Stall_smem_write -> "smem-write"
   | Stall_recv_fifo -> "recv-fifo"
-  | Stall_mvmu -> "mvmu"
 
 let stall_index = function
   | Stall_smem_read -> 0
   | Stall_smem_write -> 1
   | Stall_recv_fifo -> 2
-  | Stall_mvmu -> 3
 
-let all_stalls = [ Stall_smem_read; Stall_smem_write; Stall_recv_fifo; Stall_mvmu ]
-let num_stalls = 4
+let all_stalls = [ Stall_smem_read; Stall_smem_write; Stall_recv_fifo ]
+let num_stalls = 3
 
-type step_result =
-  | Retired of { cycles : int; instr : Instr.t }
-  | Blocked of stall
-  | Halted
+(* Step codes: a code >= 0 is the occupancy of a retired instruction, so
+   a step allocates nothing. The blocked codes are [-2 - stall_index]. *)
+let r_halted = -1
+let r_blocked_read = -2
+let r_blocked_write = -3
+let r_blocked_recv = -4
 
-(* Preallocated results: a blocked step must not allocate (it is retried
-   every scheduler iteration until the dependency resolves). *)
-let blocked_smem_read = Blocked Stall_smem_read
-let blocked_smem_write = Blocked Stall_smem_write
-let blocked_recv_fifo = Blocked Stall_recv_fifo
-let blocked_mvmu = Blocked Stall_mvmu
-
-let blocked = function
-  | Stall_smem_read -> blocked_smem_read
-  | Stall_smem_write -> blocked_smem_write
-  | Stall_recv_fifo -> blocked_recv_fifo
-  | Stall_mvmu -> blocked_mvmu
+let stall_of_code = function
+  | -2 -> Stall_smem_read
+  | -3 -> Stall_smem_write
+  | -4 -> Stall_recv_fifo
+  | r -> invalid_arg (Printf.sprintf "Core.stall_of_code: %d" r)
 
 type t = {
   config : Puma_hwmodel.Config.t;
@@ -124,27 +113,25 @@ let resolve_addr t = function
   | Instr.Imm_addr a -> a
   | Instr.Sreg_addr s -> t.sregs.(s)
 
-let retire_to t ~target instr = Retired { cycles = commit t ~target; instr }
-let retire t instr = retire_to t ~target:(t.pc + 1) instr
+let retire t = commit t ~target:(t.pc + 1)
 
 let step t ~mem =
-  if t.halted then Halted
+  if t.halted then r_halted
   else if t.pc < 0 || t.pc >= Array.length t.code then begin
     t.halted <- true;
-    Halted
+    r_halted
   end
   else
-    let instr = t.code.(t.pc) in
-    match instr with
+    match t.code.(t.pc) with
     | Halt ->
         t.halted <- true;
-        Halted
+        r_halted
     | Mvm { mask; filter = _; stride } ->
         Array.iteri
           (fun i m ->
             if mask land (1 lsl i) <> 0 then Puma_xbar.Mvmu.execute m ~stride)
           t.mvmus;
-        retire t instr
+        retire t
     | Alu { op; dest; src1; src2; vec_width } ->
         (match op with
         | Subsample ->
@@ -163,43 +150,43 @@ let step t ~mem =
               let b = Regfile.read t.regfile (src2 + k) in
               Regfile.write t.regfile (dest + k) (Vfu.apply_binary op a b)
             done);
-        retire t instr
+        retire t
     | Alui { op; dest; src1; imm; vec_width } ->
         for k = 0 to vec_width - 1 do
           let a = Regfile.read t.regfile (src1 + k) in
           Regfile.write t.regfile (dest + k) (Vfu.apply_binary op a imm)
         done;
-        retire t instr
+        retire t
     | Alu_int { op; dest; src1; src2 } ->
         t.sregs.(dest) <- Sfu.apply op t.sregs.(src1) t.sregs.(src2);
-        retire t instr
+        retire t
     | Set { dest; imm } ->
         Regfile.write t.regfile dest imm;
-        retire t instr
+        retire t
     | Set_sreg { dest; imm } ->
         t.sregs.(dest) <- imm;
-        retire t instr
+        retire t
     | Copy { dest; src; vec_width } ->
         for k = 0 to vec_width - 1 do
           Regfile.write t.regfile (dest + k) (Regfile.read t.regfile (src + k))
         done;
-        retire t instr
+        retire t
     | Load { dest; addr; vec_width } -> (
         let a = resolve_addr t addr in
         match mem.load ~addr:a ~width:vec_width with
-        | None -> blocked_smem_read
+        | None -> r_blocked_read
         | Some values ->
             Regfile.write_vec t.regfile dest values;
-            retire t instr)
+            retire t)
     | Store { src; addr; count; vec_width } ->
         let a = resolve_addr t addr in
         let values = Regfile.read_vec t.regfile src vec_width in
-        if mem.store ~addr:a ~values ~count then retire t instr
-        else blocked_smem_write
-    | Jmp { pc } -> retire_to t ~target:pc instr
+        if mem.store ~addr:a ~values ~count then retire t
+        else r_blocked_write
+    | Jmp { pc } -> commit t ~target:pc
     | Brn { op; src1; src2; pc } ->
         if Sfu.branch_taken op t.sregs.(src1) t.sregs.(src2) then
-          retire_to t ~target:pc instr
-        else retire t instr
+          commit t ~target:pc
+        else retire t
     | Send _ | Receive _ ->
         invalid_arg "Core.step: tile instruction in core stream"

@@ -3,11 +3,16 @@
     memory (Figure 1).
 
     The simulator drives a core with {!step}; each call executes (at most)
-    one instruction and reports its latency in cycles. Loads and stores
-    interact with the tile shared memory through a {!mem_iface}, whose
-    operations may refuse (return [None] / [false]) to model the blocking
-    valid/count synchronization of Section 4.1.1; a refused access leaves
-    the core blocked with its PC unchanged. *)
+    one instruction and returns a step code: the retired instruction's
+    occupancy in cycles, or one of the negative codes below. The same
+    codes are returned by the pre-decoded fast path
+    ({!Puma_tile.Fastexec}) and the tile control unit
+    ({!Puma_tile.Tile.step_tcu}), so the node's one scheduler loop reads
+    every entity alike. Loads and stores interact with the tile shared
+    memory through a {!mem_iface}, whose operations may refuse (return
+    [None] / [false]) to model the blocking valid/count synchronization
+    of Section 4.1.1; a refused access leaves the core blocked with its
+    PC unchanged. *)
 
 type mem_iface = {
   load : addr:int -> width:int -> int array option;
@@ -34,25 +39,28 @@ type stall =
   | Stall_recv_fifo
       (** Receive waiting on an empty receive-buffer FIFO (the message
           has not arrived). *)
-  | Stall_mvmu
-      (** Reserved: MVMU occupied. The current model executes an MVM in
-          one blocking latency, so this class is always zero; it exists
-          so the taxonomy covers the paper's pipelined-MVMU variant. *)
 
 val stall_name : stall -> string
 val stall_index : stall -> int
 val all_stalls : stall list
 val num_stalls : int
 
-type step_result =
-  | Retired of { cycles : int; instr : Puma_isa.Instr.t }
-      (** One instruction completed, occupying the core for [cycles]. *)
-  | Blocked of stall  (** Waiting (see {!stall}); PC unchanged. *)
-  | Halted  (** Executed [Halt] or ran off the end of the stream. *)
+(** {2 Step codes}
 
-val blocked : stall -> step_result
-(** [Blocked s], preallocated: a blocked step is retried every scheduler
-    iteration and must not allocate. *)
+    A step returns an [int]: [>= 0] is the occupancy in cycles of the
+    instruction it retired; a negative code says why nothing retired. A
+    blocked step leaves the PC unchanged and has no effect. *)
+
+val r_halted : int
+val r_blocked_read : int
+val r_blocked_write : int
+val r_blocked_recv : int
+(** Halted (executed [Halt] or ran off the end of the stream), and
+    blocked on {!Stall_smem_read}, {!Stall_smem_write} and
+    {!Stall_recv_fifo}. *)
+
+val stall_of_code : int -> stall
+(** The stall of a blocked code; [Invalid_argument] on any other code. *)
 
 type t
 
@@ -89,9 +97,9 @@ val program_mvmu :
 (** Configuration-time crossbar write of a weight image; [fault] injects
     realized device/circuit faults (see {!Puma_xbar.Mvmu.program}). *)
 
-val step : t -> mem:mem_iface -> step_result
-(** Execute the next instruction; a retired one is charged its {!Cost}
-    entry. Raises [Invalid_argument] on a tile instruction (send/receive)
+val step : t -> mem:mem_iface -> int
+(** Execute the next instruction and return its step code; a retired one
+    is charged its {!Cost} entry. Raises [Invalid_argument] on a tile instruction (send/receive)
     in a core stream. *)
 
 val reset : t -> unit
@@ -117,7 +125,7 @@ val force_halt : t -> unit
     of the stream does). *)
 
 val commit : t -> target:int -> int
-(** Retire the instruction at the current pc without allocating a
-    {!step_result}: charge its {!Cost} entry, set the pc to [target] and
-    count it in {!retired} and {!busy_cycles}. Returns its occupancy in
-    cycles. The pc must be in range. *)
+(** Retire the instruction at the current pc: charge its {!Cost} entry,
+    set the pc to [target] and count it in {!retired} and {!busy_cycles}.
+    Returns its occupancy in cycles, the step code of a retire. The pc
+    must be in range. *)

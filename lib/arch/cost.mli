@@ -2,9 +2,9 @@
     and what it charges to the energy ledger (PUMAsim charges every
     retired instruction its Table 3 per-component latency and energy).
 
-    The reference interpreter ({!Core.step}), the pre-decoded fast path,
-    the tile control unit and the static cost bound all read this one
-    table. *)
+    The core interpreter ({!Core.step}), the pre-decoded fast path, the
+    tile control unit and the static cost bound all read this one table;
+    a retire's [cycles] is the step code the simulator's loop reads. *)
 
 type t = {
   cycles : int;  (** Occupancy of the issuing unit, in core cycles. *)

@@ -7,8 +7,8 @@
     whose cross-node costs come from a {!Puma_noc.Fabric} — the same
     {!Puma_noc.Offchip} constants the analytical estimator uses.
     Cross-node messages are ordinary network arrivals, so a cluster runs
-    on the node's fast loop; {!Puma_sim.Node.run_reference} on {!node}
-    runs it on the reference loop, the oracle.
+    in the node loop's fast mode; {!Puma_sim.Node.run_reference} on
+    {!node} runs it in the reference mode, the oracle.
 
     To every caller above this module a cluster is that joined node
     ({!node}): run it, profile it, read its cycles, ledger and

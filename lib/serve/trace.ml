@@ -36,7 +36,7 @@ type t = {
   requests : recorded array;
 }
 
-let version = 1
+let version = 2
 
 let of_report ?(arrival_spec = "") ?(chips = 1)
     ?(scheme = Partition.Pipelined) ?(topology = Fabric.Mesh2d)
@@ -232,21 +232,13 @@ let decode doc =
       if i > 0 && r.arrival_cycle < requests.(i - 1).arrival_cycle then
         raise (Bad (Printf.sprintf "request %d arrives out of order" i)))
     requests;
-  (* Traces recorded before machines had several chips omit these keys:
-     their machines were single chips. *)
-  let machine_key key default read =
-    match field doc key with None -> default | Some _ -> read key
-  in
   {
     mvmu_dim = int_field doc "mvmu_dim";
     nodes = int_field doc "nodes";
-    chips = machine_key "chips" 1 (int_field doc);
-    scheme =
-      machine_key "scheme" Partition.Pipelined (fun key ->
-          need key (Partition.scheme_of_string (str_field doc key)));
+    chips = int_field doc "chips";
+    scheme = need "scheme" (Partition.scheme_of_string (str_field doc "scheme"));
     topology =
-      machine_key "topology" Fabric.Mesh2d (fun key ->
-          need key (Fabric.topology_of_string (str_field doc key)));
+      need "topology" (Fabric.topology_of_string (str_field doc "topology"));
     max_batch = int_field doc "max_batch";
     input_seed = int_field doc "input_seed";
     frequency_ghz = float_field doc "frequency_ghz";

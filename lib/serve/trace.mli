@@ -11,9 +11,9 @@
     every decision bit for bit; {!check} verifies that and names the
     first divergence.
 
-    Format (version 1):
+    Format (version 2):
     {v
-    { "version": 1, "mvmu_dim": 128, "nodes": 4, "chips": 1,
+    { "version": 2, "mvmu_dim": 128, "nodes": 4, "chips": 1,
       "scheme": "pipelined", "topology": "mesh", "max_batch": 4,
       "input_seed": 7, "frequency_ghz": 1.0, "arrival_spec": "poisson:2000",
       "models": [ {"name": "mlp", "priority": 0, "queue_limit": 0,
@@ -24,9 +24,10 @@
                      "cycles": 418, "energy_pj": 6190.5}, ... ] }
     v}
     Request inputs are not stored: they regenerate from [input_seed] and
-    the per-model request index ({!Engine.model_input_seed}). A trace
-    without the machine keys ([chips], [scheme], [topology]) loads as
-    single-chip machines. *)
+    the per-model request index ({!Engine.model_input_seed}). The machine
+    keys ([chips], [scheme], [topology]) are required: version 1 had no
+    way to tell a multi-chip fleet from a single-chip one, so a version-1
+    trace is refused. *)
 
 type model_spec = {
   name : string;

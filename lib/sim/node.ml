@@ -10,7 +10,7 @@ module Heap = Puma_util.Heap
 
 exception Deadlock of string
 
-(* Low-level instrumentation callbacks fired by the run loops. [core = -1]
+(* Low-level instrumentation callbacks fired by the run loop. [core = -1]
    designates the tile control unit. The probe is the one observer slot,
    behind [Puma_profile.Profile]; when it is [None] the run
    loop pays one branch per event and allocates nothing. *)
@@ -210,9 +210,9 @@ let read_outputs t =
     by_name []
 
 (* Advance [t.now] to the next event time, or raise [Deadlock] with the
-   full entity dump. Shared verbatim by both execution loops: the [now]
-   sequence and the diagnostic text are part of the bit-identity
-   contract. *)
+   full entity dump: the reference mode's time advance, and the fast
+   mode's deadlock report. The [now] sequence and the diagnostic text are
+   part of the bit-identity contract. *)
 let advance_or_deadlock t =
   let next = ref max_int in
   let consider time = if time > t.now && time < !next then next := time in
@@ -265,33 +265,13 @@ let advance_or_deadlock t =
   end
   else t.now <- !next
 
-(* Probe dispatch for one [Tile.step_tcu] (core [-1]) or [Core.step]
-   outcome. *)
-let observe t ~now ti c (r : Core.step_result) =
-  match t.probe with
-  | None -> ()
-  | Some p -> (
-      match r with
-      | Retired { cycles; instr } ->
-          p.on_retire ~now ~tile:ti ~core:c ~cycles instr
-      | Blocked reason -> p.on_stall ~now ~tile:ti ~core:c reason
-      | Halted -> p.on_halt ~now ~tile:ti ~core:c)
-
-(* A fast-loop core step under a probe: the [Fastexec] return code
-   decoded into the events [Core.step] would have produced. The retired
-   instruction is the one at the pc read before the step. *)
-let step_core_observed t (p : probe) tile fc ti c =
-  let core = Tile.core tile c in
-  let pc = Core.pc core in
-  let r = Tile.step_core_fast tile fc c in
-  (if r >= 0 then
-     p.on_retire ~now:t.now ~tile:ti ~core:c ~cycles:r (Core.code core).(pc)
-   else if r = Fastexec.r_halted then p.on_halt ~now:t.now ~tile:ti ~core:c
-   else
-     p.on_stall ~now:t.now ~tile:ti ~core:c
-       (if r = Fastexec.r_blocked_read then Core.Stall_smem_read
-        else Core.Stall_smem_write));
-  r
+(* The probe events of one step: [r] is its step code, and [code.(pc)],
+   with [pc] read before the step, is the instruction a retire completed.
+   [core = -1] is the TCU. *)
+let observe (p : probe) ~now ~tile ~core r code pc =
+  if r >= 0 then p.on_retire ~now ~tile ~core ~cycles:r code.(pc)
+  else if r = Core.r_halted then p.on_halt ~now ~tile ~core
+  else p.on_stall ~now ~tile ~core (Core.stall_of_code r)
 
 (* Drain one tile's outgoing queue into the network. NoC (and off-chip)
    energy is attributed to the sending tile. Returns whether anything was
@@ -311,15 +291,11 @@ let rec drain_tile t tile =
       ignore (drain_tile t tile);
       true
 
-(* The reference loop's first pass: drain every tile, ascending. *)
-let drain_pass t =
-  Array.fold_left (fun sent tile -> drain_tile t tile || sent) false t.tiles
-
 (* Offer every arrived channel head to its destination tile; a full
    receive FIFO leaves the head waiting in the network for a retry one
    cycle later. FIFO push energy lands on the destination, and
-   [delivered] counts accepted messages per tile (the fast loop's TCU
-   parking key). Returns whether anything was delivered. *)
+   [delivered] counts accepted messages per tile (the TCU's parking
+   key). Returns whether anything was delivered. *)
 let deliver_pass t delivered =
   Network.deliver_arrived t.network ~now:t.now (fun msg ->
       let dst = msg.Network.dst_tile in
@@ -339,72 +315,45 @@ let deliver_pass t delivered =
         true
       end)
 
-(* The cycle-accurate reference loop, stepping through [Core.step]. *)
-let reference_loop t ~start =
-  let ntiles = Array.length t.tiles in
-  let delivered = Array.make ntiles 0 in
-  let finished = ref false in
-  while not !finished do
-    if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
-    (* Evaluate both passes: [||] would skip delivery after a drain. *)
-    let sent = drain_pass t in
-    let arrived = deliver_pass t delivered in
-    let progress = ref (sent || arrived) in
-    (* Step ready entities (energy scoped to the stepping tile). *)
-    for ti = 0 to ntiles - 1 do
-      let tile = t.tiles.(ti) in
-      Energy.set_scope t.energy ti;
-      if t.tcu_ready.(ti) <= t.now then begin
-        let r = Tile.step_tcu tile ~now:t.now in
-        observe t ~now:t.now ti (-1) r;
-        match r with
-        | Core.Retired { cycles; _ } ->
-            t.tcu_ready.(ti) <- t.now + cycles;
-            progress := true
-        | Core.Blocked _ | Core.Halted -> ()
-      end;
-      for c = 0 to Tile.num_cores tile - 1 do
-        if t.core_ready.(ti).(c) <= t.now then begin
-          let r = Tile.step_core tile c in
-          observe t ~now:t.now ti c r;
-          match r with
-          | Core.Retired { cycles; _ } ->
-              t.core_ready.(ti).(c) <- t.now + cycles;
-              progress := true
-          | Core.Blocked _ | Core.Halted -> ()
-        end
-      done
-    done;
-    Energy.set_scope t.energy (-1);
-    (* Completion / time advance / deadlock. *)
-    let all_halted = Array.for_all Tile.all_halted t.tiles in
-    if all_halted && Network.in_flight t.network = 0 then finished := true
-    else if not !progress then advance_or_deadlock t
-  done
+(* The one scheduler loop. Each pass drains outgoing queues into the
+   network, delivers arrived messages, steps the ready entities (TCU then
+   cores, tiles ascending, energy scoped to the stepping tile) and checks
+   for completion; it re-passes at the same cycle on progress (a TCU
+   receive can unblock a core's load within the cycle), and otherwise
+   advances time. Every entity returns [Core]'s step code.
 
-(* The fast loop: same pass structure, [now] sequence and energy scoping
-   as [run_reference] — drain, deliver, step (TCU then cores, tiles
-   ascending), completion check, re-pass at the same cycle on progress
-   (a TCU receive can unblock a core's load within the cycle), then a
-   time advance. It makes exactly the step attempts the reference loop
-   would, minus those that provably repeat: cores step through the
-   pre-decoded [Fastexec] streams, blocked and halted entities are
-   parked instead of re-stepped, a tile is visited only when one of its
-   entities can move, and only tiles whose TCU retired are drained. A
-   probe therefore sees each stall reason when a stall begins or its
-   dependency changes rather than on every pass, and each halt once. *)
-let run_fast t ~start =
+   The mode is fixed for the run. The reference mode ([~reference:true])
+   is the oracle: every core steps through [Core.step]
+   ([Fastexec.interpret]), every tile is drained and visited on every
+   pass, every ready entity is stepped again, and time advances by the
+   [advance_or_deadlock] scan. The fast mode makes exactly the reference
+   mode's step attempts minus those that provably repeat: cores step
+   through the pre-decoded [Fastexec] streams, blocked and halted
+   entities are parked instead of re-stepped, a tile is visited only when
+   one of its entities can move, only tiles whose TCU retired are
+   drained, and time advances by a heap of ready times. A probe therefore
+   sees each stall reason when a stall begins or its dependency changes
+   rather than on every pass, and each halt once. *)
+let loop ~reference t ~start =
   let ntiles = Array.length t.tiles in
-  let fcs = Array.map Tile.fast_code t.tiles in
+  let codes =
+    if reference then
+      Array.map
+        (fun tile ->
+          Array.init (Tile.num_cores tile) (fun c ->
+              Fastexec.interpret (Tile.core tile c) (Tile.shared_mem tile)))
+        t.tiles
+    else Array.map Tile.fast_code t.tiles
+  in
   (* Blocked-entity parking. A blocked attempt is effect-free and its
      outcome is a deterministic function of the tile's shared-memory
      state (cores: load/store) plus the receive-buffer state (TCU), so a
      retry against an unchanged [Shared_mem.generation] (+ the per-tile
      count of successful network deliveries, for the TCU) is guaranteed
      to block again: skipping it is unobservable. Halted entities are
-     parked permanently ([never]) — a core or TCU cannot un-halt within
-     a run. Parks are per-run locals; [Tile.reset] starts the next run
-     fresh. *)
+     parked permanently ([never]) — a core or TCU cannot un-halt within a
+     run. Parks are per-run locals; [Tile.reset] starts the next run
+     fresh. The reference mode opens every park again on each pass. *)
   let never = max_int in
   let core_park =
     Array.init ntiles (fun ti ->
@@ -413,9 +362,11 @@ let run_fast t ~start =
   let tcu_park = Array.make ntiles (-1) in
   let delivered = Array.make ntiles 0 in
   (* Live counts of entities not yet halted, in the sense of
-     [Tile.all_halted]: the TCU until it steps to [Halted], a core until
-     [Core.halted] (a pc outside its code counts without a step). A tile
-     whose count is 0 is all-halted; a run whose total is 0 is done. *)
+     [Tile.all_halted]: the TCU until it steps to halted, a core until
+     [Core.halted] (a pc outside its code counts without a step). A run
+     whose total is 0 is done. A tile whose count is 0 is all-halted and
+     no longer visited; the reference mode keeps every tile's count open,
+     so it visits every tile on every pass. *)
   let core_live =
     Array.map
       (fun tile ->
@@ -430,8 +381,15 @@ let run_fast t ~start =
   in
   let total_live = ref (Array.fold_left ( + ) 0 live) in
   let halted ti =
-    live.(ti) <- live.(ti) - 1;
+    if not reference then live.(ti) <- live.(ti) - 1;
     decr total_live
+  in
+  let tcu_live = Array.make ntiles true in
+  let tcu_halted ti =
+    if tcu_live.(ti) then begin
+      tcu_live.(ti) <- false;
+      halted ti
+    end
   in
   let core_halted ti c =
     if core_live.(ti).(c) && Core.halted (Tile.core t.tiles.(ti) c) then begin
@@ -439,12 +397,13 @@ let run_fast t ~start =
       halted ti
     end
   in
-  (* Wake filter. After a visit, an entity of the tile steps again only
-     once its ready time arrives (a retire) or the tile's parking key
-     moves past its park (a block). So a tile is visited when [woken]
-     (set when a ready time it holds is reached) or when its key differs
-     from the one read at the *start* of its last visit: an entity
-     parked early in a visit must see a later entity's same-cycle store. *)
+  (* Wake filter (fast mode). After a visit, an entity of the tile steps
+     again only once its ready time arrives (a retire) or the tile's
+     parking key moves past its park (a block). So a tile is visited when
+     [woken] (set when a ready time it holds is reached) or when its key
+     differs from the one read at the *start* of its last visit: an
+     entity parked early in a visit must see a later entity's same-cycle
+     store. *)
   let woken = Array.make ntiles true in
   let seen = Array.make ntiles (-1) in
   (* Ready times above [now], tagged with their tile. Seeded with every
@@ -464,25 +423,36 @@ let run_fast t ~start =
      [Send] fills an outgoing queue. *)
   let outbox = Array.make ntiles true in
   let advance () =
-    let next =
-      let a = Network.next_arrival t.network in
-      if a > t.now then min a (Heap.min_key ready) else Heap.min_key ready
-    in
-    (* Nothing pending: the shared scan finds nothing either and raises
-       the deadlock dump. *)
-    if next = max_int then advance_or_deadlock t
-    else begin
-      t.now <- next;
-      while Heap.min_key ready <= next do
-        match Heap.pop ready with
-        | Some (_, ti) -> woken.(ti) <- true
-        | None -> ()
-      done
-    end
+    (if reference then advance_or_deadlock t
+     else
+       let next =
+         let a = Network.next_arrival t.network in
+         if a > t.now then min a (Heap.min_key ready) else Heap.min_key ready
+       in
+       (* Nothing pending: the shared scan finds nothing either and
+          raises the deadlock dump. *)
+       if next = max_int then advance_or_deadlock t else t.now <- next);
+    while Heap.min_key ready <= t.now do
+      match Heap.pop ready with
+      | Some (_, ti) -> woken.(ti) <- true
+      | None -> ()
+    done
   in
   let finished = ref false in
   while not !finished do
     if t.now - start > cycle_cap then failwith "Node.run: cycle cap exceeded";
+    (* The reference mode opens every filter for each pass: it drains
+       and visits every tile, and retries every ready entity. The mode is
+       read from the node, not from [reference]: one more variable live
+       across the pass measurably slowed the fast mode's multi-tile runs. *)
+    if not t.last_run_fast then begin
+      Array.fill outbox 0 ntiles true;
+      Array.fill woken 0 ntiles true;
+      Array.fill tcu_park 0 ntiles (-1);
+      Array.iter
+        (fun parks -> Array.fill parks 0 (Array.length parks) (-1))
+        core_park
+    end;
     let sent = ref false in
     for ti = 0 to ntiles - 1 do
       if outbox.(ti) then begin
@@ -501,26 +471,30 @@ let run_fast t ~start =
         Energy.set_scope t.energy ti;
         (if t.tcu_ready.(ti) <= t.now then
            let park = tcu_park.(ti) in
-           if
-             park <> never
-             && park <> Tile.smem_generation tile + delivered.(ti)
-           then begin
-             let r = Tile.step_tcu tile ~now:t.now in
-             observe t ~now:t.now ti (-1) r;
-             match r with
-             | Core.Retired { cycles; _ } ->
-                 t.tcu_ready.(ti) <- t.now + cycles;
-                 ready_at ti (t.now + cycles);
-                 outbox.(ti) <- true;
-                 progress := true
-             | Core.Blocked _ ->
-                 tcu_park.(ti) <-
-                   Tile.smem_generation tile + delivered.(ti)
-             | Core.Halted ->
-                 tcu_park.(ti) <- never;
-                 halted ti
+           if park <> never && park <> key then begin
+             let r =
+               match t.probe with
+               | None -> Tile.step_tcu tile ~now:t.now
+               | Some p ->
+                   let pc = Tile.tcu_pc tile in
+                   let r = Tile.step_tcu tile ~now:t.now in
+                   observe p ~now:t.now ~tile:ti ~core:(-1) r
+                     (Tile.tcu_code tile) pc;
+                   r
+             in
+             if r >= 0 then begin
+               t.tcu_ready.(ti) <- t.now + r;
+               ready_at ti (t.now + r);
+               outbox.(ti) <- true;
+               progress := true
+             end
+             else if r = Core.r_halted then begin
+               tcu_park.(ti) <- never;
+               tcu_halted ti
+             end
+             else tcu_park.(ti) <- key
            end);
-        let fc = fcs.(ti) in
+        let fc = codes.(ti) in
         let parks = core_park.(ti) in
         for c = 0 to Tile.num_cores tile - 1 do
           if t.core_ready.(ti).(c) <= t.now then begin
@@ -528,8 +502,13 @@ let run_fast t ~start =
             if park <> never && park <> Tile.smem_generation tile then begin
               let r =
                 match t.probe with
-                | None -> Tile.step_core_fast tile fc c
-                | Some p -> step_core_observed t p tile fc ti c
+                | None -> Fastexec.step (Tile.core tile c) fc.(c)
+                | Some p ->
+                    let core = Tile.core tile c in
+                    let pc = Core.pc core in
+                    let r = Fastexec.step core fc.(c) in
+                    observe p ~now:t.now ~tile:ti ~core:c r (Core.code core) pc;
+                    r
               in
               if r >= 0 then begin
                 t.core_ready.(ti).(c) <- t.now + r;
@@ -537,7 +516,7 @@ let run_fast t ~start =
                 core_halted ti c;
                 progress := true
               end
-              else if r = Fastexec.r_halted then begin
+              else if r = Core.r_halted then begin
                 parks.(c) <- never;
                 core_halted ti c
               end
@@ -552,20 +531,20 @@ let run_fast t ~start =
     else if not !progress then advance ()
   done
 
-(* One inference on [loop]: the prologue and epilogue both loops share. *)
-let run_with ~last_fast loop t ~inputs =
+(* One inference in the given mode. *)
+let run_with ~reference t ~inputs =
   inject_inputs t inputs;
   Array.iter Tile.reset t.tiles;
   let start = t.now in
   (match t.probe with Some p -> p.on_run_start ~now:start | None -> ());
-  t.last_run_fast <- last_fast;
-  loop t ~start;
+  t.last_run_fast <- not reference;
+  loop ~reference t ~start;
   t.total_cycles <- t.total_cycles + (t.now - start);
   (match t.probe with Some p -> p.on_run_end ~now:t.now | None -> ());
   read_outputs t
 
-let run = run_with ~last_fast:true run_fast
-let run_reference = run_with ~last_fast:false reference_loop
+let run = run_with ~reference:false
+let run_reference = run_with ~reference:true
 
 let finish_energy t =
   let cycles = Float.of_int t.total_cycles in

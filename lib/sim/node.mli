@@ -5,11 +5,18 @@
     shared-memory attribute protocol and on receive FIFOs; messages
     traverse the mesh with the {!Puma_noc.Network} latency model. The
     simulator detects deadlock (every live entity blocked with an idle
-    network) and reports aggregate cycles and the shared energy ledger. *)
+    network) and reports aggregate cycles and the shared energy ledger.
+
+    One scheduler loop runs every inference. Each pass drains outgoing
+    messages, delivers arrived ones, steps the ready entities (TCU, then
+    cores, tiles ascending) and checks for completion, then time
+    advances. Cores, TCUs and the pre-decoded streams all answer a step
+    with {!Puma_arch.Core}'s int step code. The loop has two modes, fixed
+    per run: {!run} (fast) and {!run_reference} (the oracle). *)
 
 exception Deadlock of string
 
-(** Low-level instrumentation callbacks fired by the run loops (the one
+(** Low-level instrumentation callbacks fired by the run loop (the one
     observer slot, behind {!Puma_profile.Profile}). In every
     callback [core = -1] designates the tile control unit, and [now] is
     the simulated cycle.
@@ -32,8 +39,7 @@ exception Deadlock of string
     - [on_deliver] fires when a message enters a receive FIFO, with the
       occupancy after the push.
 
-    When no probe is attached the run loop pays one branch per event and
-    allocates nothing. *)
+    When no probe is attached the run loop pays one branch per event. *)
 type probe = {
   on_run_start : now:int -> unit;
   on_retire :
@@ -102,17 +108,22 @@ val run :
     {!Deadlock} or [Failure] on a runaway program (cycle cap). The
     instruction streams are reset between runs but register/memory
     contents persist (as in hardware), so each [run] is one inference.
-    Every run takes the pre-decoded fast loop — with or without a probe,
-    per-tile energy attribution or a fault plan. *)
+    Every run takes the loop's fast mode — with or without a probe,
+    per-tile energy attribution or a fault plan: cores run their
+    pre-decoded streams, and blocked or halted entities are parked
+    rather than re-stepped. *)
 
 val run_reference :
   t -> inputs:(string * float array) list -> (string * float array) list
-(** {!run} on the cycle-accurate reference loop, which steps every
-    entity through [Core.step]: the test oracle the fast loop is pinned
-    to. Outputs, cycle counts, retired counts, the energy ledger (counts
-    {e and} picojoules) and everything a probe reports are bit-identical
-    to {!run} — the contract test/test_fastpath.ml and
-    test/test_profile.ml enforce. *)
+(** {!run} in the loop's reference mode, the test oracle the fast mode
+    is pinned to: every core steps through [Core.step], every tile is
+    drained and visited on every pass, every ready entity is stepped
+    again (no parking), and time advances by a scan of every ready time.
+    Outputs, cycle counts, retired counts, the energy ledger (counts
+    {e and} picojoules) and the {!Puma_profile.Profile} a probe builds
+    are bit-identical to {!run} — the contract test/test_fastpath.ml and
+    test/test_profile.ml enforce. The probe itself sees every retry, so
+    more [on_stall] (and [on_halt]) events than under {!run}. *)
 
 val retired_instructions : t -> int
 val tiles_used : t -> int
@@ -131,7 +142,7 @@ val set_probe : t -> probe option -> unit
 val probe_attached : t -> bool
 
 val last_run_fast : t -> bool
-(** Whether the most recent run was {!run} on the fast loop ([false]
+(** Whether the most recent run was {!run}, in the fast mode ([false]
     after {!run_reference} and before the first run). *)
 
 val cycle_cap : int

@@ -3,8 +3,10 @@
    [decode] lowers every instruction into a closure with its operand
    views resolved once, so the per-cycle cost drops to an array index
    plus an indirect call — no pattern match on boxed ISA values, no
-   register-space dispatch, no per-retire allocation. [step] then drives
-   one instruction.
+   register-space dispatch, no per-retire allocation. [interpret] builds
+   the other stream the node's loop can run, every pc on [Core.step] (its
+   reference mode). [step] drives one instruction of either and returns
+   [Core]'s step code, the one protocol of every entity the loop steps.
 
    Bit-identity with [Core.step] is the contract, checked by
    test/test_fastpath.ml:
@@ -19,7 +21,7 @@
    - anything that cannot be resolved statically — operands crossing a
      register-space boundary, out-of-range bases whose exceptions must
      stay lazy, tile instructions in a core stream — falls back to
-     [Core.step] itself. *)
+     [Core.step] itself, whose code passes through unchanged. *)
 
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
@@ -30,17 +32,26 @@ module Sfu = Puma_arch.Sfu
 module Fixed = Puma_util.Fixed
 module Mvmu = Puma_xbar.Mvmu
 
-(* Step return codes: >= 0 is the occupancy in cycles of a retired
-   instruction; negative codes mirror the [Core.step_result] variants the
-   scheduler distinguishes. *)
-let r_halted = -1
-let r_blocked_read = -2
-let r_blocked_write = -3
-
 type code = (unit -> int) array
 
 (* A vector operand resolved to a flat backing array: (buffer, offset). *)
 type view = int array * int
+
+(* [Core.step] on [core], wired to the tile's shared memory (one
+   [mem_iface], built once): the fallback closure of [decode] and every
+   closure of [interpret]. *)
+let interpreter core smem : unit -> int =
+  let mem : Core.mem_iface =
+    {
+      load = (fun ~addr ~width -> Shared_mem.read smem ~addr ~width);
+      store =
+        (fun ~addr ~values ~count -> Shared_mem.write smem ~addr ~values ~count);
+    }
+  in
+  fun () -> Core.step core ~mem
+
+let interpret core smem : code =
+  Array.make (Array.length (Core.code core)) (interpreter core smem)
 
 let decode (core : Core.t) (smem : Shared_mem.t) : code =
   let layout = Core.layout core in
@@ -49,21 +60,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
   let mvmus = Core.mvmus core in
   let rng = Core.rng core in
   let dim = layout.Operand.mvmu_dim in
-  (* Reference fallback: one shared mem_iface + closure, built once. *)
-  let mem : Core.mem_iface =
-    {
-      load = (fun ~addr ~width -> Shared_mem.read smem ~addr ~width);
-      store =
-        (fun ~addr ~values ~count -> Shared_mem.write smem ~addr ~values ~count);
-    }
-  in
-  let generic () =
-    match Core.step core ~mem with
-    | Core.Retired { cycles; _ } -> cycles
-    | Core.Blocked Core.Stall_smem_read -> r_blocked_read
-    | Core.Blocked _ -> r_blocked_write
-    | Core.Halted -> r_halted
-  in
+  let generic = interpreter core smem in
   (* Resolve [base, base+width) to a single backing array, or [None] when
      the range is empty, out of bounds (the reference path's lazy
      exception must be preserved) or crosses an MVMU/space boundary
@@ -131,7 +128,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
     | Halt ->
         fun () ->
           Core.force_halt core;
-          r_halted
+          Core.r_halted
     | Mvm { mask; filter = _; stride } ->
         (* Active MVMU indices in ascending order, as [Array.iteri]
            visits them; mask bits beyond the physical MVMUs are ignored. *)
@@ -220,7 +217,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
               in
               if Shared_mem.read_into smem ~addr:a ~width:w ~dst:dd ~dst_pos:od
               then Core.commit core ~target:next
-              else r_blocked_read
+              else Core.r_blocked_read
         | None -> generic)
     | Store { src; addr; count; vec_width = w } -> (
         match view src w with
@@ -235,7 +232,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
                 Shared_mem.write_from smem ~addr:a ~src:ss ~src_pos:os ~width:w
                   ~count
               then Core.commit core ~target:next
-              else r_blocked_write
+              else Core.r_blocked_write
         | None -> generic)
     | Jmp { pc } -> fun () -> Core.commit core ~target:pc
     | Brn { op; src1; src2; pc } ->
@@ -253,11 +250,11 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
 
 (* Run one instruction of [core] through its pre-decoded [code]. Mirrors
    the halt/pc-range prologue of [Core.step]: [Core.halted] already
-   covers both the flag and an out-of-range pc, and the reference path
-   latches the flag in the out-of-range case. *)
+   covers both the flag and an out-of-range pc, and [Core.step] latches
+   the flag in the out-of-range case. *)
 let step (core : Core.t) (dec : code) =
   if Core.halted core then begin
     Core.force_halt core;
-    r_halted
+    Core.r_halted
   end
   else (Array.unsafe_get dec (Core.pc core)) ()

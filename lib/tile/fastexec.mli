@@ -6,26 +6,24 @@
     contract (same mutation order, the same {!Puma_arch.Cost} entry
     recorded through {!Puma_arch.Core.commit}, same RNG consumption);
     anything that cannot be resolved statically falls back to
-    [Core.step]. *)
+    [Core.step]. Every closure returns a {!Puma_arch.Core} step code, so
+    a decoded stream and the interpreter speak one protocol. *)
 
 type code = (unit -> int) array
 (** One closure per instruction, indexed by pc. Each call executes the
-    instruction and returns a step code. *)
-
-val r_halted : int
-(** Step code: the core is (now) halted. *)
-
-val r_blocked_read : int
-(** Step code: blocked reading shared memory (operand not yet valid). *)
-
-val r_blocked_write : int
-(** Step code: blocked writing shared memory (pending consumers). *)
+    instruction and returns its {!Puma_arch.Core} step code. *)
 
 val decode : Puma_arch.Core.t -> Shared_mem.t -> code
 (** Pre-decode the core's full instruction stream against its register
     spaces and the tile's shared memory. Pure over the immutable code
     array: decode once, reuse for every run. *)
 
+val interpret : Puma_arch.Core.t -> Shared_mem.t -> code
+(** The stream with every pc on {!Puma_arch.Core.step} (wired to the
+    tile's shared memory): the node loop's reference mode, which keeps
+    the interpreter the oracle the decoded stream is pinned to. *)
+
 val step : Puma_arch.Core.t -> code -> int
-(** Execute one instruction at the core's current pc. Returns the retired
-    occupancy in cycles ([>= 0]) or one of the negative step codes. *)
+(** Execute one instruction at the core's current pc and return its
+    step code: the retired occupancy in cycles ([>= 0]), or
+    {!Puma_arch.Core.r_halted} / a blocked code. *)

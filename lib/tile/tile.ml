@@ -62,15 +62,6 @@ let shared_mem t = t.smem
 let smem_generation t = Shared_mem.generation t.smem
 let recv_buffer t = t.recv
 
-let mem_iface t : Core.mem_iface =
-  {
-    load = (fun ~addr ~width -> Shared_mem.read t.smem ~addr ~width);
-    store =
-      (fun ~addr ~values ~count -> Shared_mem.write t.smem ~addr ~values ~count);
-  }
-
-let step_core t i = Core.step t.cores.(i) ~mem:(mem_iface t)
-
 let fast_code t =
   match t.fast_code with
   | Some fc -> fc
@@ -78,10 +69,6 @@ let fast_code t =
       let fc = Array.map (fun core -> Fastexec.decode core t.smem) t.cores in
       t.fast_code <- Some fc;
       fc
-
-(* Fast-path core step: returns a [Fastexec] return code (>= 0 retired
-   cycles, negative blocked/halted). *)
-let step_core_fast t fc i = Fastexec.step t.cores.(i) fc.(i)
 
 (* Retire the control unit's instruction: charge its cost table entry,
    advance the pc, return its occupancy. *)
@@ -91,20 +78,20 @@ let retire_tcu t =
   t.tcu_pc <- t.tcu_pc + 1;
   cost.cycles
 
-let step_tcu t ~now : Core.step_result =
-  if t.tcu_halted then Halted
+let step_tcu t ~now =
+  if t.tcu_halted then Core.r_halted
   else if t.tcu_pc < 0 || t.tcu_pc >= Array.length t.tile_code then begin
     t.tcu_halted <- true;
-    Halted
+    Core.r_halted
   end
   else
     match t.tile_code.(t.tcu_pc) with
     | Halt ->
         t.tcu_halted <- true;
-        Halted
-    | Send { mem_addr; fifo_id; target; vec_width } as instr -> (
+        Core.r_halted
+    | Send { mem_addr; fifo_id; target; vec_width } -> (
         match Shared_mem.read t.smem ~addr:mem_addr ~width:vec_width with
-        | None -> Core.blocked Stall_smem_read
+        | None -> Core.r_blocked_read
         | Some payload ->
             let cycles = retire_tcu t in
             Queue.add
@@ -115,10 +102,10 @@ let step_tcu t ~now : Core.step_result =
                 issue_cycle = now + cycles;
               }
               t.outgoing;
-            Retired { cycles; instr })
-    | Receive { mem_addr; fifo_id; count; vec_width } as instr -> (
+            cycles)
+    | Receive { mem_addr; fifo_id; count; vec_width } -> (
         match Recv_buffer.peek t.recv ~fifo:fifo_id with
-        | None -> Core.blocked Stall_recv_fifo
+        | None -> Core.r_blocked_recv
         | Some pkt ->
             if Array.length pkt.payload <> vec_width then
               invalid_arg
@@ -128,9 +115,9 @@ let step_tcu t ~now : Core.step_result =
             if Shared_mem.write t.smem ~addr:mem_addr ~values:pkt.payload ~count
             then begin
               ignore (Recv_buffer.pop t.recv ~fifo:fifo_id);
-              Retired { cycles = retire_tcu t; instr }
+              retire_tcu t
             end
-            else Core.blocked Stall_smem_write)
+            else Core.r_blocked_write)
     | Mvm _ | Alu _ | Alui _ | Alu_int _ | Set _ | Set_sreg _ | Copy _
     | Load _ | Store _ | Jmp _ | Brn _ ->
         invalid_arg "Tile.step_tcu: core instruction in tile stream"
@@ -149,6 +136,7 @@ let host_write t ~addr ~values = Shared_mem.host_write t.smem ~addr ~values
 let host_read t ~addr ~width = Shared_mem.peek t.smem ~addr ~width
 
 let tcu_pc t = t.tcu_pc
+let tcu_code t = t.tile_code
 
 let reset t =
   t.tcu_pc <- 0;

@@ -1,10 +1,12 @@
 (** A PUMA tile: cores, shared memory, receive buffer and the tile control
     unit executing the send/receive stream (Figure 5).
 
-    The tile exposes step functions for its control unit and each core;
-    the node simulator interleaves them. Outgoing messages are handed to
-    the node through a queue drained by the network model; incoming
-    messages are delivered into the receive buffer with {!deliver}. *)
+    The tile steps its control unit ({!step_tcu}) and holds its cores'
+    pre-decoded streams ({!fast_code}), which {!Fastexec.step} runs; both
+    return {!Puma_arch.Core}'s step code, and the node simulator
+    interleaves them. Outgoing messages are handed to the node through a
+    queue drained by the network model; incoming messages are delivered
+    into the receive buffer with {!deliver}. *)
 
 type outgoing = {
   target_tile : int;
@@ -32,32 +34,23 @@ val core : t -> int -> Puma_arch.Core.t
 val shared_mem : t -> Shared_mem.t
 
 val smem_generation : t -> int
-(** Shortcut for [Shared_mem.generation (shared_mem t)]; the fast
-    scheduler parks blocked cores and a blocked TCU on this counter. *)
+(** Shortcut for [Shared_mem.generation (shared_mem t)]; the node loop's
+    fast mode parks blocked cores and a blocked TCU on this counter. *)
 
 val recv_buffer : t -> Recv_buffer.t
-
-val step_core : t -> int -> Puma_arch.Core.step_result
-(** Advance core [i] by one instruction (wired to this tile's shared
-    memory). *)
 
 val fast_code : t -> Fastexec.code array
 (** The pre-decoded instruction streams, one per core, built lazily on
     first use and cached (decoding is pure over the immutable code
     arrays). *)
 
-val step_core_fast : t -> Fastexec.code array -> int -> int
-(** [step_core_fast t (fast_code t) i] advances core [i] through its
-    pre-decoded stream; returns a {!Fastexec} return code ([>= 0] retired
-    cycles, negative blocked/halted). Bit-identical to {!step_core}. *)
-
-val step_tcu : t -> now:int -> Puma_arch.Core.step_result
-(** Advance the tile control unit by one send/receive instruction,
-    charging its {!Puma_arch.Cost} entry when it retires. A [send] blocks
-    until its shared-memory operand is valid
-    ({!Puma_arch.Core.Stall_smem_read}); a [receive] blocks on
-    [Stall_recv_fifo] until a packet is in its FIFO, then on
-    [Stall_smem_write] until the destination words are writable. *)
+val step_tcu : t -> now:int -> int
+(** Advance the tile control unit by one send/receive instruction and
+    return its step code, charging its {!Puma_arch.Cost} entry when it
+    retires. A [send] blocks until its shared-memory operand is valid
+    ({!Puma_arch.Core.r_blocked_read}); a [receive] blocks on
+    [r_blocked_recv] until a packet is in its FIFO, then on
+    [r_blocked_write] until the destination words are writable. *)
 
 val pop_outgoing : t -> outgoing option
 (** Drain the next message issued by a retired [send]. *)
@@ -73,6 +66,9 @@ val host_read : t -> addr:int -> width:int -> int array option
 
 val tcu_pc : t -> int
 (** Current tile-control-unit program counter (diagnostics). *)
+
+val tcu_code : t -> Puma_isa.Instr.t array
+(** The control unit's instruction stream. *)
 
 val reset : t -> unit
 (** Rewind the control unit and every core to the start of their streams

@@ -155,9 +155,9 @@ let run_core ?(mem = null_mem) code =
   let rec go n =
     if n > 10000 then Alcotest.fail "core did not halt";
     match Core.step core ~mem with
-    | Core.Retired _ -> go (n + 1)
-    | Core.Blocked _ -> Alcotest.fail "core blocked unexpectedly"
-    | Core.Halted -> core
+    | r when r >= 0 -> go (n + 1)
+    | r when r <> Core.r_halted -> Alcotest.fail "core blocked unexpectedly"
+    | _ -> core
   in
   go 0
 
@@ -196,9 +196,9 @@ let test_core_mvm_instruction () =
   Core.program_mvmu core ~index:0 (Fixed.image_of_mat id16);
   let rec go () =
     match Core.step core ~mem:null_mem with
-    | Core.Retired _ -> go ()
-    | Core.Blocked _ -> Alcotest.fail "blocked"
-    | Core.Halted -> ()
+    | r when r >= 0 -> go ()
+    | r when r <> Core.r_halted -> Alcotest.fail "blocked"
+    | _ -> ()
   in
   go ();
   Alcotest.(check (float 1e-3)) "identity mvm" 0.75
@@ -238,10 +238,10 @@ let test_core_blocking_load () =
     Core.create small_config ~energy
       [| Instr.Load { dest = r0; addr = Imm_addr 0; vec_width = 1 }; Instr.Halt |]
   in
-  Alcotest.(check bool) "blocked 1" true (Core.step core ~mem = Core.Blocked Core.Stall_smem_read);
-  Alcotest.(check bool) "blocked 2" true (Core.step core ~mem = Core.Blocked Core.Stall_smem_read);
+  Alcotest.(check bool) "blocked 1" true (Core.step core ~mem = Core.r_blocked_read);
+  Alcotest.(check bool) "blocked 2" true (Core.step core ~mem = Core.r_blocked_read);
   (match Core.step core ~mem with
-  | Core.Retired _ -> ()
+  | r when r >= 0 -> ()
   | _ -> Alcotest.fail "expected retire");
   Alcotest.(check int) "loaded" 42 (Regfile.read (Core.regfile core) r0)
 
@@ -275,7 +275,7 @@ let test_core_temporal_simd_latency () =
       [| Instr.Alu { op = Add; dest = r0; src1 = r0; src2 = r0; vec_width = 16 } |]
   in
   (match Core.step core ~mem:null_mem with
-  | Core.Retired { cycles; _ } ->
+  | cycles when cycles >= 0 ->
       (* 16 elements over 4 lanes = 4 cycles + 1. *)
       Alcotest.(check int) "temporal SIMD cycles" 5 cycles
   | _ -> Alcotest.fail "expected retire");
@@ -332,9 +332,9 @@ let test_core_rand_deterministic_per_seed () =
     let core = Core.create small_config ~seed ~energy code in
     let rec go () =
       match Core.step core ~mem:null_mem with
-      | Core.Retired _ -> go ()
-      | Core.Blocked _ -> Alcotest.fail "blocked"
-      | Core.Halted -> Regfile.read_vec (Core.regfile core) r0 8
+      | r when r >= 0 -> go ()
+      | r when r <> Core.r_halted -> Alcotest.fail "blocked"
+      | _ -> Regfile.read_vec (Core.regfile core) r0 8
     in
     go ()
   in
@@ -365,9 +365,9 @@ let test_core_copy_between_spaces () =
   Core.program_mvmu core ~index:1 (Fixed.image_of_mat id16);
   let rec go () =
     match Core.step core ~mem:null_mem with
-    | Core.Retired _ -> go ()
-    | Core.Blocked _ -> Alcotest.fail "blocked"
-    | Core.Halted -> ()
+    | r when r >= 0 -> go ()
+    | r when r <> Core.r_halted -> Alcotest.fail "blocked"
+    | _ -> ()
   in
   go ();
   Alcotest.(check (array int)) "round trip through mvmu 1"

@@ -199,6 +199,32 @@ let test_faults_ride_fast_loop () =
   Alcotest.(check bool) "reference path used" false (Node.last_run_fast slow);
   check_identical "mlp+faults" (o_fast, fast) (o_slow, slow)
 
+(* ---- the reference mode retries what the fast mode parks ---- *)
+
+(* Both modes under a probe that counts stall events: the results agree,
+   and the reference mode, which steps every blocked entity again on
+   every pass, must report strictly more stalls. Equal counts would mean
+   the oracle had quietly become a copy of the fast mode. *)
+let test_reference_does_not_park () =
+  let program = compile mini_config (List.assoc "lstm" zoo) in
+  let counted () =
+    let node = Node.create ~noise_seed:3 program in
+    let stalls = ref 0 in
+    Node.set_probe node
+      (Some { Node.null_probe with on_stall = (fun ~now:_ ~tile:_ ~core:_ _ -> incr stalls) });
+    (node, stalls)
+  in
+  let fast, fast_stalls = counted () and slow, slow_stalls = counted () in
+  let o_fast = run_node Node.run fast program ~seed:13 ~runs:2 in
+  let o_slow = run_node Node.run_reference slow program ~seed:13 ~runs:2 in
+  check_identical "lstm@64 probed" (fst o_fast, fast) (fst o_slow, slow);
+  Alcotest.(check (list int)) "cycles per run" (snd o_slow) (snd o_fast);
+  Alcotest.(check bool)
+    (Printf.sprintf "reference stalls %d > fast stalls %d" !slow_stalls
+       !fast_stalls)
+    true
+    (!fast_stalls > 0 && !slow_stalls > !fast_stalls)
+
 (* ---- the batched runtime matches the oracle at any domain count ---- *)
 
 (* Each request served on one node warmed and driven by the reference
@@ -338,6 +364,8 @@ let () =
           Alcotest.test_case "fault plan rides the fast loop" `Quick
             test_faults_ride_fast_loop;
           Alcotest.test_case "batch across domains" `Quick test_batch_domains;
+          Alcotest.test_case "reference mode does not park" `Quick
+            test_reference_does_not_park;
         ] );
       ( "property",
         [

@@ -165,24 +165,38 @@ let test_replay_roundtrip () =
           Alcotest.(check bool) "latencies identical" true
             (Array.map (Engine.latency_ms replayed) replayed.Engine.served
             = Array.map (Engine.latency_ms report) report.Engine.served);
-          (* A trace written before machines had several chips has no
-             machine keys: it loads as the single-chip machines [trace]
-             records. *)
+          (* The machine keys are required: a trace without one names it,
+             and a version-1 trace (which may have come from a multi-chip
+             fleet without saying so) is refused. *)
           let module Json = Puma_util.Json in
-          (match Trace.to_json trace with
-          | Json.Obj fields ->
-              let oc = open_out path in
-              output_string oc
-                (Json.to_string
-                   (Json.Obj
-                      (List.filter
-                         (fun (k, _) ->
-                           not (List.mem k [ "chips"; "scheme"; "topology" ]))
-                         fields)));
-              close_out oc
-          | _ -> Alcotest.fail "trace JSON is not an object");
-          Alcotest.(check bool) "trace without machine keys is one chip" true
-            (Trace.load path = Ok trace))
+          let fields =
+            match Trace.to_json trace with
+            | Json.Obj fields -> fields
+            | _ -> Alcotest.fail "trace JSON is not an object"
+          in
+          let refused what fields expect =
+            let oc = open_out path in
+            output_string oc (Json.to_string (Json.Obj fields));
+            close_out oc;
+            match Trace.load path with
+            | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" what
+            | Error e ->
+                Alcotest.(check bool)
+                  (Printf.sprintf "%s: error %S mentions %S" what e expect)
+                  true
+                  (Puma_util.Strings.contains ~sub:expect e)
+          in
+          List.iter
+            (fun key ->
+              refused ("without " ^ key)
+                (List.filter (fun (k, _) -> k <> key) fields)
+                key)
+            [ "chips"; "scheme"; "topology" ];
+          refused "version 1"
+            (List.map
+               (fun (k, v) -> if k = "version" then (k, Json.Int 1) else (k, v))
+               fields)
+            "unsupported trace version 1")
 
 let test_load_errors () =
   let check_error name write expect =
@@ -215,7 +229,7 @@ let test_load_errors () =
     (fun oc -> output_string oc "{\"version\": 99}")
     "version";
   check_error "missing models"
-    (fun oc -> output_string oc "{\"version\": 1}")
+    (fun oc -> output_string oc "{\"version\": 2}")
     "models";
   Alcotest.(check bool) "missing file is an error" true
     (match Trace.load "/nonexistent/trace.json" with

@@ -154,10 +154,10 @@ let test_tcu_send_blocks_until_valid () =
         [| Instr.Send { mem_addr = 0; fifo_id = 1; target = 3; vec_width = 2 } |]
       ()
   in
-  Alcotest.(check bool) "blocked" true (Tile.step_tcu tile ~now:0 = Core.Blocked Core.Stall_smem_read);
+  Alcotest.(check bool) "blocked" true (Tile.step_tcu tile ~now:0 = Core.r_blocked_read);
   Tile.host_write tile ~addr:0 ~values:[| 4; 5 |];
   (match Tile.step_tcu tile ~now:10 with
-  | Core.Retired _ -> ()
+  | r when r >= 0 -> ()
   | _ -> Alcotest.fail "expected retire");
   match Tile.pop_outgoing tile with
   | Some o ->
@@ -174,18 +174,18 @@ let test_tcu_receive_blocks_until_packet () =
         [| Instr.Receive { mem_addr = 4; fifo_id = 0; count = 1; vec_width = 2 } |]
       ()
   in
-  Alcotest.(check bool) "blocked" true (Tile.step_tcu tile ~now:0 = Core.Blocked Core.Stall_recv_fifo);
+  Alcotest.(check bool) "blocked" true (Tile.step_tcu tile ~now:0 = Core.r_blocked_recv);
   Alcotest.(check bool) "delivered" true
     (Tile.deliver tile ~fifo:0 ~src_tile:2 ~payload:[| 8; 9 |]);
   (match Tile.step_tcu tile ~now:0 with
-  | Core.Retired _ -> ()
+  | r when r >= 0 -> ()
   | _ -> Alcotest.fail "expected retire");
   Alcotest.(check bool) "stored with count" true
     (Tile.host_read tile ~addr:4 ~width:2 = Some [| 8; 9 |])
 
 let test_tcu_halts () =
   let tile = make_tile ~tile_code:[| Instr.Halt |] () in
-  Alcotest.(check bool) "halted" true (Tile.step_tcu tile ~now:0 = Core.Halted);
+  Alcotest.(check bool) "halted" true (Tile.step_tcu tile ~now:0 = Core.r_halted);
   Alcotest.(check bool) "all halted" true (Tile.all_halted tile)
 
 let test_tcu_rejects_core_instr () =
@@ -206,10 +206,10 @@ let test_tile_reset () =
   Tile.host_write tile ~addr:0 ~values:[| 1 |];
   ignore (Tile.step_tcu tile ~now:0);
   Alcotest.(check bool) "halted after stream" true
-    (Tile.step_tcu tile ~now:1 = Core.Halted);
+    (Tile.step_tcu tile ~now:1 = Core.r_halted);
   Tile.reset tile;
   (match Tile.step_tcu tile ~now:2 with
-  | Core.Retired _ -> ()
+  | r when r >= 0 -> ()
   | _ -> Alcotest.fail "expected re-run after reset")
 
 let test_tile_receive_width_mismatch () =
