@@ -160,12 +160,14 @@ let priority_order lg (part : Partition.t) =
   let order = Array.make n 0 in
   let next_rpo = ref 0 in
   let rec pick () =
-    match Puma_util.Heap.pop ready with
-    | Some (_, id) when fits id -> Some id
-    | Some (_, id) ->
+    if Puma_util.Heap.size ready = 0 then None
+    else
+      let id = Puma_util.Heap.pop_value ready in
+      if fits id then Some id
+      else begin
         parked.(core_of id) <- id :: parked.(core_of id);
         pick ()
-    | None -> None
+      end
   in
   for k = 0 to n - 1 do
     let id =

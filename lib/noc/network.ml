@@ -56,34 +56,36 @@ let fabric t = t.fabric
 let router_latency = 4
 let words_per_flit = 2
 
-let transit_cycles t ~src ~dst ~words =
-  let hops = Topology.hops t.topology src dst in
+let transit ~hops t ~src ~dst ~words =
   let flits = (words + words_per_flit - 1) / words_per_flit in
   (hops * router_latency) + flits
   + Fabric.transfer_cycles t.fabric t.config ~src ~dst ~words
 
+let transit_cycles t ~src ~dst ~words =
+  transit ~hops:(Topology.hops t.topology src dst) t ~src ~dst ~words
+
 let send t ~now msg =
   let words = Array.length msg.payload in
+  let hops = Topology.hops t.topology msg.src_tile msg.dst_tile in
   let arrival =
-    now + transit_cycles t ~src:msg.src_tile ~dst:msg.dst_tile ~words
+    now + transit ~hops t ~src:msg.src_tile ~dst:msg.dst_tile ~words
   in
   let key = pair msg.src_tile msg.dst_tile in
   let arrival =
-    match Chan.find_opt t.last_arrival key with
-    | Some prev when prev >= arrival -> prev + 1
-    | Some _ | None -> arrival
+    match Chan.find t.last_arrival key with
+    | prev when prev >= arrival -> prev + 1
+    | _ | (exception Not_found) -> arrival
   in
   Chan.replace t.last_arrival key arrival;
-  let hops = Topology.hops t.topology msg.src_tile msg.dst_tile in
   Puma_hwmodel.Energy.add t.energy Noc (words * max 1 hops);
   let events =
     Fabric.offchip_words t.fabric ~src:msg.src_tile ~dst:msg.dst_tile ~words
   in
   if events > 0 then Puma_hwmodel.Energy.add t.energy Offchip events;
   let ch =
-    match Chan.find_opt t.channels (chan msg) with
-    | Some ch -> ch
-    | None ->
+    match Chan.find t.channels (chan msg) with
+    | ch -> ch
+    | exception Not_found ->
         let ch = Queue.create () in
         Chan.add t.channels (chan msg) ch;
         ch
@@ -95,17 +97,15 @@ let send t ~now msg =
 let deliver_arrived t ~now accept =
   let progress = ref false in
   while Heap.min_key t.heads <= now do
-    match Heap.pop t.heads with
-    | None -> ()
-    | Some (_, ch) ->
-        if accept (snd (Queue.peek ch)) then begin
-          ignore (Queue.pop ch);
-          t.in_flight <- t.in_flight - 1;
-          progress := true;
-          if not (Queue.is_empty ch) then
-            Heap.push t.heads (fst (Queue.peek ch)) ch
-        end
-        else Heap.push t.heads (now + 1) ch
+    let ch = Heap.pop_value t.heads in
+    if accept (snd (Queue.peek ch)) then begin
+      ignore (Queue.pop ch);
+      t.in_flight <- t.in_flight - 1;
+      progress := true;
+      if not (Queue.is_empty ch) then
+        Heap.push t.heads (fst (Queue.peek ch)) ch
+    end
+    else Heap.push t.heads (now + 1) ch
   done;
   !progress
 

@@ -291,29 +291,29 @@ let rec drain_tile t tile =
       ignore (drain_tile t tile);
       true
 
-(* Offer every arrived channel head to its destination tile; a full
-   receive FIFO leaves the head waiting in the network for a retry one
-   cycle later. FIFO push energy lands on the destination, and
-   [delivered] counts accepted messages per tile (the TCU's parking
-   key). Returns whether anything was delivered. *)
-let deliver_pass t delivered =
-  Network.deliver_arrived t.network ~now:t.now (fun msg ->
-      let dst = msg.Network.dst_tile in
-      Energy.set_scope t.energy dst;
-      Tile.deliver t.tiles.(dst) ~fifo:msg.fifo_id ~src_tile:msg.src_tile
-        ~payload:msg.payload
-      && begin
-        delivered.(dst) <- delivered.(dst) + 1;
-        (match t.probe with
-        | Some p ->
-            p.on_deliver ~now:t.now ~tile:dst ~fifo:msg.fifo_id
-              ~occupancy:
-                (Puma_tile.Recv_buffer.occupancy
-                   (Tile.recv_buffer t.tiles.(dst))
-                   ~fifo:msg.fifo_id)
-        | None -> ());
-        true
-      end)
+(* The delivery callback of one run: offer an arrived channel head to
+   its destination tile; a full receive FIFO leaves the head waiting in
+   the network for a retry one cycle later. FIFO push energy lands on
+   the destination, [delivered] counts accepted messages per tile (the
+   TCU's parking key), and [mark] makes the tile a visit candidate. *)
+let accept t delivered mark (msg : Network.message) =
+  let dst = msg.dst_tile in
+  Energy.set_scope t.energy dst;
+  Tile.deliver t.tiles.(dst) ~fifo:msg.fifo_id ~src_tile:msg.src_tile
+    ~payload:msg.payload
+  && begin
+    delivered.(dst) <- delivered.(dst) + 1;
+    mark dst;
+    (match t.probe with
+    | Some p ->
+        p.on_deliver ~now:t.now ~tile:dst ~fifo:msg.fifo_id
+          ~occupancy:
+            (Puma_tile.Recv_buffer.occupancy
+               (Tile.recv_buffer t.tiles.(dst))
+               ~fifo:msg.fifo_id)
+    | None -> ());
+    true
+  end
 
 (* The one scheduler loop. Each pass drains outgoing queues into the
    network, delivers arrived messages, steps the ready entities (TCU then
@@ -333,7 +333,15 @@ let deliver_pass t delivered =
    one of its entities can move, only tiles whose TCU retired are
    drained, and time advances by a heap of ready times. A probe therefore
    sees each stall reason when a stall begins or its dependency changes
-   rather than on every pass, and each halt once. *)
+   rather than on every pass, and each halt once.
+
+   The fast mode scans no tile array: it walks two worklists in
+   ascending tile order. The outbox list holds the tiles whose TCU
+   retired; the candidate list holds the tiles that were woken (a ready
+   time reached), delivered to, or whose parking key moved during their
+   own visit. Candidates are a superset of the tiles the wake filter
+   admits, so the visits, their order and the energy scopes are those of
+   a scan. The reference mode puts every tile on both lists each pass. *)
 let loop ~reference t ~start =
   let ntiles = Array.length t.tiles in
   let codes =
@@ -397,6 +405,26 @@ let loop ~reference t ~start =
       halted ti
     end
   in
+  (* The two worklists, each an array of tile indices. The outbox list
+     is emptied by each drain and filled by the visits, which ascend and
+     retire a TCU at most once per tile, so it is born sorted and needs
+     no membership flag. The candidate list has one ([pending]), so a
+     mark is O(1). It keeps the tiles that stay candidates in place as it
+     is walked; deliveries and heap pops append to it, so it is sorted
+     before each walk. *)
+  let obox = Array.init ntiles Fun.id in
+  let nobox = ref ntiles in
+  let pending = Array.make ntiles true in
+  let cand = Array.init ntiles Fun.id in
+  let ncand = ref ntiles in
+  let mark ti =
+    if not pending.(ti) then begin
+      pending.(ti) <- true;
+      cand.(!ncand) <- ti;
+      incr ncand
+    end
+  in
+  let accept = accept t delivered mark in
   (* Wake filter (fast mode). After a visit, an entity of the tile steps
      again only once its ready time arrives (a retire) or the tile's
      parking key moves past its park (a block). So a tile is visited when
@@ -419,9 +447,6 @@ let loop ~reference t ~start =
       ready_at ti r;
       Array.iter (ready_at ti) t.core_ready.(ti))
     t.tcu_ready;
-  (* Tiles whose TCU retired since their last drain: only a retired
-     [Send] fills an outgoing queue. *)
-  let outbox = Array.make ntiles true in
   let advance () =
     (if reference then advance_or_deadlock t
      else
@@ -433,9 +458,9 @@ let loop ~reference t ~start =
           raises the deadlock dump. *)
        if next = max_int then advance_or_deadlock t else t.now <- next);
     while Heap.min_key ready <= t.now do
-      match Heap.pop ready with
-      | Some (_, ti) -> woken.(ti) <- true
-      | None -> ()
+      let ti = Heap.pop_value ready in
+      woken.(ti) <- true;
+      mark ti
     done
   in
   let finished = ref false in
@@ -446,7 +471,13 @@ let loop ~reference t ~start =
        read from the node, not from [reference]: one more variable live
        across the pass measurably slowed the fast mode's multi-tile runs. *)
     if not t.last_run_fast then begin
-      Array.fill outbox 0 ntiles true;
+      for ti = 0 to ntiles - 1 do
+        obox.(ti) <- ti;
+        pending.(ti) <- true;
+        cand.(ti) <- ti
+      done;
+      nobox := ntiles;
+      ncand := ntiles;
       Array.fill woken 0 ntiles true;
       Array.fill tcu_park 0 ntiles (-1);
       Array.iter
@@ -454,15 +485,25 @@ let loop ~reference t ~start =
         core_park
     end;
     let sent = ref false in
-    for ti = 0 to ntiles - 1 do
-      if outbox.(ti) then begin
-        outbox.(ti) <- false;
-        if drain_tile t t.tiles.(ti) then sent := true
-      end
+    for k = 0 to !nobox - 1 do
+      if drain_tile t t.tiles.(obox.(k)) then sent := true
     done;
-    let arrived = deliver_pass t delivered in
+    nobox := 0;
+    let arrived = Network.deliver_arrived t.network ~now:t.now accept in
     let progress = ref (!sent || arrived) in
-    for ti = 0 to ntiles - 1 do
+    let n = !ncand in
+    for i = 1 to n - 1 do
+      let ti = cand.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && cand.(!j) > ti do
+        cand.(!j + 1) <- cand.(!j);
+        decr j
+      done;
+      cand.(!j + 1) <- ti
+    done;
+    let kept = ref 0 in
+    for k = 0 to n - 1 do
+      let ti = cand.(k) in
       let tile = t.tiles.(ti) in
       let key = Tile.smem_generation tile + delivered.(ti) in
       if live.(ti) > 0 && (woken.(ti) || key <> seen.(ti)) then begin
@@ -483,9 +524,10 @@ let loop ~reference t ~start =
                    r
              in
              if r >= 0 then begin
+               obox.(!nobox) <- ti;
+               incr nobox;
                t.tcu_ready.(ti) <- t.now + r;
                ready_at ti (t.now + r);
-               outbox.(ti) <- true;
                progress := true
              end
              else if r = Core.r_halted then begin
@@ -496,10 +538,13 @@ let loop ~reference t ~start =
            end);
         let fc = codes.(ti) in
         let parks = core_park.(ti) in
+        (* A blocked or halted step mutates nothing, so the generation is
+           read again only after a retire. *)
+        let gen = ref (Tile.smem_generation tile) in
         for c = 0 to Tile.num_cores tile - 1 do
           if t.core_ready.(ti).(c) <= t.now then begin
             let park = parks.(c) in
-            if park <> never && park <> Tile.smem_generation tile then begin
+            if park <> never && park <> !gen then begin
               let r =
                 match t.probe with
                 | None -> Fastexec.step (Tile.core tile c) fc.(c)
@@ -514,18 +559,28 @@ let loop ~reference t ~start =
                 t.core_ready.(ti).(c) <- t.now + r;
                 ready_at ti (t.now + r);
                 core_halted ti c;
+                gen := Tile.smem_generation tile;
                 progress := true
               end
               else if r = Core.r_halted then begin
                 parks.(c) <- never;
                 core_halted ti c
               end
-              else parks.(c) <- Tile.smem_generation tile
+              else parks.(c) <- !gen
             end
           end
-        done
+        done;
+        (* Still a candidate if its own visit reached a ready time or
+           moved its key. *)
+        if woken.(ti) || !gen + delivered.(ti) <> key then begin
+          cand.(!kept) <- ti;
+          incr kept
+        end
+        else pending.(ti) <- false
       end
+      else pending.(ti) <- false
     done;
+    ncand := !kept;
     Energy.set_scope t.energy (-1);
     if !total_live = 0 && Network.in_flight t.network = 0 then finished := true
     else if not !progress then advance ()

@@ -146,6 +146,65 @@ let same_cycle_wake () =
   Puma_isa.Check.check_exn program;
   program
 
+(* Four tiles. Tiles 0 and 2 each send one word in the same cycle, to
+   tiles 3 and 1, whose TCUs are already parked on their FIFO: the
+   network delivers to tile 3 before tile 1, and both then forward the
+   word to tile 0's one FIFO in the same cycle. Tile 0 keeps the two
+   words in arrival order, which follows the order the tiles were
+   drained, so the output shows a pass that visits or drains tiles out
+   of ascending order. Each receiving tile also runs a core whose ready
+   times (odd, after a 1-cycle [set]) straddle its delivery without
+   meeting it, so a delivery that fails to make its tile a candidate
+   shows as a late receive rather than as a deadlock. *)
+let worklist_order () =
+  let config = Config.sweetspot in
+  let layout = Puma_isa.Operand.layout config in
+  let assemble source =
+    match Puma_isa.Asm.parse_program layout source with
+    | Ok code -> code
+    | Error e -> Alcotest.fail e
+  in
+  let chain adds =
+    [|
+      assemble
+        ("set r0, #1\n"
+        ^ String.concat "" (List.init adds (fun _ -> "alu.add r1, r0, r0, w=1\n"))
+        ^ "halt\n");
+    |]
+  in
+  let forward =
+    assemble
+      "receive fifo0 -> @0, count=1, w=1\nsend @0 -> tile0 fifo0, w=1\nhalt\n"
+  in
+  let tile i core_code tile_code =
+    { Puma_isa.Program.tile_index = i; core_code; tile_code; mvmu_images = [] }
+  in
+  let binding name tile mem_addr length =
+    { Puma_isa.Program.name; tile; mem_addr; length; offset = 0 }
+  in
+  let program =
+    {
+      Puma_isa.Program.config;
+      tiles =
+        [|
+          tile 0 (chain 6)
+            (assemble
+               "send @0 -> tile3 fifo0, w=1\n\
+                receive fifo0 -> @1, count=0, w=1\n\
+                receive fifo0 -> @2, count=0, w=1\n\
+                halt\n");
+          tile 1 (chain 2) forward;
+          tile 2 [||] (assemble "send @0 -> tile1 fifo0, w=1\nhalt\n");
+          tile 3 (chain 2) forward;
+        |];
+      inputs = [ binding "x" 0 0 1; binding "z" 2 0 1 ];
+      outputs = [ binding "y" 0 1 2 ];
+      constants = [];
+    }
+  in
+  Puma_isa.Check.check_exn program;
+  program
+
 let test_zoo_sweetspot () =
   List.iter
     (fun (name, graph) ->
@@ -224,6 +283,11 @@ let test_reference_does_not_park () =
        !fast_stalls)
     true
     (!fast_stalls > 0 && !slow_stalls > !fast_stalls)
+
+(* ---- the fast mode's worklists keep the scan's tile order ---- *)
+
+let test_worklist_order () =
+  differential "worklist order" (worklist_order ()) ~runs:3
 
 (* ---- the batched runtime matches the oracle at any domain count ---- *)
 
@@ -366,6 +430,7 @@ let () =
           Alcotest.test_case "batch across domains" `Quick test_batch_domains;
           Alcotest.test_case "reference mode does not park" `Quick
             test_reference_does_not_park;
+          Alcotest.test_case "worklist order" `Quick test_worklist_order;
         ] );
       ( "property",
         [

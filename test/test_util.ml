@@ -5,6 +5,7 @@ module Stats = Puma_util.Stats
 module Bits = Puma_util.Bits
 module Table = Puma_util.Table
 module Json = Puma_util.Json
+module Heap = Puma_util.Heap
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -507,6 +508,87 @@ let test_json_parse () =
           Alcotest.(check bool) "error has offset" true (contains e "offset"))
     [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "nul"; "\"unterminated" ]
 
+(* The heap's tie order is a contract: [Schedule] (byte-identical
+   programs) and [Network] (bit-identical runs) pop entries with equal
+   keys in it. The oracle is the swapping heap of (key, value) tuples the
+   two-array heap replaced; on random push/pop sequences over a few keys
+   (so most keys tie) both must pop the same values in the same order. *)
+module Tuple_heap = struct
+  type 'a t = { mutable arr : (int * 'a) array; mutable len : int }
+
+  let create () = { arr = [||]; len = 0 }
+
+  let swap h i j =
+    let tmp = h.arr.(i) in
+    h.arr.(i) <- h.arr.(j);
+    h.arr.(j) <- tmp
+
+  let push h key v =
+    if h.len = Array.length h.arr then begin
+      let bigger = Array.make (max 16 (2 * h.len)) (key, v) in
+      Array.blit h.arr 0 bigger 0 h.len;
+      h.arr <- bigger
+    end;
+    h.arr.(h.len) <- (key, v);
+    let i = ref h.len in
+    h.len <- h.len + 1;
+    while !i > 0 && fst h.arr.((!i - 1) / 2) > fst h.arr.(!i) do
+      swap h !i ((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done
+
+  let pop h =
+    if h.len = 0 then None
+    else begin
+      let top = h.arr.(0) in
+      h.len <- h.len - 1;
+      h.arr.(0) <- h.arr.(h.len);
+      let i = ref 0 in
+      let continue = ref true in
+      while !continue do
+        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+        let smallest = ref !i in
+        if l < h.len && fst h.arr.(l) < fst h.arr.(!smallest) then smallest := l;
+        if r < h.len && fst h.arr.(r) < fst h.arr.(!smallest) then smallest := r;
+        if !smallest <> !i then begin
+          swap h !i !smallest;
+          i := !smallest
+        end
+        else continue := false
+      done;
+      Some top
+    end
+end
+
+let prop_heap_tie_order =
+  (* [Some k] pushes key [k], [None] pops. *)
+  let ops =
+    QCheck.make
+      ~print:QCheck.Print.(list (option int))
+      QCheck.Gen.(
+        list_size (int_range 0 300)
+          (frequency [ (3, map Option.some (int_range 0 4)); (2, pure None) ]))
+  in
+  QCheck.Test.make ~name:"heap pops ties in the tuple heap's order" ~count:500
+    ops (fun ops ->
+      let h = Heap.create () and oracle = Tuple_heap.create () in
+      let same = ref true in
+      List.iteri
+        (fun seq op ->
+          (match op with
+          | Some key ->
+              Heap.push h key seq;
+              Tuple_heap.push oracle key seq
+          | None -> (
+              let before = Heap.min_key h in
+              match Tuple_heap.pop oracle with
+              | None -> same := !same && Heap.size h = 0
+              | Some (key, v) ->
+                  same := !same && before = key && Heap.pop_value h = v));
+          same := !same && Heap.size h = oracle.len)
+        ops;
+      !same)
+
 let () =
   let qc = List.map QCheck_alcotest.to_alcotest
       [
@@ -578,4 +660,5 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "parse" `Quick test_json_parse;
         ] );
+      ("heap", [ QCheck_alcotest.to_alcotest prop_heap_tie_order ]);
     ]
