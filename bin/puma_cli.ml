@@ -643,10 +643,16 @@ let analyze_cmd =
             Puma_util.Fixed.to_raw (Puma_util.Fixed.of_float hi) ))
         input_range
     in
-    (* Equiv off too: the validator runs in [Analyze.program] below,
-       against the compilation's own reference dataflow. *)
+    (* No gates in the compile: [Analyze.program] below runs them once,
+       with the user's flags and the compilation's own reference
+       dataflow. *)
     let options =
-      { gate_off with check_equiv = false; repair_ordering = not no_repair }
+      {
+        gate_off with
+        check_equiv = false;
+        static_analysis = false;
+        repair_ordering = not no_repair;
+      }
     in
     let compile_model m = compile ~options config (graph_of m) in
     (* With --equiv, program-file targets are validated against the

@@ -1,40 +1,63 @@
 #!/usr/bin/env python3
-"""Check that keeping per-pc range states changes no diagnostic.
+"""Check that an analyze report equals a pinned one once some codes are dropped.
 
-    puma_cli analyze --all --ranges --resources --order --equiv --json \
-        --dump-ranges > dump.json
-    python3 ci/check_dump_ranges.py dump.json ci/analyze_zoo.json
+    python3 ci/check_dump_ranges.py GOT.json PINNED.json CODE...
 
-With --dump-ranges the range analysis keeps every post-instruction
-state and adds I-RANGE infos. Dropping those infos (and subtracting
-them from each program's info count) must leave exactly the pinned
-report of the default path, which keeps no states.
+Drops every diagnostic whose code is one of CODE from both reports,
+adjusts each program's error/warning/info counts and the total error
+count to match, and requires what is left to be equal. CI uses it two
+ways:
+
+- `--dump-ranges` keeps per-pc range states and adds I-RANGE infos:
+
+      puma_cli analyze --all --ranges --resources --order --equiv --json \\
+          --dump-ranges > dump.json
+      python3 ci/check_dump_ranges.py dump.json ci/analyze_zoo.json I-RANGE
+
+- value ranges and cost bounds do not depend on `--equiv`:
+
+      puma_cli analyze --all --ranges --resources --order --json > plain.json
+      python3 ci/check_dump_ranges.py plain.json ci/analyze_zoo.json \\
+          I-EQUIV E-EQUIV W-EQUIV-UNKNOWN
 """
 
 import json
 import sys
 
+COUNT = {"error": "errors", "warning": "warnings", "info": "infos"}
 
-def main(dump_path, pinned_path):
-    with open(dump_path) as f:
-        dump = json.load(f)
-    with open(pinned_path) as f:
-        pinned = json.load(f)
-    for prog in dump["programs"]:
-        kept = [d for d in prog["diagnostics"] if d["code"] != "I-RANGE"]
-        prog["infos"] -= len(prog["diagnostics"]) - len(kept)
+
+def drop(report, codes):
+    for prog in report["programs"]:
+        kept = []
+        for d in prog["diagnostics"]:
+            if d["code"] in codes:
+                prog[COUNT[d["severity"]]] -= 1
+                if d["severity"] == "error":
+                    report["errors"] -= 1
+            else:
+                kept.append(d)
         prog["diagnostics"] = kept
-    if dump != pinned:
-        for got, want in zip(dump["programs"], pinned["programs"]):
-            if got != want:
-                print(f"{got['name']}: differs from {pinned_path}", file=sys.stderr)
-        print("the --dump-ranges report differs from the default one", file=sys.stderr)
+    return report
+
+
+def main(got_path, pinned_path, codes):
+    with open(got_path) as f:
+        got = drop(json.load(f), codes)
+    with open(pinned_path) as f:
+        pinned = drop(json.load(f), codes)
+    if got != pinned:
+        for g, p in zip(got["programs"], pinned["programs"]):
+            if g != p:
+                print(f"{g['name']}: differs from {pinned_path}", file=sys.stderr)
+        print(f"{got_path} differs from {pinned_path} without {' '.join(codes)}",
+              file=sys.stderr)
         return 1
-    print(f"{len(dump['programs'])} programs match {pinned_path}")
+    print(f"{len(got['programs'])} programs match {pinned_path} without {' '.join(codes)}")
     return 0
 
 
 if __name__ == "__main__":
-    if len(sys.argv) != 3:
-        sys.exit("usage: check_dump_ranges.py DUMP.json PINNED.json")
-    sys.exit(main(sys.argv[1], sys.argv[2]))
+    if len(sys.argv) < 4:
+        sys.exit("usage: check_dump_ranges.py GOT.json PINNED.json CODE...")
+    sys.exit(main(sys.argv[1], sys.argv[2], sys.argv[3:]))

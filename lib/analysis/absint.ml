@@ -1,11 +1,10 @@
-(* Generic worklist abstract interpreter over {!Cfg}, parametric in the
-   abstract domain. Clients: {!Regflow} (must-defined / liveness bitsets),
-   {!Range} (fixed-point intervals) and {!Resource} (liveness-based
-   register pressure). *)
+(* Generic worklist dataflow solver over {!Cfg}, parametric in a
+   finite-height abstract domain. Clients: {!Regflow} (must-defined /
+   liveness bitsets, the latter read by {!Resource}'s register
+   pressure). *)
 
 (* Compact bitsets over the combined register space: one bit per vector
-   register word, then one bit per scalar register. Shared by the bitset
-   domains and by {!Range}'s defined-register tracking. *)
+   register word, then one bit per scalar register. *)
 module Bset = struct
   type t = Bytes.t
 
@@ -47,11 +46,6 @@ module type DOMAIN = sig
 
   val join : state -> state -> state
   (** Least upper bound; may mutate and return its first argument. *)
-
-  val widen : state -> state -> state
-  (** [widen old next] must be an upper bound of both; called in place of
-      {!join}'s result once a block has been visited more than
-      [widen_after] times. Finite-height domains can pass {!join}. *)
 end
 
 module Make (D : DOMAIN) = struct
@@ -63,8 +57,7 @@ module Make (D : DOMAIN) = struct
      mutate and return [s] (always a private copy). It is an argument,
      not part of the domain, so a client's per-run context lives in the
      closure and nothing outlives the solve. *)
-  let solve ?(direction = Forward) ?(widen_after = 3) ~entry ~transfer
-      (cfg : Cfg.t) =
+  let solve ?(direction = Forward) ~entry ~transfer (cfg : Cfg.t) =
     let nb = Cfg.num_blocks cfg in
     let state : D.state option array = Array.make nb None in
     if nb > 0 then begin
@@ -117,7 +110,7 @@ module Make (D : DOMAIN) = struct
         Array.to_seqi cfg.Cfg.blocks
         |> Seq.exists (fun (b, blk) -> List.exists (( >= ) b) blk.Cfg.succs)
       in
-      let outs = Array.make nb None and visits = Array.make nb 0 in
+      let outs = Array.make nb None in
       let rec pass () =
         let changed = ref false in
         for k = 0 to nb - 1 do
@@ -125,23 +118,10 @@ module Make (D : DOMAIN) = struct
           let moved =
             match (incoming outs b, state.(b)) with
             | None, _ -> None
-            | Some ni, None ->
-                visits.(b) <- 1;
-                Some ni
+            | Some ni, None -> Some ni
             | Some ni, Some cur ->
-                (* Accumulate so iterates only grow even if a transfer is
-                   re-run against a moving environment (the Range pass
-                   re-solves streams while its shared-memory map is still
-                   converging). *)
                 let cand = D.join ni cur in
-                if D.equal cur cand then None
-                else begin
-                  visits.(b) <- visits.(b) + 1;
-                  let cand =
-                    if visits.(b) > widen_after then D.widen cur cand else cand
-                  in
-                  if D.equal cur cand then None else Some cand
-                end
+                if D.equal cur cand then None else Some cand
           in
           Option.iter
             (fun s ->

@@ -1,10 +1,9 @@
 (** Generic worklist abstract interpreter over {!Cfg}.
 
-    A dataflow/abstract-interpretation solver parametric in the abstract
-    domain: chaotic iteration over basic blocks to a fixpoint, with
-    optional widening for infinite-height domains. The register-dataflow
-    ({!Regflow}), value-range ({!Range}) and resource ({!Resource})
-    passes are all clients. *)
+    A dataflow solver parametric in a finite-height abstract domain:
+    chaotic iteration over basic blocks to a fixpoint. The
+    register-dataflow passes ({!Regflow}) are its clients; {!Resource}
+    reads their liveness through {!Bset}. *)
 
 (** Compact bitset over the combined register space (one bit per vector
     register word, then one per scalar register). *)
@@ -33,17 +32,11 @@ module type DOMAIN = sig
 
   val join : state -> state -> state
   (** Least upper bound; may mutate and return its first argument. *)
-
-  val widen : state -> state -> state
-  (** [widen old next]: upper bound of both that guarantees termination
-      on infinite-height domains. Finite-height domains can reuse
-      {!join}. *)
 end
 
 module Make (D : DOMAIN) : sig
   val solve :
     ?direction:direction ->
-    ?widen_after:int ->
     entry:(unit -> D.state) ->
     transfer:(pc:int -> D.state -> D.state) ->
     Cfg.t ->
@@ -59,7 +52,5 @@ module Make (D : DOMAIN) : sig
       [pc]; it may mutate and return [s] (the solver always passes a
       private copy). Blocks are visited in order (reverse order under
       [Backward]); a CFG with no back edge is solved in that one pass,
-      with each instruction's transfer run once. Widening kicks in once a
-      block has been revisited more than [widen_after] times (default
-      3). *)
+      with each instruction's transfer run once. *)
 end

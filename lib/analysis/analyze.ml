@@ -51,8 +51,8 @@ let attribute_imem ~layer_of (p : Program.t) diags =
     diags
 
 let program ?(ranges = false) ?(resources = false) ?input_range
-    ?(dump_ranges = false) ?(order = false) ?(dump_hb = false) ?equiv ?layer_of
-    (p : Program.t) =
+    ?(dump_ranges = false) ?(order = false) ?(dump_hb = false) ?equiv ?run
+    ?layer_of (p : Program.t) =
   let order = order || dump_hb in
   let structural = Check.diagnose p in
   let structural =
@@ -62,6 +62,18 @@ let program ?(ranges = false) ?(resources = false) ?input_range
   in
   let has_structural_errors =
     List.exists (fun (d : Diag.t) -> d.severity = Diag.Error) structural
+  in
+  (* One symbolic run behind the value ranges, the cost bound and the
+     translation validation; intervals only when ranges are reported. *)
+  let run =
+    lazy
+      (match run with
+      | Some r -> r
+      | None ->
+          let ranges = ranges && not has_structural_errors in
+          Equiv.run ?input_range ~ranges
+            ~keep_ranges:(ranges && dump_ranges)
+            ?reference:equiv p)
   in
   let diags =
     if has_structural_errors then
@@ -93,8 +105,9 @@ let program ?(ranges = false) ?(resources = false) ?input_range
       structural
       @ List.concat (List.rev !regflow)
       @ Order.analyze ~order ~dump_hb p
-      @ (if ranges then Range.analyze ?input_range ~dump_ranges p else [])
-      @ (if resources then Resource.report (Resource.estimate ~flows p)
+      @ (if ranges then (Lazy.force run).Equiv.ranges else [])
+      @ (if resources then
+           Resource.report (Resource.estimate ~flows ~run:(Lazy.force run) p)
          else [])
     end
   in
@@ -104,8 +117,11 @@ let program ?(ranges = false) ?(resources = false) ?input_range
      is exactly where a semantic verdict is still meaningful. *)
   let diags =
     match equiv with
-    | Some reference -> diags @ (Equiv.check ~reference p).Equiv.diags
     | None -> diags
+    | Some _ -> (
+        match (Lazy.force run).Equiv.equiv with
+        | Some e -> diags @ e.Equiv.diags
+        | None -> diags)
   in
   make_report (List.sort Diag.compare diags)
 

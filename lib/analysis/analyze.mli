@@ -4,8 +4,9 @@
     per-core register dataflow ({!Regflow}), the multi-stream gates
     ({!Order}: channel matching, deadlock and shared-memory consumer
     counts, plus — opt-in — happens-before ordering) and — opt-in —
-    fixed-point value-range analysis ({!Range}) and static
-    resource/cost estimation ({!Resource}). If the
+    fixed-point value ranges ({!Range}), static resource/cost estimation
+    ({!Resource}) and translation validation ({!Equiv}), all three from
+    one symbolic run ({!Equiv.run}). If the
     structural pass reports any error the semantic passes are skipped
     (and an [I-SKIP] info says so), since their preconditions do not hold
     on malformed programs; E-IMEM attribution still runs in that case
@@ -29,11 +30,13 @@ val program :
   ?order:bool ->
   ?dump_hb:bool ->
   ?equiv:Equiv.dataflow ->
+  ?run:Equiv.run ->
   ?layer_of:Resource.layer_of ->
   Puma_isa.Program.t ->
   report
-(** [ranges] (default off) runs {!Range}; [input_range] and
-    [dump_ranges] are forwarded to it. [resources] (default off) runs
+(** [ranges] (default off) reports the run's value ranges; [input_range]
+    and [dump_ranges] (its [keep_ranges]) are forwarded to the run.
+    [resources] (default off) runs
     {!Resource.report} and, when [layer_of] provenance is supplied,
     appends a per-layer byte attribution to every [E-IMEM] message.
     [order] (default off) adds {!Order}'s happens-before checks
@@ -42,7 +45,9 @@ val program :
     runs the translation validator ({!Equiv}) against the given
     reference dataflow; unlike the other semantic passes it also runs on
     structurally invalid programs, degrading to [W-EQUIV-UNKNOWN] where
-    the program cannot be modelled. *)
+    the program cannot be modelled. One run serves every requested pass;
+    [run] supplies one the caller made already (with the same
+    [input_range], [dump_ranges] and [equiv]). *)
 
 val has_errors : report -> bool
 

@@ -31,27 +31,40 @@ type result = {
   steps : int;
 }
 
+type run = {
+  equiv : result option;
+  ranges : Diag.t list;
+  interval : tile:int -> core:int -> pc:int -> reg:int -> (int * int) option;
+  executions : pos:int -> core:int option -> (int array * int) option;
+}
+
 (* ---- Hash-consed symbolic words ----
 
    Every value a register, shared-memory word or NoC packet word can hold
    is an interned id; structural equality of provenance DAGs is id
    equality. Copies (register moves, loads/stores, sends/receives) move
    ids around without interning anything, so the executor's cost is
-   dominated by the instructions that actually compute. *)
+   dominated by the instructions that actually compute. Each id carries
+   the interval of raw values its word can take, computed once from its
+   operands' intervals when it is interned ({!Range}). *)
 
 type desc =
   | S_input of string * int  (* network input name, element index *)
   | S_const of int  (* raw 16-bit fixed-point word *)
-  | S_undef of int  (* fresh unknown (reads of unmodelled sources) *)
+  | S_init  (* a register no instruction has written yet *)
+  | S_undef of int  (* fresh unknown: a Rand lane *)
   | S_vec of int array  (* an MVM argument vector, word ids *)
   | S_app of int * int  (* matrix id, argument S_vec id *)
   | S_elem of int * int  (* S_app id, output element *)
   | S_op1 of Instr.alu_op * int
   | S_op2 of Instr.alu_op * int * int
 
-(* A dim x dim crossbar-block image, interned by its raws. *)
+(* A dim x dim crossbar-block image, interned by its raws. [named] is set
+   once a reference node has labelled it. *)
 type mat_info = {
   mutable label : string;
+  mutable named : bool;
+  image : string;
   zero_col : bool array;
   zero_row : bool array;
 }
@@ -97,14 +110,26 @@ type intern_state = {
   ids : (desc, int) Hashtbl.t;
   descs : desc Grow.t;
   taints : bool Grow.t;  (* does the word depend on an S_undef? *)
+  lo : int Grow.t;
+  hi : int Grow.t;
+  flags : Range.flag Grow.t;
+  mutable app : int;
+  mutable app_lo : int array;
+  mutable app_hi : int array;
+      (* the latest new S_app id and each row's dot-product bound, before
+         rounding: [apply_mvm] interns an application's elements right
+         after the application itself *)
   mats : int Images.t;
   mat_infos : mat_info Grow.t;
+  dim : int;
+  input_range : int * int;
+  ranges : bool;  (* compute intervals; off, every term gets [0, 0] *)
   mutable nonce : int;
   const0 : int;  (* set right after creation: intern (S_const 0) *)
 }
 
 let taint_of st = function
-  | S_input _ | S_const _ -> false
+  | S_input _ | S_const _ | S_init -> false
   | S_undef _ -> true
   | S_vec ws -> Array.exists (fun w -> Grow.get st.taints w) ws
   | S_app (_, v) -> Grow.get st.taints v
@@ -112,13 +137,63 @@ let taint_of st = function
   | S_op1 (_, a) -> Grow.get st.taints a
   | S_op2 (_, a, b) -> Grow.get st.taints a || Grow.get st.taints b
 
+(* The MVM's exact bound over its argument words' intervals. *)
+let app_bound st mat v =
+  let dim = st.dim in
+  let ws = match Grow.get st.descs v with S_vec ws -> ws | _ -> assert false in
+  let out_lo = Array.make dim 0 and out_hi = Array.make dim 0 in
+  Range.mvm_bound dim (Grow.get st.mat_infos mat).image
+    (Array.map (Grow.get st.lo) ws)
+    (Array.map (Grow.get st.hi) ws)
+    out_lo out_hi;
+  (out_lo, out_hi)
+
+let bounds st d =
+  let sat w = (Range.sat_raw (Grow.get st.lo w), Range.sat_raw (Grow.get st.hi w)) in
+  match d with
+  | S_input _ ->
+      let lo, hi = st.input_range in
+      (lo, hi, Range.Clean)
+  | S_const r -> (r, r, Range.Clean)
+  | S_init -> (Range.vlo_top, Range.vhi_top, Range.Clean)
+  | S_undef _ -> (0, Fixed.to_raw Fixed.one, Range.Clean)
+  | S_vec _ | S_app _ -> (0, 0, Range.Clean)
+  | S_elem (a, i) ->
+      assert (a = st.app);
+      let lo = st.app_lo and hi = st.app_hi in
+      Range.sat "mvm accumulation"
+        (Fixed.round_scale lo.(i))
+        (Fixed.round_scale hi.(i))
+  | S_op1 (op, a) ->
+      let l, h = sat a in
+      let lo, hi = Range.unop op l h in
+      (lo, hi, Range.Clean)
+  | S_op2 (op, a, b) ->
+      let l1, h1 = sat a and l2, h2 = sat b in
+      Range.binop op l1 h1 l2 h2
+
 let intern st d =
   match Hashtbl.find_opt st.ids d with
   | Some id -> id
   | None ->
+      let lo, hi, flag =
+        if not st.ranges then (0, 0, Range.Clean)
+        else begin
+          (match d with
+          | S_app (mat, v) ->
+              let lo, hi = app_bound st mat v in
+              st.app <- st.descs.Grow.len;
+              st.app_lo <- lo;
+              st.app_hi <- hi
+          | _ -> ());
+          bounds st d
+        end
+      in
       let id = Grow.push st.descs d in
-      let id' = Grow.push st.taints (taint_of st d) in
-      assert (id = id');
+      ignore (Grow.push st.taints (taint_of st d));
+      ignore (Grow.push st.lo lo);
+      ignore (Grow.push st.hi hi);
+      ignore (Grow.push st.flags flag);
       Hashtbl.add st.ids d id;
       id
 
@@ -126,16 +201,33 @@ let fresh_undef st =
   st.nonce <- st.nonce + 1;
   intern st (S_undef st.nonce)
 
-(* Sized up front to the expected number of ids, so it never rehashes. *)
-let intern_state ~size =
+(* Sized up front to the expected number of ids, so it rarely
+   rehashes. *)
+let intern_state ~size ~dim ~input_range ~ranges =
   let st =
     {
       ids = Hashtbl.create (max 64 size);
       descs = Grow.create (S_const 0);
       taints = Grow.create false;
+      lo = Grow.create 0;
+      hi = Grow.create 0;
+      flags = Grow.create Range.Clean;
+      app = -1;
+      app_lo = [||];
+      app_hi = [||];
       mats = Images.create 64;
       mat_infos =
-        Grow.create { label = ""; zero_col = [||]; zero_row = [||] };
+        Grow.create
+          {
+            label = "";
+            named = false;
+            image = "";
+            zero_col = [||];
+            zero_row = [||];
+          };
+      dim;
+      input_range;
+      ranges;
       nonce = 0;
       const0 = 0;
     }
@@ -146,10 +238,10 @@ let intern_state ~size =
 
 (* ---- Bail-out discipline ----
 
-   [Bail] aborts the whole check into [Unknown] (we cannot model the
-   program soundly); [Trap] aborts into [Refuted] (the runtime would trap
-   before producing outputs). Refutations from output comparison are
-   collected normally. *)
+   [Bail] stops the run short: the program cannot be modelled soundly
+   and the proof is [Unknown]. [Trap] stops it into [Refuted] (the
+   runtime would trap before producing outputs). Refutations from output
+   comparison are collected normally. *)
 
 exception Bail of Diag.t
 exception Trap of Diag.t
@@ -162,13 +254,19 @@ let bail ?tile ?core ?pc fmt =
 
 (* Intern an image by content: the program's images and the reference's
    unify exactly when their raws agree (an image on the wrong MVMU does
-   not), and
-   content-equal blocks unify (the compiler may legitimately use either
-   copy). [label] only sticks on first sight, so reference names win
-   over program-side placeholders. *)
-let intern_image st ~dim ~label img =
+   not), and content-equal blocks unify (the compiler may legitimately
+   use either copy). The first reference label sticks, so reference names
+   win over program-side placeholders. *)
+let intern_image st ~reference ~label img =
+  let dim = st.dim in
   match Images.find_opt st.mats img with
-  | Some id -> id
+  | Some id ->
+      let info = Grow.get st.mat_infos id in
+      if reference && not info.named then begin
+        info.label <- label;
+        info.named <- true
+      end;
+      id
   | None ->
       if String.length img <> 2 * dim * dim then
         bail "MVM image %s is %d bytes, not %dx%d raws" label
@@ -186,9 +284,19 @@ let intern_image st ~dim ~label img =
         zero_row.(i) <- !row = 0
       done;
       let zero_col = Array.map (fun c -> c = 0) col in
-      let id = Grow.push st.mat_infos { label; zero_col; zero_row } in
+      let id =
+        Grow.push st.mat_infos
+          {
+            label;
+            named = reference;
+            image = img;
+            zero_col;
+            zero_row;
+          }
+      in
       Images.add st.mats img id;
       id
+
 
 (* The one shared MVM evaluator: both the reference dataflow and the
    program's Mvm instructions go through it, so canonicalization (words
@@ -214,6 +322,7 @@ let rec render st ~depth id =
     match Grow.get st.descs id with
     | S_input (name, i) -> Printf.sprintf "%s[%d]" name i
     | S_const r -> Printf.sprintf "#%d" r
+    | S_init -> "init"
     | S_undef k -> Printf.sprintf "undef<%d>" k
     | S_vec ws ->
         let n = Array.length ws in
@@ -244,7 +353,8 @@ let render st id = render st ~depth:4 id
 
 (* Evaluates the dataflow in index order (it is topologically sorted) and
    records, per (output name, element index), the expected word id. *)
-let eval_reference st ~dim (df : dataflow) =
+let eval_reference st (df : dataflow) =
+  let dim = st.dim in
   let expected : (string * int, int) Hashtbl.t = Hashtbl.create 64 in
   let vals = Array.make (Array.length df) [||] in
   Array.iteri
@@ -266,7 +376,7 @@ let eval_reference st ~dim (df : dataflow) =
               bail "reference node %d: constant shorter than its segment" i;
             Array.init n.len (fun j -> intern st (S_const raws.(j)))
         | R_mvm { image; label } ->
-            let mat = intern_image st ~dim ~label image in
+            let mat = intern_image st ~reference:true ~label image in
             let arg = pred 0 in
             if Array.length arg > dim then
               bail "reference node %d: MVM argument wider than the block" i;
@@ -330,6 +440,17 @@ type stream = {
   code : Instr.t array;
   mutable pc : int;
   mutable halted : bool;
+  counts : int array;  (* executions per pc *)
+  mutable last : int;  (* the latest executed pc, -1 before the first *)
+  sat : int array;
+      (* per pc, bit 0: some execution created a term that may clamp;
+         bit 1: some execution created none that surely clamps *)
+  what : (int, string) Hashtbl.t;  (* per flagged pc: what clamps *)
+  defs : int array array;
+      (* with [keep_ranges]: each pc's defined registers (combined space) *)
+  post : (int array * int array) option array;
+      (* with [keep_ranges]: per pc, the hull of those registers'
+         intervals over its executions *)
 }
 
 type core_state = { regs : int array; sregs : int array }
@@ -344,27 +465,118 @@ type tile_state = {
 
 type step = Stepped | Blocked | Halted_step
 
-let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
+let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
+    ?(ranges = true) ?(keep_ranges = false) ?reference (p : Program.t) =
+  let ranges = ranges || keep_ranges in
+  let config = p.Program.config in
+  let dim = config.Puma_hwmodel.Config.mvmu_dim in
+  let layout = Operand.layout config in
+  let total = layout.Operand.total in
+  let width = total + Operand.num_scalar_regs in
+  let nmvmus = config.Puma_hwmodel.Config.mvmus_per_core in
+  let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
+  let ntiles = Array.length p.Program.tiles in
   (* About one id per reference word; the program's words mostly reuse
      them. *)
-  let st =
-    intern_state
-      ~size:(Array.fold_left (fun n (r : rnode) -> n + r.len) 0 reference)
+  let size =
+    match reference with
+    | Some df -> Array.fold_left (fun n (r : rnode) -> n + r.len) 0 df
+    | None -> 0
   in
+  let st = intern_state ~size ~dim ~input_range ~ranges in
+  let init = intern st S_init in
   let steps = ref 0 in
   let mvm_apps = ref 0 in
-  let diags = ref [] in
-  let push_diag d = diags := d :: !diags in
-  let unknowns = ref 0 in
-  let body () =
-    let config = p.Program.config in
-    let dim = config.Puma_hwmodel.Config.mvmu_dim in
-    let expected = eval_reference st ~dim reference in
-    let layout = Operand.layout config in
-    let nmvmus = config.Puma_hwmodel.Config.mvmus_per_core in
-    let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
-    let footprint = Program.footprint p in
-    let ntiles = Array.length p.Program.tiles in
+  let def_words i =
+    List.concat_map
+      (fun (base, w) ->
+        let lo = max 0 base and hi = min width (base + w) in
+        List.init (max 0 (hi - lo)) (fun k -> lo + k))
+      (Regflow.effects layout i).Regflow.defs
+    |> Array.of_list
+  in
+  let stream s_tile s_core code =
+    let n = Array.length code in
+    let keep = keep_ranges && s_core <> None in
+    {
+      s_tile;
+      s_core;
+      code;
+      pc = 0;
+      halted = false;
+      counts = Array.make n 0;
+      last = -1;
+      sat = Array.make n 0;
+      what = Hashtbl.create 8;
+      defs = (if keep then Array.map def_words code else [||]);
+      post = Array.make (if keep then n else 0) None;
+    }
+  in
+  let streams = ref [] in
+  Array.iteri
+    (fun pos (tp : Program.tile_program) ->
+      if Array.length tp.Program.tile_code > 0 then
+        streams := stream pos None tp.Program.tile_code :: !streams;
+      Array.iteri
+        (fun c code ->
+          if Array.length code > 0 then
+            streams := stream pos (Some c) code :: !streams)
+        tp.Program.core_code)
+    p.Program.tiles;
+  let streams = Array.of_list (List.rev !streams) in
+  let tiles = ref [||] in
+  let stopped = ref None and trapped = ref None and wedged = ref None in
+  (* What the current core instruction's new terms found ({!Range.flag}),
+     folded into its pc's [sat] bits as it retires. *)
+  let ex_may = ref false and ex_must = ref false and ex_what = ref "" in
+  let note id =
+    match Grow.get st.flags id with
+    | Range.Clean -> ()
+    | Range.May w ->
+        ex_may := true;
+        if !ex_what = "" then ex_what := w
+    | Range.Must w ->
+        ex_may := true;
+        ex_must := true;
+        ex_what := w
+  in
+  let settle s =
+    let pc = s.pc in
+    s.sat.(pc) <-
+      s.sat.(pc) lor (if !ex_may then 1 else 0) lor if !ex_must then 0 else 2;
+    if !ex_may then Hashtbl.replace s.what pc !ex_what;
+    ex_may := false;
+    ex_must := false;
+    ex_what := ""
+  in
+  let record s cs =
+    let words = s.defs.(s.pc) in
+    let n = Array.length words in
+    if n > 0 then begin
+      let lo, hi =
+        match s.post.(s.pc) with
+        | Some b -> b
+        | None ->
+            let b = (Array.make n max_int, Array.make n min_int) in
+            s.post.(s.pc) <- Some b;
+            b
+      in
+      for i = 0 to n - 1 do
+        let k = words.(i) in
+        let l, h =
+          if k < total then
+            let w = cs.regs.(k) in
+            (Grow.get st.lo w, Grow.get st.hi w)
+          else
+            let v = cs.sregs.(k - total) in
+            (v, v)
+        in
+        if l < lo.(i) then lo.(i) <- l;
+        if h > hi.(i) then hi.(i) <- h
+      done
+    end
+  in
+  let execute () =
     (* Send targets name tiles by [tile_index]; map back to positions. *)
     let tile_pos : (int, int) Hashtbl.t = Hashtbl.create 8 in
     Array.iteri
@@ -374,7 +586,8 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
     (* Per-tile memory sized to the tile's footprint: every access the
        range checks below (against capacity) let through falls inside
        it. *)
-    let tiles =
+    let footprint = Program.footprint p in
+    tiles :=
       Array.init ntiles (fun pos ->
           let words = footprint pos in
           {
@@ -385,11 +598,11 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
             cores =
               Array.init config.Puma_hwmodel.Config.cores_per_tile (fun _ ->
                   {
-                    regs = Array.make layout.Operand.total st.const0;
+                    regs = Array.make total init;
                     sregs = Array.make Operand.num_scalar_regs 0;
                   });
-          })
-    in
+          });
+    let tiles = !tiles in
     (* MVMU images, interned by content. *)
     let images : (int * int * int, int) Hashtbl.t = Hashtbl.create 32 in
     Array.iteri
@@ -402,7 +615,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
             in
             Hashtbl.replace images
               (pos, img.Program.core_index, img.Program.mvmu_index)
-              (intern_image st ~dim ~label img.Program.image))
+              (intern_image st ~reference:false ~label img.Program.image))
           tp.Program.mvmu_images)
       p.Program.tiles;
     (* Host writes: inputs symbolic, constants concrete raws (sticky). *)
@@ -433,25 +646,24 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
         done)
       p.Program.constants;
     (* NoC channels: per (destination tile position, fifo) in-order
-       queues, plus the set of sender tiles for the soundness check. *)
-    let channels : (int * int, int array Queue.t) Hashtbl.t =
+       queues, each with its one sender tile. A second sender makes the
+       arrival order scheduler-dependent, so the run stops there. *)
+    let channels : (int * int, int * int array Queue.t) Hashtbl.t =
       Hashtbl.create 16
     in
-    let channel key =
+    let channel key src =
       match Hashtbl.find_opt channels key with
-      | Some q -> q
+      | Some (s, q) ->
+          if s <> src then
+            bail ~tile:(fst key)
+              "fifo %d is written by tiles %d and %d; cross-sender arrival \
+               order is scheduler-dependent, proof withheld"
+              (snd key) s src;
+          q
       | None ->
           let q = Queue.create () in
-          Hashtbl.add channels key q;
+          Hashtbl.add channels key (src, q);
           q
-    in
-    let channel_senders : (int * int, int list ref) Hashtbl.t =
-      Hashtbl.create 16
-    in
-    let note_sender key src =
-      match Hashtbl.find_opt channel_senders key with
-      | Some l -> if not (List.mem src !l) then l := src :: !l
-      | None -> Hashtbl.add channel_senders key (ref [ src ])
     in
     (* Shared-memory access with the runtime's exact blocking rules: a
        counted word whose count reaches 0 becomes invalid again; a sticky
@@ -514,7 +726,26 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
           | Some c -> bail ~tile ~core:c ~pc:s.pc fmt
           | None -> bail ~tile ~pc:s.pc fmt
         in
+        let count () =
+          s.counts.(s.pc) <- s.counts.(s.pc) + 1;
+          s.last <- s.pc
+        in
+        let halt () =
+          count ();
+          s.halted <- true;
+          Halted_step
+        in
+        let jump pc =
+          count ();
+          s.pc <- pc;
+          incr steps;
+          Stepped
+        in
         let retire () =
+          count ();
+          (match s.s_core with
+          | Some c when keep_ranges -> record s ts.cores.(c)
+          | _ -> ());
           s.pc <- s.pc + 1;
           incr steps;
           Stepped
@@ -523,9 +754,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
         | None -> (
             (* Tile control unit: send / receive / halt only. *)
             match s.code.(s.pc) with
-            | Instr.Halt ->
-                s.halted <- true;
-                Halted_step
+            | Instr.Halt -> halt ()
             | Instr.Send { mem_addr; fifo_id; target; vec_width } -> (
                 match smem_read ts ~addr:mem_addr ~width:vec_width with
                 | None ->
@@ -536,32 +765,30 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                     match Hashtbl.find_opt tile_pos target with
                     | None -> here "send targets tile %d outside the node" target
                     | Some dst ->
-                        let key = (dst, fifo_id) in
-                        note_sender key tile;
-                        Queue.add words (channel key);
+                        Queue.add words (channel (dst, fifo_id) tile);
                         retire ()))
             | Instr.Receive { mem_addr; fifo_id; count; vec_width } -> (
-                let key = (tile, fifo_id) in
-                let q = channel key in
-                if Queue.is_empty q then Blocked
-                else
-                  let words = Queue.peek q in
-                  if Array.length words <> vec_width then
-                    raise
-                      (Trap
-                         (Diag.error ~code:"E-EQUIV" ~tile ~pc:s.pc
-                            "receive of width %d meets a %d-word packet on \
-                             fifo %d: the runtime traps before producing \
-                             outputs"
-                            vec_width (Array.length words) fifo_id))
-                  else if
-                    smem_write ts ~addr:mem_addr ~words ~count
-                      ~writer_core:(-1) ~writer_pc:s.pc
-                  then begin
-                    ignore (Queue.pop q);
-                    retire ()
-                  end
-                  else Blocked)
+                match Hashtbl.find_opt channels (tile, fifo_id) with
+                | None -> Blocked
+                | Some (_, q) when Queue.is_empty q -> Blocked
+                | Some (_, q) ->
+                    let words = Queue.peek q in
+                    if Array.length words <> vec_width then
+                      raise
+                        (Trap
+                           (Diag.error ~code:"E-EQUIV" ~tile ~pc:s.pc
+                              "receive of width %d meets a %d-word packet on \
+                               fifo %d: the runtime traps before producing \
+                               outputs"
+                              vec_width (Array.length words) fifo_id))
+                    else if
+                      smem_write ts ~addr:mem_addr ~words ~count
+                        ~writer_core:(-1) ~writer_pc:s.pc
+                    then begin
+                      ignore (Queue.pop q);
+                      retire ()
+                    end
+                    else Blocked)
             | _ -> here "non-send/receive instruction in a tile stream")
         | Some c ->
             if c >= Array.length ts.cores then
@@ -569,8 +796,8 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
             else begin
               let cs = ts.cores.(c) in
               let rd_range base width =
-                if base < 0 || width < 0 || base + width > layout.Operand.total
-                then here "register range [%d, %d) out of range" base
+                if base < 0 || width < 0 || base + width > total then
+                  here "register range [%d, %d) out of range" base
                     (base + width)
               in
               let sreg i =
@@ -587,10 +814,13 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                 | Instr.Imm_addr a -> a
                 | Instr.Sreg_addr s -> sreg s
               in
+              (* A computed lane: its term's flags count toward this pc. *)
+              let put k id =
+                cs.regs.(k) <- id;
+                note id
+              in
               match s.code.(s.pc) with
-              | Instr.Halt ->
-                  s.halted <- true;
-                  Halted_step
+              | Instr.Halt -> halt ()
               | Instr.Mvm { mask; filter = _; stride } ->
                   if mask lsr nmvmus <> 0 then
                     here "MVM mask activates a non-existent MVMU";
@@ -601,20 +831,21 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                       incr mvm_apps;
                       let xin = Operand.xbar_in layout ~mvmu:m ~elem:0 in
                       let xout = Operand.xbar_out layout ~mvmu:m ~elem:0 in
-                      let arg =
-                        Array.init dim (fun j ->
-                            cs.regs.(xin + ((j + stride) mod dim)))
-                      in
-                      let out =
-                        match Hashtbl.find_opt images (tile, c, m) with
-                        | Some mat -> apply_mvm st ~mat arg
-                        | None ->
-                            (* Unprogrammed crossbar: exactly zero. *)
-                            Array.make dim st.const0
-                      in
-                      Array.blit out 0 cs.regs xout dim
+                      match Hashtbl.find_opt images (tile, c, m) with
+                      | Some mat ->
+                          let arg =
+                            Array.init dim (fun j ->
+                                cs.regs.(xin + ((j + stride) mod dim)))
+                          in
+                          Array.iteri
+                            (fun i w -> put (xout + i) w)
+                            (apply_mvm st ~mat arg)
+                      | None ->
+                          (* Unprogrammed crossbar: exactly zero. *)
+                          Array.fill cs.regs xout dim st.const0
                     end
                   done;
+                  settle s;
                   retire ()
               | Instr.Alu { op; dest; src1; src2; vec_width } ->
                   (match op with
@@ -633,18 +864,18 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                       rd_range src1 vec_width;
                       rd_range dest vec_width;
                       for k = 0 to vec_width - 1 do
-                        cs.regs.(dest + k) <-
-                          intern st (S_op1 (op, cs.regs.(src1 + k)))
+                        put (dest + k) (intern st (S_op1 (op, cs.regs.(src1 + k))))
                       done
                   | _ ->
                       rd_range src1 vec_width;
                       rd_range src2 vec_width;
                       rd_range dest vec_width;
                       for k = 0 to vec_width - 1 do
-                        cs.regs.(dest + k) <-
-                          intern st
-                            (S_op2 (op, cs.regs.(src1 + k), cs.regs.(src2 + k)))
+                        put (dest + k)
+                          (intern st
+                             (S_op2 (op, cs.regs.(src1 + k), cs.regs.(src2 + k))))
                       done);
+                  settle s;
                   retire ()
               | Instr.Alui { op; dest; src1; imm; vec_width } ->
                   rd_range src1 vec_width;
@@ -652,14 +883,14 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                   let c_imm = intern st (S_const imm) in
                   (if Instr.alu_op_arity op = 1 then
                      for k = 0 to vec_width - 1 do
-                       cs.regs.(dest + k) <-
-                         intern st (S_op1 (op, cs.regs.(src1 + k)))
+                       put (dest + k) (intern st (S_op1 (op, cs.regs.(src1 + k))))
                      done
                    else
                      for k = 0 to vec_width - 1 do
-                       cs.regs.(dest + k) <-
-                         intern st (S_op2 (op, cs.regs.(src1 + k), c_imm))
+                       put (dest + k)
+                         (intern st (S_op2 (op, cs.regs.(src1 + k), c_imm)))
                      done);
+                  settle s;
                   retire ()
               | Instr.Alu_int { op; dest; src1; src2 } ->
                   let a = sreg src1 and b = sreg src2 in
@@ -709,10 +940,7 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                       ~writer_pc:s.pc
                   then retire ()
                   else Blocked
-              | Instr.Jmp { pc } ->
-                  s.pc <- pc;
-                  incr steps;
-                  Stepped
+              | Instr.Jmp { pc } -> jump pc
               | Instr.Brn { op; src1; src2; pc } ->
                   let a = sreg src1 and b = sreg src2 in
                   let taken =
@@ -722,40 +950,13 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
                     | Instr.Blt -> a < b
                     | Instr.Bge -> a >= b
                   in
-                  if taken then begin
-                    s.pc <- pc;
-                    incr steps;
-                    Stepped
-                  end
-                  else retire ()
+                  if taken then jump pc else retire ()
               | Instr.Send _ | Instr.Receive _ ->
                   here "tile instruction in a core stream"
             end
       end
     in
     (* ---- Round-robin run-until-blocked scheduling ---- *)
-    let streams = ref [] in
-    Array.iteri
-      (fun pos (tp : Program.tile_program) ->
-        if Array.length tp.Program.tile_code > 0 then
-          streams :=
-            {
-              s_tile = pos;
-              s_core = None;
-              code = tp.Program.tile_code;
-              pc = 0;
-              halted = false;
-            }
-            :: !streams;
-        Array.iteri
-          (fun c code ->
-            if Array.length code > 0 then
-              streams :=
-                { s_tile = pos; s_core = Some c; code; pc = 0; halted = false }
-                :: !streams)
-          tp.Program.core_code)
-      p.Program.tiles;
-    let streams = Array.of_list (List.rev !streams) in
     let all_halted () = Array.for_all (fun s -> s.halted) streams in
     let progress = ref true in
     while (not (all_halted ())) && !progress && !steps < fuel do
@@ -786,158 +987,258 @@ let check ?(fuel = 4_000_000) ~reference (p : Program.t) =
       in
       let shown = List.filteri (fun i _ -> i < 4) blocked in
       let first = List.find (fun s -> not s.halted) (Array.to_list streams) in
-      push_diag
-        (Diag.error ~code:"E-EQUIV" ~tile:first.s_tile ?core:first.s_core
-           ~pc:first.pc
-           "symbolic execution wedged with %d stream(s) blocked (%s%s): the \
-            program can never produce its outputs"
-           (List.length blocked)
-           (String.concat "; " shown)
-           (if List.length blocked > List.length shown then "; ..." else ""))
-    end;
-    (* Scheduler-dependent channel sharing voids the proof. *)
-    Hashtbl.iter
-      (fun (dst, fifo) senders ->
-        if List.length !senders > 1 then begin
-          incr unknowns;
-          push_diag
-            (Diag.warning ~code:"W-EQUIV-UNKNOWN" ~tile:dst
-               "fifo %d is written by %d tiles; cross-sender arrival order \
-                is scheduler-dependent, proof withheld"
-               fifo (List.length !senders))
-        end)
-      channel_senders;
-    (* ---- Compare program outputs against the reference ---- *)
-    let got : (string * int, int * int * int * int) Hashtbl.t =
-      Hashtbl.create 64
+      wedged :=
+        Some
+          (Diag.error ~code:"E-EQUIV" ~tile:first.s_tile ?core:first.s_core
+             ~pc:first.pc
+             "symbolic execution wedged with %d stream(s) blocked (%s%s): the \
+              program can never produce its outputs"
+             (List.length blocked)
+             (String.concat "; " shown)
+             (if List.length blocked > List.length shown then "; ..." else ""))
+    end
+  in
+  (try execute () with
+  | Bail d -> stopped := Some d
+  | Trap d -> trapped := Some d
+  | Invalid_argument m ->
+      stopped :=
+        Some
+          (Diag.warning ~code:"W-EQUIV-UNKNOWN"
+             "symbolic execution aborted on a malformed program: %s" m));
+  (* ---- Value ranges: per core pc, from the terms its executions
+     created; a run that stopped short covers only its prefix. ---- *)
+  let tile_index s = p.Program.tiles.(s.s_tile).Program.tile_index in
+  let range_diags =
+    let diags = ref [] in
+    Array.iter
+      (fun s ->
+        match s.s_core with
+        | None -> ()
+        | Some core ->
+            let tile = tile_index s in
+            Array.iteri
+              (fun pc bits ->
+                if bits land 1 <> 0 then
+                  diags :=
+                    Range.saturation ~tile ~core ~pc ~every:(bits = 1)
+                      (Hashtbl.find s.what pc)
+                    :: !diags)
+              s.sat;
+            if keep_ranges then begin
+              let lo = Array.make width max_int
+              and hi = Array.make width min_int
+              and defined = Array.make width false in
+              Array.iteri
+                (fun pc ->
+                  Option.iter (fun (plo, phi) ->
+                      Array.iteri
+                        (fun i k ->
+                          defined.(k) <- true;
+                          lo.(k) <- min lo.(k) plo.(i);
+                          hi.(k) <- max hi.(k) phi.(i))
+                        s.defs.(pc)))
+                s.post;
+              diags :=
+                List.rev_append
+                  (Range.dump ~layout ~tile ~core ~lo ~hi ~defined)
+                  !diags
+            end)
+      streams;
+    let partial =
+      match !stopped with
+      | None -> []
+      | Some (d : Diag.t) ->
+          [
+            {
+              d with
+              code = "W-RANGE-PARTIAL";
+              severity = Diag.Warning;
+              message =
+                Printf.sprintf
+                  "value ranges cover only the %d instructions executed \
+                   before the run stopped: %s"
+                  !steps d.message;
+            };
+          ]
     in
-    List.iter
-      (fun (b : Program.io_binding) ->
-        if b.Program.tile < 0 || b.Program.tile >= ntiles then
-          bail "output %s binds tile %d outside the program" b.Program.name
-            b.Program.tile;
-        let ts = tiles.(b.Program.tile) in
-        for k = 0 to b.Program.length - 1 do
-          let a = b.Program.mem_addr + k in
-          if a < 0 || a >= smem_words then
-            bail "output %s binds shared memory out of range" b.Program.name;
-          if ts.mem_state.(a) >= 0 then
-            Hashtbl.replace got
-              (b.Program.name, b.Program.offset + k)
-              (ts.mem.(a), b.Program.tile, ts.wr_core.(a), ts.wr_pc.(a))
-        done)
-      p.Program.outputs;
-    let output_words = ref 0 in
-    let mismatched = ref 0 in
-    let per_output_reported : (string, int) Hashtbl.t = Hashtbl.create 8 in
-    let report_budget name =
-      let n =
-        Option.value ~default:0 (Hashtbl.find_opt per_output_reported name)
+    if ranges then List.rev_append !diags partial else []
+  in
+  let find f = Array.find_opt f streams in
+  let interval ~tile ~core ~pc ~reg =
+    match find (fun s -> s.s_core = Some core && tile_index s = tile) with
+    | Some s when keep_ranges && pc >= 0 && pc < Array.length s.post -> (
+        match s.post.(pc) with
+        | None -> None
+        | Some (lo, hi) ->
+            let words = s.defs.(pc) in
+            let rec at i =
+              if i >= Array.length words then None
+              else if words.(i) = reg then Some (lo.(i), hi.(i))
+              else at (i + 1)
+            in
+            at 0)
+    | _ -> None
+  in
+  let executions ~pos ~core =
+    Option.map
+      (fun s -> (s.counts, s.last))
+      (find (fun s -> s.s_tile = pos && s.s_core = core))
+  in
+  (* ---- Compare the run's outputs against the reference ---- *)
+  let validate reference =
+    let diags = ref [] in
+    let push_diag d = diags := d :: !diags in
+    let unknowns = ref 0 in
+    let compare_outputs () =
+      let expected = eval_reference st reference in
+      let tiles = !tiles in
+      let got : (string * int, int * int * int * int) Hashtbl.t =
+        Hashtbl.create 64
       in
-      Hashtbl.replace per_output_reported name (n + 1);
-      n < 3
-    in
-    let keys =
-      Hashtbl.fold (fun k _ acc -> k :: acc) expected []
-      |> List.sort compare
-    in
-    List.iter
-      (fun (name, idx) ->
-        incr output_words;
-        let want = Hashtbl.find expected (name, idx) in
-        match Hashtbl.find_opt got (name, idx) with
-        | None ->
+      List.iter
+        (fun (b : Program.io_binding) ->
+          if b.Program.tile < 0 || b.Program.tile >= ntiles then
+            bail "output %s binds tile %d outside the program" b.Program.name
+              b.Program.tile;
+          let ts = tiles.(b.Program.tile) in
+          for k = 0 to b.Program.length - 1 do
+            let a = b.Program.mem_addr + k in
+            if a < 0 || a >= smem_words then
+              bail "output %s binds shared memory out of range" b.Program.name;
+            if ts.mem_state.(a) >= 0 then
+              Hashtbl.replace got
+                (b.Program.name, b.Program.offset + k)
+                (ts.mem.(a), b.Program.tile, ts.wr_core.(a), ts.wr_pc.(a))
+          done)
+        p.Program.outputs;
+      let output_words = ref 0 in
+      let mismatched = ref 0 in
+      let per_output_reported : (string, int) Hashtbl.t = Hashtbl.create 8 in
+      let report_budget name =
+        let n =
+          Option.value ~default:0 (Hashtbl.find_opt per_output_reported name)
+        in
+        Hashtbl.replace per_output_reported name (n + 1);
+        n < 3
+      in
+      let keys =
+        Hashtbl.fold (fun k _ acc -> k :: acc) expected [] |> List.sort compare
+      in
+      List.iter
+        (fun (name, idx) ->
+          incr output_words;
+          let want = Hashtbl.find expected (name, idx) in
+          match Hashtbl.find_opt got (name, idx) with
+          | None ->
+              incr mismatched;
+              if report_budget name then
+                push_diag
+                  (Diag.error ~code:"E-EQUIV"
+                     "output %s[%d] is never produced by the compiled program"
+                     name idx)
+          | Some (w, tile, wc, wpc) when w <> want ->
+              incr mismatched;
+              if report_budget name then
+                if Grow.get st.taints w then begin
+                  incr unknowns;
+                  push_diag
+                    (Diag.warning ~code:"W-EQUIV-UNKNOWN" ~tile
+                       ?core:(if wc >= 0 then Some wc else None)
+                       ?pc:(if wpc >= 0 then Some wpc else None)
+                       "output %s[%d] depends on an undefined value (%s); \
+                        equivalence cannot be decided"
+                       name idx (render st w))
+                end
+                else
+                  push_diag
+                    (Diag.error ~code:"E-EQUIV" ~tile
+                       ?core:(if wc >= 0 then Some wc else None)
+                       ?pc:(if wpc >= 0 then Some wpc else None)
+                       "output %s[%d] computes %s but the source dataflow \
+                        computes %s"
+                       name idx (render st w) (render st want))
+          | Some _ -> ())
+        keys;
+      (* Outputs the program writes but the source graph does not have. *)
+      Hashtbl.iter
+        (fun (name, idx) _ ->
+          if not (Hashtbl.mem expected (name, idx)) then begin
             incr mismatched;
             if report_budget name then
               push_diag
                 (Diag.error ~code:"E-EQUIV"
-                   "output %s[%d] is never produced by the compiled program"
+                   "compiled program produces output %s[%d] absent from the \
+                    source dataflow"
                    name idx)
-        | Some (w, tile, wc, wpc) when w <> want ->
-            incr mismatched;
-            if report_budget name then
-              if Grow.get st.taints w then begin
-                incr unknowns;
-                push_diag
-                  (Diag.warning ~code:"W-EQUIV-UNKNOWN" ~tile
-                     ?core:(if wc >= 0 then Some wc else None)
-                     ?pc:(if wpc >= 0 then Some wpc else None)
-                     "output %s[%d] depends on an undefined value (%s); \
-                      equivalence cannot be decided"
-                     name idx (render st w))
-              end
-              else
-                push_diag
-                  (Diag.error ~code:"E-EQUIV" ~tile
-                     ?core:(if wc >= 0 then Some wc else None)
-                     ?pc:(if wpc >= 0 then Some wpc else None)
-                     "output %s[%d] computes %s but the source dataflow \
-                      computes %s"
-                     name idx (render st w) (render st want))
-        | Some _ -> ())
-      keys;
-    (* Outputs the program writes but the source graph does not have. *)
-    Hashtbl.iter
-      (fun (name, idx) _ ->
-        if not (Hashtbl.mem expected (name, idx)) then begin
-          incr mismatched;
-          if report_budget name then
+          end)
+        got;
+      Hashtbl.iter
+        (fun name n ->
+          if n > 3 then
             push_diag
-              (Diag.error ~code:"E-EQUIV"
-                 "compiled program produces output %s[%d] absent from the \
-                  source dataflow"
-                 name idx)
-        end)
-      got;
-    Hashtbl.iter
-      (fun name n ->
-        if n > 3 then
-          push_diag
-            (Diag.info ~code:"I-EQUIV" "output %s: %d further mismatched words"
-               name (n - 3)))
-      per_output_reported;
-    (!output_words, !mismatched)
+              (Diag.info ~code:"I-EQUIV"
+                 "output %s: %d further mismatched words" name (n - 3)))
+        per_output_reported;
+      (!output_words, !mismatched)
+    in
+    let output_words, mismatched =
+      match (!stopped, !trapped) with
+      | Some d, _ ->
+          incr unknowns;
+          push_diag d;
+          (0, 0)
+      | None, Some d ->
+          push_diag d;
+          (0, 1)
+      | None, None -> (
+          Option.iter push_diag !wedged;
+          try compare_outputs () with
+          | Bail d ->
+              incr unknowns;
+              push_diag d;
+              (0, 0)
+          | Invalid_argument m ->
+              incr unknowns;
+              push_diag
+                (Diag.warning ~code:"W-EQUIV-UNKNOWN"
+                   "symbolic execution aborted on a malformed program: %s" m);
+              (0, 0))
+    in
+    let has_errors =
+      List.exists (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) !diags
+    in
+    let verdict =
+      if has_errors then Refuted else if !unknowns > 0 then Unknown else Proved
+    in
+    (if verdict = Proved then
+       let num_outputs =
+         List.sort_uniq compare
+           (List.map (fun (b : Program.io_binding) -> b.Program.name)
+              p.Program.outputs)
+         |> List.length
+       in
+       push_diag
+         (Diag.info ~code:"I-EQUIV"
+            "translation validated: %d output words across %d output(s) \
+             match the source dataflow (%d MVM applications, %d instructions \
+             executed)"
+            output_words num_outputs !mvm_apps !steps));
+    {
+      verdict;
+      diags = List.sort Diag.compare !diags;
+      output_words;
+      mismatched_words = mismatched;
+      mvm_apps = !mvm_apps;
+      steps = !steps;
+    }
   in
-  let output_words, mismatched =
-    try body () with
-    | Bail d ->
-        incr unknowns;
-        push_diag d;
-        (0, 0)
-    | Trap d ->
-        push_diag d;
-        (0, 1)
-    | Invalid_argument m ->
-        incr unknowns;
-        push_diag
-          (Diag.warning ~code:"W-EQUIV-UNKNOWN"
-             "symbolic execution aborted on a malformed program: %s" m);
-        (0, 0)
-  in
-  let has_errors =
-    List.exists (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) !diags
-  in
-  let verdict =
-    if has_errors then Refuted else if !unknowns > 0 then Unknown else Proved
-  in
-  (if verdict = Proved then
-     let num_outputs =
-       List.sort_uniq compare
-         (List.map (fun (b : Program.io_binding) -> b.Program.name)
-            p.Program.outputs)
-       |> List.length
-     in
-     push_diag
-       (Diag.info ~code:"I-EQUIV"
-          "translation validated: %d output words across %d output(s) match \
-           the source dataflow (%d MVM applications, %d instructions \
-           executed)"
-          output_words num_outputs !mvm_apps !steps));
   {
-    verdict;
-    diags = List.sort Diag.compare !diags;
-    output_words;
-    mismatched_words = mismatched;
-    mvm_apps = !mvm_apps;
-    steps = !steps;
+    equiv = Option.map validate reference;
+    ranges = range_diags;
+    interval;
+    executions;
   }
+
+let check ?fuel ~reference p =
+  Option.get (run ?fuel ~ranges:false ~reference p).equiv

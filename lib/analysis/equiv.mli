@@ -1,11 +1,18 @@
-(** Translation validation: a symbolic equivalence checker proving that a
-    compiled program computes the source dataflow.
+(** The symbolic run behind three gates: translation validation, value
+    ranges and the static cost bound.
 
-    [check] abstractly executes the whole multi-tile program — every core
+    [run] abstractly executes the whole multi-tile program — every core
     stream and tile control stream, with the real shared-memory
     consumer-count discipline and in-order per-channel NoC delivery — over
-    {e symbolic} words instead of fixed-point values. Every program output
-    word ends up as a provenance DAG (MVM applications of interned
+    {e symbolic} words instead of fixed-point values. Scalar registers are
+    concrete, so loops execute exactly, and the run counts how often each
+    pc executes ({!Resource} costs a stream as the sum over its pcs of
+    count x {!Puma_arch.Cost}). Every interned word carries an interval
+    of raw values computed once from its operands' ({!Range}), so the
+    same run reports [W-SAT] / [E-OVERFLOW] per pc.
+
+    [check] compares the run's outputs against a reference: every program
+    output word ends up as a provenance DAG (MVM applications of interned
     matrices, ALU/LUT operations, immediates, copies through registers,
     spill slots, shared memory and NoC channels collapse away), which is
     compared, word by word, against the reference dataflow extracted from
@@ -31,11 +38,13 @@
     reference. Quantization itself is part of lowering, which the float
     oracle checks, not this proof.
 
-    Soundness caveats (see docs/ANALYSIS.md): the proof assumes the
+    Soundness caveats (see docs/ANALYSIS.md), shared by all three gates:
+    the run is the program's execution only under the
     scheduler-independence the other passes establish — no shared-memory
-    races ([E-RACE]) and no same-fifo multi-sender channels (those are
-    downgraded to [W-EQUIV-UNKNOWN] here); per-channel NoC delivery is
-    modelled in order, as the NoC delivers it. *)
+    races ([E-RACE]) and no same-fifo multi-sender channels (the run stops
+    at the second sender: [W-EQUIV-UNKNOWN] here, [W-RANGE-PARTIAL] for
+    ranges); per-channel NoC delivery is modelled in order, as the NoC
+    delivers it. *)
 
 (** {1 The reference dataflow} *)
 
@@ -90,10 +99,47 @@ type result = {
   steps : int;  (** Instructions symbolically retired. *)
 }
 
+type run = {
+  equiv : result option;  (** The verdict, when a reference was given. *)
+  ranges : Diag.t list;
+      (** [W-SAT] / [E-OVERFLOW] per core pc, [I-RANGE] with
+          [keep_ranges], and one [W-RANGE-PARTIAL] naming the reason when
+          the run stopped short (a bail, fuel exhaustion or a fifo written
+          by several tiles): the rest then covers only the executed
+          prefix. *)
+  interval : tile:int -> core:int -> pc:int -> reg:int -> (int * int) option;
+      (** With [keep_ranges]: the join over the pc's executions of the
+          raw interval of a register it defines, in {!Regflow.effects}'
+          combined space (scalar register [s] at [layout.total + s]).
+          [tile] is the tile's [tile_index]. *)
+  executions : pos:int -> core:int option -> (int array * int) option;
+      (** Per stream (tile position, [None] for the tile control unit):
+          how often each pc executed, and the last pc executed ([-1]
+          before any). [None] for an empty stream. A run that stopped
+          short counts a prefix of every stream's execution. *)
+}
+
+val run :
+  ?fuel:int ->
+  ?input_range:int * int ->
+  ?ranges:bool ->
+  ?keep_ranges:bool ->
+  ?reference:dataflow ->
+  Puma_isa.Program.t ->
+  run
+(** [run p] symbolically executes [p] once. [fuel] (default 4,000,000)
+    bounds the total instructions retired. [input_range] is the
+    raw-value interval of every host input word (default: the full
+    representable range). [ranges] (default on) computes the
+    intervals: off, [run.ranges] is empty and the run costs what the
+    comparison alone needs. [keep_ranges] (implies [ranges]) keeps
+    per-pc intervals for [interval] and the [I-RANGE] dump. With
+    [reference], the outputs are compared against it ({!check}). Never
+    raises on malformed programs: anything the executor cannot model
+    soundly stops the run. *)
+
 val check : ?fuel:int -> reference:dataflow -> Puma_isa.Program.t -> result
-(** [check ~reference p] symbolically executes [p] and compares its
-    output provenance against [reference]. [fuel] (default 4,000,000)
-    bounds the total instructions retired; exhaustion yields
-    [W-EQUIV-UNKNOWN], never a spurious refutation. Never raises on
-    malformed programs: anything the executor cannot model soundly
-    degrades to [Unknown]. *)
+(** [check ~reference p] is [run]'s comparison of [p]'s output
+    provenance against [reference]. Fuel exhaustion yields
+    [W-EQUIV-UNKNOWN], never a spurious refutation; anything the executor
+    cannot model soundly degrades to [Unknown]. *)

@@ -88,8 +88,6 @@ module Defined = Absint.Make (struct
   let join a b =
     Bset.inter_into a b;
     a
-
-  let widen = join
 end)
 
 let defined_transfer width (eff : effects array) ~pc s =
@@ -106,8 +104,6 @@ module Live = Absint.Make (struct
   let join a b =
     Bset.union_into a b;
     a
-
-  let widen = join
 end)
 
 let live_transfer width (eff : effects array) ~pc s =

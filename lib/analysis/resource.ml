@@ -1,6 +1,6 @@
 (* Static per-core resource and cost estimation.
 
-   Three estimators over a compiled program, no simulation involved:
+   Three estimators over a compiled program:
 
    - instruction-memory budgets: encoded bytes per stream against the
      per-core / per-tile imem capacity, with per-layer attribution when
@@ -8,14 +8,14 @@
      stream can name the source-graph layers responsible);
    - register pressure: liveness-based high-water marks per register
      space against the physical capacities;
-   - cost lower bounds: the cheapest terminating path through every
-     stream's CFG, each instruction costed by the simulator's own
-     per-instruction table ({!Puma_arch.Cost}: occupancy in cycles,
+   - cost lower bounds: each stream's pcs at the symbolic run's trip
+     counts ({!Equiv.run}), each instruction costed by the simulator's
+     own per-instruction table ({!Puma_arch.Cost}: occupancy in cycles,
      dynamic pJ). The program bound takes the slowest stream (they run
      concurrently); energy sums across streams. Both are sound lower
      bounds for any execution the cycle-approximate simulator can
-     produce: it charges the same table and only adds stalls,
-     contention and repeated loop trips on top. *)
+     produce: it retires the same instructions, charges the same table
+     and only adds stalls and contention on top. *)
 
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
@@ -42,8 +42,8 @@ type stream = {
   instrs : int;
   imem_bytes : int;
   imem_capacity : int;
-  min_cycles : int;
-  min_energy_pj : float;
+  cycles : int;
+  energy_pj : float;
   pressure : pressure option;  (** [None] for tile streams. *)
 }
 
@@ -52,63 +52,6 @@ type t = {
   cycle_lower_bound : int;
   energy_lower_bound_pj : float;
 }
-
-(* ---- Cheapest terminating path through a stream CFG. ---- *)
-
-(* [min_path cost cfg] is the minimum of [sum cost(pc)] over paths from
-   the entry block to any exit (a block with no successors: Halt,
-   falling off the stream, or an out-of-range target). Costs are
-   non-negative, so plain relaxation converges. If no exit is reachable
-   (an intentionally endless stream), the cheapest full traversal of any
-   reachable block is still a sound lower bound. *)
-let min_path cost (cfg : Cfg.t) =
-  let nb = Cfg.num_blocks cfg in
-  if nb = 0 then 0.
-  else begin
-    let block_cost =
-      Array.init nb (fun b ->
-          let blk = cfg.Cfg.blocks.(b) in
-          let acc = ref 0. in
-          for pc = blk.Cfg.first to blk.Cfg.last do
-            acc := !acc +. cost pc
-          done;
-          !acc)
-    in
-    let dist = Array.make nb infinity in
-    dist.(0) <- 0.;
-    let changed = ref true in
-    while !changed do
-      changed := false;
-      for b = 0 to nb - 1 do
-        if dist.(b) < infinity then begin
-          let through = dist.(b) +. block_cost.(b) in
-          List.iter
-            (fun s ->
-              if through < dist.(s) then begin
-                dist.(s) <- through;
-                changed := true
-              end)
-            cfg.Cfg.blocks.(b).Cfg.succs
-        end
-      done
-    done;
-    let best = ref infinity in
-    for b = 0 to nb - 1 do
-      if dist.(b) < infinity then begin
-        let full = dist.(b) +. block_cost.(b) in
-        if cfg.Cfg.blocks.(b).Cfg.succs = [] && full < !best then best := full
-      end
-    done;
-    if !best < infinity then !best
-    else begin
-      (* No reachable exit: fall back to the cheapest complete block. *)
-      for b = 0 to nb - 1 do
-        if dist.(b) < infinity then
-          best := min !best (dist.(b) +. block_cost.(b))
-      done;
-      if !best < infinity then !best else 0.
-    end
-  end
 
 (* ---- Liveness-based register pressure. ---- *)
 
@@ -175,27 +118,37 @@ let pressure_of layout ({ cfg; eff; live_out } : Regflow.flow) =
 
 (* ---- Estimation over a whole program. ---- *)
 
-(* Every stream is costed with the simulator's own table ({!Cost}), so
-   the bounds stay sound as long as the simulator only adds stalls,
-   contention and loop trips on top of it.
+(* Every stream is costed with the simulator's own table ({!Cost}) at the
+   trip counts of the symbolic run ({!Equiv.run}), whose concrete scalar
+   registers execute each stream's control flow exactly; the simulator
+   only adds stalls and contention on top. A run that stopped short
+   counts a prefix of every stream, which is still a lower bound.
 
    The simulator ends a stream at the RETIRE time of its final
    instruction: a core whose pc runs off the end reads as halted
    immediately, so the last instruction's occupancy never extends the
-   makespan (an explicit trailing Halt costs nothing either way). A
-   sound per-stream bound therefore excludes the terminal instruction's
-   cycles; every terminating path ends at the same final pc, so this is
-   one subtraction. *)
-let estimate ?flows (p : Program.t) =
+   makespan (an explicit trailing Halt costs nothing either way). The
+   cycle bound therefore excludes the last executed instruction's
+   cycles. *)
+let estimate ?flows ?run (p : Program.t) =
   let config = p.Program.config in
   let layout = Operand.layout config in
+  let run = match run with Some r -> r | None -> Equiv.run ~ranges:false p in
   let streams = ref [] in
-  let add ~tile ~core ~imem_capacity ~pressure cfg code =
+  let add ~pos ~tile ~core ~imem_capacity ~pressure code =
     let costs = Array.map (Cost.of_instr config layout) code in
-    let min_cycles =
-      min_path (fun pc -> float_of_int costs.(pc).Cost.cycles) cfg
-      -. float_of_int costs.(Array.length code - 1).Cost.cycles
+    let counts, last =
+      Option.value
+        (run.Equiv.executions ~pos ~core)
+        ~default:(Array.make (Array.length code) 0, -1)
     in
+    let cycles = ref 0 and energy_pj = ref 0. in
+    Array.iteri
+      (fun pc n ->
+        cycles := !cycles + (n * costs.(pc).Cost.cycles);
+        energy_pj := !energy_pj +. (float_of_int n *. Cost.energy_pj config costs.(pc)))
+      counts;
+    if last >= 0 then cycles := !cycles - costs.(last).Cost.cycles;
     streams :=
       {
         tile;
@@ -203,9 +156,8 @@ let estimate ?flows (p : Program.t) =
         instrs = Array.length code;
         imem_bytes = Encode.program_bytes code;
         imem_capacity;
-        min_cycles = int_of_float (Float.max 0.0 min_cycles);
-        min_energy_pj =
-          min_path (fun pc -> Cost.energy_pj config costs.(pc)) cfg;
+        cycles = max 0 !cycles;
+        energy_pj = !energy_pj;
         pressure;
       }
       :: !streams
@@ -221,22 +173,22 @@ let estimate ?flows (p : Program.t) =
               | Some f -> f.(pos).(core)
               | None -> Regflow.flow ~layout code
             in
-            add ~tile ~core:(Some core)
+            add ~pos ~tile ~core:(Some core)
               ~imem_capacity:config.Config.imem_core_bytes
               ~pressure:(Some (pressure_of layout flow))
-              flow.Regflow.cfg code
+              code
           end)
         tp.Program.core_code;
       let code = tp.Program.tile_code in
       if Array.length code > 0 then
-        add ~tile ~core:None ~imem_capacity:config.Config.imem_tile_bytes
-          ~pressure:None (Cfg.build code) code)
+        add ~pos ~tile ~core:None ~imem_capacity:config.Config.imem_tile_bytes
+          ~pressure:None code)
     p.Program.tiles;
   let streams = List.rev !streams in
   {
     streams;
     cycle_lower_bound =
-      List.fold_left (fun acc s -> max acc s.min_cycles) 0 streams;
+      List.fold_left (fun acc s -> max acc s.cycles) 0 streams;
     (* This sum and the simulator's ledger round their additions in
        different orders, so on a straight-line program (bound = energy in
        exact arithmetic) either can land a few ulps above the other.
@@ -245,7 +197,7 @@ let estimate ?flows (p : Program.t) =
        at or under the ledger. *)
     energy_lower_bound_pj =
       (1. -. 1e-9)
-      *. List.fold_left (fun acc s -> acc +. s.min_energy_pj) 0. streams;
+      *. List.fold_left (fun acc s -> acc +. s.energy_pj) 0. streams;
   }
 
 (* ---- Instruction-memory attribution to source-graph layers. ---- *)

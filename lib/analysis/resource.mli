@@ -2,16 +2,18 @@
 
     Capacity accounting (instruction-memory budgets with per-layer
     attribution, liveness-based register-pressure high-water marks) and
-    sound lower bounds on execution cost (cycles and dynamic energy),
-    with no simulation. Each instruction is costed by the table the
-    simulator itself charges ({!Puma_arch.Cost}). The cycle bound is the
-    cheapest terminating CFG path of the slowest stream, excluding the
-    terminal instruction's occupancy (the simulator ends a stream at its
-    final instruction's retire time); the simulator only adds stalls,
-    contention and loop trips on top, so [cycle_lower_bound <= simulated
-    makespan] and [energy_lower_bound_pj <= dynamic energy] for every
-    program (cross-validated by the [static_vs_sim] bench table and the
-    tests).
+    sound lower bounds on execution cost (cycles and dynamic energy).
+    Each stream's bound is the sum over its pcs of the symbolic run's
+    execution count ({!Equiv.run}: scalar registers are concrete, so
+    loops take their real trip counts) times the table the simulator
+    itself charges ({!Puma_arch.Cost}); the cycle bound excludes the last
+    executed instruction's occupancy (the simulator ends a stream at its
+    final instruction's retire time). The simulator only adds stalls and
+    contention on top, so [cycle_lower_bound <= simulated makespan] and
+    [energy_lower_bound_pj <= dynamic energy] for every program
+    (cross-validated by the [static_vs_sim] bench table and the tests).
+    A run that stopped short counts a prefix of each stream, which keeps
+    both bounds sound.
 
     Diagnostics from {!report}: [I-PRESSURE] per core stream (register
     and imem utilization), [I-COST] per program (the lower bounds). *)
@@ -36,8 +38,8 @@ type stream = {
   instrs : int;
   imem_bytes : int;  (** Encoded size ({!Puma_isa.Encode}). *)
   imem_capacity : int;
-  min_cycles : int;  (** Cheapest terminating path, in cycles. *)
-  min_energy_pj : float;  (** Dynamic energy along the cheapest path. *)
+  cycles : int;  (** Executed cycles, less the last instruction's. *)
+  energy_pj : float;  (** Dynamic energy of the executed instructions. *)
   pressure : pressure option;  (** [None] for tile streams. *)
 }
 
@@ -49,10 +51,12 @@ type t = {
           lift it above the simulator's ledger. *)
 }
 
-val estimate : ?flows:Regflow.flow array array -> Puma_isa.Program.t -> t
+val estimate :
+  ?flows:Regflow.flow array array -> ?run:Equiv.run -> Puma_isa.Program.t -> t
 (** [flows.(pos).(core)] is the {!Regflow.flow} of the core stream at
-    tile position [pos], when the caller has built them already (as
-    {!Analyze.program} does); by default each is built here. *)
+    tile position [pos], and [run] the program's symbolic run, when the
+    caller has them already (as {!Analyze.program} does); by default
+    each is made here. *)
 
 val imem_breakdown :
   layer_of:layer_of ->

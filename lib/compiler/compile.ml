@@ -176,15 +176,21 @@ let compile ?(options = default_options) (config : Puma_hwmodel.Config.t) g =
     in
     Lgraph.to_reference ~matrix_name lg
   in
-  let equiv =
-    if options.check_equiv then
-      Some (Puma_analysis.Equiv.check ~reference:equiv_reference program)
+  (* One symbolic run behind the translation validation and the
+     analysis' value ranges and cost bound. *)
+  let run =
+    if options.check_equiv || options.static_analysis then
+      Some
+        (Puma_analysis.Equiv.run ~ranges:options.static_analysis
+           ?reference:(if options.check_equiv then Some equiv_reference else None)
+           program)
     else None
   in
+  let equiv = Option.bind run (fun r -> r.Puma_analysis.Equiv.equiv) in
   let analysis =
     if options.static_analysis then
       Puma_analysis.Analyze.program ~ranges:true ~resources:true ~order:true
-        ~layer_of program
+        ?run ~layer_of program
     else Puma_analysis.Analyze.make_report []
   in
   let analysis =

@@ -29,13 +29,17 @@ type options = {
       (** Run the translation validator ({!Puma_analysis.Equiv}) on the
           final program against the lowered dataflow (default on). Its
           diagnostics merge into {!result.analysis}, so a refuted
-          compilation ([E-EQUIV]) trips the analysis gate. *)
+          compilation ([E-EQUIV]) trips the analysis gate. It compares
+          the same symbolic run ({!Puma_analysis.Equiv.run}) that gives
+          the analysis its value ranges and cost bound: a compile makes
+          the run once. *)
   static_analysis : bool;
       (** Run the post-codegen static analysis passes (default on).
           Turning it off leaves {!result.analysis} empty and skips the
           gate — an escape hatch for full-size scale-out models whose
-          whole-program fixpoints take minutes; the per-node gates
-          ({!Puma_cluster.Cluster.analyze_shards}) still apply. *)
+          whole-program gates cost more than their simulation; the
+          per-node gates ({!Puma_cluster.Cluster.analyze_shards}) still
+          apply. *)
   cluster : Partition.cluster option;
       (** Partition across this many cluster nodes with the given scheme
           (default [None] — single node). The emitted program's tile
