@@ -1,8 +1,7 @@
 (* Reproduction of every table and figure in the paper's evaluation
    (Section 7). Each [run_*] function regenerates one artifact and returns
-   printable tables; bench/main.ml registers one Bechamel test per
-   artifact and prints everything. See EXPERIMENTS.md for paper-vs-
-   measured values. *)
+   its tables; bench/main.ml prints them and writes them to the record.
+   See EXPERIMENTS.md for paper-vs-measured values. *)
 
 module Config = Puma_hwmodel.Config
 module Table3 = Puma_hwmodel.Table3
@@ -902,22 +901,19 @@ let run_fault_tolerance () =
   [ t ]
 
 (* ------------------------------------------------------------------ *)
-(* Simulator throughput: the node loop's fast vs reference mode       *)
+(* Simulator throughput: host speed of the node loop                  *)
 (* ------------------------------------------------------------------ *)
 
-(* Measures host-side simulation speed (simulated cycles per wall second
-   and inferences per wall second) of every zoo model in the node loop's
-   reference mode ([Node.run_reference]) and its fast mode, asserting
-   in-bench that the two are bit-identical (outputs, cycles, and the full
-   energy ledger) and that the fast path is never slower. Writes
-   BENCH_sim_throughput.json. PUMA_BENCH_QUICK=1 runs a reduced sweep
-   (fewer models, fewer repetitions) for CI smoke. *)
+(* Host-side simulation speed (simulated cycles per wall second and
+   inferences per wall second) of every zoo model in the node loop. The
+   cycles per inference are pinned; the rates are host-clock columns.
+   test_fastpath's "zoo @ dim 64" pins the loop against its reference
+   mode on the same six models. PUMA_BENCH_QUICK=1 runs a reduced sweep
+   (fewer models, fewer repetitions). *)
 
 let bench_quick () = Sys.getenv_opt "PUMA_BENCH_QUICK" <> None
 
 let run_sim_throughput () =
-  let module Json = Puma_util.Json in
-  let module Energy = Puma_hwmodel.Energy in
   let module Node = Puma_sim.Node in
   let quick = bench_quick () in
   let zoo =
@@ -937,107 +933,46 @@ let run_sim_throughput () =
     Table.create
       ~title:
         (Printf.sprintf
-           "Simulator throughput: fast path vs reference (%d-run sweeps, \
-            best of %d)"
-           runs repeats)
-      ~headers:
+           "Simulator throughput at dim %d (%d-run sweeps, best of %d)"
+           mini_config.Config.mvmu_dim runs repeats)
+      ~headers:[ "model"; "cycles/inf"; "Mcyc/s"; "inf/s" ]
+  in
+  Table.set_host_columns t [ "Mcyc/s"; "inf/s" ];
+  List.iter
+    (fun (name, g) ->
+      (* Gate off so lenet5 (known core-imem overflow diagnostic) still
+         simulates, as in the profile/analyze commands. *)
+      let options = { Compile.default_options with analysis_gate = false } in
+      let program = (Compile.compile ~options mini_config g).Compile.program in
+      let rng = Puma_util.Rng.create 11 in
+      let inputs =
+        List.map
+          (fun (n, len) -> (n, Puma_util.Tensor.vec_rand rng len 0.8))
+          (Puma_runtime.Batch.input_lengths program)
+      in
+      let node = Node.create program in
+      (* A warm-up run, then one steady-state run measures the cycles per
+         inference. *)
+      ignore (Node.run node ~inputs);
+      assert (Node.last_run_fast node);
+      let c0 = Node.cycles node in
+      ignore (Node.run node ~inputs);
+      let per_run = Node.cycles node - c0 in
+      let (), s =
+        Microprof.best ~repeats (fun () ->
+            for _ = 1 to runs do
+              ignore (Node.run node ~inputs)
+            done)
+      in
+      Table.add_row t
         [
-          "model"; "cycles/inf"; "ref Mcyc/s"; "fast Mcyc/s"; "ref inf/s";
-          "fast inf/s"; "speedup";
-        ]
-  in
-  let rows =
-    List.map
-      (fun (name, g) ->
-        (* Gate off so lenet5 (known core-imem overflow diagnostic) still
-           simulates, as in the profile/analyze commands. *)
-        let options = { Compile.default_options with analysis_gate = false } in
-        let r = Compile.compile ~options mini_config g in
-        let program = r.Compile.program in
-        let rng = Puma_util.Rng.create 11 in
-        let inputs =
-          List.map
-            (fun (n, len) -> (n, Puma_util.Tensor.vec_rand rng len 0.8))
-            (Puma_runtime.Batch.input_lengths program)
-        in
-        let node_ref = Node.create program in
-        let node_fast = Node.create program in
-        (* Warm-up doubles as the bit-identity gate; one extra steady-state
-           run measures the per-inference cycle count. *)
-        let o_ref = Node.run_reference node_ref ~inputs in
-        let o_fast = Node.run node_fast ~inputs in
-        assert (Node.last_run_fast node_fast);
-        assert (not (Node.last_run_fast node_ref));
-        assert (o_ref = o_fast);
-        assert (Node.cycles node_ref = Node.cycles node_fast);
-        let c0 = Node.cycles node_ref in
-        ignore (Node.run_reference node_ref ~inputs);
-        ignore (Node.run node_fast ~inputs);
-        let per_run = Node.cycles node_ref - c0 in
-        assert (Node.cycles node_ref = Node.cycles node_fast);
-        let sweep run node () =
-          for _ = 1 to runs do
-            ignore (run node ~inputs)
-          done
-        in
-        let (), ref_s =
-          Microprof.best ~repeats (sweep Node.run_reference node_ref)
-        in
-        let (), fast_s = Microprof.best ~repeats (sweep Node.run node_fast) in
-        (* Both nodes served the same run sequence: the accumulated energy
-           ledgers must agree bit for bit, counts and picojoules. *)
-        List.iter
-          (fun cat ->
-            assert (
-              Energy.count (Node.energy node_ref) cat
-              = Energy.count (Node.energy node_fast) cat);
-            assert (
-              Energy.energy_pj (Node.energy node_ref) cat
-              = Energy.energy_pj (Node.energy node_fast) cat))
-          Energy.all_categories;
-        let sweep_cycles = fi (per_run * runs) in
-        let speedup = ref_s /. fast_s in
-        assert (speedup >= 1.0);
-        let ref_cyc_s = Microprof.rate ~events:sweep_cycles ref_s in
-        let fast_cyc_s = Microprof.rate ~events:sweep_cycles fast_s in
-        let ref_inf_s = Microprof.rate ~events:(fi runs) ref_s in
-        let fast_inf_s = Microprof.rate ~events:(fi runs) fast_s in
-        Table.add_row t
-          [
-            name;
-            string_of_int per_run;
-            Printf.sprintf "%.2f" (ref_cyc_s /. 1e6);
-            Printf.sprintf "%.2f" (fast_cyc_s /. 1e6);
-            Printf.sprintf "%.1f" ref_inf_s;
-            Printf.sprintf "%.1f" fast_inf_s;
-            Printf.sprintf "%.2fx" speedup;
-          ];
-        Json.Obj
-          [
-            ("model", Json.String name);
-            ("cycles_per_inference", Json.Int per_run);
-            ("ref_cycles_per_s", Json.Float ref_cyc_s);
-            ("fast_cycles_per_s", Json.Float fast_cyc_s);
-            ("ref_inf_per_s", Json.Float ref_inf_s);
-            ("fast_inf_per_s", Json.Float fast_inf_s);
-            ("speedup", Json.Float speedup);
-          ])
-      zoo
-  in
-  let doc =
-    Json.Obj
-      [
-        ("mvmu_dim", Json.Int mini_config.Config.mvmu_dim);
-        ("quick", Json.Bool quick);
-        ("runs_per_sweep", Json.Int runs);
-        ("repeats", Json.Int repeats);
-        ("models", Json.List rows);
-      ]
-  in
-  let oc = open_out "BENCH_sim_throughput.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
+          name;
+          string_of_int per_run;
+          Printf.sprintf "%.2f"
+            (Microprof.rate ~events:(fi (per_run * runs)) s /. 1e6);
+          Printf.sprintf "%.1f" (Microprof.rate ~events:(fi runs) s);
+        ])
+    zoo;
   [ t ]
 
 (* ------------------------------------------------------------------ *)
@@ -1049,10 +984,9 @@ let run_sim_throughput () =
    percentiles at each point. Below the knee, p99 tracks the service
    time; past it the queues grow without bound over the run and tail
    latency climbs with the backlog — asserted in-bench (the run is
-   deterministic, so the assertion is stable). Writes
-   BENCH_serve_latency.json; PUMA_BENCH_QUICK=1 runs a reduced sweep. *)
+   deterministic, so the assertion is stable). PUMA_BENCH_QUICK=1 runs a
+   reduced sweep. *)
 let run_serve_latency () =
-  let module Json = Puma_util.Json in
   let module Engine = Puma_serve.Engine in
   let quick = bench_quick () in
   let r = Compile.compile mini_config (Network.build_graph Models.mini_mlp) in
@@ -1083,13 +1017,14 @@ let run_serve_latency () =
     Table.create
       ~title:
         (Printf.sprintf
-           "Serving tail latency vs offered load (mini MLP, %d nodes, \
-            capacity %.0f inf/s)"
-           nodes capacity_rps)
+           "Serving tail latency vs offered load (mini MLP at dim %d, %d \
+            nodes, batch %d, %.1f service cycles, capacity %.0f inf/s)"
+           mini_config.Config.mvmu_dim nodes serve_config.Engine.max_batch
+           mean_service_cycles capacity_rps)
       ~headers:
         [
           "load"; "rate (inf/s)"; "arrivals"; "p50 ms"; "p99 ms"; "p99.9 ms";
-          "util"; "queue avg";
+          "util"; "queue avg"; "makespan cycles";
         ]
   in
   let points =
@@ -1115,8 +1050,9 @@ let run_serve_latency () =
             Printf.sprintf "%.4f" m.Engine.p999_ms;
             Table.fmt_pct report.Engine.utilization;
             Printf.sprintf "%.1f" m.Engine.mean_queue_depth;
+            string_of_int report.Engine.makespan_cycles;
           ];
-        (load, report, m))
+        (load, m))
       loads
   in
   (* The knee: past saturation, every further load step must push p99
@@ -1124,7 +1060,7 @@ let run_serve_latency () =
      be worse than every sub-knee point. *)
   let saturated =
     List.filter_map
-      (fun (load, _, (m : Engine.model_stats)) ->
+      (fun (load, (m : Engine.model_stats)) ->
         if load >= 1.05 then Some (load, m.Engine.p99_ms) else None)
       points
   in
@@ -1141,7 +1077,7 @@ let run_serve_latency () =
   in
   check_increasing saturated;
   List.iter
-    (fun (load, _, (m : Engine.model_stats)) ->
+    (fun (load, (m : Engine.model_stats)) ->
       if load <= 0.8 then
         List.iter
           (fun (_, sat_p99) ->
@@ -1153,94 +1089,6 @@ let run_serve_latency () =
                    sat_p99 m.Engine.p99_ms load))
           saturated)
     points;
-  let doc =
-    Json.Obj
-      [
-        ("mvmu_dim", Json.Int mini_config.Config.mvmu_dim);
-        ("quick", Json.Bool quick);
-        ("nodes", Json.Int nodes);
-        ("max_batch", Json.Int serve_config.Engine.max_batch);
-        ("mean_service_cycles", Json.Float mean_service_cycles);
-        ("capacity_rps", Json.Float capacity_rps);
-        ( "points",
-          Json.List
-            (List.map
-               (fun (load, (report : Engine.report), (m : Engine.model_stats)) ->
-                 Json.Obj
-                   [
-                     ("load", Json.Float load);
-                     ("rate_rps", Json.Float (load *. capacity_rps));
-                     ("arrivals", Json.Int report.Engine.arrivals);
-                     ("p50_ms", Json.Float m.Engine.p50_ms);
-                     ("p99_ms", Json.Float m.Engine.p99_ms);
-                     ("p999_ms", Json.Float m.Engine.p999_ms);
-                     ("utilization", Json.Float report.Engine.utilization);
-                     ( "mean_queue_depth",
-                       Json.Float m.Engine.mean_queue_depth );
-                     ("makespan_cycles", Json.Int report.Engine.makespan_cycles);
-                   ])
-               points) );
-      ]
-  in
-  let oc = open_out "BENCH_serve_latency.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  [ t ]
-
-(* Kernel-level micro-profiles of the MVM hot path: the allocating exact
-   kernel vs the scratch-buffer kernel, and the full MVMU execute vs its
-   fast variant (with and without stride shuffling). *)
-let run_sim_hotspots () =
-  let module Bitslice = Puma_xbar.Bitslice in
-  let module Mvmu = Puma_xbar.Mvmu in
-  let quick = bench_quick () in
-  let iters = if quick then 2_000 else 20_000 in
-  let dim = mini_config.Config.mvmu_dim in
-  let rng = Puma_util.Rng.create 3 in
-  let m = Puma_util.Tensor.mat_rand rng dim dim 0.8 in
-  let stack = Bitslice.create mini_config m in
-  let x =
-    Array.map
-      (fun v -> Puma_util.Fixed.to_raw (Puma_util.Fixed.of_float v))
-      (Puma_util.Tensor.vec_rand rng dim 0.8)
-  in
-  let scratch = Array.make dim 0 in
-  let mvmu = Mvmu.create mini_config in
-  Mvmu.program mvmu (Puma_util.Fixed.image_of_mat m);
-  Array.blit x 0 (Mvmu.xbar_in mvmu) 0 dim;
-  let t =
-    Table.create
-      ~title:
-        (Printf.sprintf "Simulator hot-path kernels (%dx%d, %d iterations)"
-           dim dim iters)
-      ~headers:[ "kernel"; "ref ns/op"; "fast ns/op"; "speedup" ]
-  in
-  let row name f_ref f_fast =
-    let loop f () =
-      for _ = 1 to iters do
-        ignore (Sys.opaque_identity (f ()))
-      done
-    in
-    let (), ref_s = Microprof.best (loop f_ref) in
-    let (), fast_s = Microprof.best (loop f_fast) in
-    Table.add_row t
-      [
-        name;
-        Printf.sprintf "%.0f" (Microprof.ns_per ~iters ref_s);
-        Printf.sprintf "%.0f" (Microprof.ns_per ~iters fast_s);
-        Printf.sprintf "%.2fx" (ref_s /. fast_s);
-      ]
-  in
-  row "bitslice exact mvm"
-    (fun () -> ignore (Bitslice.mvm_raw stack x))
-    (fun () -> Bitslice.mvm_raw_exact_into stack x scratch);
-  row "mvmu execute (stride 0)"
-    (fun () -> Mvmu.execute mvmu ~stride:0)
-    (fun () -> Mvmu.execute_fast mvmu ~stride:0);
-  row "mvmu execute (stride 1)"
-    (fun () -> Mvmu.execute mvmu ~stride:1)
-    (fun () -> Mvmu.execute_fast mvmu ~stride:1);
   [ t ]
 
 (* ------------------------------------------------------------------ *)
@@ -1252,13 +1100,10 @@ let run_sim_hotspots () =
    static Resource lower bounds of the same compiled programs. Asserts
    in-bench that every configuration's outputs equal the single-node
    run's bit for bit (placement never changes the fixed-point dataflow)
-   and that scaling out never makes a single inference faster (the fabric
-   only adds latency; the win is weight capacity, not single-stream
-   speed). One extra row runs the multi-node fault campaign at the
-   largest node count. Writes BENCH_scaleout.json; PUMA_BENCH_QUICK=1
-   runs a reduced sweep. *)
+   and that link words appear exactly when the program spans nodes. One
+   extra table runs the multi-node fault campaign at the largest node
+   count. PUMA_BENCH_QUICK=1 runs a reduced sweep. *)
 let run_scaleout () =
-  let module Json = Puma_util.Json in
   let module Cluster = Puma_cluster.Cluster in
   let module Partition = Puma_compiler.Partition in
   let module Resource = Puma_analysis.Resource in
@@ -1299,66 +1144,52 @@ let run_scaleout () =
       ~headers:
         [
           "scheme"; "nodes"; "cycles/inf"; "latency us"; "inf/s";
-          "dyn pJ/inf"; "link words"; "LB cycles"; "sim/LB";
+          "dyn pJ/inf"; "link words"; "LB cycles"; "sim/LB"; "LB pJ";
         ]
   in
-  let rows =
-    List.concat_map
-      (fun scheme ->
-        List.map
-          (fun nodes ->
-            let r =
-              if nodes = 1 then baseline_r
-              else
-                let options =
-                  {
-                    Compile.default_options with
-                    cluster = Some { Partition.nodes; scheme };
-                  }
-                in
-                Compile.compile ~options mini_config g
-            in
-            let lb = Resource.estimate r.Compile.program in
-            let outputs, cycles, dyn_pj, words =
-              measure r.Compile.program ~nodes:r.Compile.nodes_used
-            in
-            (* The bit-identity contract, asserted on real link costs:
-               outputs never depend on the placement. Cycles can move in
-               either direction — partitioning spreads work over more
-               tiles even as the fabric adds link latency — so only the
-               link-traffic invariant is checked. *)
-            assert (outputs = baseline_outputs);
-            assert ((nodes = 1) = (words = 0));
-            let latency_s = fi cycles /. hz in
-            Table.add_row t
-              [
-                Partition.scheme_name scheme;
-                string_of_int nodes;
-                string_of_int cycles;
-                Printf.sprintf "%.2f" (latency_s *. 1e6);
-                Printf.sprintf "%.0f" (1.0 /. latency_s);
-                Printf.sprintf "%.0f" dyn_pj;
-                string_of_int words;
-                string_of_int lb.Resource.cycle_lower_bound;
-                Printf.sprintf "%.2fx"
-                  (fi cycles /. fi lb.Resource.cycle_lower_bound);
-              ];
-            Json.Obj
-              [
-                ("scheme", Json.String (Partition.scheme_name scheme));
-                ("nodes", Json.Int nodes);
-                ("cycles_per_inference", Json.Int cycles);
-                ("latency_us", Json.Float (latency_s *. 1e6));
-                ("inf_per_s", Json.Float (1.0 /. latency_s));
-                ("dynamic_pj_per_inference", Json.Float dyn_pj);
-                ("offchip_link_words", Json.Int words);
-                ("cycle_lower_bound", Json.Int lb.Resource.cycle_lower_bound);
-                ( "energy_lower_bound_pj",
-                  Json.Float lb.Resource.energy_lower_bound_pj );
-              ])
-          node_counts)
-      schemes
-  in
+  List.iter
+    (fun scheme ->
+      List.iter
+        (fun nodes ->
+          let r =
+            if nodes = 1 then baseline_r
+            else
+              let options =
+                {
+                  Compile.default_options with
+                  cluster = Some { Partition.nodes; scheme };
+                }
+              in
+              Compile.compile ~options mini_config g
+          in
+          let lb = Resource.estimate r.Compile.program in
+          let outputs, cycles, dyn_pj, words =
+            measure r.Compile.program ~nodes:r.Compile.nodes_used
+          in
+          (* The bit-identity contract, asserted on real link costs:
+             outputs never depend on the placement. Cycles can move in
+             either direction — partitioning spreads work over more
+             tiles even as the fabric adds link latency — so only the
+             link-traffic invariant is checked. *)
+          assert (outputs = baseline_outputs);
+          assert ((nodes = 1) = (words = 0));
+          let latency_s = fi cycles /. hz in
+          Table.add_row t
+            [
+              Partition.scheme_name scheme;
+              string_of_int nodes;
+              string_of_int cycles;
+              Printf.sprintf "%.2f" (latency_s *. 1e6);
+              Printf.sprintf "%.0f" (1.0 /. latency_s);
+              Printf.sprintf "%.0f" dyn_pj;
+              string_of_int words;
+              string_of_int lb.Resource.cycle_lower_bound;
+              Printf.sprintf "%.2fx"
+                (fi cycles /. fi lb.Resource.cycle_lower_bound);
+              Printf.sprintf "%.0f" lb.Resource.energy_lower_bound_pj;
+            ])
+        node_counts)
+    schemes;
   (* The reliability row: the same model under the multi-node fault
      campaign at the sweep's largest node count — per-chip blast radius
      next to the cluster-wide flip rate. *)
@@ -1380,28 +1211,7 @@ let run_scaleout () =
         samples = (if quick then 4 else 8);
       }
   in
-  let ft = Puma_fault.Campaign.table fault_report in
-  let fault_json =
-    match Puma_fault.Campaign.to_json fault_report with
-    | Json.Obj fields -> Json.Obj (("table", Json.String "faults") :: fields)
-    | j -> j
-  in
-  let doc =
-    Json.Obj
-      [
-        ("model", Json.String "mini-lstm");
-        ("mvmu_dim", Json.Int mini_config.Config.mvmu_dim);
-        ("topology", Json.String "mesh");
-        ("quick", Json.Bool quick);
-        ("points", Json.List rows);
-        ("faults", fault_json);
-      ]
-  in
-  let oc = open_out "BENCH_scaleout.json" in
-  output_string oc (Json.to_string doc);
-  output_char oc '\n';
-  close_out oc;
-  [ t; ft ]
+  [ t; Puma_fault.Campaign.table fault_report ]
 
 (* ------------------------------------------------------------------ *)
 
@@ -1425,7 +1235,6 @@ let all_experiments =
     ("static_vs_sim", run_static_vs_sim);
     ("fault_tolerance", run_fault_tolerance);
     ("sim_throughput", run_sim_throughput);
-    ("sim_hotspots", run_sim_hotspots);
     ("serve_latency", run_serve_latency);
     ("scaleout", run_scaleout);
   ]

@@ -1,6 +1,6 @@
 (* Hand-rolled micro-profiling harness on the monotonic clock.
 
-   The simulator throughput measurements time multi-millisecond sweeps
+   The simulator throughput measurement times multi-millisecond sweeps
    where a best-of-k measurement is stable, and where we need the raw
    seconds to derive rates (simulated cycles per second, inferences per
    second) from the same run. *)
@@ -24,5 +24,3 @@ let best ?(repeats = 3) f =
   (Option.get !result, !best_s)
 
 let rate ~events seconds = if seconds <= 0.0 then infinity else events /. seconds
-
-let ns_per ~iters seconds = seconds /. Float.of_int iters *. 1e9

@@ -270,10 +270,9 @@ let table report =
            report.spec.samples
            (if report.spec.remap then ", remap" else ""))
       ~headers:
-        ([
-           "rate"; "seed"; "faults"; "remapped"; "E"; "W"; "max ulps";
-           "mean ulps";
-         ]
+        ([ "rate"; "seed"; "faults" ]
+        @ per_chip (Printf.sprintf "n%d faults")
+        @ [ "remapped"; "E"; "W"; "max ulps"; "mean ulps" ]
         @ per_chip (Printf.sprintf "n%d flip")
         @ [ "flip rate"; "mean cycles" ])
   in
@@ -286,6 +285,9 @@ let table report =
                Table.fmt_sci rate;
                string_of_int p.fault_seed;
                string_of_int p.total_faults;
+             ]
+            @ per_chip (fun k -> string_of_int p.node_faults.(k))
+            @ [
                string_of_int p.remapped_mvmus;
                string_of_int p.fault_errors;
                string_of_int p.fault_warnings;
@@ -301,6 +303,11 @@ let table report =
            "mean";
            Printf.sprintf "%.1f"
              (mean (fun p -> float_of_int p.total_faults) pts);
+         ]
+        @ per_chip (fun k ->
+              Printf.sprintf "%.1f"
+                (mean (fun p -> float_of_int p.node_faults.(k)) pts))
+        @ [
            "";
            "";
            "";

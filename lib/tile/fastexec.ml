@@ -140,7 +140,7 @@ let decode (core : Core.t) (smem : Shared_mem.t) : code =
         in
         fun () ->
           for k = 0 to Array.length actives - 1 do
-            Mvmu.execute_fast mvmus.(actives.(k)) ~stride
+            Mvmu.execute mvmus.(actives.(k)) ~stride
           done;
           Core.commit core ~target:next
     | Alu { op; dest; src1; src2; vec_width = w } -> (

@@ -36,18 +36,24 @@ let float_into buf f =
     if float_of_string s = f then Buffer.add_string buf s
     else Buffer.add_string buf (Printf.sprintf "%.17g" f)
 
-let rec to_buffer buf = function
+(* [lines]: a list holding lists or objects puts each element on a new
+   line; everything else prints compactly. *)
+let rec print ~lines buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
   | Int n -> Buffer.add_string buf (string_of_int n)
   | Float f -> float_into buf f
   | String s -> escape_into buf s
   | List l ->
+      let break =
+        lines && List.exists (function List _ | Obj _ -> true | _ -> false) l
+      in
       Buffer.add_char buf '[';
       List.iteri
         (fun i v ->
           if i > 0 then Buffer.add_char buf ',';
-          to_buffer buf v)
+          if break then Buffer.add_char buf '\n';
+          print ~lines buf v)
         l;
       Buffer.add_char buf ']'
   | Obj fields ->
@@ -57,13 +63,21 @@ let rec to_buffer buf = function
           if i > 0 then Buffer.add_char buf ',';
           escape_into buf k;
           Buffer.add_char buf ':';
-          to_buffer buf v)
+          print ~lines buf v)
         fields;
       Buffer.add_char buf '}'
+
+let to_buffer = print ~lines:false
 
 let to_string v =
   let buf = Buffer.create 256 in
   to_buffer buf v;
+  Buffer.contents buf
+
+let to_string_lines v =
+  let buf = Buffer.create 4096 in
+  print ~lines:true buf v;
+  Buffer.add_char buf '\n';
   Buffer.contents buf
 
 (* ---- parsing ---- *)

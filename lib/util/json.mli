@@ -25,6 +25,12 @@ val to_buffer : Buffer.t -> t -> unit
 (** Append the compact rendering (what {!to_string} uses; lets large
     documents stream into one buffer). *)
 
+val to_string_lines : t -> string
+(** {!to_string}, except that each element of a list holding lists or
+    objects starts a new line, and a newline ends the document. A
+    table's rows then come one per line, so a line diff of two
+    documents names the rows that differ. *)
+
 val parse : string -> (t, string) result
 (** Parse one JSON document (surrounding whitespace allowed; trailing
     garbage is an error). Errors carry a character offset. *)

@@ -5,6 +5,7 @@ type t = {
   title : string;
   headers : string list;
   mutable aligns : align list;
+  mutable host : string list; (* headers of the host-clock columns *)
   mutable rows : row list; (* reverse order *)
 }
 
@@ -12,9 +13,17 @@ let create ~title ~headers =
   let aligns =
     List.mapi (fun i _ -> if i = 0 then Left else Right) headers
   in
-  { title; headers; aligns; rows = [] }
+  { title; headers; aligns; host = []; rows = [] }
 
 let set_aligns t aligns = t.aligns <- aligns
+
+let set_host_columns t names =
+  List.iter
+    (fun n ->
+      if not (List.mem n t.headers) then
+        invalid_arg ("Table.set_host_columns: no column " ^ n))
+    names;
+  t.host <- names
 
 let add_row t cells =
   let n = List.length t.headers in
@@ -76,6 +85,28 @@ let print t =
   print_string (render t);
   print_newline ();
   print_newline ()
+
+let to_json t =
+  let pinned cells =
+    Json.List
+      (List.filteri
+         (fun i _ ->
+           match List.nth_opt t.headers i with
+           | Some h -> not (List.mem h t.host)
+           | None -> true)
+         cells
+      |> List.map (fun c -> Json.String c))
+  in
+  Json.Obj
+    [
+      ("title", Json.String t.title);
+      ("headers", pinned t.headers);
+      ( "rows",
+        Json.List
+          (List.rev t.rows
+          |> List.filter_map (function Cells c -> Some (pinned c) | Sep -> None)
+          ) );
+    ]
 
 let fmt_float f = Printf.sprintf "%.3f" f
 let fmt_sci f = Printf.sprintf "%.3g" f

@@ -14,6 +14,12 @@ val create : title:string -> headers:string list -> t
 
 val set_aligns : t -> align list -> unit
 
+val set_host_columns : t -> string list -> unit
+(** Mark the named columns as host-clock measurements (wall time, or a
+    rate derived from it). They are printed but left out of {!to_json},
+    since they differ from run to run. Raises [Invalid_argument] for a
+    name that is not a header. *)
+
 val add_row : t -> string list -> unit
 (** Rows shorter than the header are padded with empty cells. *)
 
@@ -24,6 +30,11 @@ val render : t -> string
 
 val print : t -> unit
 (** Render to stdout followed by a blank line. *)
+
+val to_json : t -> Json.t
+(** [{"title", "headers", "rows"}] without the host-clock columns: one
+    list of cells per row, in order, as {!render} prints them before
+    padding. Separators are dropped. *)
 
 (** {1 Cell formatting helpers} *)
 

@@ -5,8 +5,8 @@ type t = {
   mutable stack : Bitslice.t;
   xbar_in : int array;
   xbar_out : int array;
-  (* Reusable buffers for [execute_fast]: the stride-permuted input view
-     and the raw accumulator, so steady-state MVMs allocate nothing. *)
+  (* Reusable buffers for [execute]: the stride-permuted input view and
+     the raw accumulator. *)
   in_scratch : int array;
   acc_scratch : int array;
 }
@@ -27,37 +27,29 @@ let dim t = t.config.mvmu_dim
 let xbar_in t = t.xbar_in
 let xbar_out t = t.xbar_out
 
+(* Exact stacks run the integer kernel into the reused accumulator, so
+   steady-state MVMs allocate nothing; noisy stacks (write noise or
+   faults present) take the float chain of [Bitslice.mvm_raw]. *)
 let execute t ~stride =
   let d = dim t in
   let input =
     if stride = 0 then t.xbar_in
-    else Array.init d (fun j -> t.xbar_in.((j + stride) mod d))
+    else begin
+      let s = t.in_scratch in
+      for j = 0 to d - 1 do
+        s.(j) <- t.xbar_in.((j + stride) mod d)
+      done;
+      s
+    end
   in
-  let acc = Bitslice.mvm_raw t.stack input in
+  let acc =
+    if Bitslice.is_noisy t.stack then Bitslice.mvm_raw t.stack input
+    else begin
+      Bitslice.mvm_raw_exact_into t.stack input t.acc_scratch;
+      t.acc_scratch
+    end
+  in
   Fixed.Vec.of_acc acc 0 t.xbar_out 0 d
-
-(* Allocation-free [execute] used by the pre-decoded fast path. Exact
-   stacks route through the exact kernel into the reused accumulator;
-   noisy stacks (write noise or faults present) fall back to [execute],
-   whose float chain both paths share, keeping results bit-identical. *)
-let execute_fast t ~stride =
-  if Bitslice.is_noisy t.stack then execute t ~stride
-  else begin
-    let d = dim t in
-    let input =
-      if stride = 0 then t.xbar_in
-      else begin
-        let s = t.in_scratch in
-        for j = 0 to d - 1 do
-          s.(j) <- t.xbar_in.((j + stride) mod d)
-        done;
-        s
-      end
-    in
-    let acc = t.acc_scratch in
-    Bitslice.mvm_raw_exact_into t.stack input acc;
-    Fixed.Vec.of_acc acc 0 t.xbar_out 0 d
-  end
 
 let mvm t x =
   assert (Array.length x = dim t);

@@ -31,13 +31,9 @@ val xbar_out : t -> int array
 
 val execute : t -> stride:int -> unit
 (** Perform the analog MVM: reads XbarIn (rotated by [stride]), writes
-    XbarOut. *)
-
-val execute_fast : t -> stride:int -> unit
-(** Allocation-free {!execute} for the pre-decoded fast path: exact
-    stacks run the integer kernel through reused scratch buffers; noisy
-    stacks (write noise or faults) fall back to {!execute}. Results are
-    bit-identical to {!execute} in both cases. *)
+    XbarOut. Exact stacks run the integer kernel through reused scratch
+    buffers and allocate nothing; noisy stacks (write noise or faults)
+    run the float chain of {!Bitslice.mvm_raw}. *)
 
 val mvm : t -> Puma_util.Fixed.t array -> Puma_util.Fixed.t array
 (** Convenience: load XbarIn, execute with no shuffling, read XbarOut. *)

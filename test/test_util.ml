@@ -445,6 +445,25 @@ let test_table_render () =
   Alcotest.(check bool) "contains row" true
     (contains s "longer" && contains s "bb")
 
+(* The record form of a table: the host-clock column is printed but not
+   serialized, rows keep their order and the separator is dropped. *)
+let test_table_json_drops_host_columns () =
+  let t = Table.create ~title:"T" ~headers:[ "model"; "cycles"; "inf/s" ] in
+  Table.set_host_columns t [ "inf/s" ];
+  Table.add_row t [ "mlp"; "3860"; "36919.0" ];
+  Table.add_sep t;
+  Table.add_row t [ "rnn"; Table.fmt_pct 0.5 ];
+  Alcotest.(check string) "record without the host column"
+    "{\"title\":\"T\",\"headers\":[\"model\",\"cycles\"],\"rows\":[\n\
+     [\"mlp\",\"3860\"],\n\
+     [\"rnn\",\"50.0%\"]]}\n"
+    (Json.to_string_lines (Table.to_json t));
+  Alcotest.(check bool) "host column still printed" true
+    (contains (Table.render t) "36919.0");
+  Alcotest.check_raises "unknown column"
+    (Invalid_argument "Table.set_host_columns: no column x") (fun () ->
+      Table.set_host_columns t [ "x" ])
+
 (* ---- Json ---- *)
 
 let test_json_print () =
@@ -653,7 +672,12 @@ let () =
           Alcotest.test_case "bits required" `Quick test_bits_required;
           Alcotest.test_case "popcount" `Quick test_popcount;
         ] );
-      ("table", [ Alcotest.test_case "render" `Quick test_table_render ]);
+      ( "table",
+        [
+          Alcotest.test_case "render" `Quick test_table_render;
+          Alcotest.test_case "record drops host columns" `Quick
+            test_table_json_drops_host_columns;
+        ] );
       ( "json",
         [
           Alcotest.test_case "print" `Quick test_json_print;
