@@ -1151,9 +1151,9 @@ let faults_cmd =
       drift_tau drift_age adc_sigma domains json machine config =
     let base =
       ok_or_exit
-        (Puma_fault.Fault_model.validate
+        (Puma_xbar.Fault.validate
            {
-             Puma_fault.Fault_model.ideal with
+             Puma_xbar.Fault.ideal with
              stuck_on_fraction = stuck_on;
              drift_tau_cycles = drift_tau;
              drift_age_cycles = drift_age;

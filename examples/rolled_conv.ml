@@ -93,6 +93,15 @@ let () =
     }
   in
   Puma_isa.Check.check_exn program;
+  (* The gates a compiled program passes, on the looped, register-indirect
+     form: the symbolic run executes the loops, so its consumer-count and
+     channel checks see every window. *)
+  let report =
+    Puma_analysis.Analyze.program ~ranges:true ~resources:true ~order:true
+      program
+  in
+  Format.printf "analyzer: %a" Puma_analysis.Analyze.pp report;
+  if Puma_analysis.Analyze.has_errors report then exit 1;
   let session = Puma.Session.of_program program in
   let x = Tensor.vec_rand rng (img * img) 1.0 in
   let y = List.assoc "y" (Puma.Session.infer session [ ("x", x) ]) in

@@ -63,8 +63,9 @@ let program ?(ranges = false) ?(resources = false) ?input_range
   let has_structural_errors =
     List.exists (fun (d : Diag.t) -> d.severity = Diag.Error) structural
   in
-  (* One symbolic run behind the value ranges, the cost bound and the
-     translation validation; intervals only when ranges are reported. *)
+  (* One symbolic run behind the channel and count checks, the value
+     ranges, the cost bound and the translation validation; intervals
+     only when ranges are reported. *)
   let run =
     lazy
       (match run with
@@ -104,7 +105,8 @@ let program ?(ranges = false) ?(resources = false) ?input_range
         p.tiles;
       structural
       @ List.concat (List.rev !regflow)
-      @ Order.analyze ~order ~dump_hb p
+      @ (Lazy.force run).Equiv.checks
+      @ (if order then Order.analyze ~dump_hb p else [])
       @ (if ranges then (Lazy.force run).Equiv.ranges else [])
       @ (if resources then
            Resource.report (Resource.estimate ~flows ~run:(Lazy.force run) p)

@@ -1,16 +1,16 @@
 (** Whole-program static analysis driver for compiled PUMA programs.
 
     Runs, in order: the structural checker ({!Puma_isa.Check.diagnose}),
-    per-core register dataflow ({!Regflow}), the multi-stream gates
-    ({!Order}: channel matching, deadlock and shared-memory consumer
-    counts, plus — opt-in — happens-before ordering) and — opt-in —
-    fixed-point value ranges ({!Range}), static resource/cost estimation
-    ({!Resource}) and translation validation ({!Equiv}), all three from
-    one symbolic run ({!Equiv.run}). If the
-    structural pass reports any error the semantic passes are skipped
-    (and an [I-SKIP] info says so), since their preconditions do not hold
-    on malformed programs; E-IMEM attribution still runs in that case
-    when provenance is available.
+    per-core register dataflow ({!Regflow}), the channel, consumer-count
+    and deadlock checks over the state one symbolic run ends in
+    ({!Equiv.run}'s [checks]), and — opt-in — happens-before ordering
+    ({!Order}), fixed-point value ranges ({!Range}), static
+    resource/cost estimation ({!Resource}) and translation validation
+    ({!Equiv}); the last three read the same run. Every structurally
+    valid program gets the run. If the structural pass reports any error
+    the semantic passes are skipped (and an [I-SKIP] info says so), since
+    their preconditions do not hold on malformed programs; E-IMEM
+    attribution still runs in that case when provenance is available.
 
     Diagnostics are sorted by location (tile, core, pc), then severity,
     then code. *)

@@ -34,6 +34,7 @@ type result = {
 type run = {
   equiv : result option;
   ranges : Diag.t list;
+  checks : Diag.t list;
   interval : tile:int -> core:int -> pc:int -> reg:int -> (int * int) option;
   executions : pos:int -> core:int option -> (int array * int) option;
 }
@@ -239,12 +240,10 @@ let intern_state ~size ~dim ~input_range ~ranges =
 (* ---- Bail-out discipline ----
 
    [Bail] stops the run short: the program cannot be modelled soundly
-   and the proof is [Unknown]. [Trap] stops it into [Refuted] (the
-   runtime would trap before producing outputs). Refutations from output
-   comparison are collected normally. *)
+   and the proof is [Unknown]. Refutations from output comparison are
+   collected normally. *)
 
 exception Bail of Diag.t
-exception Trap of Diag.t
 
 let bail ?tile ?core ?pc fmt =
   Printf.ksprintf
@@ -458,12 +457,262 @@ type core_state = { regs : int array; sregs : int array }
 type tile_state = {
   mem : int array;  (* word ids *)
   mem_state : int array;  (* -1 invalid, 0 sticky, n > 0 counted *)
-  wr_core : int array;  (* last writer: -2 host, -1 TCU, >= 0 core *)
+  wr_core : int array;
+      (* last writer: -3 none yet, -2 host, -1 TCU, >= 0 core *)
   wr_pc : int array;
   cores : core_state array;
 }
 
 type step = Stepped | Blocked | Halted_step
+
+(* ---- The checks over the state a run ends in ----
+
+   A run that ends, with every stream halted or with every unfinished
+   one blocked, is the program's execution, so what it leaves behind is
+   exact: counted words nobody consumed, packets nobody received and
+   output words nobody wrote. A wedged run also says why: each blocked
+   stream that no unfinished stream can unblock, else a wait cycle among
+   them. A stream can still reach the instructions from its pc on, or
+   all of them once it has a jump or branch, and a register-indirect
+   access may touch any word. Tile control streams hold only sends,
+   receives and halts, so for channels this is exact. *)
+
+type wait = On_fifo of int | On_writer of int | On_reader of int
+
+let may_write a = function
+  | Instr.Store { addr = Instr.Sreg_addr _; _ } -> true
+  | Instr.Store { addr = Instr.Imm_addr x; vec_width = w; _ }
+  | Instr.Receive { mem_addr = x; vec_width = w; _ } ->
+      x <= a && a < x + w
+  | _ -> false
+
+let may_read a = function
+  | Instr.Load { addr = Instr.Sreg_addr _; _ } -> true
+  | Instr.Load { addr = Instr.Imm_addr x; vec_width = w; _ }
+  | Instr.Send { mem_addr = x; vec_width = w; _ } ->
+      x <= a && a < x + w
+  | _ -> false
+
+let end_checks (p : Program.t) ~streams ~tiles ~channels =
+  let index pos = p.Program.tiles.(pos).Program.tile_index in
+  let at pos c pc =
+    Printf.sprintf "tile %d %s pc %d" (index pos)
+      (if c < 0 then "tcu" else Printf.sprintf "core %d" c)
+      pc
+  in
+  let core s = Option.value ~default:(-1) s.s_core in
+  let live =
+    List.filter (fun s -> not s.halted) (Array.to_list streams)
+    |> List.map (fun s ->
+           let loops =
+             Array.exists
+               (function Instr.Jmp _ | Instr.Brn _ -> true | _ -> false)
+               s.code
+           in
+           let from = if loops then 0 else s.pc in
+           (s, Array.sub s.code from (Array.length s.code - from)))
+    |> Array.of_list
+  in
+  (* The live streams on tile [pos], other than [except], that may still
+     execute an instruction satisfying [f]. *)
+  let can ?(except = -1) pos f =
+    List.filter
+      (fun i ->
+        let s, ahead = live.(i) in
+        i <> except && s.s_tile = pos && Array.exists f ahead)
+      (List.init (Array.length live) Fun.id)
+  in
+  (* Who may still send on each channel (destination tile index, fifo),
+     and how many receives each channel (position, fifo) may still take. *)
+  let senders = Hashtbl.create 16 and receives = Hashtbl.create 16 in
+  Array.iteri
+    (fun i (s, ahead) ->
+      Array.iter
+        (function
+          | Instr.Send { target; fifo_id; _ } ->
+              Hashtbl.add senders (target, fifo_id) i
+          | Instr.Receive { fifo_id; _ } ->
+              Hashtbl.add receives (s.s_tile, fifo_id) ()
+          | _ -> ())
+        ahead)
+    live;
+  (* The write a word last saw, with the consumer count it set. *)
+  let last_write pos a =
+    let c = tiles.(pos).wr_core.(a) and pc = tiles.(pos).wr_pc.(a) in
+    let tp = p.Program.tiles.(pos) in
+    match (if c < 0 then tp.Program.tile_code else tp.Program.core_code.(c)).(pc) with
+    | Instr.Store { count; _ } | Instr.Receive { count; _ } ->
+        Printf.sprintf "the count-%d write by %s" count (at pos c pc)
+    | _ -> "its write"
+  in
+  (* A read of an invalid word that no stream can still write. *)
+  let dead_read ?core ?pc pos a what =
+    if tiles.(pos).wr_core.(a) = -3 then
+      Diag.error ~code:"E-RBW" ~tile:(index pos) ?core ?pc
+        "%s reads smem[%d], which nothing writes" what a
+    else
+      Diag.error ~code:"E-CONSUME" ~tile:(index pos) ?core ?pc
+        "%s reads smem[%d] after %s is used up, and nothing writes it again"
+        what a (last_write pos a)
+  in
+  let wait (s, _) =
+    let ts = tiles.(s.s_tile) in
+    let first bad addr width =
+      let rec go k =
+        if k >= addr + width || k >= Array.length ts.mem_state then None
+        else if bad ts.mem_state.(k) then Some k
+        else go (k + 1)
+      in
+      go (max addr 0)
+    in
+    let on_writer addr w =
+      Option.map (fun a -> On_writer a) (first (fun m -> m < 0) addr w)
+    and on_reader addr w =
+      Option.map (fun a -> On_reader a) (first (fun m -> m > 0) addr w)
+    and resolve = function
+      | Instr.Imm_addr a -> a
+      | Instr.Sreg_addr r -> ts.cores.(core s).sregs.(r)
+    in
+    match s.code.(s.pc) with
+    | Instr.Receive { fifo_id; mem_addr; vec_width; _ } -> (
+        match Hashtbl.find_opt channels (s.s_tile, fifo_id) with
+        | Some (_, q) when not (Queue.is_empty q) -> on_reader mem_addr vec_width
+        | _ -> Some (On_fifo fifo_id))
+    | Instr.Send { mem_addr; vec_width; _ } -> on_writer mem_addr vec_width
+    | Instr.Load { addr; vec_width; _ } -> on_writer (resolve addr) vec_width
+    | Instr.Store { addr; vec_width; _ } -> on_reader (resolve addr) vec_width
+    | _ -> None
+  in
+  let waits = Array.map wait live in
+  let edges =
+    Array.mapi
+      (fun i (s, _) ->
+        match waits.(i) with
+        | None -> []
+        | Some (On_fifo f) ->
+            Hashtbl.find_all senders (index s.s_tile, f)
+            |> List.filter (( <> ) i)
+            |> List.sort_uniq compare
+        | Some (On_writer a) -> can ~except:i s.s_tile (may_write a)
+        | Some (On_reader a) -> can ~except:i s.s_tile (may_read a))
+      live
+  in
+  let stuck i (s, _) =
+    let pos = s.s_tile and pc = s.pc and core = s.s_core in
+    match (waits.(i), edges.(i)) with
+    | Some (On_fifo f), [] ->
+        Some
+          (Diag.error ~code:"E-RECVU" ~tile:(index pos) ~pc
+             "receive on fifo %d blocks forever: no unfinished tile can still \
+              send on it"
+             f)
+    | Some (On_writer a), [] ->
+        Some (dead_read ?core ~pc pos a (if core = None then "send" else "load"))
+    | Some (On_reader a), [] ->
+        Some
+          (Diag.error ~code:"E-CONSUME" ~tile:(index pos) ?core ~pc
+             "write of smem[%d] blocks forever: %s still awaits %d read(s) \
+              that no stream can make"
+             a (last_write pos a) tiles.(pos).mem_state.(a))
+    | _ -> None
+  in
+  let stuck = List.filter_map Fun.id (Array.to_list (Array.mapi stuck live)) in
+  (* With nothing stuck, every blocked stream waits on another, so
+     following the first of each one's unblockers closes a cycle. *)
+  let deadlocks =
+    if Array.exists (fun e -> e = []) edges then []
+    else begin
+      let seen = Array.make (Array.length live) (-1) and out = ref [] in
+      let describe i =
+        let s, _ = live.(i) in
+        at s.s_tile (core s) s.pc
+        ^
+        match waits.(i) with
+        | Some (On_fifo f) -> Printf.sprintf " waits on fifo %d" f
+        | Some (On_writer a) -> Printf.sprintf " waits to read smem[%d]" a
+        | Some (On_reader a) -> Printf.sprintf " waits to write smem[%d]" a
+        | None -> ""
+      in
+      let rec walk start path i =
+        if seen.(i) < 0 then begin
+          seen.(i) <- start;
+          walk start (i :: path) (List.hd edges.(i))
+        end
+        else if seen.(i) = start then begin
+          let rec upto = function
+            | x :: rest when x <> i -> x :: upto rest
+            | _ -> [ i ]
+          in
+          let cycle = List.rev (upto path) and s, _ = live.(i) in
+          out :=
+            Diag.error ~code:"E-DEADLOCK" ~tile:(index s.s_tile) ?core:s.s_core
+              ~pc:s.pc "wait cycle: %s -> back to %s"
+              (String.concat " -> " (List.map describe cycle))
+              (at s.s_tile (core s) s.pc)
+            :: !out
+        end
+      in
+      Array.iteri (fun i _ -> walk i [] i) live;
+      List.rev !out
+    end
+  in
+  (* Packets beyond the receives their destination may still take. *)
+  let unreceived =
+    Hashtbl.fold
+      (fun (dst, fifo) (src, q) acc ->
+        let extra =
+          Queue.length q - List.length (Hashtbl.find_all receives (dst, fifo))
+        in
+        List.of_seq (Queue.to_seq q)
+        |> List.rev
+        |> List.filteri (fun k _ -> k < extra)
+        |> List.map fst |> List.sort_uniq compare
+        |> List.map (fun pc ->
+               Diag.error ~code:"E-SENDU" ~tile:(index src) ~pc
+                 "send on fifo %d to tile %d has no matching receive" fifo
+                 (index dst))
+        |> List.rev_append acc)
+      channels []
+  in
+  (* Counted words no stream can still read, once per writing
+     instruction. *)
+  let unread =
+    List.concat
+      (List.init (Array.length tiles) (fun pos ->
+           let ts = tiles.(pos) and seen = Hashtbl.create 8 and out = ref [] in
+           Array.iteri
+             (fun a m ->
+               let c = ts.wr_core.(a) and pc = ts.wr_pc.(a) in
+               if m > 0 && (not (Hashtbl.mem seen (c, pc))) && can pos (may_read a) = []
+               then begin
+                 Hashtbl.add seen (c, pc) ();
+                 out :=
+                   Diag.error ~code:"E-CONSUME" ~tile:(index pos)
+                     ?core:(if c >= 0 then Some c else None) ~pc
+                     "write leaves smem[%d] with %d of its reads never made"
+                     a m
+                   :: !out
+               end)
+             ts.mem_state;
+           List.rev !out))
+  in
+  (* Output words that are not valid and that no stream can still write. *)
+  let outputs =
+    List.filter_map
+      (fun (b : Program.io_binding) ->
+        let pos = b.Program.tile in
+        let rec go k =
+          let a = b.Program.mem_addr + k in
+          if k >= b.Program.length || a < 0 || a >= Array.length tiles.(pos).mem_state
+          then None
+          else if tiles.(pos).mem_state.(a) >= 0 || can pos (may_write a) <> [] then
+            go (k + 1)
+          else Some (dead_read pos a (Printf.sprintf "output binding %S" b.Program.name))
+        in
+        if pos < 0 || pos >= Array.length tiles then None else go 0)
+      p.Program.outputs
+  in
+  stuck @ deadlocks @ unreceived @ unread @ outputs
 
 let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
     ?(ranges = true) ?(keep_ranges = false) ?reference (p : Program.t) =
@@ -476,6 +725,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
   let nmvmus = config.Puma_hwmodel.Config.mvmus_per_core in
   let smem_words = config.Puma_hwmodel.Config.smem_bytes / 2 in
   let ntiles = Array.length p.Program.tiles in
+  let index pos = p.Program.tiles.(pos).Program.tile_index in
   (* About one id per reference word; the program's words mostly reuse
      them. *)
   let size =
@@ -525,7 +775,15 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
     p.Program.tiles;
   let streams = Array.of_list (List.rev !streams) in
   let tiles = ref [||] in
-  let stopped = ref None and trapped = ref None and wedged = ref None in
+  let stopped = ref None and wedged = ref None in
+  (* [E-CHANW] per receive that met a packet of another width, latest
+     first: the runtime traps there, and the proof is refuted. *)
+  let trapped = ref [] in
+  (* NoC channels: per (destination tile position, fifo) in-order queues
+     of (send pc, words), each with its one sender tile position. *)
+  let channels : (int * int, int * (int * int array) Queue.t) Hashtbl.t =
+    Hashtbl.create 16
+  in
   (* What the current core instruction's new terms found ({!Range.flag}),
      folded into its pc's [sat] bits as it retires. *)
   let ex_may = ref false and ex_must = ref false and ex_what = ref "" in
@@ -593,7 +851,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
           {
             mem = Array.make words st.const0;
             mem_state = Array.make words (-1);
-            wr_core = Array.make words (-2);
+            wr_core = Array.make words (-3);
             wr_pc = Array.make words (-1);
             cores =
               Array.init config.Puma_hwmodel.Config.cores_per_tile (fun _ ->
@@ -645,12 +903,8 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
             (intern st (S_const w))
         done)
       p.Program.constants;
-    (* NoC channels: per (destination tile position, fifo) in-order
-       queues, each with its one sender tile. A second sender makes the
-       arrival order scheduler-dependent, so the run stops there. *)
-    let channels : (int * int, int * int array Queue.t) Hashtbl.t =
-      Hashtbl.create 16
-    in
+    (* A second sender makes a channel's arrival order
+       scheduler-dependent, so the run stops there. *)
     let channel key src =
       match Hashtbl.find_opt channels key with
       | Some (s, q) ->
@@ -765,26 +1019,37 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                     match Hashtbl.find_opt tile_pos target with
                     | None -> here "send targets tile %d outside the node" target
                     | Some dst ->
-                        Queue.add words (channel (dst, fifo_id) tile);
+                        Queue.add (s.pc, words) (channel (dst, fifo_id) tile);
                         retire ()))
             | Instr.Receive { mem_addr; fifo_id; count; vec_width } -> (
                 match Hashtbl.find_opt channels (tile, fifo_id) with
                 | None -> Blocked
                 | Some (_, q) when Queue.is_empty q -> Blocked
-                | Some (_, q) ->
-                    let words = Queue.peek q in
-                    if Array.length words <> vec_width then
-                      raise
-                        (Trap
-                           (Diag.error ~code:"E-EQUIV" ~tile ~pc:s.pc
-                              "receive of width %d meets a %d-word packet on \
-                               fifo %d: the runtime traps before producing \
-                               outputs"
-                              vec_width (Array.length words) fifo_id))
-                    else if
+                | Some (src, q) ->
+                    (* A packet of another width traps the runtime; the
+                       run records that and goes on as if the widths
+                       agreed, so the checks still see the rest. *)
+                    let send_pc, packet = Queue.peek q in
+                    let n = Array.length packet in
+                    let words =
+                      if n = vec_width then packet
+                      else
+                        Array.init vec_width (fun k ->
+                            if k < n then packet.(k) else st.const0)
+                    in
+                    if
                       smem_write ts ~addr:mem_addr ~words ~count
                         ~writer_core:(-1) ~writer_pc:s.pc
                     then begin
+                      if n <> vec_width then
+                        trapped :=
+                          Diag.error ~code:"E-CHANW" ~tile:(index tile)
+                            ~pc:s.pc
+                            "receive of width %d on fifo %d meets the \
+                             %d-word packet tile %d sent at pc %d: the \
+                             runtime traps here"
+                            vec_width fifo_id n (index src) send_pc
+                          :: !trapped;
                       ignore (Queue.pop q);
                       retire ()
                     end
@@ -976,39 +1241,49 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
     if not (all_halted ()) then begin
       (* Wedged: every unfinished stream is blocked. A real execution
          blocks the same way — outputs are never produced. *)
-      let blocked =
-        Array.to_list streams
-        |> List.filter (fun s -> not s.halted)
-        |> List.map (fun s ->
-               match s.s_core with
-               | Some c ->
-                   Printf.sprintf "tile %d core %d pc %d" s.s_tile c s.pc
-               | None -> Printf.sprintf "tile %d tcu pc %d" s.s_tile s.pc)
-      in
-      let shown = List.filteri (fun i _ -> i < 4) blocked in
-      let first = List.find (fun s -> not s.halted) (Array.to_list streams) in
+      let blocked = List.filter (fun s -> not s.halted) (Array.to_list streams) in
+      let first = List.hd blocked in
       wedged :=
         Some
-          (Diag.error ~code:"E-EQUIV" ~tile:first.s_tile ?core:first.s_core
-             ~pc:first.pc
-             "symbolic execution wedged with %d stream(s) blocked (%s%s): the \
+          (Diag.error ~code:"E-EQUIV" ~tile:(index first.s_tile)
+             ?core:first.s_core ~pc:first.pc
+             "symbolic execution wedged with %d stream(s) blocked: the \
               program can never produce its outputs"
-             (List.length blocked)
-             (String.concat "; " shown)
-             (if List.length blocked > List.length shown then "; ..." else ""))
+             (List.length blocked))
     end
   in
   (try execute () with
   | Bail d -> stopped := Some d
-  | Trap d -> trapped := Some d
   | Invalid_argument m ->
       stopped :=
         Some
           (Diag.warning ~code:"W-EQUIV-UNKNOWN"
              "symbolic execution aborted on a malformed program: %s" m));
+  (* A run that stopped short leaves a prefix's state, which the checks
+     would misread; one warning says what they do not cover. *)
+  let checks =
+    List.rev !trapped
+    @
+    match !stopped with
+    | None -> end_checks p ~streams ~tiles:!tiles ~channels
+    | Some (d : Diag.t) ->
+        [
+          {
+            d with
+            code = "W-RANGE-PARTIAL";
+            severity = Diag.Warning;
+            message =
+              Printf.sprintf
+                "value ranges and the channel and consumer-count checks \
+                 cover only the %d instructions executed before the run \
+                 stopped: %s"
+                !steps d.message;
+          };
+        ]
+  in
   (* ---- Value ranges: per core pc, from the terms its executions
      created; a run that stopped short covers only its prefix. ---- *)
-  let tile_index s = p.Program.tiles.(s.s_tile).Program.tile_index in
+  let tile_index s = index s.s_tile in
   let range_diags =
     let diags = ref [] in
     Array.iter
@@ -1045,24 +1320,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                   !diags
             end)
       streams;
-    let partial =
-      match !stopped with
-      | None -> []
-      | Some (d : Diag.t) ->
-          [
-            {
-              d with
-              code = "W-RANGE-PARTIAL";
-              severity = Diag.Warning;
-              message =
-                Printf.sprintf
-                  "value ranges cover only the %d instructions executed \
-                   before the run stopped: %s"
-                  !steps d.message;
-            };
-          ]
-    in
-    if ranges then List.rev_append !diags partial else []
+    if ranges then List.rev !diags else []
   in
   let find f = Array.find_opt f streams in
   let interval ~tile ~core ~pc ~reg =
@@ -1183,15 +1441,15 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       (!output_words, !mismatched)
     in
     let output_words, mismatched =
-      match (!stopped, !trapped) with
+      match (!stopped, List.rev !trapped) with
       | Some d, _ ->
           incr unknowns;
           push_diag d;
           (0, 0)
-      | None, Some d ->
-          push_diag d;
+      | None, d :: _ ->
+          push_diag { d with code = "E-EQUIV" };
           (0, 1)
-      | None, None -> (
+      | None, [] -> (
           Option.iter push_diag !wedged;
           try compare_outputs () with
           | Bail d ->
@@ -1236,6 +1494,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
   {
     equiv = Option.map validate reference;
     ranges = range_diags;
+    checks;
     interval;
     executions;
   }

@@ -1,5 +1,6 @@
-(** The symbolic run behind three gates: translation validation, value
-    ranges and the static cost bound.
+(** The symbolic run behind four gates: the channel and consumer-count
+    checks, translation validation, value ranges and the static cost
+    bound.
 
     [run] abstractly executes the whole multi-tile program — every core
     stream and tile control stream, with the real shared-memory
@@ -9,7 +10,10 @@
     pc executes ({!Resource} costs a stream as the sum over its pcs of
     count x {!Puma_arch.Cost}). Every interned word carries an interval
     of raw values computed once from its operands' ({!Range}), so the
-    same run reports [W-SAT] / [E-OVERFLOW] per pc.
+    same run reports [W-SAT] / [E-OVERFLOW] per pc. The state the run
+    ends in gives the channel and consumer-count checks ([run.checks]):
+    what is left unconsumed, unreceived or unwritten, and, when the run
+    wedges, which blocked streams nothing can unblock.
 
     [check] compares the run's outputs against a reference: every program
     output word ends up as a provenance DAG (MVM applications of interned
@@ -38,12 +42,12 @@
     reference. Quantization itself is part of lowering, which the float
     oracle checks, not this proof.
 
-    Soundness caveats (see docs/ANALYSIS.md), shared by all three gates:
+    Soundness caveats (see docs/ANALYSIS.md), shared by all four gates:
     the run is the program's execution only under the
     scheduler-independence the other passes establish — no shared-memory
     races ([E-RACE]) and no same-fifo multi-sender channels (the run stops
-    at the second sender: [W-EQUIV-UNKNOWN] here, [W-RANGE-PARTIAL] for
-    ranges); per-channel NoC delivery is modelled in order, as the NoC
+    at the second sender: [W-EQUIV-UNKNOWN] here, [W-RANGE-PARTIAL] in
+    [checks]); per-channel NoC delivery is modelled in order, as the NoC
     delivers it. *)
 
 (** {1 The reference dataflow} *)
@@ -102,11 +106,17 @@ type result = {
 type run = {
   equiv : result option;  (** The verdict, when a reference was given. *)
   ranges : Diag.t list;
-      (** [W-SAT] / [E-OVERFLOW] per core pc, [I-RANGE] with
-          [keep_ranges], and one [W-RANGE-PARTIAL] naming the reason when
-          the run stopped short (a bail, fuel exhaustion or a fifo written
-          by several tiles): the rest then covers only the executed
-          prefix. *)
+      (** [W-SAT] / [E-OVERFLOW] per core pc and [I-RANGE] with
+          [keep_ranges]; a run that stopped short covers only its
+          executed prefix ([checks] says so). *)
+  checks : Diag.t list;
+      (** [E-CHANW] per receive that met a packet of another width, and
+          the checks over the state the run ends in (see
+          docs/ANALYSIS.md): [E-CONSUME], [E-SENDU], [E-RBW], [E-RECVU]
+          and [E-DEADLOCK]. A run that stopped short (a bail, fuel
+          exhaustion or a fifo written by several tiles) gets one
+          [W-RANGE-PARTIAL] naming the reason instead: its ranges and
+          these checks cover only the executed prefix. *)
   interval : tile:int -> core:int -> pc:int -> reg:int -> (int * int) option;
       (** With [keep_ranges]: the join over the pc's executions of the
           raw interval of a register it defines, in {!Regflow.effects}'

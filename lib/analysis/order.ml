@@ -1,8 +1,8 @@
 module Instr = Puma_isa.Instr
 module Program = Puma_isa.Program
 
-(* The multi-stream gates over one collection of events (see order.mli
-   for the checks and the Halt rule).
+(* The happens-before checks over one collection of events (see
+   order.mli for the checks and the Halt rule).
 
    Event ids put every tile's TCU events first, in tile order, then
    every core's, so each stream's events are consecutive and the graph
@@ -13,8 +13,8 @@ module Program = Puma_isa.Program
    The happens-before edges (program order, single-writer shared-memory
    synchronization, single-sender channel pairing) are all sound
    orderings of the simulator, so a cycle means the program cannot run
-   to completion; the deadlock check reports those, and the ordering
-   checks bail out quietly. *)
+   to completion; the symbolic run reports those ([E-DEADLOCK]), and the
+   ordering checks bail out with a note. *)
 
 type role =
   | Rsend of { fifo : int; target : int }
@@ -28,7 +28,6 @@ type ev = {
   e_pc : int;
   e_addr : int;
   e_width : int;
-  e_count : int;  (* consumer count a store or receive initializes *)
   e_role : role;
 }
 
@@ -43,8 +42,6 @@ let stream_of (e : ev) = (e.e_tile, e.e_core)
    tile's footprint. *)
 type tile_events = {
   tile : int;
-  tcu : int * int;  (* event ids [first, last) of the TCU stream *)
-  cores : int * int;  (* event ids of all its core streams *)
   writers : int list array;  (* per word: the event ids that write it *)
   readers : int list array;
   host : int array;  (* per word: input/constant bindings covering it *)
@@ -80,7 +77,7 @@ let collect (p : Program.t) =
     evs := e :: !evs;
     incr n
   in
-  let ev ~tile ~core ~pc ~addr ~width ?(count = 0) role =
+  let ev ~tile ~core ~pc ~addr ~width role =
     add
       {
         e_tile = tile;
@@ -88,7 +85,6 @@ let collect (p : Program.t) =
         e_pc = pc;
         e_addr = addr;
         e_width = width;
-        e_count = count;
         e_role = role;
       }
   in
@@ -102,8 +98,8 @@ let collect (p : Program.t) =
           | Instr.Send { mem_addr; fifo_id; target; vec_width } ->
               ev ~tile ~core:(-1) ~pc ~addr:mem_addr ~width:vec_width
                 (Rsend { fifo = fifo_id; target })
-          | Instr.Receive { mem_addr; fifo_id; count; vec_width } ->
-              ev ~tile ~core:(-1) ~pc ~addr:mem_addr ~width:vec_width ~count
+          | Instr.Receive { mem_addr; fifo_id; vec_width; _ } ->
+              ev ~tile ~core:(-1) ~pc ~addr:mem_addr ~width:vec_width
                 (Rrecv { fifo = fifo_id })
           | _ -> ()
         done;
@@ -122,9 +118,8 @@ let collect (p : Program.t) =
               match code.(pc) with
               | Instr.Load { addr = Instr.Imm_addr a; vec_width; _ } ->
                   ev ~tile ~core ~pc ~addr:a ~width:vec_width Rload
-              | Instr.Store { addr = Instr.Imm_addr a; count; vec_width; _ }
-                ->
-                  ev ~tile ~core ~pc ~addr:a ~width:vec_width ~count Rstore
+              | Instr.Store { addr = Instr.Imm_addr a; vec_width; _ } ->
+                  ev ~tile ~core ~pc ~addr:a ~width:vec_width Rstore
               | Instr.Load { addr = Instr.Sreg_addr _; _ }
               | Instr.Store { addr = Instr.Sreg_addr _; _ } ->
                   dynamic := true
@@ -167,7 +162,7 @@ let collect (p : Program.t) =
         let cores, dynamic = cores.(pos) in
         note tcu.(pos);
         note cores;
-        { tile; tcu = tcu.(pos); cores; writers; readers; host; dynamic })
+        { tile; writers; readers; host; dynamic })
       p.tiles
   in
   let chans : (int * int, int list * int list) Hashtbl.t = Hashtbl.create 16 in
@@ -196,267 +191,6 @@ let collect (p : Program.t) =
   in
   { evs; n_tcu; tiles; chans; approx = List.rev !approx }
 
-(* ---- Per-channel send/receive matching. ---- *)
-
-let matching (c : events) =
-  List.concat_map
-    (fun ((dst, fifo), ch) ->
-      let sender s = c.evs.(s).e_tile in
-      let senders =
-        List.sort_uniq Stdlib.compare (List.map sender (Array.to_list ch.sends))
-      in
-      let ns = Array.length ch.sends and nr = Array.length ch.recvs in
-      match senders with
-      | _ :: _ :: _ ->
-          Diag.warning ~code:"W-FIFOSHARE" ~tile:dst
-            "fifo %d is written by %d tiles (%s); per-message pairing not \
-             checked"
-            fifo (List.length senders)
-            (String.concat ", "
-               (List.map (fun t -> Printf.sprintf "tile %d" t) senders))
-          ::
-          (if ns = nr then []
-           else
-             [
-               Diag.error
-                 ~code:(if ns > nr then "E-SENDU" else "E-RECVU")
-                 ~tile:dst "fifo %d carries %d send(s) but %d receive(s)" fifo
-                 ns nr;
-             ])
-      | _ ->
-          List.init (max ns nr) (fun k ->
-              if k >= nr then
-                let s = c.evs.(ch.sends.(k)) in
-                Some
-                  (Diag.error ~code:"E-SENDU" ~tile:s.e_tile ~pc:s.e_pc
-                     "send on fifo %d to tile %d has no matching receive" fifo
-                     dst)
-              else
-                let r = c.evs.(ch.recvs.(k)) in
-                if k >= ns then
-                  Some
-                    (Diag.error ~code:"E-RECVU" ~tile:dst ~pc:r.e_pc
-                       "receive on fifo %d has no matching send" fifo)
-                else
-                  let s = c.evs.(ch.sends.(k)) in
-                  if s.e_width = r.e_width then None
-                  else
-                    Some
-                      (Diag.error ~code:"E-CHANW" ~tile:dst ~pc:r.e_pc
-                         "receive #%d on fifo %d expects %d word(s) but the \
-                          matching send (tile %d pc %d) carries %d"
-                         k fifo r.e_width s.e_tile s.e_pc s.e_width))
-          |> List.filter_map Fun.id)
-    c.chans
-
-(* ---- Deadlock detection by abstract execution. ----
-
-   Sends never block (the runtime FIFOs are virtualized queues); a
-   receive blocks until its channel holds a token. Running every tile
-   stream to a fixpoint is exact for linear streams: if some stream is
-   wedged, each blocked tile waits on a channel whose remaining senders
-   (if any) are themselves blocked, and any cycle in that wait-for graph
-   is a real deadlock. Blocked tiles with no remaining sender are
-   reported by matching as [E-RECVU] instead. *)
-
-let deadlocks (c : events) =
-  let streams = Array.map (fun t -> (t.tile, t.tcu)) c.tiles in
-  let n = Array.length streams in
-  let ptr = Array.map (fun (_, (first, _)) -> first) streams in
-  let last idx = snd (snd streams.(idx)) in
-  let tokens : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
-  let avail key = Option.value ~default:0 (Hashtbl.find_opt tokens key) in
-  let progress = ref true in
-  while !progress do
-    progress := false;
-    Array.iteri
-      (fun idx (tile, _) ->
-        let running = ref true in
-        while !running && ptr.(idx) < last idx do
-          match c.evs.(ptr.(idx)).e_role with
-          | Rsend { fifo; target } ->
-              Hashtbl.replace tokens (target, fifo) (avail (target, fifo) + 1);
-              ptr.(idx) <- ptr.(idx) + 1;
-              progress := true
-          | Rrecv { fifo } ->
-              let key = (tile, fifo) in
-              if avail key > 0 then begin
-                Hashtbl.replace tokens key (avail key - 1);
-                ptr.(idx) <- ptr.(idx) + 1;
-                progress := true
-              end
-              else running := false
-          | Rload | Rstore -> assert false
-        done)
-      streams
-  done;
-  let blocked idx = ptr.(idx) < last idx in
-  (* A blocked stream waits at a receive. *)
-  let waits idx =
-    let e = c.evs.(ptr.(idx)) in
-    match e.e_role with
-    | Rrecv { fifo } -> (fifo, e.e_pc)
-    | Rsend _ | Rload | Rstore -> assert false
-  in
-  (* Wait-for edges between blocked stream indices. *)
-  let edges idx =
-    let tile = fst streams.(idx) in
-    let fifo, _ = waits idx in
-    let out = ref [] in
-    for j = 0 to n - 1 do
-      if blocked j then begin
-        let pending = ref false in
-        for id = ptr.(j) to last j - 1 do
-          match c.evs.(id).e_role with
-          | Rsend { fifo = f; target } when target = tile && f = fifo ->
-              pending := true
-          | _ -> ()
-        done;
-        if !pending then out := j :: !out
-      end
-    done;
-    List.sort_uniq Stdlib.compare !out
-  in
-  (* DFS with gray/black coloring; a gray hit closes a cycle. *)
-  let color = Array.make n 0 in
-  let cycles = ref [] in
-  let rec visit path idx =
-    if color.(idx) = 1 then begin
-      (* [path] is most-recent-first; the cycle is everything back to the
-         revisited node, restored to call order. *)
-      let rec take = function
-        | [] -> []
-        | x :: rest -> if x = idx then [ x ] else x :: take rest
-      in
-      cycles := List.rev (take path) :: !cycles
-    end
-    else if color.(idx) = 0 then begin
-      color.(idx) <- 1;
-      List.iter (visit (idx :: path)) (edges idx);
-      color.(idx) <- 2
-    end
-  in
-  for idx = 0 to n - 1 do
-    if blocked idx && color.(idx) = 0 then visit [] idx
-  done;
-  List.rev_map
-    (fun cycle ->
-      let describe idx =
-        let fifo, pc = waits idx in
-        Printf.sprintf "tile %d (pc %d waits on fifo %d)" (fst streams.(idx)) pc
-          fifo
-      in
-      let head = List.hd cycle in
-      let tile = fst streams.(head) in
-      let _, pc = waits head in
-      Diag.error ~code:"E-DEADLOCK" ~tile ~pc
-        "cross-tile wait cycle: %s -> back to tile %d"
-        (String.concat " -> " (List.map describe cycle))
-        tile)
-    !cycles
-  |> List.rev
-
-(* ---- Shared-memory consumer counts, per tile. ---- *)
-
-let consumer_counts (p : Program.t) (c : events) =
-  List.concat_map
-    (fun t ->
-      let tile = t.tile in
-      if t.dynamic then
-        [
-          Diag.info ~code:"I-DYNADDR" ~tile
-            "tile uses register-indirect shared-memory addressing: \
-             consumer-count checks are skipped, and register-indirect \
-             accesses are not race-checked";
-        ]
-      else begin
-        let diags = ref [] in
-        let add d = diags := d :: !diags in
-        let words = Array.length t.host in
-        let nwrites a = List.length t.writers.(a) + t.host.(a) in
-        let multi a = nwrites a > 1 in
-        (* The first word of [addr, addr + width) that fails [bad]. *)
-        let first_bad ~addr ~width bad =
-          let rec go a =
-            if a >= min (addr + width) words then None
-            else if bad a then Some a
-            else go (a + 1)
-          in
-          go (max addr 0)
-        in
-        (* Multiple writers on one word defeat the single-writer
-           discipline the consumer counts rely on; report once per
-           maximal run of words. *)
-        let a = ref 0 in
-        while !a < words do
-          if multi !a then begin
-            let b = ref !a in
-            while !b + 1 < words && multi (!b + 1) do
-              incr b
-            done;
-            add
-              (Diag.warning ~code:"W-MULTIWRITE" ~tile
-                 "smem[%d..%d] has multiple static writers; consumer counts \
-                  are not checked there"
-                 !a !b);
-            a := !b + 1
-          end
-          else incr a
-        done;
-        let each (first, last) f =
-          for id = first to last - 1 do
-            f c.evs.(id)
-          done
-        in
-        let core (e : ev) = if e.e_core < 0 then None else Some e.e_core in
-        let unwritten a = nwrites a = 0 in
-        let check (e : ev) =
-          match e.e_role with
-          | Rsend _ | Rload -> (
-              match first_bad ~addr:e.e_addr ~width:e.e_width unwritten with
-              | Some a ->
-                  add
-                    (Diag.error ~code:"E-RBW" ~tile ?core:(core e) ~pc:e.e_pc
-                       "%s reads smem[%d] which no instruction or binding \
-                        writes"
-                       (if e.e_core < 0 then "send" else "load")
-                       a)
-              | None -> ())
-          | (Rrecv _ | Rstore) when e.e_count > 0 -> (
-              let reads a = List.length t.readers.(a) in
-              match
-                first_bad ~addr:e.e_addr ~width:e.e_width (fun a ->
-                    (not (multi a)) && reads a <> e.e_count)
-              with
-              | Some a ->
-                  add
-                    (Diag.error ~code:"E-CONSUME" ~tile ?core:(core e)
-                       ~pc:e.e_pc
-                       "%s writes smem[%d] with consumer count %d but %d \
-                        static read(s) consume it"
-                       (if e.e_core < 0 then "receive" else "store")
-                       a e.e_count (reads a))
-              | None -> ())
-          | Rrecv _ | Rstore -> ()
-        in
-        each t.tcu check;
-        each t.cores check;
-        List.iter
-          (fun (b : Program.io_binding) ->
-            if b.tile = tile then
-              match first_bad ~addr:b.mem_addr ~width:b.length unwritten with
-              | Some a ->
-                  add
-                    (Diag.error ~code:"E-RBW" ~tile
-                       "output binding %S collects smem[%d] which no \
-                        instruction writes"
-                       b.name a)
-              | None -> ())
-          p.outputs;
-        List.rev !diags
-      end)
-    (Array.to_list c.tiles)
-
 (* ---- The happens-before graph. ---- *)
 
 (* Why a cross-stream edge exists; rendered only by --dump-hb. *)
@@ -479,8 +213,7 @@ type graph = {
 
 (* Beyond this many events the descendant bitsets get too large; the
    graph then leaves out the core events (channel ordering stays exact,
-   races go unchecked), and beyond it again is not built at all. The
-   checks on the collection always see every event. *)
+   races go unchecked), and beyond it again is not built at all. *)
 let max_events = 16384
 
 let build_graph (c : events) =
@@ -580,7 +313,7 @@ type hb = { desc : int array array }
 let bit_test a i = a.(i / 63) land (1 lsl (i mod 63)) <> 0
 
 (* Kahn topological order; None on a cycle (real deadlock — reported by
-   the deadlock check — or an artifact of the static-order approximation
+   the symbolic run — or an artifact of the static-order approximation
    on streams with control flow). *)
 let topo_order (g : graph) =
   let n = g.n in
@@ -820,7 +553,15 @@ let ordering ~dump_hb (p : Program.t) (c : events) =
       in
       notes g @ truncated @ races @ multi @ overflow @ dump
 
-let analyze ?(order = false) ?(dump_hb = false) (p : Program.t) =
+let analyze ?(dump_hb = false) (p : Program.t) =
   let c = collect p in
-  matching c @ deadlocks c @ consumer_counts p c
-  @ (if order || dump_hb then ordering ~dump_hb p c else [])
+  List.filter_map
+    (fun t ->
+      if t.dynamic then
+        Some
+          (Diag.info ~code:"I-DYNADDR" ~tile:t.tile
+             "tile uses register-indirect shared-memory addressing: those \
+              accesses are not race-checked")
+      else None)
+    (Array.to_list c.tiles)
+  @ ordering ~dump_hb p c

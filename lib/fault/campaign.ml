@@ -8,7 +8,7 @@ module Pool = Puma_util.Pool
 module Table = Puma_util.Table
 
 type spec = {
-  base : Fault_model.t;
+  base : Puma_xbar.Fault.t;
   rates : float list;
   fault_seeds : int list;
   samples : int;
@@ -18,7 +18,7 @@ type spec = {
 
 let default_spec =
   {
-    base = Fault_model.ideal;
+    base = Puma_xbar.Fault.ideal;
     rates = [ 1e-4; 1e-3; 1e-2 ];
     fault_seeds = [ 1; 2 ];
     samples = 8;
@@ -26,7 +26,7 @@ let default_spec =
     remap = false;
   }
 
-let at_rate (base : Fault_model.t) r =
+let at_rate (base : Puma_xbar.Fault.t) r =
   { base with stuck_rate = r; dead_in_rate = r; dead_out_rate = r }
 
 type point = {
@@ -102,7 +102,7 @@ let run ?domains ?(nodes = 1) ?(topology = Fabric.Mesh2d) ~key program spec =
     invalid_arg (Printf.sprintf "Campaign.run: %d nodes" nodes);
   List.iter
     (fun r ->
-      match Fault_model.validate (at_rate spec.base r) with
+      match Puma_xbar.Fault.validate (at_rate spec.base r) with
       | Ok _ -> ()
       | Error msg -> invalid_arg ("Campaign.run: rate " ^ msg))
     spec.rates;
@@ -197,7 +197,7 @@ let by_rate report =
         |> List.filter (fun p -> p.rate = rate) ))
     report.spec.rates
 
-let model_json (m : Fault_model.t) =
+let model_json (m : Puma_xbar.Fault.t) =
   Json.Obj
     [
       ("stuck_rate", Json.Float m.stuck_rate);
@@ -276,8 +276,10 @@ let table report =
         @ per_chip (Printf.sprintf "n%d flip")
         @ [ "flip rate"; "mean cycles" ])
   in
-  List.iter
-    (fun (rate, pts) ->
+  (* A rule between rate groups; the table's own rule closes it. *)
+  List.iteri
+    (fun i (rate, pts) ->
+      if i > 0 then Table.add_sep t;
       List.iter
         (fun p ->
           Table.add_row t
@@ -317,8 +319,7 @@ let table report =
          ]
         @ per_chip (fun k ->
               Table.fmt_pct (mean (fun p -> p.node_flip_rates.(k)) pts))
-        @ [ Table.fmt_pct (mean (fun p -> p.flip_rate) pts); "" ]);
-      Table.add_sep t)
+        @ [ Table.fmt_pct (mean (fun p -> p.flip_rate) pts); "" ]))
     (by_rate report);
   t
 

@@ -25,7 +25,7 @@
     stuck-ON fraction, drift parameters, ADC offset sigma — while the
     swept [rates] override its Bernoulli rates via {!at_rate}. *)
 type spec = {
-  base : Fault_model.t;
+  base : Puma_xbar.Fault.t;
   rates : float list;  (** Swept device/line fault rates. *)
   fault_seeds : int list;  (** Fault-realization seeds per rate. *)
   samples : int;  (** Inference requests per grid point. *)
@@ -38,7 +38,7 @@ val default_spec : spec
     [rates = [1e-4; 1e-3; 1e-2]], [fault_seeds = [1; 2]], [samples = 8],
     [input_seed = 7], [remap = false]. *)
 
-val at_rate : Fault_model.t -> float -> Fault_model.t
+val at_rate : Puma_xbar.Fault.t -> float -> Puma_xbar.Fault.t
 (** [at_rate base r] is [base] with [stuck_rate], [dead_in_rate] and
     [dead_out_rate] all set to [r] — the swept "fault rate" applies
     per-device for stuck cells and per-line for dead lines. *)

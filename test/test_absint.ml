@@ -377,14 +377,14 @@ let test_channel_precision () =
 (* ---- Runs that stop short ----
 
    A run stops at fuel exhaustion or at a fifo's second sender tile. Its
-   ranges then carry one W-RANGE-PARTIAL, and the cost bound counts the
+   checks then carry one W-RANGE-PARTIAL, and the cost bound counts the
    executed prefix, which the simulation still bounds from above. *)
 
 let check_stopped name run program ~inputs =
   let partial =
     List.filter
       (fun (d : Diag.t) -> d.code = "W-RANGE-PARTIAL")
-      run.Equiv.ranges
+      run.Equiv.checks
   in
   Alcotest.(check int) (name ^ ": one W-RANGE-PARTIAL") 1 (List.length partial);
   let est = Resource.estimate ~run program in
@@ -449,7 +449,22 @@ let test_stopped_runs () =
   Puma_isa.Check.check_exn shared;
   let d = check_stopped "shared fifo" (Equiv.run shared) shared ~inputs:[] in
   Alcotest.(check bool) "names the fifo" true
-    (Puma_util.Strings.contains ~sub:"fifo 0 is written by tiles" d.Diag.message)
+    (Puma_util.Strings.contains ~sub:"fifo 0 is written by tiles" d.Diag.message);
+  (* The analyzer says once that its run-based checks stopped there. *)
+  let r = Analyze.program ~ranges:true ~order:true shared in
+  match
+    List.filter
+      (fun (d : Diag.t) -> d.severity = Diag.Warning)
+      r.Analyze.diags
+  with
+  | [ w ] ->
+      Alcotest.(check string) "the one warning" "W-RANGE-PARTIAL" w.code;
+      Alcotest.(check bool) "says what the prefix limits" true
+        (Puma_util.Strings.contains
+           ~sub:"channel and consumer-count checks cover only" w.message
+        && Puma_util.Strings.contains ~sub:"fifo 0 is written by tiles"
+             w.message)
+  | ws -> Alcotest.failf "expected one warning, got %d" (List.length ws)
 
 (* ---- Keeping per-pc ranges changes no flag ----
 

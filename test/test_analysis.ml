@@ -544,8 +544,9 @@ let store ?(count = 0) addr =
   Instr.Store { src = gpr 0; addr; count; vec_width = 1 }
 
 (* A two-core tile where core 0 also stores through a scalar register:
-   the tile gets one I-DYNADDR saying what is not checked there, and the
-   race between the two cores' immediate stores is still reported. *)
+   the tile gets one I-DYNADDR saying that those stores are not
+   race-checked, and the race between the two cores' immediate stores is
+   still reported. *)
 let test_dynamic_addressing () =
   let p =
     one_tile
@@ -571,8 +572,7 @@ let test_dynamic_addressing () =
   | [ d ] ->
       Alcotest.(check string) "note"
         "info[I-DYNADDR] tile 0: tile uses register-indirect shared-memory \
-         addressing: consumer-count checks are skipped, and \
-         register-indirect accesses are not race-checked"
+         addressing: those accesses are not race-checked"
         (Diag.to_string d)
   | ds -> Alcotest.failf "expected one I-DYNADDR, got %d" (List.length ds)
 
@@ -592,10 +592,68 @@ let test_halt_rule () =
   Alcotest.(check (list string)) "no consumer-count error" []
     (error_codes (Analyze.program p))
 
+(* ---- Verdicts that agree with the simulator ----
+
+   One tile: core 0 stores smem[10] and halts, and core 1 loads it
+   twice. Whether the program completes depends on the store's consumer
+   count and on the address its scalar register holds, which only an
+   execution sees; the analyzer's verdict must match Node.run's. *)
+
+let asm source =
+  match Puma_isa.Asm.parse_program layout source with
+  | Ok code -> code
+  | Error e -> Alcotest.fail e
+
+let loads_twice_in_a_loop =
+  asm
+    "set s0, #0\nset s1, #1\nset s2, #2\n\
+     load r0, @10, w=1\n\
+     aluint.iadd s0, s0, s1\nbrn.blt s0, s2, 3\nhalt\n"
+
+let loads_twice = asm "load r0, @10, w=1\nload r1, @10, w=1\nhalt\n"
+
+let agrees_with_simulator name ~errors p =
+  let r = Analyze.program ~ranges:true ~order:true p in
+  let completes =
+    match Puma_sim.Node.run (Puma_sim.Node.create p) ~inputs:[] with
+    | _ -> true
+    | exception Puma_sim.Node.Deadlock _ -> false
+  in
+  Alcotest.(check bool) (name ^ ": simulator completes") (not errors) completes;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: analyzer reports an error (%s)" name
+       (String.concat ", " (error_codes r)))
+    errors (Analyze.has_errors r)
+
+let test_loop_count_short () =
+  agrees_with_simulator "count 1, looped loads" ~errors:true
+    (one_tile
+       [|
+         asm "set r0, #1\nstore @10, r0, count=1, w=1\nhalt\n";
+         loads_twice_in_a_loop;
+       |])
+
+let test_loop_count_exact () =
+  agrees_with_simulator "count 2, looped loads" ~errors:false
+    (one_tile
+       [|
+         asm "set r0, #1\nstore @10, r0, count=2, w=1\nhalt\n";
+         loads_twice_in_a_loop;
+       |])
+
+let test_indirect_count_short () =
+  agrees_with_simulator "count 1 through s3" ~errors:true
+    (one_tile
+       [|
+         asm "set r0, #1\nset s3, #10\nstore @[s3], r0, count=1, w=1\nhalt\n";
+         loads_twice;
+       |])
+
 (* A program past the happens-before graph's 16,384-event cap: core 0 of
    tile 0 stores 8,200 counted words that core 1 loads once each, and
    tile 0 sends one constant word to tile 1. The graph leaves the core
-   events out, but matching and consumer counts still see every event. *)
+   events out, but the run's channel and consumer-count checks still see
+   every event. *)
 let test_event_cap () =
   let k = 8200 in
   let config = { Config.sweetspot with imem_core_bytes = 1 lsl 20 } in
@@ -832,6 +890,12 @@ let () =
           Alcotest.test_case "dynamic addressing" `Quick
             test_dynamic_addressing;
           Alcotest.test_case "halt rule" `Quick test_halt_rule;
+          Alcotest.test_case "looped loads, count short" `Quick
+            test_loop_count_short;
+          Alcotest.test_case "looped loads, count exact" `Quick
+            test_loop_count_exact;
+          Alcotest.test_case "indirect store, count short" `Quick
+            test_indirect_count_short;
           Alcotest.test_case "event cap" `Quick test_event_cap;
         ] );
       ( "diag",

@@ -10,7 +10,7 @@ module Network = Puma_nn.Network
 module Models = Puma_nn.Models
 module Batch = Puma_runtime.Batch
 module Node = Puma_sim.Node
-module Fault = Puma_fault.Fault_model
+module Fault = Puma_xbar.Fault
 module Remap = Puma_fault.Remap
 module Campaign = Puma_fault.Campaign
 module Diag = Puma_analysis.Diag
@@ -451,7 +451,18 @@ let test_report_json () =
               "node_flip_rates"; "mean_cycles";
             ])
         points;
-      ignore (Puma_util.Table.render (Campaign.table report))
+      (* Rules separate the rate groups: the table ends with one rule,
+         not a group's rule followed by the closing one. *)
+      let lines =
+        String.split_on_char '\n' (Format.asprintf "%a" Campaign.pp report)
+        |> List.rev
+      in
+      let rule l = String.length l > 0 && l.[0] = '+' in
+      match lines with
+      | last :: before :: _ ->
+          Alcotest.(check bool) "ends with a rule" true (rule last);
+          Alcotest.(check bool) "only one closing rule" false (rule before)
+      | _ -> Alcotest.fail "campaign table too short"
 
 let () =
   Alcotest.run "fault"
