@@ -4,7 +4,7 @@
    unrolled sliding windows. Our compiler unrolls (each window becomes
    straight-line code); this example shows the alternative the ISA was
    designed for: a 3x3 convolution over an 8x8 image written by hand as
-   two nested loops with scalar-register address arithmetic — 25 static
+   two nested loops with scalar-register address arithmetic — 28 static
    instructions executing 36 windows, where unrolling needs hundreds.
 
    Layout: input image at shared memory [0, 64) (row-major), outputs at

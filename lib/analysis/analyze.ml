@@ -63,9 +63,9 @@ let program ?(ranges = false) ?(resources = false) ?input_range
   let has_structural_errors =
     List.exists (fun (d : Diag.t) -> d.severity = Diag.Error) structural
   in
-  (* One symbolic run behind the channel and count checks, the value
-     ranges, the cost bound and the translation validation; intervals
-     only when ranges are reported. *)
+  (* One symbolic run behind the register, channel and count checks, the
+     value ranges, the cost bound and the translation validation;
+     intervals only when ranges are reported. *)
   let run =
     lazy
       (match run with
@@ -85,32 +85,28 @@ let program ?(ranges = false) ?(resources = false) ?input_range
              program is structurally invalid";
         ]
     else begin
+      let run = Lazy.force run in
       let layout = Operand.layout p.config in
-      (* One flow per core stream, shared with the register-pressure
-         estimate. *)
-      let flows =
-        Array.map
-          (fun (tp : Program.tile_program) ->
-            Array.map (Regflow.flow ~layout) tp.core_code)
-          p.tiles
-      in
       let regflow = ref [] in
       Array.iteri
         (fun pos (tp : Program.tile_program) ->
           Array.iteri
-            (fun core f ->
-              regflow :=
-                Regflow.analyze ~layout ~tile:tp.tile_index ~core f :: !regflow)
-            flows.(pos))
+            (fun core code ->
+              Option.iter
+                (fun (e : Equiv.execution) ->
+                  regflow :=
+                    Regflow.analyze ~layout ~tile:tp.tile_index ~core
+                      ~finished:e.finished code e.trace
+                    :: !regflow)
+                (run.Equiv.executions ~pos ~core:(Some core)))
+            tp.core_code)
         p.tiles;
       structural
       @ List.concat (List.rev !regflow)
-      @ (Lazy.force run).Equiv.checks
+      @ run.Equiv.checks
       @ (if order then Order.analyze ~dump_hb p else [])
-      @ (if ranges then (Lazy.force run).Equiv.ranges else [])
-      @ (if resources then
-           Resource.report (Resource.estimate ~flows ~run:(Lazy.force run) p)
-         else [])
+      @ (if ranges then run.Equiv.ranges else [])
+      @ (if resources then Resource.report (Resource.estimate ~run p) else [])
     end
   in
   (* Translation validation runs even on structurally invalid programs

@@ -1,9 +1,10 @@
 (** Whole-program static analysis driver for compiled PUMA programs.
 
     Runs, in order: the structural checker ({!Puma_isa.Check.diagnose}),
-    per-core register dataflow ({!Regflow}), the channel, consumer-count
-    and deadlock checks over the state one symbolic run ends in
-    ({!Equiv.run}'s [checks]), and — opt-in — happens-before ordering
+    then over one symbolic run ({!Equiv.run}) the per-core register
+    checks along each stream's executed path ({!Regflow}) and the
+    channel, consumer-count and deadlock checks over the state the run
+    ends in ([checks]), and — opt-in — happens-before ordering
     ({!Order}), fixed-point value ranges ({!Range}), static
     resource/cost estimation ({!Resource}) and translation validation
     ({!Equiv}); the last three read the same run. Every structurally

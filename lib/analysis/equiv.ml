@@ -31,12 +31,14 @@ type result = {
   steps : int;
 }
 
+type execution = { trace : int array; finished : bool }
+
 type run = {
   equiv : result option;
   ranges : Diag.t list;
   checks : Diag.t list;
   interval : tile:int -> core:int -> pc:int -> reg:int -> (int * int) option;
-  executions : pos:int -> core:int option -> (int array * int) option;
+  executions : pos:int -> core:int option -> execution option;
 }
 
 (* ---- Hash-consed symbolic words ----
@@ -74,11 +76,12 @@ type mat_info = {
 module Grow = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
-  let create dummy = { data = Array.make 64 dummy; len = 0; dummy }
+  let create ?(capacity = 64) dummy =
+    { data = Array.make capacity dummy; len = 0; dummy }
 
   let push g x =
     if g.len = Array.length g.data then begin
-      let d = Array.make (2 * g.len) g.dummy in
+      let d = Array.make (max 64 (2 * g.len)) g.dummy in
       Array.blit g.data 0 d 0 g.len;
       g.data <- d
     end;
@@ -87,6 +90,8 @@ module Grow = struct
     g.len - 1
 
   let get g i = g.data.(i)
+  let to_array g =
+    if g.len = Array.length g.data then g.data else Array.sub g.data 0 g.len
 end
 
 (* Images keyed by content. Hashing samples about 64 raws, so a lookup
@@ -439,8 +444,7 @@ type stream = {
   code : Instr.t array;
   mutable pc : int;
   mutable halted : bool;
-  counts : int array;  (* executions per pc *)
-  mutable last : int;  (* the latest executed pc, -1 before the first *)
+  trace : int Grow.t;  (* the pcs executed, in order *)
   sat : int array;
       (* per pc, bit 0: some execution created a term that may clamp;
          bit 1: some execution created none that surely clamps *)
@@ -597,6 +601,9 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
         | Some (On_reader a) -> can ~except:i s.s_tile (may_read a))
       live
   in
+  (* Writers already named by a store blocked over their unread words,
+     which [unread] below does not report again. *)
+  let named = Hashtbl.create 4 in
   let stuck i (s, _) =
     let pos = s.s_tile and pc = s.pc and core = s.s_core in
     match (waits.(i), edges.(i)) with
@@ -609,6 +616,8 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
     | Some (On_writer a), [] ->
         Some (dead_read ?core ~pc pos a (if core = None then "send" else "load"))
     | Some (On_reader a), [] ->
+        let ts = tiles.(pos) in
+        Hashtbl.replace named (pos, ts.wr_core.(a), ts.wr_pc.(a)) ();
         Some
           (Diag.error ~code:"E-CONSUME" ~tile:(index pos) ?core ~pc
              "write of smem[%d] blocks forever: %s still awaits %d read(s) \
@@ -675,17 +684,20 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
       channels []
   in
   (* Counted words no stream can still read, once per writing
-     instruction. *)
+     instruction that no blocked store named. *)
   let unread =
     List.concat
       (List.init (Array.length tiles) (fun pos ->
-           let ts = tiles.(pos) and seen = Hashtbl.create 8 and out = ref [] in
+           let ts = tiles.(pos) and out = ref [] in
            Array.iteri
              (fun a m ->
                let c = ts.wr_core.(a) and pc = ts.wr_pc.(a) in
-               if m > 0 && (not (Hashtbl.mem seen (c, pc))) && can pos (may_read a) = []
+               if
+                 m > 0
+                 && (not (Hashtbl.mem named (pos, c, pc)))
+                 && can pos (may_read a) = []
                then begin
-                 Hashtbl.add seen (c, pc) ();
+                 Hashtbl.add named (pos, c, pc) ();
                  out :=
                    Diag.error ~code:"E-CONSUME" ~tile:(index pos)
                      ?core:(if c >= 0 then Some c else None) ~pc
@@ -754,8 +766,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       code;
       pc = 0;
       halted = false;
-      counts = Array.make n 0;
-      last = -1;
+      trace = Grow.create ~capacity:n 0;
       sat = Array.make n 0;
       what = Hashtbl.create 8;
       defs = (if keep then Array.map def_words code else [||]);
@@ -980,10 +991,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
           | Some c -> bail ~tile ~core:c ~pc:s.pc fmt
           | None -> bail ~tile ~pc:s.pc fmt
         in
-        let count () =
-          s.counts.(s.pc) <- s.counts.(s.pc) + 1;
-          s.last <- s.pc
-        in
+        let count () = ignore (Grow.push s.trace s.pc) in
         let halt () =
           count ();
           s.halted <- true;
@@ -1274,9 +1282,9 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
             severity = Diag.Warning;
             message =
               Printf.sprintf
-                "value ranges and the channel and consumer-count checks \
-                 cover only the %d instructions executed before the run \
-                 stopped: %s"
+                "value ranges, the register checks and the channel and \
+                 consumer-count checks cover only the %d instructions \
+                 executed before the run stopped: %s"
                 !steps d.message;
           };
         ]
@@ -1340,7 +1348,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
   in
   let executions ~pos ~core =
     Option.map
-      (fun s -> (s.counts, s.last))
+      (fun s -> { trace = Grow.to_array s.trace; finished = s.halted })
       (find (fun s -> s.s_tile = pos && s.s_core = core))
   in
   (* ---- Compare the run's outputs against the reference ---- *)

@@ -1,14 +1,16 @@
-(** The symbolic run behind four gates: the channel and consumer-count
-    checks, translation validation, value ranges and the static cost
-    bound.
+(** The symbolic run behind five gates: the channel and consumer-count
+    checks, the register checks, translation validation, value ranges and
+    the static cost bound.
 
     [run] abstractly executes the whole multi-tile program — every core
     stream and tile control stream, with the real shared-memory
     consumer-count discipline and in-order per-channel NoC delivery — over
     {e symbolic} words instead of fixed-point values. Scalar registers are
-    concrete, so loops execute exactly, and the run counts how often each
-    pc executes ({!Resource} costs a stream as the sum over its pcs of
-    count x {!Puma_arch.Cost}). Every interned word carries an interval
+    concrete, so loops execute exactly, and the run records each stream's
+    executed pcs in order ({!Resource} costs a stream as the sum over
+    them of {!Puma_arch.Cost}; {!Regflow} walks them for [E-UBD],
+    [W-DEADSTORE] and [I-UNREACH], and {!Resource} for register
+    pressure). Every interned word carries an interval
     of raw values computed once from its operands' ({!Range}), so the
     same run reports [W-SAT] / [E-OVERFLOW] per pc. The state the run
     ends in gives the channel and consumer-count checks ([run.checks]):
@@ -42,7 +44,9 @@
     reference. Quantization itself is part of lowering, which the float
     oracle checks, not this proof.
 
-    Soundness caveats (see docs/ANALYSIS.md), shared by all four gates:
+    Soundness caveats (see docs/ANALYSIS.md), shared by every gate but
+    the register checks (a stream's path depends only on its own scalar
+    registers):
     the run is the program's execution only under the
     scheduler-independence the other passes establish — no shared-memory
     races ([E-RACE]) and no same-fifo multi-sender channels (the run stops
@@ -103,6 +107,18 @@ type result = {
   steps : int;  (** Instructions symbolically retired. *)
 }
 
+type execution = {
+  trace : int array;
+      (** The pcs the stream executed, in order. It may be the run's
+          own array, so read it only. *)
+  finished : bool;
+      (** The stream halted or ran off its end. Otherwise the run
+          stopped short or wedged, and [trace] is a prefix. *)
+}
+(** One stream's path through the run. Its scalar registers are
+    concrete, so this is the one path the stream takes for every input:
+    {!Resource} costs it and {!Regflow} walks it. *)
+
 type run = {
   equiv : result option;  (** The verdict, when a reference was given. *)
   ranges : Diag.t list;
@@ -115,18 +131,17 @@ type run = {
           docs/ANALYSIS.md): [E-CONSUME], [E-SENDU], [E-RBW], [E-RECVU]
           and [E-DEADLOCK]. A run that stopped short (a bail, fuel
           exhaustion or a fifo written by several tiles) gets one
-          [W-RANGE-PARTIAL] naming the reason instead: its ranges and
-          these checks cover only the executed prefix. *)
+          [W-RANGE-PARTIAL] naming the reason instead: its ranges, the
+          register checks and these checks cover only the executed
+          prefix. *)
   interval : tile:int -> core:int -> pc:int -> reg:int -> (int * int) option;
       (** With [keep_ranges]: the join over the pc's executions of the
           raw interval of a register it defines, in {!Regflow.effects}'
           combined space (scalar register [s] at [layout.total + s]).
           [tile] is the tile's [tile_index]. *)
-  executions : pos:int -> core:int option -> (int array * int) option;
-      (** Per stream (tile position, [None] for the tile control unit):
-          how often each pc executed, and the last pc executed ([-1]
-          before any). [None] for an empty stream. A run that stopped
-          short counts a prefix of every stream's execution. *)
+  executions : pos:int -> core:int option -> execution option;
+      (** Per stream (tile position, [None] for the tile control unit).
+          [None] for an empty stream. *)
 }
 
 val run :

@@ -1,6 +1,5 @@
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
-module Bset = Absint.Bset
 
 (* Register effects of one instruction. [strict] uses participate in the
    def-before-use check; [soft] uses only keep values live (the MVM unit
@@ -65,148 +64,89 @@ let reg_name (layout : Operand.layout) idx =
     Format.asprintf "%a" (Operand.pp_reg layout) idx
   else Printf.sprintf "s%d" (idx - layout.Operand.total)
 
-let clip width (base, w) =
-  let lo = max 0 base and hi = min width (base + w) in
-  (lo, max 0 (hi - lo))
+let width (layout : Operand.layout) =
+  layout.Operand.total + Operand.num_scalar_regs
 
-let iter_range_w width set (base, w) =
-  let lo, w = clip width (base, w) in
-  for k = lo to lo + w - 1 do
-    set k
+let iter_range width f (base, w) =
+  for k = max 0 base to min width (base + w) - 1 do
+    f k
   done
 
-(* The two dataflow passes as {!Absint} domains over {!Absint.Bset}; their
-   transfer functions close over one stream's effects array. *)
+let live_walk ~layout (eff : effects array) trace ~flip =
+  let width = width layout in
+  let live = Bytes.make width '\000' in
+  let set pc on =
+    let c = if on then '\001' else '\000' in
+    iter_range width (fun k ->
+        if Bytes.get live k <> c then begin
+          Bytes.set live k c;
+          flip ~pc k on
+        end)
+  in
+  for t = Array.length trace - 1 downto 0 do
+    let pc = trace.(t) in
+    let e = eff.(pc) in
+    List.iter (set pc false) e.defs;
+    List.iter (set pc true) e.strict;
+    List.iter (set pc true) e.soft
+  done
 
-(* Forward must-defined: join is intersection (defined on every path). *)
-module Defined = Absint.Make (struct
-  type state = Bset.t
-
-  let copy = Bset.copy
-  let equal = Bset.equal
-
-  let join a b =
-    Bset.inter_into a b;
-    a
-end)
-
-let defined_transfer width (eff : effects array) ~pc s =
-  List.iter (iter_range_w width (Bset.set s)) eff.(pc).defs;
-  s
-
-(* Backward liveness: join is union (live on some path). *)
-module Live = Absint.Make (struct
-  type state = Bset.t
-
-  let copy = Bset.copy
-  let equal = Bset.equal
-
-  let join a b =
-    Bset.union_into a b;
-    a
-end)
-
-let live_transfer width (eff : effects array) ~pc s =
-  let e = eff.(pc) in
-  List.iter (iter_range_w width (Bset.clear s)) e.defs;
-  List.iter (iter_range_w width (Bset.set s)) e.strict;
-  List.iter (iter_range_w width (Bset.set s)) e.soft;
-  s
-
-let solve_live width eff cfg =
-  Live.solve ~direction:Absint.Backward
-    ~entry:(fun () -> Bset.create width)
-    ~transfer:(live_transfer width eff) cfg
-
-(* One stream's CFG, effects and liveness, built once and shared by the
-   dataflow checks here and {!Resource}'s register pressure. *)
-type flow = { cfg : Cfg.t; eff : effects array; live_out : Bset.t option array }
-
-let flow ~(layout : Operand.layout) code =
-  let width = layout.Operand.total + Operand.num_scalar_regs in
-  let cfg = Cfg.build code in
+(* Two walks over the stream's executed pcs: forward for reads of words
+   no earlier instruction wrote, backward for writes no later one read.
+   Scalar registers are concrete in the run, so this one path is the
+   stream's path for every input. *)
+let analyze ~(layout : Operand.layout) ~tile ~core ~finished code trace =
+  let width = width layout in
+  let n = Array.length code in
   let eff = Array.map (effects layout) code in
-  { cfg; eff; live_out = solve_live width eff cfg }
-
-let analyze ~(layout : Operand.layout) ~tile ~core { cfg; eff; live_out } =
-  let width = layout.Operand.total + Operand.num_scalar_regs in
-  let nb = Cfg.num_blocks cfg in
-  if nb = 0 then []
-  else begin
-    let diags = ref [] in
-    let iter_range set r = iter_range_w width set r in
-    (* ---- Forward must-defined analysis (def before use). ---- *)
-    let inb =
-      Defined.solve
-        ~entry:(fun () -> Bset.create width)
-        ~transfer:(defined_transfer width eff) cfg
-    in
-    for b = 0 to nb - 1 do
-      match inb.(b) with
-      | None -> ()
-      | Some entry_state ->
-          if cfg.Cfg.reachable.(b) then begin
-            let cur = Bset.copy entry_state in
-            let blk = cfg.Cfg.blocks.(b) in
-            for pc = blk.Cfg.first to blk.Cfg.last do
-              let missing = ref None in
-              List.iter
-                (fun r ->
-                  iter_range
-                    (fun k ->
-                      if !missing = None && not (Bset.get cur k) then
-                        missing := Some k)
-                    r)
-                eff.(pc).strict;
-              (match !missing with
-              | Some k ->
-                  diags :=
-                    Diag.error ~code:"E-UBD" ~tile ~core ~pc
-                      "register %s is read but not written on every path here"
-                      (reg_name layout k)
-                    :: !diags
-              | None -> ());
-              List.iter (iter_range (Bset.set cur)) eff.(pc).defs
-            done
-          end
-    done;
-    (* ---- Backward liveness (dead register writes). ---- *)
-    for b = 0 to nb - 1 do
-      if cfg.Cfg.reachable.(b) then begin
-        let live =
-          match live_out.(b) with
-          | Some s -> Bset.copy s
-          | None -> Bset.create width
-        in
-        let blk = cfg.Cfg.blocks.(b) in
-        for pc = blk.Cfg.last downto blk.Cfg.first do
-          let e = eff.(pc) in
-          if e.defs <> [] then begin
-            let any_live = ref false in
-            List.iter
-              (fun r ->
-                iter_range (fun k -> if Bset.get live k then any_live := true) r)
-              e.defs;
-            if not !any_live then
-              diags :=
-                Diag.warning ~code:"W-DEADSTORE" ~tile ~core ~pc
-                  "value written to %s is never read"
-                  (reg_name layout (fst (List.hd e.defs)))
-                :: !diags
-          end;
-          List.iter (iter_range (Bset.clear live)) e.defs;
-          List.iter (iter_range (Bset.set live)) e.strict;
-          List.iter (iter_range (Bset.set live)) e.soft
-        done
-      end
-    done;
-    (match Cfg.unreachable_pcs cfg with
+  let diags = ref [] in
+  let flags len = Bytes.make len '\000' in
+  let get b k = Bytes.get b k <> '\000' in
+  let put b k = Bytes.set b k '\001' in
+  (* ---- Forward: a pc's first strict read of an unwritten word. ---- *)
+  let written = flags width and flagged = flags n in
+  let write = iter_range width (put written) in
+  Array.iter
+    (fun pc ->
+      let e = eff.(pc) in
+      if not (get flagged pc) then
+        List.iter
+          (iter_range width (fun k ->
+               if not (get written k || get flagged pc) then begin
+                 put flagged pc;
+                 diags :=
+                   Diag.error ~code:"E-UBD" ~tile ~core ~pc
+                     "register %s is read before anything writes it"
+                     (reg_name layout k)
+                   :: !diags
+               end))
+          e.strict;
+      List.iter write e.defs)
+    trace;
+  (* ---- Backward: a write whose words are still live where it kills
+     them was read. A stream the run did not finish may still read its
+     writes, or reach the pcs it skipped. ---- *)
+  if finished then begin
+    let read = flags n and ran = flags n in
+    Array.iter (put ran) trace;
+    live_walk ~layout eff trace ~flip:(fun ~pc _ on -> if not on then put read pc);
+    Array.iteri
+      (fun pc (e : effects) ->
+        if get ran pc && e.defs <> [] && not (get read pc) then
+          diags :=
+            Diag.warning ~code:"W-DEADSTORE" ~tile ~core ~pc
+              "value written to %s is never read"
+              (reg_name layout (fst (List.hd e.defs)))
+            :: !diags)
+      eff;
+    match List.filter (fun pc -> not (get ran pc)) (List.init n Fun.id) with
     | [] -> ()
     | pc :: _ as pcs ->
         diags :=
           Diag.info ~code:"I-UNREACH" ~tile ~core ~pc
-            "%d instruction(s) unreachable from the stream entry"
+            "%d instruction(s) never executed: the stream's one path skips \
+             them"
             (List.length pcs)
-          :: !diags);
-    List.rev !diags
-  end
+          :: !diags
+  end;
+  List.rev !diags

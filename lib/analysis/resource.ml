@@ -7,15 +7,19 @@
      the compiler's provenance map is available (so an over-budget
      stream can name the source-graph layers responsible);
    - register pressure: liveness-based high-water marks per register
-     space against the physical capacities;
+     space against the physical capacities, along each core stream's
+     executed path;
    - cost lower bounds: each stream's pcs at the symbolic run's trip
-     counts ({!Equiv.run}), each instruction costed by the simulator's
+     counts, each instruction costed by the simulator's
      own per-instruction table ({!Puma_arch.Cost}: occupancy in cycles,
      dynamic pJ). The program bound takes the slowest stream (they run
      concurrently); energy sums across streams. Both are sound lower
      bounds for any execution the cycle-approximate simulator can
      produce: it retires the same instructions, charges the same table
-     and only adds stalls and contention on top. *)
+     and only adds stalls and contention on top.
+
+   The last two walk the pcs one symbolic run ({!Equiv.run}) records
+   for each stream, which is the stream's one path for every input. *)
 
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
@@ -55,57 +59,25 @@ type t = {
 
 (* ---- Liveness-based register pressure. ---- *)
 
-let pressure_of layout ({ cfg; eff; live_out } : Regflow.flow) =
+(* The peak live words per space (xin, xout, gpr, sregs, which tile the
+   combined register space in that order) along the stream's executed
+   path ({!Equiv.execution}). The walk reports only the words that flip,
+   so each pc costs its operands, not the register file's width. *)
+let pressure_of layout code trace =
   let total = layout.Operand.total in
-  let width = total + Operand.num_scalar_regs in
   let xout_b = Operand.base_of layout Operand.Xbar_out
   and gpr_b = Operand.base_of layout Operand.Gpr in
-  (* Live words per space (xin, xout, gpr, sregs), which tile the bitset
-     in that order. A def or use moves a count only when it flips a bit,
-     so each pc costs its operands, not the register file's width. *)
   let space k =
     if k < xout_b then 0 else if k < gpr_b then 1 else if k < total then 2 else 3
   in
   let live_words = Array.make 4 0 and peak = Array.make 4 0 in
-  let measure () =
-    for s = 0 to 3 do
-      if live_words.(s) > peak.(s) then peak.(s) <- live_words.(s)
-    done
-  in
-  let iter_range f (base, w) =
-    let lo = max 0 base and hi = min width (base + w) in
-    for k = lo to hi - 1 do
-      f k
-    done
-  in
-  for b = 0 to Cfg.num_blocks cfg - 1 do
-    match live_out.(b) with
-    | None -> ()
-    | Some out ->
-        if cfg.Cfg.reachable.(b) then begin
-          let live = Absint.Bset.copy out in
-          Array.fill live_words 0 4 0;
-          for k = 0 to width - 1 do
-            if Absint.Bset.get live k then
-              live_words.(space k) <- live_words.(space k) + 1
-          done;
-          measure ();
-          let flip on k =
-            if Absint.Bset.get live k <> on then begin
-              if on then Absint.Bset.set live k else Absint.Bset.clear live k;
-              live_words.(space k) <- live_words.(space k) + if on then 1 else -1
-            end
-          in
-          let blk = cfg.Cfg.blocks.(b) in
-          for pc = blk.Cfg.last downto blk.Cfg.first do
-            let e = eff.(pc) in
-            List.iter (iter_range (flip false)) e.Regflow.defs;
-            List.iter (iter_range (flip true)) e.Regflow.strict;
-            List.iter (iter_range (flip true)) e.Regflow.soft;
-            measure ()
-          done
-        end
-  done;
+  Regflow.live_walk ~layout
+    (Array.map (Regflow.effects layout) code)
+    trace
+    ~flip:(fun ~pc:_ k on ->
+      let s = space k in
+      live_words.(s) <- (live_words.(s) + if on then 1 else -1);
+      if live_words.(s) > peak.(s) then peak.(s) <- live_words.(s));
   {
     xin_hw = peak.(0);
     xin_cap = Operand.size_of layout Operand.Xbar_in;
@@ -130,25 +102,28 @@ let pressure_of layout ({ cfg; eff; live_out } : Regflow.flow) =
    makespan (an explicit trailing Halt costs nothing either way). The
    cycle bound therefore excludes the last executed instruction's
    cycles. *)
-let estimate ?flows ?run (p : Program.t) =
+let estimate ?run (p : Program.t) =
   let config = p.Program.config in
   let layout = Operand.layout config in
   let run = match run with Some r -> r | None -> Equiv.run ~ranges:false p in
   let streams = ref [] in
-  let add ~pos ~tile ~core ~imem_capacity ~pressure code =
+  let add ~pos ~tile ~core ~imem_capacity code =
     let costs = Array.map (Cost.of_instr config layout) code in
-    let counts, last =
-      Option.value
-        (run.Equiv.executions ~pos ~core)
-        ~default:(Array.make (Array.length code) 0, -1)
+    let trace =
+      match run.Equiv.executions ~pos ~core with
+      | Some e -> e.Equiv.trace
+      | None -> [||]
     in
+    let counts = Array.make (Array.length code) 0 in
+    Array.iter (fun pc -> counts.(pc) <- counts.(pc) + 1) trace;
     let cycles = ref 0 and energy_pj = ref 0. in
     Array.iteri
       (fun pc n ->
         cycles := !cycles + (n * costs.(pc).Cost.cycles);
         energy_pj := !energy_pj +. (float_of_int n *. Cost.energy_pj config costs.(pc)))
       counts;
-    if last >= 0 then cycles := !cycles - costs.(last).Cost.cycles;
+    let n = Array.length trace in
+    if n > 0 then cycles := !cycles - costs.(trace.(n - 1)).Cost.cycles;
     streams :=
       {
         tile;
@@ -158,7 +133,8 @@ let estimate ?flows ?run (p : Program.t) =
         imem_capacity;
         cycles = max 0 !cycles;
         energy_pj = !energy_pj;
-        pressure;
+        pressure =
+          (if core = None then None else Some (pressure_of layout code trace));
       }
       :: !streams
   in
@@ -167,22 +143,14 @@ let estimate ?flows ?run (p : Program.t) =
       let tile = tp.Program.tile_index in
       Array.iteri
         (fun core code ->
-          if Array.length code > 0 then begin
-            let flow =
-              match flows with
-              | Some f -> f.(pos).(core)
-              | None -> Regflow.flow ~layout code
-            in
+          if Array.length code > 0 then
             add ~pos ~tile ~core:(Some core)
-              ~imem_capacity:config.Config.imem_core_bytes
-              ~pressure:(Some (pressure_of layout flow))
-              code
-          end)
+              ~imem_capacity:config.Config.imem_core_bytes code)
         tp.Program.core_code;
       let code = tp.Program.tile_code in
       if Array.length code > 0 then
         add ~pos ~tile ~core:None ~imem_capacity:config.Config.imem_tile_bytes
-          ~pressure:None code)
+          code)
     p.Program.tiles;
   let streams = List.rev !streams in
   {

@@ -1,11 +1,12 @@
 (** Static per-core resource and cost estimation.
 
     Capacity accounting (instruction-memory budgets with per-layer
-    attribution, liveness-based register-pressure high-water marks) and
+    attribution, register-pressure high-water marks from liveness along
+    each core stream's executed path) and
     sound lower bounds on execution cost (cycles and dynamic energy).
-    Each stream's bound is the sum over its pcs of the symbolic run's
-    execution count ({!Equiv.run}: scalar registers are concrete, so
-    loops take their real trip counts) times the table the simulator
+    Each stream's bound is the sum over the pcs the symbolic run
+    executed ({!Equiv.execution}: scalar registers are concrete, so
+    loops take their real trip counts) of the table the simulator
     itself charges ({!Puma_arch.Cost}); the cycle bound excludes the last
     executed instruction's occupancy (the simulator ends a stream at its
     final instruction's retire time). The simulator only adds stalls and
@@ -13,7 +14,8 @@
     [energy_lower_bound_pj <= dynamic energy] for every program
     (cross-validated by the [static_vs_sim] bench table and the tests).
     A run that stopped short counts a prefix of each stream, which keeps
-    both bounds sound.
+    both bounds sound; the pressure of a stream it did not finish covers
+    that prefix only.
 
     Diagnostics from {!report}: [I-PRESSURE] per core stream (register
     and imem utilization), [I-COST] per program (the lower bounds). *)
@@ -51,12 +53,9 @@ type t = {
           lift it above the simulator's ledger. *)
 }
 
-val estimate :
-  ?flows:Regflow.flow array array -> ?run:Equiv.run -> Puma_isa.Program.t -> t
-(** [flows.(pos).(core)] is the {!Regflow.flow} of the core stream at
-    tile position [pos], and [run] the program's symbolic run, when the
-    caller has them already (as {!Analyze.program} does); by default
-    each is made here. *)
+val estimate : ?run:Equiv.run -> Puma_isa.Program.t -> t
+(** [run] is the program's symbolic run, when the caller has it already
+    (as {!Analyze.program} does); by default it is made here. *)
 
 val imem_breakdown :
   layer_of:layer_of ->

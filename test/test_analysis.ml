@@ -3,9 +3,7 @@
    analysis class, each caught with its stable diagnostic code. *)
 
 module Analyze = Puma_analysis.Analyze
-module Cfg = Puma_analysis.Cfg
 module Diag = Puma_analysis.Diag
-module Regflow = Puma_analysis.Regflow
 module Check = Puma_isa.Check
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
@@ -82,16 +80,30 @@ let test_zoo_clean () =
     zoo
 
 let test_batch_loop_clean () =
-  (* wrap_batch_loop adds Set_sreg/Iadd/Brn control flow: the dataflow
-     passes must tolerate the resulting loops without false positives. *)
-  let r = (compile ~wrap:true (mlp ())).Compile.analysis in
-  Alcotest.(check int) "errors" 0 r.Analyze.errors;
-  Alcotest.(check (list string)) "warnings" []
-    (List.filter_map
-       (fun (d : Diag.t) ->
-         if d.severity = Diag.Warning && d.code <> "W-SAT" then Some d.code
-         else None)
-       r.Analyze.diags)
+  (* wrap_batch_loop adds Set_sreg/Iadd/Brn control flow: the register
+     checks walk the looped path without false positives. *)
+  List.iter
+    (fun (name, g) ->
+      List.iter
+        (fun dim ->
+          let name = Printf.sprintf "%s@%d" name dim in
+          let r = (compile ~dim ~wrap:true g).Compile.analysis in
+          Alcotest.(check int) (name ^ " errors") 0 r.Analyze.errors;
+          Alcotest.(check (list string)) (name ^ " warnings") []
+            (List.filter_map
+               (fun (d : Diag.t) ->
+                 if d.severity = Diag.Warning && d.code <> "W-SAT" then
+                   Some d.code
+                 else None)
+               r.Analyze.diags))
+        [ 64; 128 ])
+    [
+      ("mlp", mlp ());
+      ("lstm", Network.build_graph Models.mini_lstm);
+      ("rnn", Network.build_graph Models.mini_rnn);
+      ("bm", Models.mini_bm);
+      ("rbm", Models.mini_rbm);
+    ]
 
 let test_lenet5_imem_overflow () =
   (* Known limitation: lenet5 does not fit the 4 KB core instruction
@@ -408,28 +420,27 @@ let test_mutation_fifo_order () =
 let layout = Operand.layout (config 32)
 let gpr n = Operand.gpr layout n
 
-let test_cfg_shape () =
-  let code =
-    [|
-      Instr.Set_sreg { dest = 0; imm = 0 };
-      Instr.Brn { op = Instr.Blt; src1 = 0; src2 = 0; pc = 0 };
-      Instr.Halt;
-      Instr.Jmp { pc = 3 };
-    |]
-  in
-  let cfg = Cfg.build code in
-  (* Leaders at 0 (entry), 2 (branch fall-through/target) and 3 (after
-     Halt): pcs 0-1 form one block. *)
-  Alcotest.(check int) "blocks" 3 (Cfg.num_blocks cfg);
-  Alcotest.(check bool) "halt reachable" true (Cfg.reachable_pc cfg 2);
-  Alcotest.(check (list int)) "self jump unreachable" [ 3 ]
-    (Cfg.unreachable_pcs cfg);
-  let preds = Cfg.preds cfg in
-  Alcotest.(check (list int)) "entry loops on itself" [ 0 ] preds.(0);
-  Alcotest.(check (list int)) "exit pred" [ 0 ] preds.(1)
+(* A one-tile program at dim 32 with the given core streams. *)
+let one_tile ?(outputs = []) core_code =
+  {
+    Program.config = config 32;
+    tiles =
+      [|
+        {
+          Program.tile_index = 0;
+          core_code;
+          tile_code = [| Instr.Halt |];
+          mvmu_images = [];
+        };
+      |];
+    inputs = [];
+    outputs;
+    constants = [];
+  }
 
-let run_regflow code =
-  Regflow.analyze ~layout ~tile:0 ~core:0 (Regflow.flow ~layout code)
+(* The register checks walk the one path the symbolic run takes through
+   a stream, so each case runs through the whole analyzer. *)
+let run_regflow code = (Analyze.program (one_tile [| code |])).Analyze.diags
 
 let codes_of diags =
   List.map (fun (d : Diag.t) -> d.code) diags |> List.sort_uniq compare
@@ -519,24 +530,6 @@ let test_regflow_loop_carried () =
   in
   Alcotest.(check (list string)) "loop is clean" []
     (codes_of (run_regflow code))
-
-(* A one-tile program at dim 32 with the given core streams. *)
-let one_tile ?(outputs = []) core_code =
-  {
-    Program.config = config 32;
-    tiles =
-      [|
-        {
-          Program.tile_index = 0;
-          core_code;
-          tile_code = [| Instr.Halt |];
-          mvmu_images = [];
-        };
-      |];
-    inputs = [];
-    outputs;
-    constants = [];
-  }
 
 let set_r0 = Instr.Set { dest = gpr 0; imm = 1 }
 
@@ -648,6 +641,131 @@ let test_indirect_count_short () =
          asm "set r0, #1\nset s3, #10\nstore @[s3], r0, count=1, w=1\nhalt\n";
          loads_twice;
        |])
+
+(* ---- Register checks along the one executed path ---- *)
+
+let y_at_10 =
+  [ { Program.name = "y"; tile = 0; mem_addr = 10; length = 1; offset = 0 } ]
+
+let diags_with code (r : Analyze.report) =
+  List.filter (fun (d : Diag.t) -> d.code = code) r.Analyze.diags
+
+let warning_codes (r : Analyze.report) =
+  List.filter_map
+    (fun (d : Diag.t) ->
+      if d.severity = Diag.Warning then Some d.code else None)
+    r.Analyze.diags
+
+(* [brn.beq s0, s0] is always taken, so its taken arm's [set r0] is on
+   the only path to the store, and pcs 2 and 3 never run. *)
+let test_always_taken () =
+  let p =
+    one_tile ~outputs:y_at_10
+      [|
+        asm
+          "set s0, #0\nbrn.beq s0, s0, 4\naluint.iadd s1, s0, s0\njmp 5\n\
+           set r0, #2\nstore @10, r0, count=0, w=1\nhalt\n";
+      |]
+  in
+  agrees_with_simulator "always-taken branch" ~errors:false p;
+  Alcotest.(check (list (pair string (array (float 0.)))))
+    "y" [ ("y", [| 2. /. 4096. |]) ]
+    (Puma_sim.Node.run (Puma_sim.Node.create p) ~inputs:[]);
+  let r = Analyze.program ~ranges:true ~order:true p in
+  Alcotest.(check (list string)) "no warnings" [] (warning_codes r);
+  match diags_with "I-UNREACH" r with
+  | [ d ] ->
+      Alcotest.(check string) "the untaken arm"
+        "info[I-UNREACH] tile 0 core 0 pc 2: 2 instruction(s) never \
+         executed: the stream's one path skips them"
+        (Diag.to_string d)
+  | ds -> Alcotest.failf "expected one I-UNREACH, got %d" (List.length ds)
+
+(* The only read of r2 is on the arm the branch never falls into, so the
+   write is dead on the path the stream takes. *)
+let test_read_on_untaken_arm () =
+  let r =
+    Analyze.program ~ranges:true ~order:true
+      (one_tile ~outputs:y_at_10
+         [|
+           asm
+             "set s0, #0\nset r0, #1\nset r2, #5\nbrn.beq s0, s0, 5\n\
+              copy r0, r2, w=1\nstore @10, r0, count=0, w=1\nhalt\n";
+         |])
+  in
+  Alcotest.(check (list string)) "no errors" [] (error_codes r);
+  Alcotest.(check (list (pair string (option int))))
+    "dead write of r2"
+    [ ("W-DEADSTORE", Some 2) ]
+    (List.map
+       (fun (d : Diag.t) -> (d.code, d.Diag.loc.Diag.pc))
+       (diags_with "W-DEADSTORE" r))
+
+(* Tiles 0 and 1 both send on tile 2's fifo 0, so the run stops at the
+   second sender. By then core 0 of tile 0 has written r1, which it
+   never reads, and is blocked at a load: its later instructions might
+   still read r1 or run, so it gets neither W-DEADSTORE nor I-UNREACH,
+   and the one W-RANGE-PARTIAL says what is left unchecked. *)
+let test_stopped_run () =
+  let tile tile_index core_code tile_code =
+    {
+      Program.tile_index;
+      core_code;
+      tile_code = asm tile_code;
+      mvmu_images = [];
+    }
+  in
+  let word tile =
+    let name = Printf.sprintf "c%d" tile in
+    ({ Program.name; tile; mem_addr = 0; length = 1; offset = 0 }, [| 1 |])
+  in
+  let send = "send @0 -> tile2 fifo0, w=1\nhalt\n" in
+  let p =
+    {
+      Program.config = config 32;
+      tiles =
+        [|
+          tile 0 [| asm "set r1, #5\nload r0, @20, w=1\nhalt\n" |] send;
+          tile 1 [||] send;
+          tile 2 [||]
+            "receive fifo0 -> @0, count=0, w=1\n\
+             receive fifo0 -> @1, count=0, w=1\nhalt\n";
+        |];
+      inputs = [];
+      outputs = [];
+      constants = [ word 0; word 1 ];
+    }
+  in
+  let r = Analyze.program ~ranges:true ~order:true p in
+  Alcotest.(check int) "no W-DEADSTORE or I-UNREACH" 0
+    (List.length (diags_with "W-DEADSTORE" r @ diags_with "I-UNREACH" r));
+  match diags_with "W-RANGE-PARTIAL" r with
+  | [ d ] ->
+      Alcotest.(check bool) "names the register checks" true
+        (Puma_util.Strings.contains ~sub:"the register checks" d.Diag.message)
+  | ds ->
+      Alcotest.failf "expected one W-RANGE-PARTIAL, got %d" (List.length ds)
+
+(* The second counted store of smem[10] blocks over the first one's
+   unread word: one E-CONSUME, at the blocked store, names the pair. *)
+let test_blocked_store_reported_once () =
+  let r =
+    Analyze.program
+      (one_tile
+         [|
+           asm
+             "set r0, #1\nstore @10, r0, count=1, w=1\n\
+              store @10, r0, count=1, w=1\nhalt\n";
+         |])
+  in
+  Alcotest.(check (list (pair string (option int))))
+    "one E-CONSUME"
+    [ ("E-CONSUME", Some 2) ]
+    (List.filter_map
+       (fun (d : Diag.t) ->
+         if d.severity = Diag.Error then Some (d.code, d.Diag.loc.Diag.pc)
+         else None)
+       r.Analyze.diags)
 
 (* A program past the happens-before graph's 16,384-event cap: core 0 of
    tile 0 stores 8,200 counted words that core 1 loads once each, and
@@ -879,7 +997,6 @@ let () =
         ] );
       ( "passes",
         [
-          Alcotest.test_case "cfg shape" `Quick test_cfg_shape;
           Alcotest.test_case "ubd" `Quick test_regflow_ubd;
           Alcotest.test_case "partial width" `Quick
             test_regflow_partial_width;
@@ -897,6 +1014,12 @@ let () =
           Alcotest.test_case "indirect store, count short" `Quick
             test_indirect_count_short;
           Alcotest.test_case "event cap" `Quick test_event_cap;
+          Alcotest.test_case "always-taken branch" `Quick test_always_taken;
+          Alcotest.test_case "read on the untaken arm" `Quick
+            test_read_on_untaken_arm;
+          Alcotest.test_case "stopped run" `Quick test_stopped_run;
+          Alcotest.test_case "blocked store reported once" `Quick
+            test_blocked_store_reported_once;
         ] );
       ( "diag",
         [
