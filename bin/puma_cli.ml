@@ -639,6 +639,11 @@ let analyze_cmd =
     let input_range =
       Option.map
         (fun (lo, hi) ->
+          if not (Float.is_finite lo && Float.is_finite hi && lo <= hi) then
+            exit_err
+              (Printf.sprintf
+                 "--input-range %g,%g is not a finite interval with LO <= HI" lo
+                 hi);
           ( Puma_util.Fixed.to_raw (Puma_util.Fixed.of_float lo),
             Puma_util.Fixed.to_raw (Puma_util.Fixed.of_float hi) ))
         input_range
@@ -887,14 +892,19 @@ let serve_cmd =
   let json =
     Arg.(
       value & flag
-      & info [ "json" ] ~doc:"Emit the report as one JSON document.")
+      & info [ "json" ]
+          ~doc:
+            "Emit the run as one JSON document: the report with the \
+             machine keys, the same document $(b,--trace) writes.")
   in
   let trace =
     Arg.(
       value
       & opt (some string) None
       & info [ "trace" ] ~docv:"FILE"
-          ~doc:"Record the run (workload + every decision) to a trace file.")
+          ~doc:
+            "Record the run (workload + every decision) to a trace file: \
+             the document $(b,--json) prints.")
   in
   let replay =
     Arg.(
@@ -902,10 +912,10 @@ let serve_cmd =
       & opt (some string) None
       & info [ "replay" ] ~docv:"FILE"
           ~doc:
-            "Replay a recorded trace: rerun its workload on a freshly \
-             compiled fleet of the recorded machines and fail unless every \
-             decision reproduces bit for bit. Overrides the workload, fleet \
-             and machine options.")
+            "Replay a recorded trace (a $(b,--trace) file or $(b,--json) \
+             output): rerun its workload on a freshly compiled fleet of the \
+             recorded machines and fail unless the whole report reproduces \
+             bit for bit. Overrides the workload, fleet and machine options.")
   in
   let budget =
     Arg.(
@@ -918,39 +928,38 @@ let serve_cmd =
   in
   let run models arrival duration fleet machine max_batch queue_limit slo seed
       input_seed domains json trace replay budget config =
-    let serve machine config specs serve_config workload =
-      let models =
-        List.map
-          (fun (name, priority, queue_limit, slo_ms) ->
-            Serve_engine.model ~priority ~queue_limit ?slo_ms ~name
-              (compile ~machine config (graph_of (model_of name))).Compile
-                .program)
-          specs
-        |> Array.of_list
-      in
-      ( models,
+    let serve ~arrival_spec machine models serve_config workload =
+      let report =
         Serve_engine.run ~domains ~cluster_nodes:machine.nodes
-          ~topology:machine.topology serve_config models workload )
+          ~topology:machine.topology serve_config models workload
+      in
+      ( report,
+        Serve_trace.of_report ~arrival_spec ~chips:machine.nodes
+          ~scheme:machine.scheme ~topology:machine.topology models report )
     in
-    let report =
+    let compile_program machine config name =
+      (compile ~machine config (graph_of (model_of name))).Compile.program
+    in
+    let report, document =
       match replay with
       | Some path ->
           let t = ok_or_exit (Serve_trace.load path) in
-          let _, report =
-            serve
-              { nodes = t.chips; scheme = t.scheme; topology = t.topology }
-              (config_of_dim t.mvmu_dim)
-              (Array.to_list t.models
-              |> List.map (fun (m : Serve_trace.model_spec) ->
-                     (m.name, m.priority, m.queue_limit, m.slo_ms)))
+          let machine =
+            { nodes = t.chips; scheme = t.scheme; topology = t.topology }
+          in
+          let config = config_of_dim t.mvmu_dim in
+          let ((report, _) as run) =
+            serve ~arrival_spec:t.arrival_spec machine
+              (Serve_trace.models_of t
+                 ~compile:(compile_program machine config))
               (Serve_trace.config_of t) (Serve_trace.workload_of t)
           in
           (match Serve_trace.check t report with
           | Ok () ->
               Printf.eprintf "replay %s: %d requests reproduced exactly\n%!"
-                path (Array.length t.requests)
+                path report.arrivals
           | Error e -> exit_err (Printf.sprintf "replay diverged: %s" e));
-          report
+          run
       | None ->
           if models = [] then exit_err "name at least one model (--models)";
           if queue_limit < 0 then exit_err "--queue-limit must be non-negative";
@@ -959,14 +968,14 @@ let serve_cmd =
             List.map
               (fun entry ->
                 match String.index_opt entry '=' with
-                | None -> (entry, 0, queue_limit, slo)
+                | None -> (entry, 0)
                 | Some i -> (
                     let name = String.sub entry 0 i in
                     let prio =
                       String.sub entry (i + 1) (String.length entry - i - 1)
                     in
                     match int_of_string_opt prio with
-                    | Some p -> (name, p, queue_limit, slo)
+                    | Some p -> (name, p)
                     | None ->
                         exit_err
                           (Printf.sprintf "bad priority %S for model %S" prio
@@ -982,23 +991,26 @@ let serve_cmd =
             Serve_engine.synthesize ~models:(List.length specs) process ~seed
               ~duration_s:duration ~frequency_ghz:config.Config.frequency_ghz
           in
-          let models, report =
-            serve machine config specs
-              { Serve_engine.nodes = fleet; max_batch; input_seed }
-              workload
+          let models =
+            List.map
+              (fun (name, priority) ->
+                Serve_engine.model ~priority ~queue_limit ?slo_ms:slo ~name
+                  (compile_program machine config name))
+              specs
+            |> Array.of_list
           in
-          Option.iter
-            (fun path ->
-              Serve_trace.save path
-                (Serve_trace.of_report
-                   ~arrival_spec:(Serve_arrival.to_spec process)
-                   ~chips:machine.nodes ~scheme:machine.scheme
-                   ~topology:machine.topology models report);
-              Printf.eprintf "wrote trace to %s\n%!" path)
-            trace;
-          report
+          serve
+            ~arrival_spec:(Serve_arrival.to_spec process)
+            machine models
+            { Serve_engine.nodes = fleet; max_batch; input_seed }
+            workload
     in
-    if json then print_endline (Json.to_string (Serve_engine.to_json report))
+    Option.iter
+      (fun path ->
+        Serve_trace.save path document;
+        Printf.eprintf "wrote trace to %s\n%!" path)
+      trace;
+    if json then print_endline (Json.to_string (Serve_trace.to_json document))
     else begin
       Puma_util.Table.print (Serve_engine.report_table report);
       Format.printf "%a@." Serve_engine.pp_report report
@@ -1160,12 +1172,21 @@ let faults_cmd =
              adc_offset_sigma = adc_sigma;
            })
     in
+    let rates =
+      if rates = [] then Puma_fault.Campaign.default_spec.rates else rates
+    in
+    List.iter
+      (fun r ->
+        match
+          Puma_xbar.Fault.validate (Puma_fault.Campaign.at_rate base r)
+        with
+        | Ok _ -> ()
+        | Error e -> exit_err ("--rate: " ^ e))
+      rates;
     let spec =
       {
         Puma_fault.Campaign.base;
-        rates =
-          (if rates = [] then Puma_fault.Campaign.default_spec.rates
-           else rates);
+        rates;
         fault_seeds = List.init seeds (fun i -> fault_seed + i);
         samples;
         input_seed;

@@ -728,6 +728,8 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
 
 let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
     ?(ranges = true) ?(keep_ranges = false) ?reference (p : Program.t) =
+  if fst input_range > snd input_range then
+    invalid_arg "Equiv.run: empty input_range (lo > hi)";
   let ranges = ranges || keep_ranges in
   let config = p.Program.config in
   let dim = config.Puma_hwmodel.Config.mvmu_dim in

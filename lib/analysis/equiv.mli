@@ -161,7 +161,9 @@ val run :
     per-pc intervals for [interval] and the [I-RANGE] dump. With
     [reference], the outputs are compared against it ({!check}). Never
     raises on malformed programs: anything the executor cannot model
-    soundly stops the run. *)
+    soundly stops the run. Raises [Invalid_argument] on an empty
+    [input_range] ([lo > hi]), which would otherwise turn the range
+    check off. *)
 
 val check : ?fuel:int -> reference:dataflow -> Puma_isa.Program.t -> result
 (** [check ~reference p] is [run]'s comparison of [p]'s output

@@ -114,6 +114,8 @@ type rejection = {
 
 type model_stats = {
   name : string;
+  priority : int;
+  queue_limit : int;
   arrivals : int;
   served : int;
   rejected : int;
@@ -202,7 +204,8 @@ module Heap = struct
     top
 end
 
-let schedule (config : config) models (workload : workload) (costs : cost array) =
+let schedule (config : config) (models : model array) (workload : workload)
+    (costs : cost array) =
   validate_workload models workload;
   if config.nodes < 1 then invalid_arg "Engine.schedule: nodes must be >= 1";
   if config.max_batch < 1 then
@@ -430,6 +433,8 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
         in
         {
           name = mdl.name;
+          priority = mdl.priority;
+          queue_limit = mdl.queue_limit;
           arrivals = counts.(m);
           served = served_n;
           rejected = rejected_n;
@@ -493,8 +498,8 @@ let schedule (config : config) models (workload : workload) (costs : cost array)
     event_cycles = Array.sub !events 0 !n_events;
   }
 
-let run ?domains ?cluster_nodes ?topology (config : config) models
-    (workload : workload) =
+let run ?domains ?cluster_nodes ?topology (config : config)
+    (models : model array) (workload : workload) =
   validate_workload models workload;
   (match cluster_nodes with
   | Some c when c < 1 ->
@@ -609,6 +614,8 @@ let to_json r =
     Json.Obj
       [
         ("name", Json.String m.name);
+        ("priority", Json.Int m.priority);
+        ("queue_limit", Json.Int m.queue_limit);
         ("arrivals", Json.Int m.arrivals);
         ("served", Json.Int m.served);
         ("rejected", Json.Int m.rejected);
@@ -652,25 +659,11 @@ let to_json r =
       ]
   in
   (* Served and rejected records interleave back into arrival order. *)
-  let requests =
-    let out = ref [] in
-    let si = ref 0 and ri = ref 0 in
-    let ns = Array.length r.served and nr = Array.length r.rejections in
-    while !si < ns || !ri < nr do
-      if
-        !ri = nr
-        || (!si < ns && r.served.(!si).arrival < r.rejections.(!ri).arrival)
-      then begin
-        out := served_json r.served.(!si) :: !out;
-        incr si
-      end
-      else begin
-        out := rejection_json r.rejections.(!ri) :: !out;
-        incr ri
-      end
-    done;
-    List.rev !out
-  in
+  let requests = Array.make r.arrivals Json.Null in
+  Array.iter (fun (s : served) -> requests.(s.arrival) <- served_json s) r.served;
+  Array.iter
+    (fun (j : rejection) -> requests.(j.arrival) <- rejection_json j)
+    r.rejections;
   Json.Obj
     [
       ("nodes", Json.Int r.nodes);
@@ -684,5 +677,5 @@ let to_json r =
       ("static_energy_uj", Json.Float r.static_energy_uj);
       ("total_energy_uj", Json.Float r.total_energy_uj);
       ("models", Json.List (Array.to_list (Array.map model_json r.models)));
-      ("requests", Json.List requests);
+      ("requests", Json.List (Array.to_list requests));
     ]

@@ -32,7 +32,8 @@
 
     Rejected arrivals are still simulated in phase 1 (their admission
     fate is unknown until the event loop runs); their outputs are
-    discarded and only host time is spent. *)
+    discarded and only host time is spent. A run's record is its report,
+    {!to_json}: a {!Trace} embeds it, and replay compares it whole. *)
 
 type model = {
   name : string;
@@ -113,6 +114,8 @@ type rejection = {
 
 type model_stats = {
   name : string;
+  priority : int;
+  queue_limit : int;  (** The model's scheduling parameters, as given. *)
   arrivals : int;
   served : int;
   rejected : int;
@@ -189,6 +192,6 @@ val report_table : report -> Puma_util.Table.t
     SLO attainment, energy, throughput). *)
 
 val to_json : report -> Puma_util.Json.t
-(** Machine-readable report: the summary plus one record per arrival (in
-    arrival order, served and rejected interleaved) — the payload the
-    {!Trace} record/replay format embeds. *)
+(** The report as JSON: the summary, each model in full (name,
+    scheduling parameters, statistics) and one record per arrival, in
+    arrival order — the payload a {!Trace} embeds. *)

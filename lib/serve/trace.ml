@@ -3,168 +3,46 @@ module Program = Puma_isa.Program
 module Partition = Puma_compiler.Partition
 module Fabric = Puma_noc.Fabric
 
-type model_spec = {
-  name : string;
-  priority : int;
-  queue_limit : int;
-  slo_ms : float option;
-}
-
-type outcome =
-  | Admitted of {
-      start_cycle : int;
-      finish_cycle : int;
-      node : int;
-      cycles : int;
-      energy_pj : float;
-    }
-  | Rejected of { queue_depth : int }
-
-type recorded = { model : int; arrival_cycle : int; outcome : outcome }
-
 type t = {
   mvmu_dim : int;
-  nodes : int;
   chips : int;
   scheme : Partition.scheme;
   topology : Fabric.topology;
-  max_batch : int;
-  input_seed : int;
-  frequency_ghz : float;
   arrival_spec : string;
-  models : model_spec array;
-  requests : recorded array;
+  report : Json.t;
 }
 
-let version = 2
+let version = 3
 
 let of_report ?(arrival_spec = "") ?(chips = 1)
     ?(scheme = Partition.Pipelined) ?(topology = Fabric.Mesh2d)
-    (models : Engine.model array) (report : Engine.report) =
-  let requests = Array.make report.Engine.arrivals None in
-  Array.iter
-    (fun (s : Engine.served) ->
-      requests.(s.arrival) <-
-        Some
-          {
-            model = s.model;
-            arrival_cycle = s.arrival_cycle;
-            outcome =
-              Admitted
-                {
-                  start_cycle = s.start_cycle;
-                  finish_cycle = s.finish_cycle;
-                  node = s.node;
-                  cycles = s.cycles;
-                  energy_pj = s.energy_pj;
-                };
-          })
-    report.Engine.served;
-  Array.iter
-    (fun (r : Engine.rejection) ->
-      requests.(r.arrival) <-
-        Some
-          {
-            model = r.model;
-            arrival_cycle = r.arrival_cycle;
-            outcome = Rejected { queue_depth = r.queue_depth };
-          })
-    report.Engine.rejections;
+    (models : Engine.model array) report =
   {
     mvmu_dim = models.(0).Engine.program.Program.config.mvmu_dim;
-    nodes = report.Engine.nodes;
     chips;
     scheme;
     topology;
-    max_batch = report.Engine.max_batch;
-    input_seed = report.Engine.input_seed;
-    frequency_ghz = report.Engine.frequency_ghz;
     arrival_spec;
-    models =
-      Array.map
-        (fun (m : Engine.model) ->
-          {
-            name = m.Engine.name;
-            priority = m.Engine.priority;
-            queue_limit = m.Engine.queue_limit;
-            slo_ms = m.Engine.slo_ms;
-          })
-        models;
-    requests =
-      Array.map
-        (function
-          | Some r -> r
-          | None -> invalid_arg "Trace.of_report: arrival neither served nor rejected")
-        requests;
+    report = Engine.to_json report;
   }
 
 let to_json t =
-  let model_json m =
-    Json.Obj
-      [
-        ("name", Json.String m.name);
-        ("priority", Json.Int m.priority);
-        ("queue_limit", Json.Int m.queue_limit);
-        ( "slo_ms",
-          match m.slo_ms with None -> Json.Null | Some s -> Json.Float s );
-      ]
-  in
-  let request_json i r =
-    let base =
-      [
-        ("arrival", Json.Int i);
-        ("model", Json.Int r.model);
-        ("arrival_cycle", Json.Int r.arrival_cycle);
-      ]
-    in
-    Json.Obj
-      (base
-      @
-      match r.outcome with
-      | Admitted a ->
-          [
-            ("admitted", Json.Bool true);
-            ("start_cycle", Json.Int a.start_cycle);
-            ("finish_cycle", Json.Int a.finish_cycle);
-            ("node", Json.Int a.node);
-            ("cycles", Json.Int a.cycles);
-            ("energy_pj", Json.Float a.energy_pj);
-          ]
-      | Rejected r ->
-          [ ("admitted", Json.Bool false); ("queue_depth", Json.Int r.queue_depth) ])
-  in
   Json.Obj
     [
       ("version", Json.Int version);
       ("mvmu_dim", Json.Int t.mvmu_dim);
-      ("nodes", Json.Int t.nodes);
       ("chips", Json.Int t.chips);
       ("scheme", Json.String (Partition.scheme_name t.scheme));
       ("topology", Json.String (Fabric.topology_name t.topology));
-      ("max_batch", Json.Int t.max_batch);
-      ("input_seed", Json.Int t.input_seed);
-      ("frequency_ghz", Json.Float t.frequency_ghz);
       ("arrival_spec", Json.String t.arrival_spec);
-      ("models", Json.List (Array.to_list (Array.map model_json t.models)));
-      ( "requests",
-        Json.List (Array.to_list (Array.mapi request_json t.requests)) );
+      ("report", t.report);
     ]
 
 let save path t =
-  let oc = open_out path in
-  output_string oc (Json.to_string (to_json t));
-  output_char oc '\n';
-  close_out oc
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (Json.to_string (to_json t) ^ "\n"))
 
-(* --- Loading --- *)
-
-let line_of_offset content offset =
-  let line = ref 1 in
-  let stop = min offset (String.length content) in
-  for i = 0 to stop - 1 do
-    if content.[i] = '\n' then incr line
-  done;
-  !line
+(* --- Reading the report --- *)
 
 exception Bad of string
 
@@ -172,184 +50,117 @@ let need what = function
   | Some v -> v
   | None -> raise (Bad (what ^ " missing or ill-typed"))
 
-let field obj name = Json.member name obj
-let int_field obj name = need name (Option.bind (field obj name) Json.to_int)
+let field get obj name = need name (Option.bind (Json.member name obj) get)
 
-let float_field obj name =
-  need name (Option.bind (field obj name) Json.to_float)
+let int_field ?(min = min_int) obj name =
+  let n = field Json.to_int obj name in
+  if n < min then raise (Bad (Printf.sprintf "%s %d is below %d" name n min));
+  n
 
-let str_field obj name = need name (Option.bind (field obj name) Json.to_str)
+let str_field = field Json.to_str
+let list_field = field Json.to_list
 
-let bool_field obj name =
-  need name
-    (Option.bind (field obj name) (function
-      | Json.Bool b -> Some b
-      | _ -> None))
+(* The report's models, each passed to [f name priority queue_limit
+   slo_ms]. *)
+let read_models report f =
+  match list_field report "models" with
+  | [] -> raise (Bad "trace lists no models")
+  | models ->
+      Array.of_list models
+      |> Array.map (fun m ->
+             f (str_field m "name") (int_field m "priority")
+               (int_field ~min:0 m "queue_limit")
+               (match Json.member "slo_ms" m with
+               | None | Some Json.Null -> None
+               | Some j -> Some (need "slo_ms" (Json.to_float j))))
+
+let read_workload report =
+  let models = List.length (list_field report "models") in
+  let prev = ref 0 in
+  list_field report "requests"
+  |> List.mapi (fun i r ->
+         try
+           let model = int_field ~min:0 r "model" in
+           if model >= models then raise (Bad "model index out of range");
+           prev := int_field ~min:!prev r "arrival_cycle";
+           { Engine.cycle = !prev; model }
+         with Bad e -> raise (Bad (Printf.sprintf "request %d: %s" i e)))
+  |> Array.of_list
+
+let read_config report =
+  {
+    Engine.nodes = int_field ~min:1 report "nodes";
+    max_batch = int_field ~min:1 report "max_batch";
+    input_seed = int_field report "input_seed";
+  }
 
 let decode doc =
   let v = int_field doc "version" in
   if v <> version then
-    raise (Bad (Printf.sprintf "unsupported trace version %d (want %d)" v version));
-  let models =
-    need "models" (Option.bind (field doc "models") Json.to_list)
-    |> List.map (fun m ->
-           {
-             name = str_field m "name";
-             priority = int_field m "priority";
-             queue_limit = int_field m "queue_limit";
-             slo_ms =
-               (match field m "slo_ms" with
-               | None | Some Json.Null -> None
-               | Some j -> Some (need "slo_ms" (Json.to_float j)));
-           })
-    |> Array.of_list
-  in
-  if Array.length models = 0 then raise (Bad "trace lists no models");
-  let requests =
-    need "requests" (Option.bind (field doc "requests") Json.to_list)
-    |> List.mapi (fun i r ->
-           let here what = Printf.sprintf "request %d: %s" i what in
-           let model = int_field r "model" in
-           if model < 0 || model >= Array.length models then
-             raise (Bad (here "model index out of range"));
-           let outcome =
-             if bool_field r "admitted" then
-               Admitted
-                 {
-                   start_cycle = int_field r "start_cycle";
-                   finish_cycle = int_field r "finish_cycle";
-                   node = int_field r "node";
-                   cycles = int_field r "cycles";
-                   energy_pj = float_field r "energy_pj";
-                 }
-             else Rejected { queue_depth = int_field r "queue_depth" }
-           in
-           { model; arrival_cycle = int_field r "arrival_cycle"; outcome })
-    |> Array.of_list
-  in
-  Array.iteri
-    (fun i r ->
-      if i > 0 && r.arrival_cycle < requests.(i - 1).arrival_cycle then
-        raise (Bad (Printf.sprintf "request %d arrives out of order" i)))
-    requests;
+    raise
+      (Bad (Printf.sprintf "unsupported trace version %d (want %d)" v version));
+  let report = need "report" (Json.member "report" doc) in
+  ignore (read_models report (fun _ _ _ _ -> ()));
+  ignore (read_workload report);
+  ignore (read_config report);
   {
-    mvmu_dim = int_field doc "mvmu_dim";
-    nodes = int_field doc "nodes";
-    chips = int_field doc "chips";
+    mvmu_dim = int_field ~min:1 doc "mvmu_dim";
+    chips = int_field ~min:1 doc "chips";
     scheme = need "scheme" (Partition.scheme_of_string (str_field doc "scheme"));
     topology =
       need "topology" (Fabric.topology_of_string (str_field doc "topology"));
-    max_batch = int_field doc "max_batch";
-    input_seed = int_field doc "input_seed";
-    frequency_ghz = float_field doc "frequency_ghz";
     arrival_spec = str_field doc "arrival_spec";
-    models;
-    requests;
+    report;
   }
 
 let load path =
-  match
-    let ic = open_in_bin path in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error e -> Error e
   | content -> (
-      match Json.parse content with
-      | Error e ->
-          (* Json.parse errors carry a character offset ("at offset N:
-             ..."); surface it as a 1-based line number. *)
-          let line =
-            try Scanf.sscanf e "at offset %d" (line_of_offset content)
-            with Scanf.Scan_failure _ | Failure _ | End_of_file -> 1
-          in
-          Error (Printf.sprintf "%s: line %d: %s" path line e)
-      | Ok doc -> (
-          match decode doc with
-          | t -> Ok t
-          | exception Bad msg -> Error (Printf.sprintf "%s: %s" path msg)))
+      match Result.map decode (Json.parse content) with
+      | Ok t -> Ok t
+      | Error e | (exception Bad e) -> Error (Printf.sprintf "%s: %s" path e))
 
-let workload_of t =
-  Array.map
-    (fun r -> { Engine.cycle = r.arrival_cycle; model = r.model })
-    t.requests
+let models_of t ~compile =
+  read_models t.report (fun name priority queue_limit slo_ms ->
+      Engine.model ~priority ~queue_limit ?slo_ms ~name (compile name))
 
-let config_of t =
-  { Engine.nodes = t.nodes; max_batch = t.max_batch; input_seed = t.input_seed }
+let workload_of t = read_workload t.report
 
-let check t (report : Engine.report) =
-  if Array.length t.requests <> report.Engine.arrivals then
-    Error
-      (Printf.sprintf "trace has %d requests, replay served %d arrivals"
-         (Array.length t.requests) report.Engine.arrivals)
-  else begin
-    (* Rebuild per-arrival outcomes from the replayed report. *)
-    let n = report.Engine.arrivals in
-    let got = Array.make n None in
-    Array.iter
-      (fun (s : Engine.served) ->
-        got.(s.arrival) <-
-          Some
-            ( s.model,
-              s.arrival_cycle,
-              Admitted
-                {
-                  start_cycle = s.start_cycle;
-                  finish_cycle = s.finish_cycle;
-                  node = s.node;
-                  cycles = s.cycles;
-                  energy_pj = s.energy_pj;
-                } ))
-      report.Engine.served;
-    Array.iter
-      (fun (r : Engine.rejection) ->
-        got.(r.arrival) <-
-          Some
-            (r.model, r.arrival_cycle, Rejected { queue_depth = r.queue_depth }))
-      report.Engine.rejections;
-    let result = ref (Ok ()) in
-    (try
-       Array.iteri
-         (fun i want ->
-           let fail fmt =
-             Printf.ksprintf
-               (fun s ->
-                 result := Error (Printf.sprintf "arrival %d: %s" i s);
-                 raise Exit)
-               fmt
-           in
-           match got.(i) with
-           | None -> fail "replay lost the request"
-           | Some (model, cycle, outcome) ->
-               if model <> want.model then
-                 fail "model %d, trace recorded %d" model want.model;
-               if cycle <> want.arrival_cycle then
-                 fail "arrival cycle %d, trace recorded %d" cycle
-                   want.arrival_cycle;
-               (match (outcome, want.outcome) with
-               | Admitted a, Admitted w ->
-                   if a.start_cycle <> w.start_cycle then
-                     fail "start cycle %d, trace recorded %d" a.start_cycle
-                       w.start_cycle;
-                   if a.finish_cycle <> w.finish_cycle then
-                     fail "finish cycle %d, trace recorded %d" a.finish_cycle
-                       w.finish_cycle;
-                   if a.node <> w.node then
-                     fail "node %d, trace recorded %d" a.node w.node;
-                   if a.cycles <> w.cycles then
-                     fail "cost %d cycles, trace recorded %d" a.cycles w.cycles;
-                   if a.energy_pj <> w.energy_pj then
-                     fail "energy %.17g pJ, trace recorded %.17g" a.energy_pj
-                       w.energy_pj
-               | Rejected a, Rejected w ->
-                   if a.queue_depth <> w.queue_depth then
-                     fail "rejected at depth %d, trace recorded %d"
-                       a.queue_depth w.queue_depth
-               | Admitted _, Rejected _ -> fail "admitted, trace rejected it"
-               | Rejected _, Admitted _ -> fail "rejected, trace admitted it"))
-         t.requests
-     with Exit -> ());
-    !result
-  end
+let config_of t = read_config t.report
+
+(* --- Replay --- *)
+
+(* The first path at which [got] differs from [want]: objects and lists
+   are walked entry by entry, anything else compares as printed. *)
+let rec first_difference path got want =
+  let entries = function
+    | Json.Obj fields -> Some (List.map (fun (k, v) -> ("." ^ k, v)) fields)
+    | Json.List items ->
+        Some (List.mapi (fun i v -> (Printf.sprintf "[%d]" i, v)) items)
+    | _ -> None
+  in
+  let rec walk = function
+    | [], [] -> None
+    | (k, a) :: got, (k', b) :: want when k = k' -> (
+        match first_difference (path ^ k) a b with
+        | None -> walk (got, want)
+        | d -> d)
+    | (k, a) :: _, _ ->
+        Some (Printf.sprintf "%s%s: %s, trace recorded no such entry" path k
+                (Json.to_string a))
+    | [], (k, b) :: _ ->
+        Some (Printf.sprintf "%s%s: absent from the replay, trace recorded %s"
+                path k (Json.to_string b))
+  in
+  match (entries got, entries want) with
+  | Some g, Some w -> walk (g, w)
+  | _ ->
+      let a = Json.to_string got and b = Json.to_string want in
+      if a = b then None
+      else Some (Printf.sprintf "%s: %s, trace recorded %s" path a b)
+
+let check t report =
+  match first_difference "report" (Engine.to_json report) t.report with
+  | None -> Ok ()
+  | Some e -> Error e

@@ -268,7 +268,8 @@ let parse s =
   with
   | v -> Ok v
   | exception Parse_error (pos, msg) ->
-      Error (Printf.sprintf "at offset %d: %s" pos msg)
+      let line = List.length (String.split_on_char '\n' (String.sub s 0 pos)) in
+      Error (Printf.sprintf "line %d, offset %d: %s" line pos msg)
 
 (* ---- accessors ---- *)
 

@@ -33,7 +33,8 @@ val to_string_lines : t -> string
 
 val parse : string -> (t, string) result
 (** Parse one JSON document (surrounding whitespace allowed; trailing
-    garbage is an error). Errors carry a character offset. *)
+    garbage is an error). Errors name the 1-based line and the character
+    offset of the failure (["line 3, offset 17: expected ',' or '}'"]). *)
 
 (** {1 Accessors} *)
 

@@ -130,6 +130,9 @@ let test_invalid_input_exits_1 () =
           [ "accuracy"; "--bits"; "0" ];
           [ "accuracy"; "--samples"; "0" ];
           [ "estimate"; "VGG16"; "--batch"; "0" ];
+          [ "faults"; "--model"; "mlp"; "--rate"; "1.5" ];
+          [ "faults"; "--model"; "mlp"; "--rate=-0.5" ];
+          [ "analyze"; "mlp"; "--input-range"; "5,-5" ];
         ])
 
 (* A tiny serve run at dim 32 with a handful of arrivals, exercising the
@@ -152,11 +155,20 @@ let test_serve_roundtrip () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      Alcotest.(check int) "record run exits 0" 0
-        (run (serve_args @ [ "--trace"; trace; "--json" ]));
+      let status, out =
+        Cli_runner.run_capture_out (serve_args @ [ "--trace"; trace; "--json" ])
+      in
+      Alcotest.(check int) "record run exits 0" 0 status;
       Alcotest.(check bool) "trace written" true (Sys.file_exists trace);
       Alcotest.(check int) "replay reproduces -> 0" 0
         (run [ "serve"; "--replay"; trace ]);
+      (* The --json document is the trace: it replays too. *)
+      Alcotest.(check string) "--json prints the trace" (Cli_runner.slurp trace)
+        out;
+      let json = Filename.concat dir "report.json" in
+      Out_channel.with_open_bin json (fun oc -> output_string oc out);
+      Alcotest.(check int) "--json output replays -> 0" 0
+        (run [ "serve"; "--replay"; json ]);
       (* A generous budget passes; an absurd one fails the gate. *)
       let write_budget path p99 =
         let oc = open_out path in
@@ -186,17 +198,10 @@ let test_serve_replay_errors () =
         Cli_runner.run_capture [ "serve"; "--replay"; corrupt ]
       in
       Alcotest.(check bool) "corrupt trace -> nonzero" true (status <> 0);
-      let contains hay needle =
-        let nh = String.length hay and nn = String.length needle in
-        let rec at i =
-          i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
-        in
-        at 0
-      in
       Alcotest.(check bool)
         (Printf.sprintf "parse error names the line (stderr: %S)" stderr)
         true
-        (contains stderr "line 3"))
+        (Puma_util.Strings.contains ~sub:"line 3" stderr))
 
 (* A fleet of 2-chip machines records its machine in the trace, and the
    replay rebuilds that machine: on single chips the decisions differ. *)
@@ -216,6 +221,14 @@ let test_serve_two_chip_roundtrip () =
         (Puma_util.Strings.contains ~sub:{|"chips":2|}
            (Cli_runner.slurp trace));
       Alcotest.(check int) "2-chip replay reproduces -> 0" 0
+        (run [ "serve"; "--replay"; trace ]);
+      (* Replaying the replay's own --json document closes the loop. *)
+      let status, out =
+        Cli_runner.run_capture_out [ "serve"; "--replay"; trace; "--json" ]
+      in
+      Alcotest.(check int) "2-chip replay --json exits 0" 0 status;
+      Out_channel.with_open_bin trace (fun oc -> output_string oc out);
+      Alcotest.(check int) "2-chip --json output replays -> 0" 0
         (run [ "serve"; "--replay"; trace ]))
 
 (* ---- translation validation of saved program files ---- *)

@@ -11,6 +11,7 @@ module Batch = Puma_runtime.Batch
 module Engine = Puma_serve.Engine
 module Arrival = Puma_serve.Arrival
 module Trace = Puma_serve.Trace
+module Json = Puma_util.Json
 
 let config64 = { Config.sweetspot with mvmu_dim = 64 }
 
@@ -122,21 +123,46 @@ let test_zero_load_drain () =
 
 (* ---- Record / replay ---- *)
 
+(* A tight fleet (one node, batches of one, queues of one) so the run
+   rejects arrivals too; recorded once for the replay tests. *)
+let recorded =
+  lazy
+    (let tight =
+       Array.map
+         (fun (m : Engine.model) -> { m with Engine.queue_limit = 1 })
+         (Lazy.force fleet)
+     in
+     let config = { Engine.nodes = 1; max_batch = 1; input_seed = 7 } in
+     let workload =
+       Engine.synthesize ~models:3
+         (Arrival.Poisson { rate_rps = 400000.0 })
+         ~seed:5 ~duration_s:0.0002 ~frequency_ghz:1.0
+     in
+     (tight, config, workload, Engine.run ~domains:2 config tight workload))
+
+(* Write [text] to a temporary file and load it back as a trace. *)
+let load_text text =
+  let path = Filename.temp_file "puma_serve" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_bin path (fun oc -> output_string oc text);
+      Trace.load path)
+
+(* [doc] with the value of its field [key] mapped through [f]. *)
+let map_field key f = function
+  | Json.Obj fields ->
+      Json.Obj (List.map (fun (k, v) -> (k, if k = key then f v else v)) fields)
+  | v -> v
+
+let mentions what e expect =
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: error %S mentions %S" what e expect)
+    true
+    (Puma_util.Strings.contains ~sub:expect e)
+
 let test_replay_roundtrip () =
-  let fleet = Lazy.force fleet in
-  (* A tight fleet so the trace records rejections too. *)
-  let tight =
-    Array.map
-      (fun (m : Engine.model) -> { m with Engine.queue_limit = 1 })
-      fleet
-  in
-  let config = { Engine.nodes = 1; max_batch = 1; input_seed = 7 } in
-  let workload =
-    Engine.synthesize ~models:3
-      (Arrival.Poisson { rate_rps = 400000.0 })
-      ~seed:5 ~duration_s:0.0002 ~frequency_ghz:1.0
-  in
-  let report = Engine.run ~domains:2 config tight workload in
+  let tight, config, workload, report = Lazy.force recorded in
   Alcotest.(check bool) "run rejects under pressure" true
     (Array.length report.Engine.rejections > 0);
   let trace = Trace.of_report ~arrival_spec:"poisson:20000" tight report in
@@ -153,8 +179,14 @@ let test_replay_roundtrip () =
             (Trace.workload_of loaded = workload);
           Alcotest.(check bool) "config reproduced" true
             (Trace.config_of loaded = config);
+          Alcotest.(check bool) "models reproduced" true
+            (Trace.models_of loaded ~compile:(fun name ->
+                 (Array.to_list tight
+                 |> List.find (fun (m : Engine.model) -> m.Engine.name = name))
+                   .Engine.program)
+            = tight);
           (* Replay: a fresh run of the recorded workload must reproduce
-             every decision and latency. *)
+             the whole report. *)
           let replayed =
             Engine.run ~domains:1 (Trace.config_of loaded) tight
               (Trace.workload_of loaded)
@@ -165,72 +197,72 @@ let test_replay_roundtrip () =
           Alcotest.(check bool) "latencies identical" true
             (Array.map (Engine.latency_ms replayed) replayed.Engine.served
             = Array.map (Engine.latency_ms report) report.Engine.served);
-          (* The machine keys are required: a trace without one names it,
-             and a version-1 trace (which may have come from a multi-chip
-             fleet without saying so) is refused. *)
-          let module Json = Puma_util.Json in
-          let fields =
-            match Trace.to_json trace with
-            | Json.Obj fields -> fields
-            | _ -> Alcotest.fail "trace JSON is not an object"
-          in
-          let refused what fields expect =
-            let oc = open_out path in
-            output_string oc (Json.to_string (Json.Obj fields));
-            close_out oc;
-            match Trace.load path with
+          (* The machine keys and the report are required: a trace
+             without one names it, and traces of versions 1 and 2 are
+             refused. *)
+          let doc = Trace.to_json trace in
+          let refused what doc expect =
+            match load_text (Json.to_string doc) with
             | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" what
-            | Error e ->
-                Alcotest.(check bool)
-                  (Printf.sprintf "%s: error %S mentions %S" what e expect)
-                  true
-                  (Puma_util.Strings.contains ~sub:expect e)
+            | Error e -> mentions what e expect
           in
           List.iter
             (fun key ->
               refused ("without " ^ key)
-                (List.filter (fun (k, _) -> k <> key) fields)
+                (match doc with
+                | Json.Obj fields ->
+                    Json.Obj (List.filter (fun (k, _) -> k <> key) fields)
+                | v -> v)
                 key)
-            [ "chips"; "scheme"; "topology" ];
-          refused "version 1"
-            (List.map
-               (fun (k, v) -> if k = "version" then (k, Json.Int 1) else (k, v))
-               fields)
-            "unsupported trace version 1")
+            [ "chips"; "scheme"; "topology"; "report" ];
+          List.iter
+            (fun v ->
+              refused
+                (Printf.sprintf "version %d" v)
+                (map_field "version" (fun _ -> Json.Int v) doc)
+                (Printf.sprintf "unsupported trace version %d" v))
+            [ 1; 2 ])
+
+(* A saved trace with one served request's number changed must fail the
+   check against the run it recorded, naming that request's path. *)
+let test_tampered_trace_diverges () =
+  let tight, _, _, report = Lazy.force recorded in
+  let trace = Trace.of_report tight report in
+  let victim = report.Engine.served.(1).Engine.arrival in
+  let bump = function Json.Int n -> Json.Int (n + 1) | v -> v in
+  let tamper key =
+    map_field "requests" (function
+      | Json.List requests ->
+          Json.List
+            (List.mapi
+               (fun i r -> if i = victim then map_field key bump r else r)
+               requests)
+      | v -> v)
+  in
+  List.iter
+    (fun key ->
+      let doc = Trace.to_json { trace with report = tamper key trace.report } in
+      match load_text (Json.to_string doc) with
+      | Error e -> Alcotest.failf "tampered %s: load failed: %s" key e
+      | Ok loaded -> (
+          match Trace.check loaded report with
+          | Ok () -> Alcotest.failf "tampered %s: replay check passed" key
+          | Error e ->
+              mentions ("tampered " ^ key) e
+                (Printf.sprintf "report.requests[%d].%s" victim key)))
+    [ "finish_cycle"; "model_request" ]
 
 let test_load_errors () =
-  let check_error name write expect =
-    let path = Filename.temp_file "puma_serve_bad" ".json" in
-    Fun.protect
-      ~finally:(fun () -> Sys.remove path)
-      (fun () ->
-        let oc = open_out path in
-        write oc;
-        close_out oc;
-        match Trace.load path with
-        | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" name
-        | Error e ->
-            let contains hay needle =
-              let nh = String.length hay and nn = String.length needle in
-              let rec at i =
-                i + nn <= nh && (String.sub hay i nn = needle || at (i + 1))
-              in
-              at 0
-            in
-            Alcotest.(check bool)
-              (Printf.sprintf "%s: error %S mentions %S" name e expect)
-              true (contains e expect))
+  let check_error name text expect =
+    match load_text text with
+    | Ok _ -> Alcotest.failf "%s: load unexpectedly succeeded" name
+    | Error e -> mentions name e expect
   in
   (* Syntax error on line 3 must be reported as line 3. *)
-  check_error "syntax"
-    (fun oc -> output_string oc "{\n  \"version\": 1,\n  oops\n}\n")
-    "line 3";
-  check_error "version"
-    (fun oc -> output_string oc "{\"version\": 99}")
-    "version";
-  check_error "missing models"
-    (fun oc -> output_string oc "{\"version\": 2}")
-    "models";
+  check_error "syntax" "{\n  \"version\": 3,\n  oops\n}\n" "line 3";
+  check_error "version" "{\"version\": 99}" "version";
+  check_error "version 2" "{\"version\": 2}" "unsupported trace version 2";
+  check_error "missing report" "{\"version\": 3}" "report";
   Alcotest.(check bool) "missing file is an error" true
     (match Trace.load "/nonexistent/trace.json" with
     | Error _ -> true
@@ -577,6 +609,8 @@ let () =
             test_replay_roundtrip;
           Alcotest.test_case "load errors name line and field" `Quick
             test_load_errors;
+          Alcotest.test_case "tampered trace names the diverging path"
+            `Quick test_tampered_trace_diverges;
         ] );
       ( "policy",
         [

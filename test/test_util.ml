@@ -525,7 +525,14 @@ let test_json_parse () =
       | Ok _ -> Alcotest.failf "accepted invalid JSON %S" bad
       | Error e ->
           Alcotest.(check bool) "error has offset" true (contains e "offset"))
-    [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "nul"; "\"unterminated" ]
+    [ ""; "{"; "[1,]"; "{\"a\":}"; "1 2"; "nul"; "\"unterminated" ];
+  (* Errors name the 1-based line of the failure. *)
+  match Json.parse "{\n  \"a\": 1,\n  oops\n}" with
+  | Ok _ -> Alcotest.fail "accepted invalid multi-line JSON"
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "error %S names line 3" e)
+        true (contains e "line 3")
 
 (* The heap's tie order is a contract: [Schedule] (byte-identical
    programs) and [Network] (bit-identical runs) pop entries with equal
