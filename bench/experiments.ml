@@ -194,15 +194,17 @@ let run_figure11_batch () =
 (* ------------------------------------------------------------------ *)
 
 (* The paper's batch sweep (Figure 11(c)/(d), Table 8) measured on the
-   functional simulator instead of the analytical model: a batch of
-   independent requests is sharded across parallel simulated nodes by
-   puma_runtime, compiling the model once and simulating it many times.
-   Throughput is simulated inferences/s over the batch
-   makespan; the runtime guarantees bit-identical outputs and per-request
-   cycles for every node count. *)
-let batch_domains = [ 1; 2; 4 ]
+   functional simulator instead of the analytical model: puma_runtime
+   simulates a batch of independent requests once, and the serving
+   engine schedules its responses on 1, 2 and 4 simulated nodes as a
+   burst whose arrivals all land at cycle 0. Throughput is simulated
+   inferences/s over the batch makespan; p50/p95 are per-request service
+   cycles, the same on every fleet. *)
+let batch_nodes = [ 1; 2; 4 ]
 
 let run_batch_throughput () =
+  let module Batch = Puma_runtime.Batch in
+  let module Engine = Puma_serve.Engine in
   let t =
     Table.create
       ~title:
@@ -211,40 +213,39 @@ let run_batch_throughput () =
       ~headers:
         ("Batch"
         :: List.map (fun d -> Printf.sprintf "%d node%s" d (if d = 1 then "" else "s"))
-             batch_domains
+             batch_nodes
         @ [ "Speedup @4"; "p50/p95 cycles" ])
   in
   let program =
     (Compile.compile config (Network.build_graph Models.mini_mlp))
       .Compile.program
   in
+  let model = Engine.model ~name:"mlp" program in
   List.iter
     (fun batch ->
-      let requests =
-        Puma_runtime.Batch.random_requests program ~batch ~seed:7
-      in
-      let summaries =
-        List.map
-          (fun domains ->
-            snd (Puma_runtime.Batch.run ~domains program requests))
-          batch_domains
+      let responses, _ =
+        Batch.run program (Batch.random_requests program ~batch ~seed:7)
       in
       let throughputs =
         List.map
-          (fun (s : Puma_runtime.Batch.summary) ->
-            Printf.sprintf "%.0f" s.throughput_inf_s)
-          summaries
+          (fun nodes ->
+            (Engine.burst ~nodes model responses).Engine.models.(0)
+              .Engine.throughput_rps)
+          batch_nodes
       in
-      let last = List.nth summaries (List.length summaries - 1) in
-      let first = List.hd summaries in
+      let cycles =
+        Array.map (fun (r : Batch.response) -> Float.of_int r.cycles) responses
+      in
       Table.add_row t
         (Printf.sprintf "B%d" batch
-         :: throughputs
+         :: List.map (Printf.sprintf "%.0f") throughputs
         @ [
             Printf.sprintf "%.2fx"
-              (last.Puma_runtime.Batch.throughput_inf_s
-              /. first.Puma_runtime.Batch.throughput_inf_s);
-            Printf.sprintf "%.0f/%.0f" last.p50_cycles last.p95_cycles;
+              (List.nth throughputs (List.length throughputs - 1)
+              /. List.hd throughputs);
+            Printf.sprintf "%.0f/%.0f"
+              (Puma_util.Stats.percentile cycles 50.0)
+              (Puma_util.Stats.percentile cycles 95.0);
           ]))
     batches;
   [ t ]

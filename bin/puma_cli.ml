@@ -4,7 +4,7 @@
    dune exec bin/puma_cli.exe -- compile mlp --asm
    dune exec bin/puma_cli.exe -- analyze --all --json
    dune exec bin/puma_cli.exe -- run lstm
-   dune exec bin/puma_cli.exe -- batch --model mlp --batch-size 16 --domains 4
+   dune exec bin/puma_cli.exe -- batch --model mlp --batch-size 16 --fleet 4
    dune exec bin/puma_cli.exe -- estimate BigLSTM --batch 16
    dune exec bin/puma_cli.exe -- table3
    dune exec bin/puma_cli.exe -- accuracy --bits 2 --sigma 0.1
@@ -124,15 +124,16 @@ let positive name default ~doc =
   let arg = Arg.(value & opt int default & info [ name ] ~doc) in
   Term.(const check $ arg)
 
-let config_of_dim dim =
+(* [label] names where the dimension came from in the error line. *)
+let config_of_dim ~label dim =
   match Config.validate { Config.sweetspot with mvmu_dim = dim } with
   | Ok c -> c
-  | Error e -> exit_err (Printf.sprintf "--dim %d: %s" dim e)
+  | Error e -> exit_err (Printf.sprintf "%s %d: %s" label dim e)
 
 (* The crossbar dimension, checked with the whole configuration. *)
 let config_term =
   Term.(
-    const config_of_dim
+    const (config_of_dim ~label:"--dim")
     $ Arg.(
         value & opt int 128
         & info [ "dim" ] ~doc:"Crossbar dimension (power of two)."))
@@ -216,6 +217,10 @@ let domains_term =
               "Worker domains to shard the host work across; 0 picks the \
                host's recommended count. Results are identical for any \
                value."))
+
+let fleet_term =
+  positive "fleet" 4
+    ~doc:"Simulated fleet size: machines that each hold every model."
 
 (* ---- Compile ---- *)
 
@@ -756,17 +761,22 @@ let batch_cmd =
              cluster's every chip with --nodes) and report the batch's \
              stall decomposition.")
   in
-  let run model batch_size domains seed profile machine config =
+  let run model batch_size domains fleet seed profile machine config =
     let g = graph_of (model_of model) in
     let program = (compile ~machine config g).Compile.program in
     let requests = Batch.random_requests program ~batch:batch_size ~seed in
     let t0 = Monotonic_clock.now () in
-    let responses, summary =
+    let responses, occupancy =
       Batch.run ~domains ~profile ~cluster_nodes:machine.nodes
         ~topology:machine.topology program requests
     in
     let host_s =
       Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) *. 1e-9
+    in
+    let report =
+      Serve_engine.burst ~nodes:fleet
+        (Serve_engine.model ~name:model program)
+        responses
     in
     (* Spot-check the first request against the float reference. *)
     let err =
@@ -778,24 +788,43 @@ let batch_cmd =
         0.0
         (Puma.reference g (List.hd requests).Batch.inputs)
     in
-    Format.printf "%a@." Batch.pp_summary summary;
+    let cycles =
+      Array.map (fun (r : Batch.response) -> Float.of_int r.cycles) responses
+    in
+    Format.printf "%a@." Serve_engine.pp_report report;
     Printf.printf
-      "host wall time       %.3f s (%.1f inf/s simulated on %d worker \
-       domain%s)\n"
-      host_s summary.Batch.throughput_inf_s domains
+      "service p50 / p95   %.0f / %.0f cycles per request; %.1f inf/s \
+       simulated\n"
+      (Puma_util.Stats.percentile cycles 50.0)
+      (Puma_util.Stats.percentile cycles 95.0)
+      report.models.(0).throughput_rps;
+    if profile then
+      Printf.printf "occupancy           %d busy cycles; stalled: %s\n"
+        occupancy.busy_cycles
+        (if occupancy.stall_cycles = [] then "none"
+         else
+           String.concat ", "
+             (List.map
+                (fun (reason, n) ->
+                  Printf.sprintf "%d %s" n (Puma_arch.Core.stall_name reason))
+                occupancy.stall_cycles));
+    Printf.printf "host wall time      %.3f s on %d worker domain%s\n" host_s
+      domains
       (if domains = 1 then "" else "s");
     Printf.printf "request 0 max |error| vs float reference: %.5f\n" err
   in
   Cmd.v
     (Cmd.info "batch"
        ~doc:
-         "Serve a batch of inferences across parallel simulated nodes \
-          (deterministic: outputs and per-request cycles are bit-identical \
-          for any --domains); --nodes > 1 serves every request on a \
-          multi-chip cluster instead of a single node")
+         "Serve a batch of inferences on a simulated fleet of --fleet \
+          machines: the requests are simulated on parallel host domains \
+          (outputs and per-request cycles are bit-identical for any \
+          --domains), then scheduled as one burst by the serving engine; \
+          --nodes > 1 serves every request on a multi-chip cluster instead \
+          of a single node")
     Term.(
-      const run $ model $ batch_size $ domains_term $ seed $ profile
-      $ machine_term $ config_term)
+      const run $ model $ batch_size $ domains_term $ fleet_term $ seed
+      $ profile $ machine_term $ config_term)
 
 (* ---- serve ---- *)
 
@@ -856,10 +885,6 @@ let serve_cmd =
       value & opt float 0.01
       & info [ "duration" ] ~docv:"SECONDS"
           ~doc:"Virtual seconds of open-stream traffic to synthesize.")
-  in
-  let fleet =
-    positive "fleet" 4
-      ~doc:"Simulated fleet size: machines that each hold every model."
   in
   let max_batch =
     positive "max-batch" 4
@@ -947,7 +972,7 @@ let serve_cmd =
           let machine =
             { nodes = t.chips; scheme = t.scheme; topology = t.topology }
           in
-          let config = config_of_dim t.mvmu_dim in
+          let config = config_of_dim ~label:"trace mvmu_dim" t.mvmu_dim in
           let ((report, _) as run) =
             serve ~arrival_spec:t.arrival_spec machine
               (Serve_trace.models_of t
@@ -1025,7 +1050,7 @@ let serve_cmd =
           virtual-clock scheduling, continuous batching, admission control, \
           tail-latency and energy reporting, record/replay")
     Term.(
-      const run $ models_arg $ arrival $ duration $ fleet $ machine_term
+      const run $ models_arg $ arrival $ duration $ fleet_term $ machine_term
       $ max_batch $ queue_limit $ slo $ seed $ input_seed $ domains_term
       $ json $ trace $ replay $ budget $ config_term)
 

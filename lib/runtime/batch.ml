@@ -4,7 +4,6 @@ module Energy = Puma_hwmodel.Energy
 module Program = Puma_isa.Program
 module Pool = Puma_util.Pool
 module Rng = Puma_util.Rng
-module Stats = Puma_util.Stats
 
 module Profile = Puma_profile.Profile
 
@@ -20,21 +19,7 @@ type response = {
   stalls : stall_split;
 }
 
-type summary = {
-  batch_size : int;
-  domains : int;
-  serial_cycles : int;
-  makespan_cycles : int;
-  speedup : float;
-  throughput_inf_s : float;
-  p50_cycles : float;
-  p95_cycles : float;
-  dynamic_energy_uj : float;
-  static_energy_uj : float;
-  total_energy_uj : float;
-  busy_cycles : int;
-  stall_cycles : stall_split;
-}
+type occupancy = { busy_cycles : int; stall_cycles : stall_split }
 
 let input_lengths (program : Program.t) =
   let by_name = Hashtbl.create 4 in
@@ -100,20 +85,6 @@ let warmed_node ?noise_seed ?faults ?(nodes = 1) ?topology program =
   in
   ignore (Node.run node ~inputs:zeros);
   node
-
-(* Deterministic greedy (least-loaded) schedule of the per-request costs
-   over [domains] simulated nodes, in request order. *)
-let greedy_makespan ~domains costs =
-  let loads = Array.make domains 0 in
-  Array.iter
-    (fun cost ->
-      let best = ref 0 in
-      for d = 1 to domains - 1 do
-        if loads.(d) < loads.(!best) then best := d
-      done;
-      loads.(!best) <- loads.(!best) + cost)
-    costs;
-  Array.fold_left max 0 loads
 
 (* Per-request dynamic energy from event-count deltas: every charge
    during [Node.run] goes through [Energy.add] with an integer event
@@ -183,9 +154,8 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?(profile = false)
       invalid_arg (Printf.sprintf "Batch.run: %d cluster nodes" c)
   | Some _ | None -> ());
   let requests = Array.of_list requests in
-  let n = Array.length requests in
   let responses =
-    Pool.map_init ~domains ~n
+    Pool.map_init ~domains ~n:(Array.length requests)
       ~init:(fun ~worker:_ ->
         let node =
           warmed_node ?noise_seed ?faults ?nodes:cluster_nodes ?topology program
@@ -215,66 +185,9 @@ let run ?domains ?cluster_nodes ?topology ?noise_seed ?faults ?(profile = false)
   in
   let busy_cycles = Array.fold_left (fun acc (_, b) -> acc + b) 0 responses in
   let responses = Array.map fst responses in
-  let costs = Array.map (fun r -> r.cycles) responses in
-  let serial_cycles = Array.fold_left ( + ) 0 costs in
-  let makespan_cycles =
-    if n = 0 then 0 else greedy_makespan ~domains costs
-  in
-  let config = program.config in
-  let dynamic_pj =
-    Array.fold_left (fun acc r -> acc +. r.dynamic_energy_pj) 0.0 responses
-  in
-  let static_ledger = Energy.create config in
-  Energy.add_static static_ledger
-    ~tiles:(domains * Program.tiles_used program)
-    ~cycles:(Float.of_int makespan_cycles);
-  let static_pj = Energy.total_pj static_ledger in
-  let cycle_floats = Array.map Float.of_int costs in
-  let seconds_of_cycles c =
-    Float.of_int c /. (config.frequency_ghz *. 1.0e9)
-  in
-  let summary =
+  ( responses,
     {
-      batch_size = n;
-      domains;
-      serial_cycles;
-      makespan_cycles;
-      speedup =
-        (if makespan_cycles = 0 then 1.0
-         else Float.of_int serial_cycles /. Float.of_int makespan_cycles);
-      throughput_inf_s =
-        (if makespan_cycles = 0 then 0.0
-         else Float.of_int n /. seconds_of_cycles makespan_cycles);
-      p50_cycles = (if n = 0 then 0.0 else Stats.percentile cycle_floats 50.0);
-      p95_cycles = (if n = 0 then 0.0 else Stats.percentile cycle_floats 95.0);
-      dynamic_energy_uj = dynamic_pj /. 1.0e6;
-      static_energy_uj = static_pj /. 1.0e6;
-      total_energy_uj = (dynamic_pj +. static_pj) /. 1.0e6;
       busy_cycles;
       stall_cycles =
         merge_stalls (Array.to_list (Array.map (fun r -> r.stalls) responses));
-    }
-  in
-  (responses, summary)
-
-let pp_summary fmt s =
-  Format.fprintf fmt
-    "@[<v>batch size          %d@,simulated nodes     %d@,\
-     makespan            %d cycles (serial %d, speedup %.2fx)@,\
-     throughput          %.1f inf/s (simulated)@,\
-     latency p50 / p95   %.0f / %.0f cycles@,\
-     energy              %.3f uJ (%.3f dynamic + %.3f static)"
-    s.batch_size s.domains s.makespan_cycles s.serial_cycles s.speedup
-    s.throughput_inf_s s.p50_cycles s.p95_cycles s.total_energy_uj
-    s.dynamic_energy_uj s.static_energy_uj;
-  if s.busy_cycles > 0 || s.stall_cycles <> [] then
-    Format.fprintf fmt "@,occupancy           %d busy cycles; stalled: %s"
-      s.busy_cycles
-      (if s.stall_cycles = [] then "none"
-       else
-         String.concat ", "
-           (List.map
-              (fun (reason, n) ->
-                Printf.sprintf "%d %s" n (Puma_arch.Core.stall_name reason))
-              s.stall_cycles));
-  Format.fprintf fmt "@]"
+    } )

@@ -3,8 +3,11 @@
     Shards a batch of independent inference requests across per-domain
     {!Puma_sim.Node} instances (the PUMA paper's throughput scenario,
     Section 7.3: weights stay on the crossbars, only inputs move). The
-    host-side simulation parallelism comes from {!Puma_util.Pool};
-    simulated-time metrics model [domains] PUMA nodes serving the batch.
+    host-side simulation parallelism comes from {!Puma_util.Pool}. The
+    batch's simulated makespan, throughput and energy on a fleet of
+    machines are the serving engine's: [Puma_serve.Engine.burst]
+    schedules the responses as a workload whose arrivals all land at
+    cycle 0.
 
     {b Determinism guarantee.} Serial and parallel runs are bit-identical
     regardless of worker count:
@@ -16,10 +19,8 @@
       the warm-up is excluded from all metrics;
     - a request's outputs, cycle count and dynamic energy are functions of
       the program and its own inputs only, never of which worker ran it or
-      in which order;
-    - aggregate metrics are computed from the per-request costs with a
-      deterministic greedy schedule over [domains] simulated nodes, not
-      from the host's work-stealing assignment. *)
+      in which order, so a schedule of the responses (the serving
+      engine's) never sees the host's work-stealing assignment. *)
 
 type request = {
   index : int;  (** Position in the batch; responses are indexed by it. *)
@@ -39,30 +40,13 @@ type response = {
           [~profile:true]; [[]] otherwise. *)
 }
 
-type summary = {
-  batch_size : int;
-  domains : int;
-  serial_cycles : int;  (** Sum of per-request cycles (1-node makespan). *)
-  makespan_cycles : int;
-      (** Batch completion time on [domains] nodes under deterministic
-          greedy (least-loaded) scheduling in request order. *)
-  speedup : float;  (** [serial_cycles / makespan_cycles]. *)
-  throughput_inf_s : float;
-      (** Simulated inferences per second: batch over makespan wall-time
-          at the configured clock. *)
-  p50_cycles : float;
-  p95_cycles : float;  (** Per-request simulated-latency percentiles. *)
-  dynamic_energy_uj : float;
-  static_energy_uj : float;
-      (** Leakage/clock energy of the occupied tiles of all [domains]
-          nodes over the makespan. *)
-  total_energy_uj : float;
+type occupancy = {
   busy_cycles : int;
-      (** Core/TCU cycles spent executing instructions across the batch
-          (0 unless profiling). *)
-  stall_cycles : stall_split;
-      (** Batch-wide stall decomposition ([[]] unless profiling). *)
+      (** Core/TCU cycles spent executing instructions across the batch. *)
+  stall_cycles : stall_split;  (** Batch-wide stall decomposition. *)
 }
+(** What the profiler observes of a whole batch: [0] and [[]] unless
+    {!run} was given [~profile:true]. *)
 
 val input_lengths : Puma_isa.Program.t -> (string * int) list
 (** Logical input vectors of a program with their total lengths (from the
@@ -116,9 +100,10 @@ val run :
   ?profile:bool ->
   Puma_isa.Program.t ->
   request list ->
-  response array * summary
+  response array * occupancy
 (** Execute the batch: every worker serves its requests on one
-    {!warmed_node} through {!serve}.
+    {!warmed_node} through {!serve}. [domains] is host parallelism only:
+    the responses are the same for any value.
 
     [cluster_nodes > 1] makes each worker's machine a cluster of that
     many chips (fabric [topology], default mesh) — [domains] then
@@ -136,9 +121,7 @@ val run :
 
     [profile] (default [false]) attaches a {!Puma_profile.Profile} to each
     worker's machine after its warm-up run — on a cluster it observes
-    every chip — filling [response.stalls] and the summary's
-    [busy_cycles]/[stall_cycles] so a request's makespan decomposes into
-    stall classes. Profiling never changes outputs, cycle counts or
-    energy totals (pinned by the differential tests). *)
-
-val pp_summary : Format.formatter -> summary -> unit
+    every chip — filling [response.stalls] and the {!occupancy} so a
+    request's cycles decompose into stall classes. Profiling never
+    changes outputs, cycle counts or energy totals (pinned by the
+    differential tests). *)

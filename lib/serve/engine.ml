@@ -148,62 +148,6 @@ type report = {
   event_cycles : int array;
 }
 
-(* Completion events, keyed (cycle, schedule sequence number): a plain
-   binary min-heap; the sequence number makes the ordering total, so the
-   loop is deterministic even when several nodes finish on one cycle. *)
-module Heap = struct
-  type t = { mutable a : (int * int * int) array; mutable len : int }
-
-  let create () = { a = Array.make 16 (0, 0, 0); len = 0 }
-
-  let less (c1, s1, _) (c2, s2, _) = c1 < c2 || (c1 = c2 && s1 < s2)
-
-  let push h x =
-    if h.len = Array.length h.a then begin
-      let a = Array.make (2 * h.len) h.a.(0) in
-      Array.blit h.a 0 a 0 h.len;
-      h.a <- a
-    end;
-    h.a.(h.len) <- x;
-    h.len <- h.len + 1;
-    let i = ref (h.len - 1) in
-    while
-      !i > 0
-      &&
-      let p = (!i - 1) / 2 in
-      less h.a.(!i) h.a.(p)
-    do
-      let p = (!i - 1) / 2 in
-      let tmp = h.a.(p) in
-      h.a.(p) <- h.a.(!i);
-      h.a.(!i) <- tmp;
-      i := p
-    done
-
-  let peek h = if h.len = 0 then None else Some h.a.(0)
-
-  let pop h =
-    let top = h.a.(0) in
-    h.len <- h.len - 1;
-    h.a.(0) <- h.a.(h.len);
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let smallest = ref !i in
-      if l < h.len && less h.a.(l) h.a.(!smallest) then smallest := l;
-      if r < h.len && less h.a.(r) h.a.(!smallest) then smallest := r;
-      if !smallest = !i then continue := false
-      else begin
-        let tmp = h.a.(!smallest) in
-        h.a.(!smallest) <- h.a.(!i);
-        h.a.(!i) <- tmp;
-        i := !smallest
-      end
-    done;
-    top
-end
-
 let schedule (config : config) (models : model array) (workload : workload)
     (costs : cost array) =
   validate_workload models workload;
@@ -227,9 +171,13 @@ let schedule (config : config) (models : model array) (workload : workload)
   let depth = Array.make nm 0 in
   let depth_integral = Array.make nm 0.0 in
   let max_depth = Array.make nm 0 in
+  (* A busy node's pending completion is its (finish, seq): seq numbers
+     dispatches, so equal finish cycles complete in dispatch order and
+     the loop is deterministic even when several nodes finish at once. *)
   let free = Array.make config.nodes true in
-  let heap = Heap.create () in
-  let comp_seq = ref 0 in
+  let finish = Array.make config.nodes 0 in
+  let seq = Array.make config.nodes 0 in
+  let dispatches = ref 0 in
   let busy_cycles = ref 0 in
   (* Served requests by arrival index (each is served at most once), so
      arrival order needs no sort; [arrival = -1] marks an empty slot. *)
@@ -305,13 +253,13 @@ let schedule (config : config) (models : model array) (workload : workload)
         | Some m ->
             free.(nd) <- false;
             let start = !now in
-            let finish = ref start in
+            let last = ref start in
             let b = ref 0 in
             while !b < config.max_batch && depth.(m) > 0 do
               let idx = Queue.pop queues.(m) in
               depth.(m) <- depth.(m) - 1;
               let c = costs.(idx) in
-              finish := !finish + c.cycles;
+              last := !last + c.cycles;
               busy_cycles := !busy_cycles + c.cycles;
               served_at.(idx) <-
                 {
@@ -320,7 +268,7 @@ let schedule (config : config) (models : model array) (workload : workload)
                   model_request = mreq.(idx);
                   arrival_cycle = workload.(idx).cycle;
                   start_cycle = start;
-                  finish_cycle = !finish;
+                  finish_cycle = !last;
                   node = nd;
                   cycles = c.cycles;
                   energy_pj = c.energy_pj;
@@ -329,13 +277,27 @@ let schedule (config : config) (models : model array) (workload : workload)
               incr served_n;
               incr b
             done;
-            Heap.push heap (!finish, !comp_seq, nd);
-            incr comp_seq;
+            finish.(nd) <- !last;
+            seq.(nd) <- !dispatches;
+            incr dispatches;
             dispatch ())
   in
-  let do_completion () =
-    let c, _, nd = Heap.pop heap in
-    advance c;
+  (* The next completion: the busy node with the least (finish, seq), or
+     -1 when every node is free. *)
+  let next_completion () =
+    let best = ref (-1) in
+    for nd = 0 to config.nodes - 1 do
+      if
+        (not free.(nd))
+        && (!best < 0
+           || finish.(nd) < finish.(!best)
+           || (finish.(nd) = finish.(!best) && seq.(nd) < seq.(!best)))
+      then best := nd
+    done;
+    !best
+  in
+  let do_completion nd =
+    advance finish.(nd);
     free.(nd) <- true;
     dispatch ()
   in
@@ -366,13 +328,13 @@ let schedule (config : config) (models : model array) (workload : workload)
   in
   let continue = ref true in
   while !continue do
-    match (Heap.peek heap, !ai < n) with
-    | None, false -> continue := false
+    let nd = next_completion () in
+    if nd < 0 && !ai = n then continue := false
     (* Completions before arrivals on a shared cycle: a node that frees
        exactly when a request lands serves it immediately. *)
-    | Some (c, _, _), true when c <= workload.(!ai).cycle -> do_completion ()
-    | Some _, false -> do_completion ()
-    | _, true -> do_arrival ()
+    else if nd >= 0 && (!ai = n || finish.(nd) <= workload.(!ai).cycle) then
+      do_completion nd
+    else do_arrival ()
   done;
   let served = Array.make !served_n unserved in
   let k = ref 0 in
@@ -542,6 +504,20 @@ let run ?domains ?cluster_nodes ?topology (config : config)
           })
   in
   schedule config models workload costs
+
+let burst ~nodes model (responses : Batch.response array) =
+  schedule
+    { nodes; max_batch = 1; input_seed = 0 }
+    [| model |]
+    (Array.map (fun _ -> { cycle = 0; model = 0 }) responses)
+    (Array.map
+       (fun (r : Batch.response) ->
+         {
+           cycles = r.cycles;
+           energy_pj = r.dynamic_energy_pj;
+           outputs = r.outputs;
+         })
+       responses)
 
 let latency_ms report (s : served) =
   Float.of_int (s.finish_cycle - s.arrival_cycle)

@@ -182,6 +182,14 @@ val run :
     is the size of each machine in that fleet. Each arrival is served by
     {!Puma_runtime.Batch.serve}, on one chip or a cluster alike. *)
 
+val burst : nodes:int -> model -> Puma_runtime.Batch.response array -> report
+(** A closed batch as a serve workload: response [i] of one model's
+    {!Puma_runtime.Batch.run} is arrival [i], every arrival lands at
+    cycle 0, and [nodes] machines serve one request per dispatch
+    ([max_batch = 1]). The report's makespan, throughput and energy are
+    the batch's on that fleet; its [input_seed] is 0, since the
+    responses carry their own inputs. *)
+
 val latency_ms : report -> served -> float
 (** Queue wait + service, virtual milliseconds. *)
 

@@ -203,6 +203,36 @@ let test_serve_replay_errors () =
         true
         (Puma_util.Strings.contains ~sub:"line 3" stderr))
 
+(* A trace whose crossbar dimension is invalid fails the replay naming
+   the trace field it came from, not a --dim flag nobody passed. *)
+let test_serve_replay_bad_dim () =
+  let trace = Filename.temp_file "puma_serve_dim" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove trace)
+    (fun () ->
+      Alcotest.(check int) "record exits 0" 0
+        (run (serve_args @ [ "--trace"; trace ]));
+      let module Json = Puma_util.Json in
+      let document =
+        match Json.parse (Cli_runner.slurp trace) with
+        | Ok (Json.Obj fields) ->
+            Json.Obj
+              (List.map
+                 (fun (k, v) -> if k = "mvmu_dim" then (k, Json.Int 48) else (k, v))
+                 fields)
+        | Ok _ | Error _ -> Alcotest.fail "trace is not a JSON object"
+      in
+      Out_channel.with_open_bin trace (fun oc ->
+          output_string oc (Json.to_string document));
+      let status, stderr =
+        Cli_runner.run_capture [ "serve"; "--replay"; trace ]
+      in
+      Alcotest.(check int) "bad trace dim -> 1" 1 status;
+      Alcotest.(check bool)
+        (Printf.sprintf "error names the trace field (stderr: %S)" stderr)
+        true
+        (Puma_util.Strings.contains ~sub:"trace mvmu_dim 48" stderr))
+
 (* A fleet of 2-chip machines records its machine in the trace, and the
    replay rebuilds that machine: on single chips the decisions differ. *)
 let test_serve_two_chip_roundtrip () =
@@ -359,6 +389,8 @@ let () =
             test_serve_replay_errors;
           Alcotest.test_case "2-chip record/replay roundtrip" `Quick
             test_serve_two_chip_roundtrip;
+          Alcotest.test_case "replay names a bad trace dim" `Quick
+            test_serve_replay_bad_dim;
         ] );
       ( "equiv",
         [

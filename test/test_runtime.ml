@@ -10,6 +10,7 @@ module Compile = Puma_compiler.Compile
 module Node = Puma_sim.Node
 module Energy = Puma_hwmodel.Energy
 module Batch = Puma_runtime.Batch
+module Engine = Puma_serve.Engine
 module Cluster = Puma_cluster.Cluster
 
 (* ---- Pool ---- *)
@@ -129,14 +130,14 @@ let test_differential_serial_vs_sharded () =
       let reference = serial_reference ~nodes program requests in
       List.iter
         (fun domains ->
-          let responses, summary =
+          let responses, _ =
             Batch.run ~domains ~cluster_nodes:nodes program requests
           in
           let label i what =
             Printf.sprintf "request %d %s (nodes=%d domains=%d)" i what nodes
               domains
           in
-          Alcotest.(check int) "batch size" batch summary.Batch.batch_size;
+          Alcotest.(check int) "batch size" batch (Array.length responses);
           List.iteri
             (fun i (outputs, cycles, energy) ->
               let r = responses.(i) in
@@ -155,30 +156,41 @@ let test_differential_serial_vs_sharded () =
         [ 1; 2; 4 ])
     [ 1; 2 ]
 
+(* A batch's fleet metrics come from the serving engine: its responses
+   scheduled as one burst on 1 and on 4 simulated nodes. *)
 let test_batch_throughput_scales () =
   let program = Lazy.force compiled in
   let requests = Batch.random_requests program ~batch:8 ~seed:3 in
-  let _, s1 = Batch.run ~domains:1 program requests in
-  let _, s4 = Batch.run ~domains:4 program requests in
-  Alcotest.(check bool) "serial makespan is the request sum" true
-    (s1.Batch.makespan_cycles = s1.Batch.serial_cycles);
+  let responses, _ = Batch.run ~domains:1 program requests in
+  let model = Engine.model ~name:"mlp" program in
+  let r1 = Engine.burst ~nodes:1 model responses in
+  let r4 = Engine.burst ~nodes:4 model responses in
+  let throughput (r : Engine.report) = r.models.(0).throughput_rps in
+  let serial_cycles =
+    Array.fold_left (fun acc (r : Batch.response) -> acc + r.cycles) 0 responses
+  in
+  Alcotest.(check int) "serial makespan is the request sum" serial_cycles
+    r1.makespan_cycles;
   Alcotest.(check bool)
-    (Printf.sprintf "4-domain simulated throughput > 1.8x (got %.2fx)"
-       (s4.Batch.throughput_inf_s /. s1.Batch.throughput_inf_s))
+    (Printf.sprintf "4-node simulated throughput > 1.8x (got %.2fx)"
+       (throughput r4 /. throughput r1))
     true
-    (s4.Batch.throughput_inf_s > 1.8 *. s1.Batch.throughput_inf_s);
+    (throughput r4 > 1.8 *. throughput r1);
   Alcotest.(check bool) "speedup consistent" true
     (Float.abs
-       (s4.Batch.speedup
-       -. Float.of_int s4.Batch.serial_cycles
-          /. Float.of_int s4.Batch.makespan_cycles)
+       ((throughput r4 /. throughput r1)
+       -. Float.of_int serial_cycles /. Float.of_int r4.makespan_cycles)
     < 1e-9);
+  let cycles =
+    Array.map (fun (r : Batch.response) -> Float.of_int r.cycles) responses
+  in
   Alcotest.(check bool) "percentiles ordered" true
-    (s4.Batch.p50_cycles <= s4.Batch.p95_cycles);
-  Alcotest.(check bool) "energy positive" true (s4.Batch.total_energy_uj > 0.0);
+    (Puma_util.Stats.percentile cycles 50.0
+    <= Puma_util.Stats.percentile cycles 95.0);
+  Alcotest.(check bool) "energy positive" true (r4.total_energy_uj > 0.0);
   Alcotest.(check bool) "static grows with nodes" true
-    (s4.Batch.static_energy_uj > 0.0
-    && s1.Batch.dynamic_energy_uj = s4.Batch.dynamic_energy_uj)
+    (r4.static_energy_uj > 0.0
+    && r1.dynamic_energy_uj = r4.dynamic_energy_uj)
 
 let test_noise_seeded_nodes_agree () =
   (* With write noise enabled, every worker's crossbars must be programmed
@@ -201,10 +213,14 @@ let test_noise_seeded_nodes_agree () =
 
 let test_empty_batch () =
   let program = Lazy.force compiled in
-  let responses, summary = Batch.run ~domains:4 program [] in
+  let responses, _ = Batch.run ~domains:4 program [] in
   Alcotest.(check int) "no responses" 0 (Array.length responses);
-  Alcotest.(check int) "no cycles" 0 summary.Batch.makespan_cycles;
-  Alcotest.(check (float 0.0)) "no throughput" 0.0 summary.Batch.throughput_inf_s
+  let report =
+    Engine.burst ~nodes:4 (Engine.model ~name:"mlp" program) responses
+  in
+  Alcotest.(check int) "no cycles" 0 report.makespan_cycles;
+  Alcotest.(check (float 0.0)) "no throughput" 0.0
+    report.models.(0).throughput_rps
 
 (* A fault plan belongs to one chip: a machine takes one slot per chip. *)
 let test_cluster_rejects_single_plan () =

@@ -564,6 +564,44 @@ let test_batching_amortizes () =
   Alcotest.(check int) "batch of four" 1 (distinct_starts 4);
   Alcotest.(check int) "serialized" 4 (distinct_starts 1)
 
+(* A closed batch is a burst: every arrival at cycle 0, one request per
+   dispatch. Costs [5;3;4;2;6] on 2 nodes: requests 0 and 1 start at 0;
+   node 1 frees at 3 and takes request 2 (finishing at 7), node 0 frees
+   at 5 and takes request 3 (also finishing at 7). Node 1's batch was
+   dispatched first, so it completes first and takes request 4: 7 + 6 =
+   13. *)
+let test_burst_schedule () =
+  let responses =
+    Array.mapi
+      (fun index cycles ->
+        {
+          Batch.index;
+          outputs = [];
+          cycles;
+          dynamic_energy_pj = 1.0;
+          stalls = [];
+        })
+      [| 5; 3; 4; 2; 6 |]
+  in
+  let r =
+    Engine.burst ~nodes:2
+      (Engine.model ~name:"m" (Lazy.force tiny_program))
+      responses
+  in
+  Alcotest.(check int) "makespan" 13 r.Engine.makespan_cycles;
+  Alcotest.(check (list (pair int int)))
+    "(node, start) per request"
+    [ (0, 0); (1, 0); (1, 3); (0, 5); (1, 7) ]
+    (Array.to_list
+       (Array.map
+          (fun (s : Engine.served) -> (s.Engine.node, s.Engine.start_cycle))
+          r.Engine.served));
+  Alcotest.(check bool) "every arrival at cycle 0" true
+    (Array.for_all
+       (fun (s : Engine.served) -> s.Engine.arrival_cycle = 0)
+       r.Engine.served);
+  Alcotest.(check int) "one request per dispatch" 1 r.Engine.max_batch
+
 let test_arrival_parse () =
   let ok spec =
     match Arrival.parse spec with
@@ -619,6 +657,8 @@ let () =
           Alcotest.test_case "continuous batching amortizes" `Quick
             test_batching_amortizes;
           Alcotest.test_case "arrival spec parsing" `Quick test_arrival_parse;
+          Alcotest.test_case "burst schedule pinned by hand" `Quick
+            test_burst_schedule;
         ] );
       ( "properties",
         qc
