@@ -38,6 +38,14 @@ let exit_err msg =
 
 let ok_or_exit = function Ok v -> v | Error e -> exit_err e
 
+(* A simulator failure on a loaded program (a deadlock, an access
+   outside shared memory, a receive of the wrong width, the cycle cap) is
+   an error exit, not an uncaught exception. *)
+let simulate f =
+  try f () with
+  | Node.Deadlock msg -> exit_err ("deadlock: " ^ msg)
+  | Invalid_argument msg | Failure msg -> exit_err msg
+
 (* ---- Targets: models and saved programs ---- *)
 
 let mini_models =
@@ -492,7 +500,9 @@ let exec_cmd =
     | `Program program ->
         let node = Node.create program in
         let rng = Puma_util.Rng.create seed in
-        let outputs = Node.run node ~inputs:(random_inputs rng program) in
+        let outputs =
+          simulate (fun () -> Node.run node ~inputs:(random_inputs rng program))
+        in
         List.iter
           (fun (name, v) ->
             let preview =
@@ -1099,9 +1109,10 @@ let profile_cmd =
     let profile = Puma_profile.Profile.create () in
     Puma_profile.Profile.attach profile node;
     let rng = Puma_util.Rng.create seed in
-    for _ = 1 to runs do
-      ignore (Node.run node ~inputs:(random_inputs rng program))
-    done;
+    simulate (fun () ->
+        for _ = 1 to runs do
+          ignore (Node.run node ~inputs:(random_inputs rng program))
+        done);
     Node.finish_energy node;
     if json then
       print_endline (Json.to_string (Puma_profile.Profile.to_json profile))

@@ -2,6 +2,7 @@ module Instr = Puma_isa.Instr
 module Program = Puma_isa.Program
 module Operand = Puma_isa.Operand
 module Fixed = Puma_util.Fixed
+module Shared_mem = Puma_tile.Shared_mem
 
 (* ---- The reference dataflow (built by Lgraph.to_reference) ---- *)
 
@@ -459,8 +460,7 @@ type stream = {
 type core_state = { regs : int array; sregs : int array }
 
 type tile_state = {
-  mem : int array;  (* word ids *)
-  mem_state : int array;  (* -1 invalid, 0 sticky, n > 0 counted *)
+  mem : Shared_mem.t;  (* word ids *)
   wr_core : int array;
       (* last writer: -3 none yet, -2 host, -1 TCU, >= 0 core *)
   wr_pc : int array;
@@ -561,18 +561,13 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
   in
   let wait (s, _) =
     let ts = tiles.(s.s_tile) in
-    let first bad addr width =
-      let rec go k =
-        if k >= addr + width || k >= Array.length ts.mem_state then None
-        else if bad ts.mem_state.(k) then Some k
-        else go (k + 1)
-      in
-      go (max addr 0)
-    in
-    let on_writer addr w =
-      Option.map (fun a -> On_writer a) (first (fun m -> m < 0) addr w)
-    and on_reader addr w =
-      Option.map (fun a -> On_reader a) (first (fun m -> m > 0) addr w)
+    (* Every blocked access was range-checked when it was tried. *)
+    let on_writer addr width =
+      let a = Shared_mem.read_blocker ts.mem ~addr ~width in
+      if a < 0 then None else Some (On_writer a)
+    and on_reader addr width =
+      let a = Shared_mem.write_blocker ts.mem ~addr ~width in
+      if a < 0 then None else Some (On_reader a)
     and resolve = function
       | Instr.Imm_addr a -> a
       | Instr.Sreg_addr r -> ts.cores.(core s).sregs.(r)
@@ -622,7 +617,8 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
           (Diag.error ~code:"E-CONSUME" ~tile:(index pos) ?core ~pc
              "write of smem[%d] blocks forever: %s still awaits %d read(s) \
               that no stream can make"
-             a (last_write pos a) tiles.(pos).mem_state.(a))
+             a (last_write pos a)
+             (Shared_mem.state tiles.(pos).mem ~addr:a))
     | _ -> None
   in
   let stuck = List.filter_map Fun.id (Array.to_list (Array.mapi stuck live)) in
@@ -689,23 +685,23 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
     List.concat
       (List.init (Array.length tiles) (fun pos ->
            let ts = tiles.(pos) and out = ref [] in
-           Array.iteri
-             (fun a m ->
-               let c = ts.wr_core.(a) and pc = ts.wr_pc.(a) in
-               if
-                 m > 0
-                 && (not (Hashtbl.mem named (pos, c, pc)))
-                 && can pos (may_read a) = []
-               then begin
-                 Hashtbl.add named (pos, c, pc) ();
-                 out :=
-                   Diag.error ~code:"E-CONSUME" ~tile:(index pos)
-                     ?core:(if c >= 0 then Some c else None) ~pc
-                     "write leaves smem[%d] with %d of its reads never made"
-                     a m
-                   :: !out
-               end)
-             ts.mem_state;
+           for a = 0 to Shared_mem.words ts.mem - 1 do
+             let m = Shared_mem.state ts.mem ~addr:a
+             and c = ts.wr_core.(a) and pc = ts.wr_pc.(a) in
+             if
+               m > 0
+               && (not (Hashtbl.mem named (pos, c, pc)))
+               && can pos (may_read a) = []
+             then begin
+               Hashtbl.add named (pos, c, pc) ();
+               out :=
+                 Diag.error ~code:"E-CONSUME" ~tile:(index pos)
+                   ?core:(if c >= 0 then Some c else None) ~pc
+                   "write leaves smem[%d] with %d of its reads never made"
+                   a m
+                 :: !out
+             end
+           done;
            List.rev !out))
   in
   (* Output words that are not valid and that no stream can still write. *)
@@ -714,11 +710,10 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
       (fun (b : Program.io_binding) ->
         let pos = b.Program.tile in
         let rec go k =
-          let a = b.Program.mem_addr + k in
-          if k >= b.Program.length || a < 0 || a >= Array.length tiles.(pos).mem_state
-          then None
-          else if tiles.(pos).mem_state.(a) >= 0 || can pos (may_write a) <> [] then
-            go (k + 1)
+          let a = b.Program.mem_addr + k and mem = tiles.(pos).mem in
+          if k >= b.Program.length || a < 0 || a >= Shared_mem.words mem then None
+          else if Shared_mem.state mem ~addr:a >= 0 || can pos (may_write a) <> []
+          then go (k + 1)
           else Some (dead_read pos a (Printf.sprintf "output binding %S" b.Program.name))
         in
         if pos < 0 || pos >= Array.length tiles then None else go 0)
@@ -789,8 +784,9 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
   let streams = Array.of_list (List.rev !streams) in
   let tiles = ref [||] in
   let stopped = ref None and wedged = ref None in
-  (* [E-CHANW] per receive that met a packet of another width, latest
-     first: the runtime traps there, and the proof is refuted. *)
+  (* [E-CHANW] per receive that met a packet of another width and
+     [E-SMEM] at an access outside shared memory, latest first: the
+     runtime traps there, and the proof is refuted. *)
   let trapped = ref [] in
   (* NoC channels: per (destination tile position, fifo) in-order queues
      of (send pc, words), each with its one sender tile position. *)
@@ -862,8 +858,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       Array.init ntiles (fun pos ->
           let words = footprint pos in
           {
-            mem = Array.make words st.const0;
-            mem_state = Array.make words (-1);
+            mem = Shared_mem.create ~words;
             wr_core = Array.make words (-3);
             wr_pc = Array.make words (-1);
             cores =
@@ -896,8 +891,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       let ts = tiles.(tile) in
       if addr < 0 || addr >= smem_words then
         bail ~tile "I/O binding writes shared-memory word %d out of range" addr;
-      ts.mem.(addr) <- word;
-      ts.mem_state.(addr) <- 0;
+      Shared_mem.host_write ts.mem ~addr ~values:[| word |];
       ts.wr_core.(addr) <- -2;
       ts.wr_pc.(addr) <- -1
     in
@@ -932,51 +926,16 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
           Hashtbl.add channels key (src, q);
           q
     in
-    (* Shared-memory access with the runtime's exact blocking rules: a
-       counted word whose count reaches 0 becomes invalid again; a sticky
-       (count-0) write stays valid forever. *)
-    let smem_read ts ~addr ~width =
-      if addr < 0 || width < 0 || addr + width > smem_words then None
-      else begin
-        let ok = ref true in
-        for k = addr to addr + width - 1 do
-          if ts.mem_state.(k) < 0 then ok := false
-        done;
-        if not !ok then None
-        else begin
-          let words = Array.sub ts.mem addr width in
-          for k = addr to addr + width - 1 do
-            if ts.mem_state.(k) > 0 then begin
-              ts.mem_state.(k) <- ts.mem_state.(k) - 1;
-              if ts.mem_state.(k) = 0 then ts.mem_state.(k) <- -1
-            end
-          done;
-          Some words
-        end
-      end
-    in
-    let smem_write ts ~addr ~words ~count ~writer_core ~writer_pc =
-      let width = Array.length words in
-      if addr < 0 || addr + width > smem_words then
-        bail "shared-memory write [%d, %d) out of range" addr (addr + width);
-      if count < 0 then bail "negative consumer count %d" count;
-      let blocked = ref false in
-      if count > 0 then
-        for k = addr to addr + width - 1 do
-          if ts.mem_state.(k) > 0 then blocked := true
-        done;
-      if !blocked then false
-      else begin
-        Array.iteri
-          (fun i w ->
-            let k = addr + i in
-            ts.mem.(k) <- w;
-            ts.mem_state.(k) <- count;
-            ts.wr_core.(k) <- writer_core;
-            ts.wr_pc.(k) <- writer_pc)
-          words;
-        true
-      end
+    (* Shared memory blocks, consumes and invalidates exactly as the
+       runtime's does; a write that succeeds records its writer. *)
+    let smem_write ts ~addr ~src ~src_pos ~width ~count ~writer_core
+        ~writer_pc =
+      Shared_mem.write_from ts.mem ~addr ~src ~src_pos ~width ~count
+      && begin
+           Array.fill ts.wr_core addr width writer_core;
+           Array.fill ts.wr_pc addr width writer_pc;
+           true
+         end
     in
     (* ---- One symbolic step of a stream ---- *)
     let step_stream (s : stream) =
@@ -992,6 +951,20 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
           match s.s_core with
           | Some c -> bail ~tile ~core:c ~pc:s.pc fmt
           | None -> bail ~tile ~pc:s.pc fmt
+        in
+        (* An access outside shared memory traps the runtime: record that,
+           then stop the run, whose state past the trap means nothing. *)
+        let smem_range what addr width =
+          if addr < 0 || width < 0 || addr + width > smem_words then begin
+            trapped :=
+              Diag.error ~code:"E-SMEM" ~tile:(index tile) ?core:s.s_core
+                ~pc:s.pc
+                "%s of [%d, %d) leaves the %d-word shared memory: the \
+                 runtime traps here"
+                what addr (addr + width) smem_words
+              :: !trapped;
+            here "%s [%d, %d) outside shared memory" what addr (addr + width)
+          end
         in
         let count () = ignore (Grow.push s.trace s.pc) in
         let halt () =
@@ -1020,11 +993,9 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
             match s.code.(s.pc) with
             | Instr.Halt -> halt ()
             | Instr.Send { mem_addr; fifo_id; target; vec_width } -> (
-                match smem_read ts ~addr:mem_addr ~width:vec_width with
-                | None ->
-                    if mem_addr < 0 || mem_addr + vec_width > smem_words then
-                      here "send reads shared memory out of range";
-                    Blocked
+                smem_range "send" mem_addr vec_width;
+                match Shared_mem.read ts.mem ~addr:mem_addr ~width:vec_width with
+                | None -> Blocked
                 | Some words -> (
                     match Hashtbl.find_opt tile_pos target with
                     | None -> here "send targets tile %d outside the node" target
@@ -1041,6 +1012,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                        agreed, so the checks still see the rest. *)
                     let send_pc, packet = Queue.peek q in
                     let n = Array.length packet in
+                    smem_range "receive" mem_addr vec_width;
                     let words =
                       if n = vec_width then packet
                       else
@@ -1048,8 +1020,9 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                             if k < n then packet.(k) else st.const0)
                     in
                     if
-                      smem_write ts ~addr:mem_addr ~words ~count
-                        ~writer_core:(-1) ~writer_pc:s.pc
+                      smem_write ts ~addr:mem_addr ~src:words ~src_pos:0
+                        ~width:vec_width ~count ~writer_core:(-1)
+                        ~writer_pc:s.pc
                     then begin
                       if n <> vec_width then
                         trapped :=
@@ -1194,25 +1167,22 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                     cs.regs.(dest + k) <- cs.regs.(src + k)
                   done;
                   retire ()
-              | Instr.Load { dest; addr; vec_width } -> (
+              | Instr.Load { dest; addr; vec_width } ->
                   let a = resolve addr in
-                  match smem_read ts ~addr:a ~width:vec_width with
-                  | None ->
-                      if a < 0 || a + vec_width > smem_words then
-                        here "load [%d, %d) outside shared memory" a
-                          (a + vec_width);
-                      Blocked
-                  | Some words ->
-                      rd_range dest vec_width;
-                      Array.blit words 0 cs.regs dest vec_width;
-                      retire ())
+                  smem_range "load" a vec_width;
+                  rd_range dest vec_width;
+                  if
+                    Shared_mem.read_into ts.mem ~addr:a ~width:vec_width
+                      ~dst:cs.regs ~dst_pos:dest
+                  then retire ()
+                  else Blocked
               | Instr.Store { src; addr; count; vec_width } ->
                   let a = resolve addr in
+                  smem_range "store" a vec_width;
                   rd_range src vec_width;
-                  let words = Array.sub cs.regs src vec_width in
                   if
-                    smem_write ts ~addr:a ~words ~count ~writer_core:c
-                      ~writer_pc:s.pc
+                    smem_write ts ~addr:a ~src:cs.regs ~src_pos:src
+                      ~width:vec_width ~count ~writer_core:c ~writer_pc:s.pc
                   then retire ()
                   else Blocked
               | Instr.Jmp { pc } -> jump pc
@@ -1374,10 +1344,12 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
             let a = b.Program.mem_addr + k in
             if a < 0 || a >= smem_words then
               bail "output %s binds shared memory out of range" b.Program.name;
-            if ts.mem_state.(a) >= 0 then
-              Hashtbl.replace got
-                (b.Program.name, b.Program.offset + k)
-                (ts.mem.(a), b.Program.tile, ts.wr_core.(a), ts.wr_pc.(a))
+            match Shared_mem.peek ts.mem ~addr:a ~width:1 with
+            | Some [| w |] ->
+                Hashtbl.replace got
+                  (b.Program.name, b.Program.offset + k)
+                  (w, b.Program.tile, ts.wr_core.(a), ts.wr_pc.(a))
+            | _ -> ()
           done)
         p.Program.outputs;
       let output_words = ref 0 in
@@ -1451,15 +1423,15 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       (!output_words, !mismatched)
     in
     let output_words, mismatched =
-      match (!stopped, List.rev !trapped) with
-      | Some d, _ ->
+      match (List.rev !trapped, !stopped) with
+      | d :: _, _ ->
+          push_diag { d with code = "E-EQUIV" };
+          (0, 1)
+      | [], Some d ->
           incr unknowns;
           push_diag d;
           (0, 0)
-      | None, d :: _ ->
-          push_diag { d with code = "E-EQUIV" };
-          (0, 1)
-      | None, [] -> (
+      | [], None -> (
           Option.iter push_diag !wedged;
           try compare_outputs () with
           | Bail d ->

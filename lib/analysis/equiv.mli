@@ -3,9 +3,11 @@
     the static cost bound.
 
     [run] abstractly executes the whole multi-tile program — every core
-    stream and tile control stream, with the real shared-memory
-    consumer-count discipline and in-order per-channel NoC delivery — over
-    {e symbolic} words instead of fixed-point values. Scalar registers are
+    stream and tile control stream, with in-order per-channel NoC
+    delivery — over {e symbolic} words instead of fixed-point values.
+    Each tile's memory is a {!Puma_tile.Shared_mem} holding word ids, so
+    loads, stores, sends and receives block, consume and invalidate
+    through the simulator's own attribute buffer. Scalar registers are
     concrete, so loops execute exactly, and the run records each stream's
     executed pcs in order ({!Resource} costs a stream as the sum over
     them of {!Puma_arch.Cost}; {!Regflow} walks them for [E-UBD],
@@ -90,7 +92,9 @@ type dataflow = rnode array
 
 type verdict =
   | Proved  (** Every output word matches the reference dataflow. *)
-  | Refuted  (** Some output word provably computes something else. *)
+  | Refuted
+      (** Some output word provably computes something else, or the
+          program traps ([E-CHANW], [E-SMEM]) before producing it. *)
   | Unknown
       (** The proof could not be completed (fuel exhausted, undefined
           values reaching outputs, scheduler-dependent channel sharing,
@@ -126,8 +130,9 @@ type run = {
           [keep_ranges]; a run that stopped short covers only its
           executed prefix ([checks] says so). *)
   checks : Diag.t list;
-      (** [E-CHANW] per receive that met a packet of another width, and
-          the checks over the state the run ends in (see
+      (** [E-CHANW] per receive that met a packet of another width,
+          [E-SMEM] at an access outside shared memory (the run stops
+          there), and the checks over the state the run ends in (see
           docs/ANALYSIS.md): [E-CONSUME], [E-SENDU], [E-RBW], [E-RECVU]
           and [E-DEADLOCK]. A run that stopped short (a bail, fuel
           exhaustion or a fifo written by several tiles) gets one

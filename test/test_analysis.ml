@@ -4,6 +4,7 @@
 
 module Analyze = Puma_analysis.Analyze
 module Diag = Puma_analysis.Diag
+module Asm = Puma_isa.Asm
 module Check = Puma_isa.Check
 module Instr = Puma_isa.Instr
 module Operand = Puma_isa.Operand
@@ -605,13 +606,22 @@ let loads_twice_in_a_loop =
 
 let loads_twice = asm "load r0, @10, w=1\nload r1, @10, w=1\nhalt\n"
 
+(* Some of [inferences] runs on one node deadlocks, traps
+   ([Invalid_argument]) or hits the cycle cap. *)
+let simulator_fails ?(inputs = []) ?(inferences = 1) p =
+  let node = Puma_sim.Node.create p in
+  match
+    for _ = 1 to inferences do
+      ignore (Puma_sim.Node.run node ~inputs)
+    done
+  with
+  | () -> false
+  | exception (Puma_sim.Node.Deadlock _ | Invalid_argument _ | Failure _) ->
+      true
+
 let agrees_with_simulator name ~errors p =
   let r = Analyze.program ~ranges:true ~order:true p in
-  let completes =
-    match Puma_sim.Node.run (Puma_sim.Node.create p) ~inputs:[] with
-    | _ -> true
-    | exception Puma_sim.Node.Deadlock _ -> false
-  in
+  let completes = not (simulator_fails p) in
   Alcotest.(check bool) (name ^ ": simulator completes") (not errors) completes;
   Alcotest.(check bool)
     (Printf.sprintf "%s: analyzer reports an error (%s)" name
@@ -655,6 +665,194 @@ let warning_codes (r : Analyze.report) =
     (fun (d : Diag.t) ->
       if d.severity = Diag.Warning then Some d.code else None)
     r.Analyze.diags
+
+(* A register-indirect access past the end of shared memory traps the
+   runtime. The run reports E-SMEM at it, then stops as for any access it
+   cannot model. *)
+let indirect_out_of_range access () =
+  let capacity = (config 32).Config.smem_bytes / 2 in
+  let p =
+    one_tile
+      [| asm (Printf.sprintf "set s0, #%d\n%s\nhalt\n" (capacity - 8) access) |]
+  in
+  agrees_with_simulator access ~errors:true p;
+  let r = Analyze.program p in
+  Alcotest.(check (list (pair string (triple (option int) (option int) (option int)))))
+    "E-SMEM where it traps"
+    [ ("E-SMEM", (Some 0, Some 0, Some 1)) ]
+    (List.filter_map
+       (fun (d : Diag.t) ->
+         if d.severity = Diag.Error then
+           Some (d.code, Diag.(d.loc.tile, d.loc.core, d.loc.pc))
+         else None)
+       r.Analyze.diags);
+  Alcotest.(check int) "the run stopped" 1
+    (List.length (diags_with "W-RANGE-PARTIAL" r))
+
+(* ---- Verdict agreement over mutants of compiled programs ----
+
+   One seeded mutation of a compiled mini MLP or LSTM at dim 64: a
+   consumer count off by one, a shared-memory access (load, store, send
+   or receive) dropped from its stream, or two adjacent tile
+   instructions swapped. Each mutant stays structurally valid, and the
+   analyzer's verdict must agree with the simulator's over one or two
+   inferences on one node: a mutant the simulator cannot finish gets an
+   error, and a mutant with a fatal code cannot be finished. *)
+
+type site = { pos : int; core : int option; pc : int }
+type mutation = Count of site * int | Drop of site | Swap of site
+
+let fatal_codes = [ "E-RECVU"; "E-RBW"; "E-DEADLOCK"; "E-CHANW"; "E-SMEM" ]
+
+let stream (p : Program.t) s =
+  let tp = p.Program.tiles.(s.pos) in
+  match s.core with None -> tp.tile_code | Some c -> tp.core_code.(c)
+
+let streams (p : Program.t) =
+  List.concat
+    (List.init (Array.length p.Program.tiles) (fun pos ->
+         let tp = p.Program.tiles.(pos) in
+         { pos; core = None; pc = 0 }
+         :: List.init (Array.length tp.Program.core_code) (fun c ->
+                { pos; core = Some c; pc = 0 })))
+
+(* Every mutation of [p] whose result passes the structural checks: a
+   dropped instruction shifts the pcs after it, so only streams without
+   jumps or branches lose one. *)
+let mutation_sites p =
+  List.concat_map
+    (fun s ->
+      let code = stream p s in
+      let linear =
+        Array.for_all
+          (function Instr.Jmp _ | Instr.Brn _ -> false | _ -> true)
+          code
+      in
+      List.concat
+        (List.init (Array.length code) (fun pc ->
+             let at = { s with pc } in
+             let edits =
+               match code.(pc) with
+               | Instr.Store { count; _ } | Instr.Receive { count; _ } ->
+                   (if linear then [ Drop at ] else [])
+                   @ List.filter_map
+                       (fun d ->
+                         if count + d >= 0 && count + d <= 255 then
+                           Some (Count (at, d))
+                         else None)
+                       [ -1; 1 ]
+               | Instr.Load _ | Instr.Send _ when linear -> [ Drop at ]
+               | _ -> []
+             in
+             if
+               s.core = None
+               && pc + 1 < Array.length code
+               && code.(pc) <> Instr.Halt
+               && code.(pc + 1) <> Instr.Halt
+             then Swap at :: edits
+             else edits)))
+    (streams p)
+
+let mutate (p : Program.t) m =
+  let p = clone p in
+  let s, code =
+    match m with
+    | Count (s, d) ->
+        let code = Array.copy (stream p s) in
+        (code.(s.pc) <-
+           (match code.(s.pc) with
+           | Instr.Store st -> Instr.Store { st with count = st.count + d }
+           | Instr.Receive r -> Instr.Receive { r with count = r.count + d }
+           | i -> i));
+        (s, code)
+    | Drop s ->
+        let code = Array.to_list (stream p s) in
+        (s, Array.of_list (List.filteri (fun i _ -> i <> s.pc) code))
+    | Swap s ->
+        let code = Array.copy (stream p s) in
+        let i = code.(s.pc) in
+        code.(s.pc) <- code.(s.pc + 1);
+        code.(s.pc + 1) <- i;
+        (s, code)
+  in
+  let tp = p.Program.tiles.(s.pos) in
+  p.Program.tiles.(s.pos) <-
+    (match s.core with
+    | None -> { tp with Program.tile_code = code }
+    | Some c ->
+        let core_code = Array.copy tp.Program.core_code in
+        core_code.(c) <- code;
+        { tp with Program.core_code });
+  p
+
+(* The mutation, the instruction it hits and the mutated stream's
+   instructions around it. *)
+let describe (name, base, m, inferences) =
+  let s, what =
+    match m with
+    | Count (s, d) -> (s, Printf.sprintf "count %+d" d)
+    | Drop s -> (s, "drop")
+    | Swap s -> (s, "swap with the next")
+  in
+  let code = stream (mutate base m) s in
+  let layout = Operand.layout base.Program.config in
+  Printf.sprintf "%s, %d inference(s): tile %d %s pc %d: %s (%s)\n%s" name
+    inferences base.Program.tiles.(s.pos).Program.tile_index
+    (match s.core with None -> "tcu" | Some c -> Printf.sprintf "core %d" c)
+    s.pc what
+    (Asm.instr_to_string layout (stream base s).(s.pc))
+    (String.concat "\n"
+       (List.filteri
+          (fun pc _ -> abs (pc - s.pc) <= 8)
+          (List.mapi
+             (fun pc i -> Printf.sprintf "%5d  %s" pc (Asm.instr_to_string layout i))
+             (Array.to_list code))))
+
+let prop_verdicts_agree =
+  let models =
+    lazy
+      (List.map
+         (fun (name, net) ->
+           let p = (compile ~dim:64 (Network.build_graph net)).Compile.program in
+           (name, p, Array.of_list (mutation_sites p)))
+         [ ("mlp", Models.mini_mlp); ("lstm", Models.mini_lstm) ])
+  in
+  let gen =
+    QCheck.Gen.(
+      delay (fun () -> oneofl (Lazy.force models)) >>= fun (name, base, sites) ->
+      map2
+        (fun k n -> (name, base, sites.(k), n))
+        (int_bound (Array.length sites - 1))
+        (int_range 1 2))
+  in
+  let shrink (name, base, m, n) =
+    QCheck.Iter.(if n > 1 then return (name, base, m, 1) else empty)
+  in
+  QCheck.Test.make ~name:"mutants: verdicts agree with the simulator"
+    ~count:400
+    (QCheck.make ~print:describe ~shrink gen)
+    (fun (_, base, m, inferences) ->
+      let p = mutate base m in
+      (match Check.diagnose p with
+      | [] -> ()
+      | ds ->
+          QCheck.Test.fail_reportf "structurally invalid: %s"
+            (String.concat ", " (List.map Diag.to_string ds)));
+      let rng = Puma_util.Rng.create 7 in
+      let inputs =
+        List.map
+          (fun (name, len) -> (name, Puma_util.Tensor.vec_rand rng len 0.8))
+          (Puma_runtime.Batch.input_lengths p)
+      in
+      let fails = simulator_fails ~inputs ~inferences p in
+      let codes = error_codes (Analyze.program p) in
+      let fatal = List.filter (fun c -> List.mem c fatal_codes) codes in
+      if fails && codes = [] then
+        QCheck.Test.fail_report "the simulator fails, but no error is reported";
+      if fatal <> [] && not fails then
+        QCheck.Test.fail_reportf "the simulator finishes despite %s"
+          (String.concat ", " fatal);
+      true)
 
 (* [brn.beq s0, s0] is always taken, so its taken arm's [set r0] is on
    the only path to the store, and pcs 2 and 3 never run. *)
@@ -994,6 +1192,9 @@ let () =
           Alcotest.test_case "fifo order" `Quick test_mutation_fifo_order;
           Alcotest.test_case "channel width" `Quick
             test_mutation_channel_width;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| 42 |])
+            prop_verdicts_agree;
         ] );
       ( "passes",
         [
@@ -1020,6 +1221,10 @@ let () =
           Alcotest.test_case "stopped run" `Quick test_stopped_run;
           Alcotest.test_case "blocked store reported once" `Quick
             test_blocked_store_reported_once;
+          Alcotest.test_case "indirect load out of range" `Quick
+            (indirect_out_of_range "load r0, @[s0], w=16");
+          Alcotest.test_case "indirect store out of range" `Quick
+            (indirect_out_of_range "store @[s0], r0, count=0, w=16");
         ] );
       ( "diag",
         [

@@ -135,6 +135,67 @@ let test_invalid_input_exits_1 () =
           [ "analyze"; "mlp"; "--input-range"; "5,-5" ];
         ])
 
+(* One-core program files that the simulator cannot finish: a load of a
+   word nothing writes deadlocks, and a register-indirect load past the
+   end of shared memory traps. [exec] and [profile] report either as an
+   error line and exit 1; [analyze] names the trap's E-SMEM. *)
+let test_simulator_failure_exits_1 () =
+  let module Program = Puma_isa.Program in
+  let config = { Puma_hwmodel.Config.sweetspot with mvmu_dim = 32 } in
+  let capacity = config.Puma_hwmodel.Config.smem_bytes / 2 in
+  let program source =
+    let layout = Puma_isa.Operand.layout config in
+    let code =
+      match Puma_isa.Asm.parse_program layout source with
+      | Ok code -> code
+      | Error e -> Alcotest.fail e
+    in
+    {
+      Program.config;
+      tiles =
+        [|
+          {
+            Program.tile_index = 0;
+            core_code = [| code |];
+            tile_code = [| Puma_isa.Instr.Halt |];
+            mvmu_images = [];
+          };
+        |];
+      inputs = [];
+      outputs = [];
+      constants = [];
+    }
+  in
+  let deadlock = Filename.temp_file "puma_deadlock" ".puma" in
+  let trap = Filename.temp_file "puma_trap" ".puma" in
+  Fun.protect
+    ~finally:(fun () ->
+      Sys.remove deadlock;
+      Sys.remove trap)
+    (fun () ->
+      Puma_isa.Program_io.save deadlock (program "load r0, @10, w=1\nhalt\n");
+      Puma_isa.Program_io.save trap
+        (program
+           (Printf.sprintf "set s0, #%d\nload r0, @[s0], w=16\nhalt\n"
+              (capacity - 8)));
+      List.iter
+        (fun args ->
+          let what = String.concat " " args in
+          let status, err = Cli_runner.run_capture args in
+          Alcotest.(check int) ("exit 1: " ^ what) 1 status;
+          Alcotest.(check bool) ("error line: " ^ what) true
+            (String.starts_with ~prefix:"error:" err))
+        [
+          [ "exec"; deadlock ];
+          [ "profile"; deadlock ];
+          [ "exec"; trap ];
+          [ "profile"; trap ];
+        ];
+      let status, out = Cli_runner.run_capture_out [ "analyze"; trap ] in
+      Alcotest.(check int) "analyze exits 1" 1 status;
+      Alcotest.(check bool) "E-SMEM where the load traps" true
+        (Puma_util.Strings.contains ~sub:"error[E-SMEM] tile 0 core 0 pc 1" out))
+
 (* A tiny serve run at dim 32 with a handful of arrivals, exercising the
    full record -> replay -> budget-gate pipeline through the real
    executable. *)
@@ -380,6 +441,8 @@ let () =
             test_bad_flag_values_exit_nonzero;
           Alcotest.test_case "invalid input -> 1" `Quick
             test_invalid_input_exits_1;
+          Alcotest.test_case "simulator failure -> 1" `Quick
+            test_simulator_failure_exits_1;
         ] );
       ( "serve",
         [

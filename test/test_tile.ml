@@ -22,10 +22,10 @@ let test_smem_counted_protocol () =
   Alcotest.(check bool) "overwrite blocked" false
     (Shared_mem.write m ~addr:0 ~values:[| 9 |] ~count:1);
   Alcotest.(check bool) "read 1" true (Shared_mem.read m ~addr:0 ~width:1 = Some [| 7 |]);
-  Alcotest.(check bool) "still valid" true (Shared_mem.valid m ~addr:0);
+  Alcotest.(check int) "one read left" 1 (Shared_mem.state m ~addr:0);
   Alcotest.(check bool) "read 2" true (Shared_mem.read m ~addr:0 ~width:1 = Some [| 7 |]);
   (* Consumed: invalid again, writable again. *)
-  Alcotest.(check bool) "invalidated" false (Shared_mem.valid m ~addr:0);
+  Alcotest.(check int) "invalidated" (-1) (Shared_mem.state m ~addr:0);
   Alcotest.(check bool) "read 3 blocks" true (Shared_mem.read m ~addr:0 ~width:1 = None);
   Alcotest.(check bool) "rewrite ok" true
     (Shared_mem.write m ~addr:0 ~values:[| 9 |] ~count:1)
@@ -47,13 +47,13 @@ let test_smem_partial_validity_blocks_vector_read () =
   Alcotest.(check bool) "wider read blocks" true
     (Shared_mem.read m ~addr:0 ~width:3 = None);
   (* The blocked read must not have consumed the valid words. *)
-  Alcotest.(check bool) "count preserved" true (Shared_mem.pending_count m ~addr:0 = 1)
+  Alcotest.(check int) "count preserved" 1 (Shared_mem.state m ~addr:0)
 
 let test_smem_peek_does_not_consume () =
   let m = Shared_mem.create ~words:4 in
   ignore (Shared_mem.write m ~addr:0 ~values:[| 5 |] ~count:1);
   Alcotest.(check bool) "peek" true (Shared_mem.peek m ~addr:0 ~width:1 = Some [| 5 |]);
-  Alcotest.(check bool) "still valid" true (Shared_mem.valid m ~addr:0)
+  Alcotest.(check int) "not consumed" 1 (Shared_mem.state m ~addr:0)
 
 let test_smem_bounds () =
   let m = Shared_mem.create ~words:4 in
@@ -64,15 +64,13 @@ let test_smem_bounds () =
      with Invalid_argument _ -> true)
 
 (* A blocked access touches nothing, wherever in the range the word that
-   blocks it sits: data, valid bits, counts and generation are unchanged. *)
+   blocks it sits: data, states and generation are unchanged. *)
 let test_smem_blocked_access_is_pure () =
   let addr = 1 and width = 5 in
   let snapshot m =
     ( Shared_mem.generation m,
       List.init (Shared_mem.words m) (fun a ->
-          ( Shared_mem.valid m ~addr:a,
-            Shared_mem.pending_count m ~addr:a,
-            Shared_mem.peek m ~addr:a ~width:1 )) )
+          (Shared_mem.state m ~addr:a, Shared_mem.peek m ~addr:a ~width:1)) )
   in
   let check_blocked name m f =
     let before = snapshot m in
@@ -226,7 +224,11 @@ let test_tile_receive_width_mismatch () =
        false
      with Invalid_argument _ -> true)
 
-(* ---- Property: the attribute protocol against a reference model ---- *)
+(* ---- Property: the attribute protocol against a reference model ----
+
+   The model keeps the paper's two attributes per word, a valid bit and a
+   consumer count; [Shared_mem.state] must be their one-int encoding, and
+   both blocker scans must name the model's first blocking word. *)
 
 type model_word = { mutable mvalid : bool; mutable mcount : int; mutable mdata : int }
 
@@ -240,9 +242,21 @@ let prop_smem_matches_model =
         Array.init words (fun _ -> { mvalid = false; mcount = 0; mdata = 0 })
       in
       let ok = ref true in
+      let first_model bad addr width =
+        let rec go k =
+          if k >= addr + width then -1 else if bad model.(k) then k else go (k + 1)
+        in
+        go addr
+      in
       for _ = 1 to 100 do
         let addr = Puma_util.Rng.int rng words in
         let width = 1 + Puma_util.Rng.int rng (words - addr) in
+        if
+          Shared_mem.read_blocker sut ~addr ~width
+          <> first_model (fun w -> not w.mvalid) addr width
+          || Shared_mem.write_blocker sut ~addr ~width
+             <> first_model (fun w -> w.mvalid && w.mcount > 0) addr width
+        then ok := false;
         match Puma_util.Rng.int rng 3 with
         | 0 ->
             (* write *)
@@ -293,9 +307,9 @@ let prop_smem_matches_model =
       done;
       (* Final states agree. *)
       for k = 0 to words - 1 do
-        if Shared_mem.valid sut ~addr:k <> model.(k).mvalid then ok := false;
-        if Shared_mem.pending_count sut ~addr:k <> model.(k).mcount then
-          ok := false
+        let w = model.(k) in
+        if Shared_mem.state sut ~addr:k <> if w.mvalid then w.mcount else -1
+        then ok := false
       done;
       !ok)
 
