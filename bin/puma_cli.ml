@@ -311,19 +311,8 @@ let compile_cmd =
       & opt (some string) None
       & info [ "o"; "output" ] ~doc:"Write the compiled program to a file.")
   in
-  let no_equiv =
-    Arg.(
-      value & flag
-      & info [ "no-equiv" ]
-          ~doc:
-            "Skip the translation validator (the symbolic proof that the \
-             compiled program computes the source dataflow).")
-  in
-  let run model asm output no_equiv machine config =
-    let options =
-      { Compile.default_options with check_equiv = not no_equiv }
-    in
-    let r = compile ~options ~machine config (graph_of (model_of model)) in
+  let run model asm output machine config =
+    let r = compile ~machine config (graph_of (model_of model)) in
     if machine.nodes > 1 then
       Printf.printf "partitioned %s across %d nodes (%d tiles/node)\n"
         (Partition.scheme_name machine.scheme)
@@ -373,8 +362,7 @@ let compile_cmd =
   Cmd.v
     (Cmd.info "compile" ~doc:"Compile a model and report compiler statistics")
     Term.(
-      const run $ model_pos $ asm $ output $ no_equiv $ partition_term
-      $ config_term)
+      const run $ model_pos $ asm $ output $ partition_term $ config_term)
 
 (* ---- run ---- *)
 
@@ -576,21 +564,10 @@ let analyze_cmd =
   let flag name doc = Arg.(value & flag & info [ name ] ~doc) in
   let all = flag "all" "Analyze every simulation-scale zoo model." in
   let json = flag "json" "Emit one JSON document instead of text." in
-  let ranges =
-    flag "ranges"
-      "Run the abstract-interpretation range analysis: report possible \
-       (W-SAT) and guaranteed (E-OVERFLOW) fixed-point saturation."
-  in
-  let resources =
-    flag "resources"
-      "Report static per-core resource use: register-pressure high-water \
-       marks, instruction-memory budgets, and lower-bound cycle/energy \
-       estimates."
-  in
   let dump_ranges =
     flag "dump-ranges"
-      "With the range analysis, also emit I-RANGE infos listing the inferred \
-       interval of every defined register (implies $(b,--ranges))."
+      "Also emit I-RANGE infos listing the inferred interval of every \
+       defined register."
   in
   let input_range =
     Arg.(
@@ -599,30 +576,17 @@ let analyze_cmd =
       & info [ "input-range" ] ~docv:"LO,HI"
           ~doc:
             "Assume every program input lies in [LO, HI] (floats; default \
-             the full fixed-point range). Implies $(b,--ranges).")
-  in
-  let order =
-    flag "order"
-      "Run the happens-before concurrency analysis: report shared-memory \
-       races (E-RACE) and receive FIFOs whose in-flight packets can exceed \
-       the FIFO depth or whose senders are unordered (E-FIFO-ORDER)."
+             the full fixed-point range).")
   in
   let dump_hb =
     flag "dump-hb"
-      "With the happens-before analysis, also dump the cross-stream ordering \
-       edges as I-ORDER infos (implies $(b,--order))."
+      "Also dump the happens-before analysis' cross-stream ordering edges \
+       as I-ORDER infos."
   in
   let no_repair =
     flag "no-repair"
       "Compile zoo models without the channel repair pass, so E-FIFO-ORDER \
        hazards in the raw generated code stay visible."
-  in
-  let equiv =
-    flag "equiv"
-      "Run the translation validator: symbolically execute the program and \
-       prove every output word equals the source dataflow (E-EQUIV on \
-       refutation). Model targets validate against their own compilation; \
-       program files need $(b,--reference)."
   in
   let reference =
     Arg.(
@@ -630,9 +594,11 @@ let analyze_cmd =
       & opt (some string) None
       & info [ "reference" ] ~docv:"MODEL"
           ~doc:
-            "With $(b,--equiv), the model whose dataflow program-file \
-             targets are validated against (compiled at the same \
-             $(b,--dim)).")
+            "The model whose dataflow program-file targets are validated \
+             against (compiled at the same $(b,--dim)). Without it a \
+             program file gets no translation validation, and an I-SKIP \
+             info says so; model targets always validate against their own \
+             compilation.")
   in
   let budget =
     Arg.(
@@ -644,13 +610,11 @@ let analyze_cmd =
              program reports an error code not allowlisted for it in FILE, \
              or more warnings than FILE budgets for it.")
   in
-  let run targets all json ranges resources dump_ranges input_range order
-      dump_hb no_repair equiv reference budget config =
+  let run targets all json dump_ranges input_range dump_hb no_repair
+      reference budget config =
     let targets = if all then List.map fst mini_models else targets in
     if targets = [] then
       exit_err "nothing to analyze (name a model or program file, or use --all)";
-    let ranges = ranges || dump_ranges || input_range <> None in
-    let order = order || dump_hb in
     let input_range =
       Option.map
         (fun (lo, hi) ->
@@ -664,7 +628,7 @@ let analyze_cmd =
         input_range
     in
     (* No gates in the compile: [Analyze.program] below runs them once,
-       with the user's flags and the compilation's own reference
+       as a gated compile does, against the compilation's own reference
        dataflow. *)
     let options =
       {
@@ -675,33 +639,38 @@ let analyze_cmd =
       }
     in
     let compile_model m = compile ~options config (graph_of m) in
-    (* With --equiv, program-file targets are validated against the
-       dataflow of --reference MODEL, compiled once at the same --dim. *)
+    (* Program-file targets are validated against the dataflow of
+       --reference MODEL, compiled once at the same --dim. *)
     let reference_dataflow =
       lazy
-        (match reference with
-        | None ->
-            exit_err
-              "--equiv on a program file needs --reference MODEL (the \
-               source dataflow to validate against)"
-        | Some name -> (compile_model (model_of name)).Compile.equiv_reference)
+        (Option.map
+           (fun name -> (compile_model (model_of name)).Compile.equiv_reference)
+           reference)
     in
     let report_of target =
-      let analyze ?layer_of equiv_reference program =
-        Puma_analysis.Analyze.program ~ranges ~resources ?input_range
-          ~dump_ranges ~order ~dump_hb
-          ?equiv:(if equiv then Some (Lazy.force equiv_reference) else None)
-          ?layer_of program
+      let analyze ?layer_of ?equiv program =
+        Puma_analysis.Analyze.program ~ranges:true ~resources:true
+          ?input_range ~dump_ranges ~order:true ~dump_hb ?equiv ?layer_of
+          program
       in
       (* A compiled program file analyzes as-is (even if broken); a model
          compiles first, which also yields instruction->layer provenance
          for imem attribution. *)
       match resolve ~check:false target with
-      | `Program program -> analyze reference_dataflow program
+      | `Program program -> (
+          match Lazy.force reference_dataflow with
+          | Some equiv -> analyze ~equiv program
+          | None ->
+              let r = analyze program in
+              Puma_analysis.Analyze.make_report
+                (List.sort Diag.compare
+                   (Diag.info ~code:"I-SKIP"
+                      "translation validation not run: a program file is \
+                       validated only against --reference MODEL"
+                   :: r.Puma_analysis.Analyze.diags)))
       | `Model m ->
           let r = compile_model m in
-          analyze ~layer_of:r.Compile.layer_of
-            (lazy r.Compile.equiv_reference)
+          analyze ~layer_of:r.Compile.layer_of ~equiv:r.Compile.equiv_reference
             r.Compile.program
     in
     let reports = List.map (fun t -> (t, report_of t)) targets in
@@ -734,12 +703,12 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze"
        ~doc:
-         "Run the static analyzers (dataflow, deadlock, value ranges, \
-          resource estimates, concurrency ordering) on compiled programs")
+         "Run every static gate a compile runs (dataflow, deadlock, value \
+          ranges, resource estimates, concurrency ordering, translation \
+          validation) on compiled programs")
     Term.(
-      const run $ targets $ all $ json $ ranges $ resources $ dump_ranges
-      $ input_range $ order $ dump_hb $ no_repair $ equiv $ reference
-      $ budget $ config_term)
+      const run $ targets $ all $ json $ dump_ranges $ input_range $ dump_hb
+      $ no_repair $ reference $ budget $ config_term)
 
 (* ---- batch ---- *)
 

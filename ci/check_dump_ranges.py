@@ -5,20 +5,12 @@
 
 Drops every diagnostic whose code is one of CODE from both reports,
 adjusts each program's error/warning/info counts and the total error
-count to match, and requires what is left to be equal. CI uses it two
-ways:
+count to match, and requires what is left to be equal. CI uses it to
+check that `--dump-ranges`, which keeps per-pc range states and adds
+I-RANGE infos, changes no other diagnostic:
 
-- `--dump-ranges` keeps per-pc range states and adds I-RANGE infos:
-
-      puma_cli analyze --all --ranges --resources --order --equiv --json \\
-          --dump-ranges > dump.json
-      python3 ci/check_dump_ranges.py dump.json ci/analyze_zoo.json I-RANGE
-
-- value ranges and cost bounds do not depend on `--equiv`:
-
-      puma_cli analyze --all --ranges --resources --order --json > plain.json
-      python3 ci/check_dump_ranges.py plain.json ci/analyze_zoo.json \\
-          I-EQUIV E-EQUIV W-EQUIV-UNKNOWN
+    puma_cli analyze --all --json --dump-ranges > dump.json
+    python3 ci/check_dump_ranges.py dump.json ci/analyze_zoo.json I-RANGE
 """
 
 import json

@@ -109,10 +109,10 @@ let program ?(ranges = false) ?(resources = false) ?input_range
       @ (if resources then Resource.report (Resource.estimate ~run p) else [])
     end
   in
-  (* Translation validation runs even on structurally invalid programs
-     (like imem attribution): the symbolic executor defends itself and
-     degrades to W-EQUIV-UNKNOWN, and e.g. an over-budget stream (E-IMEM)
-     is exactly where a semantic verdict is still meaningful. *)
+  (* Translation validation reports on structurally invalid programs too
+     (like imem attribution): the run does not start on a Check error
+     other than E-IMEM, and says so in one W-EQUIV-UNKNOWN, while an
+     over-budget stream (E-IMEM) still gets a meaningful verdict. *)
   let diags =
     match equiv with
     | None -> diags

@@ -44,9 +44,10 @@ val program :
     ([E-RACE] / [E-FIFO-ORDER]); [dump_hb] additionally dumps the HB
     graph as [I-ORDER] infos (implies [order]). [equiv] (default off)
     runs the translation validator ({!Equiv}) against the given
-    reference dataflow; unlike the other semantic passes it also runs on
-    structurally invalid programs, degrading to [W-EQUIV-UNKNOWN] where
-    the program cannot be modelled. One run serves every requested pass;
+    reference dataflow; unlike the other semantic passes it also reports
+    on structurally invalid programs: one [W-EQUIV-UNKNOWN] naming the
+    first [Check] error other than [E-IMEM], or a verdict when [E-IMEM]
+    is the only one. One run serves every requested pass;
     [run] supplies one the caller made already (with the same
     [input_range], [dump_ranges] and [equiv]). *)
 

@@ -394,13 +394,13 @@ let eval_reference st (df : dataflow) =
               bail "reference node %d: MVM output shorter than its segment" i;
             Array.sub out 0 n.len
         | R_alu op ->
+            let a = pred 0 in
+            let b = if Instr.alu_op_arity op = 1 then a else pred 1 in
+            if Array.length a < n.len || Array.length b < n.len then
+              bail "reference node %d: operands shorter than the segment" i;
             if Instr.alu_op_arity op = 1 then
-              let a = pred 0 in
               Array.init n.len (fun j -> intern st (S_op1 (op, a.(j))))
             else
-              let a = pred 0 and b = pred 1 in
-              if Array.length a < n.len || Array.length b < n.len then
-                bail "reference node %d: operands shorter than the segment" i;
               Array.init n.len (fun j -> intern st (S_op2 (op, a.(j), b.(j))))
         | R_alui { op; imm } ->
             let a = pred 0 in
@@ -711,12 +711,12 @@ let end_checks (p : Program.t) ~streams ~tiles ~channels =
         let pos = b.Program.tile in
         let rec go k =
           let a = b.Program.mem_addr + k and mem = tiles.(pos).mem in
-          if k >= b.Program.length || a < 0 || a >= Shared_mem.words mem then None
+          if k >= b.Program.length then None
           else if Shared_mem.state mem ~addr:a >= 0 || can pos (may_write a) <> []
           then go (k + 1)
           else Some (dead_read pos a (Printf.sprintf "output binding %S" b.Program.name))
         in
-        if pos < 0 || pos >= Array.length tiles then None else go 0)
+        go 0)
       p.Program.outputs
   in
   stuck @ deadlocks @ unreceived @ unread @ outputs
@@ -886,11 +886,7 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       p.Program.tiles;
     (* Host writes: inputs symbolic, constants concrete raws (sticky). *)
     let host_write ~tile ~addr word =
-      if tile < 0 || tile >= ntiles then
-        bail "I/O binding names tile %d outside the program" tile;
       let ts = tiles.(tile) in
-      if addr < 0 || addr >= smem_words then
-        bail ~tile "I/O binding writes shared-memory word %d out of range" addr;
       Shared_mem.host_write ts.mem ~addr ~values:[| word |];
       ts.wr_core.(addr) <- -2;
       ts.wr_pc.(addr) <- -1
@@ -904,11 +900,11 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       p.Program.inputs;
     List.iter
       (fun ((b : Program.io_binding), raws) ->
-        for k = 0 to b.Program.length - 1 do
-          let w = if k < Array.length raws then raws.(k) else 0 in
-          host_write ~tile:b.Program.tile ~addr:(b.Program.mem_addr + k)
-            (intern st (S_const w))
-        done)
+        Array.iteri
+          (fun k w ->
+            host_write ~tile:b.Program.tile ~addr:(b.Program.mem_addr + k)
+              (intern st (S_const w)))
+          raws)
       p.Program.constants;
     (* A second sender makes a channel's arrival order
        scheduler-dependent, so the run stops there. *)
@@ -937,35 +933,21 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
            true
          end
     in
-    (* ---- One symbolic step of a stream ---- *)
+    (* ---- One symbolic step of a stream ----
+
+       [Check] has passed the program (but for [E-IMEM]), so every
+       register operand, scalar register, MVM mask, immediate address and
+       stream kind is in range; only values the run computes are checked
+       here. *)
     let step_stream (s : stream) =
       if s.halted then Halted_step
-      else if s.pc < 0 || s.pc >= Array.length s.code then begin
+      else if s.pc >= Array.length s.code then begin
         s.halted <- true;
         Halted_step
       end
       else begin
         let tile = s.s_tile in
         let ts = tiles.(tile) in
-        let here fmt =
-          match s.s_core with
-          | Some c -> bail ~tile ~core:c ~pc:s.pc fmt
-          | None -> bail ~tile ~pc:s.pc fmt
-        in
-        (* An access outside shared memory traps the runtime: record that,
-           then stop the run, whose state past the trap means nothing. *)
-        let smem_range what addr width =
-          if addr < 0 || width < 0 || addr + width > smem_words then begin
-            trapped :=
-              Diag.error ~code:"E-SMEM" ~tile:(index tile) ?core:s.s_core
-                ~pc:s.pc
-                "%s of [%d, %d) leaves the %d-word shared memory: the \
-                 runtime traps here"
-                what addr (addr + width) smem_words
-              :: !trapped;
-            here "%s [%d, %d) outside shared memory" what addr (addr + width)
-          end
-        in
         let count () = ignore (Grow.push s.trace s.pc) in
         let halt () =
           count ();
@@ -991,14 +973,14 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
         | None -> (
             (* Tile control unit: send / receive / halt only. *)
             match s.code.(s.pc) with
-            | Instr.Halt -> halt ()
             | Instr.Send { mem_addr; fifo_id; target; vec_width } -> (
-                smem_range "send" mem_addr vec_width;
                 match Shared_mem.read ts.mem ~addr:mem_addr ~width:vec_width with
                 | None -> Blocked
                 | Some words -> (
                     match Hashtbl.find_opt tile_pos target with
-                    | None -> here "send targets tile %d outside the node" target
+                    | None ->
+                        bail ~tile:(index tile) ~pc:s.pc
+                          "send targets tile %d outside the node" target
                     | Some dst ->
                         Queue.add (s.pc, words) (channel (dst, fifo_id) tile);
                         retire ()))
@@ -1012,7 +994,6 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                        agreed, so the checks still see the rest. *)
                     let send_pc, packet = Queue.peek q in
                     let n = Array.length packet in
-                    smem_range "receive" mem_addr vec_width;
                     let words =
                       if n = vec_width then packet
                       else
@@ -1037,168 +1018,133 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
                       retire ()
                     end
                     else Blocked)
-            | _ -> here "non-send/receive instruction in a tile stream")
-        | Some c ->
-            if c >= Array.length ts.cores then
-              here "core index %d outside the tile" c
-            else begin
-              let cs = ts.cores.(c) in
-              let rd_range base width =
-                if base < 0 || width < 0 || base + width > total then
-                  here "register range [%d, %d) out of range" base
-                    (base + width)
-              in
-              let sreg i =
-                if i < 0 || i >= Operand.num_scalar_regs then
-                  here "scalar register %d out of range" i;
-                cs.sregs.(i)
-              in
-              let set_sreg i v =
-                if i < 0 || i >= Operand.num_scalar_regs then
-                  here "scalar register %d out of range" i;
-                cs.sregs.(i) <- v
-              in
-              let resolve = function
-                | Instr.Imm_addr a -> a
-                | Instr.Sreg_addr s -> sreg s
-              in
-              (* A computed lane: its term's flags count toward this pc. *)
-              let put k id =
-                cs.regs.(k) <- id;
-                note id
-              in
-              match s.code.(s.pc) with
-              | Instr.Halt -> halt ()
-              | Instr.Mvm { mask; filter = _; stride } ->
-                  if mask lsr nmvmus <> 0 then
-                    here "MVM mask activates a non-existent MVMU";
-                  if stride < 0 || stride >= dim then
-                    here "MVM stride %d outside [0, %d)" stride dim;
-                  for m = 0 to nmvmus - 1 do
-                    if mask land (1 lsl m) <> 0 then begin
-                      incr mvm_apps;
-                      let xin = Operand.xbar_in layout ~mvmu:m ~elem:0 in
-                      let xout = Operand.xbar_out layout ~mvmu:m ~elem:0 in
-                      match Hashtbl.find_opt images (tile, c, m) with
-                      | Some mat ->
-                          let arg =
-                            Array.init dim (fun j ->
-                                cs.regs.(xin + ((j + stride) mod dim)))
-                          in
-                          Array.iteri
-                            (fun i w -> put (xout + i) w)
-                            (apply_mvm st ~mat arg)
-                      | None ->
-                          (* Unprogrammed crossbar: exactly zero. *)
-                          Array.fill cs.regs xout dim st.const0
-                    end
-                  done;
-                  settle s;
-                  retire ()
-              | Instr.Alu { op; dest; src1; src2; vec_width } ->
-                  (match op with
-                  | Instr.Subsample ->
-                      rd_range src1 (2 * vec_width);
-                      rd_range dest vec_width;
-                      for k = 0 to vec_width - 1 do
-                        cs.regs.(dest + k) <- cs.regs.(src1 + (2 * k))
-                      done
-                  | Instr.Rand ->
-                      rd_range dest vec_width;
-                      for k = 0 to vec_width - 1 do
-                        cs.regs.(dest + k) <- fresh_undef st
-                      done
-                  | _ when Instr.alu_op_arity op = 1 ->
-                      rd_range src1 vec_width;
-                      rd_range dest vec_width;
-                      for k = 0 to vec_width - 1 do
-                        put (dest + k) (intern st (S_op1 (op, cs.regs.(src1 + k))))
-                      done
-                  | _ ->
-                      rd_range src1 vec_width;
-                      rd_range src2 vec_width;
-                      rd_range dest vec_width;
-                      for k = 0 to vec_width - 1 do
-                        put (dest + k)
-                          (intern st
-                             (S_op2 (op, cs.regs.(src1 + k), cs.regs.(src2 + k))))
-                      done);
-                  settle s;
-                  retire ()
-              | Instr.Alui { op; dest; src1; imm; vec_width } ->
-                  rd_range src1 vec_width;
-                  rd_range dest vec_width;
-                  let c_imm = intern st (S_const imm) in
-                  (if Instr.alu_op_arity op = 1 then
-                     for k = 0 to vec_width - 1 do
-                       put (dest + k) (intern st (S_op1 (op, cs.regs.(src1 + k))))
-                     done
-                   else
-                     for k = 0 to vec_width - 1 do
-                       put (dest + k)
-                         (intern st (S_op2 (op, cs.regs.(src1 + k), c_imm)))
-                     done);
-                  settle s;
-                  retire ()
-              | Instr.Alu_int { op; dest; src1; src2 } ->
-                  let a = sreg src1 and b = sreg src2 in
-                  let v =
-                    match op with
-                    | Instr.Iadd -> a + b
-                    | Instr.Isub -> a - b
-                    | Instr.Ieq -> if a = b then 1 else 0
-                    | Instr.Ine -> if a <> b then 1 else 0
-                    | Instr.Igt -> if a > b then 1 else 0
-                  in
-                  set_sreg dest v;
-                  retire ()
-              | Instr.Set { dest; imm } ->
-                  rd_range dest 1;
-                  cs.regs.(dest) <- intern st (S_const imm);
-                  retire ()
-              | Instr.Set_sreg { dest; imm } ->
-                  set_sreg dest imm;
-                  retire ()
-              | Instr.Copy { dest; src; vec_width } ->
-                  rd_range src vec_width;
-                  rd_range dest vec_width;
-                  (* Overlap-safe like the hardware's element loop. *)
-                  for k = 0 to vec_width - 1 do
-                    cs.regs.(dest + k) <- cs.regs.(src + k)
-                  done;
-                  retire ()
-              | Instr.Load { dest; addr; vec_width } ->
-                  let a = resolve addr in
-                  smem_range "load" a vec_width;
-                  rd_range dest vec_width;
-                  if
-                    Shared_mem.read_into ts.mem ~addr:a ~width:vec_width
-                      ~dst:cs.regs ~dst_pos:dest
-                  then retire ()
-                  else Blocked
-              | Instr.Store { src; addr; count; vec_width } ->
-                  let a = resolve addr in
-                  smem_range "store" a vec_width;
-                  rd_range src vec_width;
-                  if
-                    smem_write ts ~addr:a ~src:cs.regs ~src_pos:src
-                      ~width:vec_width ~count ~writer_core:c ~writer_pc:s.pc
-                  then retire ()
-                  else Blocked
-              | Instr.Jmp { pc } -> jump pc
-              | Instr.Brn { op; src1; src2; pc } ->
-                  let a = sreg src1 and b = sreg src2 in
-                  let taken =
-                    match op with
-                    | Instr.Beq -> a = b
-                    | Instr.Bne -> a <> b
-                    | Instr.Blt -> a < b
-                    | Instr.Bge -> a >= b
-                  in
-                  if taken then jump pc else retire ()
-              | Instr.Send _ | Instr.Receive _ ->
-                  here "tile instruction in a core stream"
-            end
+            | _ ->
+                (* [Halt]: [Check] keeps core instructions out. *)
+                halt ())
+        | Some c -> (
+            let cs = ts.cores.(c) in
+            (* A register-indirect access outside shared memory traps the
+               runtime: record that, then stop the run, whose state past
+               the trap means nothing. *)
+            let resolve what addr width =
+              match addr with
+              | Instr.Imm_addr a -> a
+              | Instr.Sreg_addr r ->
+                  let a = cs.sregs.(r) in
+                  if a < 0 || a + width > smem_words then begin
+                    trapped :=
+                      Diag.error ~code:"E-SMEM" ~tile:(index tile) ~core:c
+                        ~pc:s.pc
+                        "%s of [%d, %d) leaves the %d-word shared memory: \
+                         the runtime traps here"
+                        what a (a + width) smem_words
+                      :: !trapped;
+                    bail ~tile:(index tile) ~core:c ~pc:s.pc
+                      "%s [%d, %d) outside shared memory" what a (a + width)
+                  end;
+                  a
+            in
+            (* A computed lane: its term's flags count toward this pc. *)
+            let put k id =
+              cs.regs.(k) <- id;
+              note id
+            in
+            match s.code.(s.pc) with
+            | Instr.Mvm { mask; filter = _; stride } ->
+                for m = 0 to nmvmus - 1 do
+                  if mask land (1 lsl m) <> 0 then begin
+                    incr mvm_apps;
+                    let xin = Operand.xbar_in layout ~mvmu:m ~elem:0 in
+                    let xout = Operand.xbar_out layout ~mvmu:m ~elem:0 in
+                    match Hashtbl.find_opt images (tile, c, m) with
+                    | Some mat ->
+                        let arg =
+                          Array.init dim (fun j ->
+                              cs.regs.(xin + ((j + stride) mod dim)))
+                        in
+                        Array.iteri
+                          (fun i w -> put (xout + i) w)
+                          (apply_mvm st ~mat arg)
+                    | None ->
+                        (* Unprogrammed crossbar: exactly zero. *)
+                        Array.fill cs.regs xout dim st.const0
+                  end
+                done;
+                settle s;
+                retire ()
+            | Instr.Alu { op; dest; src1; src2; vec_width } ->
+                (match op with
+                | Instr.Subsample ->
+                    for k = 0 to vec_width - 1 do
+                      cs.regs.(dest + k) <- cs.regs.(src1 + (2 * k))
+                    done
+                | Instr.Rand ->
+                    for k = 0 to vec_width - 1 do
+                      cs.regs.(dest + k) <- fresh_undef st
+                    done
+                | _ when Instr.alu_op_arity op = 1 ->
+                    for k = 0 to vec_width - 1 do
+                      put (dest + k) (intern st (S_op1 (op, cs.regs.(src1 + k))))
+                    done
+                | _ ->
+                    for k = 0 to vec_width - 1 do
+                      put (dest + k)
+                        (intern st
+                           (S_op2 (op, cs.regs.(src1 + k), cs.regs.(src2 + k))))
+                    done);
+                settle s;
+                retire ()
+            | Instr.Alui { op; dest; src1; imm; vec_width } ->
+                let c_imm = intern st (S_const imm) in
+                (if Instr.alu_op_arity op = 1 then
+                   for k = 0 to vec_width - 1 do
+                     put (dest + k) (intern st (S_op1 (op, cs.regs.(src1 + k))))
+                   done
+                 else
+                   for k = 0 to vec_width - 1 do
+                     put (dest + k)
+                       (intern st (S_op2 (op, cs.regs.(src1 + k), c_imm)))
+                   done);
+                settle s;
+                retire ()
+            | Instr.Alu_int { op; dest; src1; src2 } ->
+                cs.sregs.(dest) <-
+                  Puma_arch.Sfu.apply op cs.sregs.(src1) cs.sregs.(src2);
+                retire ()
+            | Instr.Set { dest; imm } ->
+                cs.regs.(dest) <- intern st (S_const imm);
+                retire ()
+            | Instr.Set_sreg { dest; imm } ->
+                cs.sregs.(dest) <- imm;
+                retire ()
+            | Instr.Copy { dest; src; vec_width } ->
+                (* Overlap-safe like the hardware's element loop. *)
+                for k = 0 to vec_width - 1 do
+                  cs.regs.(dest + k) <- cs.regs.(src + k)
+                done;
+                retire ()
+            | Instr.Load { dest; addr; vec_width } ->
+                let a = resolve "load" addr vec_width in
+                if
+                  Shared_mem.read_into ts.mem ~addr:a ~width:vec_width
+                    ~dst:cs.regs ~dst_pos:dest
+                then retire ()
+                else Blocked
+            | Instr.Store { src; addr; count; vec_width } ->
+                let a = resolve "store" addr vec_width in
+                if
+                  smem_write ts ~addr:a ~src:cs.regs ~src_pos:src
+                    ~width:vec_width ~count ~writer_core:c ~writer_pc:s.pc
+                then retire ()
+                else Blocked
+            | Instr.Jmp { pc } -> jump pc
+            | Instr.Brn { op; src1; src2; pc } ->
+                if Puma_arch.Sfu.branch_taken op cs.sregs.(src1) cs.sregs.(src2)
+                then jump pc
+                else retire ()
+            | Instr.Halt | Instr.Send _ | Instr.Receive _ ->
+                (* [Halt]: [Check] keeps tile instructions out. *)
+                halt ())
       end
     in
     (* ---- Round-robin run-until-blocked scheduling ---- *)
@@ -1232,13 +1178,26 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
              (List.length blocked))
     end
   in
-  (try execute () with
-  | Bail d -> stopped := Some d
-  | Invalid_argument m ->
+  (* The run trusts [Check]: a program it rejects stops before its first
+     step. [E-IMEM] is exempt, since an over-budget stream executes like
+     any other and its verdict still means something. *)
+  (match
+     List.find_opt
+       (fun (d : Diag.t) -> d.code <> "E-IMEM")
+       (Puma_isa.Check.diagnose p)
+   with
+  | Some d ->
       stopped :=
         Some
-          (Diag.warning ~code:"W-EQUIV-UNKNOWN"
-             "symbolic execution aborted on a malformed program: %s" m));
+          {
+            d with
+            code = "W-EQUIV-UNKNOWN";
+            severity = Diag.Warning;
+            message =
+              Printf.sprintf "the program fails the structural check (%s: %s)"
+                d.code d.message;
+          }
+  | None -> ( try execute () with Bail d -> stopped := Some d));
   (* A run that stopped short leaves a prefix's state, which the checks
      would misread; one warning says what they do not cover. *)
   let checks =
@@ -1336,14 +1295,9 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
       in
       List.iter
         (fun (b : Program.io_binding) ->
-          if b.Program.tile < 0 || b.Program.tile >= ntiles then
-            bail "output %s binds tile %d outside the program" b.Program.name
-              b.Program.tile;
           let ts = tiles.(b.Program.tile) in
           for k = 0 to b.Program.length - 1 do
             let a = b.Program.mem_addr + k in
-            if a < 0 || a >= smem_words then
-              bail "output %s binds shared memory out of range" b.Program.name;
             match Shared_mem.peek ts.mem ~addr:a ~width:1 with
             | Some [| w |] ->
                 Hashtbl.replace got
@@ -1433,17 +1387,11 @@ let run ?(fuel = 4_000_000) ?(input_range = (Fixed.min_raw, Fixed.max_raw))
           (0, 0)
       | [], None -> (
           Option.iter push_diag !wedged;
-          try compare_outputs () with
-          | Bail d ->
-              incr unknowns;
-              push_diag d;
-              (0, 0)
-          | Invalid_argument m ->
-              incr unknowns;
-              push_diag
-                (Diag.warning ~code:"W-EQUIV-UNKNOWN"
-                   "symbolic execution aborted on a malformed program: %s" m);
-              (0, 0))
+          try compare_outputs ()
+          with Bail d ->
+            incr unknowns;
+            push_diag d;
+            (0, 0))
     in
     let has_errors =
       List.exists (fun (d : Diag.t) -> d.Diag.severity = Diag.Error) !diags

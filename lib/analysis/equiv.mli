@@ -98,7 +98,7 @@ type verdict =
   | Unknown
       (** The proof could not be completed (fuel exhausted, undefined
           values reaching outputs, scheduler-dependent channel sharing,
-          or a structurally unexecutable program). *)
+          or a program [Check] rejects). *)
 
 type result = {
   verdict : verdict;
@@ -131,11 +131,12 @@ type run = {
           executed prefix ([checks] says so). *)
   checks : Diag.t list;
       (** [E-CHANW] per receive that met a packet of another width,
-          [E-SMEM] at an access outside shared memory (the run stops
-          there), and the checks over the state the run ends in (see
-          docs/ANALYSIS.md): [E-CONSUME], [E-SENDU], [E-RBW], [E-RECVU]
-          and [E-DEADLOCK]. A run that stopped short (a bail, fuel
-          exhaustion or a fifo written by several tiles) gets one
+          [E-SMEM] at a register-indirect access outside shared memory
+          (the run stops there), and the checks over the state the run
+          ends in (see docs/ANALYSIS.md): [E-CONSUME], [E-SENDU],
+          [E-RBW], [E-RECVU] and [E-DEADLOCK]. A run that stopped short
+          (a [Check] error, an [E-SMEM] trap, fuel exhaustion or a fifo
+          written by several tiles) gets one
           [W-RANGE-PARTIAL] naming the reason instead: its ranges, the
           register checks and these checks cover only the executed
           prefix. *)
@@ -164,14 +165,21 @@ val run :
     intervals: off, [run.ranges] is empty and the run costs what the
     comparison alone needs. [keep_ranges] (implies [ranges]) keeps
     per-pc intervals for [interval] and the [I-RANGE] dump. With
-    [reference], the outputs are compared against it ({!check}). Never
-    raises on malformed programs: anything the executor cannot model
-    soundly stops the run. Raises [Invalid_argument] on an empty
-    [input_range] ([lo > hi]), which would otherwise turn the range
-    check off. *)
+    [reference], the outputs are compared against it ({!check}).
+
+    The run trusts {!Puma_isa.Check}: it calls [Check.diagnose] once,
+    and a program with any error other than [E-IMEM] stops before its
+    first step, with one [W-EQUIV-UNKNOWN] (and one [W-RANGE-PARTIAL] in
+    [checks]) naming the first such code. The executor re-checks no
+    register, mask, stream kind or immediate address; it checks only
+    the values it computes: a register-indirect address ([E-SMEM]), a
+    packet's width ([E-CHANW]), a fifo's second sender, fuel and a send
+    target's tile index. Never raises on a program [Check] passes or
+    rejects. Raises [Invalid_argument] on an empty [input_range]
+    ([lo > hi]), which would otherwise turn the range check off. *)
 
 val check : ?fuel:int -> reference:dataflow -> Puma_isa.Program.t -> result
 (** [check ~reference p] is [run]'s comparison of [p]'s output
     provenance against [reference]. Fuel exhaustion yields
-    [W-EQUIV-UNKNOWN], never a spurious refutation; anything the executor
-    cannot model soundly degrades to [Unknown]. *)
+    [W-EQUIV-UNKNOWN], never a spurious refutation; a program [Check]
+    rejects (but for [E-IMEM]) is [Unknown]. *)

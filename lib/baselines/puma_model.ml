@@ -14,7 +14,6 @@ type estimate = {
 
 let fi = Float.of_int
 let ceil_div a b = (a + b - 1) / b
-let offchip_bw_bytes = 6.4e9
 
 type layer_timing = {
   t_first : float;  (** Cycles until the first result of an execution. *)
@@ -85,7 +84,8 @@ let layer_timing config ~copies (l : Workload.layer_info) =
     let reduce_words = (l.col_blocks - 1) * l.row_blocks * dim in
     let reduce_offchip =
       if layer_nodes > 1 then
-        seconds_to_cycles c (fi (reduce_words * 2) /. offchip_bw_bytes)
+        seconds_to_cycles c
+          (fi (reduce_words * 2) /. Puma_noc.Offchip.link_bandwidth_bytes_per_sec)
       else 0.0
     in
     let vec_per_wave =
@@ -102,7 +102,8 @@ let layer_timing config ~copies (l : Workload.layer_info) =
     in
     let out_offchip =
       if layer_nodes > 1 then
-        seconds_to_cycles c (out_per_wave *. 2.0 /. offchip_bw_bytes)
+        seconds_to_cycles c
+          (out_per_wave *. 2.0 /. Puma_noc.Offchip.link_bandwidth_bytes_per_sec)
       else 0.0
     in
     let comm =

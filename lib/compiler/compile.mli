@@ -64,7 +64,7 @@ type result = {
       (** The reference dataflow extracted from the lowered graph
           ({!Lgraph.to_reference}) — always present, so callers can
           revalidate a saved/mutated program file against this model
-          (the CLI's [analyze --equiv --reference]). *)
+          (the CLI's [analyze --reference]). *)
   layer_of : Puma_analysis.Resource.layer_of;
       (** Instruction-level provenance: the source-graph layer label
           (matrix / binding name, glue ops inheriting their nearest

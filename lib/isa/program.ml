@@ -70,17 +70,6 @@ let all_tile_instrs t =
     [] t.tiles
   |> List.rev
 
-let code_size_ok t =
-  let core_cap = t.config.imem_core_bytes in
-  let tile_cap = t.config.imem_tile_bytes in
-  Array.for_all
-    (fun tile ->
-      Encode.program_bytes tile.tile_code <= tile_cap
-      && Array.for_all
-           (fun code -> Encode.program_bytes code <= core_cap)
-           tile.core_code)
-    t.tiles
-
 let iter_instrs t f =
   Array.iter
     (fun tile ->

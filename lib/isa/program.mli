@@ -61,10 +61,6 @@ val num_instrs : t -> int
 val all_core_instrs : t -> Instr.t list
 val all_tile_instrs : t -> Instr.t list
 
-val code_size_ok : t -> bool
-(** All core streams fit the core instruction memory and all tile streams
-    fit the tile instruction memory (encoded at 7 bytes each). *)
-
 val iter_instrs : t -> (Instr.t -> unit) -> unit
 
 val footprint : t -> int -> int

@@ -63,6 +63,3 @@ let transfer_cycles t (c : Puma_hwmodel.Config.t) ~src ~dst ~words =
 let offchip_words t ~src ~dst ~words =
   let h = hops t (node_of t src) (node_of t dst) in
   if t.zero_cost then 0 else words * h
-
-let transfer_energy_pj t ~src ~dst ~words =
-  Float.of_int (offchip_words t ~src ~dst ~words) *. Offchip.energy_pj_per_word

@@ -1,10 +1,11 @@
 (** Chip-to-chip interconnect between PUMA nodes (Section 3.2.5).
 
     A fabric describes how [nodes] chips are wired together and what a
-    message pays to cross between them. Costs come from {!Offchip} — the
-    same constants the analytical estimator uses — so the functional
+    message pays to cross between them. Latency comes from {!Offchip} —
+    the same link the analytical estimator uses — so the functional
     cluster simulation and the estimator can never drift: one fabric hop
-    costs exactly [Offchip.transfer_cycles] / [Offchip.transfer_energy_pj].
+    costs exactly [Offchip.transfer_cycles], and each word charges one
+    [Offchip] energy event per link ({!offchip_words}).
 
     Tiles are numbered globally; the fabric maps a tile to its owning
     node by contiguous blocks of [tiles_per_node]. *)
@@ -52,6 +53,3 @@ val transfer_cycles :
 
 val offchip_words : t -> src:int -> dst:int -> words:int -> int
 (** [Offchip] energy events (one per word per link) the message charges. *)
-
-val transfer_energy_pj : t -> src:int -> dst:int -> words:int -> float
-(** [offchip_words * Offchip.energy_pj_per_word]. *)

@@ -1,10 +1,7 @@
 let link_bandwidth_bytes_per_sec = 6.4e9
-let energy_pj_per_word = 320.0
 
 let transfer_cycles (c : Puma_hwmodel.Config.t) ~words =
   let bytes = Float.of_int (words * 2) in
   let seconds = bytes /. link_bandwidth_bytes_per_sec in
   let cycles = seconds *. c.frequency_ghz *. 1.0e9 in
   max 1 (Float.to_int (Float.ceil cycles))
-
-let transfer_energy_pj ~words = Float.of_int words *. energy_pj_per_word

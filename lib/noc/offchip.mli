@@ -3,10 +3,8 @@
     multiple nodes. *)
 
 val link_bandwidth_bytes_per_sec : float
-val energy_pj_per_word : float
 
 val transfer_cycles : Puma_hwmodel.Config.t -> words:int -> int
 (** Cycles (at the core clock) to move [words] 16-bit words across one
-    link. *)
-
-val transfer_energy_pj : words:int -> float
+    link. The energy of a word is the ledger's one charge,
+    [Puma_hwmodel.Energy.per_event_pj _ Offchip]. *)

@@ -1171,6 +1171,138 @@ let test_parallel_domains () =
       Alcotest.(check string) (name ^ " report") serial.(i) parallel.(i))
     jobs
 
+(* ---- The symbolic run trusts Check ---- *)
+
+(* y = W x on one core at dim 32, W = I / 2. The MVM's stride is an
+   8-bit field and the crossbar reads input (j + stride) mod dim, so
+   strides of dim and dim + 1 are as well formed as 0 and 1. *)
+let stride_program stride =
+  let binding name mem_addr =
+    { Program.name; tile = 0; mem_addr; length = 32; offset = 0 }
+  in
+  {
+    Program.config = config 32;
+    tiles =
+      [|
+        {
+          Program.tile_index = 0;
+          core_code =
+            [|
+              asm
+                (Printf.sprintf
+                   "load xin0[0], @0, w=32\n\
+                    mvm mask=0x01 filter=0 stride=%d\n\
+                    copy r0, xout0[0], w=32\n\
+                    store @32, r0, count=0, w=32\nhalt\n"
+                   stride);
+            |];
+          tile_code = [||];
+          mvmu_images =
+            [
+              {
+                Program.core_index = 0;
+                mvmu_index = 0;
+                image =
+                  Puma_util.Fixed.image_of_mat
+                    (Puma_util.Tensor.mat_init 32 32 (fun i j ->
+                         if i = j then 0.5 else 0.0));
+              };
+            ];
+        };
+      |];
+    inputs = [ binding "x" 0 ];
+    outputs = [ binding "y" 32 ];
+    constants = [];
+  }
+
+let test_stride_past_dim () =
+  let cost p =
+    List.map Diag.to_string
+      (diags_with "I-COST"
+         (Analyze.program ~ranges:true ~resources:true ~order:true p))
+  in
+  let stride1 = cost (stride_program 1) in
+  Alcotest.(check bool) "stride 1 has a cost bound" true (stride1 <> []);
+  let x = Array.init 32 (fun j -> Float.of_int (j + 1) /. 64.0) in
+  List.iter
+    (fun stride ->
+      let name = Printf.sprintf "stride %d" stride in
+      let p = stride_program stride in
+      Alcotest.(check (list string)) (name ^ ": Check-clean") []
+        (List.map Diag.to_string (Check.diagnose p));
+      let r = Analyze.program ~ranges:true ~resources:true ~order:true p in
+      Alcotest.(check (list string)) (name ^ ": no W-RANGE-PARTIAL") []
+        (List.map Diag.to_string (diags_with "W-RANGE-PARTIAL" r));
+      Alcotest.(check (list string)) (name ^ ": cost of stride 1") stride1
+        (cost p);
+      Alcotest.(check (array (float 1e-9)))
+        (name ^ ": y[j] = x[(j + stride) mod 32] / 2")
+        (Array.init 32 (fun j -> x.((j + stride) mod 32) /. 2.0))
+        (List.assoc "y"
+           (Puma_sim.Node.run (Puma_sim.Node.create p) ~inputs:[ ("x", x) ])))
+    [ 32; 33 ]
+
+(* A program Check rejects is not executed: the run stops before its
+   first step, and the one W-EQUIV-UNKNOWN names the code. *)
+let test_check_error_stops_run () =
+  let p =
+    one_tile
+      [|
+        [| Instr.Copy { dest = gpr 0; src = gpr 126; vec_width = 4 }; Instr.Halt |];
+      |]
+  in
+  let r = Analyze.program ~equiv:[||] p in
+  Alcotest.(check (list string)) "the structural error" [ "E-REG" ]
+    (error_codes r);
+  match diags_with "W-EQUIV-UNKNOWN" r with
+  | [ d ] ->
+      Alcotest.(check bool) "names E-REG" true
+        (Puma_util.Strings.contains ~sub:"E-REG" d.Diag.message)
+  | ds ->
+      Alcotest.failf "expected one W-EQUIV-UNKNOWN, got %d" (List.length ds)
+
+(* One symbolic run serves the value ranges, the cost bound and the
+   translation validation: comparing against a reference changes no
+   other line of the report, over the zoo analyze --all covers. *)
+let test_ranges_without_equiv () =
+  let options =
+    {
+      Compile.default_options with
+      analysis_gate = false;
+      check_equiv = false;
+      static_analysis = false;
+    }
+  in
+  let others (r : Analyze.report) =
+    List.filter_map
+      (fun (d : Diag.t) ->
+        if List.mem d.code [ "I-EQUIV"; "E-EQUIV"; "W-EQUIV-UNKNOWN" ] then None
+        else Some (Diag.to_string d))
+      r.Analyze.diags
+  in
+  List.iter
+    (fun dim ->
+      List.iter
+        (fun (name, g) ->
+          let r = Compile.compile ~options (config dim) g in
+          let analyze ?equiv () =
+            Analyze.program ~ranges:true ~resources:true ~order:true ?equiv
+              ~layer_of:r.Compile.layer_of r.Compile.program
+          in
+          Alcotest.(check (list string))
+            (Printf.sprintf "%s@%d" name dim)
+            (others (analyze ()))
+            (others (analyze ~equiv:r.Compile.equiv_reference ())))
+        [
+          ("mlp", mlp ());
+          ("lstm", Network.build_graph Models.mini_lstm);
+          ("rnn", Network.build_graph Models.mini_rnn);
+          ("lenet5", Network.build_graph Models.lenet5);
+          ("bm", Models.mini_bm);
+          ("rbm", Models.mini_rbm);
+        ])
+    [ 64; 128 ]
+
 let () =
   Alcotest.run "analysis"
     [
@@ -1225,6 +1357,12 @@ let () =
             (indirect_out_of_range "load r0, @[s0], w=16");
           Alcotest.test_case "indirect store out of range" `Quick
             (indirect_out_of_range "store @[s0], r0, count=0, w=16");
+          Alcotest.test_case "mvm stride past the dim" `Quick
+            test_stride_past_dim;
+          Alcotest.test_case "check error stops the run" `Quick
+            test_check_error_stops_run;
+          Alcotest.test_case "ranges and bounds without equiv" `Quick
+            test_ranges_without_equiv;
         ] );
       ( "diag",
         [

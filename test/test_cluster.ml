@@ -502,17 +502,27 @@ let test_fabric_pins_offchip () =
     Fabric.create ~topology:Fabric.Ring ~nodes:4 ~tiles_per_node:8 ()
   in
   (* Tiles 0 and 8 sit on adjacent ring nodes: exactly one fabric hop,
-     which must cost exactly what the analytical estimator charges. *)
+     which must cost exactly what the analytical estimator charges and
+     one ledger [Offchip] event per word. *)
   List.iter
     (fun words ->
       Alcotest.(check int)
         (Printf.sprintf "one hop = estimator cycles (%d words)" words)
         (Offchip.transfer_cycles config ~words)
         (Fabric.transfer_cycles fabric config ~src:0 ~dst:8 ~words);
+      let energy = Energy.create config in
+      let net = Puma_noc.Network.create ~fabric config ~energy ~num_tiles:32 in
+      Puma_noc.Network.send net ~now:0
+        {
+          Puma_noc.Network.src_tile = 0;
+          dst_tile = 8;
+          fifo_id = 0;
+          payload = Array.make words 1;
+        };
       Alcotest.(check (float 1e-9))
-        (Printf.sprintf "one hop = estimator energy (%d words)" words)
-        (Offchip.transfer_energy_pj ~words)
-        (Fabric.transfer_energy_pj fabric ~src:0 ~dst:8 ~words))
+        (Printf.sprintf "one hop = ledger energy (%d words)" words)
+        (Float.of_int words *. Energy.per_event_pj config Energy.Offchip)
+        (Energy.energy_pj energy Energy.Offchip))
     [ 1; 2; 64; 1000 ]
 
 let () =

@@ -443,14 +443,17 @@ let test_e2e_multi_tile_communication () =
   Alcotest.(check int) "sends = receives" r.Compile.codegen_stats.num_sends
     r.Compile.codegen_stats.num_receives
 
-let test_e2e_code_size_ok () =
+let test_e2e_code_size () =
   let m = B.create "size" in
   let x = B.input m ~name:"x" ~len:64 in
   let w = B.const_matrix m ~name:"W" (Tensor.mat_rand rng 64 64 0.1) in
   B.output m ~name:"y" (B.mvm m w x);
   let r = compile (B.finish m) in
-  Alcotest.(check bool) "fits instruction memories" true
-    (Program.code_size_ok r.Compile.program)
+  Alcotest.(check (list string)) "fits instruction memories" []
+    (List.filter_map
+       (fun (d : Puma_isa.Diag.t) ->
+         if d.code = "E-IMEM" then Some (Puma_isa.Diag.to_string d) else None)
+       (Puma_isa.Check.diagnose r.Compile.program))
 
 (* Random end-to-end sweep: arbitrary DAGs of supported ops. *)
 let random_model seed =
@@ -1213,7 +1216,7 @@ let () =
           Alcotest.test_case "batch loop wrapper" `Quick test_e2e_batch_loop_wrapper;
           Alcotest.test_case "register spills" `Quick test_e2e_register_pressure_spills;
           Alcotest.test_case "multi-tile" `Quick test_e2e_multi_tile_communication;
-          Alcotest.test_case "code size" `Quick test_e2e_code_size_ok;
+          Alcotest.test_case "code size" `Quick test_e2e_code_size;
           Alcotest.test_case "random models" `Slow test_e2e_random_models;
           Alcotest.test_case "fifo backpressure" `Quick test_e2e_fifo_backpressure;
           Alcotest.test_case "multi-node" `Quick test_e2e_multi_node;

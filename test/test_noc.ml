@@ -219,7 +219,7 @@ let test_offchip_transfer () =
   (* 6.4 GB/s at 1 GHz: 1 MB should take ~163840 cycles. *)
   let cy = Offchip.transfer_cycles c ~words:(512 * 1024) in
   Alcotest.(check bool) "bandwidth model" true (cy > 150_000 && cy < 180_000);
-  Alcotest.(check (float 1e-9)) "energy" 3200.0 (Offchip.transfer_energy_pj ~words:10)
+  Alcotest.(check (float 1e-9)) "energy" 320.0 (Energy.per_event_pj c Offchip)
 
 let () =
   Alcotest.run "noc"
